@@ -73,62 +73,77 @@ pub fn to_string(model: &QuantizedMlp) -> String {
 
 /// Parses the v1 text format back into a model.
 ///
+/// The text is untrusted: the declared `dims` are cross-checked against
+/// what the text can hold *before* anything is allocated for them, and
+/// every pattern must fit the declared format's width.
+///
 /// # Errors
 ///
 /// Returns [`ParseModelError`] on malformed input (bad magic, unknown
-/// format tag, inconsistent shapes, non-hex patterns).
+/// format tag, zero / oversized / inconsistent shapes, truncation,
+/// non-hex or over-wide patterns), naming the offending line.
 pub fn from_str(text: &str) -> Result<QuantizedMlp, ParseModelError> {
-    let mut lines = text.lines().enumerate();
-    let (n, magic) = lines
-        .next()
-        .ok_or_else(|| ParseModelError::new(0, "empty input"))?;
+    let mut lines = text.lines().enumerate().map(|(i, l)| (i + 1, l));
+    // A missing line is reported at the line number it should have had.
+    let end = text.lines().count() + 1;
+    let mut next = |what: &str| {
+        lines
+            .next()
+            .ok_or_else(|| ParseModelError::new(end, format!("missing {what}")))
+    };
+    let (n, magic) = next("magic line")?;
     if magic.trim() != "deep-positron-model v1" {
-        return Err(ParseModelError::new(n + 1, "bad magic line"));
+        return Err(ParseModelError::new(n, "bad magic line"));
     }
-    let (n, fmt_line) = lines
-        .next()
-        .ok_or_else(|| ParseModelError::new(2, "missing format line"))?;
-    let format = parse_format(fmt_line).map_err(|m| ParseModelError::new(n + 1, m))?;
-    let (n, dims_line) = lines
-        .next()
-        .ok_or_else(|| ParseModelError::new(3, "missing dims line"))?;
+    let (n, fmt_line) = next("format line")?;
+    let format = parse_format(fmt_line).map_err(|m| ParseModelError::new(n, m))?;
+    let (n, dims_line) = next("dims line")?;
     let dims: Vec<usize> = dims_line
         .strip_prefix("dims ")
-        .ok_or_else(|| ParseModelError::new(n + 1, "expected `dims ...`"))?
+        .ok_or_else(|| ParseModelError::new(n, "expected `dims ...`"))?
         .split_whitespace()
         .map(|t| t.parse::<usize>())
         .collect::<Result<_, _>>()
-        .map_err(|e| ParseModelError::new(n + 1, format!("bad dim: {e}")))?;
+        .map_err(|e| ParseModelError::new(n, format!("bad dim: {e}")))?;
     if dims.len() < 2 {
-        return Err(ParseModelError::new(n + 1, "need at least two dims"));
+        return Err(ParseModelError::new(n, "need at least two dims"));
+    }
+    if dims.contains(&0) {
+        return Err(ParseModelError::new(n, "dims must be nonzero"));
+    }
+    // Every pattern takes at least a hex digit and a separator, so the
+    // text bounds the pattern count the dims may declare.
+    let patterns = dims.windows(2).try_fold(0usize, |sum, d| {
+        sum.checked_add(d[0].checked_add(1)?.checked_mul(d[1])?)
+    });
+    if patterns.is_none_or(|p| p > text.len() / 2) {
+        return Err(ParseModelError::new(
+            n,
+            format!(
+                "dims declare more patterns than a {}-byte file can hold",
+                text.len()
+            ),
+        ));
     }
 
+    let width_mask = u32::MAX >> (32 - format.n());
     let mut layers = Vec::new();
-    for li in 0..dims.len() - 1 {
-        let (fan_in, fan_out) = (dims[li], dims[li + 1]);
-        let (n, header) = lines
-            .next()
-            .ok_or_else(|| ParseModelError::new(0, format!("missing layer {li}")))?;
+    for (li, d) in dims.windows(2).enumerate() {
+        let (fan_in, fan_out) = (d[0], d[1]);
+        let (n, header) = next(&format!("layer {li}"))?;
         if header.trim() != format!("layer {li}") {
-            return Err(ParseModelError::new(
-                n + 1,
-                format!("expected `layer {li}`"),
-            ));
+            return Err(ParseModelError::new(n, format!("expected `layer {li}`")));
         }
         let mut weights = Vec::with_capacity(fan_in * fan_out);
         for _ in 0..fan_out {
-            let (n, wline) = lines
-                .next()
-                .ok_or_else(|| ParseModelError::new(0, "missing weight row"))?;
-            let row =
-                parse_hex_row(wline, "w ", fan_in).map_err(|m| ParseModelError::new(n + 1, m))?;
+            let (n, wline) = next("weight row")?;
+            let row = parse_hex_row(wline, "w ", fan_in, width_mask)
+                .map_err(|m| ParseModelError::new(n, m))?;
             weights.extend_from_slice(&row);
         }
-        let (n, bline) = lines
-            .next()
-            .ok_or_else(|| ParseModelError::new(0, "missing bias row"))?;
-        let biases =
-            parse_hex_row(bline, "b ", fan_out).map_err(|m| ParseModelError::new(n + 1, m))?;
+        let (n, bline) = next("bias row")?;
+        let biases = parse_hex_row(bline, "b ", fan_out, width_mask)
+            .map_err(|m| ParseModelError::new(n, m))?;
         layers.push(QuantizedLayer::new(fan_in, fan_out, weights, biases));
     }
     Ok(QuantizedMlp { format, layers })
@@ -184,13 +199,24 @@ fn parse_format(line: &str) -> Result<NumericFormat, String> {
     }
 }
 
-fn parse_hex_row(line: &str, prefix: &str, expect: usize) -> Result<Vec<u32>, String> {
+/// Parses one `w`/`b` row of `expect` hex patterns, each within the
+/// format's `width_mask`.
+fn parse_hex_row(
+    line: &str,
+    prefix: &str,
+    expect: usize,
+    width_mask: u32,
+) -> Result<Vec<u32>, String> {
     let rest = line
         .strip_prefix(prefix)
         .ok_or_else(|| format!("expected `{prefix}...`"))?;
     let row: Vec<u32> = rest
         .split_whitespace()
-        .map(|t| u32::from_str_radix(t, 16).map_err(|e| format!("bad hex `{t}`: {e}")))
+        .map(|t| match u32::from_str_radix(t, 16) {
+            Ok(bits) if bits & !width_mask == 0 => Ok(bits),
+            Ok(_) => Err(format!("pattern `{t}` has bits above the format's width")),
+            Err(e) => Err(format!("bad hex `{t}`: {e}")),
+        })
         .collect::<Result<_, _>>()?;
     if row.len() != expect {
         return Err(format!("expected {expect} entries, got {}", row.len()));
@@ -263,6 +289,65 @@ mod tests {
         // Bad hex.
         let text = "deep-positron-model v1\nformat f32\ndims 1 1\nlayer 0\nw zz\nb 1\n";
         assert!(from_str(text).is_err());
+    }
+
+    #[test]
+    fn hostile_dims_are_errors_not_aborts() {
+        let with_dims =
+            |dims: &str| format!("deep-positron-model v1\nformat posit 8 0\ndims {dims}\n");
+        for dims in [
+            "1000000000000 2",                           // 8 TB of weights
+            "4294967296 4294967296",                     // product overflows usize
+            "18446744073709551615 18446744073709551615", // sum overflows too
+            "2 18446744073709551615 2",
+            "0 2",
+            "2 0",
+            "3 0 2",
+        ] {
+            let e = from_str(&with_dims(dims)).unwrap_err();
+            assert_eq!(e.line, 3, "dims {dims}: {e}");
+        }
+        // A dim that does not even fit usize is a parse error on the same line.
+        let e = from_str(&with_dims("99999999999999999999999 2")).unwrap_err();
+        assert_eq!(e.line, 3);
+    }
+
+    #[test]
+    fn truncation_at_every_line_boundary_is_located() {
+        let text = to_string(&model());
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 3 + (1 + 4 + 1) + (1 + 2 + 1));
+        for keep in 0..lines.len() {
+            // A cut right after the dims line is already caught there (the
+            // dims promise more than the file holds); every other cut
+            // reports the first missing line.
+            let want = if keep == 3 { 3 } else { keep + 1 };
+            // With and without the cut's trailing newline.
+            for cut in [
+                lines[..keep].join("\n"),
+                lines[..keep].iter().map(|l| format!("{l}\n")).collect(),
+            ] {
+                let e = from_str(&cut).unwrap_err();
+                assert_eq!(e.line, want, "{keep} lines kept: {e}");
+            }
+        }
+        assert!(from_str(&text).is_ok());
+    }
+
+    #[test]
+    fn over_wide_patterns_are_rejected_with_line_and_token() {
+        let text = "deep-positron-model v1\nformat posit 8 0\ndims 2 1\nlayer 0\nw 1ff 40\nb 12\n";
+        let e = from_str(text).unwrap_err();
+        assert_eq!(e.line, 5);
+        assert!(e.to_string().contains("1ff"), "{e}");
+        let e = from_str(&text.replace("1ff", "ff").replace("b 12", "b 100")).unwrap_err();
+        assert_eq!(e.line, 6);
+        assert!(e.to_string().contains("100"), "{e}");
+        // In range: loads. F32 uses all 32 bits.
+        assert!(from_str(&text.replace("1ff", "ff")).is_ok());
+        let f32_text =
+            "deep-positron-model v1\nformat f32\ndims 1 1\nlayer 0\nw ffffffff\nb 3f800000\n";
+        assert!(from_str(f32_text).is_ok());
     }
 
     #[test]

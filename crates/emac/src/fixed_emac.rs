@@ -343,82 +343,65 @@ impl Emac for FixedEmac {
         }
     }
 
-    fn dot_tile(&mut self, bias: u32, weights: &[u32], cols: &[&[u32]], out: &mut [u32]) {
-        assert_eq!(
-            cols.len(),
-            out.len(),
-            "dot_tile: column/output length mismatch"
+    fn tile_body(&mut self, bias: u32, weights: &[u32], cols: &[&[u32]], out: &mut [u32]) -> bool {
+        debug_assert!(
+            weights.len() as u64 <= self.capacity,
+            "fixed EMAC over capacity"
         );
-        for col in cols {
-            assert_eq!(
-                col.len(),
-                weights.len(),
-                "dot_tile: column/weight length mismatch"
-            );
+        if self.product.is_none() && !self.batched {
+            return false;
         }
-        let (k, b) = (weights.len(), cols.len());
-        if b == 0 {
-            return;
-        }
-        debug_assert!(k as u64 <= self.capacity, "fixed EMAC over capacity");
-        if b >= 2 && (self.product.is_some() || self.batched) {
-            self.set_bias(bias);
-            let seed = self.acc;
-            // Product band cache-blocks the table; the batched band
-            // sign-extends the weight row once. Same gates as `kernel()`.
-            if let Some(table) = self.product {
-                let mut accs = [0i128; TILE_COL_GROUP];
-                for (cg, og) in cols
-                    .chunks(TILE_COL_GROUP)
-                    .zip(out.chunks_mut(TILE_COL_GROUP))
-                {
-                    Self::tile_product_group(table, seed, weights, cg, &mut accs);
-                    for (acc, slot) in accs.iter().zip(og.iter_mut()) {
-                        self.acc = *acc;
-                        *slot = self.result();
-                    }
-                }
-            } else {
-                let mut wsext = std::mem::take(&mut self.gather);
-                wsext.clear();
-                let n = self.fmt.n();
-                let lut = self.lut;
-                match lut {
-                    Some(l) => wsext.extend(weights.iter().map(|&p| l.decode(p))),
-                    None => {
-                        let sh = 64 - n;
-                        wsext.extend(weights.iter().map(|&p| (((p as u64) << sh) as i64) >> sh));
-                    }
-                }
-                for (col, slot) in cols.iter().zip(out.iter_mut()) {
-                    let acc = match lut {
-                        Some(l) => Self::tile_direct_col(|p| l.decode(p), seed, &wsext, col),
-                        None => {
-                            let sh = 64 - n;
-                            Self::tile_direct_col(
-                                |p| (((p as u64) << sh) as i64) >> sh,
-                                seed,
-                                &wsext,
-                                col,
-                            )
-                        }
-                    };
-                    self.acc = acc;
+        self.set_bias(bias);
+        let seed = self.acc;
+        // Product band cache-blocks the table; the batched band
+        // sign-extends the weight row once. Same gates as `kernel()`.
+        if let Some(table) = self.product {
+            let mut accs = [0i128; TILE_COL_GROUP];
+            for (cg, og) in cols
+                .chunks(TILE_COL_GROUP)
+                .zip(out.chunks_mut(TILE_COL_GROUP))
+            {
+                Self::tile_product_group(table, seed, weights, cg, &mut accs);
+                for (acc, slot) in accs.iter().zip(og.iter_mut()) {
+                    self.acc = *acc;
                     *slot = self.result();
                 }
-                self.gather = wsext;
             }
-            self.count = (k * b) as u64;
-            return;
+        } else {
+            let mut wsext = std::mem::take(&mut self.gather);
+            wsext.clear();
+            let n = self.fmt.n();
+            let lut = self.lut;
+            match lut {
+                Some(l) => wsext.extend(weights.iter().map(|&p| l.decode(p))),
+                None => {
+                    let sh = 64 - n;
+                    wsext.extend(weights.iter().map(|&p| (((p as u64) << sh) as i64) >> sh));
+                }
+            }
+            for (col, slot) in cols.iter().zip(out.iter_mut()) {
+                let acc = match lut {
+                    Some(l) => Self::tile_direct_col(|p| l.decode(p), seed, &wsext, col),
+                    None => {
+                        let sh = 64 - n;
+                        Self::tile_direct_col(
+                            |p| (((p as u64) << sh) as i64) >> sh,
+                            seed,
+                            &wsext,
+                            col,
+                        )
+                    }
+                };
+                self.acc = acc;
+                *slot = self.result();
+            }
+            self.gather = wsext;
         }
-        // Per-column baseline: B == 1 keeps the row kernels, the scalar
-        // band stays the differential reference at any width.
-        for (col, slot) in cols.iter().zip(out.iter_mut()) {
-            self.set_bias(bias);
-            self.dot_slice(weights, col);
-            *slot = self.result();
-        }
-        self.count = (k * b) as u64;
+        true
+    }
+
+    fn set_macs_done(&mut self, macs: u64) {
+        self.count = macs;
     }
 
     fn kernel(&self) -> MacKernel {

@@ -1,33 +1,14 @@
-//! The floating-point EMAC (paper Fig. 4).
+//! The minifloat family of the table-driven EMAC (paper Fig. 4).
 
-use crate::acc::Accum;
+use crate::acc::Window;
 use crate::ceil_log2;
-use crate::kernel::{I128Lanes, PRODUCT_TILE_BLOCK, TILE_COL_GROUP};
-use crate::unit::Emac;
-use crate::MacKernel;
-use dp_minifloat::lut::{DecodeLut, EmacDirect, EmacEntry, EmacLut, ProductEntry, ProductLut};
-use dp_minifloat::{decode, encode, FloatClass, FloatFormat};
+use crate::table::{self, EmacEntry, Tables, MAX_COMPUTED_WIDTH, MAX_LUT_WIDTH};
+use crate::table_emac::{Family, TableEmac};
+use crate::UnsupportedFormat;
+use dp_minifloat::{encode, FloatFormat};
 
-/// Where fused EMAC operands come from on the fast path: the per-pattern
-/// table (`n ≤ 12`) or the computed bit-field extraction (13–16 bits).
-/// Both produce identical [`EmacEntry`] words.
-#[derive(Debug, Clone, Copy)]
-enum FastOperands {
-    Lut(&'static EmacLut),
-    Direct(EmacDirect),
-}
-
-impl FastOperands {
-    #[inline]
-    fn entry(self, bits: u32) -> EmacEntry {
-        match self {
-            FastOperands::Lut(t) => t.entry(bits),
-            FastOperands::Direct(d) => d.entry(bits),
-        }
-    }
-}
-
-/// Exact floating-point multiply-and-accumulate.
+/// Exact floating-point multiply-and-accumulate: the shared
+/// [`TableEmac`] datapath with the [`Float`] decode/encode stages.
 ///
 /// Inputs are `(1, we, wf)` minifloats. The datapath mirrors paper Fig. 4:
 /// subnormal detection sets the hidden bit and adjusts the exponent;
@@ -63,751 +44,118 @@ impl FastOperands {
 /// assert_eq!(dp_minifloat::convert::to_f64(fmt, emac.result()), 4.5);
 /// # Ok::<(), dp_minifloat::FormatError>(())
 /// ```
-#[derive(Debug, Clone)]
-pub struct FloatEmac {
+pub type FloatEmac = TableEmac<Float>;
+
+/// The minifloat [`Family`]: Fig. 4's subnormal-aware decode and its
+/// normalize / round-to-nearest-even / clip readout.
+///
+/// A minifloat's sign/exponent/fraction sit at fixed offsets, so one
+/// bit-field extraction ([`Family::decode`]) serves every width: it fills
+/// the operand table for `n ≤ 12`, is computed per element for 13–16
+/// bits, and is the reference decode. Operands are kept *unnormalised* in
+/// units of the smallest subnormal — `field = hidden | frac`,
+/// `scale = max(exp_field, 1) − 1` — so a product is the plain
+/// `field_w · field_a << (scale_w + scale_a)` in units of
+/// `min_subnormal²`, exactly the posit form, with no leading-zero count
+/// and no trailing-zero bookkeeping.
+#[derive(Debug, Clone, Copy)]
+pub struct Float {
     fmt: FloatFormat,
-    capacity: u64,
-    acc: Accum,
-    /// Decode table for the format, when one exists (`n ≤ 12`).
-    lut: Option<&'static DecodeLut>,
-    /// Fused decode + front-end operands driving the one-lookup MAC loop
-    /// (`n ≤ 12`: per-pattern table; 13–16: computed bit-field operands).
-    fast: Option<FastOperands>,
-    /// Finished-product table for `n ≤ 8` formats: decode, multiply and
-    /// underflow normalization collapse into one `2^(2n)`-entry lookup
-    /// ([`MacKernel::ProductTable`] when the accumulator is an `i128`).
-    product: Option<&'static ProductLut>,
-    /// Bit index of weight 2^0: products are multiples of min_subnormal².
-    offset: i32,
-    count: u64,
-    poisoned: bool,
-    /// Gathered weight-operand scratch for the fused tile, retained
-    /// across [`Emac::dot_tile`] calls so a tile sweep over a layer does
-    /// not allocate per weight row. Never semantic: cleared and refilled
-    /// on each gather-tile call.
-    gather: Vec<EmacEntry>,
 }
 
-impl FloatEmac {
-    /// Creates a unit for `fmt` sized for `capacity` accumulations, using
-    /// the fused-operand and native-accumulator fast paths when the
-    /// format qualifies (every ≤16-bit configuration of the paper's §IV
-    /// sweep does; ≤8-bit ones additionally get the decode LUT).
-    pub fn new(fmt: FloatFormat, capacity: u64) -> Self {
-        let capacity = capacity.max(1);
-        let fast = dp_minifloat::lut::emac_cached(fmt)
-            .map(FastOperands::Lut)
-            .or_else(|| EmacDirect::build(fmt).map(FastOperands::Direct));
-        Self::build(
-            fmt,
-            capacity,
-            dp_minifloat::lut::cached(fmt),
-            fast,
-            dp_minifloat::lut::product_cached(fmt),
-            Accum::new(Self::accumulator_width_for(fmt, capacity)),
-        )
+impl Family for Float {
+    type Format = FloatFormat;
+    type Computed = Float;
+    const NAME: &'static str = "float";
+    const PIPELINE_DEPTH: u32 = 4; // decode/multiply/shift → accumulate → normalize → round/clip
+
+    /// Every valid [`FloatFormat`] has an EMAC datapath.
+    fn check_format(_: FloatFormat) -> Result<(), UnsupportedFormat> {
+        Ok(())
     }
 
-    /// [`FloatEmac::new`] in `Result` form, for uniformity with the posit
-    /// and fixed units' `try_new`: every valid [`FloatFormat`] has an EMAC
-    /// datapath, so this never fails.
-    ///
-    /// # Errors
-    ///
-    /// None — present so format-generic validation can treat the three
-    /// families uniformly.
-    pub fn try_new(fmt: FloatFormat, capacity: u64) -> Result<Self, crate::UnsupportedFormat> {
-        Ok(Self::new(fmt, capacity))
-    }
-
-    /// Creates a unit on the pre-LUT reference datapath: bit-field decode
-    /// per MAC and the limb-based `WideInt` register, regardless of
-    /// format width. Kept for differential testing and benchmarking.
-    pub fn new_reference(fmt: FloatFormat, capacity: u64) -> Self {
-        let capacity = capacity.max(1);
-        Self::build(
-            fmt,
-            capacity,
-            None,
-            None,
-            None,
-            Accum::new_wide(Self::accumulator_width_for(fmt, capacity)),
-        )
-    }
-
-    /// Caps the slice-level kernel this unit may select — a bench/test
-    /// knob for comparing kernels on one format; see
-    /// [`crate::PositEmac::with_kernel_cap`] for the cap semantics.
-    pub fn with_kernel_cap(mut self, cap: MacKernel) -> Self {
-        if cap < MacKernel::ProductTable {
-            self.product = None;
-        }
-        if cap < MacKernel::BatchedFused {
-            self.fast = None;
-        }
-        self
-    }
-
-    fn build(
-        fmt: FloatFormat,
-        capacity: u64,
-        lut: Option<&'static DecodeLut>,
-        fast: Option<FastOperands>,
-        product: Option<&'static ProductLut>,
-        acc: Accum,
-    ) -> Self {
-        // Smallest product bit: (2^(min_normal_scale - wf))² ; the offset
-        // makes that land at register bit 0.
-        let offset = 2 * (fmt.min_normal_scale() - fmt.wf() as i32);
-        FloatEmac {
-            fmt,
-            capacity,
-            acc,
-            lut,
-            fast,
-            product,
-            offset: -offset,
-            count: 0,
-            poisoned: false,
-            gather: Vec::new(),
-        }
-    }
-
-    /// True when this unit runs the fused operands + native (`i128` or
-    /// two-word 256-bit) accumulator fast path.
-    pub fn is_fast_path(&self) -> bool {
-        self.fast.is_some() && self.acc.is_native()
-    }
-
-    /// Decode via the table when present, bit fields otherwise.
-    #[inline]
-    fn decode_bits(&self, bits: u32) -> FloatClass {
-        match self.lut {
-            Some(lut) => lut.decode(bits),
-            None => decode(self.fmt, bits),
-        }
-    }
-
-    /// The format of this unit.
-    pub fn format(&self) -> FloatFormat {
-        self.fmt
-    }
-
-    /// Paper eq. (3) accumulator width for `k` accumulations.
-    pub fn accumulator_width_for(fmt: FloatFormat, k: u64) -> u32 {
+    /// Paper eq. (3).
+    fn accumulator_width_for(fmt: FloatFormat, k: u64) -> u32 {
         let log_ratio = (1u32 << fmt.we()) - 2 + fmt.wf(); // ⌈log2(max/min)⌉
         ceil_log2(k) + 2 * log_ratio + 2
     }
 
-    fn add_value(&mut self, sign: bool, scale: i32, sig: u64) {
-        let tz = sig.trailing_zeros() as i32;
-        let pos = scale - 63 + tz + self.offset;
-        debug_assert!(pos >= 0, "float values are multiples of min_sub");
-        self.acc
-            .add_shifted_u128((sig >> tz) as u128, pos as usize, sign);
+    fn tables(fmt: FloatFormat) -> &'static Tables {
+        let fields = Float { fmt };
+        table::cached((Self::NAME, fmt.we(), fmt.wf()), fmt.n(), |b| {
+            fields.decode(b)
+        })
     }
 
-    /// The [`Emac::mac`] datapath without the `macs_done` bookkeeping —
-    /// shared by the scalar entry point and [`Emac::dot_slice`]'s scalar
-    /// kernel (which advances the counter once per slice).
-    #[inline]
-    fn mac_uncounted(&mut self, weight: u32, activation: u32) {
-        // Fused fast path: integer significand product, trailing zeros
-        // absorbing subnormal underflow, one shifted native add.
-        // Bit-identical to the datapath below (fast_path_equivalence).
-        if let Some(t) = self.fast {
-            let ew = t.entry(weight);
-            let ea = t.entry(activation);
-            if (ew.0 | ea.0) & EmacEntry::SPECIAL_BIT != 0 {
-                self.poisoned = true;
-                return;
-            }
-            let prod = ew.field() * ea.field(); // < 2^(2wf+2) <= 2^30
-            if prod == 0 {
-                return;
-            }
-            let tz = prod.trailing_zeros() as i32;
-            // bias_a + bias_b + tz − 2wf = (scale_a − min) + (scale_b − min)
-            // + tz(prod) ≥ 0: products are multiples of min_subnormal².
-            let shift =
-                ew.biased_scale() as i32 + ea.biased_scale() as i32 + tz - 2 * self.fmt.wf() as i32;
-            debug_assert!(shift >= 0, "float products are multiples of min_sub²");
-            let negate = (ew.0 ^ ea.0) & EmacEntry::SIGN_BIT != 0;
-            match &mut self.acc {
-                Accum::Small(acc) => {
-                    let signed = ((prod >> tz) as i128) << shift;
-                    if negate {
-                        *acc -= signed;
-                    } else {
-                        *acc += signed;
-                    }
-                }
-                acc => acc.add_shifted_u128((prod >> tz) as u128, shift as usize, negate),
-            }
-            return;
+    fn new(fmt: FloatFormat, _tables: bool) -> Self {
+        Float { fmt }
+    }
+
+    fn format(&self) -> FloatFormat {
+        self.fmt
+    }
+
+    /// Fig. 4's subnormal detection: an all-zero exponent field clears the
+    /// hidden bit and reads as exponent 1; the all-ones field is Inf/NaN.
+    #[inline(always)]
+    fn decode(&self, bits: u32) -> EmacEntry {
+        let (we, wf) = (self.fmt.we(), self.fmt.wf());
+        let exp_max = (1u32 << we) - 1;
+        let exp_field = (bits >> wf) & exp_max;
+        if exp_field == exp_max {
+            return EmacEntry::SPECIAL;
         }
-        let (ua, ub) = match (self.decode_bits(weight), self.decode_bits(activation)) {
-            (FloatClass::NaN, _)
-            | (_, FloatClass::NaN)
-            | (FloatClass::Inf(_), _)
-            | (_, FloatClass::Inf(_)) => {
-                self.poisoned = true;
-                return;
-            }
-            (FloatClass::Zero(_), _) | (_, FloatClass::Zero(_)) => return,
-            (FloatClass::Finite(ua), FloatClass::Finite(ub)) => (ua, ub),
+        let hidden = ((exp_field != 0) as u64) << wf;
+        let frac = (bits & ((1u32 << wf) - 1)) as u64;
+        let sign = (bits >> (we + wf)) & 1 == 1;
+        EmacEntry::pack(sign, hidden | frac, exp_field.saturating_sub(1))
+    }
+
+    fn computed(&self) -> Option<Float> {
+        (MAX_LUT_WIDTH + 1..=MAX_COMPUTED_WIDTH)
+            .contains(&self.fmt.n())
+            .then_some(*self)
+    }
+
+    #[inline(always)]
+    fn computed_entry(fields: Float, bits: u32) -> EmacEntry {
+        fields.decode(bits)
+    }
+
+    /// Register bit 0 weighs `min_subnormal²` and an operand's unit is
+    /// `min_subnormal = 2^(min_normal_scale − wf)`, so a bias sits
+    /// `wf − min_normal_scale` bits up.
+    fn bias_shift(&self) -> u32 {
+        (self.fmt.wf() as i32 - self.fmt.min_normal_scale()) as u32
+    }
+
+    /// Fig. 4 readout: inverse 2's complement, LZD, normalize, round —
+    /// then clip at the maximum magnitude: the EMAC never emits infinity.
+    #[inline(always)]
+    fn encode(&self, window: Option<Window>) -> u32 {
+        let Some(w) = window else {
+            return self.fmt.zero_bits(false);
         };
-        // Exact product of the two significands (Fig. 4 multiply stage).
-        let prod = (ua.sig as u128) * (ub.sig as u128); // [2^126, 2^128)
-        let tz = prod.trailing_zeros() as i32;
-        let pos = ua.scale + ub.scale - 126 + tz + self.offset;
-        debug_assert!(pos >= 0, "float products are multiples of min_sub²");
-        self.acc
-            .add_shifted_u128(prod >> tz, pos as usize, ua.sign ^ ub.sign);
-    }
-
-    /// One finished-product table step of the product-table kernel.
-    #[inline(always)]
-    fn product_step(table: &ProductLut, lanes: &mut I128Lanes, special: &mut u32, w: u32, a: u32) {
-        let p = table.entry(w, a);
-        *special |= p.0 & ProductEntry::SPECIAL_BIT;
-        debug_assert!(
-            p.shift() + (64 - p.product().leading_zeros()) <= 127,
-            "product-table kernel requires the i128 window"
-        );
-        lanes.add((p.product() as u128) << p.shift(), p.negate());
-    }
-
-    /// One finished-product step against a weight's contiguous table row
-    /// ([`ProductLut::row`]): the product tile resolves the row base once
-    /// per weight and shares it across the group's columns, so each step
-    /// is a masked index with no weight shift and no bounds check (the
-    /// row length is a power of two).
-    #[inline(always)]
-    fn product_row_step(row: &[ProductEntry], lanes: &mut I128Lanes, special: &mut u32, a: u32) {
-        let p = row[(a as usize) & (row.len() - 1)];
-        *special |= p.0 & ProductEntry::SPECIAL_BIT;
-        debug_assert!(
-            p.shift() + (64 - p.product().leading_zeros()) <= 127,
-            "product-table kernel requires the i128 window"
-        );
-        lanes.add_select((p.product() as u128) << p.shift(), p.negate());
-    }
-
-    /// The batched fused-operand loop on the `i128` window, monomorphized
-    /// per entry source (per-pattern table vs computed bit fields) so the
-    /// inner loop is a plain gather → multiply → shifted lane-add. The net
-    /// shift `bias_w + bias_a − 2wf` may be negative (subnormal products);
-    /// the product then has at least that many trailing zeros, so the
-    /// right shift is exact — the same value the scalar path computes via
-    /// its trailing-zero count. Returns whether Inf/NaN was seen.
-    #[inline(always)]
-    fn dot_fused_small<F: Fn(u32) -> EmacEntry>(
-        entry: F,
-        wf2: i32,
-        acc: &mut i128,
-        weights: &[u32],
-        activations: &[u32],
-    ) -> bool {
-        let mut lanes = I128Lanes::from_i128(*acc);
-        let mut special = 0u64;
-        for (&w, &a) in weights.iter().zip(activations) {
-            let ew = entry(w);
-            let ea = entry(a);
-            special |= (ew.0 | ea.0) & EmacEntry::SPECIAL_BIT;
-            let prod = ew.field() * ea.field();
-            let net = ew.biased_scale() as i32 + ea.biased_scale() as i32 - wf2;
-            debug_assert!(
-                prod == 0 || net >= 0 || prod.trailing_zeros() >= (-net) as u32,
-                "float products are multiples of min_sub²"
-            );
-            let negate = (ew.0 ^ ea.0) & EmacEntry::SIGN_BIT != 0;
-            let term = if net >= 0 {
-                (prod as u128) << net
-            } else {
-                (prod as u128) >> (-net)
-            };
-            lanes.add(term, negate);
-        }
-        *acc = lanes.into_i128();
-        special != 0
-    }
-
-    /// The batched fused-operand loop on the medium/wide windows,
-    /// accumulating through [`Accum::add_shifted_u128`]. Returns whether
-    /// Inf/NaN was seen.
-    #[inline(always)]
-    fn dot_fused_wide<F: Fn(u32) -> EmacEntry>(
-        entry: F,
-        wf2: i32,
-        acc: &mut Accum,
-        weights: &[u32],
-        activations: &[u32],
-    ) -> bool {
-        let mut special = false;
-        for (&w, &a) in weights.iter().zip(activations) {
-            let ew = entry(w);
-            let ea = entry(a);
-            if (ew.0 | ea.0) & EmacEntry::SPECIAL_BIT != 0 {
-                special = true;
-                continue;
-            }
-            let prod = ew.field() * ea.field();
-            if prod == 0 {
-                continue;
-            }
-            let tz = prod.trailing_zeros() as i32;
-            let shift = ew.biased_scale() as i32 + ea.biased_scale() as i32 + tz - wf2;
-            debug_assert!(shift >= 0, "float products are multiples of min_sub²");
-            let negate = (ew.0 ^ ea.0) & EmacEntry::SIGN_BIT != 0;
-            acc.add_shifted_u128((prod >> tz) as u128, shift as usize, negate);
-        }
-        special
-    }
-
-    /// The cache-blocked product tile ([`crate::TileKernel::BlockedProduct`]):
-    /// columns processed in [`TILE_COL_GROUP`]-wide register groups (lane
-    /// accumulators in fixed stack arrays, no heap traffic), K tiled in
-    /// [`PRODUCT_TILE_BLOCK`]-weight blocks kept hot across each group.
-    /// Exact integer adds commute, so the reordered accumulation is
-    /// bit-identical to the per-column row kernel.
-    fn tile_product(
-        &mut self,
-        table: &'static ProductLut,
-        bias: u32,
-        weights: &[u32],
-        cols: &[&[u32]],
-        out: &mut [u32],
-    ) {
-        self.set_bias(bias);
-        let seed_poisoned = self.poisoned;
-        let Accum::Small(seed) = &self.acc else {
-            unreachable!("product tile requires the i128 window")
-        };
-        let seed = *seed;
-        for (cg, og) in cols
-            .chunks(TILE_COL_GROUP)
-            .zip(out.chunks_mut(TILE_COL_GROUP))
-        {
-            self.tile_product_group(table, seed, seed_poisoned, weights, cg, og);
-        }
-    }
-
-    /// One ≤ [`TILE_COL_GROUP`]-column group of the product tile. A full
-    /// group runs the 4-wide micro-kernel — each weight's table row is
-    /// fetched once and shared by four independent lane chains held in
-    /// locals; partial groups stream in pairs plus a single-column tail.
-    fn tile_product_group(
-        &mut self,
-        table: &'static ProductLut,
-        seed: i128,
-        seed_poisoned: bool,
-        weights: &[u32],
-        cols: &[&[u32]],
-        out: &mut [u32],
-    ) {
-        let g = cols.len();
-        debug_assert!(0 < g && g <= TILE_COL_GROUP && out.len() == g);
-        let mut lanes = [I128Lanes::from_i128(seed); TILE_COL_GROUP];
-        let mut specials = [0u32; TILE_COL_GROUP];
-        for (kb, wblock) in weights.chunks(PRODUCT_TILE_BLOCK).enumerate() {
-            let base = kb * PRODUCT_TILE_BLOCK;
-            let end = base + wblock.len();
-            if g == TILE_COL_GROUP {
-                let (mut l0, mut l1, mut l2, mut l3) = (lanes[0], lanes[1], lanes[2], lanes[3]);
-                let (mut s0, mut s1, mut s2, mut s3) =
-                    (specials[0], specials[1], specials[2], specials[3]);
-                let (c0, c1) = (&cols[0][base..end], &cols[1][base..end]);
-                let (c2, c3) = (&cols[2][base..end], &cols[3][base..end]);
-                for ((((&w, &a0), &a1), &a2), &a3) in wblock.iter().zip(c0).zip(c1).zip(c2).zip(c3)
-                {
-                    let row = table.row(w);
-                    Self::product_row_step(row, &mut l0, &mut s0, a0);
-                    Self::product_row_step(row, &mut l1, &mut s1, a1);
-                    Self::product_row_step(row, &mut l2, &mut s2, a2);
-                    Self::product_row_step(row, &mut l3, &mut s3, a3);
-                }
-                lanes = [l0, l1, l2, l3];
-                specials = [s0, s1, s2, s3];
-                continue;
-            }
-            let mut j = 0;
-            while j + 2 <= g {
-                let (mut l0, mut l1) = (lanes[j], lanes[j + 1]);
-                let (mut s0, mut s1) = (specials[j], specials[j + 1]);
-                let (c0, c1) = (&cols[j][base..end], &cols[j + 1][base..end]);
-                for ((&w, &a0), &a1) in wblock.iter().zip(c0).zip(c1) {
-                    let row = table.row(w);
-                    Self::product_row_step(row, &mut l0, &mut s0, a0);
-                    Self::product_row_step(row, &mut l1, &mut s1, a1);
-                }
-                lanes[j] = l0;
-                lanes[j + 1] = l1;
-                specials[j] = s0;
-                specials[j + 1] = s1;
-                j += 2;
-            }
-            if j < g {
-                let mut l0 = lanes[j];
-                let mut s0 = specials[j];
-                for (&w, &a) in wblock.iter().zip(&cols[j][base..end]) {
-                    Self::product_row_step(table.row(w), &mut l0, &mut s0, a);
-                }
-                lanes[j] = l0;
-                specials[j] = s0;
-            }
-        }
-        for j in 0..g {
-            self.acc = Accum::Small(lanes[j].into_i128());
-            self.poisoned = seed_poisoned || specials[j] != 0;
-            out[j] = self.result();
-        }
-    }
-
-    /// One gathered-operand step of the fused tile on the `i128` window.
-    /// The possibly-negative net shift stays exact — the product carries
-    /// at least `−net` trailing zeros.
-    #[inline(always)]
-    fn fused_step(
-        wf2: i32,
-        ew: EmacEntry,
-        ea: EmacEntry,
-        lanes: &mut I128Lanes,
-        special: &mut u64,
-    ) {
-        *special |= (ew.0 | ea.0) & EmacEntry::SPECIAL_BIT;
-        let prod = ew.field() * ea.field();
-        let net = ew.biased_scale() as i32 + ea.biased_scale() as i32 - wf2;
-        debug_assert!(
-            prod == 0 || net >= 0 || prod.trailing_zeros() >= (-net) as u32,
-            "float products are multiples of min_sub²"
-        );
-        let negate = (ew.0 ^ ea.0) & EmacEntry::SIGN_BIT != 0;
-        let term = if net >= 0 {
-            (prod as u128) << net
-        } else {
-            (prod as u128) >> (-net)
-        };
-        lanes.add_select(term, negate);
-    }
-
-    /// The gather tile on the `i128` window
-    /// ([`crate::TileKernel::GatherFused`]): weight operands gathered
-    /// once, the columns streamed four at a time through the same
-    /// branch-free inner loop as [`FloatEmac::dot_fused_small`] — four
-    /// independent lane chains per pass sharing each gathered weight
-    /// entry.
-    #[inline(always)]
-    fn tile_fused_small<F: Fn(u32) -> EmacEntry>(
-        &mut self,
-        entry: F,
-        seed: i128,
-        seed_poisoned: bool,
-        weights: &[u32],
-        cols: &[&[u32]],
-        out: &mut [u32],
-    ) {
-        let wf2 = 2 * self.fmt.wf() as i32;
-        let mut wents = std::mem::take(&mut self.gather);
-        wents.clear();
-        wents.extend(weights.iter().map(|&w| entry(w)));
-        let mut j = 0;
-        while j + 4 <= cols.len() {
-            let [mut l0, mut l1, mut l2, mut l3] = [I128Lanes::from_i128(seed); 4];
-            let [mut s0, mut s1, mut s2, mut s3] = [0u64; 4];
-            for ((((&ew, &a0), &a1), &a2), &a3) in wents
-                .iter()
-                .zip(cols[j].iter())
-                .zip(cols[j + 1].iter())
-                .zip(cols[j + 2].iter())
-                .zip(cols[j + 3].iter())
-            {
-                Self::fused_step(wf2, ew, entry(a0), &mut l0, &mut s0);
-                Self::fused_step(wf2, ew, entry(a1), &mut l1, &mut s1);
-                Self::fused_step(wf2, ew, entry(a2), &mut l2, &mut s2);
-                Self::fused_step(wf2, ew, entry(a3), &mut l3, &mut s3);
-            }
-            for (i, (lane, sp)) in [l0, l1, l2, l3]
-                .into_iter()
-                .zip([s0, s1, s2, s3])
-                .enumerate()
-            {
-                self.acc = Accum::Small(lane.into_i128());
-                self.poisoned = seed_poisoned || sp != 0;
-                out[j + i] = self.result();
-            }
-            j += 4;
-        }
-        while j + 2 <= cols.len() {
-            let (mut lanes0, mut lanes1) = (I128Lanes::from_i128(seed), I128Lanes::from_i128(seed));
-            let (mut sp0, mut sp1) = (0u64, 0u64);
-            for ((&ew, &a0), &a1) in wents.iter().zip(cols[j].iter()).zip(cols[j + 1].iter()) {
-                Self::fused_step(wf2, ew, entry(a0), &mut lanes0, &mut sp0);
-                Self::fused_step(wf2, ew, entry(a1), &mut lanes1, &mut sp1);
-            }
-            self.acc = Accum::Small(lanes0.into_i128());
-            self.poisoned = seed_poisoned || sp0 != 0;
-            out[j] = self.result();
-            self.acc = Accum::Small(lanes1.into_i128());
-            self.poisoned = seed_poisoned || sp1 != 0;
-            out[j + 1] = self.result();
-            j += 2;
-        }
-        if j < cols.len() {
-            let mut lanes = I128Lanes::from_i128(seed);
-            let mut special = 0u64;
-            for (&ew, &a) in wents.iter().zip(cols[j].iter()) {
-                Self::fused_step(wf2, ew, entry(a), &mut lanes, &mut special);
-            }
-            self.acc = Accum::Small(lanes.into_i128());
-            self.poisoned = seed_poisoned || special != 0;
-            out[j] = self.result();
-        }
-        self.gather = wents;
-    }
-
-    /// The gather tile on the medium/wide native windows: gathered weight
-    /// operands, per-column [`Accum`] registers cloned from the bias seed.
-    #[inline(always)]
-    fn tile_fused_wide<F: Fn(u32) -> EmacEntry>(
-        &mut self,
-        entry: F,
-        seed: Accum,
-        seed_poisoned: bool,
-        weights: &[u32],
-        cols: &[&[u32]],
-        out: &mut [u32],
-    ) {
-        let wf2 = 2 * self.fmt.wf() as i32;
-        let mut wents = std::mem::take(&mut self.gather);
-        wents.clear();
-        wents.extend(weights.iter().map(|&w| entry(w)));
-        for (col, slot) in cols.iter().zip(out.iter_mut()) {
-            let mut acc = seed.clone();
-            let mut special = false;
-            for (&ew, &a) in wents.iter().zip(col.iter()) {
-                let ea = entry(a);
-                if (ew.0 | ea.0) & EmacEntry::SPECIAL_BIT != 0 {
-                    special = true;
-                    continue;
-                }
-                let prod = ew.field() * ea.field();
-                if prod == 0 {
-                    continue;
-                }
-                let tz = prod.trailing_zeros() as i32;
-                let shift = ew.biased_scale() as i32 + ea.biased_scale() as i32 + tz - wf2;
-                debug_assert!(shift >= 0, "float products are multiples of min_sub²");
-                let negate = (ew.0 ^ ea.0) & EmacEntry::SIGN_BIT != 0;
-                acc.add_shifted_u128((prod >> tz) as u128, shift as usize, negate);
-            }
-            self.acc = acc;
-            self.poisoned = seed_poisoned || special;
-            *slot = self.result();
-        }
-        self.gather = wents;
-    }
-}
-
-impl Emac for FloatEmac {
-    fn reset(&mut self) {
-        self.acc.clear();
-        self.count = 0;
-        self.poisoned = false;
-    }
-
-    fn set_bias(&mut self, bias: u32) {
-        self.reset();
-        match self.decode_bits(bias) {
-            FloatClass::Zero(_) => {}
-            FloatClass::Finite(u) => self.add_value(u.sign, u.scale, u.sig),
-            _ => self.poisoned = true,
-        }
-    }
-
-    #[inline]
-    fn mac(&mut self, weight: u32, activation: u32) {
-        self.count += 1;
-        debug_assert!(self.count <= self.capacity, "float EMAC over capacity");
-        self.mac_uncounted(weight, activation);
-    }
-
-    fn dot_slice(&mut self, weights: &[u32], activations: &[u32]) {
-        assert_eq!(
-            weights.len(),
-            activations.len(),
-            "dot_slice: weight/activation length mismatch"
-        );
-        self.count += weights.len() as u64;
-        debug_assert!(self.count <= self.capacity, "float EMAC over capacity");
-        // Product-table kernel (n ≤ 8, i128 window): decode, multiply and
-        // normalization are table-finished; the loop is load → lane add.
-        if let (Some(table), Accum::Small(acc)) = (self.product, &mut self.acc) {
-            let mut lanes = I128Lanes::from_i128(*acc);
-            let mut special = 0u32;
-            for (&w, &a) in weights.iter().zip(activations) {
-                Self::product_step(table, &mut lanes, &mut special, w, a);
-            }
-            *acc = lanes.into_i128();
-            if special != 0 {
-                self.poisoned = true;
-            }
-            return;
-        }
-        // Batched fused-operand kernel: gathered entries through a loop
-        // monomorphized per entry source, into hi/lo u64 lanes (i128
-        // window) or the medium native register. Gated on a native window
-        // exactly like `kernel()`, so a fast-table unit whose register
-        // spilled to WideInt runs (and reports) Scalar.
-        if let (Some(t), true) = (self.fast, self.acc.is_native()) {
-            let wf2 = 2 * self.fmt.wf() as i32;
-            let poisoned = match (&mut self.acc, t) {
-                (Accum::Small(acc), FastOperands::Lut(tab)) => {
-                    Self::dot_fused_small(|b| tab.entry(b), wf2, acc, weights, activations)
-                }
-                (Accum::Small(acc), FastOperands::Direct(d)) => {
-                    Self::dot_fused_small(|b| d.entry(b), wf2, acc, weights, activations)
-                }
-                (acc, FastOperands::Lut(tab)) => {
-                    Self::dot_fused_wide(|b| tab.entry(b), wf2, acc, weights, activations)
-                }
-                (acc, FastOperands::Direct(d)) => {
-                    Self::dot_fused_wide(|b| d.entry(b), wf2, acc, weights, activations)
-                }
-            };
-            if poisoned {
-                self.poisoned = true;
-            }
-            return;
-        }
-        // Scalar kernel: the reference band loops the per-MAC datapath.
-        for (&w, &a) in weights.iter().zip(activations) {
-            self.mac_uncounted(w, a);
-        }
-    }
-
-    fn dot_tile(&mut self, bias: u32, weights: &[u32], cols: &[&[u32]], out: &mut [u32]) {
-        assert_eq!(
-            cols.len(),
-            out.len(),
-            "dot_tile: column/output length mismatch"
-        );
-        for col in cols {
-            assert_eq!(
-                col.len(),
-                weights.len(),
-                "dot_tile: column/weight length mismatch"
-            );
-        }
-        let (k, b) = (weights.len(), cols.len());
-        if b == 0 {
-            return;
-        }
-        debug_assert!(k as u64 <= self.capacity, "float EMAC over capacity");
-        if b >= 2 {
-            // Product band: cache-blocked tile. Same gate as `kernel()`.
-            if let (Some(table), true) = (self.product, self.acc.is_small()) {
-                self.tile_product(table, bias, weights, cols, out);
-                self.count = (k * b) as u64;
-                return;
-            }
-            // Fused band: gather the weight operands once, stream columns.
-            if let (Some(t), true) = (self.fast, self.acc.is_native()) {
-                self.set_bias(bias);
-                let seed_poisoned = self.poisoned;
-                match (self.acc.clone(), t) {
-                    (Accum::Small(seed), FastOperands::Lut(tab)) => self.tile_fused_small(
-                        |p| tab.entry(p),
-                        seed,
-                        seed_poisoned,
-                        weights,
-                        cols,
-                        out,
-                    ),
-                    (Accum::Small(seed), FastOperands::Direct(d)) => self.tile_fused_small(
-                        |p| d.entry(p),
-                        seed,
-                        seed_poisoned,
-                        weights,
-                        cols,
-                        out,
-                    ),
-                    (seed, FastOperands::Lut(tab)) => self.tile_fused_wide(
-                        |p| tab.entry(p),
-                        seed,
-                        seed_poisoned,
-                        weights,
-                        cols,
-                        out,
-                    ),
-                    (seed, FastOperands::Direct(d)) => self.tile_fused_wide(
-                        |p| d.entry(p),
-                        seed,
-                        seed_poisoned,
-                        weights,
-                        cols,
-                        out,
-                    ),
-                }
-                self.count = (k * b) as u64;
-                return;
-            }
-        }
-        // Per-column baseline: B == 1 keeps the row kernels, the scalar
-        // band stays the differential reference at any width.
-        for (col, slot) in cols.iter().zip(out.iter_mut()) {
-            self.set_bias(bias);
-            self.dot_slice(weights, col);
-            *slot = self.result();
-        }
-        self.count = (k * b) as u64;
-    }
-
-    fn kernel(&self) -> MacKernel {
-        if self.product.is_some() && self.acc.is_small() {
-            MacKernel::ProductTable
-        } else if self.fast.is_some() && self.acc.is_native() {
-            MacKernel::BatchedFused
-        } else {
-            MacKernel::Scalar
-        }
-    }
-
-    fn result(&self) -> u32 {
-        if self.poisoned {
-            return self.fmt.nan_bits();
-        }
-        // Fig. 4 readout: inverse 2's complement, LZD, normalize, round.
-        let w = match self.acc.window() {
-            None => return self.fmt.zero_bits(false),
-            Some(w) => w,
-        };
-        let scale = w.msb as i32 - self.offset;
+        let scale = w.msb as i32 - 2 * self.bias_shift() as i32;
         let rounded = encode(self.fmt, w.sign, scale, w.sig, w.sticky);
-        // Clip at the maximum magnitude: the EMAC never emits infinity.
-        match self.decode_bits(rounded) {
-            FloatClass::Inf(s) => self.fmt.max_bits(s),
-            _ => rounded,
+        if rounded == self.fmt.inf_bits(w.sign) {
+            self.fmt.max_bits(w.sign)
+        } else {
+            rounded
         }
     }
 
-    fn macs_done(&self) -> u64 {
-        self.count
-    }
-
-    fn pipeline_depth(&self) -> u32 {
-        4 // decode/multiply/shift → accumulate → normalize → round/clip
-    }
-
-    fn accumulator_width(&self) -> u32 {
-        Self::accumulator_width_for(self.fmt, self.capacity)
+    fn poison_bits(&self) -> u32 {
+        self.fmt.nan_bits()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Emac;
     use dp_minifloat::convert::{from_f64, to_f64};
+    use dp_minifloat::{decode, FloatClass};
 
     fn fmt(we: u32, wf: u32) -> FloatFormat {
         FloatFormat::new(we, wf).unwrap()
@@ -924,5 +272,69 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every pattern's fused operand against the classifying decode:
+    /// `field × 2^scale × min_subnormal` must be the decoded value, with
+    /// `field` the unnormalised `hidden | frac`.
+    fn check_operands(f: FloatFormat, entry: impl Fn(u32) -> EmacEntry) {
+        let wf = f.wf();
+        for bits in f.patterns() {
+            let e = entry(bits);
+            match decode(f, bits) {
+                FloatClass::Zero(sign) => {
+                    assert_eq!(e.field(), 0, "{f} {bits:#x}");
+                    assert_eq!(e.sign(), sign);
+                    assert!(!e.is_special());
+                }
+                FloatClass::Inf(_) | FloatClass::NaN => {
+                    assert!(e.is_special(), "{f} {bits:#x}")
+                }
+                FloatClass::Finite(u) => {
+                    assert!(!e.is_special());
+                    assert_eq!(e.sign(), u.sign, "{f} {bits:#x}");
+                    assert_eq!(
+                        e.field() >> wf,
+                        (u.scale >= f.min_normal_scale()) as u64,
+                        "{f} {bits:#x}: hidden bit set exactly on normals"
+                    );
+                    let lz = e.field().leading_zeros();
+                    assert_eq!(e.field() << lz, u.sig, "{f} {bits:#x}");
+                    assert_eq!(
+                        e.scale() as i32 + f.min_normal_scale() - wf as i32 + 63 - lz as i32,
+                        u.scale,
+                        "{f} {bits:#x}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn emac_entries_reconstruct_decode_exhaustively() {
+        for (we, wf) in [(2u32, 2u32), (3, 2), (4, 3), (5, 2), (4, 7)] {
+            let f = fmt(we, wf);
+            let table = Float::tables(f).operands.as_ref().unwrap();
+            check_operands(f, |b| table.entry(b));
+        }
+    }
+
+    #[test]
+    fn direct_entries_match_decode_exhaustively() {
+        // 13–16-bit formats, including binary16 (5,10) and a bfloat-ish
+        // wide-exponent shape; every pattern of each format.
+        for (we, wf) in [(4u32, 8u32), (5, 8), (5, 10), (8, 7), (2, 13), (6, 9)] {
+            let f = fmt(we, wf);
+            let fields = Float::new(f, true).computed().unwrap();
+            check_operands(f, |b| Float::computed_entry(fields, b));
+        }
+    }
+
+    #[test]
+    fn direct_operands_only_between_13_and_16_bits() {
+        assert!(Float::new(fmt(4, 7), true).computed().is_none()); // n = 12
+        assert!(Float::new(fmt(4, 8), true).computed().is_some()); // n = 13
+        assert!(Float::new(fmt(5, 10), true).computed().is_some()); // n = 16
+        assert!(Float::new(fmt(5, 11), true).computed().is_none()); // n = 17
     }
 }

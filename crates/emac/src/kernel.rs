@@ -11,10 +11,10 @@
 //!
 //! * [`MacKernel::ProductTable`] — formats of ≤ 8 bits with an `i128`
 //!   accumulator window. A `2^(2n)`-entry table of *finished* products
-//!   (sign, shift, product fused into one word — see
-//!   `dp_posit::lut::ProductLut` and its minifloat/fixed counterparts)
-//!   removes the multiply entirely: the inner loop is one table load and
-//!   one shifted add.
+//!   (sign, shift, product fused into one word — see [`ProductLut`], and
+//!   `dp_fixed::lut::ProductLut` for fixed point's plain integer
+//!   products) removes the multiply entirely: the inner loop is one table
+//!   load and one shifted add.
 //! * [`MacKernel::BatchedFused`] — the ≤ 16-bit fused-operand paths
 //!   (monolithic LUT, split regime-prefix table, computed bit-field
 //!   operands) with a native accumulator. The loop gathers fused entries
@@ -58,6 +58,8 @@
 //! to the per-column `set_bias → dot_slice → result` reference by the
 //! `tile_equivalence` test suite.
 
+use crate::acc::Accum;
+use crate::table::{EmacEntry, ProductEntry, ProductLut};
 use std::fmt;
 
 /// Which slice-level MAC kernel a unit selected. Selection happens once
@@ -219,6 +221,274 @@ impl I128Lanes {
     #[inline]
     pub(crate) fn into_i128(self) -> i128 {
         self.acc as i128
+    }
+}
+
+/// One finished-product step of the product-table row kernel.
+#[inline(always)]
+fn product_step(p: ProductEntry, lanes: &mut I128Lanes, special: &mut u32) {
+    *special |= p.0 & ProductEntry::SPECIAL_BIT;
+    debug_assert!(
+        p.shift() + (64 - p.product().leading_zeros()) <= 127,
+        "product-table kernel requires the i128 window"
+    );
+    lanes.add((p.product() as u128) << p.shift(), p.negate());
+}
+
+/// One finished-product step against a weight's contiguous table row
+/// ([`ProductLut::row`]): the product tile resolves the row base once
+/// per weight and shares it across the group's columns, so each step
+/// is a masked index with no weight shift and no bounds check (the
+/// row length is a power of two).
+#[inline(always)]
+fn product_row_step(row: &[ProductEntry], lanes: &mut I128Lanes, special: &mut u32, a: u32) {
+    let p = row[(a as usize) & (row.len() - 1)];
+    *special |= p.0 & ProductEntry::SPECIAL_BIT;
+    debug_assert!(
+        p.shift() + (64 - p.product().leading_zeros()) <= 127,
+        "product-table kernel requires the i128 window"
+    );
+    lanes.add_select((p.product() as u128) << p.shift(), p.negate());
+}
+
+/// One fused-operand step on the `i128` window: multiply, shift, lane add
+/// (branchy on rows, masked on tiles — see [`I128Lanes::add_select`]).
+#[inline(always)]
+fn fused_step<const SELECT: bool>(
+    ew: EmacEntry,
+    ea: EmacEntry,
+    lanes: &mut I128Lanes,
+    special: &mut u64,
+) {
+    *special |= (ew.0 | ea.0) & EmacEntry::SPECIAL_BIT;
+    let term = ((ew.field() * ea.field()) as u128) << (ew.scale() + ea.scale());
+    let negate = (ew.0 ^ ea.0) & EmacEntry::SIGN_BIT != 0;
+    if SELECT {
+        lanes.add_select(term, negate);
+    } else {
+        lanes.add(term, negate);
+    }
+}
+
+/// One fused-operand step on the medium/wide windows, through
+/// [`Accum::add_shifted_u128`] (which skips zero products itself).
+#[inline(always)]
+fn fused_step_wide(ew: EmacEntry, ea: EmacEntry, acc: &mut Accum, special: &mut bool) {
+    if (ew.0 | ea.0) & EmacEntry::SPECIAL_BIT != 0 {
+        *special = true;
+        return;
+    }
+    let negate = (ew.0 ^ ea.0) & EmacEntry::SIGN_BIT != 0;
+    acc.add_shifted_u128(
+        (ew.field() * ea.field()) as u128,
+        (ew.scale() + ea.scale()) as usize,
+        negate,
+    );
+}
+
+/// The product-table row kernel (n ≤ 8, `i128` window): decode and
+/// multiply are both table-finished; the loop is load → shifted lane
+/// add. Returns whether a special operand was seen.
+pub(crate) fn product_row(
+    table: &ProductLut,
+    acc: &mut i128,
+    weights: &[u32],
+    activations: &[u32],
+) -> bool {
+    let mut lanes = I128Lanes::from_i128(*acc);
+    let mut special = 0u32;
+    for (&w, &a) in weights.iter().zip(activations) {
+        product_step(table.entry(w, a), &mut lanes, &mut special);
+    }
+    *acc = lanes.into_i128();
+    special != 0
+}
+
+/// The batched fused-operand row loop, monomorphized per entry source
+/// (per-pattern table vs computed operands) so the inner loop is a plain
+/// gather → multiply → shifted add with no per-element dispatch: hi/lo
+/// `u64` lanes on the `i128` window, [`Accum::add_shifted_u128`] on the
+/// medium window. Returns whether a special operand was seen.
+#[inline(always)]
+pub(crate) fn fused_row<E: Fn(u32) -> EmacEntry>(
+    entry: E,
+    acc: &mut Accum,
+    weights: &[u32],
+    activations: &[u32],
+) -> bool {
+    if let Accum::Small(small) = acc {
+        let mut lanes = I128Lanes::from_i128(*small);
+        let mut special = 0u64;
+        for (&w, &a) in weights.iter().zip(activations) {
+            fused_step::<false>(entry(w), entry(a), &mut lanes, &mut special);
+        }
+        *small = lanes.into_i128();
+        return special != 0;
+    }
+    let mut special = false;
+    for (&w, &a) in weights.iter().zip(activations) {
+        fused_step_wide(entry(w), entry(a), acc, &mut special);
+    }
+    special
+}
+
+/// The cache-blocked product tile ([`TileKernel::BlockedProduct`]):
+/// columns are processed in [`TILE_COL_GROUP`]-wide register groups,
+/// each group's lane accumulators living in fixed stack arrays (no
+/// heap traffic), with K tiled in [`PRODUCT_TILE_BLOCK`]-weight
+/// blocks so a block's `2^n`-entry table rows stay hot across the
+/// group. Exact integer adds commute, so the reordered accumulation
+/// is bit-identical to the per-column row kernel. `emit(j, acc, special)`
+/// receives each column's finished register, in column order.
+pub(crate) fn product_tile(
+    table: &ProductLut,
+    seed: i128,
+    weights: &[u32],
+    cols: &[&[u32]],
+    mut emit: impl FnMut(usize, Accum, bool),
+) {
+    for (gi, group) in cols.chunks(TILE_COL_GROUP).enumerate() {
+        let (lanes, specials) = product_tile_group(table, seed, weights, group);
+        for j in 0..group.len() {
+            let acc = Accum::Small(lanes[j].into_i128());
+            emit(gi * TILE_COL_GROUP + j, acc, specials[j] != 0);
+        }
+    }
+}
+
+/// One ≤ [`TILE_COL_GROUP`]-column group of the product tile. A full
+/// group runs the 4-wide micro-kernel — each weight's table row is
+/// fetched once and shared by four independent lane chains held in
+/// locals; partial groups stream in pairs plus a single-column tail.
+/// Inlined so the lanes never leave [`product_tile`]'s frame: a call per
+/// group costs as much as a column's readout on the K = 4 tiles of the
+/// small models.
+#[inline(always)]
+fn product_tile_group(
+    table: &ProductLut,
+    seed: i128,
+    weights: &[u32],
+    cols: &[&[u32]],
+) -> ([I128Lanes; TILE_COL_GROUP], [u32; TILE_COL_GROUP]) {
+    let g = cols.len();
+    debug_assert!(0 < g && g <= TILE_COL_GROUP);
+    let mut lanes = [I128Lanes::from_i128(seed); TILE_COL_GROUP];
+    let mut specials = [0u32; TILE_COL_GROUP];
+    for (kb, wblock) in weights.chunks(PRODUCT_TILE_BLOCK).enumerate() {
+        let base = kb * PRODUCT_TILE_BLOCK;
+        let end = base + wblock.len();
+        if g == TILE_COL_GROUP {
+            let [mut l0, mut l1, mut l2, mut l3] = lanes;
+            let [mut s0, mut s1, mut s2, mut s3] = specials;
+            let (c0, c1) = (&cols[0][base..end], &cols[1][base..end]);
+            let (c2, c3) = (&cols[2][base..end], &cols[3][base..end]);
+            for ((((&w, &a0), &a1), &a2), &a3) in wblock.iter().zip(c0).zip(c1).zip(c2).zip(c3) {
+                let row = table.row(w);
+                product_row_step(row, &mut l0, &mut s0, a0);
+                product_row_step(row, &mut l1, &mut s1, a1);
+                product_row_step(row, &mut l2, &mut s2, a2);
+                product_row_step(row, &mut l3, &mut s3, a3);
+            }
+            lanes = [l0, l1, l2, l3];
+            specials = [s0, s1, s2, s3];
+            continue;
+        }
+        let mut j = 0;
+        while j + 2 <= g {
+            let (mut l0, mut l1) = (lanes[j], lanes[j + 1]);
+            let (mut s0, mut s1) = (specials[j], specials[j + 1]);
+            let (c0, c1) = (&cols[j][base..end], &cols[j + 1][base..end]);
+            for ((&w, &a0), &a1) in wblock.iter().zip(c0).zip(c1) {
+                let row = table.row(w);
+                product_row_step(row, &mut l0, &mut s0, a0);
+                product_row_step(row, &mut l1, &mut s1, a1);
+            }
+            (lanes[j], lanes[j + 1]) = (l0, l1);
+            (specials[j], specials[j + 1]) = (s0, s1);
+            j += 2;
+        }
+        if j < g {
+            let (mut l0, mut s0) = (lanes[j], specials[j]);
+            for (&w, &a) in wblock.iter().zip(&cols[j][base..end]) {
+                product_row_step(table.row(w), &mut l0, &mut s0, a);
+            }
+            (lanes[j], specials[j]) = (l0, s0);
+        }
+    }
+    (lanes, specials)
+}
+
+/// The gather tile ([`TileKernel::GatherFused`]) over a weight row whose
+/// fused operands were gathered **once** into `wents`. On the `i128`
+/// window the columns stream four at a time through the same branch-free
+/// inner step as [`fused_row`] — per-lane adds only, four independent
+/// lane chains per pass sharing each gathered weight entry, shaped for a
+/// future `std::simd` lowering with [`I128Lanes`] as the lane fallback —
+/// then in pairs plus a single-column tail; on the medium window each
+/// column accumulates into its own register cloned from the bias seed.
+/// `emit(j, acc, special)` receives each column's finished register, in
+/// column order.
+#[inline(always)]
+pub(crate) fn fused_tile<E: Fn(u32) -> EmacEntry>(
+    entry: E,
+    seed: &Accum,
+    wents: &[EmacEntry],
+    cols: &[&[u32]],
+    mut emit: impl FnMut(usize, Accum, bool),
+) {
+    let &Accum::Small(seed) = seed else {
+        for (j, col) in cols.iter().enumerate() {
+            let mut acc = seed.clone();
+            let mut special = false;
+            for (&ew, &a) in wents.iter().zip(col.iter()) {
+                fused_step_wide(ew, entry(a), &mut acc, &mut special);
+            }
+            emit(j, acc, special);
+        }
+        return;
+    };
+    let fresh = I128Lanes::from_i128(seed);
+    let mut j = 0;
+    while j + 4 <= cols.len() {
+        let [mut l0, mut l1, mut l2, mut l3] = [fresh; 4];
+        let [mut s0, mut s1, mut s2, mut s3] = [0u64; 4];
+        for ((((&ew, &a0), &a1), &a2), &a3) in wents
+            .iter()
+            .zip(cols[j].iter())
+            .zip(cols[j + 1].iter())
+            .zip(cols[j + 2].iter())
+            .zip(cols[j + 3].iter())
+        {
+            fused_step::<true>(ew, entry(a0), &mut l0, &mut s0);
+            fused_step::<true>(ew, entry(a1), &mut l1, &mut s1);
+            fused_step::<true>(ew, entry(a2), &mut l2, &mut s2);
+            fused_step::<true>(ew, entry(a3), &mut l3, &mut s3);
+        }
+        for (i, (lane, special)) in [(l0, s0), (l1, s1), (l2, s2), (l3, s3)]
+            .into_iter()
+            .enumerate()
+        {
+            emit(j + i, Accum::Small(lane.into_i128()), special != 0);
+        }
+        j += 4;
+    }
+    while j + 2 <= cols.len() {
+        let (mut l0, mut l1) = (fresh, fresh);
+        let (mut s0, mut s1) = (0u64, 0u64);
+        for ((&ew, &a0), &a1) in wents.iter().zip(cols[j].iter()).zip(cols[j + 1].iter()) {
+            fused_step::<true>(ew, entry(a0), &mut l0, &mut s0);
+            fused_step::<true>(ew, entry(a1), &mut l1, &mut s1);
+        }
+        emit(j, Accum::Small(l0.into_i128()), s0 != 0);
+        emit(j + 1, Accum::Small(l1.into_i128()), s1 != 0);
+        j += 2;
+    }
+    if j < cols.len() {
+        let (mut l0, mut s0) = (fresh, 0u64);
+        for (&ew, &a) in wents.iter().zip(cols[j].iter()) {
+            fused_step::<true>(ew, entry(a), &mut l0, &mut s0);
+        }
+        emit(j, Accum::Small(l0.into_i128()), s0 != 0);
     }
 }
 

@@ -29,6 +29,43 @@
 //! carry cycle metadata used by the `dp-hw` timing model and the
 //! `deep-positron` streaming simulator.
 //!
+//! ## One table-driven datapath
+//!
+//! The paper draws the posit and float EMACs as the same pipeline —
+//! decode → exact multiply → shifted accumulate → round once — differing
+//! only in the decode and round/encode stages, and the code has the same
+//! shape: [`PositEmac`] and [`FloatEmac`] are one generic unit,
+//! [`TableEmac`]`<F>`, instantiated at the [`Posit`] and [`Float`]
+//! families (static dispatch; the hot loops are monomorphized per family
+//! and per operand source).
+//!
+//! * **The generic unit owns** the accumulation window ([`Accum`]:
+//!   `i128` / [`Acc256`] / `WideInt`), `mac` / `reset` / `macs_done`,
+//!   bias seeding, the three row kernels and the product and gather tile
+//!   kernels with their 4-wide / pair / tail micro-kernels (the loops
+//!   themselves live once in the private `kernel` module), kernel
+//!   selection ([`MacKernel`], [`TileKernel`], `with_kernel_cap`) and
+//!   poison tracking.
+//! * **A [`Family`] supplies** what the paper says differs: the decode of
+//!   a pattern into the shared fused-operand word (per-pattern table,
+//!   [`dp_posit::lut::SplitLut`], or computed bit fields — and the
+//!   bit-field decode of `new_reference()` units), where a bias lands in
+//!   the register, round-and-encode, the poison pattern, and
+//!   `accumulator_width_for`.
+//! * **[`table`] defines, once,** the fused-operand word ([`EmacEntry`]),
+//!   the finished-product word ([`ProductEntry`]), the per-pattern
+//!   operand table ([`EmacLut`]), the `2^(2n)` product table
+//!   ([`ProductLut`]) and the per-format leak-once cache. Both families
+//!   store operands as `±field × 2^scale` with a non-negative scale
+//!   (minifloats unnormalised, in units of the smallest subnormal), so a
+//!   product term is `field_w · field_a << (scale_w + scale_a)` for both.
+//! * **[`FixedEmac`] stays apart**: its arithmetic is i64 partial sums
+//!   over plain integer products — no shift, no special class, no
+//!   window — so folding it into the shared loops would make them branch
+//!   on their caller. It shares only [`Emac::dot_tile`]'s provided body
+//!   (shape validation, `B ≤ 1` and scalar-band per-column baseline,
+//!   `K × B` accounting), which every unit inherits from the trait.
+//!
 //! ```
 //! use dp_emac::{Emac, PositEmac};
 //! use dp_posit::PositFormat;
@@ -48,13 +85,17 @@ mod fixed_emac;
 mod float_emac;
 mod kernel;
 mod posit_emac;
+pub mod table;
+mod table_emac;
 mod unit;
 
 pub use acc::{Acc256, Accum, Window, MEDIUM_ACC_MAX_BITS, SMALL_ACC_MAX_BITS};
 pub use fixed_emac::FixedEmac;
-pub use float_emac::FloatEmac;
+pub use float_emac::{Float, FloatEmac};
 pub use kernel::{MacKernel, TileKernel, PRODUCT_TILE_BLOCK};
-pub use posit_emac::PositEmac;
+pub use posit_emac::{Posit, PositEmac, SplitOperands};
+pub use table::{EmacEntry, EmacLut, ProductEntry, ProductLut};
+pub use table_emac::{Family, TableEmac};
 pub use unit::{Emac, EmacUnit};
 
 /// ⌈log2 k⌉ for k ≥ 1 (accumulator growth bits, paper eqs. 3–4).

@@ -1,33 +1,15 @@
-//! The posit EMAC (paper Fig. 5, Algorithms 1–2).
+//! The posit family of the table-driven EMAC (paper Fig. 5, Algorithms 1–2).
 
-use crate::acc::Accum;
+use crate::acc::Window;
 use crate::ceil_log2;
-use crate::kernel::{I128Lanes, PRODUCT_TILE_BLOCK, TILE_COL_GROUP};
-use crate::unit::Emac;
-use crate::{MacKernel, UnsupportedFormat};
-use dp_posit::lut::{DecodeLut, EmacEntry, EmacLut, ProductEntry, ProductLut, SplitLut};
+use crate::table::{self, EmacEntry, Tables};
+use crate::table_emac::{Family, TableEmac};
+use crate::UnsupportedFormat;
+use dp_posit::lut::{self, DecodeLut, SplitLut};
 use dp_posit::{decode, encode, Decoded, PositFormat};
 
-/// Where fused EMAC operands come from on the fast path: the monolithic
-/// per-pattern table (`n ≤ 12`) or the split regime-prefix scheme
-/// (13–16 bits). Both produce identical [`EmacEntry`] words.
-#[derive(Debug, Clone, Copy)]
-enum FastOperands {
-    Fused(&'static EmacLut),
-    Split(&'static SplitLut),
-}
-
-impl FastOperands {
-    #[inline]
-    fn entry(self, bits: u32) -> EmacEntry {
-        match self {
-            FastOperands::Fused(t) => t.entry(bits),
-            FastOperands::Split(s) => s.entry(bits),
-        }
-    }
-}
-
-/// Exact posit multiply-and-accumulate.
+/// Exact posit multiply-and-accumulate: the shared [`TableEmac`] datapath
+/// with the [`Posit`] decode/encode stages.
 ///
 /// The datapath mirrors paper Fig. 5 and Algorithm 2:
 ///
@@ -49,28 +31,10 @@ impl FastOperands {
 ///    (round-to-nearest-even on the pattern) re-encode.
 ///
 /// Differentially tested against [`dp_posit::Quire`] — an independent
-/// implementation of the same semantics.
-///
-/// ## Fast paths
-///
-/// Two table/width optimizations make the software model run at MACs/sec
-/// rates resembling the hardware story rather than a bit-by-bit simulator;
-/// both are bit-identical to the reference datapath (enforced by the
-/// `fast_path_equivalence` tests and available directly via
-/// [`PositEmac::new_reference`]):
-///
-/// * **Decode LUT / split table** — for formats up to 12 bits the
-///   Algorithm-1 bit-field extraction is replaced by one lookup in the
-///   process-wide [`dp_posit::lut`] table (the software analogue of
-///   template-based posit multiplication); 13–16-bit formats use the
-///   split scheme ([`dp_posit::lut::SplitLut`]): a 256-entry
-///   regime-prefix table composed with direct fraction extraction.
-/// * **Native accumulator** — whenever the eq.-(4) register fits 127 bits
-///   (true for every 5–8-bit configuration in Table II) the quire-style
-///   register is a native `i128` and each MAC is one shift and one add;
-///   registers up to 255 bits (every 13–16-bit §IV format) use the
-///   two-word [`crate::Acc256`]; only wider formats fall back to the
-///   limb-based `WideInt`.
+/// implementation of the same semantics. Formats up to 12 bits read their
+/// operands from the per-pattern table; 13–16-bit formats use the split
+/// scheme ([`dp_posit::lut::SplitLut`]): a 256-entry regime-prefix table
+/// composed with direct fraction extraction.
 ///
 /// # Examples
 ///
@@ -90,116 +54,62 @@ impl FastOperands {
 /// assert_eq!(emac.result(), minpos); // survives catastrophic cancellation
 /// # Ok::<(), dp_posit::FormatError>(())
 /// ```
-#[derive(Debug, Clone)]
-pub struct PositEmac {
+pub type PositEmac = TableEmac<Posit>;
+
+impl PositEmac {
+    /// Paper eq. (4) exactly, for reference and reporting.
+    pub fn paper_qsize(fmt: PositFormat, k: u64) -> u32 {
+        (1u32 << (fmt.es() + 2)) * (fmt.n() - 2) + 2 + ceil_log2(k)
+    }
+}
+
+/// The posit [`Family`]: Algorithm-1 decode (monolithic table for
+/// `n ≤ 12`, split table for 13–16 bits, bit fields otherwise) and
+/// Algorithm 2's convergent round-and-encode.
+#[derive(Debug, Clone, Copy)]
+pub struct Posit {
     fmt: PositFormat,
-    capacity: u64,
-    acc: Accum,
     /// Monolithic decode table for the format, when one exists (`n ≤ 12`).
     lut: Option<&'static DecodeLut>,
     /// Split regime-prefix table for 13–16-bit formats.
     split: Option<&'static SplitLut>,
-    /// Fused decode + front-end operands driving the one-lookup MAC loop
-    /// (`n ≤ 12`: per-pattern table; 13–16: split-table extraction).
-    fast: Option<FastOperands>,
-    /// Finished-product table for `n ≤ 8` formats: decode *and* multiply
-    /// collapse into one `2^(2n)`-entry lookup ([`MacKernel::ProductTable`]
-    /// when the accumulator window is an `i128`).
-    product: Option<&'static ProductLut>,
     /// `F`: significand width including the hidden bit, `n − 2 − es`.
     fbits: u32,
-    /// Algorithm 2's `bias`: `2^(es+1) × (n − 2)` = 2 × max_scale.
-    sf_bias: i32,
-    count: u64,
-    nar: bool,
-    /// Gathered weight-operand scratch for the fused tile, retained
-    /// across [`Emac::dot_tile`] calls so a tile sweep over a layer does
-    /// not allocate per weight row. Never semantic: cleared and refilled
-    /// on each gather-tile call.
-    gather: Vec<EmacEntry>,
+    /// The operand scale bias; Algorithm 2's `bias` is twice this.
+    max_scale: i32,
 }
 
-impl PositEmac {
-    /// Creates a unit for `fmt` sized for `capacity` accumulations, using
-    /// the decode LUT / split-table and native-accumulator fast paths
-    /// when the format qualifies.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `es > n − 3` (no significand bits: such formats have no
-    /// EMAC datapath in the paper). Use [`PositEmac::try_new`] to validate
-    /// a format without panicking.
-    pub fn new(fmt: PositFormat, capacity: u64) -> Self {
-        Self::try_new(fmt, capacity).expect("posit EMAC requires es <= n-3 (paper datapath)")
-    }
-
-    /// [`PositEmac::new`] returning a typed error instead of panicking for
-    /// formats without an EMAC datapath (`es > n − 3`) — admission-time
-    /// validation for serving registries and other untrusted callers.
-    ///
-    /// # Errors
-    ///
-    /// [`UnsupportedFormat`] when `es > n − 3`.
-    pub fn try_new(fmt: PositFormat, capacity: u64) -> Result<Self, UnsupportedFormat> {
-        Self::check_format(fmt)?;
-        let capacity = capacity.max(1);
-        let (lut, split, fast) = if fmt.n() <= dp_posit::lut::MAX_LUT_WIDTH {
-            let lut = dp_posit::lut::cached(fmt);
-            let fast = dp_posit::lut::emac_cached(fmt).map(FastOperands::Fused);
-            (lut, None, fast)
-        } else {
-            let split = dp_posit::lut::split_cached(fmt);
-            (None, split, split.map(FastOperands::Split))
-        };
-        Ok(Self::build(
-            fmt,
-            capacity,
-            lut,
-            split,
-            fast,
-            dp_posit::lut::product_cached(fmt),
-            Accum::new(Self::accumulator_width_for(fmt, capacity)),
-        ))
-    }
-
-    /// Creates a unit on the pre-LUT reference datapath: Algorithm-1
-    /// bit-field decode per MAC and the limb-based `WideInt` register,
-    /// regardless of format width. Kept for differential testing and for
-    /// benchmarking the fast paths against it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `es > n − 3`, as for [`PositEmac::new`].
-    pub fn new_reference(fmt: PositFormat, capacity: u64) -> Self {
-        Self::check_format(fmt).expect("posit EMAC requires es <= n-3 (paper datapath)");
-        let capacity = capacity.max(1);
-        Self::build(
-            fmt,
-            capacity,
-            None,
-            None,
-            None,
-            None,
-            Accum::new_wide(Self::accumulator_width_for(fmt, capacity)),
-        )
-    }
-
-    /// Caps the slice-level kernel this unit may select — a bench/test
-    /// knob for comparing kernels on one format. [`MacKernel::ProductTable`]
-    /// (the default cap) changes nothing; [`MacKernel::BatchedFused`] drops
-    /// the finished-product table; [`MacKernel::Scalar`] additionally drops
-    /// the fused operands, so [`Emac::dot_slice`] loops the scalar
-    /// datapath. The decode tables and the accumulator window are
-    /// untouched, so results stay bit-identical under any cap.
-    pub fn with_kernel_cap(mut self, cap: MacKernel) -> Self {
-        if cap < MacKernel::ProductTable {
-            self.product = None;
+impl Posit {
+    /// The fused operand of a decoded pattern: the `F`-bit significand
+    /// (hidden bit at its MSB) at the biased scale `scale + max_scale`,
+    /// so two operands' scales sum to Algorithm 2 line 12's
+    /// `sf + 2·max_scale`.
+    #[inline(always)]
+    fn operand(d: Decoded, fbits: u32, max_scale: i32) -> EmacEntry {
+        match d {
+            Decoded::Zero => EmacEntry::ZERO,
+            Decoded::NaR => EmacEntry::SPECIAL,
+            Decoded::Finite(u) => {
+                EmacEntry::pack(u.sign, u.sig >> (64 - fbits), (u.scale + max_scale) as u32)
+            }
         }
-        if cap < MacKernel::BatchedFused {
-            self.fast = None;
-        }
-        self
     }
+}
+
+/// The computed operand source of 13–16-bit posits: the split table plus
+/// the two constants the operand packing needs, captured by value.
+#[derive(Debug, Clone, Copy)]
+pub struct SplitOperands {
+    split: &'static SplitLut,
+    fbits: u32,
+    max_scale: i32,
+}
+
+impl Family for Posit {
+    type Format = PositFormat;
+    type Computed = SplitOperands;
+    const NAME: &'static str = "posit";
+    const PIPELINE_DEPTH: u32 = 5; // decode → multiply/shift → accumulate → extract → round/encode
 
     fn check_format(fmt: PositFormat) -> Result<(), UnsupportedFormat> {
         if fmt.es() > fmt.n() - 3 {
@@ -211,631 +121,89 @@ impl PositEmac {
         Ok(())
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn build(
-        fmt: PositFormat,
-        capacity: u64,
-        lut: Option<&'static DecodeLut>,
-        split: Option<&'static SplitLut>,
-        fast: Option<FastOperands>,
-        product: Option<&'static ProductLut>,
-        acc: Accum,
-    ) -> Self {
-        PositEmac {
+    /// Paper eq. (4) plus the explicit product fraction tail (`2F − 2`
+    /// bits) this layout keeps below minpos².
+    fn accumulator_width_for(fmt: PositFormat, k: u64) -> u32 {
+        PositEmac::paper_qsize(fmt, k) + 2 * (fmt.n() - 2 - fmt.es()) - 2
+    }
+
+    fn tables(fmt: PositFormat) -> &'static Tables {
+        let bitfield = Posit::new(fmt, false);
+        table::cached((Self::NAME, fmt.n(), fmt.es()), fmt.n(), |b| {
+            bitfield.decode(b)
+        })
+    }
+
+    fn new(fmt: PositFormat, tables: bool) -> Self {
+        let (lut, split) = match tables {
+            true => (lut::cached(fmt), lut::split_cached(fmt)),
+            false => (None, None),
+        };
+        Posit {
             fmt,
-            capacity,
-            acc,
             lut,
             split,
-            fast,
-            product,
             fbits: fmt.n() - 2 - fmt.es(),
-            sf_bias: 2 * fmt.max_scale(),
-            count: 0,
-            nar: false,
-            gather: Vec::new(),
+            max_scale: fmt.max_scale(),
         }
     }
 
-    /// True when this unit runs the fused table/split operands + native
-    /// (`i128` or two-word 256-bit) accumulator fast path.
-    pub fn is_fast_path(&self) -> bool {
-        self.fast.is_some() && self.acc.is_native()
-    }
-
-    /// Decode via the monolithic table (`n ≤ 12`) or the split table
-    /// (13–16 bits) when present, Algorithm 1 otherwise. Exactly one path
-    /// exists per format, so LUT and fallback results never mix.
-    #[inline]
-    fn decode_bits(&self, bits: u32) -> Decoded {
-        match (self.lut, self.split) {
-            (Some(lut), _) => lut.decode(bits),
-            (None, Some(split)) => split.decode(bits),
-            (None, None) => decode(self.fmt, bits),
-        }
-    }
-
-    /// The format of this unit.
-    pub fn format(&self) -> PositFormat {
+    fn format(&self) -> PositFormat {
         self.fmt
     }
 
-    /// Register width: paper eq. (4) plus the explicit product fraction
-    /// tail (`2F − 2` bits) this layout keeps below minpos².
-    pub fn accumulator_width_for(fmt: PositFormat, k: u64) -> u32 {
-        let qsize_eq4 = (1u32 << (fmt.es() + 2)) * (fmt.n() - 2) + 2 + ceil_log2(k);
-        let tail = 2 * (fmt.n() - 2 - fmt.es()) - 2;
-        qsize_eq4 + tail
-    }
-
-    /// Paper eq. (4) exactly, for reference and reporting.
-    pub fn paper_qsize(fmt: PositFormat, k: u64) -> u32 {
-        (1u32 << (fmt.es() + 2)) * (fmt.n() - 2) + 2 + ceil_log2(k)
-    }
-
-    /// Extracts the fixed-width `F`-bit significand (hidden bit at MSB)
-    /// from a decoded left-aligned significand.
-    fn field(&self, sig: u64) -> u64 {
-        sig >> (64 - self.fbits)
-    }
-
-    fn add_sig(&mut self, sign: bool, frac: u128, sf_lsb: i32) {
-        // Position of the value's LSB inside the register: biased shift.
-        debug_assert!(sf_lsb >= 0, "biased scale factor must be non-negative");
-        self.acc.add_shifted_u128(frac, sf_lsb as usize, sign);
-    }
-
-    /// The [`Emac::mac`] datapath without the `macs_done` bookkeeping —
-    /// shared by the scalar entry point and [`Emac::dot_slice`]'s scalar
-    /// kernel (which advances the counter once per slice).
+    /// Exactly one decode scheme exists per format, so table and
+    /// fallback results never mix.
     #[inline]
-    fn mac_uncounted(&mut self, weight: u32, activation: u32) {
-        // Fused fast path: one operand word (from the per-pattern table at
-        // n ≤ 12, or the split regime-prefix extraction at 13–16 bits)
-        // carries the F-bit significand and the per-operand biased scale,
-        // so the whole of Algorithm 1 + Algorithm 2's front half becomes
-        // two loads/extractions, one small multiply and one shifted native
-        // add. Bit-identical to the datapath below (fast_path_equivalence
-        // tests).
-        if let Some(t) = self.fast {
-            let ew = t.entry(weight);
-            let ea = t.entry(activation);
-            if (ew.0 | ea.0) & EmacEntry::NAR_BIT != 0 {
-                self.nar = true;
-                return;
-            }
-            let prod = ew.field() * ea.field(); // < 2^(2F) <= 2^28
-            if prod == 0 {
-                return;
-            }
-            // biased_a + biased_b = sf_mult + 2·max_scale = Alg. 2 line 12.
-            let shift = ew.biased_scale() + ea.biased_scale();
-            let negate = (ew.0 ^ ea.0) & EmacEntry::SIGN_BIT != 0;
-            match &mut self.acc {
-                Accum::Small(acc) => {
-                    debug_assert!(shift as u32 + (64 - prod.leading_zeros()) <= 127);
-                    let signed = (prod as i128) << shift;
-                    if negate {
-                        *acc -= signed;
-                    } else {
-                        *acc += signed;
-                    }
-                }
-                acc => acc.add_shifted_u128(prod as u128, shift as usize, negate),
-            }
-            return;
-        }
-        let (uw, ua) = match (self.decode_bits(weight), self.decode_bits(activation)) {
-            (Decoded::NaR, _) | (_, Decoded::NaR) => {
-                self.nar = true;
-                return;
-            }
-            (Decoded::Zero, _) | (_, Decoded::Zero) => return,
-            (Decoded::Finite(uw), Decoded::Finite(ua)) => (uw, ua),
+    fn decode(&self, bits: u32) -> EmacEntry {
+        let d = match (self.lut, self.split) {
+            (Some(lut), _) => lut.decode(bits),
+            (None, Some(split)) => split.decode(bits),
+            (None, None) => decode(self.fmt, bits),
         };
-        // Algorithm 2, Multiplication: F-bit significand product. The
-        // overflow renormalization of lines 8–10 (`normfrac = prod >> ovf`,
-        // `sf += ovf`) is a no-op on the *value*; the hardware keeps the
-        // full 2F-bit product (Fig. 5 labels the path 2(n−2−es)+1 wide), so
-        // this model places the unshifted product at the unbumped scale —
-        // bit-identical, and provably lossless.
-        let fw = self.field(uw.sig);
-        let fa = self.field(ua.sig);
-        let prod = (fw as u128) * (fa as u128); // [2^(2F-2), 2^(2F))
-        let sf_mult = uw.scale + ua.scale;
-        // Accumulation (lines 11-14): biased shift, signed add.
-        let sf_biased = sf_mult + self.sf_bias; // line 12
-        self.add_sig(uw.sign ^ ua.sign, prod, sf_biased);
+        Self::operand(d, self.fbits, self.max_scale)
     }
 
-    /// One finished-product table step of the product-table kernel.
+    fn computed(&self) -> Option<SplitOperands> {
+        self.split.map(|split| SplitOperands {
+            split,
+            fbits: self.fbits,
+            max_scale: self.max_scale,
+        })
+    }
+
     #[inline(always)]
-    fn product_step(table: &ProductLut, lanes: &mut I128Lanes, nar: &mut u32, w: u32, a: u32) {
-        let p = table.entry(w, a);
-        *nar |= p.0 & ProductEntry::NAR_BIT;
-        debug_assert!(
-            p.shift() + (64 - p.product().leading_zeros()) <= 127,
-            "product-table kernel requires the i128 window"
-        );
-        lanes.add((p.product() as u128) << p.shift(), p.negate());
+    fn computed_entry(s: SplitOperands, bits: u32) -> EmacEntry {
+        Self::operand(s.split.decode(bits), s.fbits, s.max_scale)
     }
 
-    /// One finished-product step against a weight's contiguous table row
-    /// ([`ProductLut::row`]): the product tile resolves the row base once
-    /// per weight and shares it across the group's columns, so each step
-    /// is a masked index with no weight shift and no bounds check (the
-    /// row length is a power of two).
+    /// `value = f × 2^(scale − F + 1)` with `f` the F-bit significand;
+    /// register bit `b` weighs `2^(b − 2·max_scale − (2F−2))`, so a bias
+    /// lands with its LSB at `(scale + max_scale) + F − 1 + max_scale`.
+    fn bias_shift(&self) -> u32 {
+        self.fbits - 1 + self.max_scale as u32
+    }
+
+    /// Fraction & SF extraction (Algorithm 2 lines 15–19) + convergent
+    /// rounding.
     #[inline(always)]
-    fn product_row_step(row: &[ProductEntry], lanes: &mut I128Lanes, nar: &mut u32, a: u32) {
-        let p = row[(a as usize) & (row.len() - 1)];
-        *nar |= p.0 & ProductEntry::NAR_BIT;
-        debug_assert!(
-            p.shift() + (64 - p.product().leading_zeros()) <= 127,
-            "product-table kernel requires the i128 window"
-        );
-        lanes.add_select((p.product() as u128) << p.shift(), p.negate());
-    }
-
-    /// The batched fused-operand loop on the `i128` window, monomorphized
-    /// per entry source (monolithic table vs split extraction) so the
-    /// inner loop is a plain gather → multiply → shifted lane-add with no
-    /// per-element enum dispatch. Returns whether NaR was seen.
-    #[inline(always)]
-    fn dot_fused_small<F: Fn(u32) -> EmacEntry>(
-        entry: F,
-        acc: &mut i128,
-        weights: &[u32],
-        activations: &[u32],
-    ) -> bool {
-        let mut lanes = I128Lanes::from_i128(*acc);
-        let mut nar = 0u64;
-        for (&w, &a) in weights.iter().zip(activations) {
-            let ew = entry(w);
-            let ea = entry(a);
-            nar |= (ew.0 | ea.0) & EmacEntry::NAR_BIT;
-            let prod = ew.field() * ea.field();
-            let shift = (ew.biased_scale() + ea.biased_scale()) as u32;
-            let negate = (ew.0 ^ ea.0) & EmacEntry::SIGN_BIT != 0;
-            lanes.add((prod as u128) << shift, negate);
-        }
-        *acc = lanes.into_i128();
-        nar != 0
-    }
-
-    /// The batched fused-operand loop on the medium/wide windows,
-    /// monomorphized like [`PositEmac::dot_fused_small`] but accumulating
-    /// through [`Accum::add_shifted_u128`]. Returns whether NaR was seen.
-    #[inline(always)]
-    fn dot_fused_wide<F: Fn(u32) -> EmacEntry>(
-        entry: F,
-        acc: &mut Accum,
-        weights: &[u32],
-        activations: &[u32],
-    ) -> bool {
-        let mut nar = false;
-        for (&w, &a) in weights.iter().zip(activations) {
-            let ew = entry(w);
-            let ea = entry(a);
-            if (ew.0 | ea.0) & EmacEntry::NAR_BIT != 0 {
-                nar = true;
-                continue;
-            }
-            let prod = ew.field() * ea.field();
-            if prod == 0 {
-                continue;
-            }
-            let shift = ew.biased_scale() + ea.biased_scale();
-            let negate = (ew.0 ^ ea.0) & EmacEntry::SIGN_BIT != 0;
-            acc.add_shifted_u128(prod as u128, shift as usize, negate);
-        }
-        nar
-    }
-
-    /// The cache-blocked product tile ([`crate::TileKernel::BlockedProduct`]):
-    /// columns are processed in [`TILE_COL_GROUP`]-wide register groups,
-    /// each group's lane accumulators living in fixed stack arrays (no
-    /// heap traffic), with K tiled in [`PRODUCT_TILE_BLOCK`]-weight
-    /// blocks so a block's `2^n`-entry table rows stay hot across the
-    /// group. Exact integer adds commute, so the reordered accumulation
-    /// is bit-identical to the per-column row kernel.
-    fn tile_product(
-        &mut self,
-        table: &'static ProductLut,
-        bias: u32,
-        weights: &[u32],
-        cols: &[&[u32]],
-        out: &mut [u32],
-    ) {
-        self.set_bias(bias);
-        let seed_nar = self.nar;
-        let Accum::Small(seed) = &self.acc else {
-            unreachable!("product tile requires the i128 window")
+    fn encode(&self, window: Option<Window>) -> u32 {
+        let Some(w) = window else {
+            return self.fmt.zero_bits();
         };
-        let seed = *seed;
-        for (cg, og) in cols
-            .chunks(TILE_COL_GROUP)
-            .zip(out.chunks_mut(TILE_COL_GROUP))
-        {
-            self.tile_product_group(table, seed, seed_nar, weights, cg, og);
-        }
-    }
-
-    /// One ≤ [`TILE_COL_GROUP`]-column group of the product tile. A full
-    /// group runs the 4-wide micro-kernel — each weight's table row is
-    /// fetched once and shared by four independent lane chains held in
-    /// locals; partial groups stream in pairs plus a single-column tail.
-    fn tile_product_group(
-        &mut self,
-        table: &'static ProductLut,
-        seed: i128,
-        seed_nar: bool,
-        weights: &[u32],
-        cols: &[&[u32]],
-        out: &mut [u32],
-    ) {
-        let g = cols.len();
-        debug_assert!(0 < g && g <= TILE_COL_GROUP && out.len() == g);
-        let mut lanes = [I128Lanes::from_i128(seed); TILE_COL_GROUP];
-        let mut nars = [0u32; TILE_COL_GROUP];
-        for (kb, wblock) in weights.chunks(PRODUCT_TILE_BLOCK).enumerate() {
-            let base = kb * PRODUCT_TILE_BLOCK;
-            let end = base + wblock.len();
-            if g == TILE_COL_GROUP {
-                let (mut l0, mut l1, mut l2, mut l3) = (lanes[0], lanes[1], lanes[2], lanes[3]);
-                let (mut n0, mut n1, mut n2, mut n3) = (nars[0], nars[1], nars[2], nars[3]);
-                let (c0, c1) = (&cols[0][base..end], &cols[1][base..end]);
-                let (c2, c3) = (&cols[2][base..end], &cols[3][base..end]);
-                for ((((&w, &a0), &a1), &a2), &a3) in wblock.iter().zip(c0).zip(c1).zip(c2).zip(c3)
-                {
-                    let row = table.row(w);
-                    Self::product_row_step(row, &mut l0, &mut n0, a0);
-                    Self::product_row_step(row, &mut l1, &mut n1, a1);
-                    Self::product_row_step(row, &mut l2, &mut n2, a2);
-                    Self::product_row_step(row, &mut l3, &mut n3, a3);
-                }
-                lanes = [l0, l1, l2, l3];
-                nars = [n0, n1, n2, n3];
-                continue;
-            }
-            let mut j = 0;
-            while j + 2 <= g {
-                let (mut l0, mut l1) = (lanes[j], lanes[j + 1]);
-                let (mut n0, mut n1) = (nars[j], nars[j + 1]);
-                let (c0, c1) = (&cols[j][base..end], &cols[j + 1][base..end]);
-                for ((&w, &a0), &a1) in wblock.iter().zip(c0).zip(c1) {
-                    let row = table.row(w);
-                    Self::product_row_step(row, &mut l0, &mut n0, a0);
-                    Self::product_row_step(row, &mut l1, &mut n1, a1);
-                }
-                lanes[j] = l0;
-                lanes[j + 1] = l1;
-                nars[j] = n0;
-                nars[j + 1] = n1;
-                j += 2;
-            }
-            if j < g {
-                let mut l0 = lanes[j];
-                let mut n0 = nars[j];
-                for (&w, &a) in wblock.iter().zip(&cols[j][base..end]) {
-                    Self::product_row_step(table.row(w), &mut l0, &mut n0, a);
-                }
-                lanes[j] = l0;
-                nars[j] = n0;
-            }
-        }
-        for j in 0..g {
-            self.acc = Accum::Small(lanes[j].into_i128());
-            self.nar = seed_nar || nars[j] != 0;
-            out[j] = self.result();
-        }
-    }
-
-    /// One gathered-operand step of the fused tile on the `i128` window.
-    #[inline(always)]
-    fn fused_step(ew: EmacEntry, ea: EmacEntry, lanes: &mut I128Lanes, nar: &mut u64) {
-        *nar |= (ew.0 | ea.0) & EmacEntry::NAR_BIT;
-        let prod = ew.field() * ea.field();
-        let shift = (ew.biased_scale() + ea.biased_scale()) as u32;
-        let negate = (ew.0 ^ ea.0) & EmacEntry::SIGN_BIT != 0;
-        lanes.add_select((prod as u128) << shift, negate);
-    }
-
-    /// The gather tile on the `i128` window
-    /// ([`crate::TileKernel::GatherFused`]): the weight row's fused
-    /// operands are gathered **once**, then the columns stream four at a
-    /// time through the same branch-free inner loop as
-    /// [`PositEmac::dot_fused_small`] — per-lane adds only, four
-    /// independent lane chains per pass sharing each gathered weight
-    /// entry, shaped for a future `std::simd` lowering with
-    /// [`I128Lanes`] as the lane fallback.
-    #[inline(always)]
-    fn tile_fused_small<F: Fn(u32) -> EmacEntry>(
-        &mut self,
-        entry: F,
-        seed: i128,
-        seed_nar: bool,
-        weights: &[u32],
-        cols: &[&[u32]],
-        out: &mut [u32],
-    ) {
-        let mut wents = std::mem::take(&mut self.gather);
-        wents.clear();
-        wents.extend(weights.iter().map(|&w| entry(w)));
-        let mut j = 0;
-        while j + 4 <= cols.len() {
-            let [mut l0, mut l1, mut l2, mut l3] = [I128Lanes::from_i128(seed); 4];
-            let [mut n0, mut n1, mut n2, mut n3] = [0u64; 4];
-            for ((((&ew, &a0), &a1), &a2), &a3) in wents
-                .iter()
-                .zip(cols[j].iter())
-                .zip(cols[j + 1].iter())
-                .zip(cols[j + 2].iter())
-                .zip(cols[j + 3].iter())
-            {
-                Self::fused_step(ew, entry(a0), &mut l0, &mut n0);
-                Self::fused_step(ew, entry(a1), &mut l1, &mut n1);
-                Self::fused_step(ew, entry(a2), &mut l2, &mut n2);
-                Self::fused_step(ew, entry(a3), &mut l3, &mut n3);
-            }
-            for (i, (lane, nar)) in [l0, l1, l2, l3]
-                .into_iter()
-                .zip([n0, n1, n2, n3])
-                .enumerate()
-            {
-                self.acc = Accum::Small(lane.into_i128());
-                self.nar = seed_nar || nar != 0;
-                out[j + i] = self.result();
-            }
-            j += 4;
-        }
-        while j + 2 <= cols.len() {
-            let (mut lanes0, mut lanes1) = (I128Lanes::from_i128(seed), I128Lanes::from_i128(seed));
-            let (mut nar0, mut nar1) = (0u64, 0u64);
-            for ((&ew, &a0), &a1) in wents.iter().zip(cols[j].iter()).zip(cols[j + 1].iter()) {
-                Self::fused_step(ew, entry(a0), &mut lanes0, &mut nar0);
-                Self::fused_step(ew, entry(a1), &mut lanes1, &mut nar1);
-            }
-            self.acc = Accum::Small(lanes0.into_i128());
-            self.nar = seed_nar || nar0 != 0;
-            out[j] = self.result();
-            self.acc = Accum::Small(lanes1.into_i128());
-            self.nar = seed_nar || nar1 != 0;
-            out[j + 1] = self.result();
-            j += 2;
-        }
-        if j < cols.len() {
-            let mut lanes = I128Lanes::from_i128(seed);
-            let mut nar = 0u64;
-            for (&ew, &a) in wents.iter().zip(cols[j].iter()) {
-                Self::fused_step(ew, entry(a), &mut lanes, &mut nar);
-            }
-            self.acc = Accum::Small(lanes.into_i128());
-            self.nar = seed_nar || nar != 0;
-            out[j] = self.result();
-        }
-        self.gather = wents;
-    }
-
-    /// The gather tile on the medium/wide native windows: gathered weight
-    /// operands, per-column [`Accum`] registers cloned from the bias seed.
-    #[inline(always)]
-    fn tile_fused_wide<F: Fn(u32) -> EmacEntry>(
-        &mut self,
-        entry: F,
-        seed: Accum,
-        seed_nar: bool,
-        weights: &[u32],
-        cols: &[&[u32]],
-        out: &mut [u32],
-    ) {
-        let mut wents = std::mem::take(&mut self.gather);
-        wents.clear();
-        wents.extend(weights.iter().map(|&w| entry(w)));
-        for (col, slot) in cols.iter().zip(out.iter_mut()) {
-            let mut acc = seed.clone();
-            let mut nar = false;
-            for (&ew, &a) in wents.iter().zip(col.iter()) {
-                let ea = entry(a);
-                if (ew.0 | ea.0) & EmacEntry::NAR_BIT != 0 {
-                    nar = true;
-                    continue;
-                }
-                let prod = ew.field() * ea.field();
-                if prod == 0 {
-                    continue;
-                }
-                let shift = ew.biased_scale() + ea.biased_scale();
-                let negate = (ew.0 ^ ea.0) & EmacEntry::SIGN_BIT != 0;
-                acc.add_shifted_u128(prod as u128, shift as usize, negate);
-            }
-            self.acc = acc;
-            self.nar = seed_nar || nar;
-            *slot = self.result();
-        }
-        self.gather = wents;
-    }
-}
-
-impl Emac for PositEmac {
-    fn reset(&mut self) {
-        self.acc.clear();
-        self.count = 0;
-        self.nar = false;
-    }
-
-    fn set_bias(&mut self, bias: u32) {
-        self.reset();
-        match self.decode_bits(bias) {
-            Decoded::Zero => {}
-            Decoded::NaR => self.nar = true,
-            Decoded::Finite(u) => {
-                // value = f × 2^(scale − F + 1) with f the F-bit significand;
-                // register bit b weighs 2^(b − sf_bias − (2F−2)), so the
-                // bias lands with its LSB at scale + F − 1 + sf_bias.
-                let f = self.field(u.sig) as u128;
-                let pos = u.scale + self.fbits as i32 - 1 + self.sf_bias;
-                self.add_sig(u.sign, f, pos);
-            }
-        }
-    }
-
-    #[inline]
-    fn mac(&mut self, weight: u32, activation: u32) {
-        self.count += 1;
-        debug_assert!(self.count <= self.capacity, "posit EMAC over capacity");
-        self.mac_uncounted(weight, activation);
-    }
-
-    fn dot_slice(&mut self, weights: &[u32], activations: &[u32]) {
-        assert_eq!(
-            weights.len(),
-            activations.len(),
-            "dot_slice: weight/activation length mismatch"
-        );
-        self.count += weights.len() as u64;
-        debug_assert!(self.count <= self.capacity, "posit EMAC over capacity");
-        // Product-table kernel (n ≤ 8, i128 window): decode and multiply
-        // are both table-finished; the loop is load → shifted lane add.
-        if let (Some(table), Accum::Small(acc)) = (self.product, &mut self.acc) {
-            let mut lanes = I128Lanes::from_i128(*acc);
-            let mut nar = 0u32;
-            for (&w, &a) in weights.iter().zip(activations) {
-                Self::product_step(table, &mut lanes, &mut nar, w, a);
-            }
-            *acc = lanes.into_i128();
-            if nar != 0 {
-                self.nar = true;
-            }
-            return;
-        }
-        // Batched fused-operand kernel: gathered entries through a loop
-        // monomorphized per entry source, into hi/lo u64 lanes (i128
-        // window) or the native 256-bit register (medium window). Gated on
-        // a native window exactly like `kernel()`, so a fast-table unit
-        // whose register spilled to WideInt runs (and reports) Scalar.
-        if let (Some(t), true) = (self.fast, self.acc.is_native()) {
-            let nar_seen = match (&mut self.acc, t) {
-                (Accum::Small(acc), FastOperands::Fused(tab)) => {
-                    Self::dot_fused_small(|b| tab.entry(b), acc, weights, activations)
-                }
-                (Accum::Small(acc), FastOperands::Split(s)) => {
-                    Self::dot_fused_small(|b| s.entry(b), acc, weights, activations)
-                }
-                (acc, FastOperands::Fused(tab)) => {
-                    Self::dot_fused_wide(|b| tab.entry(b), acc, weights, activations)
-                }
-                (acc, FastOperands::Split(s)) => {
-                    Self::dot_fused_wide(|b| s.entry(b), acc, weights, activations)
-                }
-            };
-            if nar_seen {
-                self.nar = true;
-            }
-            return;
-        }
-        // Scalar kernel: the reference band loops the per-MAC datapath.
-        for (&w, &a) in weights.iter().zip(activations) {
-            self.mac_uncounted(w, a);
-        }
-    }
-
-    fn dot_tile(&mut self, bias: u32, weights: &[u32], cols: &[&[u32]], out: &mut [u32]) {
-        assert_eq!(
-            cols.len(),
-            out.len(),
-            "dot_tile: column/output length mismatch"
-        );
-        for col in cols {
-            assert_eq!(
-                col.len(),
-                weights.len(),
-                "dot_tile: column/weight length mismatch"
-            );
-        }
-        let (k, b) = (weights.len(), cols.len());
-        if b == 0 {
-            return;
-        }
-        debug_assert!(k as u64 <= self.capacity, "posit EMAC over capacity");
-        if b >= 2 {
-            // Product band: cache-blocked tile. Same gate as `kernel()`.
-            if let (Some(table), true) = (self.product, self.acc.is_small()) {
-                self.tile_product(table, bias, weights, cols, out);
-                self.count = (k * b) as u64;
-                return;
-            }
-            // Fused band: gather the weight operands once, stream columns.
-            if let (Some(t), true) = (self.fast, self.acc.is_native()) {
-                self.set_bias(bias);
-                let seed_nar = self.nar;
-                match (self.acc.clone(), t) {
-                    (Accum::Small(seed), FastOperands::Fused(tab)) => {
-                        self.tile_fused_small(|p| tab.entry(p), seed, seed_nar, weights, cols, out)
-                    }
-                    (Accum::Small(seed), FastOperands::Split(s)) => {
-                        self.tile_fused_small(|p| s.entry(p), seed, seed_nar, weights, cols, out)
-                    }
-                    (seed, FastOperands::Fused(tab)) => {
-                        self.tile_fused_wide(|p| tab.entry(p), seed, seed_nar, weights, cols, out)
-                    }
-                    (seed, FastOperands::Split(s)) => {
-                        self.tile_fused_wide(|p| s.entry(p), seed, seed_nar, weights, cols, out)
-                    }
-                }
-                self.count = (k * b) as u64;
-                return;
-            }
-        }
-        // Per-column baseline: B == 1 keeps the row kernels, the scalar
-        // band stays the differential reference at any width.
-        for (col, slot) in cols.iter().zip(out.iter_mut()) {
-            self.set_bias(bias);
-            self.dot_slice(weights, col);
-            *slot = self.result();
-        }
-        self.count = (k * b) as u64;
-    }
-
-    fn kernel(&self) -> MacKernel {
-        if self.product.is_some() && self.acc.is_small() {
-            MacKernel::ProductTable
-        } else if self.fast.is_some() && self.acc.is_native() {
-            MacKernel::BatchedFused
-        } else {
-            MacKernel::Scalar
-        }
-    }
-
-    fn result(&self) -> u32 {
-        if self.nar {
-            return self.fmt.nar_bits();
-        }
-        // Fraction & SF extraction (lines 15-19) + convergent rounding.
-        let w = match self.acc.window() {
-            None => return self.fmt.zero_bits(),
-            Some(w) => w,
-        };
-        // Register bit b has weight 2^(b − sf_bias − (2F−2)).
-        let scale = w.msb as i32 - self.sf_bias - (2 * self.fbits as i32 - 2);
+        let scale = w.msb as i32 - 2 * self.max_scale - (2 * self.fbits as i32 - 2);
         encode(self.fmt, w.sign, scale, w.sig, w.sticky)
     }
 
-    fn macs_done(&self) -> u64 {
-        self.count
-    }
-
-    fn pipeline_depth(&self) -> u32 {
-        5 // decode → multiply/shift → accumulate → extract → round/encode
-    }
-
-    fn accumulator_width(&self) -> u32 {
-        Self::accumulator_width_for(self.fmt, self.capacity)
+    fn poison_bits(&self) -> u32 {
+        self.fmt.nar_bits()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Emac;
     use dp_posit::convert::{from_f64, to_f64};
     use dp_posit::Quire;
 
@@ -972,5 +340,55 @@ mod tests {
     #[should_panic(expected = "es <= n-3")]
     fn rejects_formats_without_significand() {
         PositEmac::new(fmt(8, 6), 4);
+    }
+
+    /// Every pattern's fused operand against the bit-field decode.
+    fn check_operands(fmt: PositFormat, entry: impl Fn(u32) -> EmacEntry) {
+        let fbits = fmt.n() - 2 - fmt.es();
+        for bits in fmt.patterns() {
+            let e = entry(bits);
+            match decode(fmt, bits) {
+                Decoded::Zero => assert_eq!(e, EmacEntry::ZERO, "{fmt} {bits:#x}"),
+                Decoded::NaR => assert!(e.is_special(), "{fmt} {bits:#x}"),
+                Decoded::Finite(u) => {
+                    assert!(!e.is_special());
+                    assert_eq!(e.sign(), u.sign, "{fmt} {bits:#x}");
+                    assert_eq!(e.field(), u.sig >> (64 - fbits), "{fmt} {bits:#x}");
+                    assert_eq!(
+                        e.scale() as i64,
+                        u.scale as i64 + fmt.max_scale() as i64,
+                        "{fmt} {bits:#x}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn emac_entries_reconstruct_decode_exhaustively() {
+        for (n, es) in [(5u32, 0u32), (8, 0), (8, 1), (8, 2), (12, 1)] {
+            let f = fmt(n, es);
+            let table = Posit::tables(f).operands.as_ref().unwrap();
+            check_operands(f, |b| table.entry(b));
+        }
+    }
+
+    #[test]
+    fn split_emac_entries_reconstruct_decode_for_all_65536_encodings() {
+        for es in [0u32, 1, 2] {
+            let f = fmt(16, es);
+            let split = Posit::new(f, true).computed().unwrap();
+            check_operands(f, |b| Posit::computed_entry(split, b));
+            assert_eq!(
+                Posit::computed_entry(split, 0x1_4000),
+                Posit::computed_entry(split, 0x4000),
+                "masks to width"
+            );
+        }
+        // Computed operands exist exactly in the 13–16-bit band.
+        assert!(Posit::new(fmt(12, 1), true).computed().is_none());
+        assert!(Posit::new(fmt(13, 1), true).computed().is_some());
+        assert!(Posit::new(fmt(17, 1), true).computed().is_none());
+        assert!(Posit::new(fmt(16, 1), false).computed().is_none());
     }
 }

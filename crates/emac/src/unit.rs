@@ -62,11 +62,61 @@ pub trait Emac {
     /// accumulator/poison state equals that after evaluating the **last**
     /// column. An empty `cols` is a no-op.
     ///
+    /// Units supply only [`Emac::tile_body`]; the shape checks, the empty
+    /// and `B == 1` cases, the per-column baseline and the accounting are
+    /// this provided body's.
+    ///
     /// # Panics
     ///
     /// Panics when `cols` and `out` differ in length or any column's
     /// length differs from `weights.len()`.
-    fn dot_tile(&mut self, bias: u32, weights: &[u32], cols: &[&[u32]], out: &mut [u32]);
+    fn dot_tile(&mut self, bias: u32, weights: &[u32], cols: &[&[u32]], out: &mut [u32]) {
+        assert_eq!(
+            cols.len(),
+            out.len(),
+            "dot_tile: column/output length mismatch"
+        );
+        for col in cols {
+            assert_eq!(
+                col.len(),
+                weights.len(),
+                "dot_tile: column/weight length mismatch"
+            );
+        }
+        if cols.is_empty() {
+            return;
+        }
+        // Per-column baseline: B == 1 keeps the row kernels, the scalar
+        // band stays the differential reference at any width.
+        if cols.len() < 2 || !self.tile_body(bias, weights, cols, out) {
+            for (col, slot) in cols.iter().zip(out.iter_mut()) {
+                self.set_bias(bias);
+                self.dot_slice(weights, col);
+                *slot = self.result();
+            }
+        }
+        self.set_macs_done((weights.len() * cols.len()) as u64);
+    }
+
+    /// The unit's tile fast path for an already validated tile of
+    /// `B ≥ 2` columns: evaluates every column (leaving the unit in the
+    /// last column's state) and returns `true`, or returns `false`
+    /// untouched when the unit's band has none (the scalar band), in
+    /// which case [`Emac::dot_tile`] runs the per-column baseline. Call
+    /// [`Emac::dot_tile`], not this.
+    fn tile_body(
+        &mut self,
+        _bias: u32,
+        _weights: &[u32],
+        _cols: &[&[u32]],
+        _out: &mut [u32],
+    ) -> bool {
+        false
+    }
+
+    /// Overwrites the [`Emac::macs_done`] counter — [`Emac::dot_tile`]'s
+    /// `K × B` accounting hook.
+    fn set_macs_done(&mut self, macs: u64);
 
     /// The tile-level kernel [`Emac::dot_tile`] runs for a tile of
     /// `batch` activation columns: `B ≤ 1` wraps the row kernel, the
@@ -139,6 +189,12 @@ impl Emac for EmacUnit {
     }
     fn dot_tile(&mut self, bias: u32, weights: &[u32], cols: &[&[u32]], out: &mut [u32]) {
         dispatch!(self, u => u.dot_tile(bias, weights, cols, out))
+    }
+    fn tile_body(&mut self, bias: u32, weights: &[u32], cols: &[&[u32]], out: &mut [u32]) -> bool {
+        dispatch!(self, u => u.tile_body(bias, weights, cols, out))
+    }
+    fn set_macs_done(&mut self, macs: u64) {
+        dispatch!(self, u => u.set_macs_done(macs))
     }
     fn tile_kernel(&self, batch: usize) -> TileKernel {
         dispatch!(self, u => u.tile_kernel(batch))

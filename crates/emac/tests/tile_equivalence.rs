@@ -416,3 +416,100 @@ fn spilled_window_tiles_stay_bit_identical() {
     }
     assert_eq!(unit.macs_done(), 256 * 4);
 }
+
+/// Poison (NaR / Inf / NaN) must stay in the lane that met it: with finite
+/// weights and one poisoned activation in exactly one column, only that
+/// column reads out poisoned and every other column equals its per-column
+/// `set_bias → dot_slice → result`; a poisoned *bias* poisons every
+/// column. Sweeps B over the quad, pair and tail bodies of both tile
+/// kernels and every column position, with the poison in the first and
+/// in the last product-tile K-block of a one-block and a two-block row
+/// (a flag swapped once per block would cancel over two blocks).
+/// `pattern` yields finite patterns only.
+fn poison_stays_in_its_lane<E: Emac + Clone>(
+    unit: &mut E,
+    poisons: &[u32],
+    poisoned_out: u32,
+    mut pattern: impl FnMut() -> u32,
+) {
+    for (k, b) in [5usize, 37]
+        .into_iter()
+        .flat_map(|k| [1usize, 2, 3, 4, 5, 7].map(|b| (k, b)))
+    {
+        let ws: Vec<u32> = (0..k).map(|_| pattern()).collect();
+        let bias = pattern();
+        let clean: Vec<Vec<u32>> = (0..b)
+            .map(|_| (0..k).map(|_| pattern()).collect())
+            .collect();
+        let mut expansion = unit.clone();
+        let expected: Vec<u32> = clean
+            .iter()
+            .map(|col| {
+                expansion.set_bias(bias);
+                expansion.dot_slice(&ws, col);
+                expansion.result()
+            })
+            .collect();
+        assert!(
+            !expected.contains(&poisoned_out),
+            "finite data never poisons"
+        );
+        let mut out = vec![0u32; b];
+        for victim in 0..b {
+            for (pi, &poison) in poisons.iter().enumerate() {
+                for at in [(victim + pi) % k.min(32), k - 1 - (victim + pi) % 5] {
+                    let mut cols = clean.clone();
+                    cols[victim][at] = poison;
+                    let col_refs: Vec<&[u32]> = cols.iter().map(|c| c.as_slice()).collect();
+                    unit.dot_tile(bias, &ws, &col_refs, &mut out);
+                    for (j, (&got, &want)) in out.iter().zip(&expected).enumerate() {
+                        let want = if j == victim { poisoned_out } else { want };
+                        assert_eq!(got, want, "K={k} B={b} victim={victim}@{at} column {j}");
+                    }
+                }
+            }
+        }
+        let col_refs: Vec<&[u32]> = clean.iter().map(|c| c.as_slice()).collect();
+        for &poison in poisons {
+            unit.dot_tile(poison, &ws, &col_refs, &mut out);
+            assert!(
+                out.iter().all(|&o| o == poisoned_out),
+                "K={k} B={b}: a poisoned bias poisons every column"
+            );
+        }
+    }
+}
+
+#[test]
+fn poison_is_isolated_across_tile_lanes() {
+    for (n, es) in [(8u32, 0u32), (16, 1)] {
+        let fmt = PositFormat::new(n, es).unwrap();
+        let nar = fmt.nar_bits();
+        let mut next = xorshift(0x9015_0ed1_a4e5 + n as u64);
+        let finite = move || match (next() as u32) & fmt.mask() {
+            p if p == nar => 0,
+            p => p,
+        };
+        poison_stays_in_its_lane(&mut PositEmac::new(fmt, 64), &[nar], nar, finite);
+    }
+    for (we, wf) in [(4u32, 3u32), (5, 10)] {
+        let fmt = FloatFormat::new(we, wf).unwrap();
+        let poisons = [fmt.inf_bits(false), fmt.inf_bits(true), fmt.nan_bits()];
+        let mut next = xorshift(0x9015_0ed1_a4e5 + wf as u64);
+        let finite = move || {
+            let p = (next() as u32) & fmt.mask();
+            // Clear the exponent's top bit of Inf/NaN patterns: finite.
+            if (p >> wf) & ((1 << we) - 1) == (1 << we) - 1 {
+                p & !(1 << (we + wf - 1))
+            } else {
+                p
+            }
+        };
+        poison_stays_in_its_lane(
+            &mut FloatEmac::new(fmt, 64),
+            &poisons,
+            fmt.nan_bits(),
+            finite,
+        );
+    }
+}

@@ -80,12 +80,18 @@ impl DecodeLut {
     }
 }
 
-/// The process-wide decode table for `fmt`, built on first use, or `None`
-/// for formats wider than [`MAX_LUT_WIDTH`]. Tables are leaked
-/// intentionally (small, finite format space) so hot loops can hold a
-/// `'static` borrow.
-pub fn cached(fmt: FixedFormat) -> Option<&'static DecodeLut> {
-    static CACHE: OnceLock<Mutex<HashMap<(u32, u32), &'static DecodeLut>>> = OnceLock::new();
+/// Both tables of one format: the sign extensions and, for
+/// `n ≤` [`MAX_PRODUCT_WIDTH`], the finished products.
+struct Tables {
+    decode: DecodeLut,
+    products: Option<ProductLut>,
+}
+
+/// The process-wide tables for `fmt`, built on first use, or `None` for
+/// formats wider than [`MAX_LUT_WIDTH`]. Tables are leaked intentionally
+/// (small, finite format space) so hot loops can hold a `'static` borrow.
+fn tables(fmt: FixedFormat) -> Option<&'static Tables> {
+    static CACHE: OnceLock<Mutex<HashMap<(u32, u32), &'static Tables>>> = OnceLock::new();
     if fmt.n() > MAX_LUT_WIDTH {
         return None;
     }
@@ -93,10 +99,18 @@ pub fn cached(fmt: FixedFormat) -> Option<&'static DecodeLut> {
         .get_or_init(|| Mutex::new(HashMap::new()))
         .lock()
         .expect("fixed LUT cache poisoned");
-    Some(
-        map.entry((fmt.n(), fmt.q()))
-            .or_insert_with(|| Box::leak(Box::new(DecodeLut::build(fmt).expect("width checked")))),
-    )
+    Some(map.entry((fmt.n(), fmt.q())).or_insert_with(|| {
+        Box::leak(Box::new(Tables {
+            decode: DecodeLut::build(fmt).expect("width checked"),
+            products: ProductLut::build(fmt),
+        }))
+    }))
+}
+
+/// The process-wide decode table for `fmt`, or `None` for formats wider
+/// than [`MAX_LUT_WIDTH`].
+pub fn cached(fmt: FixedFormat) -> Option<&'static DecodeLut> {
+    tables(fmt).map(|t| &t.decode)
 }
 
 /// Widest format that gets a **finished-product table** ([`ProductLut`]):
@@ -179,18 +193,7 @@ impl ProductLut {
 /// [`cached`]'s tables), or `None` for formats wider than
 /// [`MAX_PRODUCT_WIDTH`].
 pub fn product_cached(fmt: FixedFormat) -> Option<&'static ProductLut> {
-    static CACHE: OnceLock<Mutex<HashMap<(u32, u32), &'static ProductLut>>> = OnceLock::new();
-    if fmt.n() > MAX_PRODUCT_WIDTH {
-        return None;
-    }
-    let mut map = CACHE
-        .get_or_init(|| Mutex::new(HashMap::new()))
-        .lock()
-        .expect("fixed product LUT cache poisoned");
-    Some(
-        map.entry((fmt.n(), fmt.q()))
-            .or_insert_with(|| Box::leak(Box::new(ProductLut::build(fmt).expect("width checked")))),
-    )
+    tables(fmt)?.products.as_ref()
 }
 
 #[cfg(test)]

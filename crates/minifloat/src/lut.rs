@@ -1,20 +1,15 @@
 //! Table-driven minifloat decode.
 //!
-//! Mirror of `dp_posit::lut` for the float EMAC: the subnormal-aware
-//! decode of paper Fig. 4 (classification, hidden-bit insertion, exponent
-//! adjustment) is precomputed for all `2^n` patterns of a format when
-//! `n ≤` [`MAX_LUT_WIDTH`], turning the EMAC's per-MAC decode into a
-//! single table lookup. [`cached`] memoizes one table per format for the
-//! life of the process.
+//! Mirror of `dp_posit::lut`: the subnormal-aware decode of paper Fig. 4
+//! (classification, hidden-bit insertion, exponent adjustment) is
+//! precomputed for all `2^n` patterns of a format when
+//! `n ≤` [`MAX_LUT_WIDTH`], turning a decode into a single table lookup.
+//! [`cached`] memoizes one table per format for the life of the process.
 //!
-//! Formats of 13 to [`MAX_DIRECT_WIDTH`] bits (the paper's §IV comparison
-//! sweep runs up to 16) skip tables entirely: unlike the posit regime, a
-//! minifloat's fields sit at fixed offsets, so the fused EMAC operand can
-//! be **computed directly** from the bit fields ([`EmacDirect`]) — the
-//! counterpart of `dp_posit::lut::SplitLut`'s "direct fraction
-//! extraction", with only the subnormal normalization needing a
-//! leading-zero count. Only wider formats fall back to the classifying
-//! [`decode`] + `WideInt` reference datapath.
+//! The float EMAC does not go through this table: a minifloat's fields
+//! sit at fixed offsets, so its fused operands are extracted directly
+//! from the bit fields (`dp_emac::Float`) and tabulated, with the
+//! finished-product table, in `dp_emac::table`.
 
 use crate::codec::{decode, FloatClass};
 use crate::format::FloatFormat;
@@ -23,10 +18,6 @@ use std::sync::{Mutex, OnceLock};
 
 /// Widest format that gets a decode table (`2^12` entries ≤ 64 KiB).
 pub const MAX_LUT_WIDTH: u32 = 12;
-
-/// Widest format whose fused EMAC operands are computed directly from the
-/// bit fields ([`EmacDirect`]); covers the §IV sweep's 16-bit formats.
-pub const MAX_DIRECT_WIDTH: u32 = 16;
 
 /// A precomputed decode table for one minifloat format; entries are
 /// exactly what [`decode`] returns, verified exhaustively in tests.
@@ -101,338 +92,6 @@ pub fn cached(fmt: FloatFormat) -> Option<&'static DecodeLut> {
     )
 }
 
-/// One fused EMAC operand: decode, subnormal normalization and scale
-/// biasing folded into a packed word. Layout:
-///
-/// ```text
-/// bits  0..16   integer significand with the top (hidden/normalized) bit
-///               set — `wf + 1` bits; 0 for zero
-/// bits 16..32   scale − min_normal_scale + wf (non-negative by
-///               construction, subnormals included)
-/// bit  32       sign
-/// bit  33       Inf/NaN flag (poisons the EMAC)
-/// ```
-///
-/// Two operands multiply as `field·field`, an integer whose trailing zeros
-/// absorb the subnormal underflow, positioned at
-/// `bias_a + bias_b + tz − 2·wf` — identical, bit for bit, to the Fig. 4
-/// significand datapath (see `dp_emac::FloatEmac`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EmacEntry(pub u64);
-
-impl EmacEntry {
-    /// Bit flagging Inf/NaN.
-    pub const SPECIAL_BIT: u64 = 1 << 33;
-    /// Bit carrying the sign.
-    pub const SIGN_BIT: u64 = 1 << 32;
-
-    /// The `wf + 1`-bit integer significand, 0 for zero/Inf/NaN.
-    #[inline]
-    pub fn field(self) -> u64 {
-        self.0 & 0xffff
-    }
-
-    /// `scale − min_normal_scale + wf` (always non-negative).
-    #[inline]
-    pub fn biased_scale(self) -> u64 {
-        (self.0 >> 16) & 0xffff
-    }
-
-    /// Sign of the operand.
-    #[inline]
-    pub fn sign(self) -> bool {
-        self.0 & Self::SIGN_BIT != 0
-    }
-
-    /// Whether this pattern is Inf or NaN.
-    #[inline]
-    pub fn is_special(self) -> bool {
-        self.0 & Self::SPECIAL_BIT != 0
-    }
-}
-
-/// A fused decode + EMAC-front-end table: one [`EmacEntry`] per pattern.
-#[derive(Debug, Clone)]
-pub struct EmacLut {
-    fmt: FloatFormat,
-    entries: Vec<EmacEntry>,
-}
-
-impl EmacLut {
-    /// Builds the table for `fmt`, or `None` when the format is wider than
-    /// [`MAX_LUT_WIDTH`].
-    pub fn build(fmt: FloatFormat) -> Option<Self> {
-        if fmt.n() > MAX_LUT_WIDTH {
-            return None;
-        }
-        let wf = fmt.wf();
-        let entries = fmt
-            .patterns()
-            .map(|bits| match decode(fmt, bits) {
-                FloatClass::Zero(sign) => EmacEntry(if sign { EmacEntry::SIGN_BIT } else { 0 }),
-                FloatClass::Inf(_) | FloatClass::NaN => EmacEntry(EmacEntry::SPECIAL_BIT),
-                FloatClass::Finite(u) => {
-                    let field = u.sig >> (63 - wf);
-                    let biased = (u.scale - fmt.min_normal_scale() + wf as i32) as u64;
-                    debug_assert!(field < (1 << 16) && biased < (1 << 16));
-                    EmacEntry(field | (biased << 16) | if u.sign { EmacEntry::SIGN_BIT } else { 0 })
-                }
-            })
-            .collect();
-        Some(EmacLut { fmt, entries })
-    }
-
-    /// The format this table was built for.
-    pub fn format(&self) -> FloatFormat {
-        self.fmt
-    }
-
-    /// The fused operand for the low `n` bits of `bits`.
-    #[inline]
-    pub fn entry(&self, bits: u32) -> EmacEntry {
-        self.entries[(bits & self.fmt.mask()) as usize]
-    }
-}
-
-/// Widest format that gets a **finished-product table** ([`ProductLut`]):
-/// `2^(2n)` entries keep the 8-bit table at 256 KiB.
-pub const MAX_PRODUCT_WIDTH: u32 = 8;
-
-/// One finished product for a `(weight, activation)` pair: the Fig. 4
-/// decode, significand multiply, underflow normalization and scale
-/// biasing all fused into a single word. Layout:
-///
-/// ```text
-/// bits  0..16   normalized product (field(w)·field(a)) >> tz, odd or 0
-/// bits 16..26   register shift: biased(w) + biased(a) + tz − 2·wf
-///               (non-negative: products are multiples of min_subnormal²)
-/// bit  26       sign of the product
-/// bit  27       Inf/NaN (either operand): product is 0, poisons the unit
-/// ```
-///
-/// Zero products (a zero operand, no special) are the all-clear word.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProductEntry(pub u32);
-
-impl ProductEntry {
-    /// Bit flagging Inf/NaN (either operand).
-    pub const SPECIAL_BIT: u32 = 1 << 27;
-    /// Bit carrying the product sign.
-    pub const SIGN_BIT: u32 = 1 << 26;
-
-    /// The normalized significand product, 0 for zero/special pairs.
-    #[inline]
-    pub fn product(self) -> u64 {
-        (self.0 & 0xffff) as u64
-    }
-
-    /// The non-negative register shift of the product LSB.
-    #[inline]
-    pub fn shift(self) -> u32 {
-        (self.0 >> 16) & 0x3ff
-    }
-
-    /// Sign of the product.
-    #[inline]
-    pub fn negate(self) -> bool {
-        self.0 & Self::SIGN_BIT != 0
-    }
-
-    /// Whether either operand was Inf or NaN.
-    #[inline]
-    pub fn is_special(self) -> bool {
-        self.0 & Self::SPECIAL_BIT != 0
-    }
-}
-
-/// A finished-product table: one [`ProductEntry`] per operand pair —
-/// `2^(2n)` entries, ≤ 256 KiB at 8 bits. The n ≤ 8 float EMAC inner loop
-/// becomes one load and one shifted add, with no multiply and no
-/// trailing-zero count. Entries are derived from the fused [`EmacEntry`]
-/// words, so the schemes cannot drift; the `kernel_equivalence` suite
-/// pins bit-identity against the reference datapath over all pairs.
-#[derive(Debug, Clone)]
-pub struct ProductLut {
-    fmt: FloatFormat,
-    n: u32,
-    entries: Vec<ProductEntry>,
-}
-
-impl ProductLut {
-    /// Builds the table for `fmt`, or `None` when the format is wider than
-    /// [`MAX_PRODUCT_WIDTH`].
-    pub fn build(fmt: FloatFormat) -> Option<Self> {
-        if fmt.n() > MAX_PRODUCT_WIDTH {
-            return None;
-        }
-        let operands = EmacLut::build(fmt)?;
-        let (n, wf) = (fmt.n(), fmt.wf());
-        let mut entries = Vec::with_capacity(1usize << (2 * n));
-        for w in fmt.patterns() {
-            let ew = operands.entry(w);
-            for a in fmt.patterns() {
-                let ea = operands.entry(a);
-                entries.push(if (ew.0 | ea.0) & EmacEntry::SPECIAL_BIT != 0 {
-                    ProductEntry(ProductEntry::SPECIAL_BIT)
-                } else {
-                    let prod = ew.field() * ea.field();
-                    if prod == 0 {
-                        ProductEntry(0)
-                    } else {
-                        let tz = prod.trailing_zeros();
-                        let shift = (ew.biased_scale() + ea.biased_scale()) as i32 + tz as i32
-                            - 2 * wf as i32;
-                        debug_assert!((prod >> tz) < (1 << 16) && (0..1 << 10).contains(&shift));
-                        let sign = if (ew.0 ^ ea.0) & EmacEntry::SIGN_BIT != 0 {
-                            ProductEntry::SIGN_BIT
-                        } else {
-                            0
-                        };
-                        ProductEntry((prod >> tz) as u32 | ((shift as u32) << 16) | sign)
-                    }
-                });
-            }
-        }
-        Some(ProductLut { fmt, n, entries })
-    }
-
-    /// The format this table was built for.
-    pub fn format(&self) -> FloatFormat {
-        self.fmt
-    }
-
-    /// The finished product for the pair (low `n` bits of each operand).
-    #[inline]
-    pub fn entry(&self, weight: u32, activation: u32) -> ProductEntry {
-        let mask = self.fmt.mask();
-        self.entries[(((weight & mask) as usize) << self.n) | (activation & mask) as usize]
-    }
-
-    /// The contiguous `2^n`-entry row for `weight`: element `a` of the
-    /// returned slice is `entry(weight, a)`. The tile kernels resolve a
-    /// weight's row base once and index it per column, hoisting the
-    /// weight shift out of the column-wide inner step — and because the
-    /// row length is a power of two, `row[(a & (len − 1)) as usize]`
-    /// needs no bounds check.
-    #[inline]
-    pub fn row(&self, weight: u32) -> &[ProductEntry] {
-        let base = ((weight & self.fmt.mask()) as usize) << self.n;
-        &self.entries[base..base + (1usize << self.n)]
-    }
-
-    /// Number of table entries (`2^(2n)`).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Always false: every format has at least `2^8` pairs.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
-/// The process-wide finished-product table for `fmt` (leaked like
-/// [`cached`]'s tables), or `None` for formats wider than
-/// [`MAX_PRODUCT_WIDTH`].
-pub fn product_cached(fmt: FloatFormat) -> Option<&'static ProductLut> {
-    static CACHE: OnceLock<Mutex<HashMap<(u32, u32), &'static ProductLut>>> = OnceLock::new();
-    if fmt.n() > MAX_PRODUCT_WIDTH {
-        return None;
-    }
-    let mut map = CACHE
-        .get_or_init(|| Mutex::new(HashMap::new()))
-        .lock()
-        .expect("minifloat product LUT cache poisoned");
-    Some(
-        map.entry((fmt.we(), fmt.wf()))
-            .or_insert_with(|| Box::leak(Box::new(ProductLut::build(fmt).expect("width checked")))),
-    )
-}
-
-/// Computed fused EMAC operands for 13–16-bit minifloats: the same packed
-/// [`EmacEntry`] an [`EmacLut`] would hold, produced per call from the bit
-/// fields instead of a 2^n-entry table.
-///
-/// A minifloat's sign/exponent/fraction live at fixed offsets, so the
-/// fused operand needs no table at all: normals are two shifts and a mask
-/// (`field = hidden | frac`, `biased = exp_field + wf − 1`); subnormals
-/// normalize with one leading-zero count (`field = frac` shifted to the
-/// hidden position, `biased = bitlen(frac) − 1`). Entries are bit-for-bit
-/// what [`EmacLut::build`] would tabulate, verified exhaustively by the
-/// `direct_entries_match_*` tests.
-#[derive(Debug, Clone, Copy)]
-pub struct EmacDirect {
-    fmt: FloatFormat,
-}
-
-impl EmacDirect {
-    /// Builds the computed-operand extractor for `fmt`, or `None` unless
-    /// [`MAX_LUT_WIDTH`]` < n ≤ `[`MAX_DIRECT_WIDTH`] (narrower formats
-    /// use the tabulated [`EmacLut`]; each width band gets exactly one
-    /// scheme so call sites cannot mix paths for a format).
-    pub fn build(fmt: FloatFormat) -> Option<Self> {
-        if fmt.n() <= MAX_LUT_WIDTH || fmt.n() > MAX_DIRECT_WIDTH {
-            return None;
-        }
-        Some(EmacDirect { fmt })
-    }
-
-    /// The format this extractor was built for.
-    pub fn format(&self) -> FloatFormat {
-        self.fmt
-    }
-
-    /// The fused operand for the low `n` bits of `bits`; identical to the
-    /// entry an [`EmacLut`] for this format would hold.
-    #[inline]
-    pub fn entry(&self, bits: u32) -> EmacEntry {
-        let fmt = self.fmt;
-        let (we, wf) = (fmt.we(), fmt.wf());
-        let bits = bits & fmt.mask();
-        let sign = bits >> (fmt.n() - 1) == 1;
-        let sign_bit = if sign { EmacEntry::SIGN_BIT } else { 0 };
-        let exp_field = (bits >> wf) & ((1 << we) - 1);
-        let frac = (bits & ((1u32 << wf) - 1)) as u64;
-        if exp_field == (1 << we) - 1 {
-            return EmacEntry(EmacEntry::SPECIAL_BIT);
-        }
-        if exp_field == 0 {
-            if frac == 0 {
-                return EmacEntry(sign_bit);
-            }
-            // Subnormal: normalize so the top significand bit is set; the
-            // biased scale collapses to bitlen(frac) − 1 (= 63 − lz).
-            let lz = frac.leading_zeros();
-            let field = frac << (lz - (63 - wf));
-            let biased = (63 - lz) as u64;
-            return EmacEntry(field | (biased << 16) | sign_bit);
-        }
-        // Normal: hidden bit set, biased = (scale − min_normal) + wf
-        //       = (exp_field − bias − (1 − bias)) + wf = exp_field + wf − 1.
-        let field = (1u64 << wf) | frac;
-        let biased = (exp_field + wf - 1) as u64;
-        debug_assert!(field < (1 << 16) && biased < (1 << 16));
-        EmacEntry(field | (biased << 16) | sign_bit)
-    }
-}
-
-/// The process-wide fused EMAC table for `fmt` (leaked like [`cached`]'s
-/// tables), or `None` for formats wider than [`MAX_LUT_WIDTH`].
-pub fn emac_cached(fmt: FloatFormat) -> Option<&'static EmacLut> {
-    static CACHE: OnceLock<Mutex<HashMap<(u32, u32), &'static EmacLut>>> = OnceLock::new();
-    if fmt.n() > MAX_LUT_WIDTH {
-        return None;
-    }
-    let mut map = CACHE
-        .get_or_init(|| Mutex::new(HashMap::new()))
-        .lock()
-        .expect("minifloat EMAC LUT cache poisoned");
-    Some(
-        map.entry((fmt.we(), fmt.wf()))
-            .or_insert_with(|| Box::leak(Box::new(EmacLut::build(fmt).expect("width checked")))),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -443,8 +102,6 @@ mod tests {
         assert!(DecodeLut::build(FloatFormat::new(5, 6).unwrap()).is_some());
         assert!(DecodeLut::build(FloatFormat::new(5, 10).unwrap()).is_none());
         assert!(cached(FloatFormat::new(8, 23).unwrap()).is_none());
-        assert!(EmacLut::build(FloatFormat::new(5, 10).unwrap()).is_none());
-        assert!(emac_cached(FloatFormat::new(5, 10).unwrap()).is_none());
     }
 
     #[test]
@@ -466,140 +123,5 @@ mod tests {
         let b = cached(fmt).unwrap();
         assert!(std::ptr::eq(a, b));
         assert_eq!(a.format(), fmt);
-        assert!(std::ptr::eq(
-            emac_cached(fmt).unwrap(),
-            emac_cached(fmt).unwrap()
-        ));
-    }
-
-    #[test]
-    fn direct_operands_only_between_13_and_16_bits() {
-        assert!(EmacDirect::build(FloatFormat::new(4, 7).unwrap()).is_none()); // n = 12
-        assert!(EmacDirect::build(FloatFormat::new(4, 8).unwrap()).is_some()); // n = 13
-        assert!(EmacDirect::build(FloatFormat::new(5, 10).unwrap()).is_some()); // n = 16
-        assert!(EmacDirect::build(FloatFormat::new(5, 11).unwrap()).is_none()); // n = 17
-        let fmt = FloatFormat::new(5, 10).unwrap();
-        assert_eq!(EmacDirect::build(fmt).unwrap().format(), fmt);
-    }
-
-    #[test]
-    fn direct_entries_match_decode_exhaustively() {
-        // 13–16-bit formats, including binary16 (5,10) and a bfloat-ish
-        // wide-exponent shape; every pattern of each format.
-        for (we, wf) in [(4u32, 8u32), (5, 8), (5, 10), (8, 7), (2, 13), (6, 9)] {
-            let fmt = FloatFormat::new(we, wf).unwrap();
-            let direct = EmacDirect::build(fmt).unwrap();
-            for bits in fmt.patterns() {
-                let e = direct.entry(bits);
-                match decode(fmt, bits) {
-                    FloatClass::Zero(sign) => {
-                        assert_eq!(e.field(), 0, "{fmt} {bits:#x}");
-                        assert_eq!(e.sign(), sign);
-                        assert!(!e.is_special());
-                    }
-                    FloatClass::Inf(_) | FloatClass::NaN => {
-                        assert!(e.is_special(), "{fmt} {bits:#x}")
-                    }
-                    FloatClass::Finite(u) => {
-                        assert!(!e.is_special());
-                        assert_eq!(e.sign(), u.sign, "{fmt} {bits:#x}");
-                        assert_eq!(e.field(), u.sig >> (63 - wf), "{fmt} {bits:#x}");
-                        assert!(e.field() >> wf >= 1, "normalized top bit set");
-                        assert_eq!(
-                            e.biased_scale() as i32,
-                            u.scale - fmt.min_normal_scale() + wf as i32,
-                            "{fmt} {bits:#x}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn product_table_only_up_to_8_bits() {
-        assert!(ProductLut::build(FloatFormat::new(4, 3).unwrap()).is_some()); // n = 8
-        assert!(ProductLut::build(FloatFormat::new(4, 4).unwrap()).is_none()); // n = 9
-        assert!(product_cached(FloatFormat::new(4, 4).unwrap()).is_none());
-        let fmt = FloatFormat::new(4, 3).unwrap();
-        assert!(std::ptr::eq(
-            product_cached(fmt).unwrap(),
-            product_cached(fmt).unwrap()
-        ));
-    }
-
-    #[test]
-    fn product_entries_fuse_operand_pairs_exhaustively() {
-        for (we, wf) in [(2u32, 2u32), (3, 2), (4, 3)] {
-            let fmt = FloatFormat::new(we, wf).unwrap();
-            let products = ProductLut::build(fmt).unwrap();
-            let operands = EmacLut::build(fmt).unwrap();
-            assert_eq!(
-                products.len() as u64,
-                fmt.pattern_count() * fmt.pattern_count()
-            );
-            assert!(!products.is_empty());
-            assert_eq!(products.format(), fmt);
-            for w in fmt.patterns() {
-                let row = products.row(w);
-                assert_eq!(row.len() as u64, fmt.pattern_count());
-                for a in fmt.patterns() {
-                    let p = products.entry(w, a);
-                    assert_eq!(row[a as usize].0, p.0, "{fmt} {w:#x}×{a:#x} row");
-                    let (ew, ea) = (operands.entry(w), operands.entry(a));
-                    if ew.is_special() || ea.is_special() {
-                        assert!(p.is_special(), "{fmt} {w:#x}×{a:#x}");
-                        assert_eq!(p.product(), 0);
-                        continue;
-                    }
-                    assert!(!p.is_special());
-                    let prod = ew.field() * ea.field();
-                    if prod == 0 {
-                        assert_eq!(p.0, 0, "{fmt} {w:#x}×{a:#x}");
-                        continue;
-                    }
-                    let tz = prod.trailing_zeros();
-                    assert_eq!(p.product(), prod >> tz, "{fmt} {w:#x}×{a:#x}");
-                    assert_eq!(
-                        p.shift() as i64,
-                        (ew.biased_scale() + ea.biased_scale()) as i64 + tz as i64 - 2 * wf as i64,
-                        "{fmt} {w:#x}×{a:#x}"
-                    );
-                    assert_eq!(p.negate(), ew.sign() ^ ea.sign(), "{fmt} {w:#x}×{a:#x}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn emac_entries_reconstruct_decode_exhaustively() {
-        for (we, wf) in [(2u32, 2u32), (3, 2), (4, 3), (5, 2), (4, 7)] {
-            let fmt = FloatFormat::new(we, wf).unwrap();
-            let lut = EmacLut::build(fmt).unwrap();
-            for bits in fmt.patterns() {
-                let e = lut.entry(bits);
-                match decode(fmt, bits) {
-                    FloatClass::Zero(sign) => {
-                        assert_eq!(e.field(), 0, "{fmt} {bits:#x}");
-                        assert_eq!(e.sign(), sign);
-                        assert!(!e.is_special());
-                    }
-                    FloatClass::Inf(_) | FloatClass::NaN => {
-                        assert!(e.is_special(), "{fmt} {bits:#x}")
-                    }
-                    FloatClass::Finite(u) => {
-                        assert!(!e.is_special());
-                        assert_eq!(e.sign(), u.sign, "{fmt} {bits:#x}");
-                        assert_eq!(e.field(), u.sig >> (63 - wf), "{fmt} {bits:#x}");
-                        assert!(e.field() >> wf >= 1, "normalized top bit set");
-                        assert_eq!(
-                            e.biased_scale() as i32,
-                            u.scale - fmt.min_normal_scale() + wf as i32,
-                            "{fmt} {bits:#x}"
-                        );
-                    }
-                }
-            }
-        }
     }
 }

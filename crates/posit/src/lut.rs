@@ -20,6 +20,9 @@
 //! fall back to the bit-field [`decode`] path. [`cached`] /
 //! [`split_cached`] memoize one table per format for the life of the
 //! process, so callers share tables across units, layers and threads.
+//!
+//! The EMAC's fused-operand and finished-product tables are built on top
+//! of these decodes in `dp_emac::table`, shared with the minifloat family.
 
 use crate::decode::{decode, Decoded, Unpacked};
 use crate::format::PositFormat;
@@ -95,26 +98,43 @@ impl DecodeLut {
     }
 }
 
-/// The process-wide decode table for `fmt`, built on first use, or `None`
-/// for formats wider than [`MAX_LUT_WIDTH`].
+/// The decode scheme of a format's width band: exactly one table is
+/// present.
+struct Scheme {
+    monolithic: Option<DecodeLut>,
+    split: Option<SplitLut>,
+}
+
+/// The process-wide decode scheme for `fmt`, built on first use, or `None`
+/// past [`MAX_SPLIT_WIDTH`]. Each width band has exactly one scheme, so no
+/// call site can mix table and fallback paths for the same format.
 ///
 /// Tables are leaked intentionally: the format space is small and finite
-/// (at most 70 qualifying `(n, es)` pairs), each table is built once, and
+/// (at most 98 qualifying `(n, es)` pairs), each table is built once, and
 /// a `'static` borrow lets hot loops hold the table without reference
 /// counting.
-pub fn cached(fmt: PositFormat) -> Option<&'static DecodeLut> {
-    static CACHE: OnceLock<Mutex<HashMap<(u32, u32), &'static DecodeLut>>> = OnceLock::new();
-    if fmt.n() > MAX_LUT_WIDTH {
+fn scheme(fmt: PositFormat) -> Option<&'static Scheme> {
+    static CACHE: OnceLock<Mutex<HashMap<(u32, u32), &'static Scheme>>> = OnceLock::new();
+    if fmt.n() > MAX_SPLIT_WIDTH {
         return None;
     }
     let mut map = CACHE
         .get_or_init(|| Mutex::new(HashMap::new()))
         .lock()
         .expect("posit LUT cache poisoned");
-    Some(
-        map.entry((fmt.n(), fmt.es()))
-            .or_insert_with(|| Box::leak(Box::new(DecodeLut::build(fmt).expect("width checked")))),
-    )
+    Some(map.entry((fmt.n(), fmt.es())).or_insert_with(|| {
+        Box::leak(Box::new(Scheme {
+            monolithic: DecodeLut::build(fmt),
+            split: SplitLut::build(fmt),
+        }))
+    }))
+}
+
+/// The process-wide decode table for `fmt`, built on first use and leaked
+/// for a `'static` borrow, or `None` for formats wider than
+/// [`MAX_LUT_WIDTH`].
+pub fn cached(fmt: PositFormat) -> Option<&'static DecodeLut> {
+    scheme(fmt)?.monolithic.as_ref()
 }
 
 /// One regime-prefix table entry: what the top 8 body bits reveal about
@@ -163,10 +183,6 @@ struct RegimePrefix {
 pub struct SplitLut {
     fmt: PositFormat,
     prefix: [RegimePrefix; 256],
-    /// `F = n − 2 − es`: significand width including the hidden bit.
-    fbits: u32,
-    /// `max_scale`, the fused-entry scale bias.
-    max_scale: i32,
 }
 
 impl SplitLut {
@@ -198,12 +214,7 @@ impl SplitLut {
                 scale_base: (k << es) as i16,
             };
         }
-        Some(SplitLut {
-            fmt,
-            prefix,
-            fbits: fmt.n() - 2 - es,
-            max_scale: fmt.max_scale(),
-        })
+        Some(SplitLut { fmt, prefix })
     }
 
     /// The format this table was built for.
@@ -229,15 +240,20 @@ impl SplitLut {
         }
     }
 
-    /// Shared unpack for finite nonzero patterns (`x` already masked,
-    /// nonzero and not NaR): sign fold, body alignment, prefix-table
-    /// regime resolution and exponent extraction, yielding `(sign, scale,
-    /// frac)` with `frac` the explicit fraction left-aligned at bit 63.
-    /// Both [`SplitLut::decode`] and [`SplitLut::entry`] build on this, so
-    /// the two views cannot drift apart.
+    /// Split-table decode of the low `n` bits of `bits`; bit-identical to
+    /// [`decode`]`(self.format(), bits)`: sign fold, body alignment,
+    /// prefix-table regime resolution, then exponent and fraction by two
+    /// constant shifts.
     #[inline]
-    fn unpack_finite(&self, x: u32) -> (bool, i32, u64) {
+    pub fn decode(&self, bits: u32) -> Decoded {
         let fmt = self.fmt;
+        let x = bits & fmt.mask();
+        if x == 0 {
+            return Decoded::Zero;
+        }
+        if x == fmt.nar_bits() {
+            return Decoded::NaR;
+        }
         let n = fmt.n();
         let sign = (x >> (n - 1)) & 1 == 1;
         let y = if sign {
@@ -256,342 +272,19 @@ impl SplitLut {
             (rest >> (64 - es)) as i32
         };
         let frac = if es == 0 { rest } else { rest << es };
-        (sign, scale_base + exp, frac)
-    }
-
-    /// Split-table decode of the low `n` bits of `bits`; bit-identical to
-    /// [`decode`]`(self.format(), bits)`.
-    #[inline]
-    pub fn decode(&self, bits: u32) -> Decoded {
-        let x = bits & self.fmt.mask();
-        if x == 0 {
-            return Decoded::Zero;
-        }
-        if x == self.fmt.nar_bits() {
-            return Decoded::NaR;
-        }
-        let (sign, scale, frac) = self.unpack_finite(x);
         Decoded::Finite(Unpacked {
             sign,
-            scale,
+            scale: scale_base + exp,
             sig: (1u64 << 63) | (frac >> 1),
         })
-    }
-
-    /// The fused EMAC operand for the low `n` bits of `bits`, packed
-    /// exactly like [`EmacLut`]'s entries (same [`EmacEntry`] layout), but
-    /// produced by the prefix table + direct fraction extraction instead
-    /// of a per-pattern table.
-    #[inline]
-    pub fn entry(&self, bits: u32) -> EmacEntry {
-        let x = bits & self.fmt.mask();
-        if x == 0 {
-            return EmacEntry(0);
-        }
-        if x == self.fmt.nar_bits() {
-            return EmacEntry(EmacEntry::NAR_BIT);
-        }
-        let (sign, scale, frac) = self.unpack_finite(x);
-        // field = sig >> (64 − F) with sig = hidden | frac >> 1.
-        let field = (1u64 << (self.fbits - 1)) | (frac >> (65 - self.fbits));
-        let biased = (scale + self.max_scale) as u64;
-        debug_assert!(field < (1 << 16) && biased < (1 << 16));
-        EmacEntry(field | (biased << 16) | if sign { EmacEntry::SIGN_BIT } else { 0 })
     }
 }
 
 /// The process-wide split table for `fmt` (leaked like [`cached`]'s
 /// tables), or `None` outside the `MAX_LUT_WIDTH < n ≤ MAX_SPLIT_WIDTH`
-/// band — each width band has exactly one decode scheme, so no call site
-/// can mix table and fallback paths for the same format.
+/// band.
 pub fn split_cached(fmt: PositFormat) -> Option<&'static SplitLut> {
-    static CACHE: OnceLock<Mutex<HashMap<(u32, u32), &'static SplitLut>>> = OnceLock::new();
-    if fmt.n() <= MAX_LUT_WIDTH || fmt.n() > MAX_SPLIT_WIDTH {
-        return None;
-    }
-    let mut map = CACHE
-        .get_or_init(|| Mutex::new(HashMap::new()))
-        .lock()
-        .expect("posit split LUT cache poisoned");
-    Some(
-        map.entry((fmt.n(), fmt.es()))
-            .or_insert_with(|| Box::leak(Box::new(SplitLut::build(fmt).expect("width checked")))),
-    )
-}
-
-/// One fused EMAC operand: the decode *and* the EMAC front-end folded into
-/// a single packed word, so the multiply-accumulate inner loop is two
-/// loads, one small multiply and one shifted add. Layout:
-///
-/// ```text
-/// bits  0..16   integer significand, hidden bit included (F = n−2−es bits)
-/// bits 16..32   scale + max_scale (non-negative "per-operand bias")
-/// bit  32       sign
-/// bit  33       NaR flag
-/// ```
-///
-/// Zero encodes as the all-clear word (significand 0), so zero operands
-/// fall out of the product test rather than needing their own branch. Two
-/// operands multiply as `field·field × 2^(bias_a + bias_b)` positioned at
-/// `scale_a + scale_b + 2·max_scale` — exactly Algorithm 2's biased scale
-/// factor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EmacEntry(pub u64);
-
-impl EmacEntry {
-    /// Bit flagging NaR.
-    pub const NAR_BIT: u64 = 1 << 33;
-    /// Bit carrying the sign.
-    pub const SIGN_BIT: u64 = 1 << 32;
-
-    /// The `F`-bit integer significand (hidden bit included), 0 for zero
-    /// and NaR.
-    #[inline]
-    pub fn field(self) -> u64 {
-        self.0 & 0xffff
-    }
-
-    /// `scale + max_scale` (always non-negative).
-    #[inline]
-    pub fn biased_scale(self) -> u64 {
-        (self.0 >> 16) & 0xffff
-    }
-
-    /// Sign of the operand.
-    #[inline]
-    pub fn sign(self) -> bool {
-        self.0 & Self::SIGN_BIT != 0
-    }
-
-    /// Whether this pattern is NaR.
-    #[inline]
-    pub fn is_nar(self) -> bool {
-        self.0 & Self::NAR_BIT != 0
-    }
-}
-
-/// Widest format that gets a **finished-product table** ([`ProductLut`]):
-/// `2^(2n)` entries keep the 8-bit table at 256 KiB (inside L2), and the
-/// paper's headline formats are all ≤ 8 bits.
-pub const MAX_PRODUCT_WIDTH: u32 = 8;
-
-/// One finished product: everything Algorithm 1 *and* Algorithm 2's
-/// multiply stage produce for a `(weight, activation)` pair, fused into a
-/// single word so the MAC inner loop has **no multiply at all**. Layout:
-///
-/// ```text
-/// bits  0..16   field(w) × field(a), the exact 2F-bit significand product
-/// bits 16..26   biased_scale(w) + biased_scale(a) — Algorithm 2 line 12's
-///               sf + 2·max_scale, the register shift of the product LSB
-/// bit  26       sign of the product
-/// bit  27       NaR (either operand): product is 0, accumulator must poison
-/// ```
-///
-/// Zero operands produce the all-clear word (product 0), so zero needs no
-/// branch; a NaR pair also carries product 0, so a poisoned accumulation
-/// leaves the register untouched exactly like the scalar datapath.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProductEntry(pub u32);
-
-impl ProductEntry {
-    /// Bit flagging NaR (either operand).
-    pub const NAR_BIT: u32 = 1 << 27;
-    /// Bit carrying the product sign.
-    pub const SIGN_BIT: u32 = 1 << 26;
-
-    /// The exact significand product `field(w) × field(a)` (`< 2^(2F)`),
-    /// 0 when either operand is zero or NaR.
-    #[inline]
-    pub fn product(self) -> u64 {
-        (self.0 & 0xffff) as u64
-    }
-
-    /// The biased register shift `biased_scale(w) + biased_scale(a)`.
-    #[inline]
-    pub fn shift(self) -> u32 {
-        (self.0 >> 16) & 0x3ff
-    }
-
-    /// Sign of the product.
-    #[inline]
-    pub fn negate(self) -> bool {
-        self.0 & Self::SIGN_BIT != 0
-    }
-
-    /// Whether either operand was NaR.
-    #[inline]
-    pub fn is_nar(self) -> bool {
-        self.0 & Self::NAR_BIT != 0
-    }
-}
-
-/// A finished-product table: one [`ProductEntry`] per `(weight,
-/// activation)` pattern pair — `2^(2n)` entries, ≤ 256 KiB at 8 bits.
-///
-/// Where [`EmacLut`] tabulates Algorithm 1 + the operand half of
-/// Algorithm 2 *per operand* (leaving one multiply per MAC), this table
-/// goes one step further and tabulates the **multiply itself**, so the
-/// n ≤ 8 EMAC inner loop is a single load and a shifted add. Entries are
-/// derived from the same fused [`EmacEntry`] words, so the two schemes
-/// cannot drift apart; the `kernel_equivalence` suite additionally pins
-/// bit-identity against the reference datapath over all `2^(2n)` pairs.
-#[derive(Debug, Clone)]
-pub struct ProductLut {
-    fmt: PositFormat,
-    n: u32,
-    entries: Vec<ProductEntry>,
-}
-
-impl ProductLut {
-    /// Builds the table for `fmt`, or `None` when the format is wider than
-    /// [`MAX_PRODUCT_WIDTH`] or has no EMAC datapath (`es > n − 3`).
-    pub fn build(fmt: PositFormat) -> Option<Self> {
-        if fmt.n() > MAX_PRODUCT_WIDTH {
-            return None;
-        }
-        let operands = EmacLut::build(fmt)?;
-        let n = fmt.n();
-        let mut entries = Vec::with_capacity(1usize << (2 * n));
-        for w in fmt.patterns() {
-            let ew = operands.entry(w);
-            for a in fmt.patterns() {
-                let ea = operands.entry(a);
-                entries.push(if (ew.0 | ea.0) & EmacEntry::NAR_BIT != 0 {
-                    ProductEntry(ProductEntry::NAR_BIT)
-                } else {
-                    let prod = ew.field() * ea.field();
-                    let shift = (ew.biased_scale() + ea.biased_scale()) as u32;
-                    debug_assert!(prod < (1 << 16) && shift < (1 << 10));
-                    let sign = if (ew.0 ^ ea.0) & EmacEntry::SIGN_BIT != 0 {
-                        ProductEntry::SIGN_BIT
-                    } else {
-                        0
-                    };
-                    ProductEntry(prod as u32 | (shift << 16) | sign)
-                });
-            }
-        }
-        Some(ProductLut { fmt, n, entries })
-    }
-
-    /// The format this table was built for.
-    pub fn format(&self) -> PositFormat {
-        self.fmt
-    }
-
-    /// The finished product for the pair (low `n` bits of each operand).
-    #[inline]
-    pub fn entry(&self, weight: u32, activation: u32) -> ProductEntry {
-        let mask = self.fmt.mask();
-        self.entries[(((weight & mask) as usize) << self.n) | (activation & mask) as usize]
-    }
-
-    /// The contiguous `2^n`-entry row for `weight`: element `a` of the
-    /// returned slice is `entry(weight, a)`. The tile kernels resolve a
-    /// weight's row base once and index it per column, hoisting the
-    /// weight shift out of the column-wide inner step — and because the
-    /// row length is a power of two, `row[(a & (len − 1)) as usize]`
-    /// needs no bounds check.
-    #[inline]
-    pub fn row(&self, weight: u32) -> &[ProductEntry] {
-        let base = ((weight & self.fmt.mask()) as usize) << self.n;
-        &self.entries[base..base + (1usize << self.n)]
-    }
-
-    /// Number of table entries (`2^(2n)`).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Always false: every format has at least `2^6` pairs.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
-/// The process-wide finished-product table for `fmt` (leaked like
-/// [`cached`]'s tables), or `None` for formats wider than
-/// [`MAX_PRODUCT_WIDTH`] or without an EMAC datapath.
-pub fn product_cached(fmt: PositFormat) -> Option<&'static ProductLut> {
-    static CACHE: OnceLock<Mutex<HashMap<(u32, u32), &'static ProductLut>>> = OnceLock::new();
-    if fmt.n() > MAX_PRODUCT_WIDTH || fmt.es() > fmt.n() - 3 {
-        return None;
-    }
-    let mut map = CACHE
-        .get_or_init(|| Mutex::new(HashMap::new()))
-        .lock()
-        .expect("posit product LUT cache poisoned");
-    Some(
-        map.entry((fmt.n(), fmt.es()))
-            .or_insert_with(|| Box::leak(Box::new(ProductLut::build(fmt).expect("width checked")))),
-    )
-}
-
-/// A fused decode + EMAC-front-end table: one [`EmacEntry`] per pattern.
-///
-/// This is the software rendering of template-based posit multiplication:
-/// everything Algorithm 1 (decode) and the first half of Algorithm 2
-/// (significand extraction, scale biasing) compute per MAC is precomputed
-/// per format, once.
-#[derive(Debug, Clone)]
-pub struct EmacLut {
-    fmt: PositFormat,
-    entries: Vec<EmacEntry>,
-}
-
-impl EmacLut {
-    /// Builds the table for `fmt`, or `None` when the format is wider than
-    /// [`MAX_LUT_WIDTH`] or has no significand bits (`es > n − 3`, no EMAC
-    /// datapath in the paper).
-    pub fn build(fmt: PositFormat) -> Option<Self> {
-        if fmt.n() > MAX_LUT_WIDTH || fmt.es() > fmt.n() - 3 {
-            return None;
-        }
-        let fbits = fmt.n() - 2 - fmt.es();
-        let max_scale = fmt.max_scale() as i64;
-        let entries = fmt
-            .patterns()
-            .map(|bits| match decode(fmt, bits) {
-                Decoded::Zero => EmacEntry(0),
-                Decoded::NaR => EmacEntry(EmacEntry::NAR_BIT),
-                Decoded::Finite(u) => {
-                    let field = u.sig >> (64 - fbits);
-                    let biased = (u.scale as i64 + max_scale) as u64;
-                    debug_assert!(field < (1 << 16) && biased < (1 << 16));
-                    EmacEntry(field | (biased << 16) | if u.sign { EmacEntry::SIGN_BIT } else { 0 })
-                }
-            })
-            .collect();
-        Some(EmacLut { fmt, entries })
-    }
-
-    /// The format this table was built for.
-    pub fn format(&self) -> PositFormat {
-        self.fmt
-    }
-
-    /// The fused operand for the low `n` bits of `bits`.
-    #[inline]
-    pub fn entry(&self, bits: u32) -> EmacEntry {
-        self.entries[(bits & self.fmt.mask()) as usize]
-    }
-}
-
-/// The process-wide fused EMAC table for `fmt` (see [`cached`] for the
-/// leaking rationale), or `None` for wide or significand-free formats.
-pub fn emac_cached(fmt: PositFormat) -> Option<&'static EmacLut> {
-    static CACHE: OnceLock<Mutex<HashMap<(u32, u32), &'static EmacLut>>> = OnceLock::new();
-    if fmt.n() > MAX_LUT_WIDTH || fmt.es() > fmt.n() - 3 {
-        return None;
-    }
-    let mut map = CACHE
-        .get_or_init(|| Mutex::new(HashMap::new()))
-        .lock()
-        .expect("posit EMAC LUT cache poisoned");
-    Some(
-        map.entry((fmt.n(), fmt.es()))
-            .or_insert_with(|| Box::leak(Box::new(EmacLut::build(fmt).expect("width checked")))),
-    )
+    scheme(fmt)?.split.as_ref()
 }
 
 #[cfg(test)]
@@ -617,7 +310,6 @@ mod tests {
             assert!(cached(at(13)).is_none() && split_cached(at(13)).is_some());
             assert!(cached(at(16)).is_none() && split_cached(at(16)).is_some());
             assert!(cached(at(17)).is_none() && split_cached(at(17)).is_none());
-            assert!(emac_cached(at(13)).is_none(), "fused table stops at 12");
         }
         assert!(SplitLut::build(PositFormat::new(12, 0).unwrap()).is_none());
         assert!(SplitLut::build(PositFormat::new(17, 1).unwrap()).is_none());
@@ -651,29 +343,6 @@ mod tests {
                 fmt.nar_bits() | 1, // most negative finite
             ] {
                 assert_eq!(lut.decode(bits), decode(fmt, bits), "{fmt} {bits:#x}");
-            }
-        }
-    }
-
-    #[test]
-    fn split_entry_matches_decode_sampled() {
-        let fmt = PositFormat::new(16, 1).unwrap();
-        let lut = SplitLut::build(fmt).unwrap();
-        let fbits = 16 - 2 - 1;
-        for bits in (0..=0xffffu32).step_by(97) {
-            let e = lut.entry(bits);
-            match decode(fmt, bits) {
-                Decoded::Zero => assert_eq!(e, EmacEntry(0)),
-                Decoded::NaR => assert!(e.is_nar()),
-                Decoded::Finite(u) => {
-                    assert_eq!(e.sign(), u.sign, "{bits:#x}");
-                    assert_eq!(e.field(), u.sig >> (64 - fbits), "{bits:#x}");
-                    assert_eq!(
-                        e.biased_scale() as i64,
-                        u.scale as i64 + fmt.max_scale() as i64,
-                        "{bits:#x}"
-                    );
-                }
             }
         }
     }
@@ -714,97 +383,5 @@ mod tests {
         let b = cached(fmt).unwrap();
         assert!(std::ptr::eq(a, b), "cache must memoize per format");
         assert_eq!(a.format(), fmt);
-    }
-
-    #[test]
-    fn emac_entries_reconstruct_decode_exhaustively() {
-        for (n, es) in [(5u32, 0u32), (8, 0), (8, 1), (8, 2), (12, 1)] {
-            let fmt = PositFormat::new(n, es).unwrap();
-            let lut = EmacLut::build(fmt).unwrap();
-            assert_eq!(lut.format(), fmt);
-            let fbits = n - 2 - es;
-            for bits in fmt.patterns() {
-                let e = lut.entry(bits);
-                match decode(fmt, bits) {
-                    Decoded::Zero => assert_eq!(e, EmacEntry(0), "{fmt} {bits:#x}"),
-                    Decoded::NaR => assert!(e.is_nar(), "{fmt} {bits:#x}"),
-                    Decoded::Finite(u) => {
-                        assert!(!e.is_nar());
-                        assert_eq!(e.sign(), u.sign, "{fmt} {bits:#x}");
-                        assert_eq!(e.field(), u.sig >> (64 - fbits), "{fmt} {bits:#x}");
-                        assert_eq!(
-                            e.biased_scale() as i64,
-                            u.scale as i64 + fmt.max_scale() as i64,
-                            "{fmt} {bits:#x}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn product_table_only_up_to_8_bits() {
-        assert!(ProductLut::build(PositFormat::new(8, 0).unwrap()).is_some());
-        assert!(ProductLut::build(PositFormat::new(5, 1).unwrap()).is_some());
-        assert!(ProductLut::build(PositFormat::new(9, 0).unwrap()).is_none());
-        assert!(product_cached(PositFormat::new(9, 0).unwrap()).is_none());
-        // No EMAC datapath → no product table either.
-        assert!(ProductLut::build(PositFormat::new(8, 6).unwrap()).is_none());
-        assert!(product_cached(PositFormat::new(8, 6).unwrap()).is_none());
-        let fmt = PositFormat::new(8, 1).unwrap();
-        assert!(std::ptr::eq(
-            product_cached(fmt).unwrap(),
-            product_cached(fmt).unwrap()
-        ));
-    }
-
-    #[test]
-    fn product_entries_fuse_operand_pairs_exhaustively() {
-        for es in [0u32, 1, 2] {
-            let fmt = PositFormat::new(6, es).unwrap();
-            let products = ProductLut::build(fmt).unwrap();
-            let operands = EmacLut::build(fmt).unwrap();
-            assert_eq!(
-                products.len() as u64,
-                fmt.pattern_count() * fmt.pattern_count()
-            );
-            assert!(!products.is_empty());
-            assert_eq!(products.format(), fmt);
-            for w in fmt.patterns() {
-                let row = products.row(w);
-                assert_eq!(row.len() as u64, fmt.pattern_count());
-                for a in fmt.patterns() {
-                    let p = products.entry(w, a);
-                    assert_eq!(row[a as usize].0, p.0, "{fmt} {w:#x}×{a:#x} row");
-                    let (ew, ea) = (operands.entry(w), operands.entry(a));
-                    if ew.is_nar() || ea.is_nar() {
-                        assert!(p.is_nar(), "{fmt} {w:#x}×{a:#x}");
-                        assert_eq!(p.product(), 0, "{fmt} {w:#x}×{a:#x}");
-                    } else {
-                        assert!(!p.is_nar());
-                        assert_eq!(p.product(), ew.field() * ea.field(), "{fmt} {w:#x}×{a:#x}");
-                        assert_eq!(
-                            p.shift() as u64,
-                            ew.biased_scale() + ea.biased_scale(),
-                            "{fmt} {w:#x}×{a:#x}"
-                        );
-                        assert_eq!(p.negate(), ew.sign() ^ ea.sign(), "{fmt} {w:#x}×{a:#x}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn emac_lut_rejects_unsupported_formats() {
-        assert!(EmacLut::build(PositFormat::new(16, 1).unwrap()).is_none());
-        assert!(EmacLut::build(PositFormat::new(8, 6).unwrap()).is_none());
-        assert!(emac_cached(PositFormat::new(8, 6).unwrap()).is_none());
-        let fmt = PositFormat::new(8, 0).unwrap();
-        assert!(std::ptr::eq(
-            emac_cached(fmt).unwrap(),
-            emac_cached(fmt).unwrap()
-        ));
     }
 }
