@@ -3,17 +3,19 @@
 //! [`dp_emac::Emac::dot_slice`] and [`dp_emac::Emac::dot_tile`], one row
 //! per kernel the format band can run —
 //!
-//! * `*_product_table` — finished-product table (n ≤ 8, i128 window),
+//! * `*_aligned` — operands decoded once to plain integers, `i64`/`i128`
+//!   integer dot product (the 8-bit trio, fixed point, minifloats up to
+//!   binary16, posits whose dynamic range allows it),
 //! * `*_batched_fused` — gathered fused operands, hi/lo-lane accumulate,
-//! * `*_scalar` — the per-element `mac()` loop on the same fast unit
+//! * `*_scalar` — `dot_slice` on the scalar band (> 16 bits),
+//! * `*_scalar_mac` — the per-element `mac()` loop on the same fast unit
 //!   (PR 1's scalar fused-LUT path, the pre-slice baseline),
 //! * `*_reference` — the pre-LUT bit-field + `WideInt` datapath,
-//! * `*_product_tile` / `*_fused_tile` / `*_per_column_scalar` — the
+//! * `*_aligned_tile` / `*_fused_tile` / `*_per_column_scalar` — the
 //!   weight-stationary tile kernels: one `dot_tile` of the same row
-//!   against B = 8 activation columns (cache-blocked product table,
-//!   row-gathered fused operands, or the per-column wrap), with
-//!   `elems = K × B` so MACs/sec is directly comparable to the row
-//!   kernels,
+//!   against B = 8 and B = 64 activation columns (the batch the stack
+//!   serves), with `elems = K × B` so MACs/sec is directly comparable to
+//!   the row kernels,
 //!
 //! plus the quire for posits. Every row asserts the unit really selected
 //! the kernel it claims to measure, so a silent fallback to a slower path
@@ -32,9 +34,10 @@ use std::hint::black_box;
 /// Dot-product length (the paper's k = 128 reference accumulation count).
 const K: usize = 128;
 
-/// Batch width of the tile rows (the smallest width the ISSUE's
-/// batch ≥ 8 target cares about; serving chunks are 64).
-const TILE_B: usize = 8;
+/// Batch widths of the tile rows: the smallest width the tile kernels
+/// target, and the chunk width the serving stack and the end-to-end
+/// benchmark run.
+const TILE_BS: [usize; 2] = [8, 64];
 
 fn patterns(mask: u32, skip: u32) -> (Vec<u32>, Vec<u32>) {
     let mut s = 0xfeed_f00d_dead_beefu64;
@@ -52,11 +55,12 @@ fn patterns(mask: u32, skip: u32) -> (Vec<u32>, Vec<u32>) {
     (ws, xs)
 }
 
-/// `TILE_B` activation columns of length `K` (same pattern policy as
-/// [`patterns`], distinct stream per column).
+/// The widest tile's activation columns, each of length `K` (same pattern
+/// policy as [`patterns`], distinct stream per column); narrower tiles
+/// take a prefix.
 fn tile_cols(mask: u32, skip: u32) -> Vec<Vec<u32>> {
     let mut s = 0x0ddb_a115_c01a_b007u64;
-    (0..TILE_B)
+    (0..TILE_BS[1])
         .map(|_| {
             (0..K)
                 .map(|_| {
@@ -102,9 +106,9 @@ fn slice_row<E: Emac>(
 }
 
 /// One `dot_tile` row: asserts the unit runs the `tile` kernel at
-/// `TILE_B` columns, then measures one whole weight-stationary tile
-/// (`K × TILE_B` MACs per iteration, so MACs/sec compares directly with
-/// the per-row kernels).
+/// `cols.len()` columns, then measures one whole weight-stationary tile
+/// (`K × B` MACs per iteration, so MACs/sec compares directly with the
+/// per-row kernels).
 fn tile_row<E: Emac>(
     rows: &mut Vec<Measurement>,
     label: &str,
@@ -121,7 +125,7 @@ fn tile_row<E: Emac>(
     let col_refs: Vec<&[u32]> = cols.iter().map(|c| c.as_slice()).collect();
     let mut out = vec![0u32; cols.len()];
     rows.push(measure(
-        &format!("{label}_dot{K}x{TILE_B}_{tile}"),
+        &format!("{label}_dot{K}x{}_{tile}", cols.len()),
         (K * cols.len()) as u64,
         || {
             unit.dot_tile(black_box(0), black_box(ws), black_box(&col_refs), &mut out);
@@ -149,84 +153,59 @@ fn mac_loop_row<E: Emac>(
     }));
 }
 
+/// Every kernel row of one format: the tile rows at each batch width and
+/// the `dot_slice` row, for the unit's own band and — where `fused` can
+/// step an aligned unit down to the fused band — for that band too; then
+/// the `mac()` loop and, where one exists, the reference datapath.
+fn bench_format<E: Emac>(
+    rows: &mut Vec<Measurement>,
+    label: &str,
+    (mask, skip): (u32, u32),
+    unit: impl Fn() -> E,
+    fused: Option<&dyn Fn() -> E>,
+    reference: Option<E>,
+) {
+    let (ws, xs) = patterns(mask, skip);
+    let cols = tile_cols(mask, skip);
+    let fused = fused.filter(|_| unit().kernel() == MacKernel::Aligned);
+    for b in TILE_BS {
+        tile_row(rows, label, unit(), unit().tile_kernel(b), &ws, &cols[..b]);
+        if let Some(fused) = fused {
+            tile_row(
+                rows,
+                label,
+                fused(),
+                TileKernel::GatherFused,
+                &ws,
+                &cols[..b],
+            );
+        }
+    }
+    slice_row(rows, label, unit(), unit().kernel(), &ws, &xs);
+    if let Some(fused) = fused {
+        slice_row(rows, label, fused(), MacKernel::BatchedFused, &ws, &xs);
+    }
+    let name = format!("{label}_dot{K}_scalar_mac");
+    mac_loop_row(rows, &name, unit(), &ws, &xs);
+    if let Some(reference) = reference {
+        let name = format!("{label}_dot{K}_reference");
+        mac_loop_row(rows, &name, reference, &ws, &xs);
+    }
+}
+
 fn bench_posit(rows: &mut Vec<Measurement>, n: u32, es: u32) {
     let fmt = PositFormat::new(n, es).unwrap();
-    let (ws, xs) = patterns(fmt.mask(), fmt.nar_bits());
-    let cols = tile_cols(fmt.mask(), fmt.nar_bits());
     let label = format!("posit{n}e{es}");
-    let expected = PositEmac::new(fmt, K as u64).kernel();
-    tile_row(
+    bench_format(
         rows,
         &label,
-        PositEmac::new(fmt, K as u64),
-        PositEmac::new(fmt, K as u64).tile_kernel(TILE_B),
-        &ws,
-        &cols,
-    );
-    if expected == MacKernel::ProductTable {
-        // The gathered-fused tile on the same 8-bit format, for the
-        // blocked-product-vs-gather comparison at matched width.
-        tile_row(
-            rows,
-            &label,
-            PositEmac::new(fmt, K as u64).with_kernel_cap(MacKernel::BatchedFused),
-            TileKernel::GatherFused,
-            &ws,
-            &cols,
-        );
-    }
-
-    if expected == MacKernel::ProductTable {
-        slice_row(
-            rows,
-            &label,
-            PositEmac::new(fmt, K as u64),
-            MacKernel::ProductTable,
-            &ws,
-            &xs,
-        );
-        slice_row(
-            rows,
-            &label,
-            PositEmac::new(fmt, K as u64).with_kernel_cap(MacKernel::BatchedFused),
-            MacKernel::BatchedFused,
-            &ws,
-            &xs,
-        );
-    } else if expected == MacKernel::BatchedFused {
-        slice_row(
-            rows,
-            &label,
-            PositEmac::new(fmt, K as u64),
-            MacKernel::BatchedFused,
-            &ws,
-            &xs,
-        );
-    } else {
-        slice_row(
-            rows,
-            &label,
-            PositEmac::new(fmt, K as u64),
-            MacKernel::Scalar,
-            &ws,
-            &xs,
-        );
-    }
-    mac_loop_row(
-        rows,
-        &format!("{label}_dot{K}_scalar_mac"),
-        PositEmac::new(fmt, K as u64),
-        &ws,
-        &xs,
-    );
-    mac_loop_row(
-        rows,
-        &format!("{label}_dot{K}_reference"),
-        PositEmac::new_reference(fmt, K as u64),
-        &ws,
-        &xs,
+        (fmt.mask(), fmt.nar_bits()),
+        || PositEmac::new(fmt, K as u64),
+        Some(&|| PositEmac::new(fmt, K as u64).with_kernel_cap(MacKernel::BatchedFused)),
+        Some(PositEmac::new_reference(fmt, K as u64)),
     );
 
+    let (ws, xs) = patterns(fmt.mask(), fmt.nar_bits());
     let mut quire = Quire::new(fmt, K as u64);
     rows.push(measure(&format!("{label}_quire_dot{K}"), K as u64, || {
         quire.clear();
@@ -239,141 +218,41 @@ fn bench_posit(rows: &mut Vec<Measurement>, n: u32, es: u32) {
 
 fn bench_float(rows: &mut Vec<Measurement>, label: &str, we: u32, wf: u32) {
     let fmt = FloatFormat::new(we, wf).unwrap();
-    let (ws, xs) = patterns(fmt.mask(), fmt.nan_bits());
-    let cols = tile_cols(fmt.mask(), fmt.nan_bits());
-    let expected = FloatEmac::new(fmt, K as u64).kernel();
-    tile_row(
+    bench_format(
         rows,
         label,
-        FloatEmac::new(fmt, K as u64),
-        FloatEmac::new(fmt, K as u64).tile_kernel(TILE_B),
-        &ws,
-        &cols,
-    );
-    if expected == MacKernel::ProductTable {
-        tile_row(
-            rows,
-            label,
-            FloatEmac::new(fmt, K as u64).with_kernel_cap(MacKernel::BatchedFused),
-            TileKernel::GatherFused,
-            &ws,
-            &cols,
-        );
-    }
-
-    if expected == MacKernel::ProductTable {
-        slice_row(
-            rows,
-            label,
-            FloatEmac::new(fmt, K as u64),
-            MacKernel::ProductTable,
-            &ws,
-            &xs,
-        );
-        slice_row(
-            rows,
-            label,
-            FloatEmac::new(fmt, K as u64).with_kernel_cap(MacKernel::BatchedFused),
-            MacKernel::BatchedFused,
-            &ws,
-            &xs,
-        );
-    } else {
-        slice_row(
-            rows,
-            label,
-            FloatEmac::new(fmt, K as u64),
-            expected,
-            &ws,
-            &xs,
-        );
-    }
-    mac_loop_row(
-        rows,
-        &format!("{label}_dot{K}_scalar_mac"),
-        FloatEmac::new(fmt, K as u64),
-        &ws,
-        &xs,
-    );
-    mac_loop_row(
-        rows,
-        &format!("{label}_dot{K}_reference"),
-        FloatEmac::new_reference(fmt, K as u64),
-        &ws,
-        &xs,
+        (fmt.mask(), fmt.nan_bits()),
+        || FloatEmac::new(fmt, K as u64),
+        Some(&|| FloatEmac::new(fmt, K as u64).with_kernel_cap(MacKernel::BatchedFused)),
+        Some(FloatEmac::new_reference(fmt, K as u64)),
     );
 }
 
+/// Fixed point has no fused band and no `WideInt` reference: its baseline
+/// is the `mac()` loop.
 fn bench_fixed(rows: &mut Vec<Measurement>, label: &str, n: u32, q: u32) {
     let fmt = FixedFormat::new(n, q).unwrap();
-    let (ws, xs) = patterns((1u32 << n) - 1, 1 << n);
-    let cols = tile_cols((1u32 << n) - 1, 1 << n);
-    let expected = FixedEmac::new(fmt, K as u64).kernel();
-    tile_row(
+    bench_format(
         rows,
         label,
-        FixedEmac::new(fmt, K as u64),
-        FixedEmac::new(fmt, K as u64).tile_kernel(TILE_B),
-        &ws,
-        &cols,
-    );
-    if expected == MacKernel::ProductTable {
-        tile_row(
-            rows,
-            label,
-            FixedEmac::new(fmt, K as u64).with_kernel_cap(MacKernel::BatchedFused),
-            TileKernel::GatherFused,
-            &ws,
-            &cols,
-        );
-    }
-
-    if expected == MacKernel::ProductTable {
-        slice_row(
-            rows,
-            label,
-            FixedEmac::new(fmt, K as u64),
-            MacKernel::ProductTable,
-            &ws,
-            &xs,
-        );
-        slice_row(
-            rows,
-            label,
-            FixedEmac::new(fmt, K as u64).with_kernel_cap(MacKernel::BatchedFused),
-            MacKernel::BatchedFused,
-            &ws,
-            &xs,
-        );
-    } else {
-        slice_row(
-            rows,
-            label,
-            FixedEmac::new(fmt, K as u64),
-            expected,
-            &ws,
-            &xs,
-        );
-    }
-    mac_loop_row(
-        rows,
-        &format!("{label}_dot{K}_scalar_mac"),
-        FixedEmac::new(fmt, K as u64),
-        &ws,
-        &xs,
+        ((1u32 << n) - 1, 1 << n),
+        || FixedEmac::new(fmt, K as u64),
+        None,
+        None,
     );
 }
 
 fn main() {
     let mut rows: Vec<Measurement> = Vec::new();
 
-    // The paper's headline 8-bit formats: product-table vs batched vs the
-    // PR 1 scalar fused-LUT loop vs the pre-LUT reference.
+    // The paper's headline 8-bit formats: aligned-integer vs batched vs
+    // the PR 1 scalar fused-LUT loop vs the pre-LUT reference.
     for es in [0u32, 1, 2] {
         bench_posit(&mut rows, 8, es);
     }
-    // The §IV sweep's 16-bit formats: batched fused kernel over the split
-    // table + native (i128/256-bit) accumulator.
+    // The §IV sweep's 16-bit formats: posit<16,0>'s operands still align;
+    // es = 1, 2 run the batched fused kernel over the split table + native
+    // (i128/256-bit) accumulator.
     for es in [0u32, 1, 2] {
         bench_posit(&mut rows, 16, es);
     }
@@ -392,7 +271,7 @@ fn main() {
     // Headline speedups per format: each kernel over the reference path
     // (fixed point has no WideInt reference; its baseline is scalar_mac),
     // plus each tile kernel over its per-row counterpart at matched
-    // MACs/sec (tile rows carry K × TILE_B elems per iteration).
+    // MACs/sec (tile rows carry K × B elems per iteration).
     let find = |name: &str| rows.iter().find(|m| m.name == name);
     for label in [
         "posit8e0",
@@ -410,7 +289,7 @@ fn main() {
         let baseline = find(&format!("{label}_dot{K}_reference"))
             .or_else(|| find(&format!("{label}_dot{K}_scalar_mac")))
             .unwrap();
-        for kernel in ["product_table", "batched_fused", "scalar", "scalar_mac"] {
+        for kernel in ["aligned", "batched_fused", "scalar", "scalar_mac"] {
             if let Some(m) = find(&format!("{label}_dot{K}_{kernel}")) {
                 println!(
                     "{label} {kernel}: {:.2}x MACs/sec over {}",
@@ -420,19 +299,21 @@ fn main() {
             }
         }
         for (tile, row_kernel) in [
-            ("product_tile", "product_table"),
+            ("aligned_tile", "aligned"),
             ("fused_tile", "batched_fused"),
             ("per_column_scalar", "scalar"),
         ] {
-            if let (Some(t), Some(r)) = (
-                find(&format!("{label}_dot{K}x{TILE_B}_{tile}")),
-                find(&format!("{label}_dot{K}_{row_kernel}")),
-            ) {
-                println!(
-                    "{label} {tile}: {:.2}x MACs/sec over {} at B={TILE_B}",
-                    t.elems_per_sec() / r.elems_per_sec(),
-                    r.name,
-                );
+            for b in TILE_BS {
+                if let (Some(t), Some(r)) = (
+                    find(&format!("{label}_dot{K}x{b}_{tile}")),
+                    find(&format!("{label}_dot{K}_{row_kernel}")),
+                ) {
+                    println!(
+                        "{label} {tile}: {:.2}x MACs/sec over {} at B={b}",
+                        t.elems_per_sec() / r.elems_per_sec(),
+                        r.name,
+                    );
+                }
             }
         }
     }
@@ -442,16 +323,17 @@ fn main() {
         ("bench", "emac_throughput".to_string()),
         ("command", "cargo bench --bench emac_throughput".to_string()),
         ("k", K.to_string()),
-        ("tile_b", TILE_B.to_string()),
+        ("tile_b", format!("{TILE_BS:?}")),
         (
             "note",
-            "elems = MACs; one row per slice kernel through dot_slice: *_product_table = \
-             2^(2n)-entry finished-product tables (n <= 8), *_batched_fused = gathered fused \
-             operands + hi/lo-lane i128 (or 256-bit) accumulate (<= 16 bits), *_scalar = \
-             dot_slice on the scalar band; *_scalar_mac = per-element mac() loop on the same \
-             fast unit (PR 1's scalar fused-LUT baseline); *_reference = pre-LUT bit-field + \
-             WideInt datapath. dot{K}x{B} rows run dot_tile (weight-stationary tile, B \
-             activation columns, elems = K*B): *_product_tile = cache-blocked product table, \
+            "elems = MACs; one row per slice kernel through dot_slice: *_aligned = operands \
+             decoded once to plain integers, i64/i128 integer dot product, *_batched_fused = \
+             gathered fused operands + hi/lo-lane i128 (or 256-bit) accumulate (<= 16 bits), \
+             *_scalar = dot_slice on the scalar band; *_scalar_mac = per-element mac() loop on \
+             the same fast unit (PR 1's scalar fused-LUT baseline); *_reference = pre-LUT \
+             bit-field + WideInt datapath. dot{K}x{B} rows run dot_tile (weight-stationary \
+             tile, B activation columns, elems = K*B): *_aligned_tile = weight row and \
+             activation tile decoded once each, integer micro-kernel 4 columns abreast, \
              *_fused_tile = weight row's fused operands gathered once for all columns, \
              *_per_column_scalar = per-column wrap on the scalar band"
                 .to_string(),

@@ -98,8 +98,8 @@ where
 
 /// Chunk-at-a-time [`par_map_with`]: each worker hands its **whole
 /// contiguous chunk** to `f` in one call instead of one sample at a time,
-/// so the callee can run tile-level kernels across the chunk (the
-/// weight-stationary [`dp_emac::Emac::dot_tile`] sweep in
+/// so the callee can run batch-level kernels across the chunk (the
+/// weight-stationary [`dp_emac::Emac::dot_layer`] sweep in
 /// `QuantizedMlp::forward_batch_bits_with`, in practice). `f` must return
 /// exactly one result per sample, in sample order; ordering and thread
 /// policy match [`par_map_with`].

@@ -16,12 +16,13 @@
 //! samples across threads; each thread builds its per-layer EMAC array
 //! once and sweeps its whole contiguous chunk through
 //! [`QuantizedMlp::forward_batch_bits_with`], which evaluates each layer
-//! across the entire chunk before advancing — every neuron's weight row is
-//! fed to [`dp_emac::Emac::dot_tile`] exactly once per layer, so the
-//! weight-stationary tile kernels amortize operand gather and product-table
-//! traffic across the batch the way a hardware EMAC array is amortized
-//! across a request stream. Results are bit-identical to per-sample
-//! [`QuantizedMlp::forward_bits`] (the tile contract).
+//! across the entire chunk before advancing — one
+//! [`dp_emac::Emac::dot_layer`] call per layer over one flat activation
+//! buffer, so the weight-stationary kernels decode the activation tile
+//! once per layer and each weight row once per chunk, the way a hardware
+//! EMAC array is amortized across a request stream. Results are
+//! bit-identical to per-sample [`QuantizedMlp::forward_bits`] (the tile
+//! contract).
 //!
 //! Partitioning policy (thread counts, chunking, the scoped-thread
 //! fallback) lives in [`crate::batch`]; the persistent serving path —
@@ -232,29 +233,47 @@ impl QuantizedMlp {
     /// layer, as built by [`QuantizedMlp::make_layer_emacs`]); the batch
     /// engine's inner loop.
     ///
-    /// Each neuron feeds its whole contiguous weight row to
-    /// [`dp_emac::Emac::dot_slice`], so the unit runs its slice-level
-    /// [`dp_emac::MacKernel`] (finished-product table at ≤ 8 bits, batched
-    /// fused-operand gather at ≤ 16) instead of one `mac()` dispatch per
-    /// weight — bit-identical to the scalar loop by the kernel contract.
+    /// Each layer is one [`dp_emac::Emac::dot_layer`] call over a batch of
+    /// one, so the unit runs its [`dp_emac::MacKernel`] (aligned-integer
+    /// dot product where the format's operands allow it — the activation
+    /// vector decoded once per layer — batched fused-operand gather
+    /// otherwise at ≤ 16 bits) instead of one `mac()` dispatch per weight
+    /// — bit-identical to the scalar loop by the kernel contract.
     pub fn forward_bits_with(&self, emacs: &mut [EmacUnit], x: &[f32]) -> Vec<u32> {
-        debug_assert_eq!(emacs.len(), self.layers.len());
-        let mut acts = self.quantize_input(x);
-        let last = self.layers.len() - 1;
-        for (li, (layer, emac)) in self.layers.iter().zip(emacs).enumerate() {
-            let mut next = Vec::with_capacity(layer.fan_out());
-            for (wrow, &bias) in layer.weight_rows().zip(layer.biases()) {
-                emac.set_bias(bias);
-                emac.dot_slice(wrow, &acts);
-                let mut out = emac.result();
-                if li != last {
-                    out = self.format.relu_bits(out);
-                }
-                next.push(out);
+        self.forward_flat(emacs, self.quantize_input(x), 1)
+    }
+
+    /// Layer `li` over `batch` samples' activations (flat, one sample
+    /// after another): one [`dp_emac::Emac::dot_layer`] call, then ReLU in
+    /// place on hidden layers (identity on the readout). Returns the
+    /// layer's outputs in the same flat sample-major layout.
+    pub(crate) fn layer_forward(
+        &self,
+        li: usize,
+        emac: &mut EmacUnit,
+        acts: &[u32],
+        batch: usize,
+    ) -> Vec<u32> {
+        let layer = &self.layers[li];
+        let mut out = vec![0u32; batch * layer.fan_out()];
+        emac.dot_layer(layer.biases(), layer.weights(), acts, &mut out);
+        if li + 1 != self.layers.len() {
+            for bits in &mut out {
+                *bits = self.format.relu_bits(*bits);
             }
-            acts = next;
         }
-        acts
+        out
+    }
+
+    /// Every layer in turn over `batch` samples' quantized inputs.
+    fn forward_flat(&self, emacs: &mut [EmacUnit], inputs: Vec<u32>, batch: usize) -> Vec<u32> {
+        debug_assert_eq!(emacs.len(), self.layers.len());
+        emacs
+            .iter_mut()
+            .enumerate()
+            .fold(inputs, |acts, (li, emac)| {
+                self.layer_forward(li, emac, &acts, batch)
+            })
     }
 
     /// The slice-level [`dp_emac::MacKernel`] each layer's EMAC selected
@@ -286,42 +305,34 @@ impl QuantizedMlp {
     }
 
     /// Whole-chunk EMAC inference with caller-owned EMACs: evaluates each
-    /// layer across **all** of `xs` before advancing to the next, feeding
-    /// every neuron's weight row to [`dp_emac::Emac::dot_tile`] once per
-    /// layer so the tile kernels gather fused operands or cache-block the
-    /// product table across the batch. Per sample, the output is
-    /// bit-identical to [`QuantizedMlp::forward_bits_with`] (the tile
-    /// contract); this is the batch engine's and the serving chunk path's
-    /// inner loop.
+    /// layer across **all** of `xs` before advancing to the next, as one
+    /// [`dp_emac::Emac::dot_layer`] call over a flat sample-major
+    /// activation buffer, so the kernels decode the activation tile once
+    /// per layer and each weight row once per chunk. Per sample, the
+    /// output is bit-identical to [`QuantizedMlp::forward_bits_with`] (the
+    /// tile contract); this is the batch engine's and the serving chunk
+    /// path's inner loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a sample's length differs from the first layer's
+    /// fan-in.
     pub fn forward_batch_bits_with(
         &self,
         emacs: &mut [EmacUnit],
         xs: &[Vec<f32>],
     ) -> Vec<Vec<u32>> {
-        debug_assert_eq!(emacs.len(), self.layers.len());
-        if xs.is_empty() {
-            return Vec::new();
+        let fan_in = self.layers[0].fan_in();
+        let mut inputs = Vec::with_capacity(xs.len() * fan_in);
+        for x in xs {
+            assert_eq!(x.len(), fan_in, "sample/first-layer length mismatch");
+            inputs.extend(x.iter().map(|&v| self.format.quantize(v)));
         }
-        let b = xs.len();
-        let mut acts: Vec<Vec<u32>> = xs.iter().map(|x| self.quantize_input(x)).collect();
-        let last = self.layers.len() - 1;
-        let mut row_out = vec![0u32; b];
-        for (li, (layer, emac)) in self.layers.iter().zip(emacs).enumerate() {
-            let cols: Vec<&[u32]> = acts.iter().map(|a| a.as_slice()).collect();
-            let mut next: Vec<Vec<u32>> = vec![Vec::with_capacity(layer.fan_out()); b];
-            for (wrow, &bias) in layer.weight_rows().zip(layer.biases()) {
-                emac.dot_tile(bias, wrow, &cols, &mut row_out);
-                for (&out, sample) in row_out.iter().zip(next.iter_mut()) {
-                    sample.push(if li != last {
-                        self.format.relu_bits(out)
-                    } else {
-                        out
-                    });
-                }
-            }
-            acts = next;
-        }
-        acts
+        let outputs = self.forward_flat(emacs, inputs, xs.len());
+        let classes = self.layers[self.layers.len() - 1].fan_out();
+        (0..xs.len())
+            .map(|j| outputs[j * classes..(j + 1) * classes].to_vec())
+            .collect()
     }
 
     /// Predicted classes for a whole chunk via the tile sweep — the
@@ -706,12 +717,10 @@ mod tests {
         let p8 = NumericFormat::Posit(PositFormat::new(8, 0).unwrap());
         let p16 = NumericFormat::Posit(PositFormat::new(16, 1).unwrap());
         let p17 = NumericFormat::Posit(PositFormat::new(17, 1).unwrap());
-        assert!(by_fmt(p8, 64)
-            .iter()
-            .all(|&k| k == TileKernel::BlockedProduct));
+        assert!(by_fmt(p8, 64).iter().all(|&k| k == TileKernel::AlignedTile));
         assert!(by_fmt(p8, 1)
             .iter()
-            .all(|&k| k == TileKernel::PerColumn(MacKernel::ProductTable)));
+            .all(|&k| k == TileKernel::PerColumn(MacKernel::Aligned)));
         assert!(by_fmt(p16, 64)
             .iter()
             .all(|&k| k == TileKernel::GatherFused));
@@ -733,7 +742,7 @@ mod tests {
         };
         use dp_emac::MacKernel;
         let p8 = by_fmt(NumericFormat::Posit(PositFormat::new(8, 0).unwrap()));
-        assert!(p8.iter().all(|&k| k == MacKernel::ProductTable), "{p8:?}");
+        assert!(p8.iter().all(|&k| k == MacKernel::Aligned), "{p8:?}");
         let p16 = by_fmt(NumericFormat::Posit(PositFormat::new(16, 1).unwrap()));
         assert!(p16.iter().all(|&k| k == MacKernel::BatchedFused), "{p16:?}");
         let p17 = by_fmt(NumericFormat::Posit(PositFormat::new(17, 1).unwrap()));

@@ -140,29 +140,14 @@ pub fn simulate(qmlp: &QuantizedMlp, inputs: &[Vec<f32>]) -> (Vec<usize>, Stream
 /// One layer of EMAC evaluation on quantized activations (ReLU on hidden
 /// layers, identity on the readout — same semantics as
 /// [`QuantizedMlp::forward_bits`]). The streaming FSM advances one input
-/// at a time, so each weight row goes through [`Emac::dot_tile`] with a
-/// single activation column — the B = 1 per-column wrap of the row
-/// kernels, same entry point as the batch tile sweep.
+/// at a time, so the layer goes through [`Emac::dot_layer`] with a batch
+/// of one — the same entry point as the per-sample and batch engines.
 fn layer_forward(qmlp: &QuantizedMlp, l: usize, acts: &[u32]) -> Vec<u32> {
-    let layer = &qmlp.layers[l];
-    let last = qmlp.layers.len() - 1;
     let mut emac = qmlp
         .format
-        .make_emac(layer.fan_in() as u64)
+        .make_emac(qmlp.layers[l].fan_in() as u64)
         .expect("streaming requires a low-precision format");
-    let mut out = [0u32];
-    layer
-        .weight_rows()
-        .zip(layer.biases())
-        .map(|(wrow, &bias)| {
-            emac.dot_tile(bias, wrow, &[acts], &mut out);
-            if l != last {
-                qmlp.format.relu_bits(out[0])
-            } else {
-                out[0]
-            }
-        })
-        .collect()
+    qmlp.layer_forward(l, &mut emac, acts, 1)
 }
 
 #[cfg(test)]

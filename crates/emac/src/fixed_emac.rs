@@ -1,10 +1,10 @@
 //! The fixed-point EMAC (paper Fig. 3).
 
 use crate::ceil_log2;
-use crate::kernel::{PRODUCT_TILE_BLOCK, TILE_COL_GROUP};
-use crate::unit::Emac;
+use crate::kernel::AlignedTile;
+use crate::unit::{columns, Emac};
 use crate::{MacKernel, UnsupportedFormat};
-use dp_fixed::lut::{DecodeLut, ProductLut};
+use dp_fixed::lut::DecodeLut;
 use dp_fixed::FixedFormat;
 
 /// Exact fixed-point multiply-and-accumulate.
@@ -19,6 +19,11 @@ use dp_fixed::FixedFormat;
 ///
 /// At readout the sum is shifted right by `q` bits and **truncated** to `n`
 /// bits, clipping at the maximum magnitude — exactly the datapath of Fig. 3.
+///
+/// A sign-extended word is already a plain integer that fits the aligned
+/// word at every width, so rows, tiles and layers run the shared
+/// aligned-integer kernel ([`MacKernel::Aligned`]) — fixed point's
+/// "decode" is the sign extension, and it has no special patterns.
 ///
 /// # Examples
 ///
@@ -41,19 +46,13 @@ pub struct FixedEmac {
     acc: i128,
     /// Sign-extension table for the format, when one exists (`n ≤ 12`).
     lut: Option<&'static DecodeLut>,
-    /// Finished-product table for `n ≤ 8` formats: sign extension *and*
-    /// multiply collapse into one `2^(2n)`-entry lookup
-    /// ([`MacKernel::ProductTable`]).
-    product: Option<&'static ProductLut>,
-    /// Whether [`Emac::dot_slice`] may run the unrolled partial-sum kernel
-    /// (`n ≤ 16`, [`MacKernel::BatchedFused`]).
-    batched: bool,
+    /// Whether rows, tiles and layers run the aligned-integer kernel
+    /// ([`MacKernel::Aligned`]; cleared only by a kernel cap).
+    aligned: bool,
     count: u64,
-    /// Sign-extended weight-row scratch for the gather tile, retained
-    /// across [`Emac::dot_tile`] calls so a tile sweep over a layer does
-    /// not allocate per weight row. Never semantic: cleared and refilled
-    /// on each gather-tile call.
-    gather: Vec<i64>,
+    /// Decoded activation tile and weight row of the aligned band,
+    /// retained across calls so a sweep does not allocate per row.
+    tile: AlignedTile,
 }
 
 impl FixedEmac {
@@ -92,25 +91,19 @@ impl FixedEmac {
             capacity: capacity.max(1),
             acc: 0,
             lut: dp_fixed::lut::cached(fmt),
-            product: dp_fixed::lut::product_cached(fmt),
-            batched: fmt.n() <= 16,
+            aligned: true,
             count: 0,
-            gather: Vec::new(),
+            tile: AlignedTile::default(),
         })
     }
 
     /// Caps the slice-level kernel this unit may select — a bench/test
     /// knob for comparing kernels on one format; see
-    /// [`crate::PositEmac::with_kernel_cap`] for the cap semantics. The
-    /// fixed unit's accumulator is always a native `i128`, so caps only
-    /// change which loop shape [`Emac::dot_slice`] runs.
+    /// [`crate::PositEmac::with_kernel_cap`] for the cap semantics. Fixed
+    /// point has no fused-operand band, so any cap below
+    /// [`MacKernel::Aligned`] selects the scalar `mac()` loop.
     pub fn with_kernel_cap(mut self, cap: MacKernel) -> Self {
-        if cap < MacKernel::ProductTable {
-            self.product = None;
-        }
-        if cap < MacKernel::BatchedFused {
-            self.batched = false;
-        }
+        self.aligned = cap >= MacKernel::Aligned;
         self
     }
 
@@ -142,128 +135,41 @@ impl FixedEmac {
         v.clamp(self.fmt.min_raw() as i128, self.fmt.max_raw() as i128) as i64
     }
 
-    /// The batched loop body, monomorphized per sign-extension source.
-    #[inline(always)]
-    fn dot_direct<F: Fn(u32) -> i64>(
-        sext: F,
-        acc: &mut i128,
+    /// The aligned band's sweep of `biases.len()` weight rows over one
+    /// activation tile, sign-extended once: `out[j · rows + r]` receives
+    /// row `r` against column `j`, and the unit is left in the last row's
+    /// last column's state.
+    fn aligned_sweep<'a>(
+        &mut self,
+        biases: &[u32],
         weights: &[u32],
-        activations: &[u32],
+        fan_in: usize,
+        cols: impl Iterator<Item = &'a [u32]>,
+        out: &mut [u32],
     ) {
-        let mut wc = weights.chunks_exact(4);
-        let mut ac = activations.chunks_exact(4);
-        for (w4, a4) in (&mut wc).zip(&mut ac) {
-            let mut partial = 0i64;
-            for j in 0..4 {
-                partial += sext(w4[j]) * sext(a4[j]);
-            }
-            *acc += partial as i128;
+        let rows = biases.len();
+        debug_assert!(fan_in as u64 <= self.capacity, "fixed EMAC over capacity");
+        let (word, width) = (aligned_word(self.fmt.n()), self.accumulator_width());
+        let mut tile = std::mem::take(&mut self.tile);
+        tile.load(cols, word);
+        for (r, &bias) in biases.iter().enumerate() {
+            self.set_bias(bias);
+            let wrow = &weights[r * fan_in..(r + 1) * fan_in];
+            tile.row(self.acc, width, wrow, word, |j, sum, _| {
+                self.acc = sum;
+                out[j * rows + r] = self.result();
+            });
         }
-        let mut partial = 0i64;
-        for (&w, &a) in wc.remainder().iter().zip(ac.remainder()) {
-            partial += sext(w) * sext(a);
-        }
-        *acc += partial as i128;
+        self.tile = tile;
     }
+}
 
-    /// One column of the gather tile ([`crate::TileKernel::GatherFused`]):
-    /// the 4-chunk partial-sum loop over a pre-sign-extended weight row,
-    /// returning the seeded accumulator value. Exact integer adds
-    /// commute, so the result is bit-identical to the per-column row
-    /// kernel.
-    #[inline(always)]
-    fn tile_direct_col<F: Fn(u32) -> i64>(sext: F, seed: i128, wsext: &[i64], col: &[u32]) -> i128 {
-        let mut acc = seed;
-        let mut wc = wsext.chunks_exact(4);
-        let mut ac = col.chunks_exact(4);
-        for (w4, a4) in (&mut wc).zip(&mut ac) {
-            let mut partial = 0i64;
-            for j in 0..4 {
-                partial += w4[j] * sext(a4[j]);
-            }
-            acc += partial as i128;
-        }
-        let mut partial = 0i64;
-        for (&w, &a) in wc.remainder().iter().zip(ac.remainder()) {
-            partial += w * sext(a);
-        }
-        acc += partial as i128;
-        acc
-    }
-
-    /// One ≤ [`TILE_COL_GROUP`]-column group of the cache-blocked product
-    /// tile body ([`crate::TileKernel::BlockedProduct`]): K tiled in
-    /// [`PRODUCT_TILE_BLOCK`]-weight blocks so a block's `2^n`-entry table
-    /// rows stay hot across the group. A full group runs the 4-wide
-    /// micro-kernel — four independent i64 partials (|entry| < 2^14, so
-    /// even a 32-entry block partial is nowhere near overflow) share each
-    /// weight's hot table row; partial groups stream in pairs plus a
-    /// single-column tail — folding into per-column i128 registers held
-    /// in a fixed stack array (no heap traffic).
-    #[inline(always)]
-    fn tile_product_group(
-        table: &'static ProductLut,
-        seed: i128,
-        weights: &[u32],
-        cols: &[&[u32]],
-        accs: &mut [i128; TILE_COL_GROUP],
-    ) {
-        let g = cols.len();
-        debug_assert!(0 < g && g <= TILE_COL_GROUP);
-        accs.fill(seed);
-        for (kb, wblock) in weights.chunks(PRODUCT_TILE_BLOCK).enumerate() {
-            let base = kb * PRODUCT_TILE_BLOCK;
-            let end = base + wblock.len();
-            if g == TILE_COL_GROUP {
-                let [mut p0, mut p1, mut p2, mut p3] = [0i64; 4];
-                let (c0, c1) = (&cols[0][base..end], &cols[1][base..end]);
-                let (c2, c3) = (&cols[2][base..end], &cols[3][base..end]);
-                for ((((&w, &a0), &a1), &a2), &a3) in wblock.iter().zip(c0).zip(c1).zip(c2).zip(c3)
-                {
-                    let row = table.row(w);
-                    p0 += Self::row_product(row, a0);
-                    p1 += Self::row_product(row, a1);
-                    p2 += Self::row_product(row, a2);
-                    p3 += Self::row_product(row, a3);
-                }
-                accs[0] += p0 as i128;
-                accs[1] += p1 as i128;
-                accs[2] += p2 as i128;
-                accs[3] += p3 as i128;
-                continue;
-            }
-            let mut j = 0;
-            while j + 2 <= g {
-                let (mut p0, mut p1) = (0i64, 0i64);
-                let (c0, c1) = (&cols[j][base..end], &cols[j + 1][base..end]);
-                for ((&w, &a0), &a1) in wblock.iter().zip(c0).zip(c1) {
-                    let row = table.row(w);
-                    p0 += Self::row_product(row, a0);
-                    p1 += Self::row_product(row, a1);
-                }
-                accs[j] += p0 as i128;
-                accs[j + 1] += p1 as i128;
-                j += 2;
-            }
-            if j < g {
-                let mut partial = 0i64;
-                for (&w, &a) in wblock.iter().zip(&cols[j][base..end]) {
-                    partial += Self::row_product(table.row(w), a);
-                }
-                accs[j] += partial as i128;
-            }
-        }
-    }
-
-    /// One product fetched from a weight's contiguous table row
-    /// ([`ProductLut::row`]): the tile resolves the row base once per
-    /// weight and shares it across the group's columns, so each step is
-    /// a masked index with no weight shift and no bounds check (the row
-    /// length is a power of two).
-    #[inline(always)]
-    fn row_product(row: &[i32], a: u32) -> i64 {
-        row[(a as usize) & (row.len() - 1)] as i64
-    }
+/// The aligned decode of an `n`-bit pattern: its sign extension in the
+/// [`crate::table::align`] word layout, with the special flag always
+/// clear.
+fn aligned_word(n: u32) -> impl Fn(u32) -> i64 + Copy {
+    let sh = 64 - n;
+    move |bits| ((((bits as u64) << sh) as i64) >> sh) << 1
 }
 
 impl Emac for FixedEmac {
@@ -295,109 +201,42 @@ impl Emac for FixedEmac {
         );
         self.count += weights.len() as u64;
         debug_assert!(self.count <= self.capacity, "fixed EMAC over capacity");
-        // Product-table kernel (n ≤ 8): finished signed products summed in
-        // an i64 partial per 8-chunk (|entry| < 2^14, so a chunk partial
-        // fits with room to spare), folded into the i128 register once.
-        if let Some(table) = self.product {
-            let mut wc = weights.chunks_exact(8);
-            let mut ac = activations.chunks_exact(8);
-            for (w8, a8) in (&mut wc).zip(&mut ac) {
-                let mut partial = 0i64;
-                for j in 0..8 {
-                    partial += table.entry(w8[j], a8[j]);
-                }
-                self.acc += partial as i128;
-            }
-            let mut partial = 0i64;
-            for (&w, &a) in wc.remainder().iter().zip(ac.remainder()) {
-                partial += table.entry(w, a);
-            }
-            self.acc += partial as i128;
+        // One column of the aligned tile, seeded with the running
+        // register.
+        if self.aligned {
+            let (word, width) = (aligned_word(self.fmt.n()), self.accumulator_width());
+            self.tile.load(std::iter::once(activations), word);
+            let acc = &mut self.acc;
+            self.tile
+                .row(*acc, width, weights, word, |_, sum, _| *acc = sum);
             return;
         }
-        // Batched kernel (n ≤ 16): sign-extension products summed in an
-        // i64 partial per 4-chunk (|product| < 2^30), one i128 fold per
-        // chunk — monomorphized per decode source so the loop body is
-        // plain word arithmetic the optimizer can unroll.
-        if self.batched {
-            let n = self.fmt.n();
-            match self.lut {
-                Some(lut) => {
-                    Self::dot_direct(|b| lut.decode(b), &mut self.acc, weights, activations)
-                }
-                None => Self::dot_direct(
-                    |b| {
-                        let sh = 64 - n;
-                        (((b as u64) << sh) as i64) >> sh
-                    },
-                    &mut self.acc,
-                    weights,
-                    activations,
-                ),
-            }
-            return;
-        }
-        // Scalar kernel: wide formats loop the per-MAC i128 multiply.
+        // Scalar kernel: the per-MAC i128 multiply.
         for (&w, &a) in weights.iter().zip(activations) {
             self.acc += self.sext(w) as i128 * self.sext(a) as i128;
         }
     }
 
     fn tile_body(&mut self, bias: u32, weights: &[u32], cols: &[&[u32]], out: &mut [u32]) -> bool {
-        debug_assert!(
-            weights.len() as u64 <= self.capacity,
-            "fixed EMAC over capacity"
-        );
-        if self.product.is_none() && !self.batched {
-            return false;
+        if self.aligned {
+            self.aligned_sweep(&[bias], weights, weights.len(), cols.iter().copied(), out);
         }
-        self.set_bias(bias);
-        let seed = self.acc;
-        // Product band cache-blocks the table; the batched band
-        // sign-extends the weight row once. Same gates as `kernel()`.
-        if let Some(table) = self.product {
-            let mut accs = [0i128; TILE_COL_GROUP];
-            for (cg, og) in cols
-                .chunks(TILE_COL_GROUP)
-                .zip(out.chunks_mut(TILE_COL_GROUP))
-            {
-                Self::tile_product_group(table, seed, weights, cg, &mut accs);
-                for (acc, slot) in accs.iter().zip(og.iter_mut()) {
-                    self.acc = *acc;
-                    *slot = self.result();
-                }
-            }
-        } else {
-            let mut wsext = std::mem::take(&mut self.gather);
-            wsext.clear();
-            let n = self.fmt.n();
-            let lut = self.lut;
-            match lut {
-                Some(l) => wsext.extend(weights.iter().map(|&p| l.decode(p))),
-                None => {
-                    let sh = 64 - n;
-                    wsext.extend(weights.iter().map(|&p| (((p as u64) << sh) as i64) >> sh));
-                }
-            }
-            for (col, slot) in cols.iter().zip(out.iter_mut()) {
-                let acc = match lut {
-                    Some(l) => Self::tile_direct_col(|p| l.decode(p), seed, &wsext, col),
-                    None => {
-                        let sh = 64 - n;
-                        Self::tile_direct_col(
-                            |p| (((p as u64) << sh) as i64) >> sh,
-                            seed,
-                            &wsext,
-                            col,
-                        )
-                    }
-                };
-                self.acc = acc;
-                *slot = self.result();
-            }
-            self.gather = wsext;
+        self.aligned
+    }
+
+    fn layer_body(
+        &mut self,
+        biases: &[u32],
+        weights: &[u32],
+        activations: &[u32],
+        out: &mut [u32],
+        (fan_in, batch): (usize, usize),
+    ) -> bool {
+        if self.aligned {
+            let cols = columns(activations, fan_in, batch);
+            self.aligned_sweep(biases, weights, fan_in, cols, out);
         }
-        true
+        self.aligned
     }
 
     fn set_macs_done(&mut self, macs: u64) {
@@ -405,10 +244,8 @@ impl Emac for FixedEmac {
     }
 
     fn kernel(&self) -> MacKernel {
-        if self.product.is_some() {
-            MacKernel::ProductTable
-        } else if self.batched {
-            MacKernel::BatchedFused
+        if self.aligned {
+            MacKernel::Aligned
         } else {
             MacKernel::Scalar
         }

@@ -82,7 +82,8 @@ impl Family for Float {
 
     fn tables(fmt: FloatFormat) -> &'static Tables {
         let fields = Float { fmt };
-        table::cached((Self::NAME, fmt.we(), fmt.wf()), fmt.n(), |b| {
+        let key = (Self::NAME, fmt.we(), fmt.wf());
+        table::cached(key, fmt.n(), Self::operands_align(fmt), |b| {
             fields.decode(b)
         })
     }

@@ -1,5 +1,6 @@
-//! Slice-level MAC kernels: the unit of work moves from one MAC to one
-//! dot-product row.
+//! Slice-, tile- and layer-level MAC kernels: the unit of work moves from
+//! one MAC to one dot-product row, to one row against a batch, to one
+//! whole layer against a batch.
 //!
 //! The paper's performance story is the exact EMAC dot product
 //! (eqs. 3–4); a software model that dispatches one [`crate::Emac::mac`]
@@ -9,14 +10,20 @@
 //! [`MacKernel`] **once per (format band, accumulator window)** at
 //! construction:
 //!
-//! * [`MacKernel::ProductTable`] — formats of ≤ 8 bits with an `i128`
-//!   accumulator window. A `2^(2n)`-entry table of *finished* products
-//!   (sign, shift, product fused into one word — see [`ProductLut`], and
-//!   `dp_fixed::lut::ProductLut` for fixed point's plain integer
-//!   products) removes the multiply entirely: the inner loop is one table
-//!   load and one shifted add.
-//! * [`MacKernel::BatchedFused`] — the ≤ 16-bit fused-operand paths
-//!   (monolithic LUT, split regime-prefix table, computed bit-field
+//! * [`MacKernel::Aligned`] — every operand of the format fits
+//!   [`crate::table::ALIGNED_OPERAND_BITS`] bits and the eq.-(3)/(4)
+//!   register fits the `i128` window (all three 8-bit families, fixed
+//!   point at every width, minifloats up to binary16, posits whose
+//!   dynamic range allows it). Operands are `±field × 2^scale` with a
+//!   non-negative scale, so `±(field << scale)` is a plain signed integer
+//!   and the exact sum is an integer dot product: the activations are
+//!   decoded once into `i64` scratch ([`AlignedTile`]), the weight row
+//!   once per row (on the fly when there is a single column to spend it
+//!   on), and the loop is `acc += w · a` in an `i64` (register ≤ 63 bits)
+//!   or an `i128` — no shift, no sign select, no special handling (poison
+//!   is decided at decode time).
+//! * [`MacKernel::BatchedFused`] — the remaining ≤ 16-bit fused-operand
+//!   paths (monolithic LUT, split regime-prefix table, computed bit-field
 //!   operands) with a native accumulator. The loop gathers fused entries
 //!   through a body monomorphized per entry source, with the `i128`
 //!   accumulate running as wrapping two-word (hi/lo `u64` lane) adds
@@ -26,11 +33,11 @@
 //!   the slice loops the scalar `mac()` datapath, which stays the
 //!   differential baseline.
 //!
-//! Every kernel accumulates the same exact integer terms in the same
-//! order, so kernel choice can never change a result bit — pinned by the
-//! `kernel_equivalence` test suite.
+//! Every kernel accumulates the same exact integer terms, so kernel choice
+//! can never change a result bit — pinned by the `kernel_equivalence` test
+//! suite.
 //!
-//! ## Tile level
+//! ## Tile and layer level
 //!
 //! One rung above the row kernels sits the weight-stationary tile:
 //! [`crate::Emac::dot_tile`] evaluates one weight row against `B`
@@ -40,18 +47,18 @@
 //!
 //! * `B ≤ 1` — a tile is just a row; the per-column body wraps today's
 //!   row kernel ([`TileKernel::PerColumn`]).
+//! * [`TileKernel::AlignedTile`] — the aligned band at `B ≥ 2` decodes
+//!   the weight row and the activation tile once each and runs the same
+//!   integer body four columns abreast.
 //! * [`TileKernel::GatherFused`] — the `batched_fused` band at `B ≥ 2`
 //!   gathers the weight row's fused operands **once** and streams every
 //!   column through them, halving table traffic versus per-sample rows.
-//!   The inner loop is branch-shaped for `std::simd` (independent
-//!   per-lane adds, no cross-iteration dependencies) with the manual
-//!   two-lane [`I128Lanes`] accumulate as the portable fallback.
-//! * [`TileKernel::BlockedProduct`] — the `product_table` band at `B ≥ 2`
-//!   cache-blocks the `2^(2n)`-entry finished-product table: the K
-//!   dimension is tiled in [`PRODUCT_TILE_BLOCK`]-weight blocks so a
-//!   block's table rows (one contiguous `2^n`-entry line per weight) stay
-//!   hot across all `B` columns instead of the full table being re-walked
-//!   once per sample.
+//!
+//! One rung above that, [`crate::Emac::dot_layer`] evaluates a whole
+//! layer (every weight row) against the batch; its provided body is the
+//! per-row `dot_tile` sweep, and the aligned band overrides it to decode
+//! the activation tile **once per layer** instead of once per row. The
+//! per-sample forward pass is the same call at `B = 1`.
 //!
 //! Tile choice follows the row kernel (`with_kernel_cap` therefore steps
 //! tile selection down too), and every tile body is pinned bit-identical
@@ -59,15 +66,15 @@
 //! `tile_equivalence` test suite.
 
 use crate::acc::Accum;
-use crate::table::{EmacEntry, ProductEntry, ProductLut};
+use crate::table::EmacEntry;
 use std::fmt;
 
 /// Which slice-level MAC kernel a unit selected. Selection happens once
-/// at construction, per (format band, accumulator window): ≤ 8-bit
-/// formats on an `i128` window take [`MacKernel::ProductTable`], ≤ 16-bit
-/// fused-operand paths on a native window take
-/// [`MacKernel::BatchedFused`], and everything else (wide formats,
-/// `new_reference()` units) loops the scalar datapath.
+/// at construction, per (format band, accumulator window): formats whose
+/// operands all fit the aligned word, on an `i128` window, take
+/// [`MacKernel::Aligned`]; the other ≤ 16-bit fused-operand paths on a
+/// native window take [`MacKernel::BatchedFused`]; and everything else
+/// (wide formats, `new_reference()` units) loops the scalar datapath.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum MacKernel {
     /// Scalar `mac()` loop: bit-field or table decode per element, any
@@ -77,16 +84,17 @@ pub enum MacKernel {
     /// Batched fused-operand kernel: gathered table/computed entries,
     /// unrolled, hi/lo-lane native accumulate. The ≤ 16-bit band.
     BatchedFused,
-    /// Finished-product table kernel: one `2^(2n)`-entry lookup replaces
-    /// decode *and* multiply. The ≤ 8-bit band on an `i128` window.
-    ProductTable,
+    /// Aligned-integer kernel: both rows decoded once to `±(field <<
+    /// scale)`, then a plain `i64`/`i128` integer dot product. Formats
+    /// whose operands fit the aligned word, on an `i128` window.
+    Aligned,
 }
 
 impl MacKernel {
     /// Stable snake_case name, used in bench row names and reports.
     pub fn name(self) -> &'static str {
         match self {
-            MacKernel::ProductTable => "product_table",
+            MacKernel::Aligned => "aligned",
             MacKernel::BatchedFused => "batched_fused",
             MacKernel::Scalar => "scalar",
         }
@@ -99,28 +107,12 @@ impl fmt::Display for MacKernel {
     }
 }
 
-/// Weights per K-block of the cache-blocked product tile. Each weight owns
-/// one contiguous `2^n`-entry table row (1 KiB at n = 8, 4-byte entries),
-/// so a block keeps ≤ 32 KiB of table lines — comfortably inside L1 —
-/// resident while all `B` columns stream through it.
-pub const PRODUCT_TILE_BLOCK: usize = 32;
-
-/// Columns per register group of the tile kernels. A full group runs as
-/// a 4-wide micro-kernel: four independent lane chains held in locals
-/// (4 × `u128` ≈ 8 GPRs — fits the x86-64 register file where 8 chains
-/// would spill), each weight's table row or gathered operand fetched
-/// **once** and shared by all four columns. Partial groups fall back to
-/// a two-chain pair loop plus a single-column tail; wider batches are
-/// processed group by group, and per-group accumulator state lives in
-/// fixed-size stack arrays (no heap traffic on the tile path).
-pub(crate) const TILE_COL_GROUP: usize = 4;
-
 /// Which tile-level kernel [`crate::Emac::dot_tile`] runs for a given
 /// batch width — the row-kernel table of [`MacKernel`] extended by a
 /// batch-width axis. `B ≤ 1` always wraps the row kernel; at `B ≥ 2` the
 /// fused band gathers weight operands once ([`TileKernel::GatherFused`]),
-/// the product band cache-blocks its table
-/// ([`TileKernel::BlockedProduct`]), and the scalar band stays the
+/// the aligned band decodes the row and the tile once each
+/// ([`TileKernel::AlignedTile`]), and the scalar band stays the
 /// per-column differential baseline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TileKernel {
@@ -131,9 +123,9 @@ pub enum TileKernel {
     /// split / computed / sign-extension) are gathered once, then every
     /// column streams through a monomorphized branch-free inner loop.
     GatherFused,
-    /// Cache-blocked finished-product tile: K is tiled in
-    /// [`PRODUCT_TILE_BLOCK`]-weight blocks kept hot across all columns.
-    BlockedProduct,
+    /// Aligned-integer tile: weight row and activation tile decoded once
+    /// each, then the integer micro-kernel four columns abreast.
+    AlignedTile,
 }
 
 impl TileKernel {
@@ -142,9 +134,9 @@ impl TileKernel {
     /// they loop.
     pub fn name(self) -> &'static str {
         match self {
-            TileKernel::BlockedProduct => "product_tile",
+            TileKernel::AlignedTile => "aligned_tile",
             TileKernel::GatherFused => "fused_tile",
-            TileKernel::PerColumn(MacKernel::ProductTable) => "per_column_product_table",
+            TileKernel::PerColumn(MacKernel::Aligned) => "per_column_aligned",
             TileKernel::PerColumn(MacKernel::BatchedFused) => "per_column_batched_fused",
             TileKernel::PerColumn(MacKernel::Scalar) => "per_column_scalar",
         }
@@ -153,7 +145,7 @@ impl TileKernel {
     /// The row kernel this tile body accumulates through.
     pub fn row_kernel(self) -> MacKernel {
         match self {
-            TileKernel::BlockedProduct => MacKernel::ProductTable,
+            TileKernel::AlignedTile => MacKernel::Aligned,
             TileKernel::GatherFused => MacKernel::BatchedFused,
             TileKernel::PerColumn(k) => k,
         }
@@ -224,33 +216,6 @@ impl I128Lanes {
     }
 }
 
-/// One finished-product step of the product-table row kernel.
-#[inline(always)]
-fn product_step(p: ProductEntry, lanes: &mut I128Lanes, special: &mut u32) {
-    *special |= p.0 & ProductEntry::SPECIAL_BIT;
-    debug_assert!(
-        p.shift() + (64 - p.product().leading_zeros()) <= 127,
-        "product-table kernel requires the i128 window"
-    );
-    lanes.add((p.product() as u128) << p.shift(), p.negate());
-}
-
-/// One finished-product step against a weight's contiguous table row
-/// ([`ProductLut::row`]): the product tile resolves the row base once
-/// per weight and shares it across the group's columns, so each step
-/// is a masked index with no weight shift and no bounds check (the
-/// row length is a power of two).
-#[inline(always)]
-fn product_row_step(row: &[ProductEntry], lanes: &mut I128Lanes, special: &mut u32, a: u32) {
-    let p = row[(a as usize) & (row.len() - 1)];
-    *special |= p.0 & ProductEntry::SPECIAL_BIT;
-    debug_assert!(
-        p.shift() + (64 - p.product().leading_zeros()) <= 127,
-        "product-table kernel requires the i128 window"
-    );
-    lanes.add_select((p.product() as u128) << p.shift(), p.negate());
-}
-
 /// One fused-operand step on the `i128` window: multiply, shift, lane add
 /// (branchy on rows, masked on tiles — see [`I128Lanes::add_select`]).
 #[inline(always)]
@@ -286,24 +251,6 @@ fn fused_step_wide(ew: EmacEntry, ea: EmacEntry, acc: &mut Accum, special: &mut 
     );
 }
 
-/// The product-table row kernel (n ≤ 8, `i128` window): decode and
-/// multiply are both table-finished; the loop is load → shifted lane
-/// add. Returns whether a special operand was seen.
-pub(crate) fn product_row(
-    table: &ProductLut,
-    acc: &mut i128,
-    weights: &[u32],
-    activations: &[u32],
-) -> bool {
-    let mut lanes = I128Lanes::from_i128(*acc);
-    let mut special = 0u32;
-    for (&w, &a) in weights.iter().zip(activations) {
-        product_step(table.entry(w, a), &mut lanes, &mut special);
-    }
-    *acc = lanes.into_i128();
-    special != 0
-}
-
 /// The batched fused-operand row loop, monomorphized per entry source
 /// (per-pattern table vs computed operands) so the inner loop is a plain
 /// gather → multiply → shifted add with no per-element dispatch: hi/lo
@@ -330,92 +277,6 @@ pub(crate) fn fused_row<E: Fn(u32) -> EmacEntry>(
         fused_step_wide(entry(w), entry(a), acc, &mut special);
     }
     special
-}
-
-/// The cache-blocked product tile ([`TileKernel::BlockedProduct`]):
-/// columns are processed in [`TILE_COL_GROUP`]-wide register groups,
-/// each group's lane accumulators living in fixed stack arrays (no
-/// heap traffic), with K tiled in [`PRODUCT_TILE_BLOCK`]-weight
-/// blocks so a block's `2^n`-entry table rows stay hot across the
-/// group. Exact integer adds commute, so the reordered accumulation
-/// is bit-identical to the per-column row kernel. `emit(j, acc, special)`
-/// receives each column's finished register, in column order.
-pub(crate) fn product_tile(
-    table: &ProductLut,
-    seed: i128,
-    weights: &[u32],
-    cols: &[&[u32]],
-    mut emit: impl FnMut(usize, Accum, bool),
-) {
-    for (gi, group) in cols.chunks(TILE_COL_GROUP).enumerate() {
-        let (lanes, specials) = product_tile_group(table, seed, weights, group);
-        for j in 0..group.len() {
-            let acc = Accum::Small(lanes[j].into_i128());
-            emit(gi * TILE_COL_GROUP + j, acc, specials[j] != 0);
-        }
-    }
-}
-
-/// One ≤ [`TILE_COL_GROUP`]-column group of the product tile. A full
-/// group runs the 4-wide micro-kernel — each weight's table row is
-/// fetched once and shared by four independent lane chains held in
-/// locals; partial groups stream in pairs plus a single-column tail.
-/// Inlined so the lanes never leave [`product_tile`]'s frame: a call per
-/// group costs as much as a column's readout on the K = 4 tiles of the
-/// small models.
-#[inline(always)]
-fn product_tile_group(
-    table: &ProductLut,
-    seed: i128,
-    weights: &[u32],
-    cols: &[&[u32]],
-) -> ([I128Lanes; TILE_COL_GROUP], [u32; TILE_COL_GROUP]) {
-    let g = cols.len();
-    debug_assert!(0 < g && g <= TILE_COL_GROUP);
-    let mut lanes = [I128Lanes::from_i128(seed); TILE_COL_GROUP];
-    let mut specials = [0u32; TILE_COL_GROUP];
-    for (kb, wblock) in weights.chunks(PRODUCT_TILE_BLOCK).enumerate() {
-        let base = kb * PRODUCT_TILE_BLOCK;
-        let end = base + wblock.len();
-        if g == TILE_COL_GROUP {
-            let [mut l0, mut l1, mut l2, mut l3] = lanes;
-            let [mut s0, mut s1, mut s2, mut s3] = specials;
-            let (c0, c1) = (&cols[0][base..end], &cols[1][base..end]);
-            let (c2, c3) = (&cols[2][base..end], &cols[3][base..end]);
-            for ((((&w, &a0), &a1), &a2), &a3) in wblock.iter().zip(c0).zip(c1).zip(c2).zip(c3) {
-                let row = table.row(w);
-                product_row_step(row, &mut l0, &mut s0, a0);
-                product_row_step(row, &mut l1, &mut s1, a1);
-                product_row_step(row, &mut l2, &mut s2, a2);
-                product_row_step(row, &mut l3, &mut s3, a3);
-            }
-            lanes = [l0, l1, l2, l3];
-            specials = [s0, s1, s2, s3];
-            continue;
-        }
-        let mut j = 0;
-        while j + 2 <= g {
-            let (mut l0, mut l1) = (lanes[j], lanes[j + 1]);
-            let (mut s0, mut s1) = (specials[j], specials[j + 1]);
-            let (c0, c1) = (&cols[j][base..end], &cols[j + 1][base..end]);
-            for ((&w, &a0), &a1) in wblock.iter().zip(c0).zip(c1) {
-                let row = table.row(w);
-                product_row_step(row, &mut l0, &mut s0, a0);
-                product_row_step(row, &mut l1, &mut s1, a1);
-            }
-            (lanes[j], lanes[j + 1]) = (l0, l1);
-            (specials[j], specials[j + 1]) = (s0, s1);
-            j += 2;
-        }
-        if j < g {
-            let (mut l0, mut s0) = (lanes[j], specials[j]);
-            for (&w, &a) in wblock.iter().zip(&cols[j][base..end]) {
-                product_row_step(table.row(w), &mut l0, &mut s0, a);
-            }
-            (lanes[j], specials[j]) = (l0, s0);
-        }
-    }
-    (lanes, specials)
 }
 
 /// The gather tile ([`TileKernel::GatherFused`]) over a weight row whose
@@ -492,23 +353,224 @@ pub(crate) fn fused_tile<E: Fn(u32) -> EmacEntry>(
     }
 }
 
+/// The running sum of the aligned band: an `i64` when the eq.-(3)/(4)
+/// register is at most 63 bits wide, an `i128` otherwise.
+trait AlignedSum: Copy {
+    /// Narrows the seed (bias image or running register).
+    fn from_register(register: i128) -> Self;
+    /// `self + w · a`, exactly.
+    fn mac(self, w: i64, a: i64) -> Self;
+    /// Widens back to the `i128` accumulation window.
+    fn register(self) -> i128;
+}
+
+impl AlignedSum for i64 {
+    #[inline(always)]
+    fn from_register(register: i128) -> Self {
+        register as i64
+    }
+    #[inline(always)]
+    fn mac(self, w: i64, a: i64) -> Self {
+        self + w * a
+    }
+    #[inline(always)]
+    fn register(self) -> i128 {
+        self as i128
+    }
+}
+
+impl AlignedSum for i128 {
+    #[inline(always)]
+    fn from_register(register: i128) -> Self {
+        register
+    }
+    #[inline(always)]
+    fn mac(self, w: i64, a: i64) -> Self {
+        self + w as i128 * a as i128
+    }
+    #[inline(always)]
+    fn register(self) -> i128 {
+        self
+    }
+}
+
+/// Widest eq.-(3)/(4) register the aligned band sums in an `i64`.
+const ALIGNED_I64_MAX_BITS: u32 = 63;
+
+/// Scratch of the aligned band ([`MacKernel::Aligned`]), retained by the
+/// unit across calls so a sweep does not allocate per row: the activation
+/// tile decoded to plain integers with one poison flag per column, and
+/// the weight row being evaluated. Never semantic — refilled by every
+/// [`AlignedTile::load`] / [`AlignedTile::row`].
+#[derive(Debug, Clone, Default)]
+pub(crate) struct AlignedTile {
+    /// `B × K` aligned activation values, column after column.
+    acts: Vec<i64>,
+    /// Whether column `j` holds a special operand.
+    poison: Vec<bool>,
+    /// The `K` aligned values of the current weight row.
+    weights: Vec<i64>,
+}
+
+/// Decodes `bits` through `word` (an [`crate::table::align`]ed word per
+/// pattern) into `values`, returning whether any operand was special.
+/// Specials decode to value 0, so they add nothing to any sum.
+#[inline(always)]
+fn decode_aligned(values: &mut Vec<i64>, bits: &[u32], word: impl Fn(u32) -> i64) -> bool {
+    let mut flags = 0;
+    values.extend(bits.iter().map(|&b| {
+        let w = word(b);
+        flags |= w;
+        w >> 1
+    }));
+    flags & 1 != 0
+}
+
+/// One weight row against one decoded column, in a single pass: with
+/// nothing to share the decoded weights with, storing them first only
+/// costs (the per-sample path's rows are as short as K = 4). Returns the
+/// exact sum and whether a weight was special. A leaf kept out of line
+/// for the same reason as [`quad`].
+#[inline(never)]
+fn single_column<S: AlignedSum>(
+    seed: i128,
+    weights: &[u32],
+    acts: &[i64],
+    word: impl Fn(u32) -> i64,
+) -> (S, bool) {
+    let mut flags = 0;
+    let sum = weights
+        .iter()
+        .zip(acts)
+        .fold(S::from_register(seed), |s, (&b, &a)| {
+            let w = word(b);
+            flags |= w;
+            s.mac(w >> 1, a)
+        });
+    (sum, flags & 1 != 0)
+}
+
+impl AlignedTile {
+    /// Decodes the activation columns, once for every weight row that
+    /// follows.
+    #[inline(always)]
+    pub(crate) fn load<'a>(
+        &mut self,
+        cols: impl Iterator<Item = &'a [u32]>,
+        word: impl Fn(u32) -> i64,
+    ) {
+        self.acts.clear();
+        self.poison.clear();
+        for col in cols {
+            let special = decode_aligned(&mut self.acts, col, &word);
+            self.poison.push(special);
+        }
+    }
+
+    /// One weight row against the loaded tile: `emit(j, register,
+    /// poisoned)` receives, in column order, column `j`'s exact sum
+    /// `seed + Σ w[k] · a[j][k]` and whether the row or the column held a
+    /// special. `width` is the unit's eq.-(3)/(4) register width; it
+    /// picks the sum type.
+    #[inline(always)]
+    pub(crate) fn row(
+        &mut self,
+        seed: i128,
+        width: u32,
+        weights: &[u32],
+        word: impl Fn(u32) -> i64,
+        emit: impl FnMut(usize, i128, bool),
+    ) {
+        if width <= ALIGNED_I64_MAX_BITS {
+            self.row_in::<i64>(seed, width, weights, word, emit);
+        } else {
+            self.row_in::<i128>(seed, width, weights, word, emit);
+        }
+    }
+
+    /// [`AlignedTile::row`] with the running sums held in `S`. A lone
+    /// column goes through [`single_column`]; otherwise the weight row is
+    /// decoded once and the columns go through [`quad`] in full groups of
+    /// four, then a single-column tail. Nothing past the decode handles
+    /// specials — poison was decided there.
+    #[inline(always)]
+    fn row_in<S: AlignedSum>(
+        &mut self,
+        seed: i128,
+        width: u32,
+        weights: &[u32],
+        word: impl Fn(u32) -> i64,
+        mut emit: impl FnMut(usize, i128, bool),
+    ) {
+        let mut finish = |j: usize, sum: S, poison: bool| {
+            let register = sum.register();
+            debug_assert!(
+                register >> (width - 1) == 0 || register >> (width - 1) == -1,
+                "aligned sum exceeds the eq.-(3)/(4) register of {width} bits"
+            );
+            emit(j, register, poison);
+        };
+        if let [column_poison] = self.poison[..] {
+            let (sum, row_poison) = single_column::<S>(seed, weights, &self.acts, word);
+            return finish(0, sum, row_poison || column_poison);
+        }
+        self.weights.clear();
+        let row_poison = decode_aligned(&mut self.weights, weights, word);
+        let (w, k) = (self.weights.as_slice(), self.weights.len());
+        let col = |j: usize| &self.acts[j * k..(j + 1) * k];
+        let seed = S::from_register(seed);
+        let batch = self.poison.len();
+        let mut j = 0;
+        while j + 4 <= batch {
+            let sums = quad(seed, w, [col(j), col(j + 1), col(j + 2), col(j + 3)]);
+            for (i, sum) in sums.into_iter().enumerate() {
+                finish(j + i, sum, row_poison || self.poison[j + i]);
+            }
+            j += 4;
+        }
+        for j in j..batch {
+            let sum = w.iter().zip(col(j)).fold(seed, |s, (&w, &a)| s.mac(w, a));
+            finish(j, sum, row_poison || self.poison[j]);
+        }
+    }
+}
+
+/// The integer micro-kernel: `acc[j] += w[k] · a[j][k]`, four columns
+/// abreast — four independent chains in registers, each decoded weight
+/// loaded once for all four. Kept out of line as a leaf, so the chains
+/// have the register file to themselves: inlined into the units' sweeps
+/// (next to bias seeding and round/encode) the allocator spilled them in
+/// some instantiations and not others, moving whole-model throughput by
+/// 20–30 % from build to build.
+#[inline(never)]
+fn quad<S: AlignedSum>(seed: S, w: &[i64], [a0, a1, a2, a3]: [&[i64]; 4]) -> [S; 4] {
+    let [mut s0, mut s1, mut s2, mut s3] = [seed; 4];
+    for ((((&w, &a0), &a1), &a2), &a3) in w.iter().zip(a0).zip(a1).zip(a2).zip(a3) {
+        s0 = s0.mac(w, a0);
+        s1 = s1.mac(w, a1);
+        s2 = s2.mac(w, a2);
+        s3 = s3.mac(w, a3);
+    }
+    [s0, s1, s2, s3]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn kernel_names_are_stable() {
-        assert_eq!(MacKernel::ProductTable.name(), "product_table");
+        assert_eq!(MacKernel::Aligned.name(), "aligned");
         assert_eq!(MacKernel::BatchedFused.to_string(), "batched_fused");
         assert_eq!(MacKernel::Scalar.name(), "scalar");
         // Ordering encodes "fanciness": caps compare against it.
         assert!(MacKernel::Scalar < MacKernel::BatchedFused);
-        assert!(MacKernel::BatchedFused < MacKernel::ProductTable);
+        assert!(MacKernel::BatchedFused < MacKernel::Aligned);
     }
 
     #[test]
     fn tile_kernel_names_and_row_kernels_are_stable() {
-        assert_eq!(TileKernel::BlockedProduct.name(), "product_tile");
+        assert_eq!(TileKernel::AlignedTile.name(), "aligned_tile");
         assert_eq!(TileKernel::GatherFused.to_string(), "fused_tile");
         assert_eq!(
             TileKernel::PerColumn(MacKernel::Scalar).name(),
@@ -519,13 +581,10 @@ mod tests {
             "per_column_batched_fused"
         );
         assert_eq!(
-            TileKernel::PerColumn(MacKernel::ProductTable).name(),
-            "per_column_product_table"
+            TileKernel::PerColumn(MacKernel::Aligned).name(),
+            "per_column_aligned"
         );
-        assert_eq!(
-            TileKernel::BlockedProduct.row_kernel(),
-            MacKernel::ProductTable
-        );
+        assert_eq!(TileKernel::AlignedTile.row_kernel(), MacKernel::Aligned);
         assert_eq!(
             TileKernel::GatherFused.row_kernel(),
             MacKernel::BatchedFused
@@ -534,8 +593,62 @@ mod tests {
             TileKernel::PerColumn(MacKernel::Scalar).row_kernel(),
             MacKernel::Scalar
         );
-        // The block keeps at most 32 KiB of 8-bit table rows resident.
-        const { assert!(PRODUCT_TILE_BLOCK * (1 << 8) * 4 <= 32 * 1024) }
+    }
+
+    #[test]
+    fn aligned_tile_sums_exactly_on_both_sum_widths() {
+        // Identity-decoded words (value << 1 | special, specials carry
+        // value 0), with i32::MIN standing in for the special pattern.
+        const SPECIAL: u32 = i32::MIN as u32;
+        let word = |b: u32| match b {
+            SPECIAL => 1,
+            b => (b as i32 as i64) << 1,
+        };
+        let value = |b: u32| (word(b) >> 1) as i128;
+        let weights = [3u32, -5i32 as u32, 7];
+        let cols: [&[u32]; 6] = [
+            &[1, 1, 1],
+            &[2, 0, -4i32 as u32],
+            &[0; 3],
+            &[SPECIAL, 1, 1],
+            &[5, 4, 3],
+            &[-1i32 as u32; 3],
+        ];
+        let dot = |c: &[u32]| -> i128 {
+            weights
+                .iter()
+                .zip(c)
+                .map(|(&w, &a)| value(w) * value(a))
+                .sum()
+        };
+        let want: Vec<i128> = cols.iter().map(|c| 100 + dot(c)).collect();
+        // 63 / 64 bits straddle the i64 / i128 sum.
+        for width in [40u32, 63, 64, 100] {
+            let mut tile = AlignedTile::default();
+            tile.load(cols.iter().copied(), word);
+            let mut got = Vec::new();
+            tile.row(100, width, &weights, word, |j, sum, poison| {
+                assert_eq!(j, got.len(), "columns arrive in order");
+                assert_eq!(poison, j == 3, "only column 3 holds a special");
+                got.push(sum);
+            });
+            assert_eq!(got, want, "width {width}");
+            // A special weight poisons every column of its row.
+            tile.row(0, width, &[1, SPECIAL, 1], word, |_, _, poison| {
+                assert!(poison)
+            });
+            // A lone column takes the single-pass body.
+            for (j, col) in cols.iter().enumerate() {
+                tile.load(std::iter::once(*col), word);
+                tile.row(100, width, &weights, word, |_, sum, poison| {
+                    assert_eq!((sum, poison), (want[j], j == 3), "lone column {j}");
+                });
+            }
+            tile.load(std::iter::once(cols[0]), word);
+            tile.row(0, width, &[1, SPECIAL, 1], word, |_, _, poison| {
+                assert!(poison)
+            });
+        }
     }
 
     #[test]

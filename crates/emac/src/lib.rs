@@ -41,11 +41,10 @@
 //!
 //! * **The generic unit owns** the accumulation window ([`Accum`]:
 //!   `i128` / [`Acc256`] / `WideInt`), `mac` / `reset` / `macs_done`,
-//!   bias seeding, the three row kernels and the product and gather tile
-//!   kernels with their 4-wide / pair / tail micro-kernels (the loops
-//!   themselves live once in the private `kernel` module), kernel
-//!   selection ([`MacKernel`], [`TileKernel`], `with_kernel_cap`) and
-//!   poison tracking.
+//!   bias seeding, the row, tile and layer kernels of the aligned and
+//!   fused bands (the loops themselves live once in the private `kernel`
+//!   module), kernel selection ([`MacKernel`], [`TileKernel`],
+//!   `with_kernel_cap`) and poison tracking.
 //! * **A [`Family`] supplies** what the paper says differs: the decode of
 //!   a pattern into the shared fused-operand word (per-pattern table,
 //!   [`dp_posit::lut::SplitLut`], or computed bit fields — and the
@@ -53,18 +52,22 @@
 //!   the register, round-and-encode, the poison pattern, and
 //!   `accumulator_width_for`.
 //! * **[`table`] defines, once,** the fused-operand word ([`EmacEntry`]),
-//!   the finished-product word ([`ProductEntry`]), the per-pattern
-//!   operand table ([`EmacLut`]), the `2^(2n)` product table
-//!   ([`ProductLut`]) and the per-format leak-once cache. Both families
-//!   store operands as `±field × 2^scale` with a non-negative scale
-//!   (minifloats unnormalised, in units of the smallest subnormal), so a
-//!   product term is `field_w · field_a << (scale_w + scale_a)` for both.
-//! * **[`FixedEmac`] stays apart**: its arithmetic is i64 partial sums
-//!   over plain integer products — no shift, no special class, no
-//!   window — so folding it into the shared loops would make them branch
-//!   on their caller. It shares only [`Emac::dot_tile`]'s provided body
-//!   (shape validation, `B ≤ 1` and scalar-band per-column baseline,
-//!   `K × B` accounting), which every unit inherits from the trait.
+//!   the per-pattern operand table ([`EmacLut`]), its aligned-integer
+//!   image ([`table::align`], [`AlignedLut`]) and the per-format
+//!   leak-once cache. Both families store operands as `±field × 2^scale`
+//!   with a non-negative scale (minifloats unnormalised, in units of the
+//!   smallest subnormal), so `±(field << scale)` is a plain signed
+//!   integer and an exact EMAC sum is a plain integer dot product.
+//! * **One integer loop serves all three units.** Whenever every operand
+//!   of a format fits the aligned word and the eq.-(3)/(4) register fits
+//!   an `i128` — the 8-bit trio, minifloats up to binary16, fixed point
+//!   at every width — rows, tiles and layers decode their operands once
+//!   and run `acc[j] += w[k] · a[j][k]` in an `i64` or `i128`
+//!   ([`MacKernel::Aligned`]). [`FixedEmac`] shares that loop (its
+//!   "decode" is the sign extension) and [`Emac::dot_tile`] /
+//!   [`Emac::dot_layer`]'s provided bodies (shape validation, `B ≤ 1`
+//!   and scalar-band baselines, `K × B` accounting); its register,
+//!   truncating readout and lack of special patterns stay its own.
 //!
 //! ```
 //! use dp_emac::{Emac, PositEmac};
@@ -92,9 +95,9 @@ mod unit;
 pub use acc::{Acc256, Accum, Window, MEDIUM_ACC_MAX_BITS, SMALL_ACC_MAX_BITS};
 pub use fixed_emac::FixedEmac;
 pub use float_emac::{Float, FloatEmac};
-pub use kernel::{MacKernel, TileKernel, PRODUCT_TILE_BLOCK};
+pub use kernel::{MacKernel, TileKernel};
 pub use posit_emac::{Posit, PositEmac, SplitOperands};
-pub use table::{EmacEntry, EmacLut, ProductEntry, ProductLut};
+pub use table::{AlignedLut, EmacEntry, EmacLut};
 pub use table_emac::{Family, TableEmac};
 pub use unit::{Emac, EmacUnit};
 

@@ -129,7 +129,8 @@ impl Family for Posit {
 
     fn tables(fmt: PositFormat) -> &'static Tables {
         let bitfield = Posit::new(fmt, false);
-        table::cached((Self::NAME, fmt.n(), fmt.es()), fmt.n(), |b| {
+        let key = (Self::NAME, fmt.n(), fmt.es());
+        table::cached(key, fmt.n(), Self::operands_align(fmt), |b| {
             bitfield.decode(b)
         })
     }

@@ -8,10 +8,10 @@
 //! minifloat operands both reduce to the same integer form
 //! (`±field × 2^scale` in a per-family unit chosen so every scale is
 //! non-negative), so one fused-operand word ([`EmacEntry`]), one
-//! finished-product word ([`ProductEntry`]), one per-pattern operand table
-//! ([`EmacLut`]), one `2^(2n)` product table ([`ProductLut`]) and one
-//! leak-once cache ([`cached`]) serve both; a [`crate::Family`] supplies
-//! only the decode that fills them.
+//! per-pattern operand table ([`EmacLut`]), one aligned-integer image of
+//! it ([`align`], [`AlignedLut`]) and one leak-once cache ([`cached`])
+//! serve both; a [`crate::Family`] supplies only the decode that fills
+//! them.
 
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
@@ -25,11 +25,6 @@ pub const MAX_LUT_WIDTH: u32 = 12;
 /// of tabulated. Covers the whole §IV sweep, whose widest formats are
 /// 16 bits; wider formats run the scalar datapath.
 pub const MAX_COMPUTED_WIDTH: u32 = 16;
-
-/// Widest format that gets a **finished-product table** ([`ProductLut`]):
-/// `2^(2n)` entries keep the 8-bit table at 256 KiB (inside L2), and the
-/// paper's headline formats are all ≤ 8 bits.
-pub const MAX_PRODUCT_WIDTH: u32 = 8;
 
 /// One fused EMAC operand: decode *and* the EMAC front end folded into a
 /// single packed word, so the multiply-accumulate inner loop is two
@@ -122,143 +117,92 @@ impl EmacLut {
     }
 }
 
-/// One finished product: everything decode *and* the multiply stage
-/// produce for a `(weight, activation)` pair, fused into a single word so
-/// the MAC inner loop has **no multiply at all**. Layout:
+/// Widest aligned operand magnitude, in bits: `field << scale` must fit
+/// here so that the signed value plus the special flag fill exactly one
+/// 64-bit [`AlignedLut`] word.
+pub const ALIGNED_OPERAND_BITS: u32 = 62;
+
+/// Bits of the aligned magnitude `field << scale` (0 for zero and
+/// specials).
+#[inline(always)]
+fn operand_bits(e: EmacEntry) -> u32 {
+    match e.field() {
+        0 => 0,
+        field => 64 - field.leading_zeros() + e.scale(),
+    }
+}
+
+/// Aligns one fused operand into a plain signed integer word:
 ///
 /// ```text
-/// bits  0..16   field(w) × field(a), the exact significand product
-/// bits 16..26   scale(w) + scale(a), the register shift of the product LSB
-/// bit  26       sign of the product
-/// bit  27       special (either operand): product 0, accumulator poisons
+/// bit  0       special flag (NaR / Inf / NaN); the value is then 0
+/// bits 1..64   ±(field << scale), two's complement
 /// ```
 ///
-/// Zero operands produce product 0, so zero needs no branch; a special
-/// pair also carries product 0, so a poisoned accumulation leaves the
-/// register untouched exactly like the scalar datapath.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProductEntry(pub u32);
-
-impl ProductEntry {
-    /// Bit flagging a special operand (either side).
-    pub const SPECIAL_BIT: u32 = 1 << 27;
-    /// Bit carrying the product sign.
-    pub const SIGN_BIT: u32 = 1 << 26;
-
-    /// Fuses one operand pair.
-    fn fuse(ew: EmacEntry, ea: EmacEntry) -> Self {
-        if ew.is_special() || ea.is_special() {
-            return ProductEntry(Self::SPECIAL_BIT);
-        }
-        let prod = ew.field() * ea.field();
-        if prod == 0 {
-            return ProductEntry(0);
-        }
-        let shift = ew.scale() + ea.scale();
-        assert!(
-            prod < (1 << 16) && shift < (1 << 10),
-            "pair exceeds the word"
-        );
-        let sign = if ew.sign() ^ ea.sign() {
-            Self::SIGN_BIT
-        } else {
-            0
-        };
-        ProductEntry(prod as u32 | (shift << 16) | sign)
-    }
-
-    /// The exact significand product, 0 when either operand is zero or
-    /// special.
-    #[inline(always)]
-    pub fn product(self) -> u64 {
-        (self.0 & 0xffff) as u64
-    }
-
-    /// The register shift `scale(w) + scale(a)`.
-    #[inline(always)]
-    pub fn shift(self) -> u32 {
-        (self.0 >> 16) & 0x3ff
-    }
-
-    /// Sign of the product.
-    #[inline(always)]
-    pub fn negate(self) -> bool {
-        self.0 & Self::SIGN_BIT != 0
-    }
-
-    /// Whether either operand was special.
-    #[inline(always)]
-    pub fn is_special(self) -> bool {
-        self.0 & Self::SPECIAL_BIT != 0
-    }
+/// Every operand is `±field × 2^scale` with a non-negative scale, so the
+/// aligned value is an ordinary integer and an exact EMAC sum is an
+/// ordinary integer dot product: `word >> 1` is the multiplicand (zero
+/// for specials, which therefore add nothing — like the scalar
+/// datapath), `word & 1` the poison.
+#[inline(always)]
+pub fn align(e: EmacEntry) -> i64 {
+    debug_assert!(
+        operand_bits(e) <= ALIGNED_OPERAND_BITS,
+        "operand exceeds the aligned word"
+    );
+    let magnitude = (e.field() << e.scale()) as i64;
+    let value = if e.sign() { -magnitude } else { magnitude };
+    (value << 1) | e.is_special() as i64
 }
 
-/// A finished-product table: one [`ProductEntry`] per `(weight,
-/// activation)` pattern pair — `2^(2n)` entries, ≤ 256 KiB at 8 bits.
-///
-/// Where [`EmacLut`] tabulates the decode *per operand* (leaving one
-/// multiply per MAC), this table tabulates the **multiply itself**, so
-/// the n ≤ 8 inner loop is a single load and a shifted add. Entries are
-/// derived from the same fused [`EmacEntry`] words, so the two schemes
-/// cannot drift apart; the `kernel_equivalence` suite additionally pins
-/// bit-identity against the reference datapath over all `2^(2n)` pairs.
+/// The aligned-integer operand table: [`align`] of every [`EmacLut`]
+/// entry — one word per pattern, 8 bytes each (2 KiB at 8 bits, 32 KiB at
+/// 12). Derived from the fused operands, so the two schemes cannot drift
+/// apart; the `kernel_equivalence` suite additionally pins bit-identity
+/// against the reference datapath over all `2^(2n)` pairs.
 #[derive(Debug, Clone)]
-pub struct ProductLut {
-    n: u32,
-    entries: Vec<ProductEntry>,
+pub struct AlignedLut {
+    mask: u32,
+    words: Vec<i64>,
 }
 
-impl ProductLut {
-    /// Fuses every operand pair of an `n ≤` [`MAX_PRODUCT_WIDTH`] format.
-    pub fn build(n: u32, operands: &EmacLut) -> Self {
-        assert!(n <= MAX_PRODUCT_WIDTH, "product tables stop at 8 bits");
-        let mut entries = Vec::with_capacity(1usize << (2 * n));
-        for w in 0..1u32 << n {
-            let ew = operands.entry(w);
-            entries.extend((0..1u32 << n).map(|a| ProductEntry::fuse(ew, operands.entry(a))));
+impl AlignedLut {
+    /// Aligns every entry of `operands`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an operand exceeds [`ALIGNED_OPERAND_BITS`] — the caller
+    /// builds this table only for formats whose operands all fit.
+    pub fn build(operands: &EmacLut) -> Self {
+        assert!(
+            operands
+                .entries
+                .iter()
+                .all(|&e| operand_bits(e) <= ALIGNED_OPERAND_BITS),
+            "format's operands exceed the aligned word"
+        );
+        AlignedLut {
+            mask: operands.mask,
+            words: operands.entries.iter().map(|&e| align(e)).collect(),
         }
-        ProductLut { n, entries }
     }
 
-    /// The finished product for the pair (low `n` bits of each operand).
+    /// The aligned word for the low `n` bits of `bits`.
     #[inline(always)]
-    pub fn entry(&self, weight: u32, activation: u32) -> ProductEntry {
-        let mask = (1u32 << self.n) - 1;
-        self.entries[(((weight & mask) as usize) << self.n) | (activation & mask) as usize]
-    }
-
-    /// The contiguous `2^n`-entry row for `weight`: element `a` of the
-    /// returned slice is `entry(weight, a)`. The tile kernels resolve a
-    /// weight's row base once and index it per column, hoisting the
-    /// weight shift out of the column-wide inner step — and because the
-    /// row length is a power of two, `row[(a & (len − 1)) as usize]`
-    /// needs no bounds check.
-    #[inline(always)]
-    pub fn row(&self, weight: u32) -> &[ProductEntry] {
-        let base = ((weight & ((1u32 << self.n) - 1)) as usize) << self.n;
-        &self.entries[base..base + (1usize << self.n)]
-    }
-
-    /// Number of table entries (`2^(2n)`).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Always false: every format has at least `2^6` pairs.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+    pub fn word(&self, bits: u32) -> i64 {
+        self.words[(bits & self.mask) as usize]
     }
 }
 
 /// The tables of one (family, format): the operand table for
-/// `n ≤` [`MAX_LUT_WIDTH`] and, derived from it, the product table for
-/// `n ≤` [`MAX_PRODUCT_WIDTH`].
+/// `n ≤` [`MAX_LUT_WIDTH`] and, derived from it, its aligned-integer
+/// image when every operand fits [`ALIGNED_OPERAND_BITS`].
 #[derive(Debug)]
 pub struct Tables {
     /// Per-pattern fused operands, when the format is narrow enough.
     pub operands: Option<EmacLut>,
-    /// Finished products, when the format is narrow enough.
-    pub products: Option<ProductLut>,
+    /// The same operands aligned, when they all fit the aligned word.
+    pub aligned: Option<AlignedLut>,
 }
 
 /// What identifies one (family, format) in the table cache: the family
@@ -266,12 +210,19 @@ pub struct Tables {
 pub type TableKey = (&'static str, u32, u32);
 
 /// The process-wide tables for the `n`-bit format identified by `key`,
-/// built on first use from the family's bit-field `decode`.
+/// built on first use from the family's bit-field `decode`; `aligns` says
+/// whether every operand of the format fits the aligned word
+/// ([`crate::Family::operands_align`]).
 ///
 /// Tables are leaked intentionally: the format space is small and finite,
 /// each table is built once, and a `'static` borrow lets hot loops hold
 /// the table without reference counting.
-pub fn cached(key: TableKey, n: u32, decode: impl Fn(u32) -> EmacEntry) -> &'static Tables {
+pub fn cached(
+    key: TableKey,
+    n: u32,
+    aligns: bool,
+    decode: impl Fn(u32) -> EmacEntry,
+) -> &'static Tables {
     static CACHE: OnceLock<Mutex<HashMap<TableKey, &'static Tables>>> = OnceLock::new();
     let mut map = CACHE
         .get_or_init(|| Mutex::new(HashMap::new()))
@@ -279,11 +230,8 @@ pub fn cached(key: TableKey, n: u32, decode: impl Fn(u32) -> EmacEntry) -> &'sta
         .expect("EMAC table cache poisoned");
     map.entry(key).or_insert_with(|| {
         let operands = (n <= MAX_LUT_WIDTH).then(|| EmacLut::build(n, decode));
-        let products = match &operands {
-            Some(t) if n <= MAX_PRODUCT_WIDTH => Some(ProductLut::build(n, t)),
-            _ => None,
-        };
-        Box::leak(Box::new(Tables { operands, products }))
+        let aligned = operands.as_ref().filter(|_| aligns).map(AlignedLut::build);
+        Box::leak(Box::new(Tables { operands, aligned }))
     })
 }
 
@@ -298,68 +246,54 @@ mod tests {
     fn tables_follow_the_width_bands_and_memoize() {
         let p = |n, es| Posit::tables(PositFormat::new(n, es).unwrap());
         let f = |we, wf| Float::tables(FloatFormat::new(we, wf).unwrap());
-        assert!(p(8, 0).products.is_some() && p(8, 0).operands.is_some());
-        assert!(p(9, 0).products.is_none() && p(12, 2).operands.is_some());
+        assert!(p(8, 0).aligned.is_some() && p(8, 0).operands.is_some());
+        // posit<8,2>: 4 + 48 = 52-bit operands still align; posit<12,2>
+        // (8 + 80 bits) keeps only the fused table.
+        assert!(p(8, 2).aligned.is_some() && p(9, 0).aligned.is_some());
+        assert!(p(12, 2).aligned.is_none() && p(12, 2).operands.is_some());
         assert!(p(13, 0).operands.is_none(), "fused table stops at 12");
-        assert!(f(4, 3).products.is_some() && f(4, 4).products.is_none());
-        assert!(f(4, 7).operands.is_some() && f(5, 10).operands.is_none());
+        assert!(f(4, 3).aligned.is_some() && f(4, 7).aligned.is_some());
+        assert!(f(6, 5).aligned.is_none() && f(6, 5).operands.is_some());
+        assert!(f(5, 10).operands.is_none());
         assert!(std::ptr::eq(p(8, 1), p(8, 1)));
         assert!(std::ptr::eq(f(4, 3), f(4, 3)));
         // Same parameters, different family: distinct tables.
         assert!(!std::ptr::eq(p(8, 3), f(8, 3)));
     }
 
-    /// Every pair of `operands` against the table built from it.
-    fn check_products(n: u32, name: &str, operands: &EmacLut, products: &ProductLut) {
-        assert_eq!(products.len(), 1usize << (2 * n));
-        assert!(!products.is_empty());
-        for w in 0..1u32 << n {
-            let row = products.row(w);
-            assert_eq!(row.len(), 1usize << n);
-            for a in 0..1u32 << n {
-                let p = products.entry(w, a);
-                assert_eq!(row[a as usize], p, "{name} {w:#x}×{a:#x} row");
-                let (ew, ea) = (operands.entry(w), operands.entry(a));
-                if ew.is_special() || ea.is_special() {
-                    assert!(p.is_special(), "{name} {w:#x}×{a:#x}");
-                    assert_eq!(p.product(), 0, "{name} {w:#x}×{a:#x}");
-                    continue;
-                }
-                assert!(!p.is_special());
-                let prod = ew.field() * ea.field();
-                if prod == 0 {
-                    assert_eq!(p.0, 0, "{name} {w:#x}×{a:#x}");
-                    continue;
-                }
-                assert_eq!(p.product(), prod, "{name} {w:#x}×{a:#x}");
-                assert_eq!(p.shift(), ew.scale() + ea.scale(), "{name} {w:#x}×{a:#x}");
-                assert_eq!(p.negate(), ew.sign() ^ ea.sign(), "{name} {w:#x}×{a:#x}");
-            }
+    /// Every word of `aligned` against the fused operand it came from.
+    fn check_aligned(name: &str, n: u32, operands: &EmacLut, aligned: &AlignedLut) {
+        for bits in 0..1u32 << n {
+            let (e, w) = (operands.entry(bits), aligned.word(bits));
+            assert_eq!(w & 1 != 0, e.is_special(), "{name} {bits:#x}");
+            let magnitude = (e.field() as i128) << e.scale();
+            let value = if e.sign() { -magnitude } else { magnitude };
+            assert_eq!((w >> 1) as i128, value, "{name} {bits:#x}");
+            assert!(magnitude < 1 << ALIGNED_OPERAND_BITS, "{name} {bits:#x}");
         }
     }
 
     #[test]
-    fn product_entries_fuse_operand_pairs_exhaustively() {
-        for es in [0u32, 1, 2] {
-            let fmt = PositFormat::new(6, es).unwrap();
+    fn aligned_words_reconstruct_the_fused_operands_exhaustively() {
+        for (n, es) in [(6u32, 0u32), (8, 0), (8, 1), (8, 2), (12, 1)] {
+            let fmt = PositFormat::new(n, es).unwrap();
             let t = Posit::tables(fmt);
-            let (ops, prods) = (t.operands.as_ref().unwrap(), t.products.as_ref().unwrap());
-            check_products(fmt.n(), &fmt.to_string(), ops, prods);
+            let (ops, aligned) = (t.operands.as_ref().unwrap(), t.aligned.as_ref().unwrap());
+            check_aligned(&fmt.to_string(), n, ops, aligned);
         }
-        for (we, wf) in [(2u32, 2u32), (3, 2), (4, 3)] {
+        for (we, wf) in [(2u32, 2u32), (3, 2), (4, 3), (5, 6)] {
             let fmt = FloatFormat::new(we, wf).unwrap();
             let t = Float::tables(fmt);
-            let (ops, prods) = (t.operands.as_ref().unwrap(), t.products.as_ref().unwrap());
-            check_products(fmt.n(), &fmt.to_string(), ops, prods);
+            let (ops, aligned) = (t.operands.as_ref().unwrap(), t.aligned.as_ref().unwrap());
+            check_aligned(&fmt.to_string(), fmt.n(), ops, aligned);
         }
     }
 
     #[test]
     fn tables_mask_to_width() {
         let t = Posit::tables(PositFormat::new(8, 1).unwrap());
-        let (ops, prods) = (t.operands.as_ref().unwrap(), t.products.as_ref().unwrap());
+        let (ops, aligned) = (t.operands.as_ref().unwrap(), t.aligned.as_ref().unwrap());
         assert_eq!(ops.entry(0x140), ops.entry(0x40));
-        assert_eq!(prods.entry(0x140, 0x123), prods.entry(0x40, 0x23));
-        assert_eq!(prods.row(0x140)[0x23], prods.entry(0x40, 0x23));
+        assert_eq!(aligned.word(0x140), aligned.word(0x40));
     }
 }

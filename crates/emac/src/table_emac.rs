@@ -1,9 +1,9 @@
 //! The one table-driven EMAC datapath and the [`Family`] seam.
 
-use crate::acc::{Accum, Window};
-use crate::kernel;
-use crate::table::{EmacEntry, EmacLut, ProductLut, Tables};
-use crate::unit::Emac;
+use crate::acc::{Accum, Window, SMALL_ACC_MAX_BITS};
+use crate::kernel::{self, AlignedTile};
+use crate::table::{self, AlignedLut, EmacEntry, EmacLut, Tables, ALIGNED_OPERAND_BITS};
+use crate::unit::{columns, Emac};
 use crate::{MacKernel, UnsupportedFormat};
 use std::fmt;
 
@@ -42,7 +42,16 @@ pub trait Family: Clone + fmt::Debug {
     /// Exact accumulator width for `k` accumulations (paper eqs. 3–4).
     fn accumulator_width_for(fmt: Self::Format, k: u64) -> u32;
 
-    /// The process-wide operand/product tables for `fmt`.
+    /// Whether every operand of `fmt` fits the aligned word
+    /// ([`ALIGNED_OPERAND_BITS`]), read off what the unit computes anyway:
+    /// the register sized for one accumulation holds the square of the
+    /// widest operand plus a sign bit, so half its width bounds every
+    /// aligned operand.
+    fn operands_align(fmt: Self::Format) -> bool {
+        Self::accumulator_width_for(fmt, 1) <= 2 * ALIGNED_OPERAND_BITS
+    }
+
+    /// The process-wide operand tables for `fmt`.
     fn tables(fmt: Self::Format) -> &'static Tables;
 
     /// Decode/encode state for `fmt`. `tables: false` is the
@@ -73,13 +82,43 @@ pub trait Family: Clone + fmt::Debug {
     fn poison_bits(&self) -> u32;
 }
 
-/// Where fused operands come from on the fast path: the per-pattern
-/// table (`n ≤ 12`) or the family's computed source (13–16 bits). Both
-/// produce identical [`EmacEntry`] words.
-#[derive(Debug, Clone, Copy)]
-enum Operands<C> {
-    Table(&'static EmacLut),
+/// Where decoded operands come from on the fast paths: a per-pattern
+/// table `T` (`n ≤ 12`) or the family's computed source (13–16 bits).
+/// Both produce identical words.
+#[derive(Debug)]
+enum Source<T: 'static, C> {
+    Table(&'static T),
     Computed(C),
+}
+
+// Not derived: a derive would demand `T: Copy` for the borrowed table.
+impl<T, C: Copy> Clone for Source<T, C> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T, C: Copy> Copy for Source<T, C> {}
+
+/// Evaluates `$body` with `$word` bound to the aligned decode of `$source`
+/// — value and special flag in one word ([`table::align`]) — as a closure
+/// monomorphized per source, so the decode loops see one straight-line
+/// lookup: a single closure matching on the source was left out of line
+/// and called per element when measured. For use inside
+/// `impl<F: Family> TableEmac<F>`.
+macro_rules! with_aligned_word {
+    ($source:expr, $word:ident => $body:expr) => {
+        match $source {
+            Source::Table(t) => {
+                let $word = move |bits: u32| t.word(bits);
+                $body
+            }
+            Source::Computed(c) => {
+                let $word = move |bits: u32| table::align(F::computed_entry(c, bits));
+                $body
+            }
+        }
+    };
 }
 
 /// The exact multiply-and-accumulate unit shared by every table-driven
@@ -88,17 +127,21 @@ enum Operands<C> {
 /// [`Family`]. [`crate::PositEmac`] and [`crate::FloatEmac`] are this
 /// unit at `F = `[`crate::Posit`] / [`crate::Float`].
 ///
-/// Two table/width optimizations make the software model run at MACs/sec
-/// rates resembling the hardware story rather than a bit-by-bit
-/// simulator; both are bit-identical to the reference datapath (enforced
+/// Three table/width optimizations make the software model run at
+/// MACs/sec rates resembling the hardware story rather than a bit-by-bit
+/// simulator; all are bit-identical to the reference datapath (enforced
 /// by the `fast_path_equivalence` tests and available directly via
 /// [`TableEmac::new_reference`]):
 ///
 /// * **Fused operands** — formats up to 12 bits replace the bit-field
 ///   decode by one lookup in the process-wide [`EmacLut`] (the software
-///   analogue of template-based posit multiplication), formats up to
-///   8 bits additionally tabulate the multiply ([`ProductLut`]), and
-///   13–16-bit formats compute the same operand word per element.
+///   analogue of template-based posit multiplication), and 13–16-bit
+///   formats compute the same operand word per element.
+/// * **Aligned integers** — when every operand `±(field << scale)` fits
+///   the aligned word and the register fits an `i128`, rows, tiles and
+///   layers decode their operands once ([`AlignedLut`], or
+///   [`table::align`] of the computed operand) and accumulate a plain
+///   `i64`/`i128` integer dot product ([`MacKernel::Aligned`]).
 /// * **Native accumulator** — whenever the eq.-(3)/(4) register fits 127
 ///   bits (true for every 5–8-bit configuration in Table II) it is a
 ///   native `i128` and each MAC is one shift and one add; registers up
@@ -109,13 +152,15 @@ enum Operands<C> {
 pub struct TableEmac<F: Family> {
     family: F,
     capacity: u64,
+    /// The eq.-(3)/(4) register width for `capacity` accumulations.
+    width: u32,
     acc: Accum,
     /// Fused decode + front-end operands driving the one-lookup MAC loop.
-    operands: Option<Operands<F::Computed>>,
-    /// Finished-product table for `n ≤ 8` formats: decode *and* multiply
-    /// collapse into one `2^(2n)`-entry lookup ([`MacKernel::ProductTable`]
-    /// when the accumulator window is an `i128`).
-    product: Option<&'static ProductLut>,
+    operands: Option<Source<EmacLut, F::Computed>>,
+    /// Aligned operands, when every operand of the format fits the
+    /// aligned word and the register is an `i128`
+    /// ([`MacKernel::Aligned`]).
+    aligned: Option<Source<AlignedLut, F::Computed>>,
     count: u64,
     poisoned: bool,
     /// Gathered weight-operand scratch for the fused tile, retained
@@ -123,6 +168,9 @@ pub struct TableEmac<F: Family> {
     /// not allocate per weight row. Never semantic: cleared and refilled
     /// on each gather-tile call.
     gather: Vec<EmacEntry>,
+    /// Decoded activation tile and weight row of the aligned band,
+    /// retained likewise.
+    tile: AlignedTile,
 }
 
 impl<F: Family> TableEmac<F> {
@@ -152,17 +200,17 @@ impl<F: Family> TableEmac<F> {
         let family = F::new(fmt, true);
         let tables = F::tables(fmt);
         let operands = match &tables.operands {
-            Some(t) => Some(Operands::Table(t)),
-            None => family.computed().map(Operands::Computed),
+            Some(t) => Some(Source::Table(t)),
+            None => family.computed().map(Source::Computed),
         };
-        let acc = Accum::new(F::accumulator_width_for(fmt, capacity.max(1)));
-        Ok(Self::build(
-            family,
-            capacity,
-            operands,
-            tables.products.as_ref(),
-            acc,
-        ))
+        let width = F::accumulator_width_for(fmt, capacity.max(1));
+        let aligned = match &tables.aligned {
+            _ if width > SMALL_ACC_MAX_BITS || !F::operands_align(fmt) => None,
+            Some(t) => Some(Source::Table(t)),
+            None => family.computed().map(Source::Computed),
+        };
+        let acc = Accum::new(width);
+        Ok(Self::build(family, capacity, width, operands, aligned, acc))
     }
 
     /// Creates a unit on the pre-LUT reference datapath: bit-field decode
@@ -176,39 +224,43 @@ impl<F: Family> TableEmac<F> {
     /// [`TableEmac::new`].
     pub fn new_reference(fmt: F::Format, capacity: u64) -> Self {
         F::check_format(fmt).unwrap_or_else(|e| panic!("{e}"));
-        let acc = Accum::new_wide(F::accumulator_width_for(fmt, capacity.max(1)));
-        Self::build(F::new(fmt, false), capacity, None, None, acc)
+        let width = F::accumulator_width_for(fmt, capacity.max(1));
+        let acc = Accum::new_wide(width);
+        Self::build(F::new(fmt, false), capacity, width, None, None, acc)
     }
 
     fn build(
         family: F,
         capacity: u64,
-        operands: Option<Operands<F::Computed>>,
-        product: Option<&'static ProductLut>,
+        width: u32,
+        operands: Option<Source<EmacLut, F::Computed>>,
+        aligned: Option<Source<AlignedLut, F::Computed>>,
         acc: Accum,
     ) -> Self {
         TableEmac {
             family,
             capacity: capacity.max(1),
+            width,
             acc,
             operands,
-            product,
+            aligned,
             count: 0,
             poisoned: false,
             gather: Vec::new(),
+            tile: AlignedTile::default(),
         }
     }
 
     /// Caps the slice-level kernel this unit may select — a bench/test
-    /// knob for comparing kernels on one format. [`MacKernel::ProductTable`]
+    /// knob for comparing kernels on one format. [`MacKernel::Aligned`]
     /// (the default cap) changes nothing; [`MacKernel::BatchedFused`] drops
-    /// the finished-product table; [`MacKernel::Scalar`] additionally drops
+    /// the aligned operands; [`MacKernel::Scalar`] additionally drops
     /// the fused operands, so [`Emac::dot_slice`] loops the scalar
     /// datapath. The decode tables and the accumulator window are
     /// untouched, so results stay bit-identical under any cap.
     pub fn with_kernel_cap(mut self, cap: MacKernel) -> Self {
-        if cap < MacKernel::ProductTable {
-            self.product = None;
+        if cap < MacKernel::Aligned {
+            self.aligned = None;
         }
         if cap < MacKernel::BatchedFused {
             self.operands = None;
@@ -239,8 +291,8 @@ impl<F: Family> TableEmac<F> {
     #[inline]
     fn entry(&self, bits: u32) -> EmacEntry {
         match self.operands {
-            Some(Operands::Table(t)) => t.entry(bits),
-            Some(Operands::Computed(c)) => F::computed_entry(c, bits),
+            Some(Source::Table(t)) => t.entry(bits),
+            Some(Source::Computed(c)) => F::computed_entry(c, bits),
             None => self.family.decode(bits),
         }
     }
@@ -293,6 +345,42 @@ impl<F: Family> TableEmac<F> {
         });
         self.gather = wents;
     }
+
+    /// The aligned band's sweep of `biases.len()` weight rows over one
+    /// activation tile, decoded once: `out[j · rows + r]` receives row
+    /// `r` against column `j`, and the unit is left in the last row's
+    /// last column's state.
+    #[inline(always)]
+    fn aligned_sweep<'a>(
+        &mut self,
+        word: impl Fn(u32) -> i64 + Copy,
+        biases: &[u32],
+        weights: &[u32],
+        fan_in: usize,
+        cols: impl Iterator<Item = &'a [u32]>,
+        out: &mut [u32],
+    ) {
+        let rows = biases.len();
+        debug_assert!(
+            fan_in as u64 <= self.capacity,
+            "{} EMAC over capacity",
+            F::NAME
+        );
+        let width = self.width;
+        let mut tile = std::mem::take(&mut self.tile);
+        tile.load(cols, word);
+        for (r, &bias) in biases.iter().enumerate() {
+            self.set_bias(bias);
+            let (&Accum::Small(seed), seed_poisoned) = (&self.acc, self.poisoned) else {
+                unreachable!("the aligned band requires the i128 window")
+            };
+            let wrow = &weights[r * fan_in..(r + 1) * fan_in];
+            tile.row(seed, width, wrow, word, |j, sum, poison| {
+                out[j * rows + r] = self.finish_column(Accum::Small(sum), seed_poisoned || poison);
+            });
+        }
+        self.tile = tile;
+    }
 }
 
 impl<F: Family> Emac for TableEmac<F> {
@@ -337,17 +425,26 @@ impl<F: Family> Emac for TableEmac<F> {
             "{} EMAC over capacity",
             F::NAME
         );
-        let special = match (self.product, self.operands, &mut self.acc) {
-            (Some(table), _, Accum::Small(acc)) => {
-                kernel::product_row(table, acc, weights, activations)
-            }
+        let special = match (self.aligned, self.operands, &mut self.acc) {
+            // One column of the aligned tile, seeded with the running
+            // register.
+            (Some(source), _, Accum::Small(acc)) => with_aligned_word!(source, word => {
+                let mut special = false;
+                self.tile.load(std::iter::once(activations), word);
+                self.tile
+                    .row(*acc, self.width, weights, word, |_, sum, poison| {
+                        *acc = sum;
+                        special = poison;
+                    });
+                special
+            }),
             // Gated on a native window exactly like `kernel()`, so a
             // fast-table unit whose register spilled to WideInt runs (and
             // reports) Scalar.
-            (_, Some(Operands::Table(t)), acc) if acc.is_native() => {
+            (_, Some(Source::Table(t)), acc) if acc.is_native() => {
                 kernel::fused_row(move |b| t.entry(b), acc, weights, activations)
             }
-            (_, Some(Operands::Computed(c)), acc) if acc.is_native() => {
+            (_, Some(Source::Computed(c)), acc) if acc.is_native() => {
                 kernel::fused_row(move |b| F::computed_entry(c, b), acc, weights, activations)
             }
             // Scalar kernel: the reference band loops the per-MAC datapath.
@@ -367,23 +464,20 @@ impl<F: Family> Emac for TableEmac<F> {
             "{} EMAC over capacity",
             F::NAME
         );
-        // Same gates as `kernel()`: the product band cache-blocks its
-        // table, the fused band gathers the weight operands once.
-        match (self.product, self.operands) {
-            (Some(table), _) if self.acc.is_small() => {
-                self.set_bias(bias);
-                let (&Accum::Small(seed), seed_poisoned) = (&self.acc, self.poisoned) else {
-                    unreachable!("product tile requires the i128 window")
-                };
-                kernel::product_tile(table, seed, weights, cols, |j, acc, special| {
-                    out[j] = self.finish_column(acc, seed_poisoned || special);
+        // Same gates as `kernel()`: the aligned band decodes row and tile
+        // once each, the fused band gathers the weight operands once.
+        match (self.aligned, self.operands) {
+            (Some(source), _) => {
+                let cols = cols.iter().copied();
+                with_aligned_word!(source, word => {
+                    self.aligned_sweep(word, &[bias], weights, weights.len(), cols, out)
                 });
             }
             (_, Some(ops)) if self.acc.is_native() => {
                 self.set_bias(bias);
                 match ops {
-                    Operands::Table(t) => self.gather_tile(move |b| t.entry(b), weights, cols, out),
-                    Operands::Computed(c) => {
+                    Source::Table(t) => self.gather_tile(move |b| t.entry(b), weights, cols, out),
+                    Source::Computed(c) => {
                         self.gather_tile(move |b| F::computed_entry(c, b), weights, cols, out)
                     }
                 }
@@ -393,13 +487,31 @@ impl<F: Family> Emac for TableEmac<F> {
         true
     }
 
+    fn layer_body(
+        &mut self,
+        biases: &[u32],
+        weights: &[u32],
+        activations: &[u32],
+        out: &mut [u32],
+        (fan_in, batch): (usize, usize),
+    ) -> bool {
+        let Some(source) = self.aligned else {
+            return false;
+        };
+        let cols = columns(activations, fan_in, batch);
+        with_aligned_word!(source, word => {
+            self.aligned_sweep(word, biases, weights, fan_in, cols, out)
+        });
+        true
+    }
+
     fn set_macs_done(&mut self, macs: u64) {
         self.count = macs;
     }
 
     fn kernel(&self) -> MacKernel {
-        if self.product.is_some() && self.acc.is_small() {
-            MacKernel::ProductTable
+        if self.aligned.is_some() {
+            MacKernel::Aligned
         } else if self.operands.is_some() && self.acc.is_native() {
             MacKernel::BatchedFused
         } else {
@@ -423,6 +535,6 @@ impl<F: Family> Emac for TableEmac<F> {
     }
 
     fn accumulator_width(&self) -> u32 {
-        F::accumulator_width_for(self.family.format(), self.capacity)
+        self.width
     }
 }

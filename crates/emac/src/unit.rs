@@ -50,10 +50,8 @@ pub trait Emac {
     /// `cols[j]`, `out[j]` receives exactly what
     /// `set_bias(bias); dot_slice(weights, cols[j]); result()` would
     /// produce — bit-identical per column, dispatched once so the unit can
-    /// run its tile-level [`TileKernel`] (gather the weight row's fused
-    /// operands once for every column, or cache-block the finished-product
-    /// table across the batch). The batch engine's and the serving chunk
-    /// path's inner loop.
+    /// run its tile-level [`TileKernel`] (decode or gather the weight row's
+    /// operands once for every column). One row of [`Emac::dot_layer`].
     ///
     /// Bookkeeping contract: a non-empty tile leaves [`Emac::macs_done`]
     /// at exactly `weights.len() × cols.len()` (the per-column `set_bias`
@@ -114,14 +112,91 @@ pub trait Emac {
         false
     }
 
-    /// Overwrites the [`Emac::macs_done`] counter — [`Emac::dot_tile`]'s
-    /// `K × B` accounting hook.
+    /// Whole-layer evaluation, the batch engine's and the serving chunk
+    /// path's inner loop: `biases.len()` weight rows (`weights`,
+    /// row-major) against a batch of activation columns (`activations`,
+    /// flat, one sample after another). `out` is flat and sample-major
+    /// too: `out[j · rows + r]` receives exactly what
+    /// `set_bias(biases[r]); dot_slice(row r, column j); result()` would
+    /// produce. The shapes follow from the slice lengths: `rows =
+    /// biases.len()`, `K = weights.len() / rows`, `B = out.len() / rows`.
+    ///
+    /// Equivalent to one [`Emac::dot_tile`] per weight row, in row order —
+    /// same outputs, same final state (the last row's last column) and
+    /// [`Emac::macs_done`] left at `K × B` — which is the provided body;
+    /// a unit whose band can decode the activation tile once for every
+    /// row supplies [`Emac::layer_body`]. An empty batch (or a layer
+    /// without rows) is a no-op.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `weights` or `out` is not a whole number of rows, or
+    /// `activations` is not `K × B` long.
+    fn dot_layer(&mut self, biases: &[u32], weights: &[u32], activations: &[u32], out: &mut [u32]) {
+        let rows = biases.len();
+        if rows == 0 {
+            assert!(
+                weights.is_empty() && out.is_empty(),
+                "dot_layer: weights or outputs without rows"
+            );
+            return;
+        }
+        let (fan_in, batch) = (weights.len() / rows, out.len() / rows);
+        assert_eq!(
+            weights.len(),
+            fan_in * rows,
+            "dot_layer: ragged weight rows"
+        );
+        assert_eq!(out.len(), batch * rows, "dot_layer: ragged output rows");
+        assert_eq!(
+            activations.len(),
+            fan_in * batch,
+            "dot_layer: activation/weight length mismatch"
+        );
+        if batch == 0 {
+            return;
+        }
+        if self.layer_body(biases, weights, activations, out, (fan_in, batch)) {
+            self.set_macs_done((fan_in * batch) as u64);
+            return;
+        }
+        let cols: Vec<&[u32]> = columns(activations, fan_in, batch).collect();
+        let mut row_out = vec![0u32; batch];
+        for (r, &bias) in biases.iter().enumerate() {
+            let wrow = &weights[r * fan_in..(r + 1) * fan_in];
+            self.dot_tile(bias, wrow, &cols, &mut row_out);
+            for (j, &bits) in row_out.iter().enumerate() {
+                out[j * rows + r] = bits;
+            }
+        }
+    }
+
+    /// The unit's layer fast path for an already validated, non-empty
+    /// layer of shape `(K, B)`: evaluates every row against every column
+    /// (leaving the unit in the last row's last column's state) and
+    /// returns `true`, or
+    /// returns `false` untouched when the unit's band has none, in which
+    /// case [`Emac::dot_layer`] sweeps [`Emac::dot_tile`] row by row.
+    /// Call [`Emac::dot_layer`], not this.
+    fn layer_body(
+        &mut self,
+        _biases: &[u32],
+        _weights: &[u32],
+        _activations: &[u32],
+        _out: &mut [u32],
+        _shape: (usize, usize),
+    ) -> bool {
+        false
+    }
+
+    /// Overwrites the [`Emac::macs_done`] counter — the `K × B`
+    /// accounting hook of [`Emac::dot_tile`] and [`Emac::dot_layer`].
     fn set_macs_done(&mut self, macs: u64);
 
     /// The tile-level kernel [`Emac::dot_tile`] runs for a tile of
     /// `batch` activation columns: `B ≤ 1` wraps the row kernel, the
-    /// product band cache-blocks its table, the fused band gathers weight
-    /// operands once, and the scalar band stays per-column (see
+    /// aligned band decodes row and tile once each, the fused band gathers
+    /// weight operands once, and the scalar band stays per-column (see
     /// [`TileKernel`]). Kernel caps step this down exactly as they step
     /// [`Emac::kernel`] down.
     fn tile_kernel(&self, batch: usize) -> TileKernel {
@@ -129,7 +204,7 @@ pub trait Emac {
             return TileKernel::PerColumn(self.kernel());
         }
         match self.kernel() {
-            MacKernel::ProductTable => TileKernel::BlockedProduct,
+            MacKernel::Aligned => TileKernel::AlignedTile,
             MacKernel::BatchedFused => TileKernel::GatherFused,
             MacKernel::Scalar => TileKernel::PerColumn(MacKernel::Scalar),
         }
@@ -148,6 +223,16 @@ pub trait Emac {
     /// Accumulator register width in bits (paper eqs. 3–4 plus the
     /// fraction tail; see each unit's documentation).
     fn accumulator_width(&self) -> u32;
+}
+
+/// The `batch` columns of `fan_in` activations each in a flat sample-major
+/// buffer (`chunks_exact` would reject `fan_in = 0`).
+pub(crate) fn columns(
+    activations: &[u32],
+    fan_in: usize,
+    batch: usize,
+) -> impl Iterator<Item = &[u32]> {
+    (0..batch).map(move |j| &activations[j * fan_in..(j + 1) * fan_in])
 }
 
 /// A format-erased EMAC, letting the DNN engine hold heterogeneous layers.
@@ -192,6 +277,19 @@ impl Emac for EmacUnit {
     }
     fn tile_body(&mut self, bias: u32, weights: &[u32], cols: &[&[u32]], out: &mut [u32]) -> bool {
         dispatch!(self, u => u.tile_body(bias, weights, cols, out))
+    }
+    fn dot_layer(&mut self, biases: &[u32], weights: &[u32], activations: &[u32], out: &mut [u32]) {
+        dispatch!(self, u => u.dot_layer(biases, weights, activations, out))
+    }
+    fn layer_body(
+        &mut self,
+        biases: &[u32],
+        weights: &[u32],
+        activations: &[u32],
+        out: &mut [u32],
+        shape: (usize, usize),
+    ) -> bool {
+        dispatch!(self, u => u.layer_body(biases, weights, activations, out, shape))
     }
     fn set_macs_done(&mut self, macs: u64) {
         dispatch!(self, u => u.set_macs_done(macs))

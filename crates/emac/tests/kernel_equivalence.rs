@@ -3,11 +3,15 @@
 //! input, or a kernel is a silent numerics change.
 //!
 //! Coverage, per the kernel bands:
-//! * **Product table (n ≤ 8)** — exhaustive over all `2^(2n)` operand
+//! * **Aligned integers, n = 8** — exhaustive over all `2^(2n)` operand
 //!   pairs for posit⟨8, es ∈ {0,1,2}⟩, an 8-bit minifloat and an 8-bit
 //!   fixed format, against the reference datapath.
-//! * **Batched fused (9–16 bits)** and **scalar (> 16 bits)** — randomized
-//!   slice-vs-scalar bit-identity, including empty and length-1 slices.
+//! * **Aligned / batched fused (9–16 bits)** and **scalar (> 16 bits)** —
+//!   randomized slice-vs-scalar bit-identity, including empty and
+//!   length-1 slices.
+//! * **Sum-width boundaries** — units built at the capacities where the
+//!   aligned running sum flips `i64` ↔ `i128` (and where the band ends),
+//!   fed their formats' extreme operands.
 //! * **Band pinning** — the kernel each constructor selects at the
 //!   boundaries n = 8/9 and 16/17, and `macs_done` equality between the
 //!   slice, scalar-fast and reference paths after identical workloads.
@@ -41,7 +45,7 @@ fn slice_vs_scalar<E: Emac>(fast: &mut E, scalar: &mut E, ws: &[u32], xs: &[u32]
 }
 
 #[test]
-fn posit8_product_kernel_matches_reference_exhaustively() {
+fn posit8_aligned_kernel_matches_reference_exhaustively() {
     // All 65 536 (w, a) pairs per es: once as length-1 slices (per-pair
     // rounding) and once as whole 256-long rows (accumulation order and
     // NaR poisoning), both against the WideInt reference datapath.
@@ -49,7 +53,7 @@ fn posit8_product_kernel_matches_reference_exhaustively() {
         let fmt = PositFormat::new(8, es).unwrap();
         let all: Vec<u32> = fmt.patterns().collect();
         let mut fast = PositEmac::new(fmt, 256);
-        assert_eq!(fast.kernel(), MacKernel::ProductTable, "{fmt}");
+        assert_eq!(fast.kernel(), MacKernel::Aligned, "{fmt}");
         let mut reference = PositEmac::new_reference(fmt, 256);
         for &w in &all {
             let row = vec![w; all.len()];
@@ -72,11 +76,11 @@ fn posit8_product_kernel_matches_reference_exhaustively() {
 }
 
 #[test]
-fn minifloat8_product_kernel_matches_reference_exhaustively() {
+fn minifloat8_aligned_kernel_matches_reference_exhaustively() {
     let fmt = FloatFormat::new(4, 3).unwrap();
     let all: Vec<u32> = fmt.patterns().collect();
     let mut fast = FloatEmac::new(fmt, 256);
-    assert_eq!(fast.kernel(), MacKernel::ProductTable);
+    assert_eq!(fast.kernel(), MacKernel::Aligned);
     let mut reference = FloatEmac::new_reference(fmt, 256);
     for &w in &all {
         let row = vec![w; all.len()];
@@ -98,13 +102,13 @@ fn minifloat8_product_kernel_matches_reference_exhaustively() {
 }
 
 #[test]
-fn fixed8_product_kernel_matches_scalar_exhaustively() {
+fn fixed8_aligned_kernel_matches_scalar_exhaustively() {
     // The fixed unit has no WideInt variant (its register is always an
     // i128); the scalar mac() loop is its reference datapath.
     let fmt = FixedFormat::new(8, 6).unwrap();
     let all: Vec<u32> = (0..256u32).collect();
     let mut fast = FixedEmac::new(fmt, 256);
-    assert_eq!(fast.kernel(), MacKernel::ProductTable);
+    assert_eq!(fast.kernel(), MacKernel::Aligned);
     let mut scalar = FixedEmac::new(fmt, 256).with_kernel_cap(MacKernel::Scalar);
     assert_eq!(scalar.kernel(), MacKernel::Scalar);
     for &w in &all {
@@ -120,15 +124,16 @@ fn fixed8_product_kernel_matches_scalar_exhaustively() {
 
 #[test]
 fn posit_batched_and_scalar_bands_match_randomized() {
-    // 13–16-bit formats (batched fused kernel over split-table operands,
-    // i128 or 256-bit window) and > 16-bit formats (scalar kernel) —
+    // 13–16-bit formats (aligned integers where the split-table operands
+    // fit the aligned word, else the batched fused kernel on an i128 or
+    // 256-bit window) and > 16-bit formats (scalar kernel) —
     // random slices, always including the empty and length-1 edge cases,
     // checked against the per-MAC loop on the same unit kind AND the
     // reference datapath.
     let mut next = xorshift(0x51ce_ba7c_4ed0_7e57);
     for (n, es, want) in [
-        (13u32, 0u32, MacKernel::BatchedFused),
-        (14, 1, MacKernel::BatchedFused),
+        (13u32, 0u32, MacKernel::Aligned),
+        (14, 1, MacKernel::Aligned),
         (16, 1, MacKernel::BatchedFused),
         (16, 2, MacKernel::BatchedFused),
         (17, 1, MacKernel::Scalar),
@@ -162,10 +167,13 @@ fn posit_batched_and_scalar_bands_match_randomized() {
 fn minifloat_batched_and_scalar_bands_match_randomized() {
     let mut next = xorshift(0xf10a_7b47_c4ed_0001);
     for (we, wf, want) in [
-        (4u32, 8u32, MacKernel::BatchedFused), // n = 13
-        (5, 10, MacKernel::BatchedFused),      // n = 16
-        (5, 11, MacKernel::Scalar),            // n = 17
-        (8, 14, MacKernel::Scalar),            // n = 23
+        (4u32, 8u32, MacKernel::Aligned), // n = 13
+        (5, 10, MacKernel::Aligned),      // n = 16
+        // Six exponent bits: operands past the aligned word.
+        (6, 5, MacKernel::BatchedFused), // n = 12, table operands
+        (6, 9, MacKernel::BatchedFused), // n = 16, computed operands
+        (5, 11, MacKernel::Scalar),      // n = 17
+        (8, 14, MacKernel::Scalar),      // n = 23
     ] {
         let fmt = FloatFormat::new(we, wf).unwrap();
         for trial in 0..100 {
@@ -192,14 +200,11 @@ fn minifloat_batched_and_scalar_bands_match_randomized() {
 }
 
 #[test]
-fn fixed_batched_and_scalar_bands_match_randomized() {
+fn fixed_aligned_matches_scalar_randomized_at_every_width() {
+    // Fixed point is aligned at every width; n = 32 sums in an i128.
     let mut next = xorshift(0xf1ed_ba7c_4ed0_5eed);
-    for (n, q, want) in [
-        (13u32, 6u32, MacKernel::BatchedFused),
-        (16, 8, MacKernel::BatchedFused),
-        (17, 8, MacKernel::Scalar),
-        (24, 12, MacKernel::Scalar),
-    ] {
+    for (n, q) in [(13u32, 6u32), (16, 8), (17, 8), (24, 12), (32, 16)] {
+        let want = MacKernel::Aligned;
         let fmt = FixedFormat::new(n, q).unwrap();
         let mask = if n == 32 { u32::MAX } else { (1u32 << n) - 1 };
         for trial in 0..100 {
@@ -252,40 +257,50 @@ fn macs_done_advances_by_slice_length() {
 
 #[test]
 fn kernel_bands_pin_at_8_9_and_16_17() {
-    // Posit: product table through 8 bits, batched fused through 16,
+    // Posit: aligned integers while every operand fits the aligned word
+    // and the register fits an i128 — all of n = 8, and past it as far as
+    // the dynamic range allows — batched fused otherwise through 16 bits,
     // scalar past that; the reference constructor is always scalar.
     let pk = |n: u32, es: u32| PositEmac::new(PositFormat::new(n, es).unwrap(), 128).kernel();
     for es in [0u32, 1, 2] {
-        assert_eq!(pk(8, es), MacKernel::ProductTable, "posit<8,{es}>");
-        assert_eq!(pk(9, es), MacKernel::BatchedFused, "posit<9,{es}>");
-        assert_eq!(pk(16, es), MacKernel::BatchedFused, "posit<16,{es}>");
+        assert_eq!(pk(8, es), MacKernel::Aligned, "posit<8,{es}>");
         assert_eq!(pk(17, es), MacKernel::Scalar, "posit<17,{es}>");
     }
+    assert_eq!(pk(9, 0), MacKernel::Aligned);
+    assert_eq!(pk(9, 1), MacKernel::Aligned);
+    // 61-bit operands align, but 128 products need a 129-bit register.
+    assert_eq!(pk(9, 2), MacKernel::BatchedFused);
+    assert_eq!(pk(16, 0), MacKernel::Aligned); // 42-bit operands
+    assert_eq!(pk(16, 1), MacKernel::BatchedFused); // 69-bit operands
+    assert_eq!(pk(16, 2), MacKernel::BatchedFused);
     assert_eq!(
         PositEmac::new_reference(PositFormat::new(8, 0).unwrap(), 128).kernel(),
         MacKernel::Scalar
     );
 
-    // Minifloat: same bands by total width n = 1 + we + wf.
+    // Minifloat: five exponent bits or fewer align through binary16; the
+    // fused band holds the wide-exponent shapes; scalar past 16 bits.
     let fk = |we: u32, wf: u32| FloatEmac::new(FloatFormat::new(we, wf).unwrap(), 128).kernel();
-    assert_eq!(fk(4, 3), MacKernel::ProductTable); // n = 8
-    assert_eq!(fk(4, 4), MacKernel::BatchedFused); // n = 9
-    assert_eq!(fk(5, 10), MacKernel::BatchedFused); // n = 16
+    assert_eq!(fk(4, 3), MacKernel::Aligned); // n = 8
+    assert_eq!(fk(4, 4), MacKernel::Aligned); // n = 9
+    assert_eq!(fk(5, 10), MacKernel::Aligned); // n = 16
+    assert_eq!(fk(6, 2), MacKernel::BatchedFused); // n = 9
+    assert_eq!(fk(6, 9), MacKernel::BatchedFused); // n = 16
     assert_eq!(fk(5, 11), MacKernel::Scalar); // n = 17
     assert_eq!(
         FloatEmac::new_reference(FloatFormat::new(4, 3).unwrap(), 128).kernel(),
         MacKernel::Scalar
     );
 
-    // Fixed point: same bands (the register is native at every width, so
-    // the bands switch loop shape only).
+    // Fixed point: a sign-extended word always fits the aligned word and
+    // the register is an i128 at every width.
     let xk = |n: u32| FixedEmac::new(FixedFormat::new(n, 4).unwrap(), 128).kernel();
-    assert_eq!(xk(8), MacKernel::ProductTable);
-    assert_eq!(xk(9), MacKernel::BatchedFused);
-    assert_eq!(xk(16), MacKernel::BatchedFused);
-    assert_eq!(xk(17), MacKernel::Scalar);
+    for n in [8u32, 9, 16, 17, 32] {
+        assert_eq!(xk(n), MacKernel::Aligned, "fixed n = {n}");
+    }
 
-    // Kernel caps step the selection down without changing results.
+    // Kernel caps step the selection down without changing results; fixed
+    // point has no fused band to step down to.
     let fmt = PositFormat::new(8, 0).unwrap();
     assert_eq!(
         PositEmac::new(fmt, 128)
@@ -299,17 +314,114 @@ fn kernel_bands_pin_at_8_9_and_16_17() {
             .kernel(),
         MacKernel::Scalar
     );
+    assert_eq!(
+        FixedEmac::new(FixedFormat::new(8, 4).unwrap(), 128)
+            .with_kernel_cap(MacKernel::BatchedFused)
+            .kernel(),
+        MacKernel::Scalar
+    );
 }
 
 #[test]
-fn product_kernel_requires_the_i128_window() {
+fn aligned_kernel_requires_the_i128_window() {
     // A capacity so large the eq.-(4) register spills past 127 bits: the
-    // unit must step down from the product table, and stay bit-identical.
+    // unit must step down from the aligned band, and stay bit-identical.
     let fmt = PositFormat::new(8, 2).unwrap();
     let small = PositEmac::new(fmt, 128);
-    assert_eq!(small.kernel(), MacKernel::ProductTable);
+    assert_eq!(small.kernel(), MacKernel::Aligned);
     let huge = PositEmac::new(fmt, 1 << 40);
     assert_eq!(huge.kernel(), MacKernel::BatchedFused);
+}
+
+/// Feeds `unit` rows of `k` extreme products — all `+max·max`, all
+/// `−max·max`, and alternating — under a max-magnitude bias of either
+/// sign, through `dot_slice` and through a ragged `dot_tile`, against the
+/// per-MAC loop on `reference`.
+fn extremes_match_reference<E: Emac, R: Emac>(
+    unit: &mut E,
+    reference: &mut R,
+    k: usize,
+    (max, neg_max): (u32, u32),
+) {
+    let same = vec![max; k];
+    let flipped = vec![neg_max; k];
+    let alternating: Vec<u32> = (0..k).map(|i| [max, neg_max][i % 2]).collect();
+    let rows = [&same, &flipped, &alternating];
+    for bias in [max, neg_max] {
+        let mut expected = Vec::new();
+        for ws in rows {
+            reference.set_bias(bias);
+            for &w in ws {
+                reference.mac(w, max);
+            }
+            expected.push(reference.result());
+            unit.set_bias(bias);
+            unit.dot_slice(ws, &same);
+            assert_eq!(unit.result(), reference.result(), "dot_slice, K = {k}");
+        }
+        // Weight row of +max against columns of each sign pattern: the
+        // quad body plus a single-column tail.
+        let cols: Vec<&[u32]> = (0..5).map(|j| rows[j % 3].as_slice()).collect();
+        let mut out = vec![0u32; cols.len()];
+        unit.dot_tile(bias, &same, &cols, &mut out);
+        for (j, &got) in out.iter().enumerate() {
+            assert_eq!(got, expected[j % 3], "dot_tile column {j}, K = {k}");
+        }
+    }
+}
+
+#[test]
+fn aligned_sums_hold_at_the_i64_i128_boundaries() {
+    // posit<8,1>: 58-bit products, so the register is 63 bits (i64 sum)
+    // at k = 32 and 64 bits (i128 sum) at k = 33 — rows of K = capacity.
+    let fmt = PositFormat::new(8, 1).unwrap();
+    let extremes = (
+        fmt.maxpos_bits(),
+        dp_posit::ops::neg(fmt, fmt.maxpos_bits()),
+    );
+    for (k, width) in [(32usize, 63u32), (33, 64)] {
+        let mut unit = PositEmac::new(fmt, k as u64);
+        assert_eq!(
+            (unit.kernel(), unit.accumulator_width()),
+            (MacKernel::Aligned, width)
+        );
+        let mut reference = PositEmac::new_reference(fmt, k as u64);
+        extremes_match_reference(&mut unit, &mut reference, k, extremes);
+    }
+
+    // float<4,3>: the flip sits at k = 2^27; float<5,10> always sums in an
+    // i128 and leaves the band past k = 2^45. Built at those capacities,
+    // fed rows of their extreme operands.
+    for (we, wf, capacity, width, kernel) in [
+        (4u32, 3u32, 1u64 << 27, 63u32, MacKernel::Aligned),
+        (4, 3, (1 << 27) + 1, 64, MacKernel::Aligned),
+        (5, 10, 1 << 45, 127, MacKernel::Aligned),
+        (5, 10, (1 << 45) + 1, 128, MacKernel::BatchedFused),
+    ] {
+        let fmt = FloatFormat::new(we, wf).unwrap();
+        let mut unit = FloatEmac::new(fmt, capacity);
+        assert_eq!(
+            (unit.kernel(), unit.accumulator_width()),
+            (kernel, width),
+            "{fmt}"
+        );
+        let mut reference = FloatEmac::new_reference(fmt, capacity);
+        let extremes = (fmt.max_bits(false), fmt.max_bits(true));
+        extremes_match_reference(&mut unit, &mut reference, 300, extremes);
+    }
+
+    // fixed<16,8>: 32-bit products flip the sum at k = 2^31; the most
+    // negative word squares to the largest product.
+    let fmt = FixedFormat::new(16, 8).unwrap();
+    for (capacity, width) in [(1u64 << 31, 63u32), ((1 << 31) + 1, 64)] {
+        let mut unit = FixedEmac::new(fmt, capacity);
+        assert_eq!(
+            (unit.kernel(), unit.accumulator_width()),
+            (MacKernel::Aligned, width)
+        );
+        let mut reference = FixedEmac::new(fmt, capacity).with_kernel_cap(MacKernel::Scalar);
+        extremes_match_reference(&mut unit, &mut reference, 300, (0x8000, 0x7fff));
+    }
 }
 
 #[test]

@@ -3,14 +3,18 @@
 //! or a tile fast path is a silent numerics change.
 //!
 //! Coverage, per the tile bands:
-//! * **Blocked product (n ≤ 8)** — exhaustive over all `2^(2n)` operand
+//! * **Aligned tile, n = 8** — exhaustive over all `2^(2n)` operand
 //!   pairs at batch widths B ∈ {1, 8} for posit⟨8, es ∈ {0,1,2}⟩, the
 //!   8-bit minifloat and an 8-bit fixed format, against the reference
 //!   datapath (the slice row covers every weight pattern, each column
 //!   holds one constant activation pattern).
-//! * **Gathered fused (9–16 bits)** and **per-column scalar (> 16 bits)**
-//!   — randomized tile-vs-expansion bit-identity with random biases,
-//!   including K = 0, B ∈ {0, 1} and ragged (non-power-of-two) B.
+//! * **Aligned / gathered fused (9–16 bits)** and **per-column scalar
+//!   (> 16 bits)** — randomized tile-vs-expansion bit-identity with
+//!   random biases, including K = 0, B ∈ {0, 1} and ragged
+//!   (non-power-of-two) B.
+//! * **Layer level** — `dot_layer` against its per-row `dot_tile`
+//!   expansion (outputs, last-column state, `macs_done`), with poison
+//!   confined to its weight row / activation column.
 //! * **Accounting** — a non-empty tile leaves `macs_done` at exactly
 //!   K × B, agreeing with slice/scalar/reference paths fed the same
 //!   K × B workload; B = 0 is a state no-op.
@@ -65,14 +69,14 @@ fn tile_vs_expansion<E: Emac + Clone>(unit: &mut E, bias: u32, ws: &[u32], cols:
 fn posit8_tile_matches_reference_exhaustively() {
     // All 65 536 (w, a) pairs per es: the weight row is every bit pattern
     // once, each column holds one constant activation pattern, so 256
-    // columns sweep every pair. Run as 32 tiles of B = 8 (blocked-product
+    // columns sweep every pair. Run as 32 tiles of B = 8 (aligned-tile
     // fast path) and as 256 tiles of B = 1 (per-column wrap), both against
     // the WideInt reference datapath.
     for es in [0u32, 1, 2] {
         let fmt = PositFormat::new(8, es).unwrap();
         let all: Vec<u32> = fmt.patterns().collect();
         let mut unit = PositEmac::new(fmt, 256);
-        assert_eq!(unit.tile_kernel(8), TileKernel::BlockedProduct, "{fmt}");
+        assert_eq!(unit.tile_kernel(8), TileKernel::AlignedTile, "{fmt}");
         let mut reference = PositEmac::new_reference(fmt, 256);
         let bias = all[all.len() / 3];
         let mut expected = Vec::with_capacity(all.len());
@@ -104,7 +108,7 @@ fn minifloat8_tile_matches_reference_exhaustively() {
     let fmt = FloatFormat::new(4, 3).unwrap();
     let all: Vec<u32> = fmt.patterns().collect();
     let mut unit = FloatEmac::new(fmt, 256);
-    assert_eq!(unit.tile_kernel(8), TileKernel::BlockedProduct);
+    assert_eq!(unit.tile_kernel(8), TileKernel::AlignedTile);
     let mut reference = FloatEmac::new_reference(fmt, 256);
     let bias = all[all.len() / 3];
     let mut expected = Vec::with_capacity(all.len());
@@ -137,7 +141,7 @@ fn fixed8_tile_matches_scalar_exhaustively() {
     let fmt = FixedFormat::new(8, 6).unwrap();
     let all: Vec<u32> = (0..256u32).collect();
     let mut unit = FixedEmac::new(fmt, 256);
-    assert_eq!(unit.tile_kernel(8), TileKernel::BlockedProduct);
+    assert_eq!(unit.tile_kernel(8), TileKernel::AlignedTile);
     let mut scalar = FixedEmac::new(fmt, 256).with_kernel_cap(MacKernel::Scalar);
     let bias = 0x5au32;
     let mut expected = Vec::with_capacity(all.len());
@@ -165,14 +169,16 @@ fn fixed8_tile_matches_scalar_exhaustively() {
 
 #[test]
 fn posit_gathered_and_scalar_tiles_match_randomized() {
-    // 13–16-bit formats (gathered fused tile over split/monolithic
-    // operands) and > 16-bit formats (per-column scalar) — random tiles
+    // 13–16-bit formats (aligned tile where the operands fit the aligned
+    // word, else the gathered fused tile over split operands) and
+    // > 16-bit formats (per-column scalar) — random tiles
     // with random biases, always including K = 0, B ∈ {0, 1} and ragged
     // batch widths.
     let mut next = xorshift(0x711e_c0de ^ 0x51ce_ba7c_4ed0_7e57);
     for (n, es, want) in [
-        (13u32, 0u32, TileKernel::GatherFused),
-        (14, 1, TileKernel::GatherFused),
+        (13u32, 0u32, TileKernel::AlignedTile),
+        (14, 1, TileKernel::AlignedTile),
+        (16, 1, TileKernel::GatherFused),
         (16, 2, TileKernel::GatherFused),
         (17, 1, TileKernel::PerColumn(MacKernel::Scalar)),
         (20, 2, TileKernel::PerColumn(MacKernel::Scalar)),
@@ -204,8 +210,10 @@ fn posit_gathered_and_scalar_tiles_match_randomized() {
 fn minifloat_gathered_and_scalar_tiles_match_randomized() {
     let mut next = xorshift(0xf10a_7b47_0000_711e ^ 0xffff);
     for (we, wf, want) in [
-        (4u32, 8u32, TileKernel::GatherFused),             // n = 13
-        (5, 10, TileKernel::GatherFused),                  // n = 16
+        (4u32, 8u32, TileKernel::AlignedTile),             // n = 13
+        (5, 10, TileKernel::AlignedTile),                  // n = 16
+        (6, 5, TileKernel::GatherFused),                   // n = 12
+        (6, 9, TileKernel::GatherFused),                   // n = 16
         (5, 11, TileKernel::PerColumn(MacKernel::Scalar)), // n = 17
         (8, 14, TileKernel::PerColumn(MacKernel::Scalar)), // n = 23
     ] {
@@ -233,14 +241,10 @@ fn minifloat_gathered_and_scalar_tiles_match_randomized() {
 }
 
 #[test]
-fn fixed_gathered_and_scalar_tiles_match_randomized() {
+fn fixed_tiles_match_randomized_at_every_width() {
     let mut next = xorshift(0xf1ed_711e_4ed0_5eed ^ 0xaaaa);
-    for (n, q, want) in [
-        (13u32, 6u32, TileKernel::GatherFused),
-        (16, 8, TileKernel::GatherFused),
-        (17, 8, TileKernel::PerColumn(MacKernel::Scalar)),
-        (24, 12, TileKernel::PerColumn(MacKernel::Scalar)),
-    ] {
+    for (n, q) in [(13u32, 6u32), (16, 8), (17, 8), (24, 12), (32, 16)] {
+        let want = TileKernel::AlignedTile;
         let fmt = FixedFormat::new(n, q).unwrap();
         let mask = if n == 32 { u32::MAX } else { (1u32 << n) - 1 };
         for trial in 0..60 {
@@ -319,8 +323,8 @@ fn tile_macs_done_is_k_times_b_on_every_band() {
 
 #[test]
 fn tile_kernels_pin_per_band_and_batch_width() {
-    // B ≤ 1 always wraps the row kernel; B ≥ 2 promotes the product band
-    // to the blocked tile and the fused band to the gathered tile, while
+    // B ≤ 1 always wraps the row kernel; B ≥ 2 promotes the aligned band
+    // to the aligned tile and the fused band to the gathered tile, while
     // the scalar band stays per-column. Kernel caps and accumulator-window
     // spills step the tile down exactly as they step the row kernel down.
     let p8 = PositFormat::new(8, 1).unwrap();
@@ -329,7 +333,7 @@ fn tile_kernels_pin_per_band_and_batch_width() {
     for b in [0usize, 1] {
         assert_eq!(
             PositEmac::new(p8, 128).tile_kernel(b),
-            TileKernel::PerColumn(MacKernel::ProductTable)
+            TileKernel::PerColumn(MacKernel::Aligned)
         );
         assert_eq!(
             PositEmac::new(p16, 128).tile_kernel(b),
@@ -339,7 +343,7 @@ fn tile_kernels_pin_per_band_and_batch_width() {
     for b in [2usize, 8, 64] {
         assert_eq!(
             PositEmac::new(p8, 128).tile_kernel(b),
-            TileKernel::BlockedProduct
+            TileKernel::AlignedTile
         );
         assert_eq!(
             PositEmac::new(p16, 128).tile_kernel(b),
@@ -366,7 +370,7 @@ fn tile_kernels_pin_per_band_and_batch_width() {
     );
 
     // Accumulator-window spills demote tiles like they demote row kernels:
-    // posit<8,2> at k = 2^40 spills the i128 window (no product table);
+    // posit<8,2> at k = 2^40 spills the i128 window (no aligned band);
     // posit<16,2> at k = 256 spills Acc256 (no native window at all).
     let spill8 = PositEmac::new(PositFormat::new(8, 2).unwrap(), 1 << 40);
     assert_eq!(spill8.kernel(), MacKernel::BatchedFused);
@@ -380,10 +384,10 @@ fn tile_kernels_pin_per_band_and_batch_width() {
 
     // The erased unit dispatches tile selection like the concrete units.
     let erased = EmacUnit::Posit(PositEmac::new(p8, 128));
-    assert_eq!(erased.tile_kernel(8), TileKernel::BlockedProduct);
+    assert_eq!(erased.tile_kernel(8), TileKernel::AlignedTile);
     assert_eq!(
         erased.tile_kernel(1),
-        TileKernel::PerColumn(MacKernel::ProductTable)
+        TileKernel::PerColumn(MacKernel::Aligned)
     );
 }
 
@@ -417,15 +421,103 @@ fn spilled_window_tiles_stay_bit_identical() {
     assert_eq!(unit.macs_done(), 256 * 4);
 }
 
+/// Runs one layer through `unit.dot_layer` and checks it against its
+/// definition — one `dot_tile` per weight row on a clone of the same unit
+/// — for every output, the final (last row, last column) state and
+/// `macs_done`. Returns the sample-major outputs.
+fn layer_vs_rows<E: Emac + Clone>(
+    unit: &mut E,
+    biases: &[u32],
+    weights: &[u32],
+    acts: &[u32],
+    batch: usize,
+) -> Vec<u32> {
+    let rows = biases.len();
+    let fan_in = weights.len().checked_div(rows).unwrap_or(0);
+    let mut expansion = unit.clone();
+    let mut out = vec![0u32; rows * batch];
+    unit.dot_layer(biases, weights, acts, &mut out);
+    let cols: Vec<&[u32]> = (0..batch)
+        .map(|j| &acts[j * fan_in..(j + 1) * fan_in])
+        .collect();
+    let mut row_out = vec![0u32; batch];
+    for (r, &bias) in biases.iter().enumerate() {
+        let wrow = &weights[r * fan_in..(r + 1) * fan_in];
+        expansion.dot_tile(bias, wrow, &cols, &mut row_out);
+        for (j, &want) in row_out.iter().enumerate() {
+            assert_eq!(out[j * rows + r], want, "row {r} column {j}");
+        }
+    }
+    assert_eq!(unit.macs_done(), expansion.macs_done(), "layer macs_done");
+    assert_eq!(unit.result(), expansion.result(), "layer final state");
+    out
+}
+
+#[test]
+fn dot_layer_matches_per_row_tiles_on_every_band() {
+    // Aligned (i64 and i128 sums, table and computed operands), fused and
+    // scalar bands, all three families, random patterns (specials
+    // included): every batch width through the quad body and its tail,
+    // fan_in = 0, and the empty batch.
+    fn p(n: u32, es: u32, k: u64) -> EmacUnit {
+        EmacUnit::Posit(PositEmac::new(PositFormat::new(n, es).unwrap(), k))
+    }
+    fn f(we: u32, wf: u32, k: u64) -> EmacUnit {
+        EmacUnit::Float(FloatEmac::new(FloatFormat::new(we, wf).unwrap(), k))
+    }
+    fn x(n: u32, q: u32, k: u64) -> EmacUnit {
+        EmacUnit::Fixed(FixedEmac::new(FixedFormat::new(n, q).unwrap(), k))
+    }
+    type Make = fn(u64) -> EmacUnit;
+    let units: [(u32, Make); 11] = [
+        (8, |k| p(8, 0, k)),
+        (8, |k| p(8, 2, k)),
+        (16, |k| p(16, 0, k)),
+        (16, |k| p(16, 1, k)),
+        (17, |k| p(17, 1, k)),
+        (8, |k| f(4, 3, k)),
+        (16, |k| f(5, 10, k)),
+        (16, |k| f(6, 9, k)),
+        (8, |k| x(8, 6, k)),
+        (16, |k| x(16, 8, k)),
+        (32, |k| x(32, 16, k)),
+    ];
+    let mut next = xorshift(0x1a7e_4ed0_0d07_1a7e);
+    for (bits, make) in units {
+        let mask = u32::MAX >> (32 - bits);
+        for fan_in in [0usize, 5, 37] {
+            let mut unit = make(fan_in.max(1) as u64);
+            for (rows, batch) in [1usize, 3]
+                .into_iter()
+                .flat_map(|rows| [0usize, 1, 2, 3, 4, 5, 7, 64].map(|b| (rows, b)))
+            {
+                let mut pats =
+                    |len: usize| -> Vec<u32> { (0..len).map(|_| (next() as u32) & mask).collect() };
+                let (biases, weights) = (pats(rows), pats(rows * fan_in));
+                let acts = pats(batch * fan_in);
+                let before = unit.macs_done();
+                layer_vs_rows(&mut unit, &biases, &weights, &acts, batch);
+                let want = if batch == 0 {
+                    before
+                } else {
+                    (fan_in * batch) as u64
+                };
+                assert_eq!(unit.macs_done(), want, "K={fan_in} B={batch}");
+            }
+        }
+        // A layer without rows is a no-op too.
+        make(1).dot_layer(&[], &[], &[], &mut []);
+    }
+}
+
 /// Poison (NaR / Inf / NaN) must stay in the lane that met it: with finite
 /// weights and one poisoned activation in exactly one column, only that
 /// column reads out poisoned and every other column equals its per-column
 /// `set_bias → dot_slice → result`; a poisoned *bias* poisons every
 /// column. Sweeps B over the quad, pair and tail bodies of both tile
-/// kernels and every column position, with the poison in the first and
-/// in the last product-tile K-block of a one-block and a two-block row
-/// (a flag swapped once per block would cancel over two blocks).
-/// `pattern` yields finite patterns only.
+/// kernels and every column position, with the poison near the start and
+/// near the end of a short and a long row. `pattern` yields finite
+/// patterns only.
 fn poison_stays_in_its_lane<E: Emac + Clone>(
     unit: &mut E,
     poisons: &[u32],
@@ -480,23 +572,72 @@ fn poison_stays_in_its_lane<E: Emac + Clone>(
     }
 }
 
+/// The layer-level counterpart: a special in one weight row poisons
+/// exactly that row (every column of it), a special in one activation
+/// column exactly that column (every row of it), and everything else
+/// equals the clean layer.
+fn poison_stays_in_its_row_and_column<E: Emac + Clone>(
+    unit: &mut E,
+    poisons: &[u32],
+    poisoned_out: u32,
+    mut pattern: impl FnMut() -> u32,
+) {
+    let (rows, fan_in) = (3usize, 11usize);
+    for batch in [1usize, 4, 6] {
+        let mut pats = |len: usize| -> Vec<u32> { (0..len).map(|_| pattern()).collect() };
+        let (biases, weights, acts) = (pats(rows), pats(rows * fan_in), pats(batch * fan_in));
+        let clean = layer_vs_rows(unit, &biases, &weights, &acts, batch);
+        assert!(!clean.contains(&poisoned_out), "finite data never poisons");
+        for (pi, &poison) in poisons.iter().enumerate() {
+            for victim in 0..rows {
+                let mut weights = weights.clone();
+                weights[victim * fan_in + (victim + pi) % fan_in] = poison;
+                let out = layer_vs_rows(unit, &biases, &weights, &acts, batch);
+                for (i, (&got, &want)) in out.iter().zip(&clean).enumerate() {
+                    let want = if i % rows == victim {
+                        poisoned_out
+                    } else {
+                        want
+                    };
+                    assert_eq!(got, want, "B={batch} poisoned row {victim}, output {i}");
+                }
+            }
+            for victim in 0..batch {
+                let mut acts = acts.clone();
+                acts[victim * fan_in + (victim + pi) % fan_in] = poison;
+                let out = layer_vs_rows(unit, &biases, &weights, &acts, batch);
+                for (i, (&got, &want)) in out.iter().zip(&clean).enumerate() {
+                    let want = if i / rows == victim {
+                        poisoned_out
+                    } else {
+                        want
+                    };
+                    assert_eq!(got, want, "B={batch} poisoned column {victim}, output {i}");
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn poison_is_isolated_across_tile_lanes() {
     for (n, es) in [(8u32, 0u32), (16, 1)] {
         let fmt = PositFormat::new(n, es).unwrap();
         let nar = fmt.nar_bits();
         let mut next = xorshift(0x9015_0ed1_a4e5 + n as u64);
-        let finite = move || match (next() as u32) & fmt.mask() {
+        let mut finite = move || match (next() as u32) & fmt.mask() {
             p if p == nar => 0,
             p => p,
         };
-        poison_stays_in_its_lane(&mut PositEmac::new(fmt, 64), &[nar], nar, finite);
+        let mut unit = PositEmac::new(fmt, 64);
+        poison_stays_in_its_lane(&mut unit, &[nar], nar, &mut finite);
+        poison_stays_in_its_row_and_column(&mut unit, &[nar], nar, finite);
     }
     for (we, wf) in [(4u32, 3u32), (5, 10)] {
         let fmt = FloatFormat::new(we, wf).unwrap();
         let poisons = [fmt.inf_bits(false), fmt.inf_bits(true), fmt.nan_bits()];
         let mut next = xorshift(0x9015_0ed1_a4e5 + wf as u64);
-        let finite = move || {
+        let mut finite = move || {
             let p = (next() as u32) & fmt.mask();
             // Clear the exponent's top bit of Inf/NaN patterns: finite.
             if (p >> wf) & ((1 << we) - 1) == (1 << we) - 1 {
@@ -505,11 +646,8 @@ fn poison_is_isolated_across_tile_lanes() {
                 p
             }
         };
-        poison_stays_in_its_lane(
-            &mut FloatEmac::new(fmt, 64),
-            &poisons,
-            fmt.nan_bits(),
-            finite,
-        );
+        let mut unit = FloatEmac::new(fmt, 64);
+        poison_stays_in_its_lane(&mut unit, &poisons, fmt.nan_bits(), &mut finite);
+        poison_stays_in_its_row_and_column(&mut unit, &poisons, fmt.nan_bits(), finite);
     }
 }

@@ -1,10 +1,10 @@
 //! Table-driven fixed-point decode.
 //!
-//! Mirror of `dp_posit::lut` / `dp_minifloat::lut` for the fixed-point
-//! EMAC: decoding a Q(n−q).q word is just an `n`-bit sign extension, but
-//! keeping the same table-driven entry point lets format-generic engines
-//! treat the three families uniformly (and the table is exactly the
-//! weight-ROM a hardware EMAC would address). Entries hold the
+//! Mirror of `dp_posit::lut` for the fixed-point EMAC: decoding a Q(n−q).q
+//! word is just an `n`-bit sign extension, but keeping the same
+//! table-driven entry point lets format-generic engines treat the
+//! families uniformly (and the table is exactly the weight-ROM a hardware
+//! EMAC would address). Entries hold the
 //! sign-extended raw value [`FixedFormat::to_f64`] expects.
 //!
 //! Unlike the posit (split regime-prefix table, 13–16 bits) and minifloat
@@ -80,18 +80,12 @@ impl DecodeLut {
     }
 }
 
-/// Both tables of one format: the sign extensions and, for
-/// `n ≤` [`MAX_PRODUCT_WIDTH`], the finished products.
-struct Tables {
-    decode: DecodeLut,
-    products: Option<ProductLut>,
-}
-
-/// The process-wide tables for `fmt`, built on first use, or `None` for
-/// formats wider than [`MAX_LUT_WIDTH`]. Tables are leaked intentionally
-/// (small, finite format space) so hot loops can hold a `'static` borrow.
-fn tables(fmt: FixedFormat) -> Option<&'static Tables> {
-    static CACHE: OnceLock<Mutex<HashMap<(u32, u32), &'static Tables>>> = OnceLock::new();
+/// The process-wide decode table for `fmt`, built on first use, or `None`
+/// for formats wider than [`MAX_LUT_WIDTH`]. Tables are leaked
+/// intentionally (small, finite format space) so hot loops can hold a
+/// `'static` borrow.
+pub fn cached(fmt: FixedFormat) -> Option<&'static DecodeLut> {
+    static CACHE: OnceLock<Mutex<HashMap<(u32, u32), &'static DecodeLut>>> = OnceLock::new();
     if fmt.n() > MAX_LUT_WIDTH {
         return None;
     }
@@ -99,141 +93,15 @@ fn tables(fmt: FixedFormat) -> Option<&'static Tables> {
         .get_or_init(|| Mutex::new(HashMap::new()))
         .lock()
         .expect("fixed LUT cache poisoned");
-    Some(map.entry((fmt.n(), fmt.q())).or_insert_with(|| {
-        Box::leak(Box::new(Tables {
-            decode: DecodeLut::build(fmt).expect("width checked"),
-            products: ProductLut::build(fmt),
-        }))
-    }))
-}
-
-/// The process-wide decode table for `fmt`, or `None` for formats wider
-/// than [`MAX_LUT_WIDTH`].
-pub fn cached(fmt: FixedFormat) -> Option<&'static DecodeLut> {
-    tables(fmt).map(|t| &t.decode)
-}
-
-/// Widest format that gets a **finished-product table** ([`ProductLut`]):
-/// `2^(2n)` entries keep the 8-bit table at 256 KiB.
-pub const MAX_PRODUCT_WIDTH: u32 = 8;
-
-/// A finished-product table: the signed `2n`-bit product
-/// `sext(w) × sext(a)` for every operand pair — `2^(2n)` entries,
-/// ≤ 256 KiB at 8 bits. The n ≤ 8 fixed EMAC inner loop becomes one load
-/// and one add, with no sign extension and no multiply. (The raw products
-/// carry `2q` fraction bits, exactly like the Fig. 3 multiply stage — the
-/// table is independent of `q` but keyed per format for cache uniformity
-/// with the posit/minifloat tables.)
-#[derive(Debug, Clone)]
-pub struct ProductLut {
-    fmt: FixedFormat,
-    n: u32,
-    entries: Vec<i32>,
-}
-
-impl ProductLut {
-    /// Builds the table for `fmt`, or `None` when the format is wider than
-    /// [`MAX_PRODUCT_WIDTH`].
-    pub fn build(fmt: FixedFormat) -> Option<Self> {
-        if fmt.n() > MAX_PRODUCT_WIDTH {
-            return None;
-        }
-        let n = fmt.n();
-        let sext = |bits: u32| -> i64 {
-            let sh = 64 - n;
-            (((bits as u64) << sh) as i64) >> sh
-        };
-        let mut entries = Vec::with_capacity(1usize << (2 * n));
-        for w in 0..(1u32 << n) {
-            let sw = sext(w);
-            for a in 0..(1u32 << n) {
-                entries.push((sw * sext(a)) as i32);
-            }
-        }
-        Some(ProductLut { fmt, n, entries })
-    }
-
-    /// The format this table was built for.
-    pub fn format(&self) -> FixedFormat {
-        self.fmt
-    }
-
-    /// The signed raw product for the pair (low `n` bits of each operand).
-    #[inline]
-    pub fn entry(&self, weight: u32, activation: u32) -> i64 {
-        let mask = (1u32 << self.n) - 1;
-        self.entries[(((weight & mask) as usize) << self.n) | (activation & mask) as usize] as i64
-    }
-
-    /// The contiguous `2^n`-entry row for `weight`: element `a` of the
-    /// returned slice is `entry(weight, a)` (stored narrow as `i32`).
-    /// The tile kernels resolve a weight's row base once and index it
-    /// per column, hoisting the weight shift out of the column-wide
-    /// inner step — and because the row length is a power of two,
-    /// `row[(a & (len − 1)) as usize]` needs no bounds check.
-    #[inline]
-    pub fn row(&self, weight: u32) -> &[i32] {
-        let mask = (1u32 << self.n) - 1;
-        let base = ((weight & mask) as usize) << self.n;
-        &self.entries[base..base + (1usize << self.n)]
-    }
-
-    /// Number of table entries (`2^(2n)`).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Always false: every format has at least `2^4` pairs.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
-/// The process-wide finished-product table for `fmt` (leaked like
-/// [`cached`]'s tables), or `None` for formats wider than
-/// [`MAX_PRODUCT_WIDTH`].
-pub fn product_cached(fmt: FixedFormat) -> Option<&'static ProductLut> {
-    tables(fmt)?.products.as_ref()
+    Some(
+        map.entry((fmt.n(), fmt.q()))
+            .or_insert_with(|| Box::leak(Box::new(DecodeLut::build(fmt).expect("width checked")))),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn product_table_only_up_to_8_bits() {
-        assert!(ProductLut::build(FixedFormat::new(8, 4).unwrap()).is_some());
-        assert!(ProductLut::build(FixedFormat::new(9, 4).unwrap()).is_none());
-        assert!(product_cached(FixedFormat::new(9, 4).unwrap()).is_none());
-        let fmt = FixedFormat::new(8, 6).unwrap();
-        assert!(std::ptr::eq(
-            product_cached(fmt).unwrap(),
-            product_cached(fmt).unwrap()
-        ));
-    }
-
-    #[test]
-    fn product_entries_match_sign_extended_multiply_exhaustively() {
-        for (n, q) in [(4u32, 2u32), (6, 3), (8, 6)] {
-            let fmt = FixedFormat::new(n, q).unwrap();
-            let lut = ProductLut::build(fmt).unwrap();
-            assert_eq!(lut.len(), 1usize << (2 * n));
-            assert!(!lut.is_empty());
-            assert_eq!(lut.format(), fmt);
-            let sext = |bits: u32| -> i64 {
-                let sh = 64 - n;
-                (((bits as u64) << sh) as i64) >> sh
-            };
-            for w in 0..(1u32 << n) {
-                let row = lut.row(w);
-                assert_eq!(row.len(), 1usize << n);
-                for a in 0..(1u32 << n) {
-                    assert_eq!(lut.entry(w, a), sext(w) * sext(a), "{fmt} {w:#x}×{a:#x}");
-                    assert_eq!(row[a as usize] as i64, lut.entry(w, a), "{fmt} {w:#x} row");
-                }
-            }
-        }
-    }
 
     #[test]
     fn builds_only_up_to_max_width() {

@@ -30,7 +30,6 @@
 pub mod codec;
 pub mod convert;
 pub mod format;
-pub mod lut;
 pub mod ops;
 pub mod value;
 

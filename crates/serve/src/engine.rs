@@ -9,9 +9,9 @@
 //! the workers' LIFO slots (idle workers steal), and returns a completion
 //! handle immediately. Each chunk job builds the model's per-layer EMAC
 //! array once and sweeps its whole chunk through the weight-stationary
-//! tile kernels ([`QuantizedMlp::forward_batch_bits_with`]: one
-//! `dp_emac::Emac::dot_tile` call per neuron per layer, operand gather
-//! and product-table traffic amortized across the chunk's samples) — and
+//! layer kernels ([`QuantizedMlp::forward_batch_bits_with`]: one
+//! `dp_emac::Emac::dot_layer` call per layer, operand decode amortized
+//! across the chunk's samples) — and
 //! because the tile contract is per-column bit-identity, results are
 //! **bit-identical** to per-sample [`QuantizedMlp::forward_bits`].
 
@@ -576,10 +576,10 @@ impl ServeEngine {
 
 /// The canonical per-chunk forward evaluation: build the model's
 /// per-layer EMAC array once, then run the whole chunk as one
-/// weight-stationary tile sweep per layer
-/// ([`QuantizedMlp::forward_batch_bits_with`] — each neuron's weight row
-/// goes through `dp_emac::Emac::dot_tile` exactly once, with the chunk's
-/// samples as the tile's activation columns). This is the **single**
+/// weight-stationary sweep per layer
+/// ([`QuantizedMlp::forward_batch_bits_with`] — one
+/// `dp_emac::Emac::dot_layer` call per layer, with the chunk's samples as
+/// the activation columns). This is the **single**
 /// definition shared by [`ServeEngine::submit_forward`] and external front
 /// ends (`dp_gateway`), so every admission path runs the identical
 /// datapath and stays bit-identical to per-sample

@@ -396,8 +396,8 @@ fn empty_batch_completes_immediately() {
 
 #[test]
 fn chunked_tile_evaluation_is_bit_identical_to_per_sample() {
-    // forward_chunk/classify_chunk now run one weight-stationary tile
-    // sweep per layer over the whole chunk (dot_tile, B = chunk width);
+    // forward_chunk/classify_chunk run one weight-stationary sweep per
+    // layer over the whole chunk (dot_layer, B = chunk width);
     // per sample they must match forward_bits / infer exactly — at the
     // production chunk width of 64, at ragged widths, at B = 1, and for
     // the 16-bit formats whose gathered-fused tile rides the split-table

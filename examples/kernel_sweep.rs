@@ -1,8 +1,9 @@
 //! Which slice-level MAC kernel serves each registered model?
 //!
 //! Trains one float MLP on Iris, quantizes it across the three format
-//! families and all three kernel bands (n ≤ 8 product table, 9–16 batched
-//! fused, > 16 scalar), registers everything in one `dp_serve` engine,
+//! families and all three kernel bands (aligned integers wherever the
+//! format's operands fit the aligned word, batched fused otherwise up to
+//! 16 bits, scalar past that), registers everything in one `dp_serve` engine,
 //! prints the row kernel each model's layers selected plus the tile
 //! kernel the serving chunk width promotes it to, and verifies a served
 //! batch stays bit-identical to per-sample `forward_bits` on every model.
