@@ -16,6 +16,12 @@
 //!   against B = 8 and B = 64 activation columns (the batch the stack
 //!   serves), with `elems = K × B` so MACs/sec is directly comparable to
 //!   the row kernels,
+//! * `*_layer16x128x64_*` — one `dot_layer` of 16 weight rows against the
+//!   B = 64 tile, named after the row kernel it runs on: the entry point
+//!   the engines use, and the only one where the aligned band decodes
+//!   the activation tile once per layer instead of once per row (for
+//!   computed-operand formats such as posit⟨16,1⟩ that decode, not the
+//!   multiply, is what a `dot_tile` row spends its time on),
 //!
 //! plus the quire for posits. Every row asserts the unit really selected
 //! the kernel it claims to measure, so a silent fallback to a slower path
@@ -38,6 +44,10 @@ const K: usize = 128;
 /// target, and the chunk width the serving stack and the end-to-end
 /// benchmark run.
 const TILE_BS: [usize; 2] = [8, 64];
+
+/// Weight rows of the layer rows: enough of them that decoding the
+/// activation tile once per layer instead of once per row shows.
+const LAYER_ROWS: usize = 16;
 
 fn patterns(mask: u32, skip: u32) -> (Vec<u32>, Vec<u32>) {
     let mut s = 0xfeed_f00d_dead_beefu64;
@@ -134,6 +144,40 @@ fn tile_row<E: Emac>(
     ));
 }
 
+/// One `dot_layer` row: asserts the unit runs `kernel`, then measures
+/// [`LAYER_ROWS`] weight rows against all of `cols`
+/// (`LAYER_ROWS × K × B` MACs per iteration).
+fn layer_row<E: Emac>(
+    rows: &mut Vec<Measurement>,
+    label: &str,
+    mut unit: E,
+    kernel: MacKernel,
+    cols: &[Vec<u32>],
+) {
+    assert_eq!(
+        unit.kernel(),
+        kernel,
+        "{label}: unit did not select the {kernel} kernel"
+    );
+    let weights = cols[..LAYER_ROWS].concat();
+    let activations = cols.concat();
+    let biases = [0u32; LAYER_ROWS];
+    let mut out = vec![0u32; LAYER_ROWS * cols.len()];
+    rows.push(measure(
+        &format!("{label}_layer{LAYER_ROWS}x{K}x{}_{kernel}", cols.len()),
+        (LAYER_ROWS * K * cols.len()) as u64,
+        || {
+            unit.dot_layer(
+                black_box(&biases),
+                black_box(&weights),
+                black_box(&activations),
+                &mut out,
+            );
+            out[0]
+        },
+    ));
+}
+
 /// One scalar-loop row (`mac()` per element) on an already-built unit —
 /// the pre-slice PR 1 baseline for fast units, the pre-LUT reference for
 /// `new_reference()` units.
@@ -153,10 +197,11 @@ fn mac_loop_row<E: Emac>(
     }));
 }
 
-/// Every kernel row of one format: the tile rows at each batch width and
-/// the `dot_slice` row, for the unit's own band and — where `fused` can
-/// step an aligned unit down to the fused band — for that band too; then
-/// the `mac()` loop and, where one exists, the reference datapath.
+/// Every kernel row of one format: the tile rows at each batch width,
+/// the layer row and the `dot_slice` row, for the unit's own band and —
+/// where `fused` can step an aligned unit down to the fused band — for
+/// that band too; then the `mac()` loop and, where one exists, the
+/// reference datapath.
 fn bench_format<E: Emac>(
     rows: &mut Vec<Measurement>,
     label: &str,
@@ -181,8 +226,10 @@ fn bench_format<E: Emac>(
             );
         }
     }
+    layer_row(rows, label, unit(), unit().kernel(), &cols);
     slice_row(rows, label, unit(), unit().kernel(), &ws, &xs);
     if let Some(fused) = fused {
+        layer_row(rows, label, fused(), MacKernel::BatchedFused, &cols);
         slice_row(rows, label, fused(), MacKernel::BatchedFused, &ws, &xs);
     }
     let name = format!("{label}_dot{K}_scalar_mac");
@@ -250,9 +297,10 @@ fn main() {
     for es in [0u32, 1, 2] {
         bench_posit(&mut rows, 8, es);
     }
-    // The §IV sweep's 16-bit formats: posit<16,0>'s operands still align;
-    // es = 1, 2 run the batched fused kernel over the split table + native
-    // (i128/256-bit) accumulator.
+    // The §IV sweep's 16-bit formats: es = 0, 1 align (29- and 57-bit
+    // minpos-unit operands over the split table, i128 sums; their fused
+    // rows are the `with_kernel_cap` comparison); es = 2 runs the batched
+    // fused kernel on the 256-bit accumulator.
     for es in [0u32, 1, 2] {
         bench_posit(&mut rows, 16, es);
     }
@@ -335,7 +383,10 @@ fn main() {
              tile, B activation columns, elems = K*B): *_aligned_tile = weight row and \
              activation tile decoded once each, integer micro-kernel 4 columns abreast, \
              *_fused_tile = weight row's fused operands gathered once for all columns, \
-             *_per_column_scalar = per-column wrap on the scalar band"
+             *_per_column_scalar = per-column wrap on the scalar band. layer16x128x64 rows \
+             run dot_layer (16 weight rows against the B = 64 tile, elems = 16*K*64) on the \
+             named row kernel: the aligned band decodes the activation tile once per layer, \
+             the other bands sweep dot_tile row by row"
                 .to_string(),
         ),
     ];

@@ -716,12 +716,17 @@ mod tests {
         };
         let p8 = NumericFormat::Posit(PositFormat::new(8, 0).unwrap());
         let p16 = NumericFormat::Posit(PositFormat::new(16, 1).unwrap());
+        let p16e2 = NumericFormat::Posit(PositFormat::new(16, 2).unwrap());
         let p17 = NumericFormat::Posit(PositFormat::new(17, 1).unwrap());
-        assert!(by_fmt(p8, 64).iter().all(|&k| k == TileKernel::AlignedTile));
-        assert!(by_fmt(p8, 1)
-            .iter()
-            .all(|&k| k == TileKernel::PerColumn(MacKernel::Aligned)));
-        assert!(by_fmt(p16, 64)
+        for aligned in [p8, p16] {
+            assert!(by_fmt(aligned, 64)
+                .iter()
+                .all(|&k| k == TileKernel::AlignedTile));
+            assert!(by_fmt(aligned, 1)
+                .iter()
+                .all(|&k| k == TileKernel::PerColumn(MacKernel::Aligned)));
+        }
+        assert!(by_fmt(p16e2, 64)
             .iter()
             .all(|&k| k == TileKernel::GatherFused));
         assert!(by_fmt(p17, 64)
@@ -744,7 +749,12 @@ mod tests {
         let p8 = by_fmt(NumericFormat::Posit(PositFormat::new(8, 0).unwrap()));
         assert!(p8.iter().all(|&k| k == MacKernel::Aligned), "{p8:?}");
         let p16 = by_fmt(NumericFormat::Posit(PositFormat::new(16, 1).unwrap()));
-        assert!(p16.iter().all(|&k| k == MacKernel::BatchedFused), "{p16:?}");
+        assert!(p16.iter().all(|&k| k == MacKernel::Aligned), "{p16:?}");
+        let p16e2 = by_fmt(NumericFormat::Posit(PositFormat::new(16, 2).unwrap()));
+        assert!(
+            p16e2.iter().all(|&k| k == MacKernel::BatchedFused),
+            "{p16e2:?}"
+        );
         let p17 = by_fmt(NumericFormat::Posit(PositFormat::new(17, 1).unwrap()));
         assert!(p17.iter().all(|&k| k == MacKernel::Scalar), "{p17:?}");
         assert!(QuantizedMlp::quantize(&mlp, NumericFormat::F32)

@@ -8,10 +8,12 @@
 //! two's-complement `i128` and each MAC becomes one shift and one add —
 //! the software analogue of the paper's observation that small formats
 //! make the EMAC adder trivially cheap. The §IV comparison sweep also runs
-//! formats up to 16 bits, whose eq.-(4) registers (e.g. ~145 bits for
-//! posit⟨16,1⟩ at k = 128) spill past one `i128` but fit two: the
-//! [`Acc256`] variant keeps those on native carry-chain arithmetic
-//! (roughly two adds with carry per MAC) instead of heap-allocated limbs.
+//! formats up to 16 bits: posit⟨16,1⟩'s eq.-(4) register (121 bits at
+//! k = 128) still fits the `i128`, while the es = 2 posits and six-bit-
+//! exponent minifloats (e.g. 233 bits for posit⟨16,2⟩ at k = 128) spill
+//! past one `i128` but fit two — the [`Acc256`] variant keeps those on
+//! native carry-chain arithmetic (roughly two adds with carry per MAC)
+//! instead of heap-allocated limbs.
 //! Truly wide formats (e.g. posit⟨32,2⟩ needs ~500 bits) still fall back
 //! to the limb-based [`WideInt`].
 //!

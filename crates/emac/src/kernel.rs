@@ -13,8 +13,9 @@
 //! * [`MacKernel::Aligned`] — every operand of the format fits
 //!   [`crate::table::ALIGNED_OPERAND_BITS`] bits and the eq.-(3)/(4)
 //!   register fits the `i128` window (all three 8-bit families, fixed
-//!   point at every width, minifloats up to binary16, posits whose
-//!   dynamic range allows it). Operands are `±field × 2^scale` with a
+//!   point at every width, minifloats up to binary16, posits up to
+//!   `max_scale = 30` — every es ≤ 1 format through posit⟨16,1⟩, es = 2
+//!   through n = 9). Operands are `±field × 2^scale` with a
 //!   non-negative scale, so `±(field << scale)` is a plain signed integer
 //!   and the exact sum is an integer dot product: the activations are
 //!   decoded once into `i64` scratch ([`AlignedTile`]), the weight row
@@ -24,10 +25,12 @@
 //!   is decided at decode time).
 //! * [`MacKernel::BatchedFused`] — the remaining ≤ 16-bit fused-operand
 //!   paths (monolithic LUT, split regime-prefix table, computed bit-field
-//!   operands) with a native accumulator. The loop gathers fused entries
-//!   through a body monomorphized per entry source, with the `i128`
-//!   accumulate running as wrapping two-word (hi/lo `u64` lane) adds
-//!   ([`I128Lanes`]) — no variant dispatch inside the loop.
+//!   operands — posits past `max_scale = 30`, e.g. es = 2 at n ≥ 10, and
+//!   six-bit-exponent minifloats) with a native accumulator. The loop
+//!   gathers fused entries through a body monomorphized per entry
+//!   source, with the `i128` accumulate running as wrapping two-word
+//!   (hi/lo `u64` lane) adds ([`I128Lanes`]) — no variant dispatch
+//!   inside the loop.
 //! * [`MacKernel::Scalar`] — everything else (wide formats on the
 //!   [`dp_posit::WideInt`] register, and every `new_reference()` unit):
 //!   the slice loops the scalar `mac()` datapath, which stays the

@@ -17,15 +17,15 @@ use dp_posit::{decode, encode, Decoded, PositFormat};
 ///    extracted; the two's complement + regime-check inversion lets a
 ///    single leading-zero detector handle both regime polarities
 ///    (`dp_posit::decode` implements exactly this flow).
-/// 2. **Multiply**: the fixed-width significands (`F = n − 2 − es` bits,
+/// 2. **Multiply**: the significands (at most `F = n − 2 − es` bits,
 ///    hidden bit included) multiply exactly; an overflow bit renormalizes
 ///    and bumps the scale factor (Algorithm 2 lines 6–10).
 /// 3. **Accumulate**: the signed product is shifted by the *biased* scale
 ///    factor `sf + 2^(es+1)(n−2)` so all shifts are non-negative
-///    (Algorithm 2 line 12) and added into a quire-style register
-///    (paper eq. 4 sizes the integer span; this model keeps the product
-///    fraction tail `2F − 2` explicitly, which the paper's ratio-of-extremes
-///    formulation folds away — both hold every product bit exactly).
+///    (Algorithm 2 line 12) and added into a quire-style register sized
+///    by paper eq. (4) exactly. Every posit is an integer multiple of
+///    minpos, so operands are carried in minpos units and the register's
+///    LSB weighs minpos²: no product bit ever falls below it.
 /// 4. **Round & encode** (Algorithm 2 lines 15–43): sign/magnitude split,
 ///    leading-zero detection, window extraction and convergent
 ///    (round-to-nearest-even on the pattern) re-encode.
@@ -57,9 +57,10 @@ use dp_posit::{decode, encode, Decoded, PositFormat};
 pub type PositEmac = TableEmac<Posit>;
 
 impl PositEmac {
-    /// Paper eq. (4) exactly, for reference and reporting.
+    /// Paper eq. (4): `2^(es+2)·(n−2) + 2 + ⌈log2 k⌉` — the width of
+    /// every posit unit's register ([`TableEmac::accumulator_width_for`]).
     pub fn paper_qsize(fmt: PositFormat, k: u64) -> u32 {
-        (1u32 << (fmt.es() + 2)) * (fmt.n() - 2) + 2 + ceil_log2(k)
+        Posit::accumulator_width_for(fmt, k)
     }
 }
 
@@ -73,35 +74,39 @@ pub struct Posit {
     lut: Option<&'static DecodeLut>,
     /// Split regime-prefix table for 13–16-bit formats.
     split: Option<&'static SplitLut>,
-    /// `F`: significand width including the hidden bit, `n − 2 − es`.
-    fbits: u32,
-    /// The operand scale bias; Algorithm 2's `bias` is twice this.
+    /// `−log2 minpos`, the operand scale bias; Algorithm 2's `bias` is
+    /// twice this.
     max_scale: i32,
 }
 
 impl Posit {
-    /// The fused operand of a decoded pattern: the `F`-bit significand
-    /// (hidden bit at its MSB) at the biased scale `scale + max_scale`,
-    /// so two operands' scales sum to Algorithm 2 line 12's
-    /// `sf + 2·max_scale`.
+    /// The fused operand of a decoded pattern, in units of minpos: the
+    /// left-aligned significand `sig` (hidden bit at bit 63) is worth
+    /// `sig × 2^(scale + max_scale − 63)` minpos, and shifting its
+    /// trailing zeros into the scale leaves an odd significand at a scale
+    /// that cannot be negative, because every posit is an integer
+    /// multiple of minpos. Two operands' scales then sum to Algorithm 2
+    /// line 12's `sf + 2·max_scale`, counted from the product's own LSB.
     #[inline(always)]
-    fn operand(d: Decoded, fbits: u32, max_scale: i32) -> EmacEntry {
+    fn operand(d: Decoded, max_scale: i32) -> EmacEntry {
         match d {
             Decoded::Zero => EmacEntry::ZERO,
             Decoded::NaR => EmacEntry::SPECIAL,
             Decoded::Finite(u) => {
-                EmacEntry::pack(u.sign, u.sig >> (64 - fbits), (u.scale + max_scale) as u32)
+                let tz = u.sig.trailing_zeros();
+                let scale = u.scale + max_scale - 63 + tz as i32;
+                debug_assert!(scale >= 0, "posit is not a multiple of minpos");
+                EmacEntry::pack(u.sign, u.sig >> tz, scale as u32)
             }
         }
     }
 }
 
 /// The computed operand source of 13–16-bit posits: the split table plus
-/// the two constants the operand packing needs, captured by value.
+/// the constant the operand packing needs, captured by value.
 #[derive(Debug, Clone, Copy)]
 pub struct SplitOperands {
     split: &'static SplitLut,
-    fbits: u32,
     max_scale: i32,
 }
 
@@ -121,10 +126,11 @@ impl Family for Posit {
         Ok(())
     }
 
-    /// Paper eq. (4) plus the explicit product fraction tail (`2F − 2`
-    /// bits) this layout keeps below minpos².
+    /// Paper eq. (4) exactly: products span minpos² (the register LSB)
+    /// to maxpos² — `2^(es+2)·(n−2) + 1` bits — plus a sign bit and
+    /// `⌈log2 k⌉` carry bits.
     fn accumulator_width_for(fmt: PositFormat, k: u64) -> u32 {
-        PositEmac::paper_qsize(fmt, k) + 2 * (fmt.n() - 2 - fmt.es()) - 2
+        (1u32 << (fmt.es() + 2)) * (fmt.n() - 2) + 2 + ceil_log2(k)
     }
 
     fn tables(fmt: PositFormat) -> &'static Tables {
@@ -144,7 +150,6 @@ impl Family for Posit {
             fmt,
             lut,
             split,
-            fbits: fmt.n() - 2 - fmt.es(),
             max_scale: fmt.max_scale(),
         }
     }
@@ -162,27 +167,26 @@ impl Family for Posit {
             (None, Some(split)) => split.decode(bits),
             (None, None) => decode(self.fmt, bits),
         };
-        Self::operand(d, self.fbits, self.max_scale)
+        Self::operand(d, self.max_scale)
     }
 
     fn computed(&self) -> Option<SplitOperands> {
         self.split.map(|split| SplitOperands {
             split,
-            fbits: self.fbits,
             max_scale: self.max_scale,
         })
     }
 
     #[inline(always)]
     fn computed_entry(s: SplitOperands, bits: u32) -> EmacEntry {
-        Self::operand(s.split.decode(bits), s.fbits, s.max_scale)
+        Self::operand(s.split.decode(bits), s.max_scale)
     }
 
-    /// `value = f × 2^(scale − F + 1)` with `f` the F-bit significand;
-    /// register bit `b` weighs `2^(b − 2·max_scale − (2F−2))`, so a bias
-    /// lands with its LSB at `(scale + max_scale) + F − 1 + max_scale`.
+    /// Operands count minpos = `2^(−max_scale)` and register bit `b`
+    /// weighs `2^(b − 2·max_scale)` (minpos² at the LSB), so a bias is
+    /// `max_scale` bits above its operand image.
     fn bias_shift(&self) -> u32 {
-        self.fbits - 1 + self.max_scale as u32
+        self.max_scale as u32
     }
 
     /// Fraction & SF extraction (Algorithm 2 lines 15–19) + convergent
@@ -192,7 +196,7 @@ impl Family for Posit {
         let Some(w) = window else {
             return self.fmt.zero_bits();
         };
-        let scale = w.msb as i32 - 2 * self.max_scale - (2 * self.fbits as i32 - 2);
+        let scale = w.msb as i32 - 2 * self.max_scale;
         encode(self.fmt, w.sign, scale, w.sig, w.sticky)
     }
 
@@ -217,7 +221,7 @@ mod tests {
         assert_eq!(PositEmac::paper_qsize(fmt(8, 0), 1), 26);
         assert_eq!(PositEmac::paper_qsize(fmt(8, 1), 128), 8 * 6 + 2 + 7);
         assert_eq!(PositEmac::paper_qsize(fmt(16, 1), 16), 8 * 14 + 2 + 4);
-        assert!(PositEmac::accumulator_width_for(fmt(8, 0), 1) >= 26);
+        assert_eq!(PositEmac::accumulator_width_for(fmt(8, 0), 1), 26);
     }
 
     #[test]
@@ -343,7 +347,10 @@ mod tests {
         PositEmac::new(fmt(8, 6), 4);
     }
 
-    /// Every pattern's fused operand against the bit-field decode.
+    /// Every pattern's fused operand against the bit-field decode: the
+    /// value `field << scale` is the F-bit significand at its biased
+    /// scale, counted in minpos (`2^(F−1)` significand units each), and
+    /// the field is odd (trailing zeros live in the scale).
     fn check_operands(fmt: PositFormat, entry: impl Fn(u32) -> EmacEntry) {
         let fbits = fmt.n() - 2 - fmt.es();
         for bits in fmt.patterns() {
@@ -354,11 +361,17 @@ mod tests {
                 Decoded::Finite(u) => {
                     assert!(!e.is_special());
                     assert_eq!(e.sign(), u.sign, "{fmt} {bits:#x}");
-                    assert_eq!(e.field(), u.sig >> (64 - fbits), "{fmt} {bits:#x}");
+                    assert_eq!(e.field() & 1, 1, "{fmt} {bits:#x}");
+                    let biased = (u.scale + fmt.max_scale()) as u32;
+                    let significand = ((u.sig >> (64 - fbits)) as u128) << biased;
                     assert_eq!(
-                        e.scale() as i64,
-                        u.scale as i64 + fmt.max_scale() as i64,
+                        (e.field() as u128) << e.scale(),
+                        significand >> (fbits - 1),
                         "{fmt} {bits:#x}"
+                    );
+                    assert!(
+                        significand.trailing_zeros() >= fbits - 1,
+                        "{fmt} {bits:#x}: not a multiple of minpos"
                     );
                 }
             }

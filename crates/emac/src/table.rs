@@ -31,9 +31,10 @@ pub const MAX_COMPUTED_WIDTH: u32 = 16;
 /// loads, one small multiply and one shifted add. Layout:
 ///
 /// ```text
-/// bits  0..32   integer significand (posit: the F = n−2−es bits with the
-///               hidden bit; minifloat: hidden | frac, unnormalised)
-/// bits 32..48   non-negative scale (posit: scale + max_scale; minifloat:
+/// bits  0..32   integer significand (posit: the hidden bit and fraction,
+///               at most F = n−2−es bits, trailing zeros moved into the
+///               scale; minifloat: hidden | frac, unnormalised)
+/// bits 32..48   non-negative scale (posit: units of minpos; minifloat:
 ///               max(exp_field, 1) − 1, i.e. units of min_subnormal)
 /// bit  48       sign
 /// bit  49       special flag (NaR / Inf / NaN): poisons the EMAC
@@ -41,8 +42,9 @@ pub const MAX_COMPUTED_WIDTH: u32 = 16;
 ///
 /// Zero carries significand 0, so zero operands fall out of the product
 /// rather than needing their own branch. Two operands multiply as
-/// `field·field` positioned at `scale_w + scale_a` — Algorithm 2's biased
-/// scale factor for posits, multiples of `min_subnormal²` for minifloats.
+/// `field·field` positioned at `scale_w + scale_a` — multiples of minpos²
+/// for posits (Algorithm 2's biased scale factor, counted from the
+/// product's LSB), of `min_subnormal²` for minifloats.
 /// The word is wide enough for every format either family supports, so
 /// the bit-field decode of a `new_reference()` unit produces it too.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -247,8 +249,8 @@ mod tests {
         let p = |n, es| Posit::tables(PositFormat::new(n, es).unwrap());
         let f = |we, wf| Float::tables(FloatFormat::new(we, wf).unwrap());
         assert!(p(8, 0).aligned.is_some() && p(8, 0).operands.is_some());
-        // posit<8,2>: 4 + 48 = 52-bit operands still align; posit<12,2>
-        // (8 + 80 bits) keeps only the fused table.
+        // posit<8,2>: 2·24 + 1 = 49-bit operands still align; posit<12,2>
+        // (2·40 + 1 bits) keeps only the fused table.
         assert!(p(8, 2).aligned.is_some() && p(9, 0).aligned.is_some());
         assert!(p(12, 2).aligned.is_none() && p(12, 2).operands.is_some());
         assert!(p(13, 0).operands.is_none(), "fused table stops at 12");

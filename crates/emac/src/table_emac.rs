@@ -143,11 +143,11 @@ macro_rules! with_aligned_word {
 ///   [`table::align`] of the computed operand) and accumulate a plain
 ///   `i64`/`i128` integer dot product ([`MacKernel::Aligned`]).
 /// * **Native accumulator** — whenever the eq.-(3)/(4) register fits 127
-///   bits (true for every 5–8-bit configuration in Table II) it is a
-///   native `i128` and each MAC is one shift and one add; registers up
-///   to 255 bits (every 13–16-bit §IV format) use the two-word
-///   [`crate::Acc256`]; only wider formats fall back to the limb-based
-///   `WideInt`.
+///   bits (true for every 5–8-bit configuration in Table II, and for
+///   posit⟨16,1⟩: 121 bits at k = 128) it is a native `i128` and each
+///   MAC is one shift and one add; registers up to 255 bits (every
+///   other 13–16-bit §IV format) use the two-word [`crate::Acc256`];
+///   only wider formats fall back to the limb-based `WideInt`.
 #[derive(Debug, Clone)]
 pub struct TableEmac<F: Family> {
     family: F,
@@ -280,8 +280,7 @@ impl<F: Family> TableEmac<F> {
     }
 
     /// Register width for `k` accumulations: paper eq. (3) for
-    /// minifloats; eq. (4) plus the explicit product fraction tail
-    /// (`2F − 2` bits) this layout keeps below minpos² for posits.
+    /// minifloats, eq. (4) for posits.
     pub fn accumulator_width_for(fmt: F::Format, k: u64) -> u32 {
         F::accumulator_width_for(fmt, k)
     }

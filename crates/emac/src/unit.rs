@@ -220,8 +220,8 @@ pub trait Emac {
     /// stages), used by the streaming latency model.
     fn pipeline_depth(&self) -> u32;
 
-    /// Accumulator register width in bits (paper eqs. 3–4 plus the
-    /// fraction tail; see each unit's documentation).
+    /// Accumulator register width in bits (paper eqs. 3–4; see each
+    /// unit's documentation).
     fn accumulator_width(&self) -> u32;
 }
 

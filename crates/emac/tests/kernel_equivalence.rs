@@ -134,7 +134,7 @@ fn posit_batched_and_scalar_bands_match_randomized() {
     for (n, es, want) in [
         (13u32, 0u32, MacKernel::Aligned),
         (14, 1, MacKernel::Aligned),
-        (16, 1, MacKernel::BatchedFused),
+        (16, 1, MacKernel::Aligned), // 57-bit operands, i128 sums
         (16, 2, MacKernel::BatchedFused),
         (17, 1, MacKernel::Scalar),
         (20, 2, MacKernel::Scalar),
@@ -268,11 +268,14 @@ fn kernel_bands_pin_at_8_9_and_16_17() {
     }
     assert_eq!(pk(9, 0), MacKernel::Aligned);
     assert_eq!(pk(9, 1), MacKernel::Aligned);
-    // 61-bit operands align, but 128 products need a 129-bit register.
-    assert_eq!(pk(9, 2), MacKernel::BatchedFused);
-    assert_eq!(pk(16, 0), MacKernel::Aligned); // 42-bit operands
-    assert_eq!(pk(16, 1), MacKernel::BatchedFused); // 69-bit operands
-    assert_eq!(pk(16, 2), MacKernel::BatchedFused);
+    // Operands are 2·max_scale + 1 bits: 57 at max_scale = 28, with a
+    // 121-bit eq.-(4) register for 128 products.
+    assert_eq!(pk(9, 2), MacKernel::Aligned);
+    assert_eq!(pk(10, 2), MacKernel::BatchedFused); // 65-bit operands
+    assert_eq!(pk(16, 0), MacKernel::Aligned); // 29-bit operands
+    assert_eq!(pk(15, 1), MacKernel::Aligned); // 53-bit operands
+    assert_eq!(pk(16, 1), MacKernel::Aligned); // 57-bit operands
+    assert_eq!(pk(16, 2), MacKernel::BatchedFused); // 113-bit operands
     assert_eq!(
         PositEmac::new_reference(PositFormat::new(8, 0).unwrap(), 128).kernel(),
         MacKernel::Scalar
@@ -372,14 +375,15 @@ fn extremes_match_reference<E: Emac, R: Emac>(
 
 #[test]
 fn aligned_sums_hold_at_the_i64_i128_boundaries() {
-    // posit<8,1>: 58-bit products, so the register is 63 bits (i64 sum)
-    // at k = 32 and 64 bits (i128 sum) at k = 33 — rows of K = capacity.
+    // posit<8,1>: 49-bit products of minpos-unit operands, so the
+    // register is 63 bits (i64 sum) at k = 2^13 and 64 bits (i128 sum) at
+    // k = 2^13 + 1 — rows of K = capacity.
     let fmt = PositFormat::new(8, 1).unwrap();
     let extremes = (
         fmt.maxpos_bits(),
         dp_posit::ops::neg(fmt, fmt.maxpos_bits()),
     );
-    for (k, width) in [(32usize, 63u32), (33, 64)] {
+    for (k, width) in [(1usize << 13, 63u32), ((1 << 13) + 1, 64)] {
         let mut unit = PositEmac::new(fmt, k as u64);
         assert_eq!(
             (unit.kernel(), unit.accumulator_width()),
@@ -426,15 +430,20 @@ fn aligned_sums_hold_at_the_i64_i128_boundaries() {
 
 #[test]
 fn batched_kernel_requires_a_native_window() {
-    // posit<16,2> at k = 256 needs a 256-bit register (one past Acc256's
-    // ceiling), so the accumulator is WideInt even though the split table
-    // exists: the unit must report Scalar AND run the scalar loop —
-    // kernel() and dot_slice select on the same condition — and stay
-    // bit-identical to the reference datapath.
+    // posit<16,2> sized past 2^29 accumulations needs a 256-bit register
+    // (one past Acc256's ceiling), so the accumulator is WideInt even
+    // though the split table exists: the unit must report Scalar AND run
+    // the scalar loop — kernel() and dot_slice select on the same
+    // condition — and stay bit-identical to the reference datapath.
     let fmt = PositFormat::new(16, 2).unwrap();
-    let mut spilled = PositEmac::new(fmt, 256);
+    let mut spilled = PositEmac::new(fmt, 1 << 30);
+    assert_eq!(spilled.accumulator_width(), 256);
     assert_eq!(spilled.kernel(), MacKernel::Scalar);
-    assert_eq!(PositEmac::new(fmt, 128).kernel(), MacKernel::BatchedFused);
+    let fits = PositEmac::new(fmt, 1 << 29);
+    assert_eq!(
+        (fits.kernel(), fits.accumulator_width()),
+        (MacKernel::BatchedFused, 255)
+    );
     let mut next = xorshift(0x0b5e_55ed_ca11_ab1e);
     let ws: Vec<u32> = (0..256).map(|_| (next() as u32) & fmt.mask()).collect();
     let xs: Vec<u32> = (0..256).map(|_| (next() as u32) & fmt.mask()).collect();

@@ -178,7 +178,7 @@ fn posit_gathered_and_scalar_tiles_match_randomized() {
     for (n, es, want) in [
         (13u32, 0u32, TileKernel::AlignedTile),
         (14, 1, TileKernel::AlignedTile),
-        (16, 1, TileKernel::GatherFused),
+        (16, 1, TileKernel::AlignedTile), // 57-bit operands, i128 sums
         (16, 2, TileKernel::GatherFused),
         (17, 1, TileKernel::PerColumn(MacKernel::Scalar)),
         (20, 2, TileKernel::PerColumn(MacKernel::Scalar)),
@@ -329,24 +329,29 @@ fn tile_kernels_pin_per_band_and_batch_width() {
     // spills step the tile down exactly as they step the row kernel down.
     let p8 = PositFormat::new(8, 1).unwrap();
     let p16 = PositFormat::new(16, 1).unwrap();
+    let p16e2 = PositFormat::new(16, 2).unwrap();
     let p17 = PositFormat::new(17, 1).unwrap();
     for b in [0usize, 1] {
+        for aligned in [p8, p16] {
+            assert_eq!(
+                PositEmac::new(aligned, 128).tile_kernel(b),
+                TileKernel::PerColumn(MacKernel::Aligned)
+            );
+        }
         assert_eq!(
-            PositEmac::new(p8, 128).tile_kernel(b),
-            TileKernel::PerColumn(MacKernel::Aligned)
-        );
-        assert_eq!(
-            PositEmac::new(p16, 128).tile_kernel(b),
+            PositEmac::new(p16e2, 128).tile_kernel(b),
             TileKernel::PerColumn(MacKernel::BatchedFused)
         );
     }
     for b in [2usize, 8, 64] {
+        for aligned in [p8, p16] {
+            assert_eq!(
+                PositEmac::new(aligned, 128).tile_kernel(b),
+                TileKernel::AlignedTile
+            );
+        }
         assert_eq!(
-            PositEmac::new(p8, 128).tile_kernel(b),
-            TileKernel::AlignedTile
-        );
-        assert_eq!(
-            PositEmac::new(p16, 128).tile_kernel(b),
+            PositEmac::new(p16e2, 128).tile_kernel(b),
             TileKernel::GatherFused
         );
         assert_eq!(
@@ -371,11 +376,15 @@ fn tile_kernels_pin_per_band_and_batch_width() {
 
     // Accumulator-window spills demote tiles like they demote row kernels:
     // posit<8,2> at k = 2^40 spills the i128 window (no aligned band);
-    // posit<16,2> at k = 256 spills Acc256 (no native window at all).
+    // posit<16,2> past k = 2^29 spills Acc256 (no native window at all).
     let spill8 = PositEmac::new(PositFormat::new(8, 2).unwrap(), 1 << 40);
     assert_eq!(spill8.kernel(), MacKernel::BatchedFused);
     assert_eq!(spill8.tile_kernel(8), TileKernel::GatherFused);
-    let spill16 = PositEmac::new(PositFormat::new(16, 2).unwrap(), 256);
+    assert_eq!(
+        PositEmac::new(p16e2, 1 << 29).tile_kernel(8),
+        TileKernel::GatherFused
+    );
+    let spill16 = PositEmac::new(p16e2, 1 << 30);
     assert_eq!(spill16.kernel(), MacKernel::Scalar);
     assert_eq!(
         spill16.tile_kernel(8),
@@ -394,10 +403,12 @@ fn tile_kernels_pin_per_band_and_batch_width() {
 #[test]
 fn spilled_window_tiles_stay_bit_identical() {
     // The demoted tiles must still honour the per-column contract: run the
-    // posit<16,2>/k=256 spill case (per-column scalar tile) against the
-    // reference datapath.
+    // posit<16,2> spill case — a unit sized for 2^30 accumulations, whose
+    // 256-bit register is one past Acc256 (per-column scalar tile) —
+    // against the reference datapath.
     let fmt = PositFormat::new(16, 2).unwrap();
-    let mut unit = PositEmac::new(fmt, 256);
+    let mut unit = PositEmac::new(fmt, 1 << 30);
+    assert_eq!(unit.accumulator_width(), 256);
     assert_eq!(
         unit.tile_kernel(4),
         TileKernel::PerColumn(MacKernel::Scalar)

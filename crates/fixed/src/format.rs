@@ -109,12 +109,12 @@ impl FixedFormat {
 
     /// Largest representable value, `max_raw / 2^q`.
     pub fn max_value(self) -> f64 {
-        self.max_raw() as f64 * 2f64.powi(-(self.q as i32))
+        self.max_raw() as f64 * exp2(-(self.q as i32))
     }
 
     /// Smallest positive value (one LSB), `2^−q`.
     pub fn min_value(self) -> f64 {
-        2f64.powi(-(self.q as i32))
+        exp2(-(self.q as i32))
     }
 
     /// Dynamic range in decades, `log10(max / min) = log10(2^(n−1) − 1)`
@@ -136,7 +136,7 @@ impl FixedFormat {
         if v.is_nan() {
             return 0;
         }
-        let scaled = v * 2f64.powi(self.q as i32);
+        let scaled = v * exp2(self.q as i32);
         if scaled >= self.max_raw() as f64 {
             return self.max_raw();
         }
@@ -150,7 +150,7 @@ impl FixedFormat {
 
     /// The exact value of a raw word.
     pub fn to_f64(self, raw: i64) -> f64 {
-        raw as f64 * 2f64.powi(-(self.q as i32))
+        raw as f64 * exp2(-(self.q as i32))
     }
 
     /// Saturating addition of two raw words.
@@ -189,6 +189,15 @@ impl FixedFormat {
     pub fn raws(self) -> impl Iterator<Item = i64> {
         self.min_raw()..=self.max_raw()
     }
+}
+
+/// `2^e` for `|e| < 32` (every `±q`), assembled from its exponent field —
+/// the same constant `2f64.powi(e)` returns, without the libcall on the
+/// per-element quantisation path.
+#[inline(always)]
+fn exp2(e: i32) -> f64 {
+    debug_assert!(e.abs() < 32);
+    f64::from_bits(((1023 + e) as u64) << 52)
 }
 
 /// Round-to-nearest-even arithmetic right shift.
@@ -254,6 +263,74 @@ mod tests {
         assert_eq!(f.from_f64(100.0), 127);
         assert_eq!(f.from_f64(-100.0), -128);
         assert_eq!(f.from_f64(f64::NAN), 0);
+    }
+
+    #[test]
+    fn exact_scale_constant_is_bit_identical_to_powi() {
+        // The pre-constant forms, spelled out.
+        let from_powi = |f: FixedFormat, v: f64| -> i64 {
+            if v.is_nan() {
+                return 0;
+            }
+            let scaled = v * 2f64.powi(f.q() as i32);
+            if scaled >= f.max_raw() as f64 {
+                f.max_raw()
+            } else if scaled <= f.min_raw() as f64 {
+                f.min_raw()
+            } else {
+                scaled.round_ties_even() as i64
+            }
+        };
+        let to_powi = |f: FixedFormat, raw: i64| raw as f64 * 2f64.powi(-(f.q() as i32));
+        for e in -31..=31 {
+            assert_eq!(exp2(e).to_bits(), 2f64.powi(e).to_bits(), "2^{e}");
+        }
+        let mut s = 0x5ca1_ab1e_0ff1_ced5_u64;
+        for q in 0..32u32 {
+            for n in [q + 1, q + 5, 32] {
+                let Ok(f) = FixedFormat::new(n.max(2), q) else {
+                    continue;
+                };
+                let lsb = f.min_value();
+                assert_eq!(lsb.to_bits(), 2f64.powi(-(q as i32)).to_bits());
+                let (max, min) = (f.max_raw() as f64 * lsb, f.min_raw() as f64 * lsb);
+                let mut inputs = vec![
+                    0.0,
+                    -0.0,
+                    f64::NAN,
+                    f64::INFINITY,
+                    f64::NEG_INFINITY,
+                    f64::MIN_POSITIVE,
+                    max,
+                    min,
+                    max + lsb / 2.0,
+                    min - lsb / 2.0,
+                    max * 3.0,
+                    min * 3.0,
+                ];
+                // Ties on both sides of zero and just off them.
+                for i in -9..=9 {
+                    let tie = (i as f64 + 0.5) * lsb;
+                    inputs.extend([tie, tie * (1.0 + f64::EPSILON), tie * (1.0 - f64::EPSILON)]);
+                }
+                for _ in 0..200 {
+                    s ^= s << 13;
+                    s ^= s >> 7;
+                    s ^= s << 17;
+                    inputs.push((s as i64 as f64) / (1u64 << 40) as f64 * lsb * 64.0);
+                }
+                for v in inputs {
+                    assert_eq!(f.from_f64(v), from_powi(f, v), "{f} from {v:e}");
+                }
+                for raw in [f.min_raw(), f.min_raw() + 1, -1, 0, 1, 3, f.max_raw()] {
+                    assert_eq!(
+                        f.to_f64(raw).to_bits(),
+                        to_powi(f, raw).to_bits(),
+                        "{f} raw {raw}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

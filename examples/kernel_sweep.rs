@@ -2,8 +2,9 @@
 //!
 //! Trains one float MLP on Iris, quantizes it across the three format
 //! families and all three kernel bands (aligned integers wherever the
-//! format's operands fit the aligned word, batched fused otherwise up to
-//! 16 bits, scalar past that), registers everything in one `dp_serve` engine,
+//! format's operands fit the aligned word — posit⟨16,1⟩'s 57-bit
+//! minpos-unit operands included — batched fused otherwise up to 16 bits
+//! (posit⟨16,2⟩), scalar past that), registers everything in one `dp_serve` engine,
 //! prints the row kernel each model's layers selected plus the tile
 //! kernel the serving chunk width promotes it to, and verifies a served
 //! batch stays bit-identical to per-sample `forward_bits` on every model.
@@ -34,6 +35,7 @@ fn main() {
     let formats = [
         NumericFormat::Posit(PositFormat::new(8, 0).unwrap()),
         NumericFormat::Posit(PositFormat::new(16, 1).unwrap()),
+        NumericFormat::Posit(PositFormat::new(16, 2).unwrap()),
         NumericFormat::Posit(PositFormat::new(17, 1).unwrap()),
         NumericFormat::Float(FloatFormat::new(4, 3).unwrap()),
         NumericFormat::Float(FloatFormat::new(5, 10).unwrap()),

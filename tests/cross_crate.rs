@@ -99,11 +99,17 @@ fn emac_accumulator_widths_match_paper_equations() {
         PositEmac::paper_qsize(PositFormat::new(16, 1).unwrap(), 1024),
         8 * 14 + 2 + 10
     );
-    // The quire module computes the same widths independently.
-    assert_eq!(
-        Quire::paper_width(PositFormat::new(8, 0).unwrap(), 128),
-        PositEmac::paper_qsize(PositFormat::new(8, 0).unwrap(), 128) as usize
-    );
+    // The unit's register is eq. (4) itself, not a padded superset, and
+    // the quire module computes the same widths independently.
+    for (n, es, k) in [(8u32, 0u32, 128u64), (8, 2, 32), (16, 1, 128), (16, 2, 117)] {
+        let fmt = PositFormat::new(n, es).unwrap();
+        let qsize = PositEmac::paper_qsize(fmt, k);
+        assert_eq!(PositEmac::accumulator_width_for(fmt, k), qsize, "{fmt}");
+        assert_eq!(PositEmac::new(fmt, k).accumulator_width(), qsize, "{fmt}");
+        assert_eq!(Quire::paper_width(fmt, k), qsize as usize, "{fmt}");
+    }
+    let p16 = PositEmac::new(PositFormat::new(16, 1).unwrap(), 128);
+    assert_eq!(p16.accumulator_width(), 121);
 }
 
 #[test]
