@@ -126,7 +126,7 @@ fn main() {
     // The same steady-state workload with the flight recorder sampling
     // every request (worst-case trace overhead: one Arc per admission,
     // atomic stage stamps, seqlock publication at resolve). CI pins this
-    // row within 10% of steady_mixed3_gateway.
+    // row within 20% of steady_mixed3_gateway.
     let (gw_traced, keys) = gateway_traced(
         OverloadPolicy::ShedNewest,
         &mlp,

@@ -193,6 +193,79 @@ fn stalled_worker_is_respawned_and_fails_only_the_stuck_request() {
     dp_fault::clear();
 }
 
+/// Queues four 1-sample requests behind a paused dispatcher (one
+/// coalesced chunk once released), runs them under the installed fault
+/// and checks the chunk stayed the fault-isolation unit: exactly those
+/// four fail with `verdict`, and the next request is served
+/// bit-identically.
+fn coalesced_chunk_shares_one_fate(gw: &Gateway, verdict: JobError) {
+    let (mlp, split) = trained_iris();
+    let q = quantized(&mlp);
+    let key = gw.registry().register("iris", q.clone()).unwrap();
+    gw.pause_dispatch();
+    let members: Vec<_> = (0..4)
+        .map(|i| {
+            gw.try_submit_forward(&key, vec![split.test.features[i].clone()])
+                .expect_admitted()
+        })
+        .collect();
+    gw.resume_dispatch();
+    for (i, h) in members.iter().enumerate() {
+        assert_eq!(
+            h.wait_timeout(WAIT),
+            Some(Err(GatewayError::Job(verdict))),
+            "member {i} of the coalesced chunk"
+        );
+    }
+    let xs = batch(&split, 4);
+    let healthy = gw.try_submit_forward(&key, xs.clone()).expect_admitted();
+    let direct: Vec<Vec<u32>> = xs.iter().map(|x| q.forward_bits(x)).collect();
+    assert_eq!(healthy.wait_timeout(WAIT), Some(Ok(direct)));
+    gw.wait_idle();
+    let snap = gw.snapshot();
+    assert_eq!(snap.failed, 4, "exactly the chunk's members failed");
+    assert_eq!(snap.completed, 1);
+    assert_eq!(snap.dispatched, 5);
+    assert_eq!(snap.coalesced.count(), 2, "four members, one chunk");
+    // One fault hit for four requests: the chunk, not the request, is
+    // what the engine ran.
+    assert_eq!(dp_fault::take_log().len(), 1);
+    assert_eq!(gw.engine().stats().jobs_run, 2);
+}
+
+#[test]
+fn panic_in_a_coalesced_chunk_fails_exactly_its_members() {
+    let _guard = serial();
+    dp_fault::install(FaultPlan::seeded(51).inject_for_model(
+        points::PANIC_IN_CHUNK,
+        "iris",
+        Trigger::OnHit(1),
+        FaultAction::Panic,
+    ));
+    let gw = small_builder().build();
+    coalesced_chunk_shares_one_fate(&gw, JobError::Panicked);
+    assert_eq!(gw.engine().stats().panics, 1);
+    dp_fault::clear();
+}
+
+#[test]
+fn stall_in_a_coalesced_chunk_fails_exactly_its_members() {
+    let _guard = serial();
+    dp_fault::install(FaultPlan::seeded(53).inject_for_model(
+        points::STALL_WORKER,
+        "iris",
+        Trigger::OnHit(1),
+        FaultAction::Sleep(400),
+    ));
+    let gw = small_builder().watchdog(watchdog()).build();
+    coalesced_chunk_shares_one_fate(&gw, JobError::Stalled);
+    let stats = gw.engine().stats();
+    assert_eq!((stats.stalled, stats.respawned), (1, 1));
+    dp_fault::clear();
+    // Let the wedged (detached) sleeper finish before the next plan.
+    std::thread::sleep(Duration::from_millis(450));
+}
+
 #[test]
 fn deadline_expiry_vs_dispatch_race_always_resolves_typed() {
     let _guard = serial();

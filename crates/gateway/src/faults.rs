@@ -10,10 +10,6 @@ pub(crate) mod points {
     /// the request's logical model name. A planned `Sleep` here widens the
     /// expiry-vs-dispatch race window deterministically.
     pub(crate) const DELAY_DISPATCH: &str = "delay_dispatch";
-    /// Fired inside the gateway's per-chunk closure, after the chunk
-    /// accounting guard exists, so an injected panic unwinds through the
-    /// request metrics exactly like a real evaluation panic.
-    pub(crate) const PANIC_IN_CHUNK: &str = "panic_in_chunk";
 }
 
 #[cfg(feature = "fault-inject")]

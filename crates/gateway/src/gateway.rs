@@ -4,10 +4,10 @@
 //!
 //! ```text
 //! clients ──try_submit──▶ [bounded ring] ──dispatcher──▶ [engine injector] ──▶ workers
-//!              │                │ (overload policy:            │ (throttled: at most
-//!              │ verdicts       │  Block / ShedNewest /        │  max_inflight_chunks
-//!              ▼                │  ShedOldest;                 │  queued + running;
-//!        Admitted / QueueFull / │  lazy deadline expiry)       │  watchdog + panic budget)
+//!              │                │ (overload policy:      │ group → one chunk     │
+//!              │ verdicts       │  Block / ShedNewest /  │ (throttled: at most   ▼
+//!              ▼                │  ShedOldest;           │  max_inflight_chunks  demux: store every
+//!        Admitted / QueueFull / │  lazy deadline expiry) │  queued + running)    member, then wake
 //!        ModelUnknown / RateLimited / Degraded
 //! ```
 //!
@@ -18,6 +18,27 @@
 //! [`ServeEngine::try_dispatch`] seam, throttled so the engine's internal
 //! queue stays bounded too — backpressure surfaces in the ring, where the
 //! overload policy decides who pays for a burst.
+//!
+//! # Coalescing
+//!
+//! The dispatcher hands the engine **groups**. It pops the ring head,
+//! and if that request is smaller than a chunk it also takes every
+//! *already-queued* entry for the same model instance (`Arc::ptr_eq`, so
+//! a re-registered model never shares a chunk with its predecessor) and
+//! result kind that still fits in `chunk_samples` — in queue order, and
+//! without ever waiting for more. The group runs as **one** engine chunk
+//! whose outcome the demux fans back out: every member's result is
+//! stored in its completion cell (first-wins) *before* any member is
+//! woken, so a waiter that owns several of them wakes to a run of ready
+//! handles. An uncoalesced request is a group of one; a request larger
+//! than a chunk is one member over several chunks — there is no second
+//! path. What stays per request: the deadline/cancel screen (a dead
+//! follower is discarded and refunded, its batch-mates run), queue-wait,
+//! service time, per-model counters and the trace stamps. What is shared:
+//! the chunk's fate — a panic or watchdog stall fails every member with
+//! the same typed [`JobError`], exactly as the samples of one request
+//! share a chunk's fate. The head is always dispatched first, so no model
+//! can starve another and `ShedOldest` still evicts the true oldest.
 //!
 //! # Request lifecycle
 //!
@@ -37,7 +58,7 @@
 //! resolve promptly rather than hanging, and [`GatewayHandle::wait_timeout`]
 //! bounds any residual wait.
 
-use crate::check::check_yield;
+use crate::check::{self, check_yield};
 use crate::faults;
 use crate::handle::{GatewayError, GatewayHandle, HandleCell};
 use crate::limiter::{RateLimit, TokenBucket};
@@ -45,13 +66,12 @@ use crate::metrics::{bump, bump_by, GatewayMetrics, MetricsSnapshot, ModelMetric
 use crate::ring::{SubmissionRing, TryPush};
 use deep_positron::{NumericFormat, QuantizedMlp};
 use dp_serve::{
-    classify_chunk_cancellable, forward_chunk_cancellable, CancelToken, DispatchOptions,
-    EngineConfig, JobError, ModelKey, ModelRegistry, PanicBudget, ServeEngine, ServeError,
-    WatchdogConfig,
+    classify_chunk, forward_chunk, CancelToken, ChunkEval, ChunkSink, EngineConfig, JobError,
+    ModelKey, ModelRegistry, PanicBudget, ServeEngine, ServeError, WatchdogConfig,
 };
 use dp_trace::{Clock, Recorder, TerminalKind, TraceConfig, TraceCtx};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -59,10 +79,6 @@ use std::time::{Duration, Instant};
 /// How long the dispatcher sleeps per headroom-wait slice; bounds how
 /// stale a deadline/drain check can get while the engine is saturated.
 const DISPATCH_POLL: Duration = Duration::from_millis(20);
-
-/// Cancel-aware per-chunk evaluator shape (forward bits or class indices),
-/// shared with the engine's canonical evaluators.
-type ChunkEval<T> = fn(&QuantizedMlp, &[Vec<f32>], &CancelToken) -> Result<Vec<T>, JobError>;
 
 /// What a full submission ring does with the overflow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -242,15 +258,20 @@ impl<T> Admission<T> {
     }
 }
 
-/// One queued request, typed by its result shape.
-struct Request<T> {
+/// One queued request: a ring entry.
+struct Pending {
     /// Logical model name — the rate-limit bucket key (kept so an
     /// eviction or expiry can refund the tokens this request was
-    /// charged) and the fault-injection scope.
-    model_name: String,
+    /// charged) and the fault-injection scope; allocated once, at
+    /// admission, and shared with the chunk jobs.
+    model_name: Arc<str>,
     model: Arc<QuantizedMlp>,
+    /// The request's rows; moved into the engine chunk at dispatch.
     xs: Vec<Vec<f32>>,
-    cell: Arc<HandleCell<T>>,
+    /// `xs.len()` at admission (→ rate-limit tokens, chunk jobs, the
+    /// member's share of a coalesced chunk).
+    samples: usize,
+    reply: Reply,
     model_metrics: Arc<ModelMetrics>,
     enqueued: Instant,
     /// Lazily enforced by the dispatcher; see [`SubmitOptions::deadline`].
@@ -258,14 +279,71 @@ struct Request<T> {
     /// Carried for future priority-class dispatch (ROADMAP); FIFO today.
     #[allow(dead_code)]
     priority_hint: Option<u8>,
-    /// The handle's cancel token, shared with the chunk jobs at dispatch.
+    /// The handle's cancel token: screened while queued, at chunk entry
+    /// and again before the demux publishes this member's result.
     cancel: CancelToken,
     /// Flight-recorder context (`None` when tracing is off); stamped at
     /// each pipeline stage, emits the terminal event at resolution.
     trace: Option<TraceCtx>,
 }
 
-impl<T: Clone + Send + 'static> Request<T> {
+/// A queued request's completion cell, typed by its result shape.
+enum Reply {
+    Forward(Arc<HandleCell<Vec<u32>>>),
+    Classify(Arc<HandleCell<usize>>),
+}
+
+/// A result shape the gateway serves: its chunk evaluator, and its typed
+/// cell inside a ring entry.
+trait Shape: Clone + Send + Sync + 'static {
+    const EVAL: ChunkEval<Self>;
+    fn cell(reply: &Reply) -> &HandleCell<Self>;
+}
+
+impl Shape for Vec<u32> {
+    const EVAL: ChunkEval<Self> = forward_chunk;
+    fn cell(reply: &Reply) -> &HandleCell<Self> {
+        match reply {
+            Reply::Forward(cell) => cell,
+            // panic-ok: groups are formed by `Pending::batches_with`,
+            // which compares the reply shape.
+            Reply::Classify(_) => unreachable!("classify entry in a forward group"),
+        }
+    }
+}
+
+impl Shape for usize {
+    const EVAL: ChunkEval<Self> = classify_chunk;
+    fn cell(reply: &Reply) -> &HandleCell<Self> {
+        match reply {
+            Reply::Classify(cell) => cell,
+            // panic-ok: see `<Vec<u32> as Shape>::cell`.
+            Reply::Forward(_) => unreachable!("forward entry in a classify group"),
+        }
+    }
+}
+
+impl Pending {
+    /// The coalescing key: same resolved model instance (so a
+    /// re-registered model never shares a chunk with its predecessor)
+    /// and same result shape.
+    fn batches_with(&self, other: &Pending) -> bool {
+        Arc::ptr_eq(&self.model, &other.model)
+            && std::mem::discriminant(&self.reply) == std::mem::discriminant(&other.reply)
+    }
+
+    /// Emits the trace terminal for `reason` and resolves the handle —
+    /// every fate of an admitted request other than an engine result.
+    fn fail(&self, reason: GatewayError) {
+        if let Some(t) = &self.trace {
+            t.resolve(terminal_of(&reason));
+        }
+        match &self.reply {
+            Reply::Forward(cell) => cell.resolve(Err(reason)),
+            Reply::Classify(cell) => cell.resolve(Err(reason)),
+        }
+    }
+
     /// Resolves the request without dispatching it.
     fn resolve_undispatched(self, reason: GatewayError) {
         match reason {
@@ -273,249 +351,212 @@ impl<T: Clone + Send + 'static> Request<T> {
             GatewayError::DeadlineExceeded => bump(&self.model_metrics.expired),
             _ => {}
         }
-        if let Some(t) = &self.trace {
-            t.resolve(terminal_of(&reason));
-        }
-        self.cell.resolve(Err(reason));
+        self.fail(reason);
     }
 
-    /// Forwards to the engine, wiring per-chunk completion accounting and
-    /// the request's cancel token.
-    fn dispatch(
-        self,
-        engine: &ServeEngine,
-        metrics: &Arc<GatewayMetrics>,
-        clock: &Clock,
-        eval: ChunkEval<T>,
+    /// Settles a dispatched request — counters, then the trace terminal —
+    /// from the result its cell is about to receive.
+    ///
+    /// The counters record what the engine's first claimant reported: a
+    /// request the watchdog failed with [`JobError::Stalled`] counts as
+    /// failed even if its wedged evaluation eventually finishes.
+    fn settle<T>(
+        &self,
+        metrics: &GatewayMetrics,
+        result: &Result<Vec<T>, GatewayError>,
+        service_ns: u64,
     ) {
-        let Request {
-            model_name,
-            model,
-            xs,
-            cell,
-            model_metrics,
-            enqueued,
-            deadline: _,
-            priority_hint: _,
-            cancel,
-            trace,
-        } = self;
-        let now = clock.now();
-        metrics
-            .queue_wait
-            .record_ns(now.saturating_duration_since(enqueued).as_nanos() as u64);
-        let n_chunks = xs.len().div_ceil(engine.chunk_samples());
-        if let Some(t) = &trace {
-            t.dispatched(n_chunks as u64);
-        }
-        let ctx = Arc::new(RequestCtx {
-            remaining: AtomicUsize::new(n_chunks),
-            failed: AtomicBool::new(false),
-            cancelled: AtomicBool::new(false),
-            started: now,
-            clock: clock.clone(),
-            samples: xs.len() as u64,
-            metrics: Arc::clone(metrics),
-            model_metrics,
-            trace,
-        });
-        let eval_cancel = cancel.clone();
-        let fault_scope = model_name.clone();
-        // For the dispatch-failure arms below: the context (and the trace
-        // handle inside it) moves into the per-chunk closure.
-        let trace_err = ctx.trace.clone();
-        let per_chunk = move |m: &QuantizedMlp, chunk: &[Vec<f32>]| {
-            // The guard's Drop runs even if `eval` panics (during the
-            // unwind the engine's job wrapper catches), so every chunk is
-            // accounted and the last one closes out the request metrics.
-            // The injected panic point sits inside the guard's extent for
-            // the same reason.
-            let guard = ChunkGuard {
-                ctx: Arc::clone(&ctx),
-            };
-            faults::fire(faults::points::PANIC_IN_CHUNK, Some(&fault_scope));
-            let result = eval(m, chunk, &eval_cancel);
-            match &result {
-                // relaxed-ok: (audited, was SeqCst) the store is ordered
-                // before this thread's `remaining` decrement, whose
-                // release/acquire chain publishes it to the last chunk
-                // out — see `ChunkGuard::drop`.
-                Err(JobError::Cancelled) => guard.ctx.cancelled.store(true, Ordering::Relaxed),
-                // relaxed-ok: (audited, was SeqCst) see the arm above.
-                Err(_) => guard.ctx.failed.store(true, Ordering::Relaxed),
-                Ok(_) => {}
+        let terminal = match result {
+            Ok(_) => {
+                // Service time covers completed requests only, so
+                // service_ns / completed is a true per-model mean (a
+                // failed request would otherwise inflate it).
+                metrics.service.record_ns(service_ns);
+                bump_by(&self.model_metrics.service_ns, service_ns);
+                bump(&metrics.completed);
+                bump(&self.model_metrics.completed);
+                bump_by(&metrics.samples_completed, self.samples as u64);
+                bump_by(&self.model_metrics.samples, self.samples as u64);
+                TerminalKind::Completed
             }
-            result
-        };
-        let opts = DispatchOptions {
-            scope: Some(model_name),
-            cancel: Some(cancel),
-        };
-        match engine.try_dispatch_with(model, xs, opts, per_chunk) {
-            Ok(inner) => {
-                bump(&metrics.dispatched);
-                cell.dispatched(inner);
-            }
-            Err(ServeError::Degraded) => {
-                // The panic budget tripped between admission and dispatch:
-                // the admitted request is dropped with a typed verdict.
-                bump(&metrics.rejected_degraded);
-                if let Some(t) = &trace_err {
-                    t.resolve(TerminalKind::Degraded);
-                }
-                cell.resolve(Err(GatewayError::Degraded));
+            // Cancelled mid-flight: neither completed nor failed.
+            Err(GatewayError::Cancelled) => {
+                bump(&metrics.cancelled);
+                TerminalKind::Cancelled
             }
             Err(_) => {
-                // Engine closed under a still-queued request (only
-                // possible if the engine is shut down out from under the
-                // gateway): resolve rather than hang the handle.
-                bump(&metrics.dropped_closed);
-                if let Some(t) = &trace_err {
-                    t.resolve(TerminalKind::Closed);
-                }
-                cell.resolve(Err(GatewayError::Closed));
+                bump(&metrics.failed);
+                bump(&self.model_metrics.failed);
+                TerminalKind::Failed
             }
+        };
+        if let Some(t) = &self.trace {
+            t.resolve(terminal);
         }
     }
 }
 
-/// Per-request completion context shared by its chunk jobs.
-struct RequestCtx {
-    remaining: AtomicUsize,
-    failed: AtomicBool,
-    cancelled: AtomicBool,
+/// Chunk outcomes of one dispatched group until the last one lands.
+struct Assembly<T> {
+    /// One slot per chunk, filled in any order, read out in order.
+    parts: Vec<Option<Vec<T>>>,
+    remaining: usize,
+    failed: Option<JobError>,
+}
+
+/// The completion sink of one dispatched group: fans the engine's chunk
+/// outcomes back out to the member requests. Either several members
+/// share one chunk, or one member spans several chunks; both are "the
+/// group's rows, in order, split by member".
+struct Demux<T> {
+    members: Vec<Pending>,
     started: Instant,
     /// The gateway's clock seam: service time is measured on it so the
     /// interleaving checker can virtualize trace/metric time.
     clock: Clock,
-    samples: u64,
     metrics: Arc<GatewayMetrics>,
-    model_metrics: Arc<ModelMetrics>,
-    trace: Option<TraceCtx>,
+    assembly: check::Mutex<Assembly<T>>,
 }
 
-/// Decrements the chunk countdown on drop (normal return *or* panic
-/// unwind); the last chunk out records service time and the
-/// completed/failed/cancelled verdict.
-///
-/// The counters record what the workers actually executed: a request the
-/// watchdog failed with [`JobError::Stalled`] surfaces that error on its
-/// handle immediately, while its wedged evaluation — if it ever finishes
-/// on the abandoned thread — is what lands here.
-struct ChunkGuard {
-    ctx: Arc<RequestCtx>,
+impl<T: Shape> Demux<T> {
+    /// Turns `group` (non-empty, formed by [`Pending::batches_with`])
+    /// into its sink and the rows to evaluate: the members' rows in
+    /// order, which the engine cuts into `chunk_samples`-sized chunks.
+    /// Stamps each member's queue wait and dispatch stage.
+    fn new(
+        mut group: Vec<Pending>,
+        chunk_samples: usize,
+        metrics: &Arc<GatewayMetrics>,
+        clock: &Clock,
+    ) -> (Arc<Self>, Vec<Vec<f32>>) {
+        let now = clock.now();
+        let mut xs = Vec::new();
+        for m in &mut group {
+            let waited = now.saturating_duration_since(m.enqueued);
+            metrics.queue_wait.record_ns(waited.as_nanos() as u64);
+            xs.append(&mut m.xs);
+        }
+        let n_chunks = xs.len().div_ceil(chunk_samples);
+        for m in &group {
+            if let Some(t) = &m.trace {
+                t.dispatched(n_chunks as u64);
+            }
+            T::cell(&m.reply).dispatched();
+        }
+        let demux = Demux {
+            members: group,
+            started: now,
+            clock: clock.clone(),
+            metrics: Arc::clone(metrics),
+            assembly: check::mutex(
+                "gateway.demux",
+                Assembly {
+                    parts: (0..n_chunks).map(|_| None).collect(),
+                    remaining: n_chunks,
+                    failed: None,
+                },
+            ),
+        };
+        (Arc::new(demux), xs)
+    }
+
+    /// Forwards `group` to the engine as one dispatch.
+    fn dispatch(
+        group: Vec<Pending>,
+        engine: &ServeEngine,
+        metrics: &Arc<GatewayMetrics>,
+        clock: &Clock,
+    ) {
+        let model = Arc::clone(&group[0].model);
+        let scope = Arc::clone(&group[0].model_name);
+        let size = group.len() as u64;
+        let (demux, xs) = Self::new(group, engine.chunk_samples(), metrics, clock);
+        match engine.try_dispatch(model, xs, Some(scope), T::EVAL, Arc::clone(&demux)) {
+            Ok(()) => {
+                bump_by(&metrics.dispatched, size);
+                metrics.coalesced.record_ns(size);
+            }
+            // The panic budget tripped between admission and dispatch:
+            // the admitted requests are dropped with a typed verdict.
+            Err(ServeError::Degraded) => {
+                demux.drop_all(&metrics.rejected_degraded, GatewayError::Degraded)
+            }
+            // Engine closed under still-queued requests (only possible if
+            // the engine is shut down out from under the gateway):
+            // resolve rather than hang the handles.
+            Err(_) => demux.drop_all(&metrics.dropped_closed, GatewayError::Closed),
+        }
+    }
+
+    /// Resolves every member of a group the engine refused.
+    fn drop_all(&self, counter: &AtomicU64, reason: GatewayError) {
+        for m in &self.members {
+            bump(counter);
+            m.fail(reason);
+        }
+    }
 }
 
-impl Drop for ChunkGuard {
-    fn drop(&mut self) {
-        let ctx = &self.ctx;
+impl<T: Shape> ChunkSink<T> for Demux<T> {
+    fn cancelled(&self, _index: usize) -> bool {
+        self.members.iter().all(|m| m.cancel.is_cancelled())
+    }
+
+    fn complete_chunk(&self, index: usize, result: Result<Vec<T>, JobError>) {
         check_yield!("gateway.chunk.settle");
-        if std::thread::panicking() {
-            // relaxed-ok: (audited, was SeqCst) ordered before this
-            // thread's decrement below; the countdown's release/acquire
-            // chain publishes it to the last chunk out.
-            ctx.failed.store(true, Ordering::Relaxed);
-        }
-        // AcqRel (audited, was SeqCst): every chunk's flag stores are
-        // ordered before its own decrement; each decrement releases and
-        // the final one (observing 1) acquires the whole chain, so the
-        // last chunk out sees every other chunk's `failed`/`cancelled`
-        // stores — the same edge `Arc::drop` uses to free its payload.
-        // No path here compares against any other atomic, so the SeqCst
-        // total order bought nothing.
-        if let Some(t) = &ctx.trace {
-            t.chunk_done();
-        }
-        if ctx.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // relaxed-ok: (audited, was SeqCst) the AcqRel decrement
-            // above already synchronized with every store (same for the
-            // `cancelled` load below).
-            if ctx.failed.load(Ordering::Relaxed) {
-                bump(&ctx.metrics.failed);
-                bump(&ctx.model_metrics.failed);
-                if let Some(t) = &ctx.trace {
-                    t.resolve(TerminalKind::Failed);
-                }
-            // relaxed-ok: see the `failed` load above.
-            } else if ctx.cancelled.load(Ordering::Relaxed) {
-                // Cancelled mid-flight: neither completed nor failed.
-                bump(&ctx.metrics.cancelled);
-                if let Some(t) = &ctx.trace {
-                    t.resolve(TerminalKind::Cancelled);
-                }
-            } else {
-                // Service time covers completed requests only, so
-                // service_ns / completed is a true per-model mean (a
-                // failed request would otherwise inflate it).
-                let ns = ctx
-                    .clock
-                    .now()
-                    .saturating_duration_since(ctx.started)
-                    .as_nanos() as u64;
-                ctx.metrics.service.record_ns(ns);
-                bump_by(&ctx.model_metrics.service_ns, ns);
-                bump(&ctx.metrics.completed);
-                bump(&ctx.model_metrics.completed);
-                bump_by(&ctx.metrics.samples_completed, ctx.samples);
-                bump_by(&ctx.model_metrics.samples, ctx.samples);
-                if let Some(t) = &ctx.trace {
-                    t.resolve(TerminalKind::Completed);
-                }
+        for m in &self.members {
+            if let Some(t) = &m.trace {
+                t.chunk_done();
             }
         }
-    }
-}
-
-/// Ring entry: a request of either result shape.
-enum Pending {
-    Forward(Request<Vec<u32>>),
-    Classify(Request<usize>),
-}
-
-impl Pending {
-    /// Samples this request carries (→ chunk jobs when dispatched).
-    fn samples(&self) -> usize {
-        match self {
-            Pending::Forward(r) => r.xs.len(),
-            Pending::Classify(r) => r.xs.len(),
+        let mut outcome = {
+            // panic-ok: holders only move parts/flags; no unwind, so
+            // poisoning is unreachable.
+            let mut st = self.assembly.lock().expect("demux lock");
+            match result {
+                Ok(part) => st.parts[index] = Some(part),
+                // A failure outranks a cancellation, whichever lands last.
+                Err(e) if st.failed.is_none() || e != JobError::Cancelled => st.failed = Some(e),
+                Err(_) => {}
+            }
+            st.remaining -= 1;
+            if st.remaining > 0 {
+                return;
+            }
+            match st.failed {
+                Some(e) => Err(e),
+                None => Ok(std::mem::take(&mut st.parts)
+                    .into_iter()
+                    .flatten()
+                    .flatten()),
+            }
+        };
+        // Last chunk out. Resolve-then-wake: settle and store every
+        // member's result (first-wins, under each cell's lock) and only
+        // then notify, so a waiter that owns several members wakes to a
+        // run of ready handles. Metrics settle before the cell resolves.
+        let elapsed = self.clock.now().saturating_duration_since(self.started);
+        let service_ns = elapsed.as_nanos() as u64;
+        for m in &self.members {
+            let result = match &mut outcome {
+                Ok(rows) => {
+                    let mine: Vec<T> = rows.by_ref().take(m.samples).collect();
+                    // Looked at again before publishing: a member
+                    // cancelled mid-flight keeps the verdict its handle
+                    // already shows; its batch-mates are served.
+                    if m.cancel.is_cancelled() {
+                        Err(GatewayError::Cancelled)
+                    } else {
+                        Ok(mine)
+                    }
+                }
+                Err(e) => Err(GatewayError::from(*e)),
+            };
+            m.settle(&self.metrics, &result, service_ns);
+            T::cell(&m.reply).store(result);
         }
-    }
-
-    /// Logical model name (the rate-limit bucket key).
-    fn model_name(&self) -> &str {
-        match self {
-            Pending::Forward(r) => &r.model_name,
-            Pending::Classify(r) => &r.model_name,
-        }
-    }
-
-    /// The request's completion deadline, if any.
-    fn deadline(&self) -> Option<Instant> {
-        match self {
-            Pending::Forward(r) => r.deadline,
-            Pending::Classify(r) => r.deadline,
-        }
-    }
-
-    /// Whether the handle's cancel token has fired.
-    fn is_cancelled(&self) -> bool {
-        match self {
-            Pending::Forward(r) => r.cancel.is_cancelled(),
-            Pending::Classify(r) => r.cancel.is_cancelled(),
-        }
-    }
-
-    fn resolve_undispatched(self, reason: GatewayError) {
-        match self {
-            Pending::Forward(r) => r.resolve_undispatched(reason),
-            Pending::Classify(r) => r.resolve_undispatched(reason),
-        }
-    }
-
-    fn dispatch(self, engine: &ServeEngine, metrics: &Arc<GatewayMetrics>, clock: &Clock) {
-        match self {
-            Pending::Forward(r) => r.dispatch(engine, metrics, clock, forward_chunk_cancellable),
-            Pending::Classify(r) => r.dispatch(engine, metrics, clock, classify_chunk_cancellable),
+        for m in &self.members {
+            T::cell(&m.reply).wake();
         }
     }
 }
@@ -733,9 +774,9 @@ impl GatewayBuilder {
 /// Why the dispatcher discarded a popped entry instead of dispatching it.
 /// `now` comes off the gateway's clock seam so expiry is virtualizable.
 fn dead_verdict(entry: &Pending, now: Instant) -> Option<GatewayError> {
-    if entry.is_cancelled() {
+    if entry.cancel.is_cancelled() {
         Some(GatewayError::Cancelled)
-    } else if entry.deadline().is_some_and(|d| now >= d) {
+    } else if entry.deadline.is_some_and(|d| now >= d) {
         Some(GatewayError::DeadlineExceeded)
     } else {
         None
@@ -750,8 +791,8 @@ fn discard(
     metrics: &GatewayMetrics,
     limiters: &HashMap<String, TokenBucket>,
 ) {
-    if let Some(bucket) = limiters.get(entry.model_name()) {
-        bucket.refund(entry.samples() as f64);
+    if let Some(bucket) = limiters.get(&*entry.model_name) {
+        bucket.refund(entry.samples as f64);
     }
     match reason {
         GatewayError::DeadlineExceeded => bump(&metrics.deadline_exceeded),
@@ -766,8 +807,47 @@ fn discard(
     entry.resolve_undispatched(reason);
 }
 
+/// The live entries of the group `head` leads: `head` plus — when it is
+/// smaller than a chunk — every already-queued entry that
+/// [batches with](Pending::batches_with) it and still fits in
+/// `chunk_samples`, in queue order (taking stops at the first match that
+/// does not fit, so one model's requests are never reordered). It never
+/// waits for more to arrive. Followers are screened like the head was:
+/// dead ones are discarded (tokens refunded) while their batch-mates run.
+fn take_group(
+    ring: &SubmissionRing<Pending>,
+    head: Pending,
+    chunk_samples: usize,
+    now: Instant,
+    metrics: &GatewayMetrics,
+    limiters: &HashMap<String, TokenBucket>,
+) -> Vec<Pending> {
+    let mut room = chunk_samples.saturating_sub(head.samples);
+    let followers = if room == 0 {
+        Vec::new()
+    } else {
+        ring.take_matching(|e| {
+            if room == 0 || !head.batches_with(e) {
+                return false;
+            }
+            let fits = e.samples <= room;
+            room = if fits { room - e.samples } else { 0 };
+            fits
+        })
+    };
+    let mut group = vec![head];
+    for e in followers {
+        match dead_verdict(&e, now) {
+            Some(reason) => discard(e, reason, metrics, limiters),
+            None => group.push(e),
+        }
+    }
+    group
+}
+
 /// The dispatcher: drains the ring in admission order, lazily expiring
-/// dead entries (deadline passed, cancelled) and throttling on the
+/// dead entries (deadline passed, cancelled), coalescing small requests
+/// into one engine chunk (see [`take_group`]) and throttling on the
 /// engine's queue depth so the unbounded injector never grows past
 /// `max_inflight` chunk jobs. During shutdown the backlog drain is
 /// bounded by `drain_deadline`; past it, remaining entries resolve
@@ -783,11 +863,12 @@ fn dispatcher_loop(
     clock: &Clock,
     recorder: Option<&Arc<Recorder>>,
 ) {
+    let chunk_samples = engine.chunk_samples();
     let mut drain_logged = false;
     while let Some(entry) = ring.pop_for_dispatch() {
         // Fault seam: a planned sleep here models dispatcher latency and
         // deterministically widens the expiry-vs-dispatch race window.
-        faults::fire(faults::points::DELAY_DISPATCH, Some(entry.model_name()));
+        faults::fire(faults::points::DELAY_DISPATCH, Some(&entry.model_name));
 
         // Dispatch-side queue-depth sample for `/statusz`: together with
         // the admission-side samples this brackets the depth every request
@@ -797,15 +878,16 @@ fn dispatcher_loop(
         }
 
         // Headroom accounting: this request becomes `chunks` atomic pool
-        // jobs, so wait until they fit under the cap — not merely until
-        // the current depth is under it. A single request larger than the
-        // whole cap waits for a fully drained engine and is dispatched
-        // alone, so the engine's instantaneous bound is
+        // jobs (a coalesced group is the one chunk its head already
+        // counts as), so wait until they fit under the cap — not merely
+        // until the current depth is under it. A single request larger
+        // than the whole cap waits for a fully drained engine and is
+        // dispatched alone, so the engine's instantaneous bound is
         // max(max_inflight, ceil(largest_request / chunk_samples)).
         // The wait runs in slices so entry deadlines, cancellation and
         // the shutdown drain deadline stay live while the engine is
         // saturated.
-        let chunks = entry.samples().div_ceil(engine.chunk_samples()).max(1);
+        let chunks = entry.samples.div_ceil(chunk_samples).max(1);
         let headroom = max_inflight.saturating_sub(chunks);
         let verdict = loop {
             if let Some(v) = dead_verdict(&entry, clock.now()) {
@@ -836,7 +918,16 @@ fn dispatcher_loop(
                 }
                 discard(entry, reason, metrics, limiters);
             }
-            None => entry.dispatch(engine, metrics, clock),
+            None => {
+                let forward = matches!(entry.reply, Reply::Forward(_));
+                let now = clock.now();
+                let group = take_group(ring, entry, chunk_samples, now, metrics, limiters);
+                if forward {
+                    Demux::<Vec<u32>>::dispatch(group, engine, metrics, clock);
+                } else {
+                    Demux::<usize>::dispatch(group, engine, metrics, clock);
+                }
+            }
         }
         ring.dispatch_done();
     }
@@ -1002,7 +1093,7 @@ impl Gateway {
             xs,
             SubmitOptions::default(),
             true,
-            Pending::Forward,
+            Reply::Forward,
             false,
         )
     }
@@ -1015,7 +1106,7 @@ impl Gateway {
         xs: Vec<Vec<f32>>,
         opts: SubmitOptions,
     ) -> Admission<Vec<u32>> {
-        self.admit(key, xs, opts, true, Pending::Forward, false)
+        self.admit(key, xs, opts, true, Reply::Forward, false)
     }
 
     /// Non-blocking submission for class predictions (all formats,
@@ -1027,7 +1118,7 @@ impl Gateway {
             xs,
             SubmitOptions::default(),
             false,
-            Pending::Classify,
+            Reply::Classify,
             false,
         )
     }
@@ -1040,7 +1131,7 @@ impl Gateway {
         xs: Vec<Vec<f32>>,
         opts: SubmitOptions,
     ) -> Admission<usize> {
-        self.admit(key, xs, opts, false, Pending::Classify, false)
+        self.admit(key, xs, opts, false, Reply::Classify, false)
     }
 
     /// Policy-applying submission for raw activations: under
@@ -1053,7 +1144,7 @@ impl Gateway {
             xs,
             SubmitOptions::default(),
             true,
-            Pending::Forward,
+            Reply::Forward,
             true,
         )
     }
@@ -1065,7 +1156,7 @@ impl Gateway {
         xs: Vec<Vec<f32>>,
         opts: SubmitOptions,
     ) -> Admission<Vec<u32>> {
-        self.admit(key, xs, opts, true, Pending::Forward, true)
+        self.admit(key, xs, opts, true, Reply::Forward, true)
     }
 
     /// Policy-applying submission for class predictions; see
@@ -1076,7 +1167,7 @@ impl Gateway {
             xs,
             SubmitOptions::default(),
             false,
-            Pending::Classify,
+            Reply::Classify,
             true,
         )
     }
@@ -1088,7 +1179,7 @@ impl Gateway {
         xs: Vec<Vec<f32>>,
         opts: SubmitOptions,
     ) -> Admission<usize> {
-        self.admit(key, xs, opts, false, Pending::Classify, true)
+        self.admit(key, xs, opts, false, Reply::Classify, true)
     }
 
     /// Blocks until the ring is drained **and** the engine is idle: every
@@ -1158,16 +1249,16 @@ impl Gateway {
             // relaxed-ok: unique-id counter; no ordering with other memory.
             self.next_req_id.fetch_add(1, Ordering::Relaxed) | (1 << 63)
         });
-        rec.begin(req_id, &key.to_string(), samples, opts.received)
+        rec.begin(req_id, key, samples, opts.received)
     }
 
-    fn admit<T: Clone + Send + 'static>(
+    fn admit<T>(
         &self,
         key: &ModelKey,
         xs: Vec<Vec<f32>>,
         opts: SubmitOptions,
         needs_emac: bool,
-        wrap: fn(Request<T>) -> Pending,
+        wrap: fn(Arc<HandleCell<T>>) -> Reply,
         may_block: bool,
     ) -> Admission<T> {
         let metrics = &self.metrics;
@@ -1209,7 +1300,7 @@ impl Gateway {
         }
         // Rate limit before any per-model bookkeeping: the rejection
         // verdict is the hot path under over-limit traffic and should not
-        // pay the metrics-map lookup (a String render + RwLock read).
+        // pay the metrics-map lookup (an RwLock read).
         let cost = xs.len() as f64;
         let bucket = self.limiters.get(key.name());
         if let Some(bucket) = bucket {
@@ -1220,7 +1311,7 @@ impl Gateway {
         }
         let model_metrics = metrics.model(key);
         let (handle, cell) = GatewayHandle::pending();
-        let cancel = cell.cancel_token();
+        let cancel = cell.cancel_token().clone();
         // The trace context opens only once every pre-admission screen has
         // passed: a rejected-before-admission request (unknown model,
         // rate-limited, degraded, unsupported) never begins a trace, so
@@ -1229,18 +1320,19 @@ impl Gateway {
             .recorder
             .as_ref()
             .map(|rec| self.begin_trace(rec, key, xs.len() as u64, &opts));
-        let entry = wrap(Request {
-            model_name: key.name().to_string(),
+        let entry = Pending {
+            model_name: Arc::from(key.name()),
             model,
+            samples: xs.len(),
             xs,
-            cell,
+            reply: wrap(cell),
             model_metrics: Arc::clone(&model_metrics),
             enqueued: self.clock.now(),
             deadline: opts.deadline,
             priority_hint: opts.priority_hint,
             cancel,
             trace: trace.clone(),
-        });
+        };
         let outcome = if may_block && matches!(self.policy, OverloadPolicy::Block) {
             match self.ring.push_blocking(entry) {
                 Ok(()) => TryPush::Pushed,
@@ -1276,8 +1368,8 @@ impl Gateway {
                 }
                 // The evictee served nothing either: refund the tokens
                 // *it* was charged (its model may differ from this one's).
-                if let Some(b) = self.limiters.get(evicted.model_name()) {
-                    b.refund(evicted.samples() as f64);
+                if let Some(b) = self.limiters.get(&*evicted.model_name) {
+                    b.refund(evicted.samples as f64);
                 }
                 evicted.resolve_undispatched(GatewayError::Shed);
                 Admission::Admitted(handle)
@@ -1321,5 +1413,158 @@ impl Drop for Gateway {
         // `self.engine` (the last Arc once the dispatcher is gone) drops
         // after this body: the pool drains every dispatched job and joins
         // its workers — handles held by callers still complete.
+    }
+}
+
+/// Seeded PCT interleave test (compiled only with `--features
+/// check-yield`) over the coalescing path: producers, the dispatcher's
+/// take-matching + demux, and a canceller, on the real ring, cells and
+/// sink — with the pool worker's part (evaluate, then complete the chunk
+/// once) played inline by the dispatcher body.
+#[cfg(all(test, feature = "check-yield"))]
+mod interleave_tests {
+    use super::*;
+    use dp_check::sched::explore;
+
+    const CHUNK: usize = 4;
+
+    /// One single-sample classify entry whose row carries its own id, so
+    /// a demuxed result names the member it belongs to.
+    fn entry(
+        id: u64,
+        model: &Arc<QuantizedMlp>,
+        metrics: &GatewayMetrics,
+        rec: &Arc<Recorder>,
+        clock: &Clock,
+    ) -> (GatewayHandle<usize>, Pending) {
+        let (handle, cell) = GatewayHandle::pending();
+        let pending = Pending {
+            model_name: Arc::from("m"),
+            model: Arc::clone(model),
+            xs: vec![vec![id as f32]],
+            samples: 1,
+            cancel: cell.cancel_token().clone(),
+            reply: Reply::Classify(cell),
+            model_metrics: metrics.model(&ModelKey::new("m", "f")),
+            enqueued: clock.now(),
+            deadline: None,
+            priority_hint: None,
+            trace: Some(rec.begin(id, "m@f", 1, None)),
+        };
+        (handle, pending)
+    }
+
+    /// Two producers push two entries each while the dispatcher pops,
+    /// takes followers and demuxes, and a canceller cancels two of the
+    /// four handles at arbitrary points (queued, taken, dispatched,
+    /// resolved). Under every schedule: each handle resolves to its own
+    /// row or to `Cancelled`; each request emits exactly one terminal;
+    /// and every entry is discarded or dispatched exactly once.
+    #[test]
+    fn coalesced_members_each_get_exactly_one_terminal_under_every_schedule() {
+        let mlp = deep_positron::Mlp::new(&[1, 2], 1);
+        let format = NumericFormat::Posit(dp_posit::PositFormat::new(8, 0).expect("posit<8,0>"));
+        let model = Arc::new(QuantizedMlp::quantize(&mlp, format));
+        for master in [0xC0A1_0001u64, 0xC0A1_0002, 0xC0A1_0003] {
+            let mut audits = Vec::new();
+            let out = explore(master, 1000, 3, |_| {
+                let clock = Clock::manual();
+                let ring = Arc::new(SubmissionRing::new(8));
+                let metrics = Arc::new(GatewayMetrics::default());
+                let rec = Recorder::new(TraceConfig::every_request(), clock.clone());
+                let (handles, entries): (Vec<_>, Vec<_>) = (0..4)
+                    .map(|id| entry(id, &model, &metrics, &rec, &clock))
+                    .unzip();
+                let handles = Arc::new(handles);
+                audits.push((Arc::clone(&handles), Arc::clone(&metrics), rec));
+                let live = Arc::new(AtomicU64::new(2));
+                let mut entries = entries.into_iter();
+                let mut bodies: Vec<Box<dyn FnOnce() + Send>> = (0..2)
+                    .map(|_| {
+                        let mine: Vec<Pending> = entries.by_ref().take(2).collect();
+                        let (ring, live) = (Arc::clone(&ring), Arc::clone(&live));
+                        Box::new(move || {
+                            for e in mine {
+                                assert!(matches!(ring.try_push(e, false), TryPush::Pushed));
+                            }
+                            // Last producer out begins shutdown (AcqRel:
+                            // after both push runs), ending the drain.
+                            if live.fetch_sub(1, Ordering::AcqRel) == 1 {
+                                ring.close();
+                            }
+                        }) as Box<dyn FnOnce() + Send>
+                    })
+                    .collect();
+                let cancelled = Arc::clone(&handles);
+                bodies.push(Box::new(move || {
+                    cancelled[1].cancel();
+                    cancelled[2].cancel();
+                }));
+                bodies.push(Box::new(move || {
+                    let limiters = HashMap::new();
+                    while let Some(head) = ring.pop_for_dispatch() {
+                        if let Some(reason) = dead_verdict(&head, clock.now()) {
+                            discard(head, reason, &metrics, &limiters);
+                        } else {
+                            let now = clock.now();
+                            let group = take_group(&ring, head, CHUNK, now, &metrics, &limiters);
+                            let size = group.len() as u64;
+                            let (demux, xs) = Demux::<usize>::new(group, CHUNK, &metrics, &clock);
+                            bump_by(&metrics.dispatched, size);
+                            metrics.coalesced.record_ns(size);
+                            let result = if demux.cancelled(0) {
+                                Err(JobError::Cancelled)
+                            } else {
+                                Ok(xs.iter().map(|row| row[0] as usize).collect())
+                            };
+                            demux.complete_chunk(0, result);
+                        }
+                        ring.dispatch_done();
+                    }
+                }));
+                bodies
+            });
+            assert_eq!(out.schedules, 1000);
+            assert!(
+                out.findings.is_empty(),
+                "seed {master:#x}: {:?}",
+                out.findings
+            );
+            assert!(
+                out.distinct_traces >= 10,
+                "seed {master:#x}: the seed is not steering the schedule \
+                 ({} distinct traces)",
+                out.distinct_traces
+            );
+            let mut coalesced_seen = false;
+            for (run, (handles, metrics, rec)) in audits.iter().enumerate() {
+                let at = format!("seed {master:#x} run {run}");
+                for (id, h) in handles.iter().enumerate() {
+                    let got = h
+                        .poll()
+                        .unwrap_or_else(|| panic!("{at}: handle {id} unresolved"));
+                    let cancellable = id == 1 || id == 2;
+                    assert!(
+                        got == Ok(vec![id]) || (cancellable && got == Err(GatewayError::Cancelled)),
+                        "{at}: handle {id} resolved to {got:?}"
+                    );
+                }
+                let stats = rec.stats();
+                assert_eq!((stats.begun, stats.terminals_total()), (4, 4), "{at}");
+                assert_eq!(stats.dup_terminals, 0, "{at}");
+                let snap = metrics.snapshot(0);
+                // Dispatched or discarded, exactly once each.
+                assert_eq!(snap.completed + snap.cancelled, 4, "{at}");
+                assert!(snap.dispatched >= snap.completed, "{at}");
+                assert_eq!(snap.coalesced.sum_ns, snap.dispatched, "{at}");
+                assert_eq!(snap.failed, 0, "{at}");
+                coalesced_seen |= snap.coalesced.count() < snap.dispatched;
+            }
+            assert!(
+                coalesced_seen,
+                "seed {master:#x}: no schedule ever coalesced — the test is \
+                 not exercising the take-matching path"
+            );
+        }
     }
 }

@@ -11,6 +11,13 @@
 //! shed/expired/cancelled request resolves promptly to its typed
 //! [`GatewayError`] instead of hanging forever.
 //!
+//! The handle and the gateway share **one completion cell**: whoever
+//! decides the request's fate — the dispatcher (shed, expired, closed),
+//! the chunk demux on a pool worker (value or job failure) or the caller
+//! ([`cancel`](GatewayHandle::cancel)) — stores the result there, and
+//! that is the only place a request resolves. There is no inner engine
+//! handle to take, wait on and put back.
+//!
 //! Unlike the single-consumer `dp_serve` handles, a gateway handle caches
 //! its resolved result: `wait` and `poll` can be called repeatedly (the
 //! clone of the first resolution is returned), which makes double-`wait`
@@ -20,7 +27,7 @@
 //! late the engine-side result limps in.
 
 use crate::check::{self, check_yield, MutexGuard};
-use dp_serve::{BatchHandle, CancelToken, JobError};
+use dp_serve::{CancelToken, JobError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -38,7 +45,7 @@ pub enum GatewayError {
     /// its rate-limit tokens were refunded.
     DeadlineExceeded,
     /// The request was cancelled via [`GatewayHandle::cancel`] (while
-    /// queued, or mid-flight at a chunk/sample boundary).
+    /// queued, or mid-flight at a chunk boundary).
     Cancelled,
     /// The serving engine is degraded (worker panic budget tripped) and
     /// dropped this already-admitted request before evaluation.
@@ -89,10 +96,10 @@ pub enum RequestStage {
 }
 
 enum HandleState<T> {
-    /// In the ring, or a waiter temporarily holds the inner batch handle.
+    /// In the submission ring (or being dispatched).
     Queued,
-    /// Dispatched to the engine; the inner handle delivers the value.
-    Dispatched(BatchHandle<T>),
+    /// Handed to the engine; the chunk demux will store the value.
+    Dispatched,
     /// Final: the cached resolution every `wait`/`poll` clone returns.
     Resolved(Result<Vec<T>, GatewayError>),
 }
@@ -100,7 +107,7 @@ enum HandleState<T> {
 pub(crate) struct HandleCell<T> {
     state: check::Mutex<HandleState<T>>,
     ready: check::Condvar,
-    /// The request's cancellation token, shared with its chunk jobs.
+    /// The request's cancellation token, checked at chunk boundaries.
     cancel: CancelToken,
 }
 
@@ -114,53 +121,45 @@ impl<T> HandleCell<T> {
         self.state.lock().expect("gateway handle lock")
     }
 
-    /// Resolves the request (shed, closed, expired, cancelled, or an
-    /// inline empty result) and wakes every waiter. **First resolution
-    /// wins**: an already-resolved cell is left untouched, so a late
-    /// verdict can never clobber the one callers may have seen.
-    pub(crate) fn resolve(&self, result: Result<Vec<T>, GatewayError>) {
+    /// Stores the request's resolution **without waking anyone** — pair
+    /// with [`HandleCell::wake`]. The chunk demux stores every member of
+    /// a coalesced chunk first and wakes afterwards, so a waiter that
+    /// owns several of them (a connection writer) wakes to a run of
+    /// ready handles. **First resolution wins**: an already-resolved
+    /// cell is left untouched, so a late verdict can never clobber the
+    /// one callers may have seen.
+    pub(crate) fn store(&self, result: Result<Vec<T>, GatewayError>) {
         check_yield!("handle.resolve");
         let mut st = self.st();
-        if matches!(*st, HandleState::Resolved(_)) {
-            return;
+        if !matches!(*st, HandleState::Resolved(_)) {
+            *st = HandleState::Resolved(result);
         }
-        *st = HandleState::Resolved(result);
+    }
+
+    /// Wakes every waiter (after a [`HandleCell::store`]).
+    pub(crate) fn wake(&self) {
         self.ready.notify_all();
     }
 
-    /// Transitions `Queued` → `Dispatched`, attaching the engine handle
-    /// that will deliver the value.
-    pub(crate) fn dispatched(&self, inner: BatchHandle<T>) {
+    /// Resolves the request (shed, closed, expired, cancelled, or an
+    /// inline empty result) and wakes every waiter; first wins.
+    pub(crate) fn resolve(&self, result: Result<Vec<T>, GatewayError>) {
+        self.store(result);
+        self.wake();
+    }
+
+    /// Transitions `Queued` → `Dispatched` (a stage marker only).
+    pub(crate) fn dispatched(&self) {
         check_yield!("handle.dispatched");
         let mut st = self.st();
         if matches!(*st, HandleState::Queued) {
-            *st = HandleState::Dispatched(inner);
-            self.ready.notify_all();
+            *st = HandleState::Dispatched;
         }
     }
 
-    /// The request's cancel token (cloned into chunk jobs at dispatch).
-    pub(crate) fn cancel_token(&self) -> CancelToken {
-        self.cancel.clone()
-    }
-}
-
-impl<T: Clone> HandleCell<T> {
-    /// Caches `result` unless a resolution already exists; returns the
-    /// winning resolution either way. Used by waiters bringing an engine-
-    /// side result home, so a concurrent `cancel`'s verdict is honored.
-    fn cache_resolution(
-        &self,
-        result: Result<Vec<T>, GatewayError>,
-    ) -> Result<Vec<T>, GatewayError> {
-        check_yield!("handle.cache");
-        let mut st = self.st();
-        if let HandleState::Resolved(existing) = &*st {
-            return existing.clone();
-        }
-        *st = HandleState::Resolved(result.clone());
-        self.ready.notify_all();
-        result
+    /// The request's cancel token.
+    pub(crate) fn cancel_token(&self) -> &CancelToken {
+        &self.cancel
     }
 }
 
@@ -202,7 +201,7 @@ impl<T> GatewayHandle<T> {
     pub fn stage(&self) -> RequestStage {
         match &*self.cell.st() {
             HandleState::Queued => RequestStage::Queued,
-            HandleState::Dispatched(_) => RequestStage::Dispatched,
+            HandleState::Dispatched => RequestStage::Dispatched,
             HandleState::Resolved(_) => RequestStage::Done,
         }
     }
@@ -210,11 +209,7 @@ impl<T> GatewayHandle<T> {
     /// Whether a result (or shed/failure verdict) is available without
     /// blocking.
     pub fn is_done(&self) -> bool {
-        match &*self.cell.st() {
-            HandleState::Resolved(_) => true,
-            HandleState::Dispatched(h) => h.is_done(),
-            HandleState::Queued => false,
-        }
+        matches!(*self.cell.st(), HandleState::Resolved(_))
     }
 
     /// Requests cancellation of this request. Idempotent.
@@ -222,32 +217,19 @@ impl<T> GatewayHandle<T> {
     /// * Still queued in the ring → the handle resolves **immediately** to
     ///   [`GatewayError::Cancelled`]; the dispatcher later discards the
     ///   dead ring entry and refunds its rate-limit tokens.
-    /// * Already dispatched → if the engine result is already available it
+    /// * Already dispatched → if the engine result has already landed it
     ///   wins (cancellation is cooperative, not retroactive); otherwise
     ///   the handle resolves to [`GatewayError::Cancelled`] right away and
-    ///   the token tells in-flight chunks to stop at the next chunk/sample
-    ///   boundary. This also makes `cancel` the recovery path for a
-    ///   request whose completion was lost (e.g. under the
-    ///   `drop_completion` fault): the handle can always be resolved.
+    ///   the token tells the engine to skip chunks that have not started
+    ///   and the demux not to publish ones that have. This also makes
+    ///   `cancel` the recovery path for a request whose completion was
+    ///   lost (e.g. under the `drop_completion` fault): the handle can
+    ///   always be resolved.
     /// * Already resolved → no-op; the existing verdict sticks.
     pub fn cancel(&self) {
         self.cell.cancel.cancel();
         check_yield!("handle.cancel");
-        let mut st = self.cell.st();
-        match &*st {
-            HandleState::Resolved(_) => return,
-            HandleState::Queued => {
-                *st = HandleState::Resolved(Err(GatewayError::Cancelled));
-            }
-            HandleState::Dispatched(h) => {
-                let r = match h.poll() {
-                    Some(done) => done.map_err(GatewayError::from),
-                    None => Err(GatewayError::Cancelled),
-                };
-                *st = HandleState::Resolved(r);
-            }
-        }
-        self.cell.ready.notify_all();
+        self.cell.resolve(Err(GatewayError::Cancelled));
     }
 }
 
@@ -259,19 +241,9 @@ impl<T: Clone> GatewayHandle<T> {
     /// cached verdict comes back on the very next `poll`, never a spin.
     pub fn poll(&self) -> Option<Result<Vec<T>, GatewayError>> {
         check_yield!("handle.poll");
-        let mut st = self.cell.st();
-        match &*st {
+        match &*self.cell.st() {
             HandleState::Resolved(r) => Some(r.clone()),
-            HandleState::Queued => None,
-            HandleState::Dispatched(h) => match h.poll() {
-                Some(r) => {
-                    let r = r.map_err(GatewayError::from);
-                    *st = HandleState::Resolved(r.clone());
-                    self.cell.ready.notify_all();
-                    Some(r)
-                }
-                None => None,
-            },
+            _ => None,
         }
     }
 
@@ -289,29 +261,11 @@ impl<T: Clone> GatewayHandle<T> {
     pub fn wait(&self) -> Result<Vec<T>, GatewayError> {
         let mut st = self.cell.st();
         loop {
-            match &*st {
-                HandleState::Resolved(r) => return r.clone(),
-                HandleState::Queued => {
-                    // panic-ok: see `HandleCell::st`
-                    st = self.cell.ready.wait(st).expect("gateway handle lock");
-                }
-                HandleState::Dispatched(_) => {
-                    // Take the engine handle out (leaving `Queued` as the
-                    // "a waiter owns it" placeholder), release the lock,
-                    // and block on the engine side; concurrent waiters
-                    // sleep on the condvar until we cache the resolution.
-                    check_yield!("handle.wait_take");
-                    let HandleState::Dispatched(inner) =
-                        std::mem::replace(&mut *st, HandleState::Queued)
-                    else {
-                        // panic-ok: the match arm above guarantees the variant
-                        unreachable!("matched Dispatched above")
-                    };
-                    drop(st);
-                    let r = inner.wait().map_err(GatewayError::from);
-                    return self.cell.cache_resolution(r);
-                }
+            if let HandleState::Resolved(r) = &*st {
+                return r.clone();
             }
+            // panic-ok: see `HandleCell::st`
+            st = self.cell.ready.wait(st).expect("gateway handle lock");
         }
     }
 
@@ -329,51 +283,20 @@ impl<T: Clone> GatewayHandle<T> {
         let deadline = Instant::now() + timeout;
         let mut st = self.cell.st();
         loop {
-            match &*st {
-                HandleState::Resolved(r) => return Some(r.clone()),
-                HandleState::Queued => {
-                    // clock-ok: see the deadline note above.
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return None;
-                    }
-                    let (guard, _timeout) = self
-                        .cell
-                        .ready
-                        .wait_timeout(st, deadline - now)
-                        .expect("gateway handle lock"); // panic-ok: see `HandleCell::st`
-                    st = guard;
-                }
-                HandleState::Dispatched(_) => {
-                    check_yield!("handle.wait_take");
-                    let HandleState::Dispatched(inner) =
-                        std::mem::replace(&mut *st, HandleState::Queued)
-                    else {
-                        // panic-ok: the match arm above guarantees the variant
-                        unreachable!("matched Dispatched above")
-                    };
-                    drop(st);
-                    // clock-ok: see the deadline note above.
-                    let remaining = deadline.saturating_duration_since(Instant::now());
-                    match inner.wait_timeout(remaining) {
-                        Some(r) => {
-                            return Some(self.cell.cache_resolution(r.map_err(GatewayError::from)))
-                        }
-                        None => {
-                            // Timed out with the engine still working: put
-                            // the inner handle back for future waiters
-                            // (unless a verdict landed meanwhile).
-                            check_yield!("handle.restore");
-                            let mut st = self.cell.st();
-                            if matches!(*st, HandleState::Queued) {
-                                *st = HandleState::Dispatched(inner);
-                            }
-                            self.cell.ready.notify_all();
-                            return None;
-                        }
-                    }
-                }
+            if let HandleState::Resolved(r) = &*st {
+                return Some(r.clone());
             }
+            // clock-ok: see the deadline note above.
+            let now = Instant::now();
+            if now >= deadline {
+                return None;
+            }
+            let (guard, _timeout) = self
+                .cell
+                .ready
+                .wait_timeout(st, deadline - now)
+                .expect("gateway handle lock"); // panic-ok: see `HandleCell::st`
+            st = guard;
         }
     }
 }

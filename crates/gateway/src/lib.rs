@@ -18,7 +18,10 @@
 //!   (`Admitted | QueueFull | ModelUnknown | RateLimited | …`), a bounded
 //!   multi-producer submission ring, and a dispatcher thread that
 //!   forwards to [`dp_serve::ServeEngine::try_dispatch`] while keeping
-//!   the engine's internal queue under `max_inflight_chunks`.
+//!   the engine's internal queue under `max_inflight_chunks`. Small
+//!   requests already queued for the same model are coalesced into one
+//!   engine chunk and demuxed back to their handles (see the
+//!   [`gateway`] module docs).
 //! * [`gateway::OverloadPolicy`] — who pays for a burst: `Block`
 //!   (backpressure the producer), `ShedNewest` (reject the newcomer) or
 //!   `ShedOldest` (evict the stalest queued request; its handle resolves

@@ -4,8 +4,10 @@
 //! Every counter is a plain [`AtomicU64`] and every histogram a fixed
 //! array of atomic log₂-bucket counts, so recording never takes a lock or
 //! allocates — safe to call from pool workers mid-request. The only
-//! non-atomic structure is the per-model table, which takes a read lock on
-//! the hot path (a write lock only the first time a model is seen).
+//! non-atomic structure is the per-model table, keyed by [`ModelKey`]
+//! (a borrowed lookup: no string is rendered per request), which takes a
+//! read lock on the hot path (a write lock only the first time a model is
+//! seen).
 //!
 //! [`MetricsSnapshot`] is a plain-data copy of everything, and
 //! [`MetricsSnapshot::to_json`] renders it with the same hand-rolled JSON
@@ -22,7 +24,8 @@ use std::sync::{Arc, RwLock};
 /// `[2^i, 2^(i+1))` ns, so 40 buckets span 1 ns to ~18 minutes.
 const BUCKETS: usize = 40;
 
-/// A lock-free log₂ histogram of nanosecond durations.
+/// A lock-free log₂ histogram — of nanosecond durations everywhere but
+/// [`GatewayMetrics::coalesced`], which counts requests per group.
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
@@ -163,7 +166,7 @@ pub struct GatewayMetrics {
     /// could hand them to the engine (lazily expired; tokens refunded).
     pub deadline_exceeded: AtomicU64,
     /// Requests cancelled via their handle (while queued, or mid-flight
-    /// at a chunk/sample boundary).
+    /// at a chunk boundary).
     pub cancelled: AtomicU64,
     /// Requests force-resolved `Closed` because the dispatcher's bounded
     /// shutdown drain hit its deadline (each such request also counts in
@@ -182,7 +185,12 @@ pub struct GatewayMetrics {
     /// Service time per **completed** request (dispatch → last chunk
     /// done); failed requests count in `failed`, not here.
     pub service: Histogram,
-    per_model: RwLock<HashMap<String, Arc<ModelMetrics>>>,
+    /// Requests per dispatched group — how many the dispatcher coalesced
+    /// into one engine dispatch (1 = uncoalesced). Values are request
+    /// counts, not nanoseconds: bucket `i` is group sizes in
+    /// `[2^i, 2^(i+1))`, and the sum equals `dispatched`.
+    pub coalesced: Histogram,
+    per_model: RwLock<HashMap<ModelKey, Arc<ModelMetrics>>>,
 }
 
 /// Bumps a metrics counter by one.
@@ -201,18 +209,17 @@ pub(crate) fn bump_by(counter: &AtomicU64, v: u64) {
 impl GatewayMetrics {
     /// The per-model counters for `key`, created on first use.
     pub fn model(&self, key: &ModelKey) -> Arc<ModelMetrics> {
-        let name = key.to_string();
         // panic-ok: per-model table holders never panic while writing
         // (insertion of a Default cannot unwind), so poisoning here means
         // the process is already lost.
-        if let Some(m) = self.per_model.read().expect("metrics lock").get(&name) {
+        if let Some(m) = self.per_model.read().expect("metrics lock").get(key) {
             return Arc::clone(m);
         }
         Arc::clone(
             self.per_model
                 .write()
                 .expect("metrics lock") // panic-ok: same invariant as the read path above
-                .entry(name)
+                .entry(key.clone())
                 .or_default(),
         )
     }
@@ -227,7 +234,7 @@ impl GatewayMetrics {
         self.per_model
             .write()
             .expect("metrics lock") // panic-ok: see `model()` — writers cannot unwind mid-write
-            .remove(&key.to_string())
+            .remove(key)
             .is_some()
     }
 
@@ -256,7 +263,7 @@ impl GatewayMetrics {
             .expect("metrics lock") // panic-ok: see `model()` — writers cannot unwind mid-write
             .iter()
             .map(|(key, m)| ModelSnapshot {
-                key: key.clone(),
+                key: key.to_string(),
                 admitted: ld(&m.admitted),
                 completed: ld(&m.completed),
                 failed: ld(&m.failed),
@@ -296,6 +303,7 @@ impl GatewayMetrics {
             queue_depth_peak: ld(&self.queue_depth_peak),
             queue_wait: self.queue_wait.snapshot(),
             service: self.service.snapshot(),
+            coalesced: self.coalesced.snapshot(),
             per_model,
         }
     }
@@ -362,6 +370,9 @@ pub struct MetricsSnapshot {
     pub queue_depth_reservoir: Option<DepthSummary>,
     pub queue_wait: HistogramSnapshot,
     pub service: HistogramSnapshot,
+    /// Requests per dispatched group (see [`GatewayMetrics::coalesced`];
+    /// `sum_ns` is the request total, equal to `dispatched`).
+    pub coalesced: HistogramSnapshot,
     pub per_model: Vec<ModelSnapshot>,
 }
 
@@ -398,6 +409,7 @@ pub const PROM_TYPE_ROWS: &[(&str, &str)] = &[
     ("dp_gateway_degraded", "gauge"),
     ("dp_gateway_queue_wait_ns", "histogram"),
     ("dp_gateway_service_ns", "histogram"),
+    ("dp_gateway_coalesced_requests", "histogram"),
     ("dp_gateway_model_requests_total", "counter"),
     ("dp_gateway_model_samples_total", "counter"),
     ("dp_gateway_model_service_ns_total", "counter"),
@@ -442,7 +454,8 @@ impl MetricsSnapshot {
             s,
             "\n  }},\n  \"queue\": {{\n    \"depth\": {},\n    \"depth_peak\": {},\n    \
              \"wait_p50_ns\": {},\n    \"wait_p99_ns\": {}\n  }},\n  \"service\": {{\n    \
-             \"count\": {},\n    \"p50_ns\": {},\n    \"p99_ns\": {}\n  }},\n  \"engine\": {{\n    \
+             \"count\": {},\n    \"p50_ns\": {},\n    \"p99_ns\": {}\n  }},\n  \"coalesced\": {{\n    \
+             \"groups\": {},\n    \"requests\": {}\n  }},\n  \"engine\": {{\n    \
              \"worker_stalled\": {},\n    \"workers_respawned\": {},\n    \
              \"degraded\": {}\n  }},\n  \"models\": [",
             self.queue_depth,
@@ -452,6 +465,8 @@ impl MetricsSnapshot {
             self.service.count(),
             self.service.quantile_ns(0.50),
             self.service.quantile_ns(0.99),
+            self.coalesced.count(),
+            self.coalesced.sum_ns,
             self.worker_stalled,
             self.workers_respawned,
             self.degraded,
@@ -482,7 +497,7 @@ impl MetricsSnapshot {
 
     /// Renders the snapshot in Prometheus **text exposition format**
     /// (version 0.0.4): one counter per request-lifecycle field, gauges
-    /// for the ring depth, the two log₂ histograms as cumulative
+    /// for the ring depth, the three log₂ histograms as cumulative
     /// `_bucket{le="…"}`/`_sum`/`_count` series, and labelled per-model
     /// counters. Durations are exposed in nanoseconds (the `_ns` name
     /// suffix marks the unit); bucket bounds are the histogram's native
@@ -549,6 +564,9 @@ impl MetricsSnapshot {
         for (name, h) in [
             ("dp_gateway_queue_wait_ns", &self.queue_wait),
             ("dp_gateway_service_ns", &self.service),
+            // Requests per dispatched group: `_sum` is the request total
+            // (== dispatched), `_count` the number of groups.
+            ("dp_gateway_coalesced_requests", &self.coalesced),
         ] {
             let _ = writeln!(s, "# TYPE {name} histogram");
             let total = h.count();
@@ -697,6 +715,8 @@ mod tests {
         m.queue_wait.record_ns(1000); // bucket [512, 1024) → le="1023"
         m.queue_wait.record_ns(1000);
         m.service.record_ns(5000); // bucket [4096, 8192) → le="8191"
+        m.coalesced.record_ns(1); // two groups: 1 + 4 requests == dispatched
+        m.coalesced.record_ns(4);
         let mm = m.model(&ModelKey::new("iris", "posit<8,0>"));
         add(&mm.admitted, 5);
         add(&mm.completed, 4);
@@ -787,6 +807,13 @@ dp_gateway_service_ns_bucket{le=\"8191\"} 1
 dp_gateway_service_ns_bucket{le=\"+Inf\"} 1
 dp_gateway_service_ns_sum 5000
 dp_gateway_service_ns_count 1
+# TYPE dp_gateway_coalesced_requests histogram
+dp_gateway_coalesced_requests_bucket{le=\"1\"} 1
+dp_gateway_coalesced_requests_bucket{le=\"3\"} 1
+dp_gateway_coalesced_requests_bucket{le=\"7\"} 2
+dp_gateway_coalesced_requests_bucket{le=\"+Inf\"} 2
+dp_gateway_coalesced_requests_sum 5
+dp_gateway_coalesced_requests_count 2
 # TYPE dp_gateway_model_requests_total counter
 dp_gateway_model_requests_total{model=\"iris@posit<8,0>\",outcome=\"admitted\"} 5
 dp_gateway_model_requests_total{model=\"iris@posit<8,0>\",outcome=\"completed\"} 4

@@ -8,6 +8,10 @@
 //! the gateway's overload policies stay pluggable: the ring mechanically
 //! reports `Full`/returns an evictee and never sheds anything itself.
 //!
+//! Between a pop and its `dispatch_done` the dispatcher may also
+//! [`take_matching`](SubmissionRing::take_matching) followers out of the
+//! queue — the entries it coalesces into the popped head's chunk.
+//!
 //! The ring also carries the control plane the dispatcher needs: a
 //! `closing` flag (after which pops drain the backlog and then return
 //! `None`), a `paused` flag (dispatch stalls while producers keep
@@ -161,6 +165,37 @@ impl<E> SubmissionRing<E> {
             }
             st = self.work.wait(st).expect("ring lock"); // panic-ok: see `SubmissionRing::st`
         }
+    }
+
+    /// Dispatcher side, between a pop and its [`dispatch_done`]: removes
+    /// every already-queued entry `want` accepts, in queue order — the
+    /// followers coalesced behind the popped head. Never waits, and takes
+    /// nothing while dispatch is paused (the pause holds the whole
+    /// backlog; closing overrides it, as for pops). Entries it leaves
+    /// keep their order, so the front of the queue is still the oldest.
+    ///
+    /// [`dispatch_done`]: SubmissionRing::dispatch_done
+    pub(crate) fn take_matching(&self, mut want: impl FnMut(&E) -> bool) -> Vec<E> {
+        check_yield!("ring.take_matching");
+        let mut st = self.st();
+        let mut taken = Vec::new();
+        if st.paused && !st.closing {
+            return taken;
+        }
+        let mut i = 0;
+        while i < st.queue.len() {
+            if want(&st.queue[i]) {
+                taken.extend(st.queue.remove(i));
+            } else {
+                i += 1;
+            }
+        }
+        drop(st);
+        if !taken.is_empty() {
+            // Space freed: wake blocked producers.
+            self.space.notify_all();
+        }
+        taken
     }
 
     /// Marks the in-flight dispatch as finished (the entry reached the

@@ -743,3 +743,122 @@ fn snapshot_after_close_reports_final_conserved_counters() {
     }
     assert_eq!(doomed.wait(), Err(GatewayError::DeadlineExceeded));
 }
+
+// ---- coalescing: invisible except in counters ---------------------------
+
+#[test]
+fn coalesced_small_requests_are_bit_identical_and_conserve_counters() {
+    use dp_gateway::{SubmitOptions, TraceConfig};
+    use std::time::Instant;
+    // 48 single-sample requests — the 8-bit trio plus a duplicate of the
+    // posit model under a second name, forward and classify — queued
+    // behind a paused dispatcher, then released. They must come back
+    // exactly as per-sample evaluation would produce them, in fewer
+    // engine jobs than requests, with every lifecycle law intact; a
+    // member cancelled while queued and one whose deadline passed resolve
+    // typed and refunded while their batch-mates complete.
+    let (mlp, split) = trained_iris();
+    let gw = Gateway::builder()
+        .workers(2)
+        .chunk_samples(8)
+        .queue_capacity(64)
+        // No refill: 36 "iris" requests fit, and refunds are observable.
+        .rate_limit(
+            "iris",
+            RateLimit {
+                burst: 40.0,
+                samples_per_sec: 0.0,
+            },
+        )
+        .trace(TraceConfig::every_request())
+        .build();
+    let mut models: Vec<(ModelKey, QuantizedMlp)> = mixed_formats()
+        .into_iter()
+        .map(|fmt| {
+            let q = QuantizedMlp::quantize(&mlp, fmt);
+            (gw.registry().register("iris", q.clone()).unwrap(), q)
+        })
+        .collect();
+    // Same weights, same format, another registration: a different model
+    // instance, which must never share a chunk with the first.
+    let twin = models[0].1.clone();
+    models.push((gw.registry().register("iris2", twin.clone()).unwrap(), twin));
+
+    gw.pause_dispatch();
+    let samples = &split.test.features;
+    let mut forwards = Vec::new();
+    let mut classifies = Vec::new();
+    for i in 0..48 {
+        let (key, q) = &models[i % 4];
+        let x = samples[i % samples.len()].clone();
+        // Requests 5 (float, classify) and 8 (posit, forward) of "iris"
+        // die in the ring: one deadline already passed, one cancelled.
+        let opts = if i == 5 {
+            SubmitOptions::new().deadline(Instant::now())
+        } else {
+            SubmitOptions::new()
+        };
+        if (i / 4) % 2 == 0 {
+            let h = gw.try_submit_forward_opts(key, vec![x.clone()], opts);
+            forwards.push((i, h.expect_admitted(), vec![q.forward_bits(&x)]));
+        } else {
+            let h = gw.try_submit_classify_opts(key, vec![x.clone()], opts);
+            classifies.push((i, h.expect_admitted(), vec![q.infer(&x)]));
+        }
+    }
+    forwards[4].1.cancel();
+    assert_eq!(forwards[4].0, 8);
+    assert_eq!(gw.queue_depth(), 48, "the pause holds the whole backlog");
+    assert_eq!(gw.engine().stats().jobs_run, 0);
+    gw.resume_dispatch();
+
+    for (i, h, direct) in &forwards {
+        match i {
+            8 => assert_eq!(h.wait(), Err(GatewayError::Cancelled)),
+            _ => assert_eq!(&h.wait().unwrap(), direct, "forward request {i}"),
+        }
+    }
+    for (i, h, direct) in &classifies {
+        match i {
+            5 => assert_eq!(h.wait(), Err(GatewayError::DeadlineExceeded)),
+            _ => assert_eq!(&h.wait().unwrap(), direct, "classify request {i}"),
+        }
+    }
+    gw.wait_idle();
+
+    // Coalescing shows in the counters and nowhere else: 4 model
+    // instances × 2 result kinds cannot share chunks, everything else did.
+    let jobs = gw.engine().stats().jobs_run;
+    assert!(
+        (8..48).contains(&jobs),
+        "{jobs} engine jobs for 48 requests"
+    );
+    let snap = gw.snapshot();
+    assert_eq!(snap.admitted, 48);
+    assert_eq!(snap.dispatched, 46);
+    assert_eq!(snap.completed, 46);
+    assert_eq!(snap.samples_completed, 46);
+    assert_eq!(snap.deadline_exceeded, 1);
+    assert_eq!(snap.cancelled, 1);
+    assert_eq!(snap.failed, 0);
+    assert_eq!(snap.coalesced.count(), jobs, "one group per engine job");
+    assert_eq!(snap.coalesced.sum_ns, snap.dispatched);
+    assert_eq!(snap.queue_wait.count(), 46);
+    assert_eq!(snap.service.count(), 46);
+    let per_model: u64 = snap.per_model.iter().map(|m| m.completed).sum();
+    assert_eq!(per_model, 46);
+    let stats = gw.recorder().unwrap().stats();
+    assert_eq!(stats.begun, 48);
+    assert_eq!(stats.terminals_total(), 48);
+    assert_eq!(stats.dup_terminals, 0);
+
+    // Both dead members were refunded: 34 of the 40 "iris" tokens are
+    // spent, so six more samples fit and a seventh does not.
+    let probe = gw.try_submit_forward(&models[0].0, batch(&split, 6));
+    assert!(probe.is_admitted(), "dead members must refund their tokens");
+    assert!(matches!(
+        gw.try_submit_forward(&models[0].0, batch(&split, 1)),
+        Admission::RateLimited
+    ));
+    probe.expect_admitted().wait().unwrap();
+}

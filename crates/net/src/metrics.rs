@@ -26,7 +26,8 @@ pub struct NetMetrics {
     pub connections_closed: AtomicU64,
     /// Complete binary request frames read.
     pub frames_read: AtomicU64,
-    /// Response frames written (including rejections).
+    /// Response frames the kernel accepted (including rejections);
+    /// counted per flush, so nothing buffered for a dead peer shows up.
     pub frames_written: AtomicU64,
     /// Well-formed forward/classify requests handed to
     /// `Gateway::try_submit_*` — by construction equal to the gateway's
@@ -51,9 +52,14 @@ pub struct NetMetrics {
 impl NetMetrics {
     /// Bumps a counter by one.
     pub(crate) fn inc(counter: &AtomicU64) {
+        Self::add(counter, 1);
+    }
+
+    /// Adds `n` to a counter.
+    pub(crate) fn add(counter: &AtomicU64, n: u64) {
         // relaxed-ok: independent monotone counter; a scrape tolerates
         // cross-counter skew and nothing publishes data through it.
-        counter.fetch_add(1, Ordering::Relaxed);
+        counter.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Renders the counters in Prometheus text exposition format with

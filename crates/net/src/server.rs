@@ -14,6 +14,21 @@
 //! `max_inflight`, so a client that pipelines faster than the engine
 //! serves backpressures at the socket instead of growing a queue.
 //!
+//! Both sides move a pipelined burst per syscall, never per frame. The
+//! reader owns a receive buffer (`FrameBuf`): one `read` takes
+//! whatever the socket holds and every whole frame in it is parsed from
+//! memory (the length prefix is still checked against `max_frame_bytes`
+//! before the buffer grows for a payload, and the slow-loris clock of a
+//! frame still starts at the `read` that delivered its first byte — the
+//! same instant is its trace `received` stamp). The writer buffers
+//! responses and flushes exactly when it would otherwise block: the
+//! reply channel is empty, or the next reply's handle is not resolved
+//! yet, and at exit. A response is never held across a block, so a
+//! one-outstanding round trip costs the same syscalls as an unbuffered
+//! server. Once a write fails the peer is gone: the writer keeps
+//! resolving handles in order (the drain and the conservation laws need
+//! every request accounted for) but encodes and writes nothing more.
+//!
 //! Shutdown mirrors the gateway's drop order, outermost layer first:
 //! close the listener → stop reads at frame boundaries → resolve every
 //! in-flight request (bounded by the drain deadline) → close the
@@ -24,14 +39,14 @@
 use crate::metrics::NetMetrics;
 use crate::wire::{
     check_frame_len, decode_request, encode_response, InferenceRequest, Request, Response,
-    ResponseBody, WireStatus, DEFAULT_MAX_FRAME_BYTES,
+    ResponseBody, WireStatus, DEFAULT_MAX_FRAME_BYTES, LEN_PREFIX_BYTES,
 };
 use dp_gateway::{Admission, Gateway, GatewayError, GatewayHandle, SubmitOptions};
 use dp_serve::{JobError, ModelKey};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender};
+use std::sync::mpsc::{Receiver, SyncSender, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -242,6 +257,16 @@ impl Shared {
             s,
             "engine: workers {} jobs_run {} panics {} stalled {} respawned {}",
             stats.workers, stats.jobs_run, stats.panics, stats.stalled, stats.respawned
+        );
+        // Requests per engine dispatch: > 1 means the dispatcher coalesced
+        // queued small requests into shared chunks.
+        let coalesced = gw.metrics().coalesced.snapshot();
+        let _ = writeln!(
+            s,
+            "coalesced: requests {} groups {} mean {:.2}",
+            coalesced.sum_ns,
+            coalesced.count(),
+            coalesced.sum_ns as f64 / coalesced.count().max(1) as f64
         );
         for (i, busy) in engine.worker_busy_ms().iter().enumerate() {
             match busy {
@@ -483,47 +508,108 @@ enum ReadOutcome {
     Failed,
 }
 
-/// Reads exactly `buf.len()` bytes. `frame_clock` starts at the first
-/// byte read through it and is shared across the header and payload of
-/// one frame: a frame must arrive whole within `read_timeout` of its
-/// first byte (the slow-loris guard), while a connection idling
-/// *between* frames waits indefinitely (until shutdown).
-fn read_full(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    frame_clock: &mut Option<Instant>,
-    shared: &Shared,
-) -> ReadOutcome {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => return ReadOutcome::Eof,
-            Ok(n) => {
-                // clock-ok: slow-loris guard — a wall-clock bound on hostile
-                // peers; doubles as the trace timeline's receive stamp.
-                frame_clock.get_or_insert_with(Instant::now);
-                filled += n;
+/// Receive-buffer size a connection starts with; it grows only for a
+/// frame larger than this (already checked against `max_frame_bytes`).
+const RECV_BUF_BYTES: usize = 16 << 10;
+
+/// A connection's receive side: the socket plus a buffer that one `read`
+/// fills with as many pipelined frames as the kernel has.
+///
+/// `clock` is the slow-loris clock of the frame at the front of the
+/// buffer: the instant of the `read` that delivered its first byte, kept
+/// while the frame is only partially buffered. A frame must arrive whole
+/// within `read_timeout` of it, while a connection idling *between*
+/// frames (empty buffer) waits indefinitely (until shutdown).
+struct FrameBuf {
+    stream: TcpStream,
+    buf: Vec<u8>,
+    /// Unconsumed bytes are `buf[pos..filled]`.
+    pos: usize,
+    filled: usize,
+    clock: Option<Instant>,
+    /// When the latest `read` returned — the first-byte instant of
+    /// whatever frame starts in the bytes it delivered.
+    last_read: Option<Instant>,
+}
+
+impl FrameBuf {
+    fn new(stream: TcpStream) -> Self {
+        FrameBuf {
+            stream,
+            buf: vec![0; RECV_BUF_BYTES],
+            pos: 0,
+            filled: 0,
+            clock: None,
+            last_read: None,
+        }
+    }
+
+    fn buffered(&self) -> &[u8] {
+        &self.buf[self.pos..self.filled]
+    }
+
+    /// Drops `n` bytes off the front; the next frame's clock is the read
+    /// that delivered its first byte, if that byte is already here.
+    fn consume(&mut self, n: usize) {
+        self.pos += n;
+        if self.pos < self.filled {
+            self.clock = self.last_read;
+        } else {
+            (self.pos, self.filled, self.clock) = (0, 0, None);
+            // An oversized frame's room is not kept once it is served.
+            if self.buf.len() > RECV_BUF_BYTES {
+                self.buf.truncate(RECV_BUF_BYTES);
+                self.buf.shrink_to_fit();
             }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if shared.shutting_down() {
-                    return ReadOutcome::ShutdownFlag;
+        }
+    }
+
+    /// Blocks until at least `want` unconsumed bytes are buffered, taking
+    /// everything the socket offers on the way. The caller has bounded
+    /// `want` (a checked frame length or the HTTP head cap).
+    fn fill(&mut self, want: usize, shared: &Shared) -> ReadOutcome {
+        while self.filled - self.pos < want {
+            // What is left is less than one frame: move it to the front
+            // so the read below has the whole buffer to fill.
+            if self.pos > 0 {
+                self.buf.copy_within(self.pos..self.filled, 0);
+                (self.pos, self.filled) = (0, self.filled - self.pos);
+            }
+            if want > self.buf.len() {
+                self.buf.resize(want, 0);
+            }
+            match self.stream.read(&mut self.buf[self.filled..]) {
+                Ok(0) => return ReadOutcome::Eof,
+                Ok(n) => {
+                    // clock-ok: slow-loris guard — a wall-clock bound on hostile
+                    // peers; doubles as the trace timeline's receive stamp.
+                    self.last_read = Some(Instant::now());
+                    self.clock = self.clock.or(self.last_read);
+                    self.filled += n;
                 }
-                if let Some(t0) = frame_clock {
-                    if t0.elapsed() >= shared.read_timeout {
+                Err(e)
+                    if e.kind() == io::ErrorKind::WouldBlock
+                        || e.kind() == io::ErrorKind::TimedOut =>
+                {
+                    if shared.shutting_down() {
+                        return ReadOutcome::ShutdownFlag;
+                    }
+                    if self
+                        .clock
+                        .is_some_and(|t0| t0.elapsed() >= shared.read_timeout)
+                    {
                         return ReadOutcome::TimedOut;
                     }
                 }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => return ReadOutcome::Failed,
             }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return ReadOutcome::Failed,
         }
+        ReadOutcome::Done
     }
-    ReadOutcome::Done
 }
 
-fn run_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
+fn run_connection(stream: TcpStream, shared: &Arc<Shared>) {
     let _ = stream.set_read_timeout(Some(POLL_SLICE));
     let write_half = match stream.try_clone() {
         Ok(s) => s,
@@ -538,7 +624,7 @@ fn run_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
             .expect("spawn connection writer") // panic-ok: thread spawn fails only on OS resource exhaustion
     };
 
-    read_loop(&mut stream, &tx, shared);
+    read_loop(&mut FrameBuf::new(stream), &tx, shared);
 
     // Reader done (EOF, protocol error, or shutdown): close the intake
     // side so the writer drains what is in flight and exits.
@@ -548,11 +634,9 @@ fn run_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
     writer.join().expect("connection writer never panics");
 }
 
-fn read_loop(stream: &mut TcpStream, tx: &SyncSender<Reply>, shared: &Arc<Shared>) {
+fn read_loop(rx: &mut FrameBuf, tx: &SyncSender<Reply>, shared: &Arc<Shared>) {
     loop {
-        let mut hdr = [0u8; 4];
-        let mut clock = None;
-        match read_full(stream, &mut hdr, &mut clock, shared) {
+        match rx.fill(LEN_PREFIX_BYTES, shared) {
             ReadOutcome::Done => {}
             ReadOutcome::TimedOut => {
                 NetMetrics::inc(&shared.metrics.read_timeouts);
@@ -561,12 +645,15 @@ fn read_loop(stream: &mut TcpStream, tx: &SyncSender<Reply>, shared: &Arc<Shared
             }
             _ => return,
         }
+        let mut hdr = [0u8; LEN_PREFIX_BYTES];
+        hdr.copy_from_slice(&rx.buffered()[..LEN_PREFIX_BYTES]);
         if &hdr == b"GET " {
             // An HTTP scrape. Unambiguous: as a length prefix these four
             // bytes would claim a ~0.5 GiB frame, far over any sane cap.
-            serve_http(stream, tx, shared, clock);
+            serve_http(rx, tx, shared);
             return;
         }
+        // Checked before the buffer grows for the payload.
         let len = match check_frame_len(u32::from_le_bytes(hdr), shared.max_frame_bytes) {
             Ok(len) => len,
             Err(e) => {
@@ -575,8 +662,7 @@ fn read_loop(stream: &mut TcpStream, tx: &SyncSender<Reply>, shared: &Arc<Shared
                 return;
             }
         };
-        let mut payload = vec![0u8; len];
-        match read_full(stream, &mut payload, &mut clock, shared) {
+        match rx.fill(LEN_PREFIX_BYTES + len, shared) {
             ReadOutcome::Done => {}
             ReadOutcome::TimedOut => {
                 NetMetrics::inc(&shared.metrics.read_timeouts);
@@ -592,16 +678,19 @@ fn read_loop(stream: &mut TcpStream, tx: &SyncSender<Reply>, shared: &Arc<Shared
             _ => return,
         }
         NetMetrics::inc(&shared.metrics.frames_read);
-        let req = match decode_request(&payload) {
+        let decoded = decode_request(&rx.buffered()[LEN_PREFIX_BYTES..LEN_PREFIX_BYTES + len]);
+        // The slow-loris clock started at the frame's first byte — that
+        // same instant is the trace timeline's "received" stamp.
+        let received = rx.clock;
+        rx.consume(LEN_PREFIX_BYTES + len);
+        let req = match decoded {
             Ok(req) => req,
             Err(e) => {
                 protocol_error(tx, shared, 0, e.to_string());
                 return;
             }
         };
-        // The slow-loris clock started at the frame's first byte — that
-        // same instant is the trace timeline's "received" stamp.
-        if !handle_request(req, tx, shared, clock) {
+        if !handle_request(req, tx, shared, received) {
             return;
         }
     }
@@ -705,22 +794,24 @@ fn rejection<T>(id: u64, adm: &Admission<T>) -> Response {
 
 // ---- HTTP /metrics -----------------------------------------------------
 
-fn serve_http(
-    stream: &mut TcpStream,
-    tx: &SyncSender<Reply>,
-    shared: &Arc<Shared>,
-    mut clock: Option<Instant>,
-) {
-    // "GET " is already consumed; read the rest of the head (capped) up
-    // to the blank line, on the same slow-loris clock as binary frames.
-    let mut head = Vec::with_capacity(256);
-    while !head.ends_with(b"\r\n\r\n") && head.len() < 8192 {
-        let mut byte = [0u8; 1];
-        match read_full(stream, &mut byte, &mut clock, shared) {
-            ReadOutcome::Done => head.push(byte[0]),
-            _ => return,
+fn serve_http(rx: &mut FrameBuf, tx: &SyncSender<Reply>, shared: &Arc<Shared>) {
+    // Buffer the head (capped) up to the blank line, on the same
+    // slow-loris clock as binary frames; then skip the "GET ".
+    const HEAD_CAP: usize = 8192;
+    let head_end = loop {
+        let have = rx.buffered();
+        if let Some(at) = have.windows(4).position(|w| w == b"\r\n\r\n") {
+            break at;
         }
-    }
+        if have.len() >= HEAD_CAP {
+            break have.len();
+        }
+        let want = have.len() + 1;
+        if !matches!(rx.fill(want, shared), ReadOutcome::Done) {
+            return;
+        }
+    };
+    let head = &rx.buffered()[4..head_end];
     // The first token is the request target including any query string
     // (`/tracez?format=json` arrives as one token).
     let path = head
@@ -787,38 +878,99 @@ fn serve_http(
 
 // ---- per-connection writer ---------------------------------------------
 
-fn write_loop(stream: TcpStream, rx: Receiver<Reply>, shared: &Shared) {
-    let mut out = io::BufWriter::new(stream);
-    for reply in rx {
-        let bytes = match reply {
-            Reply::Raw(bytes) => bytes,
-            Reply::Ready(resp) => {
-                NetMetrics::inc(&shared.metrics.frames_written);
-                encode_response(&resp)
-            }
-            Reply::Forward(id, h) => {
-                NetMetrics::inc(&shared.metrics.frames_written);
-                encode_response(&Response {
-                    id,
-                    body: resolve(&h, shared, ResponseBody::ForwardOk),
-                })
-            }
-            Reply::Classify(id, h) => {
-                NetMetrics::inc(&shared.metrics.frames_written);
-                encode_response(&Response {
-                    id,
-                    body: resolve(&h, shared, |classes| {
-                        ResponseBody::ClassifyOk(classes.into_iter().map(|c| c as u32).collect())
-                    }),
-                })
-            }
-        };
-        if out.write_all(&bytes).is_err() || out.flush().is_err() {
-            // Peer went away mid-write; keep draining replies so every
-            // admitted handle still gets resolved (metrics conserve).
-            continue;
+impl Reply {
+    /// Whether turning this reply into bytes can block (its handle has
+    /// not resolved yet).
+    fn would_block(&self) -> bool {
+        match self {
+            Reply::Forward(_, h) => !h.is_done(),
+            Reply::Classify(_, h) => !h.is_done(),
+            Reply::Ready(_) | Reply::Raw(_) => false,
         }
     }
+}
+
+/// Buffered responses are pushed out once they reach this size even if
+/// more are ready, which bounds the writer's memory.
+const SEND_BUF_BYTES: usize = 64 << 10;
+
+/// A connection's send side: response bytes waiting for the next flush.
+struct SendBuf {
+    stream: TcpStream,
+    bytes: Vec<u8>,
+    /// Response frames in `bytes` (`frames_written` counts them once the
+    /// kernel has taken them).
+    frames: u64,
+    /// Set by the first failed write: the peer went away, nothing more
+    /// is encoded or written.
+    peer_gone: bool,
+}
+
+impl SendBuf {
+    fn flush(&mut self, metrics: &NetMetrics) {
+        if self.bytes.is_empty() || self.peer_gone {
+            return;
+        }
+        match self.stream.write_all(&self.bytes) {
+            Ok(()) => NetMetrics::add(&metrics.frames_written, self.frames),
+            Err(_) => self.peer_gone = true,
+        }
+        self.bytes.clear();
+        self.frames = 0;
+    }
+}
+
+fn write_loop(stream: TcpStream, rx: Receiver<Reply>, shared: &Shared) {
+    let mut out = SendBuf {
+        stream,
+        bytes: Vec::new(),
+        frames: 0,
+        peer_gone: false,
+    };
+    loop {
+        // Flush exactly when about to block — on an empty channel here,
+        // on an unresolved handle below — so a burst of ready replies
+        // leaves in one write and no response is held across a wait.
+        let reply = match rx.try_recv() {
+            Ok(reply) => reply,
+            Err(TryRecvError::Empty) => {
+                out.flush(&shared.metrics);
+                match rx.recv() {
+                    Ok(reply) => reply,
+                    Err(_) => break,
+                }
+            }
+            Err(TryRecvError::Disconnected) => break,
+        };
+        if reply.would_block() || out.bytes.len() >= SEND_BUF_BYTES {
+            out.flush(&shared.metrics);
+        }
+        // A dead peer's handles are still resolved, in order (the drain
+        // waits on them and the conservation laws need every request
+        // accounted for); their responses are just never built.
+        let response = match reply {
+            Reply::Raw(bytes) => {
+                out.bytes.extend_from_slice(&bytes);
+                continue;
+            }
+            Reply::Ready(resp) => resp,
+            Reply::Forward(id, h) => Response {
+                id,
+                body: resolve(&h, shared, ResponseBody::ForwardOk),
+            },
+            Reply::Classify(id, h) => Response {
+                id,
+                body: resolve(&h, shared, |classes| {
+                    ResponseBody::ClassifyOk(classes.into_iter().map(|c| c as u32).collect())
+                }),
+            },
+        };
+        if !out.peer_gone {
+            out.bytes.extend_from_slice(&encode_response(&response));
+            out.frames += 1;
+        }
+    }
+    out.flush(&shared.metrics);
 }
 
 /// Resolves one admitted request. Blocks in shutdown-aware slices: under

@@ -427,3 +427,251 @@ fn debug_endpoints_serve_tracez_statusz_healthz_live() {
         Err(_) => { /* listener already fully closed — also a valid drain state */ }
     }
 }
+
+// ---- framing under buffered reads, flush-before-block, dead peers ------
+
+use dp_net::wire::{decode_response, encode_request, InferenceRequest, Response};
+
+/// A single-sample classify frame for the first (posit) model.
+fn classify_frame(id: u64, format: &str, x: &[f32]) -> Vec<u8> {
+    encode_request(&Request::Classify(InferenceRequest {
+        id,
+        model: "iris".into(),
+        format: format.into(),
+        deadline_ms: 0,
+        xs: vec![x.to_vec()],
+    }))
+}
+
+fn read_response(raw: &mut TcpStream) -> Response {
+    let mut hdr = [0u8; 4];
+    raw.read_exact(&mut hdr).unwrap();
+    let mut payload = vec![0u8; u32::from_le_bytes(hdr) as usize];
+    raw.read_exact(&mut payload).unwrap();
+    decode_response(&payload).unwrap()
+}
+
+/// A settled read of one front-end counter.
+fn counter(c: &std::sync::atomic::AtomicU64) -> u64 {
+    c.load(std::sync::atomic::Ordering::Relaxed) // relaxed-ok: polled or quiesced counter read; no data rides on it
+}
+
+/// Polls `cond` until it holds (bounded; a hang fails the test).
+fn wait_until(what: &str, cond: impl Fn() -> bool) {
+    let t0 = std::time::Instant::now();
+    while !cond() {
+        assert!(t0.elapsed() < Duration::from_secs(10), "timed out: {what}");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+#[test]
+fn sixteen_frames_in_one_write_come_back_as_sixteen_in_order_responses() {
+    let (gw, server, models, split) = boot();
+    let fmt = models[0].format.to_string();
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    let xs = batch(&split, 16);
+    let burst: Vec<u8> = xs
+        .iter()
+        .enumerate()
+        .flat_map(|(i, x)| classify_frame(100 + i as u64, &fmt, x))
+        .collect();
+    raw.write_all(&burst).unwrap();
+    for (i, x) in xs.iter().enumerate() {
+        let resp = read_response(&mut raw);
+        assert_eq!(resp.id, 100 + i as u64, "responses keep request order");
+        let direct = models[0].infer(x) as u32;
+        assert_eq!(
+            resp.body,
+            ResponseBody::ClassifyOk(vec![direct]),
+            "frame {i}"
+        );
+    }
+    assert_eq!(counter(&server.metrics().frames_read), 16);
+    assert_eq!(counter(&server.metrics().protocol_errors), 0);
+    gw.wait_idle();
+    let snap = gw.snapshot();
+    assert_eq!(snap.completed, 16);
+    assert_eq!(snap.coalesced.sum_ns, snap.dispatched);
+}
+
+#[test]
+fn frame_split_across_two_writes_parses() {
+    let (_gw, server, models, split) = boot(); // read_timeout = 400 ms
+    let fmt = models[0].format.to_string();
+    let x = &batch(&split, 1)[0];
+    let frame = classify_frame(7, &fmt, x);
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    raw.set_nodelay(true).unwrap();
+    // Mid-header, then mid-payload: each pause is well under the timeout.
+    for piece in [&frame[..2], &frame[2..9], &frame[9..]] {
+        raw.write_all(piece).unwrap();
+        std::thread::sleep(Duration::from_millis(60));
+    }
+    let resp = read_response(&mut raw);
+    assert_eq!(resp.id, 7);
+    assert_eq!(
+        resp.body,
+        ResponseBody::ClassifyOk(vec![models[0].infer(x) as u32])
+    );
+    assert_eq!(counter(&server.metrics().read_timeouts), 0);
+}
+
+#[test]
+fn frame_larger_than_the_receive_buffer_is_served_and_small_ones_follow() {
+    // 2000 samples ≈ 32 KB of payload: the receive buffer grows for it
+    // (the length is under the frame cap), gives the room back, and the
+    // frames pipelined behind it still parse.
+    let (_gw, server, models, split) = boot();
+    let fmt = models[0].format.to_string();
+    let mut client = NetClient::connect(server.local_addr()).unwrap();
+    let fat = batch(&split, 2000);
+    let small = batch(&split, 1);
+    let reqs = [
+        client.classify_request("iris", &fmt, 0, fat.clone()),
+        client.classify_request("iris", &fmt, 0, small.clone()),
+        client.classify_request("iris", &fmt, 0, fat.clone()),
+        client.classify_request("iris", &fmt, 0, small.clone()),
+    ];
+    for req in &reqs {
+        client.send(req).unwrap();
+    }
+    for (req, xs) in reqs.iter().zip([&fat, &small, &fat, &small]) {
+        let resp = client.recv().unwrap();
+        assert_eq!(resp.id, req.id());
+        let direct: Vec<u32> = xs.iter().map(|x| models[0].infer(x) as u32).collect();
+        assert_eq!(resp.body, ResponseBody::ClassifyOk(direct));
+    }
+    assert_eq!(counter(&server.metrics().frames_read), 4);
+}
+
+#[test]
+fn frame_stalled_behind_a_buffered_frame_still_times_out() {
+    // One write carries a whole frame and the first bytes of the next;
+    // the partial frame's slow-loris clock started at that read, so the
+    // stall is still caught — after the whole frame was served.
+    let (_gw, server, models, split) = boot(); // read_timeout = 400 ms
+    let fmt = models[0].format.to_string();
+    let x = &batch(&split, 1)[0];
+    let mut bytes = classify_frame(1, &fmt, x);
+    bytes.extend_from_slice(&classify_frame(2, &fmt, x)[..10]);
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    raw.write_all(&bytes).unwrap();
+    assert_eq!(read_response(&mut raw).status(), WireStatus::Ok);
+    let stalled = read_response(&mut raw);
+    assert_eq!(stalled.status(), WireStatus::ProtocolError, "{stalled:?}");
+    let mut rest = Vec::new();
+    raw.read_to_end(&mut rest).unwrap(); // then the server closes
+    assert!(rest.is_empty());
+    assert_eq!(counter(&server.metrics().read_timeouts), 1);
+    assert_eq!(counter(&server.metrics().frames_read), 1);
+}
+
+#[test]
+fn oversized_prefix_behind_a_valid_buffered_frame_is_rejected() {
+    let (_gw, server, models, split) = boot();
+    let fmt = models[0].format.to_string();
+    let mut bytes = classify_frame(1, &fmt, &batch(&split, 1)[0]);
+    // The next "frame" claims more than the cap and sends no body: the
+    // reject must come from the prefix alone, before any buffer grows.
+    bytes.extend_from_slice(&(dp_net::DEFAULT_MAX_FRAME_BYTES + 1).to_le_bytes());
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    raw.write_all(&bytes).unwrap();
+    assert_eq!(read_response(&mut raw).status(), WireStatus::Ok);
+    assert_eq!(read_response(&mut raw).status(), WireStatus::ProtocolError);
+    assert_eq!(counter(&server.metrics().oversized_frames), 1);
+    assert_eq!(counter(&server.metrics().frames_read), 1);
+}
+
+#[test]
+fn http_endpoints_answer_through_the_buffered_reader() {
+    let (_gw, server, _models, _split) = boot();
+    let addr = server.local_addr();
+    for (path, needle) in [
+        ("/metrics", "dp_gateway_coalesced_requests_count"),
+        ("/statusz", "coalesced: requests"),
+        ("/healthz", "ok"),
+    ] {
+        let (status, body) = dp_net::http_get(addr, path).unwrap();
+        assert_eq!(status, 200, "{path}");
+        assert!(body.contains(needle), "{path}: {body}");
+    }
+    // A request head that trickles in across reads is reassembled.
+    let mut raw = TcpStream::connect(addr).unwrap();
+    raw.set_nodelay(true).unwrap();
+    for piece in ["GE", "T /hea", "lthz HTTP/1.0\r\n", "\r\n"] {
+        raw.write_all(piece.as_bytes()).unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let mut reply = String::new();
+    raw.read_to_string(&mut reply).unwrap();
+    assert!(reply.starts_with("HTTP/1.1 200 OK"), "{reply}");
+    assert!(reply.ends_with("ok\n"), "{reply}");
+}
+
+#[test]
+fn dead_peer_stops_writes_but_every_request_is_still_accounted() {
+    // A client vanishes with 16 requests in flight. The writer must stop
+    // encoding and writing after the first failed write (it used to
+    // retry every reply), yet keep resolving handles so the gateway's
+    // terminals still partition what it admitted.
+    let (mlp, split) = trained_iris();
+    let gw = Arc::new(
+        Gateway::builder()
+            .workers(1)
+            .chunk_samples(8)
+            .trace(dp_gateway::TraceConfig::every_request())
+            .build(),
+    );
+    let q = QuantizedMlp::quantize(&mlp, mixed_formats()[0]);
+    gw.registry().register("iris", q.clone()).unwrap();
+    let server = NetServer::builder(Arc::clone(&gw))
+        .max_inflight(16)
+        .bind("127.0.0.1:0")
+        .unwrap();
+    let fmt = q.format.to_string();
+    let x = &batch(&split, 1)[0];
+    let net = server.metrics();
+
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    // Two served requests; the second response is left unread, so closing
+    // the socket resets the connection instead of ending it politely.
+    raw.write_all(&classify_frame(1, &fmt, x)).unwrap();
+    assert_eq!(read_response(&mut raw).status(), WireStatus::Ok);
+    raw.write_all(&classify_frame(2, &fmt, x)).unwrap();
+    wait_until("second response written", || {
+        counter(&net.frames_written) == 2
+    });
+
+    gw.pause_dispatch();
+    let burst: Vec<u8> = (0..16)
+        .flat_map(|i| classify_frame(10 + i, &fmt, x))
+        .collect();
+    raw.write_all(&burst).unwrap();
+    wait_until("burst admitted", || gw.snapshot().admitted == 18);
+    drop(raw);
+    std::thread::sleep(Duration::from_millis(50)); // let the reset land
+    gw.resume_dispatch();
+
+    wait_until("connection torn down", || {
+        counter(&net.connections_closed) == 1
+    });
+    assert_eq!(
+        counter(&net.frames_written),
+        2,
+        "nothing is written to a dead peer"
+    );
+    server.shutdown();
+    let snap = gw.snapshot();
+    assert_eq!(snap.admitted, 18);
+    assert_eq!(
+        snap.admitted,
+        snap.completed + snap.failed + snap.deadline_exceeded + snap.cancelled,
+        "{}",
+        snap.to_json()
+    );
+    let stats = gw.recorder().unwrap().stats();
+    assert_eq!(stats.begun, 18);
+    assert_eq!(stats.terminals_total(), 18);
+    assert_eq!(stats.dup_terminals, 0);
+}

@@ -14,6 +14,13 @@
 //! across the chunk's samples) — and
 //! because the tile contract is per-column bit-identity, results are
 //! **bit-identical** to per-sample [`QuantizedMlp::forward_bits`].
+//!
+//! There is **one** chunk evaluator per result shape ([`forward_chunk`],
+//! [`classify_chunk`]) and one place a chunk's outcome goes: the
+//! [`ChunkSink`] handed to [`ServeEngine::try_dispatch`]. In-process
+//! `submit_*` calls pass the [`BatchHandle`]'s completer; `dp_gateway`
+//! passes its demux, which fans one chunk out to every request coalesced
+//! into it.
 
 use crate::claim::ClaimCell;
 use crate::faults;
@@ -109,11 +116,11 @@ impl From<JobError> for ServeError {
 /// A shared cancellation flag for one request.
 ///
 /// Cloning yields another handle to the same flag. The serving datapath
-/// checks it at **chunk boundaries** (before a chunk job starts its
-/// evaluation) and the cancel-aware chunk evaluators
-/// ([`forward_chunk_cancellable`], [`classify_chunk_cancellable`]) check
-/// it between samples, so an abandoned batch stops burning workers within
-/// one sample's latency instead of finishing the whole request.
+/// checks it at **chunk boundaries**: a sink reports it through
+/// [`ChunkSink::cancelled`] before a chunk job starts its evaluation, and
+/// looks again before it publishes the chunk's results — so an abandoned
+/// batch stops burning workers within one chunk's latency instead of
+/// finishing the whole request.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     cancelled: Arc<AtomicBool>,
@@ -125,9 +132,9 @@ impl CancelToken {
         Self::default()
     }
 
-    /// Requests cancellation. Idempotent; already-running samples finish,
-    /// everything after the next check point is skipped and the affected
-    /// handles resolve with [`JobError::Cancelled`].
+    /// Requests cancellation. Idempotent; an already-running chunk
+    /// finishes, everything after the next check point is skipped and the
+    /// affected handles resolve with [`JobError::Cancelled`].
     pub fn cancel(&self) {
         // seqcst-ok: standalone cancellation flag with no payload; the
         // cold full fence keeps a cancel immediately visible to every
@@ -137,22 +144,29 @@ impl CancelToken {
 
     /// Whether cancellation has been requested.
     pub fn is_cancelled(&self) -> bool {
-        // seqcst-ok: pairs with the store in `cancel`; read at chunk and
-        // sample boundaries, well off the per-MAC hot path.
+        // seqcst-ok: pairs with the store in `cancel`; read at chunk
+        // boundaries, well off the per-MAC hot path.
         self.cancelled.load(Ordering::SeqCst)
     }
 }
 
-/// Per-dispatch options for [`ServeEngine::try_dispatch_with`].
-#[derive(Debug, Clone, Default)]
-pub struct DispatchOptions {
-    /// Logical model name, used to scope fault-injection hits (see the
-    /// `dp_fault` crate) and future per-model diagnostics.
-    pub scope: Option<String>,
-    /// Cooperative cancellation: when the token fires, chunks that have
-    /// not started are completed with [`JobError::Cancelled`] instead of
-    /// being evaluated.
-    pub cancel: Option<CancelToken>,
+/// The per-chunk evaluator shape: [`forward_chunk`] or [`classify_chunk`].
+pub type ChunkEval<T> = fn(&QuantizedMlp, &[Vec<f32>]) -> Vec<T>;
+
+/// Where the chunks of one [`ServeEngine::try_dispatch`] call deliver
+/// their outcomes. Each chunk index is completed **exactly once** — by
+/// whichever of normal completion, the chunk-boundary cancel check, panic
+/// poisoning or the watchdog's stall resolution claims it first.
+pub trait ChunkSink<T>: Send + Sync + 'static {
+    /// Whether nobody wants chunk `index` any more; checked before the
+    /// chunk is evaluated, which is then completed with
+    /// [`JobError::Cancelled`] instead. Defaults to never.
+    fn cancelled(&self, _index: usize) -> bool {
+        false
+    }
+
+    /// Delivers chunk `index`'s outputs (in sample order) or its failure.
+    fn complete_chunk(&self, index: usize, result: Result<Vec<T>, JobError>);
 }
 
 /// A persistent serving engine: one worker pool, one registry, many
@@ -272,81 +286,59 @@ impl ServeEngine {
     }
 
     /// The non-blocking dispatch seam: splits `xs` into chunk jobs running
-    /// `per_chunk` on the pool and returns the assembling handle
-    /// immediately — it never waits for queue space or results.
+    /// `eval` on the pool and returns immediately — it never waits for
+    /// queue space or results. Chunk `i` covers samples
+    /// `i * chunk_samples ..` and reports to `sink` under that index.
     ///
     /// Chunk enqueueing is **atomic** (via [`WorkerPool::spawn_batch`]):
     /// either every chunk of the request is admitted or, if the engine is
-    /// closed, none is. This is the entry point bounded front ends
-    /// (`dp_gateway`) drive with their own per-chunk closures; the
-    /// `submit_*` methods below are thin wrappers over it.
+    /// closed or degraded, none is (and `sink` is never called). This is
+    /// the one entry point every admission path drives: the `submit_*`
+    /// methods below with a [`BatchHandle`]'s completer as the sink,
+    /// `dp_gateway` with its demux.
+    ///
+    /// `scope` is the logical model name fault-injection hits are scoped
+    /// by (see the `dp_fault` crate).
+    ///
+    /// Lifecycle guarantees per chunk: exactly **one** of normal
+    /// completion, the chunk-boundary cancel check
+    /// ([`ChunkSink::cancelled`]), panic poisoning, or the watchdog's
+    /// stall resolution completes it (first claimant wins), so the sink
+    /// can never see a double completion — not even when an abandoned
+    /// worker's chunk eventually finishes after the watchdog already
+    /// failed it.
     ///
     /// # Errors
     ///
     /// [`ServeError::EngineClosed`] once shutdown has begun, or
     /// [`ServeError::Degraded`] while the panic budget is tripped; no
     /// chunk was enqueued either way.
-    pub fn try_dispatch<T, F>(
+    pub fn try_dispatch<T, S>(
         &self,
         model: Arc<QuantizedMlp>,
         xs: Vec<Vec<f32>>,
-        per_chunk: F,
-    ) -> Result<BatchHandle<T>, ServeError>
+        scope: Option<Arc<str>>,
+        eval: ChunkEval<T>,
+        sink: Arc<S>,
+    ) -> Result<(), ServeError>
     where
         T: Send + 'static,
-        F: Fn(&QuantizedMlp, &[Vec<f32>]) -> Vec<T> + Send + Sync + 'static,
-    {
-        self.try_dispatch_with(model, xs, DispatchOptions::default(), move |m, chunk| {
-            Ok(per_chunk(m, chunk))
-        })
-    }
-
-    /// [`ServeEngine::try_dispatch`] with per-request [`DispatchOptions`]
-    /// (cancellation, fault-injection scope) and a fallible per-chunk
-    /// closure: a chunk may resolve to a typed [`JobError`] — e.g.
-    /// [`JobError::Cancelled`] from a cancel-aware evaluator — without
-    /// panicking its worker.
-    ///
-    /// Lifecycle guarantees per chunk: exactly **one** of normal
-    /// completion, panic poisoning, or the watchdog's stall resolution
-    /// completes it (first claimant wins), so the batch handle can never
-    /// see a double completion — not even when an abandoned worker's
-    /// chunk eventually finishes after the watchdog already failed it.
-    ///
-    /// # Errors
-    ///
-    /// As [`ServeEngine::try_dispatch`].
-    pub fn try_dispatch_with<T, F>(
-        &self,
-        model: Arc<QuantizedMlp>,
-        xs: Vec<Vec<f32>>,
-        opts: DispatchOptions,
-        per_chunk: F,
-    ) -> Result<BatchHandle<T>, ServeError>
-    where
-        T: Send + 'static,
-        F: Fn(&QuantizedMlp, &[Vec<f32>]) -> Result<Vec<T>, JobError> + Send + Sync + 'static,
+        S: ChunkSink<T>,
     {
         if self.pool.is_degraded() {
             return Err(ServeError::Degraded);
         }
-        let scope: Option<Arc<str>> = opts.scope.map(Arc::from);
-        let cancel = opts.cancel;
-        let chunks: Vec<Vec<Vec<f32>>> = split_chunks(xs, self.chunk_samples);
-        let (handle, completer) = BatchHandle::pending(chunks.len());
-        let per_chunk = Arc::new(per_chunk);
-        let jobs: Vec<(usize, Job)> = chunks
+        let jobs: Vec<(usize, Job)> = split_chunks(xs, self.chunk_samples)
             .into_iter()
             .enumerate()
             .map(|(index, chunk)| {
                 let model = Arc::clone(&model);
-                let per_chunk = Arc::clone(&per_chunk);
-                let completer = completer.clone();
-                let stall_completer = completer.clone();
+                let sink = Arc::clone(&sink);
+                let stall_sink = Arc::clone(&sink);
                 let scope = scope.clone();
-                let cancel = cancel.clone();
-                // First claimant — normal completion, panic poisoning, or
-                // stall resolution — completes the chunk; the rest no-op.
+                // First claimant — normal completion, boundary cancel,
+                // panic poisoning, or stall resolution — completes the
+                // chunk; the rest no-op.
                 let claimed = Arc::new(ClaimCell::new());
                 let stall_claimed = Arc::clone(&claimed);
                 // relaxed-ok: round-robin placement hint only; a torn or
@@ -363,32 +355,31 @@ impl ServeEngine {
                             // the worker was wedged; don't evaluate it.
                             return;
                         }
-                        // Chunk-boundary cancellation check; the cancel-
-                        // aware evaluators additionally check per sample.
-                        if cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+                        // Chunk-boundary cancellation check.
+                        if sink.cancelled(index) {
                             if claimed.claim("engine.chunk.cancel") {
-                                completer.complete_chunk(index, Err(JobError::Cancelled));
+                                sink.complete_chunk(index, Err(JobError::Cancelled));
                             }
                             return;
                         }
-                        // A panic inside the model evaluation poisons only
-                        // this request's handle; re-raising lets the pool
-                        // count it (and keep its worker alive). The
-                        // `panic_in_chunk` failure point fires *inside*
-                        // the evaluation closure (see `submit_forward` /
-                        // the gateway's chunk closure), so an injected
-                        // panic unwinds through the caller's per-chunk
-                        // accounting exactly like a real one.
-                        match catch_unwind(AssertUnwindSafe(|| per_chunk(&model, &chunk))) {
-                            Ok(result) => {
+                        // A panic inside the model evaluation (or the
+                        // `panic_in_chunk` failure point in front of it)
+                        // fails only this chunk's share of the sink;
+                        // re-raising lets the pool count it (and keep its
+                        // worker alive).
+                        match catch_unwind(AssertUnwindSafe(|| {
+                            faults::fire(faults::points::PANIC_IN_CHUNK, scope);
+                            eval(&model, &chunk)
+                        })) {
+                            Ok(out) => {
                                 let dropped = faults::fire(faults::points::DROP_COMPLETION, scope);
                                 if !dropped && claimed.claim("engine.chunk.complete") {
-                                    completer.complete_chunk(index, result);
+                                    sink.complete_chunk(index, Ok(out));
                                 }
                             }
                             Err(payload) => {
                                 if claimed.claim("engine.chunk.panic") {
-                                    completer.complete_chunk(index, Err(JobError::Panicked));
+                                    sink.complete_chunk(index, Err(JobError::Panicked));
                                 }
                                 std::panic::resume_unwind(payload);
                             }
@@ -396,7 +387,7 @@ impl ServeEngine {
                     },
                     move || {
                         if stall_claimed.claim("engine.chunk.stall") {
-                            stall_completer.complete_chunk(index, Err(JobError::Stalled));
+                            stall_sink.complete_chunk(index, Err(JobError::Stalled));
                         }
                     },
                 );
@@ -405,7 +396,22 @@ impl ServeEngine {
             .collect();
         self.pool
             .spawn_batch(jobs)
-            .map_err(|_| ServeError::EngineClosed)?;
+            .map_err(|_| ServeError::EngineClosed)
+    }
+
+    /// [`ServeEngine::try_dispatch`] with a fresh [`BatchHandle`] as the
+    /// sink: what the in-process `submit_*` calls return.
+    fn submit_batch<T: Send + 'static>(
+        &self,
+        model: Arc<QuantizedMlp>,
+        key: &ModelKey,
+        xs: Vec<Vec<f32>>,
+        eval: ChunkEval<T>,
+    ) -> Result<BatchHandle<T>, ServeError> {
+        let chunks = xs.len().div_ceil(self.chunk_samples);
+        let (handle, completer) = BatchHandle::pending(chunks);
+        let scope = Some(Arc::from(key.name()));
+        self.try_dispatch(model, xs, scope, eval, Arc::new(completer))?;
         Ok(handle)
     }
 
@@ -422,16 +428,7 @@ impl ServeEngine {
         key: &ModelKey,
         xs: Vec<Vec<f32>>,
     ) -> Result<BatchHandle<Vec<u32>>, ServeError> {
-        let model = self.emac_model(key)?;
-        let scope = key.name().to_string();
-        let opts = DispatchOptions {
-            scope: Some(scope.clone()),
-            cancel: None,
-        };
-        self.try_dispatch_with(model, xs, opts, move |m, chunk| {
-            faults::fire(faults::points::PANIC_IN_CHUNK, Some(&scope));
-            Ok(forward_chunk(m, chunk))
-        })
+        self.submit_batch(self.emac_model(key)?, key, xs, forward_chunk)
     }
 
     /// Submits a batch for class predictions, identical to per-sample
@@ -447,16 +444,7 @@ impl ServeEngine {
         key: &ModelKey,
         xs: Vec<Vec<f32>>,
     ) -> Result<BatchHandle<usize>, ServeError> {
-        let model = self.model(key)?;
-        let scope = key.name().to_string();
-        let opts = DispatchOptions {
-            scope: Some(scope.clone()),
-            cancel: None,
-        };
-        self.try_dispatch_with(model, xs, opts, move |m, chunk| {
-            faults::fire(faults::points::PANIC_IN_CHUNK, Some(&scope));
-            Ok(classify_chunk(m, chunk))
-        })
+        self.submit_batch(self.model(key)?, key, xs, classify_chunk)
     }
 
     /// Single-sample convenience: [`ServeEngine::submit_forward`] for one
@@ -607,64 +595,6 @@ pub fn classify_chunk(model: &QuantizedMlp, chunk: &[Vec<f32>]) -> Vec<usize> {
         Some(mut emacs) => model.infer_batch_with(&mut emacs, chunk),
         None => chunk.iter().map(|x| model.infer(x)).collect(),
     }
-}
-
-/// Cancel-aware [`forward_chunk`]: checks `cancel` **between samples** and
-/// returns [`JobError::Cancelled`] as soon as it fires, so an abandoned
-/// batch stops burning its worker within one sample's latency. Already-
-/// computed samples are discarded — a cancelled request has no partial
-/// result. Deliberately stays on the per-sample datapath (no tile sweep):
-/// a layer-wide tile would push the earliest cancellation point out to a
-/// whole chunk-layer's latency.
-///
-/// # Errors
-///
-/// [`JobError::Cancelled`] once `cancel` has fired.
-///
-/// # Panics
-///
-/// As [`forward_chunk`]: the model's format must have an EMAC datapath.
-pub fn forward_chunk_cancellable(
-    model: &QuantizedMlp,
-    chunk: &[Vec<f32>],
-    cancel: &CancelToken,
-) -> Result<Vec<Vec<u32>>, JobError> {
-    let mut emacs = model
-        .make_layer_emacs()
-        .expect("admission validated the format"); // panic-ok: registry admission excludes formats without an EMAC datapath
-    let mut out = Vec::with_capacity(chunk.len());
-    for x in chunk {
-        if cancel.is_cancelled() {
-            return Err(JobError::Cancelled);
-        }
-        out.push(model.forward_bits_with(&mut emacs, x));
-    }
-    Ok(out)
-}
-
-/// Cancel-aware [`classify_chunk`]: checks `cancel` between samples (see
-/// [`forward_chunk_cancellable`]).
-///
-/// # Errors
-///
-/// [`JobError::Cancelled`] once `cancel` has fired.
-pub fn classify_chunk_cancellable(
-    model: &QuantizedMlp,
-    chunk: &[Vec<f32>],
-    cancel: &CancelToken,
-) -> Result<Vec<usize>, JobError> {
-    let mut emacs = model.make_layer_emacs();
-    let mut out = Vec::with_capacity(chunk.len());
-    for x in chunk {
-        if cancel.is_cancelled() {
-            return Err(JobError::Cancelled);
-        }
-        out.push(match &mut emacs {
-            Some(emacs) => model.infer_with(emacs, x),
-            None => model.infer(x),
-        });
-    }
-    Ok(out)
 }
 
 /// Splits owned samples into chunks of at most `chunk_samples`, preserving

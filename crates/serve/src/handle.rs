@@ -12,6 +12,7 @@
 //! the pool and every other in-flight request are unaffected.
 
 use crate::check::{self, check_yield, Condvar, Mutex};
+use crate::engine::ChunkSink;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -341,21 +342,15 @@ impl<T> BatchHandle<T> {
     }
 }
 
-/// Worker-side completer for a [`BatchHandle`]; cloned into each chunk job.
+/// Worker-side completer for a [`BatchHandle`]: the [`ChunkSink`] the
+/// in-process `submit_*` calls hand to
+/// [`ServeEngine::try_dispatch`](crate::ServeEngine::try_dispatch).
 pub(crate) struct BatchCompleter<T> {
     cell: Arc<BatchCell<T>>,
 }
 
-impl<T> Clone for BatchCompleter<T> {
-    fn clone(&self) -> Self {
-        BatchCompleter {
-            cell: Arc::clone(&self.cell),
-        }
-    }
-}
-
-impl<T> BatchCompleter<T> {
-    pub(crate) fn complete_chunk(&self, index: usize, result: Result<Vec<T>, JobError>) {
+impl<T: Send + 'static> ChunkSink<T> for BatchCompleter<T> {
+    fn complete_chunk(&self, index: usize, result: Result<Vec<T>, JobError>) {
         let mut st = self.cell.st();
         check_yield!("handle.batch.complete_chunk");
         match result {

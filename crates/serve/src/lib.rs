@@ -23,7 +23,8 @@
 //!   wedged workers (failing only the stuck job, [`JobError::Stalled`]),
 //!   a **panic budget** flips admission to a degraded read-only mode
 //!   ([`ServeError::Degraded`]), and a [`CancelToken`] lets callers stop
-//!   an abandoned batch at sample granularity.
+//!   an abandoned batch at chunk granularity. Every chunk is evaluated
+//!   by one tile-sweep evaluator and reports to one [`ChunkSink`].
 //! * [`faults`] — the compile-time seam for the `dp_fault` failure points
 //!   (feature `fault-inject`; inert inlined stubs otherwise).
 //!
@@ -53,8 +54,8 @@ pub mod pool;
 pub mod registry;
 
 pub use engine::{
-    classify_chunk, classify_chunk_cancellable, forward_chunk, forward_chunk_cancellable,
-    CancelToken, DispatchOptions, EngineConfig, ServeEngine, ServeError,
+    classify_chunk, forward_chunk, CancelToken, ChunkEval, ChunkSink, EngineConfig, ServeEngine,
+    ServeError,
 };
 pub use handle::{BatchHandle, JobError, JobHandle};
 pub use pool::{Job, PanicBudget, PoolStats, WatchdogConfig, WorkerPool};

@@ -143,6 +143,23 @@ impl TerminalKind {
     }
 }
 
+/// The fixed model-name buffer of a trace context as a `fmt::Write` sink:
+/// keeps the first [`MODEL_BYTES`] bytes and drops the rest.
+#[derive(Default)]
+struct NameBuf {
+    bytes: [u8; MODEL_BYTES],
+    len: usize,
+}
+
+impl std::fmt::Write for NameBuf {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        let n = s.len().min(MODEL_BYTES - self.len);
+        self.bytes[self.len..self.len + n].copy_from_slice(&s.as_bytes()[..n]);
+        self.len += n;
+        Ok(())
+    }
+}
+
 /// One ring slot: a seqlock generation word plus the timeline fields,
 /// all individually atomic (the workspace forbids `unsafe`, so torn
 /// protection comes from the generation protocol, not `UnsafeCell`).
@@ -383,18 +400,22 @@ impl Recorder {
     ///
     /// `received` is the network front end's frame-receive stamp when
     /// the request came over the wire (`None` for in-process submits).
+    ///
+    /// `model` is rendered straight into the context's fixed name buffer
+    /// (truncated to its size), so a `name@format` key costs no `String`.
     pub fn begin(
         self: &Arc<Self>,
         req_id: u64,
-        model: &str,
+        model: impl std::fmt::Display,
         samples: u64,
         received: Option<Instant>,
     ) -> TraceCtx {
+        use std::fmt::Write as _;
         bump(&self.begun);
-        let bytes = model.as_bytes();
-        let len = bytes.len().min(MODEL_BYTES);
-        let mut name = [0u8; MODEL_BYTES];
-        name[..len].copy_from_slice(&bytes[..len]);
+        let mut name = NameBuf::default();
+        // Infallible: `NameBuf` truncates instead of erroring.
+        let _ = write!(name, "{model}");
+        let NameBuf { bytes: name, len } = name;
         TraceCtx {
             inner: Arc::new(CtxInner {
                 recorder: Arc::clone(self),
@@ -760,19 +781,36 @@ impl TraceCtx {
         self.inner.sampled
     }
 
-    /// Stamps the submission-ring enqueue stage.
+    /// Stamps the submission-ring enqueue stage (first stamp wins; see
+    /// [`TraceCtx::dispatched`]).
     pub fn enqueued(&self) {
         let i = &self.inner;
         // relaxed-ok: single stage stamp word; publication happens via
         // the recorder's seqlock at the terminal event.
-        i.enqueued_ns.store(i.recorder.stamp(), Ordering::Relaxed);
+        let _ = i.enqueued_ns.compare_exchange(
+            0,
+            i.recorder.stamp(),
+            Ordering::Relaxed,
+            Ordering::Relaxed,
+        );
     }
 
     /// Stamps the dispatcher pick-up stage and records the chunk fan-out.
+    ///
+    /// A producer stamps [`enqueued`](TraceCtx::enqueued) after its push
+    /// returns, by which time a dispatcher coalescing followers may have
+    /// taken the entry already: the pick-up then stands in for the
+    /// enqueue stamp (zero ring wait, which is what happened), keeping
+    /// the stages monotone.
     pub fn dispatched(&self, chunks_total: u64) {
         let i = &self.inner;
+        let now = i.recorder.stamp();
         // relaxed-ok: see `enqueued`.
-        i.dispatched_ns.store(i.recorder.stamp(), Ordering::Relaxed);
+        let _ = i
+            .enqueued_ns
+            .compare_exchange(0, now, Ordering::Relaxed, Ordering::Relaxed);
+        // relaxed-ok: see `enqueued`.
+        i.dispatched_ns.store(now, Ordering::Relaxed);
         // relaxed-ok: see `enqueued`.
         i.chunks_total.store(chunks_total, Ordering::Relaxed);
     }
@@ -866,6 +904,35 @@ mod tests {
             ..TraceConfig::default()
         });
         assert!(!(0..64).any(|id| none.would_sample(id)));
+    }
+
+    #[test]
+    fn pick_up_before_the_enqueue_stamp_keeps_stages_monotone_and_truncates_names() {
+        // A dispatcher coalescing followers can take an entry before its
+        // producer stamps the enqueue; the late stamp must not land after
+        // the dispatch stamp. The model key is rendered through
+        // `fmt::Display` into the fixed 24-byte name buffer.
+        let rec = manual_recorder(TraceConfig::every_request());
+        let clock = rec.clock().clone();
+        clock.advance(Duration::from_micros(1));
+        let long = format_args!("{}@{}", "a-rather-long-model-name", "posit<8,0>").to_string();
+        let ctx = rec.begin(
+            7,
+            format_args!("{}@{}", "a-rather-long-model-name", "posit<8,0>"),
+            1,
+            None,
+        );
+        clock.advance(Duration::from_micros(2));
+        ctx.dispatched(1);
+        clock.advance(Duration::from_micros(3));
+        ctx.enqueued();
+        ctx.chunk_done();
+        assert!(ctx.resolve(TerminalKind::Completed));
+        let t = &rec.timelines()[0];
+        assert_eq!(t.enqueued_ns, t.dispatched_ns);
+        let stages = t.stages();
+        assert!(stages.windows(2).all(|w| w[0].1 <= w[1].1), "{stages:?}");
+        assert_eq!(t.model, long[..MODEL_BYTES]);
     }
 
     #[test]

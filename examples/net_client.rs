@@ -11,6 +11,9 @@
 //!              in-process forward_bits / infer
 //!   load N     N pipelined classify requests, mixed formats, a tight
 //!              deadline on every 5th; prints a status tally
+//!   burst N    N bursts of 16 single-sample classify requests, each burst
+//!              one `write`; demand 16 in-order, bit-identical answers
+//!              (what the server coalesces into shared engine chunks)
 //!   deadline   queue a backlog, then a 1 ms-deadline request behind it;
 //!              demand the DeadlineExceeded wire status
 //!   malformed  send a garbage opcode and a truncated frame; demand the
@@ -62,6 +65,10 @@ fn main() {
         "load" => {
             let n: usize = args.next().map_or(50, |s| s.parse().expect("load count"));
             load(&addr, n);
+        }
+        "burst" => {
+            let n: usize = args.next().map_or(8, |s| s.parse().expect("burst count"));
+            burst(&addr, n);
         }
         "deadline" => deadline(&addr),
         "malformed" => malformed(&addr),
@@ -138,6 +145,44 @@ fn load(addr: &str, n: usize) {
     println!("LOAD {}", line.join(" "));
     let total: usize = tally.values().sum();
     assert_eq!(total, n, "every request must get a typed verdict");
+}
+
+fn burst(addr: &str, n: usize) {
+    use dp_net::wire::{decode_response, encode_request, InferenceRequest, Request};
+    const DEPTH: usize = 16; // the server's per-connection inflight window
+    let (mlp, split) = trained_iris();
+    let fmt = formats()[0];
+    let q = QuantizedMlp::quantize(&mlp, fmt);
+    let mut raw = TcpStream::connect(addr).expect("connect");
+    raw.set_nodelay(true).expect("nodelay");
+    for round in 0..n {
+        let xs = split.test.features.iter().cycle().skip(round).take(DEPTH);
+        let sent: Vec<(u64, &Vec<f32>)> =
+            (0..).map(|i| (round * DEPTH + i) as u64).zip(xs).collect();
+        let frames: Vec<u8> = sent
+            .iter()
+            .flat_map(|(id, x)| {
+                encode_request(&Request::Classify(InferenceRequest {
+                    id: *id,
+                    model: "iris".into(),
+                    format: fmt.to_string(),
+                    deadline_ms: 0,
+                    xs: vec![(*x).clone()],
+                }))
+            })
+            .collect();
+        raw.write_all(&frames).expect("send burst");
+        for (id, x) in sent {
+            let mut hdr = [0u8; 4];
+            raw.read_exact(&mut hdr).expect("response header");
+            let mut payload = vec![0u8; u32::from_le_bytes(hdr) as usize];
+            raw.read_exact(&mut payload).expect("response payload");
+            let resp = decode_response(&payload).expect("well-formed response");
+            assert_eq!(resp.id, id, "responses keep request order");
+            assert_eq!(resp.body, ResponseBody::ClassifyOk(vec![q.infer(x) as u32]));
+        }
+    }
+    println!("BURST OK {n} x {DEPTH}");
 }
 
 fn deadline(addr: &str) {
