@@ -1,37 +1,36 @@
-//! EMAC software-model throughput, **per slice and tile kernel**: exact
-//! MACs per second for each format family through
-//! [`dp_emac::Emac::dot_slice`] and [`dp_emac::Emac::dot_tile`], one row
-//! per kernel the format band can run —
+//! EMAC software-model throughput, **per kernel and entry point**: exact
+//! MACs per second for each format family, one row per path the format's
+//! band runs —
 //!
-//! * `*_aligned` — operands decoded once to plain integers, `i64`/`i128`
-//!   integer dot product (the 8-bit trio, fixed point, minifloats up to
-//!   binary16, posits whose dynamic range allows it),
-//! * `*_batched_fused` — gathered fused operands, hi/lo-lane accumulate,
-//! * `*_scalar` — `dot_slice` on the scalar band (> 16 bits),
-//! * `*_scalar_mac` — the per-element `mac()` loop on the same fast unit
-//!   (PR 1's scalar fused-LUT path, the pre-slice baseline),
-//! * `*_reference` — the pre-LUT bit-field + `WideInt` datapath,
-//! * `*_aligned_tile` / `*_fused_tile` / `*_per_column_scalar` — the
-//!   weight-stationary tile kernels: one `dot_tile` of the same row
-//!   against B = 8 and B = 64 activation columns (the batch the stack
-//!   serves), with `elems = K × B` so MACs/sec is directly comparable to
-//!   the row kernels,
+//! * `*_dot128_aligned` / `*_dot128_scalar` — one row against **one**
+//!   column through [`dp_emac::Emac::dot_tile`], named after the unit's
+//!   [`dp_emac::MacKernel`]: the aligned band's single-pass body
+//!   (operands decoded to plain integers, `i64`/`i128` integer dot
+//!   product), or the per-MAC loop of the scalar band,
+//! * `*_dot128_scalar_mac` — the per-element `mac()` loop on the same
+//!   unit (what the scalar band sweeps with, and every band's
+//!   definition),
+//! * `*_dot128_reference` — the bit-field + `WideInt` reference datapath,
+//! * `*_dot128x{8,64}_aligned_tile` / `*_per_column_scalar` — one
+//!   `dot_tile` of the same row against B = 8 and B = 64 activation
+//!   columns (the batch the stack serves), with `elems = K × B` so
+//!   MACs/sec is directly comparable to the one-column rows,
 //! * `*_layer16x128x64_*` — one `dot_layer` of 16 weight rows against the
-//!   B = 64 tile, named after the row kernel it runs on: the entry point
-//!   the engines use, and the only one where the aligned band decodes
-//!   the activation tile once per layer instead of once per row (for
-//!   computed-operand formats such as posit⟨16,1⟩ that decode, not the
-//!   multiply, is what a `dot_tile` row spends its time on),
+//!   B = 64 tile, named after the kernel: the entry point the engines
+//!   use, and the only one where the aligned band decodes the activation
+//!   tile once per layer instead of once per row (for computed-operand
+//!   formats such as posit⟨16,1⟩ that decode, not the multiply, is what a
+//!   `dot_tile` row spends its time on),
 //!
-//! plus the quire for posits. Every row asserts the unit really selected
-//! the kernel it claims to measure, so a silent fallback to a slower path
+//! plus the quire for posits. Every row asserts the unit really runs the
+//! kernel it claims to measure, so a silent fallback to a slower path
 //! cannot produce a plausible-looking baseline.
 //!
 //! Run with `cargo bench --bench emac_throughput`. Writes the committed
 //! baseline `BENCH_emac.json` at the repository root.
 
 use dp_bench::timing::{measure, out_path, render_measurements, write_json, Measurement};
-use dp_emac::{Emac, FixedEmac, FloatEmac, MacKernel, PositEmac, TileKernel};
+use dp_emac::{Emac, FixedEmac, FloatEmac, MacKernel, PositEmac};
 use dp_fixed::FixedFormat;
 use dp_minifloat::FloatFormat;
 use dp_posit::{PositFormat, Quire};
@@ -89,59 +88,34 @@ fn tile_cols(mask: u32, skip: u32) -> Vec<Vec<u32>> {
         .collect()
 }
 
-/// One `dot_slice` row: asserts the unit runs `kernel`, then measures the
-/// whole-row dot product.
-fn slice_row<E: Emac>(
+/// One `dot_tile` row: asserts the unit runs `kernel`, then measures one
+/// whole weight-stationary tile (`K × B` MACs per iteration, so MACs/sec
+/// compares directly across batch widths). A lone column keeps the
+/// historical `dot{K}_{kernel}` row name.
+fn tile_row<E: Emac>(
     rows: &mut Vec<Measurement>,
     label: &str,
     mut unit: E,
     kernel: MacKernel,
     ws: &[u32],
-    xs: &[u32],
+    cols: &[Vec<u32>],
 ) {
     assert_eq!(
         unit.kernel(),
         kernel,
-        "{label}: unit did not select the {kernel} kernel"
+        "{label}: unit does not run the {kernel} kernel"
     );
-    rows.push(measure(
-        &format!("{label}_dot{K}_{kernel}"),
-        K as u64,
-        || {
-            unit.reset();
-            unit.dot_slice(black_box(ws), black_box(xs));
-            unit.result()
-        },
-    ));
-}
-
-/// One `dot_tile` row: asserts the unit runs the `tile` kernel at
-/// `cols.len()` columns, then measures one whole weight-stationary tile
-/// (`K × B` MACs per iteration, so MACs/sec compares directly with the
-/// per-row kernels).
-fn tile_row<E: Emac>(
-    rows: &mut Vec<Measurement>,
-    label: &str,
-    mut unit: E,
-    tile: TileKernel,
-    ws: &[u32],
-    cols: &[Vec<u32>],
-) {
-    assert_eq!(
-        unit.tile_kernel(cols.len()),
-        tile,
-        "{label}: unit did not select the {tile} tile kernel"
-    );
+    let name = match (cols.len(), kernel) {
+        (1, _) => format!("{label}_dot{K}_{kernel}"),
+        (b, MacKernel::Aligned) => format!("{label}_dot{K}x{b}_aligned_tile"),
+        (b, MacKernel::Scalar) => format!("{label}_dot{K}x{b}_per_column_scalar"),
+    };
     let col_refs: Vec<&[u32]> = cols.iter().map(|c| c.as_slice()).collect();
     let mut out = vec![0u32; cols.len()];
-    rows.push(measure(
-        &format!("{label}_dot{K}x{}_{tile}", cols.len()),
-        (K * cols.len()) as u64,
-        || {
-            unit.dot_tile(black_box(0), black_box(ws), black_box(&col_refs), &mut out);
-            out[0]
-        },
-    ));
+    rows.push(measure(&name, (K * cols.len()) as u64, || {
+        unit.dot_tile(black_box(0), black_box(ws), black_box(&col_refs), &mut out);
+        out[0]
+    }));
 }
 
 /// One `dot_layer` row: asserts the unit runs `kernel`, then measures
@@ -157,7 +131,7 @@ fn layer_row<E: Emac>(
     assert_eq!(
         unit.kernel(),
         kernel,
-        "{label}: unit did not select the {kernel} kernel"
+        "{label}: unit does not run the {kernel} kernel"
     );
     let weights = cols[..LAYER_ROWS].concat();
     let activations = cols.concat();
@@ -179,7 +153,7 @@ fn layer_row<E: Emac>(
 }
 
 /// One scalar-loop row (`mac()` per element) on an already-built unit —
-/// the pre-slice PR 1 baseline for fast units, the pre-LUT reference for
+/// the per-MAC baseline for fast units, the reference datapath for
 /// `new_reference()` units.
 fn mac_loop_row<E: Emac>(
     rows: &mut Vec<Measurement>,
@@ -197,41 +171,24 @@ fn mac_loop_row<E: Emac>(
     }));
 }
 
-/// Every kernel row of one format: the tile rows at each batch width,
-/// the layer row and the `dot_slice` row, for the unit's own band and —
-/// where `fused` can step an aligned unit down to the fused band — for
-/// that band too; then the `mac()` loop and, where one exists, the
-/// reference datapath.
+/// Every row of one format: the tile rows at each batch width, the layer
+/// row and the one-column row, on the kernel the unit runs; then the
+/// `mac()` loop and, where one is passed, the reference datapath.
 fn bench_format<E: Emac>(
     rows: &mut Vec<Measurement>,
     label: &str,
     (mask, skip): (u32, u32),
     unit: impl Fn() -> E,
-    fused: Option<&dyn Fn() -> E>,
     reference: Option<E>,
 ) {
     let (ws, xs) = patterns(mask, skip);
     let cols = tile_cols(mask, skip);
-    let fused = fused.filter(|_| unit().kernel() == MacKernel::Aligned);
+    let kernel = unit().kernel();
     for b in TILE_BS {
-        tile_row(rows, label, unit(), unit().tile_kernel(b), &ws, &cols[..b]);
-        if let Some(fused) = fused {
-            tile_row(
-                rows,
-                label,
-                fused(),
-                TileKernel::GatherFused,
-                &ws,
-                &cols[..b],
-            );
-        }
+        tile_row(rows, label, unit(), kernel, &ws, &cols[..b]);
     }
-    layer_row(rows, label, unit(), unit().kernel(), &cols);
-    slice_row(rows, label, unit(), unit().kernel(), &ws, &xs);
-    if let Some(fused) = fused {
-        layer_row(rows, label, fused(), MacKernel::BatchedFused, &cols);
-        slice_row(rows, label, fused(), MacKernel::BatchedFused, &ws, &xs);
-    }
+    layer_row(rows, label, unit(), kernel, &cols);
+    tile_row(rows, label, unit(), kernel, &ws, std::slice::from_ref(&xs));
     let name = format!("{label}_dot{K}_scalar_mac");
     mac_loop_row(rows, &name, unit(), &ws, &xs);
     if let Some(reference) = reference {
@@ -248,7 +205,6 @@ fn bench_posit(rows: &mut Vec<Measurement>, n: u32, es: u32) {
         &label,
         (fmt.mask(), fmt.nar_bits()),
         || PositEmac::new(fmt, K as u64),
-        Some(&|| PositEmac::new(fmt, K as u64).with_kernel_cap(MacKernel::BatchedFused)),
         Some(PositEmac::new_reference(fmt, K as u64)),
     );
 
@@ -270,13 +226,11 @@ fn bench_float(rows: &mut Vec<Measurement>, label: &str, we: u32, wf: u32) {
         label,
         (fmt.mask(), fmt.nan_bits()),
         || FloatEmac::new(fmt, K as u64),
-        Some(&|| FloatEmac::new(fmt, K as u64).with_kernel_cap(MacKernel::BatchedFused)),
         Some(FloatEmac::new_reference(fmt, K as u64)),
     );
 }
 
-/// Fixed point has no fused band and no `WideInt` reference: its baseline
-/// is the `mac()` loop.
+/// Fixed point's baseline stays the `mac()` loop (no `*_reference` row).
 fn bench_fixed(rows: &mut Vec<Measurement>, label: &str, n: u32, q: u32) {
     let fmt = FixedFormat::new(n, q).unwrap();
     bench_format(
@@ -285,27 +239,25 @@ fn bench_fixed(rows: &mut Vec<Measurement>, label: &str, n: u32, q: u32) {
         ((1u32 << n) - 1, 1 << n),
         || FixedEmac::new(fmt, K as u64),
         None,
-        None,
     );
 }
 
 fn main() {
     let mut rows: Vec<Measurement> = Vec::new();
 
-    // The paper's headline 8-bit formats: aligned-integer vs batched vs
-    // the PR 1 scalar fused-LUT loop vs the pre-LUT reference.
+    // The paper's headline 8-bit formats: aligned-integer vs the per-MAC
+    // loop vs the reference datapath.
     for es in [0u32, 1, 2] {
         bench_posit(&mut rows, 8, es);
     }
     // The §IV sweep's 16-bit formats: es = 0, 1 align (29- and 57-bit
-    // minpos-unit operands over the split table, i128 sums; their fused
-    // rows are the `with_kernel_cap` comparison); es = 2 runs the batched
-    // fused kernel on the 256-bit accumulator.
+    // minpos-unit operands over the split table, i128 sums); es = 2
+    // (113-bit operands) runs the scalar kernel on the WideInt register.
     for es in [0u32, 1, 2] {
         bench_posit(&mut rows, 16, es);
     }
-    // Past the split ceiling: the scalar kernel on the WideInt register —
-    // fast and reference paths should roughly coincide.
+    // Past the split ceiling: the scalar kernel with the bit-field decode
+    // — fast and reference paths should roughly coincide.
     bench_posit(&mut rows, 17, 1);
 
     bench_float(&mut rows, "float8e4m3", 4, 3);
@@ -316,10 +268,10 @@ fn main() {
 
     println!("{}", render_measurements(&rows));
 
-    // Headline speedups per format: each kernel over the reference path
-    // (fixed point has no WideInt reference; its baseline is scalar_mac),
-    // plus each tile kernel over its per-row counterpart at matched
-    // MACs/sec (tile rows carry K × B elems per iteration).
+    // Headline speedups per format: each one-column row over the
+    // reference path (fixed point's baseline is scalar_mac), plus each
+    // tile row over its one-column counterpart at matched MACs/sec (tile
+    // rows carry K × B elems per iteration).
     let find = |name: &str| rows.iter().find(|m| m.name == name);
     for label in [
         "posit8e0",
@@ -337,7 +289,7 @@ fn main() {
         let baseline = find(&format!("{label}_dot{K}_reference"))
             .or_else(|| find(&format!("{label}_dot{K}_scalar_mac")))
             .unwrap();
-        for kernel in ["aligned", "batched_fused", "scalar", "scalar_mac"] {
+        for kernel in ["aligned", "scalar", "scalar_mac"] {
             if let Some(m) = find(&format!("{label}_dot{K}_{kernel}")) {
                 println!(
                     "{label} {kernel}: {:.2}x MACs/sec over {}",
@@ -346,11 +298,7 @@ fn main() {
                 );
             }
         }
-        for (tile, row_kernel) in [
-            ("aligned_tile", "aligned"),
-            ("fused_tile", "batched_fused"),
-            ("per_column_scalar", "scalar"),
-        ] {
+        for (tile, row_kernel) in [("aligned_tile", "aligned"), ("per_column_scalar", "scalar")] {
             for b in TILE_BS {
                 if let (Some(t), Some(r)) = (
                     find(&format!("{label}_dot{K}x{b}_{tile}")),
@@ -374,19 +322,19 @@ fn main() {
         ("tile_b", format!("{TILE_BS:?}")),
         (
             "note",
-            "elems = MACs; one row per slice kernel through dot_slice: *_aligned = operands \
-             decoded once to plain integers, i64/i128 integer dot product, *_batched_fused = \
-             gathered fused operands + hi/lo-lane i128 (or 256-bit) accumulate (<= 16 bits), \
-             *_scalar = dot_slice on the scalar band; *_scalar_mac = per-element mac() loop on \
-             the same fast unit (PR 1's scalar fused-LUT baseline); *_reference = pre-LUT \
-             bit-field + WideInt datapath. dot{K}x{B} rows run dot_tile (weight-stationary \
-             tile, B activation columns, elems = K*B): *_aligned_tile = weight row and \
-             activation tile decoded once each, integer micro-kernel 4 columns abreast, \
-             *_fused_tile = weight row's fused operands gathered once for all columns, \
-             *_per_column_scalar = per-column wrap on the scalar band. layer16x128x64 rows \
-             run dot_layer (16 weight rows against the B = 64 tile, elems = 16*K*64) on the \
-             named row kernel: the aligned band decodes the activation tile once per layer, \
-             the other bands sweep dot_tile row by row"
+            "elems = MACs; rows are named after the MacKernel the unit runs (a function of \
+             format and capacity; nothing selects it). dot{K}_aligned / dot{K}_scalar = one \
+             row against ONE column through dot_tile (before PR 17 these rows ran dot_slice, \
+             which is now only the provided per-MAC loop): aligned = operands decoded to plain \
+             integers in a single pass, i64/i128 integer dot product; scalar = the per-MAC \
+             loop. *_scalar_mac = per-element mac() loop on the same unit; *_reference = \
+             bit-field decode + WideInt datapath. dot{K}x{B} rows run dot_tile against B \
+             activation columns (elems = K*B): *_aligned_tile = weight row and activation \
+             tile decoded once each, integer micro-kernel 4 columns abreast, \
+             *_per_column_scalar = the per-MAC loop per column. layer16x128x64 rows run \
+             dot_layer (16 weight rows against the B = 64 tile, elems = 16*K*64): the aligned \
+             band decodes the activation tile once per layer, the scalar band is the per-MAC \
+             loop again"
                 .to_string(),
         ),
     ];

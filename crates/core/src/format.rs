@@ -268,6 +268,12 @@ mod tests {
             .try_make_emac(128)
             .unwrap()
             .is_some());
+        // fixed<32,16>'s eq.-(3) register is 64 + ⌈log2 k⌉ bits: the last
+        // capacity that fits the i128, and the first that does not.
+        let wide = NumericFormat::Fixed(FixedFormat::new(32, 16).unwrap());
+        assert!(wide.try_make_emac(1 << 63).unwrap().is_some());
+        let err = wide.try_make_emac((1 << 63) + 1).unwrap_err();
+        assert!(err.reason().contains("128 bits"), "{err}");
     }
 
     #[test]

@@ -234,11 +234,10 @@ impl QuantizedMlp {
     /// engine's inner loop.
     ///
     /// Each layer is one [`dp_emac::Emac::dot_layer`] call over a batch of
-    /// one, so the unit runs its [`dp_emac::MacKernel`] (aligned-integer
-    /// dot product where the format's operands allow it — the activation
-    /// vector decoded once per layer — batched fused-operand gather
-    /// otherwise at ≤ 16 bits) instead of one `mac()` dispatch per weight
-    /// — bit-identical to the scalar loop by the kernel contract.
+    /// one, so the unit runs its [`dp_emac::MacKernel`]: an aligned-integer
+    /// dot product with the activation vector decoded once per layer
+    /// wherever the format's operands allow it, the per-MAC loop
+    /// otherwise — bit-identical either way by the kernel contract.
     pub fn forward_bits_with(&self, emacs: &mut [EmacUnit], x: &[f32]) -> Vec<u32> {
         self.forward_flat(emacs, self.quantize_input(x), 1)
     }
@@ -276,8 +275,9 @@ impl QuantizedMlp {
             })
     }
 
-    /// The slice-level [`dp_emac::MacKernel`] each layer's EMAC selected
-    /// (in layer order), or `None` for the `F32` baseline — serving
+    /// The [`dp_emac::MacKernel`] each layer's EMAC runs (in layer order;
+    /// a function of the format and the layer's fan-in, the same at every
+    /// batch width), or `None` for the `F32` baseline — serving
     /// introspection for registries, reports and the `kernel_sweep`
     /// example.
     ///
@@ -288,20 +288,6 @@ impl QuantizedMlp {
     pub fn layer_kernels(&self) -> Option<Vec<dp_emac::MacKernel>> {
         self.make_layer_emacs()
             .map(|emacs| emacs.iter().map(|u| u.kernel()).collect())
-    }
-
-    /// The tile-level [`dp_emac::TileKernel`] each layer's EMAC runs when
-    /// [`QuantizedMlp::forward_batch_bits_with`] sweeps a chunk of `batch`
-    /// samples (in layer order), or `None` for the `F32` baseline. `batch
-    /// ≤ 1` reports the per-column wrap of [`QuantizedMlp::layer_kernels`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when the format has no EMAC datapath, like
-    /// [`QuantizedMlp::make_layer_emacs`].
-    pub fn layer_tile_kernels(&self, batch: usize) -> Option<Vec<dp_emac::TileKernel>> {
-        self.make_layer_emacs()
-            .map(|emacs| emacs.iter().map(|u| u.tile_kernel(batch)).collect())
     }
 
     /// Whole-chunk EMAC inference with caller-owned EMACs: evaluates each
@@ -604,9 +590,9 @@ mod tests {
 
     #[test]
     fn slice_forward_matches_scalar_mac_loop() {
-        // forward_bits now rides dot_slice (kernel datapath); an inline
-        // per-element mac() loop is the pre-slice definition and must agree
-        // bit for bit, across all three kernel bands.
+        // forward_bits rides dot_layer (kernel datapath); an inline
+        // per-element mac() loop is its definition and must agree bit for
+        // bit, on both kernel bands.
         let (mlp, split) = trained_iris();
         for fmt in [
             NumericFormat::Posit(PositFormat::new(8, 0).unwrap()),
@@ -646,8 +632,8 @@ mod tests {
     #[test]
     fn chunk_tile_sweep_is_bit_identical_to_per_sample() {
         // forward_batch_bits_with evaluates a whole chunk layer-by-layer
-        // through dot_tile; per sample it must match forward_bits exactly,
-        // across every tile band and at ragged chunk widths.
+        // through dot_layer; per sample it must match forward_bits exactly,
+        // on both kernel bands and at ragged chunk widths.
         let (mlp, split) = trained_iris();
         for fmt in [
             NumericFormat::Posit(PositFormat::new(8, 0).unwrap()),
@@ -706,38 +692,6 @@ mod tests {
     }
 
     #[test]
-    fn layer_tile_kernels_reports_batch_width_selection() {
-        use dp_emac::{MacKernel, TileKernel};
-        let (mlp, _) = trained_iris();
-        let by_fmt = |fmt: NumericFormat, b: usize| {
-            QuantizedMlp::quantize(&mlp, fmt)
-                .layer_tile_kernels(b)
-                .expect("low-precision format")
-        };
-        let p8 = NumericFormat::Posit(PositFormat::new(8, 0).unwrap());
-        let p16 = NumericFormat::Posit(PositFormat::new(16, 1).unwrap());
-        let p16e2 = NumericFormat::Posit(PositFormat::new(16, 2).unwrap());
-        let p17 = NumericFormat::Posit(PositFormat::new(17, 1).unwrap());
-        for aligned in [p8, p16] {
-            assert!(by_fmt(aligned, 64)
-                .iter()
-                .all(|&k| k == TileKernel::AlignedTile));
-            assert!(by_fmt(aligned, 1)
-                .iter()
-                .all(|&k| k == TileKernel::PerColumn(MacKernel::Aligned)));
-        }
-        assert!(by_fmt(p16e2, 64)
-            .iter()
-            .all(|&k| k == TileKernel::GatherFused));
-        assert!(by_fmt(p17, 64)
-            .iter()
-            .all(|&k| k == TileKernel::PerColumn(MacKernel::Scalar)));
-        assert!(QuantizedMlp::quantize(&mlp, NumericFormat::F32)
-            .layer_tile_kernels(64)
-            .is_none());
-    }
-
-    #[test]
     fn layer_kernels_reports_band_selection() {
         let (mlp, _) = trained_iris();
         let by_fmt = |fmt: NumericFormat| {
@@ -751,10 +705,7 @@ mod tests {
         let p16 = by_fmt(NumericFormat::Posit(PositFormat::new(16, 1).unwrap()));
         assert!(p16.iter().all(|&k| k == MacKernel::Aligned), "{p16:?}");
         let p16e2 = by_fmt(NumericFormat::Posit(PositFormat::new(16, 2).unwrap()));
-        assert!(
-            p16e2.iter().all(|&k| k == MacKernel::BatchedFused),
-            "{p16e2:?}"
-        );
+        assert!(p16e2.iter().all(|&k| k == MacKernel::Scalar), "{p16e2:?}");
         let p17 = by_fmt(NumericFormat::Posit(PositFormat::new(17, 1).unwrap()));
         assert!(p17.iter().all(|&k| k == MacKernel::Scalar), "{p17:?}");
         assert!(QuantizedMlp::quantize(&mlp, NumericFormat::F32)

@@ -1,13 +1,14 @@
-//! The fixed-point EMAC (paper Fig. 3).
+//! The fixed-point family of the shared EMAC datapath (paper Fig. 3).
 
+use crate::acc::{Accum, SMALL_ACC_MAX_BITS};
 use crate::ceil_log2;
-use crate::kernel::AlignedTile;
-use crate::unit::{columns, Emac};
-use crate::{MacKernel, UnsupportedFormat};
-use dp_fixed::lut::DecodeLut;
+use crate::table::{AlignedLut, EmacEntry};
+use crate::table_emac::{Family, TableEmac};
+use crate::UnsupportedFormat;
 use dp_fixed::FixedFormat;
 
-/// Exact fixed-point multiply-and-accumulate.
+/// Exact fixed-point multiply-and-accumulate: the shared [`TableEmac`]
+/// datapath with the [`Fixed`] decode/readout stages.
 ///
 /// Inputs are `n`-bit Q(n−q).q words. Products are kept at full `2n`-bit
 /// precision (with `2q` fraction bits) and accumulated in a `wa`-bit
@@ -21,9 +22,9 @@ use dp_fixed::FixedFormat;
 /// bits, clipping at the maximum magnitude — exactly the datapath of Fig. 3.
 ///
 /// A sign-extended word is already a plain integer that fits the aligned
-/// word at every width, so rows, tiles and layers run the shared
-/// aligned-integer kernel ([`MacKernel::Aligned`]) — fixed point's
-/// "decode" is the sign extension, and it has no special patterns.
+/// word at every width, so every fixed unit runs the aligned-integer
+/// kernel ([`crate::MacKernel::Aligned`]); `try_new` rejects the
+/// (format, capacity) pairings whose register would not fit the `i128`.
 ///
 /// # Examples
 ///
@@ -39,257 +40,124 @@ use dp_fixed::FixedFormat;
 /// assert_eq!(emac.result(), 8); // 0.25 + 0.25 = 0.5 = raw 8
 /// # Ok::<(), dp_fixed::FormatError>(())
 /// ```
-#[derive(Debug, Clone)]
-pub struct FixedEmac {
+pub type FixedEmac = TableEmac<Fixed>;
+
+/// The fixed-point [`Family`]: the decode is the sign extension, there are
+/// no special patterns, and the readout is Fig. 3's shift, truncate and
+/// clip.
+#[derive(Debug, Clone, Copy)]
+pub struct Fixed {
     fmt: FixedFormat,
-    capacity: u64,
-    acc: i128,
-    /// Sign-extension table for the format, when one exists (`n ≤ 12`).
-    lut: Option<&'static DecodeLut>,
-    /// Whether rows, tiles and layers run the aligned-integer kernel
-    /// ([`MacKernel::Aligned`]; cleared only by a kernel cap).
-    aligned: bool,
-    count: u64,
-    /// Decoded activation tile and weight row of the aligned band,
-    /// retained across calls so a sweep does not allocate per row.
-    tile: AlignedTile,
 }
 
-impl FixedEmac {
-    /// Creates a unit for `fmt` sized for `capacity` accumulations. The
-    /// accumulator is always a native `i128` (fixed point needs only
-    /// `2n + ⌈log2 k⌉` bits, paper eq. 3); decode uses the `dp_fixed::lut`
-    /// sign-extension table for formats up to 12 bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the paper-eq.-(3) accumulator would exceed 127 bits
-    /// (`2n + ⌈log2 k⌉ > 127`), which no paper-scale configuration hits.
-    /// Use [`FixedEmac::try_new`] to validate without panicking.
-    pub fn new(fmt: FixedFormat, capacity: u64) -> Self {
-        Self::try_new(fmt, capacity).expect("fixed EMAC accumulator exceeds i128")
+impl Fixed {
+    /// Sign-extends an `n`-bit pattern.
+    #[inline(always)]
+    fn sext(self, bits: u32) -> i64 {
+        let sh = 64 - self.fmt.n();
+        (((bits as u64) << sh) as i64) >> sh
     }
+}
 
-    /// [`FixedEmac::new`] returning a typed error instead of panicking
-    /// when the eq.-(3) register would exceed the unit's `i128` —
-    /// admission-time validation for serving registries and other
-    /// untrusted callers.
-    ///
-    /// # Errors
-    ///
-    /// [`UnsupportedFormat`] when `2n + ⌈log2 k⌉ > 127`.
-    pub fn try_new(fmt: FixedFormat, capacity: u64) -> Result<Self, UnsupportedFormat> {
+impl Family for Fixed {
+    type Format = FixedFormat;
+    type Computed = Fixed;
+    const NAME: &'static str = "fixed";
+    const PIPELINE_DEPTH: u32 = 3; // multiply → accumulate → shift/clip (Fig. 3 register boundaries)
+
+    /// The readout shifts and clips the register as an `i128`, so the
+    /// eq.-(3) width must fit one (`2n + ⌈log2 k⌉ ≤ 127`) — true of every
+    /// paper-scale configuration.
+    fn check_format(fmt: FixedFormat, capacity: u64) -> Result<(), UnsupportedFormat> {
         let wa = Self::accumulator_width_for(fmt, capacity);
-        if wa > 127 {
+        if wa > SMALL_ACC_MAX_BITS {
             return Err(UnsupportedFormat::new(format!(
                 "{fmt}: eq.-(3) accumulator needs {wa} bits for k = {capacity}, \
                  exceeding the fixed EMAC's i128"
             )));
         }
-        Ok(FixedEmac {
-            fmt,
-            capacity: capacity.max(1),
-            acc: 0,
-            lut: dp_fixed::lut::cached(fmt),
-            aligned: true,
-            count: 0,
-            tile: AlignedTile::default(),
-        })
+        Ok(())
     }
 
-    /// Caps the slice-level kernel this unit may select — a bench/test
-    /// knob for comparing kernels on one format; see
-    /// [`crate::PositEmac::with_kernel_cap`] for the cap semantics. Fixed
-    /// point has no fused-operand band, so any cap below
-    /// [`MacKernel::Aligned`] selects the scalar `mac()` loop.
-    pub fn with_kernel_cap(mut self, cap: MacKernel) -> Self {
-        self.aligned = cap >= MacKernel::Aligned;
-        self
-    }
-
-    /// The format of this unit.
-    pub fn format(&self) -> FixedFormat {
-        self.fmt
-    }
-
-    /// Paper eq. (3) accumulator width for `k` accumulations.
-    pub fn accumulator_width_for(fmt: FixedFormat, k: u64) -> u32 {
+    /// Paper eq. (3).
+    fn accumulator_width_for(fmt: FixedFormat, k: u64) -> u32 {
         2 * fmt.n() + ceil_log2(k)
     }
 
-    /// Sign-extends an `n`-bit pattern to `i64` (table-driven when the
-    /// format has a `dp_fixed::lut` table).
+    /// Nothing to tabulate: the decode is two shifts at every width.
+    fn tables(_: FixedFormat) -> Option<&'static AlignedLut> {
+        None
+    }
+
+    fn new(fmt: FixedFormat, _tables: bool) -> Self {
+        Fixed { fmt }
+    }
+
+    fn format(&self) -> FixedFormat {
+        self.fmt
+    }
+
+    /// The sign extension as sign and magnitude, at scale 0.
     #[inline]
-    fn sext(&self, bits: u32) -> i64 {
-        match self.lut {
-            Some(lut) => lut.decode(bits),
-            None => {
-                let n = self.fmt.n();
-                let sh = 64 - n;
-                (((bits as u64) << sh) as i64) >> sh
-            }
-        }
+    fn decode(&self, bits: u32) -> EmacEntry {
+        let v = self.sext(bits);
+        EmacEntry::pack(v < 0, v.unsigned_abs(), 0)
     }
 
-    fn clip(&self, v: i128) -> i64 {
-        v.clamp(self.fmt.min_raw() as i128, self.fmt.max_raw() as i128) as i64
+    fn computed(&self) -> Option<Fixed> {
+        Some(*self)
     }
 
-    /// The aligned band's sweep of `biases.len()` weight rows over one
-    /// activation tile, sign-extended once: `out[j · rows + r]` receives
-    /// row `r` against column `j`, and the unit is left in the last row's
-    /// last column's state.
-    fn aligned_sweep<'a>(
-        &mut self,
-        biases: &[u32],
-        weights: &[u32],
-        fan_in: usize,
-        cols: impl Iterator<Item = &'a [u32]>,
-        out: &mut [u32],
-    ) {
-        let rows = biases.len();
-        debug_assert!(fan_in as u64 <= self.capacity, "fixed EMAC over capacity");
-        let (word, width) = (aligned_word(self.fmt.n()), self.accumulator_width());
-        let mut tile = std::mem::take(&mut self.tile);
-        tile.load(cols, word);
-        for (r, &bias) in biases.iter().enumerate() {
-            self.set_bias(bias);
-            let wrow = &weights[r * fan_in..(r + 1) * fan_in];
-            tile.row(self.acc, width, wrow, word, |j, sum, _| {
-                self.acc = sum;
-                out[j * rows + r] = self.result();
-            });
-        }
-        self.tile = tile;
-    }
-}
-
-/// The aligned decode of an `n`-bit pattern: its sign extension in the
-/// [`crate::table::align`] word layout, with the special flag always
-/// clear.
-fn aligned_word(n: u32) -> impl Fn(u32) -> i64 + Copy {
-    let sh = 64 - n;
-    move |bits| ((((bits as u64) << sh) as i64) >> sh) << 1
-}
-
-impl Emac for FixedEmac {
-    fn reset(&mut self) {
-        self.acc = 0;
-        self.count = 0;
+    #[inline(always)]
+    fn computed_entry(fields: Fixed, bits: u32) -> EmacEntry {
+        fields.decode(bits)
     }
 
-    fn set_bias(&mut self, bias: u32) {
-        self.reset();
-        // The bias has q fraction bits; the accumulator carries 2q, so the
-        // bias is pre-shifted left by q (Fig. 3 "Pad").
-        self.acc = (self.sext(bias) as i128) << self.fmt.q();
+    /// The sign extension is the aligned value already; the special flag
+    /// is always clear.
+    #[inline(always)]
+    fn aligned_word(fields: Fixed, bits: u32) -> i64 {
+        fields.sext(bits) << 1
     }
 
-    fn mac(&mut self, weight: u32, activation: u32) {
-        self.count += 1;
-        debug_assert!(self.count <= self.capacity, "fixed EMAC over capacity");
-        let w = self.sext(weight) as i128;
-        let a = self.sext(activation) as i128;
-        self.acc += w * a; // exact: 2n-bit product in a >= 2n + log2k register
+    /// The bias has `q` fraction bits and the register carries `2q`, so a
+    /// bias is pre-shifted left by `q` (Fig. 3 "Pad").
+    fn bias_shift(&self) -> u32 {
+        self.fmt.q()
     }
 
-    fn dot_slice(&mut self, weights: &[u32], activations: &[u32]) {
-        assert_eq!(
-            weights.len(),
-            activations.len(),
-            "dot_slice: weight/activation length mismatch"
-        );
-        self.count += weights.len() as u64;
-        debug_assert!(self.count <= self.capacity, "fixed EMAC over capacity");
-        // One column of the aligned tile, seeded with the running
-        // register.
-        if self.aligned {
-            let (word, width) = (aligned_word(self.fmt.n()), self.accumulator_width());
-            self.tile.load(std::iter::once(activations), word);
-            let acc = &mut self.acc;
-            self.tile
-                .row(*acc, width, weights, word, |_, sum, _| *acc = sum);
-            return;
-        }
-        // Scalar kernel: the per-MAC i128 multiply.
-        for (&w, &a) in weights.iter().zip(activations) {
-            self.acc += self.sext(w) as i128 * self.sext(a) as i128;
-        }
+    /// Fig. 3: shift right by `q` (arithmetic = truncation toward −∞),
+    /// then clip to `n` bits.
+    #[inline(always)]
+    fn encode(&self, acc: &Accum) -> u32 {
+        let sum = match acc {
+            Accum::Small(sum) => *sum,
+            Accum::Wide(wide) => wide
+                .to_i128()
+                .expect("check_format bounds the fixed register to an i128"),
+        };
+        let clipped =
+            (sum >> self.fmt.q()).clamp(self.fmt.min_raw() as i128, self.fmt.max_raw() as i128);
+        (clipped as u32) & (u32::MAX >> (32 - self.fmt.n()))
     }
 
-    fn tile_body(&mut self, bias: u32, weights: &[u32], cols: &[&[u32]], out: &mut [u32]) -> bool {
-        if self.aligned {
-            self.aligned_sweep(&[bias], weights, weights.len(), cols.iter().copied(), out);
-        }
-        self.aligned
-    }
-
-    fn layer_body(
-        &mut self,
-        biases: &[u32],
-        weights: &[u32],
-        activations: &[u32],
-        out: &mut [u32],
-        (fan_in, batch): (usize, usize),
-    ) -> bool {
-        if self.aligned {
-            let cols = columns(activations, fan_in, batch);
-            self.aligned_sweep(biases, weights, fan_in, cols, out);
-        }
-        self.aligned
-    }
-
-    fn set_macs_done(&mut self, macs: u64) {
-        self.count = macs;
-    }
-
-    fn kernel(&self) -> MacKernel {
-        if self.aligned {
-            MacKernel::Aligned
-        } else {
-            MacKernel::Scalar
-        }
-    }
-
-    fn result(&self) -> u32 {
-        // Fig. 3: shift right by q (arithmetic = truncation toward -inf),
-        // then clip to n bits.
-        let shifted = self.acc >> self.fmt.q();
-        let clipped = self.clip(shifted);
-        (clipped as u64 as u32) & mask(self.fmt.n())
-    }
-
-    fn macs_done(&self) -> u64 {
-        self.count
-    }
-
-    fn pipeline_depth(&self) -> u32 {
-        3 // multiply → accumulate → shift/clip (Fig. 3 register boundaries)
-    }
-
-    fn accumulator_width(&self) -> u32 {
-        Self::accumulator_width_for(self.fmt, self.capacity)
-    }
-}
-
-fn mask(n: u32) -> u32 {
-    if n == 32 {
-        u32::MAX
-    } else {
-        (1 << n) - 1
+    /// Never read: no fixed-point pattern is special.
+    fn poison_bits(&self) -> u32 {
+        0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Emac, MacKernel};
 
     fn fmt(n: u32, q: u32) -> FixedFormat {
         FixedFormat::new(n, q).unwrap()
     }
 
     fn pat(f: FixedFormat, v: f64) -> u32 {
-        (f.from_f64(v) as u64 as u32) & mask(f.n())
+        (f.from_f64(v) as u64 as u32) & (u32::MAX >> (32 - f.n()))
     }
 
     fn val(f: FixedFormat, bits: u32) -> f64 {
@@ -305,6 +173,20 @@ mod tests {
         assert_eq!(FixedEmac::accumulator_width_for(fmt(8, 4), 1), 16);
         assert_eq!(FixedEmac::accumulator_width_for(fmt(8, 4), 128), 23);
         assert_eq!(FixedEmac::accumulator_width_for(fmt(5, 2), 10), 14);
+    }
+
+    #[test]
+    fn register_past_the_i128_is_a_typed_error() {
+        // fixed<32,16>: 64 + ⌈log2 k⌉ bits — 127 at k = 2^63, 128 one past.
+        let f = fmt(32, 16);
+        let unit = FixedEmac::try_new(f, 1 << 63).unwrap();
+        assert_eq!(
+            (unit.accumulator_width(), unit.kernel()),
+            (127, MacKernel::Aligned)
+        );
+        let err = FixedEmac::try_new(f, (1 << 63) + 1).unwrap_err();
+        assert!(err.reason().contains("128 bits"), "{err}");
+        assert!(FixedEmac::try_new(f, u64::MAX).is_err());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The minifloat family of the table-driven EMAC (paper Fig. 4).
 
-use crate::acc::Window;
+use crate::acc::Accum;
 use crate::ceil_log2;
-use crate::table::{self, EmacEntry, Tables, MAX_COMPUTED_WIDTH, MAX_LUT_WIDTH};
+use crate::table::{self, AlignedLut, EmacEntry, MAX_COMPUTED_WIDTH, MAX_LUT_WIDTH};
 use crate::table_emac::{Family, TableEmac};
 use crate::UnsupportedFormat;
 use dp_minifloat::{encode, FloatFormat};
@@ -51,8 +51,8 @@ pub type FloatEmac = TableEmac<Float>;
 ///
 /// A minifloat's sign/exponent/fraction sit at fixed offsets, so one
 /// bit-field extraction ([`Family::decode`]) serves every width: it fills
-/// the operand table for `n ≤ 12`, is computed per element for 13–16
-/// bits, and is the reference decode. Operands are kept *unnormalised* in
+/// the aligned table for `n ≤ 12`, is computed per element for 13–16
+/// bits, and is the per-MAC and reference decode. Operands are kept *unnormalised* in
 /// units of the smallest subnormal — `field = hidden | frac`,
 /// `scale = max(exp_field, 1) − 1` — so a product is the plain
 /// `field_w · field_a << (scale_w + scale_a)` in units of
@@ -70,7 +70,7 @@ impl Family for Float {
     const PIPELINE_DEPTH: u32 = 4; // decode/multiply/shift → accumulate → normalize → round/clip
 
     /// Every valid [`FloatFormat`] has an EMAC datapath.
-    fn check_format(_: FloatFormat) -> Result<(), UnsupportedFormat> {
+    fn check_format(_: FloatFormat, _capacity: u64) -> Result<(), UnsupportedFormat> {
         Ok(())
     }
 
@@ -80,7 +80,7 @@ impl Family for Float {
         ceil_log2(k) + 2 * log_ratio + 2
     }
 
-    fn tables(fmt: FloatFormat) -> &'static Tables {
+    fn tables(fmt: FloatFormat) -> Option<&'static AlignedLut> {
         let fields = Float { fmt };
         let key = (Self::NAME, fmt.we(), fmt.wf());
         table::cached(key, fmt.n(), Self::operands_align(fmt), |b| {
@@ -133,8 +133,8 @@ impl Family for Float {
     /// Fig. 4 readout: inverse 2's complement, LZD, normalize, round —
     /// then clip at the maximum magnitude: the EMAC never emits infinity.
     #[inline(always)]
-    fn encode(&self, window: Option<Window>) -> u32 {
-        let Some(w) = window else {
+    fn encode(&self, acc: &Accum) -> u32 {
+        let Some(w) = acc.window() else {
             return self.fmt.zero_bits(false);
         };
         let scale = w.msb as i32 - 2 * self.bias_shift() as i32;
@@ -315,8 +315,8 @@ mod tests {
     fn emac_entries_reconstruct_decode_exhaustively() {
         for (we, wf) in [(2u32, 2u32), (3, 2), (4, 3), (5, 2), (4, 7)] {
             let f = fmt(we, wf);
-            let table = Float::tables(f).operands.as_ref().unwrap();
-            check_operands(f, |b| table.entry(b));
+            let fields = Float::new(f, true);
+            check_operands(f, |b| fields.decode(b));
         }
     }
 

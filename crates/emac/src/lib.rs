@@ -29,45 +29,47 @@
 //! carry cycle metadata used by the `dp-hw` timing model and the
 //! `deep-positron` streaming simulator.
 //!
-//! ## One table-driven datapath
+//! ## One unit, two bands, one sweep
 //!
-//! The paper draws the posit and float EMACs as the same pipeline —
-//! decode → exact multiply → shifted accumulate → round once — differing
-//! only in the decode and round/encode stages, and the code has the same
-//! shape: [`PositEmac`] and [`FloatEmac`] are one generic unit,
-//! [`TableEmac`]`<F>`, instantiated at the [`Posit`] and [`Float`]
-//! families (static dispatch; the hot loops are monomorphized per family
-//! and per operand source).
+//! The paper draws the three EMACs as the same pipeline — decode → exact
+//! multiply → shifted accumulate → round once — differing only in the
+//! decode and round/encode stages, and the code has the same shape: all
+//! three are one generic unit, [`TableEmac`]`<F>`, instantiated at the
+//! [`Posit`], [`Float`] and [`Fixed`] families (static dispatch; the hot
+//! loops are monomorphized per family and per operand source).
 //!
-//! * **The generic unit owns** the accumulation window ([`Accum`]:
-//!   `i128` / [`Acc256`] / `WideInt`), `mac` / `reset` / `macs_done`,
-//!   bias seeding, the row, tile and layer kernels of the aligned and
-//!   fused bands (the loops themselves live once in the private `kernel`
-//!   module), kernel selection ([`MacKernel`], [`TileKernel`],
-//!   `with_kernel_cap`) and poison tracking.
+//! * **The generic unit owns** the accumulation register ([`Accum`]:
+//!   `i128` / `WideInt`), `mac` / `reset` / `macs_done`, bias seeding,
+//!   poison tracking, and the aligned sweep (whose loops live in the
+//!   private `kernel` module).
 //! * **A [`Family`] supplies** what the paper says differs: the decode of
-//!   a pattern into the shared fused-operand word (per-pattern table,
-//!   [`dp_posit::lut::SplitLut`], or computed bit fields — and the
+//!   a pattern into the shared operand word (posit decode tables,
+//!   minifloat bit fields, fixed point's sign extension — and the
 //!   bit-field decode of `new_reference()` units), where a bias lands in
-//!   the register, round-and-encode, the poison pattern, and
-//!   `accumulator_width_for`.
-//! * **[`table`] defines, once,** the fused-operand word ([`EmacEntry`]),
-//!   the per-pattern operand table ([`EmacLut`]), its aligned-integer
-//!   image ([`table::align`], [`AlignedLut`]) and the per-format
-//!   leak-once cache. Both families store operands as `±field × 2^scale`
-//!   with a non-negative scale (minifloats unnormalised, in units of the
-//!   smallest subnormal), so `±(field << scale)` is a plain signed
-//!   integer and an exact EMAC sum is a plain integer dot product.
-//! * **One integer loop serves all three units.** Whenever every operand
-//!   of a format fits the aligned word and the eq.-(3)/(4) register fits
-//!   an `i128` — the 8-bit trio, minifloats up to binary16, fixed point
-//!   at every width — rows, tiles and layers decode their operands once
-//!   and run `acc[j] += w[k] · a[j][k]` in an `i64` or `i128`
-//!   ([`MacKernel::Aligned`]). [`FixedEmac`] shares that loop (its
-//!   "decode" is the sign extension) and [`Emac::dot_tile`] /
-//!   [`Emac::dot_layer`]'s provided bodies (shape validation, `B ≤ 1`
-//!   and scalar-band baselines, `K × B` accounting); its register,
-//!   truncating readout and lack of special patterns stay its own.
+//!   the register, the readout (round-and-encode, or truncate-and-clip),
+//!   the poison pattern, and `accumulator_width_for`.
+//! * **[`table`] defines, once,** the operand word ([`EmacEntry`]), its
+//!   aligned-integer image ([`table::align`]), the per-pattern table of
+//!   those images ([`AlignedLut`]) and the per-format leak-once cache.
+//!   Every family stores operands as `±field × 2^scale` with a
+//!   non-negative scale (posits in units of minpos, minifloats
+//!   unnormalised in units of the smallest subnormal, fixed point at
+//!   scale 0), so `±(field << scale)` is a plain signed integer and an
+//!   exact EMAC sum is a plain integer dot product.
+//! * **Two bands, fixed at construction by (format, capacity)**
+//!   ([`MacKernel`]; no option, feature or cap selects one). Whenever
+//!   every operand of a format fits the aligned word and the
+//!   eq.-(3)/(4) register fits an `i128` — the 8-bit trio, posits through
+//!   ⟨16,1⟩, minifloats up to binary16, fixed point at every width — a
+//!   sweep decodes its operands once and runs `acc[j] += w[k] · a[j][k]`
+//!   in an `i64` or `i128` ([`MacKernel::Aligned`]). Everything else, and
+//!   every `new_reference()` unit, runs the per-MAC datapath in a loop
+//!   ([`MacKernel::Scalar`]) — the reference the aligned band is pinned
+//!   against.
+//! * **One sweep.** [`Emac::dot_tile`] and [`Emac::dot_layer`] are two
+//!   shape-validating fronts over one hook, [`Emac::sweep`]; its provided
+//!   body is the per-MAC definition and [`TableEmac`] supplies the
+//!   aligned one.
 //!
 //! ```
 //! use dp_emac::{Emac, PositEmac};
@@ -92,23 +94,24 @@ pub mod table;
 mod table_emac;
 mod unit;
 
-pub use acc::{Acc256, Accum, Window, MEDIUM_ACC_MAX_BITS, SMALL_ACC_MAX_BITS};
-pub use fixed_emac::FixedEmac;
+pub use acc::{Accum, Window, SMALL_ACC_MAX_BITS};
+pub use fixed_emac::{Fixed, FixedEmac};
 pub use float_emac::{Float, FloatEmac};
-pub use kernel::{MacKernel, TileKernel};
+pub use kernel::MacKernel;
 pub use posit_emac::{Posit, PositEmac, SplitOperands};
-pub use table::{AlignedLut, EmacEntry, EmacLut};
+pub use table::{AlignedLut, EmacEntry};
 pub use table_emac::{Family, TableEmac};
 pub use unit::{Emac, EmacUnit};
 
-/// ⌈log2 k⌉ for k ≥ 1 (accumulator growth bits, paper eqs. 3–4).
+/// ⌈log2 k⌉ for k ≥ 1 (accumulator growth bits, paper eqs. 3–4), at every
+/// `k`: `next_power_of_two` overflows past 2^63.
 pub(crate) fn ceil_log2(k: u64) -> u32 {
-    k.max(1).next_power_of_two().trailing_zeros()
+    64 - k.saturating_sub(1).leading_zeros()
 }
 
 /// A format (or format + capacity pairing) with no EMAC datapath — e.g. a
 /// posit with `es > n − 3` (no significand bits) or a fixed-point
-/// configuration whose eq.-(3) register would exceed the unit's `i128`.
+/// configuration whose eq.-(3) register would exceed an `i128`.
 ///
 /// Returned by the `try_new` constructors so untrusted callers (model
 /// registries, serving admission) can validate up front instead of
@@ -136,3 +139,19 @@ impl std::fmt::Display for UnsupportedFormat {
 }
 
 impl std::error::Error for UnsupportedFormat {}
+
+#[cfg(test)]
+mod tests {
+    use super::ceil_log2;
+
+    #[test]
+    fn ceil_log2_is_exact_up_to_u64_max() {
+        assert_eq!(
+            [0u64, 1, 2, 3, 4, 5, 128].map(ceil_log2),
+            [0, 0, 1, 2, 2, 3, 7]
+        );
+        assert_eq!(ceil_log2(1 << 63), 63);
+        assert_eq!(ceil_log2((1 << 63) + 1), 64);
+        assert_eq!(ceil_log2(u64::MAX), 64);
+    }
+}

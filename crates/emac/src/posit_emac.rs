@@ -1,8 +1,8 @@
 //! The posit family of the table-driven EMAC (paper Fig. 5, Algorithms 1–2).
 
-use crate::acc::Window;
+use crate::acc::Accum;
 use crate::ceil_log2;
-use crate::table::{self, EmacEntry, Tables};
+use crate::table::{self, AlignedLut, EmacEntry};
 use crate::table_emac::{Family, TableEmac};
 use crate::UnsupportedFormat;
 use dp_posit::lut::{self, DecodeLut, SplitLut};
@@ -31,10 +31,11 @@ use dp_posit::{decode, encode, Decoded, PositFormat};
 ///    (round-to-nearest-even on the pattern) re-encode.
 ///
 /// Differentially tested against [`dp_posit::Quire`] — an independent
-/// implementation of the same semantics. Formats up to 12 bits read their
-/// operands from the per-pattern table; 13–16-bit formats use the split
-/// scheme ([`dp_posit::lut::SplitLut`]): a 256-entry regime-prefix table
-/// composed with direct fraction extraction.
+/// implementation of the same semantics. On the aligned band formats up
+/// to 12 bits read their operands from the per-pattern table and
+/// 13–16-bit formats use the split scheme ([`dp_posit::lut::SplitLut`]):
+/// a 256-entry regime-prefix table composed with direct fraction
+/// extraction.
 ///
 /// # Examples
 ///
@@ -116,7 +117,7 @@ impl Family for Posit {
     const NAME: &'static str = "posit";
     const PIPELINE_DEPTH: u32 = 5; // decode → multiply/shift → accumulate → extract → round/encode
 
-    fn check_format(fmt: PositFormat) -> Result<(), UnsupportedFormat> {
+    fn check_format(fmt: PositFormat, _capacity: u64) -> Result<(), UnsupportedFormat> {
         if fmt.es() > fmt.n() - 3 {
             return Err(UnsupportedFormat::new(format!(
                 "{fmt}: posit EMAC requires es <= n-3 (no significand bits, \
@@ -133,7 +134,7 @@ impl Family for Posit {
         (1u32 << (fmt.es() + 2)) * (fmt.n() - 2) + 2 + ceil_log2(k)
     }
 
-    fn tables(fmt: PositFormat) -> &'static Tables {
+    fn tables(fmt: PositFormat) -> Option<&'static AlignedLut> {
         let bitfield = Posit::new(fmt, false);
         let key = (Self::NAME, fmt.n(), fmt.es());
         table::cached(key, fmt.n(), Self::operands_align(fmt), |b| {
@@ -192,8 +193,8 @@ impl Family for Posit {
     /// Fraction & SF extraction (Algorithm 2 lines 15–19) + convergent
     /// rounding.
     #[inline(always)]
-    fn encode(&self, window: Option<Window>) -> u32 {
-        let Some(w) = window else {
+    fn encode(&self, acc: &Accum) -> u32 {
+        let Some(w) = acc.window() else {
             return self.fmt.zero_bits();
         };
         let scale = w.msb as i32 - 2 * self.max_scale;
@@ -382,8 +383,8 @@ mod tests {
     fn emac_entries_reconstruct_decode_exhaustively() {
         for (n, es) in [(5u32, 0u32), (8, 0), (8, 1), (8, 2), (12, 1)] {
             let f = fmt(n, es);
-            let table = Posit::tables(f).operands.as_ref().unwrap();
-            check_operands(f, |b| table.entry(b));
+            let table = Posit::new(f, true);
+            check_operands(f, |b| table.decode(b));
         }
     }
 

@@ -1,13 +1,16 @@
 //! The [`Emac`] trait and the format-erased [`EmacUnit`].
 
-use crate::{FixedEmac, FloatEmac, MacKernel, PositEmac, TileKernel};
+use crate::{FixedEmac, FloatEmac, MacKernel, PositEmac};
 
 /// Common interface of the three exact multiply-and-accumulate units.
 ///
 /// Values are raw bit patterns of the unit's numerical format. A unit is
 /// used in three phases, mirroring the hardware control flow (paper §III-E):
 /// seed with a bias, stream `k` MAC operations (one per cycle), read the
-/// rounded result.
+/// rounded result. [`Emac::dot_tile`] and [`Emac::dot_layer`] run those
+/// phases for a whole layer against a batch in one call; they validate
+/// shapes and account, and evaluate through the one hook a unit may
+/// supply, [`Emac::sweep`].
 pub trait Emac {
     /// Clears the accumulator to zero (and any NaR/NaN poison state).
     fn reset(&mut self);
@@ -20,11 +23,11 @@ pub trait Emac {
     /// Accumulates the exact product `weight × activation`.
     fn mac(&mut self, weight: u32, activation: u32);
 
-    /// Accumulates one whole dot-product row: exactly equivalent to
-    /// calling [`Emac::mac`] once per `(weights[i], activations[i])` pair
-    /// (bit-identical result, [`Emac::macs_done`] advanced by the slice
-    /// length), but dispatched once so the unit can run its slice-level
-    /// [`MacKernel`] — the batch engine's and serving path's inner loop.
+    /// Accumulates one whole dot-product row onto the running register:
+    /// [`Emac::mac`] once per `(weights[i], activations[i])` pair. With
+    /// [`Emac::set_bias`] before and [`Emac::result`] after, this is the
+    /// *definition* every output of [`Emac::dot_tile`] and
+    /// [`Emac::dot_layer`] is pinned against; no unit overrides it.
     ///
     /// # Panics
     ///
@@ -40,18 +43,17 @@ pub trait Emac {
         }
     }
 
-    /// The slice-level kernel this unit selected at construction (fixed
-    /// per format band × accumulator window; see [`MacKernel`]).
+    /// The kernel this unit's sweeps run, fixed at construction by
+    /// (format, capacity); see [`MacKernel`].
     fn kernel(&self) -> MacKernel {
         MacKernel::Scalar
     }
 
-    /// Weight-stationary tile evaluation: for each activation column
-    /// `cols[j]`, `out[j]` receives exactly what
+    /// Weight-stationary tile evaluation, one row of [`Emac::dot_layer`]
+    /// over borrowed columns: for each activation column `cols[j]`,
+    /// `out[j]` receives exactly what
     /// `set_bias(bias); dot_slice(weights, cols[j]); result()` would
-    /// produce — bit-identical per column, dispatched once so the unit can
-    /// run its tile-level [`TileKernel`] (decode or gather the weight row's
-    /// operands once for every column). One row of [`Emac::dot_layer`].
+    /// produce — bit-identical per column, in one dispatch.
     ///
     /// Bookkeeping contract: a non-empty tile leaves [`Emac::macs_done`]
     /// at exactly `weights.len() × cols.len()` (the per-column `set_bias`
@@ -59,10 +61,6 @@ pub trait Emac {
     /// the whole `K × B` sweep instead of only its last column), and the
     /// accumulator/poison state equals that after evaluating the **last**
     /// column. An empty `cols` is a no-op.
-    ///
-    /// Units supply only [`Emac::tile_body`]; the shape checks, the empty
-    /// and `B == 1` cases, the per-column baseline and the accounting are
-    /// this provided body's.
     ///
     /// # Panics
     ///
@@ -84,48 +82,23 @@ pub trait Emac {
         if cols.is_empty() {
             return;
         }
-        // Per-column baseline: B == 1 keeps the row kernels, the scalar
-        // band stays the differential reference at any width.
-        if cols.len() < 2 || !self.tile_body(bias, weights, cols, out) {
-            for (col, slot) in cols.iter().zip(out.iter_mut()) {
-                self.set_bias(bias);
-                self.dot_slice(weights, col);
-                *slot = self.result();
-            }
-        }
+        self.sweep(&[bias], weights, weights.len(), cols.iter().copied(), out);
         self.set_macs_done((weights.len() * cols.len()) as u64);
     }
 
-    /// The unit's tile fast path for an already validated tile of
-    /// `B ≥ 2` columns: evaluates every column (leaving the unit in the
-    /// last column's state) and returns `true`, or returns `false`
-    /// untouched when the unit's band has none (the scalar band), in
-    /// which case [`Emac::dot_tile`] runs the per-column baseline. Call
-    /// [`Emac::dot_tile`], not this.
-    fn tile_body(
-        &mut self,
-        _bias: u32,
-        _weights: &[u32],
-        _cols: &[&[u32]],
-        _out: &mut [u32],
-    ) -> bool {
-        false
-    }
-
     /// Whole-layer evaluation, the batch engine's and the serving chunk
-    /// path's inner loop: `biases.len()` weight rows (`weights`,
-    /// row-major) against a batch of activation columns (`activations`,
-    /// flat, one sample after another). `out` is flat and sample-major
-    /// too: `out[j · rows + r]` receives exactly what
+    /// path's inner loop (and, at a batch of one, the per-sample path's):
+    /// `biases.len()` weight rows (`weights`, row-major) against a batch
+    /// of activation columns (`activations`, flat, one sample after
+    /// another). `out` is flat and sample-major too: `out[j · rows + r]`
+    /// receives exactly what
     /// `set_bias(biases[r]); dot_slice(row r, column j); result()` would
     /// produce. The shapes follow from the slice lengths: `rows =
     /// biases.len()`, `K = weights.len() / rows`, `B = out.len() / rows`.
     ///
     /// Equivalent to one [`Emac::dot_tile`] per weight row, in row order —
     /// same outputs, same final state (the last row's last column) and
-    /// [`Emac::macs_done`] left at `K × B` — which is the provided body;
-    /// a unit whose band can decode the activation tile once for every
-    /// row supplies [`Emac::layer_body`]. An empty batch (or a layer
+    /// [`Emac::macs_done`] left at `K × B`. An empty batch (or a layer
     /// without rows) is a no-op.
     ///
     /// # Panics
@@ -156,59 +129,35 @@ pub trait Emac {
         if batch == 0 {
             return;
         }
-        if self.layer_body(biases, weights, activations, out, (fan_in, batch)) {
-            self.set_macs_done((fan_in * batch) as u64);
-            return;
-        }
-        let cols: Vec<&[u32]> = columns(activations, fan_in, batch).collect();
-        let mut row_out = vec![0u32; batch];
-        for (r, &bias) in biases.iter().enumerate() {
-            let wrow = &weights[r * fan_in..(r + 1) * fan_in];
-            self.dot_tile(bias, wrow, &cols, &mut row_out);
-            for (j, &bits) in row_out.iter().enumerate() {
-                out[j * rows + r] = bits;
-            }
-        }
+        // `chunks_exact` would reject `fan_in = 0`.
+        let cols = (0..batch).map(|j| &activations[j * fan_in..(j + 1) * fan_in]);
+        self.sweep(biases, weights, fan_in, cols, out);
+        self.set_macs_done((fan_in * batch) as u64);
     }
 
-    /// The unit's layer fast path for an already validated, non-empty
-    /// layer of shape `(K, B)`: evaluates every row against every column
-    /// (leaving the unit in the last row's last column's state) and
-    /// returns `true`, or
-    /// returns `false` untouched when the unit's band has none, in which
-    /// case [`Emac::dot_layer`] sweeps [`Emac::dot_tile`] row by row.
-    /// Call [`Emac::dot_layer`], not this.
-    fn layer_body(
+    /// The one evaluation hook under [`Emac::dot_tile`] and
+    /// [`Emac::dot_layer`], for an already validated, non-empty shape:
+    /// `biases.len()` rows of `fan_in` weights against the columns `cols`
+    /// yields (each `fan_in` long), `out[j · rows + r]` receiving row `r`
+    /// against column `j`, and the unit left in the last row's last
+    /// column's state. The provided body is the definition — `set_bias`,
+    /// `mac` × K, `result` per output, columns outermost; a unit whose
+    /// band can decode the operands once supplies its own. Call the two
+    /// fronts, not this.
+    fn sweep<'a>(
         &mut self,
-        _biases: &[u32],
-        _weights: &[u32],
-        _activations: &[u32],
-        _out: &mut [u32],
-        _shape: (usize, usize),
-    ) -> bool {
-        false
+        biases: &[u32],
+        weights: &[u32],
+        fan_in: usize,
+        cols: impl Iterator<Item = &'a [u32]>,
+        out: &mut [u32],
+    ) {
+        per_mac_sweep(self, biases, weights, fan_in, cols, out);
     }
 
     /// Overwrites the [`Emac::macs_done`] counter — the `K × B`
     /// accounting hook of [`Emac::dot_tile`] and [`Emac::dot_layer`].
     fn set_macs_done(&mut self, macs: u64);
-
-    /// The tile-level kernel [`Emac::dot_tile`] runs for a tile of
-    /// `batch` activation columns: `B ≤ 1` wraps the row kernel, the
-    /// aligned band decodes row and tile once each, the fused band gathers
-    /// weight operands once, and the scalar band stays per-column (see
-    /// [`TileKernel`]). Kernel caps step this down exactly as they step
-    /// [`Emac::kernel`] down.
-    fn tile_kernel(&self, batch: usize) -> TileKernel {
-        if batch <= 1 {
-            return TileKernel::PerColumn(self.kernel());
-        }
-        match self.kernel() {
-            MacKernel::Aligned => TileKernel::AlignedTile,
-            MacKernel::BatchedFused => TileKernel::GatherFused,
-            MacKernel::Scalar => TileKernel::PerColumn(MacKernel::Scalar),
-        }
-    }
 
     /// Rounds the accumulated sum once and returns its bit pattern.
     fn result(&self) -> u32;
@@ -225,14 +174,24 @@ pub trait Emac {
     fn accumulator_width(&self) -> u32;
 }
 
-/// The `batch` columns of `fan_in` activations each in a flat sample-major
-/// buffer (`chunks_exact` would reject `fan_in = 0`).
-pub(crate) fn columns(
-    activations: &[u32],
+/// [`Emac::sweep`]'s provided body, callable from an overriding unit for
+/// the shapes its own band does not cover.
+pub(crate) fn per_mac_sweep<'a, E: Emac + ?Sized>(
+    unit: &mut E,
+    biases: &[u32],
+    weights: &[u32],
     fan_in: usize,
-    batch: usize,
-) -> impl Iterator<Item = &[u32]> {
-    (0..batch).map(move |j| &activations[j * fan_in..(j + 1) * fan_in])
+    cols: impl Iterator<Item = &'a [u32]>,
+    out: &mut [u32],
+) {
+    let rows = biases.len();
+    for (col, outs) in cols.zip(out.chunks_exact_mut(rows)) {
+        for (r, (&bias, slot)) in biases.iter().zip(outs).enumerate() {
+            unit.set_bias(bias);
+            unit.dot_slice(&weights[r * fan_in..(r + 1) * fan_in], col);
+            *slot = unit.result();
+        }
+    }
 }
 
 /// A format-erased EMAC, letting the DNN engine hold heterogeneous layers.
@@ -266,36 +225,21 @@ impl Emac for EmacUnit {
     fn mac(&mut self, weight: u32, activation: u32) {
         dispatch!(self, u => u.mac(weight, activation))
     }
-    fn dot_slice(&mut self, weights: &[u32], activations: &[u32]) {
-        dispatch!(self, u => u.dot_slice(weights, activations))
-    }
     fn kernel(&self) -> MacKernel {
         dispatch!(self, u => u.kernel())
     }
-    fn dot_tile(&mut self, bias: u32, weights: &[u32], cols: &[&[u32]], out: &mut [u32]) {
-        dispatch!(self, u => u.dot_tile(bias, weights, cols, out))
-    }
-    fn tile_body(&mut self, bias: u32, weights: &[u32], cols: &[&[u32]], out: &mut [u32]) -> bool {
-        dispatch!(self, u => u.tile_body(bias, weights, cols, out))
-    }
-    fn dot_layer(&mut self, biases: &[u32], weights: &[u32], activations: &[u32], out: &mut [u32]) {
-        dispatch!(self, u => u.dot_layer(biases, weights, activations, out))
-    }
-    fn layer_body(
+    fn sweep<'a>(
         &mut self,
         biases: &[u32],
         weights: &[u32],
-        activations: &[u32],
+        fan_in: usize,
+        cols: impl Iterator<Item = &'a [u32]>,
         out: &mut [u32],
-        shape: (usize, usize),
-    ) -> bool {
-        dispatch!(self, u => u.layer_body(biases, weights, activations, out, shape))
+    ) {
+        dispatch!(self, u => u.sweep(biases, weights, fan_in, cols, out))
     }
     fn set_macs_done(&mut self, macs: u64) {
         dispatch!(self, u => u.set_macs_done(macs))
-    }
-    fn tile_kernel(&self, batch: usize) -> TileKernel {
-        dispatch!(self, u => u.tile_kernel(batch))
     }
     fn result(&self) -> u32 {
         dispatch!(self, u => u.result())

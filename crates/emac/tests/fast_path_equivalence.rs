@@ -1,10 +1,12 @@
-//! The fast paths must be invisible: a fused-LUT + `i128` EMAC and the
-//! pre-LUT reference datapath (Algorithm-1 bit-field decode + `WideInt`
+//! The fast paths must be invisible: a table-decode + `i128` EMAC and the
+//! reference datapath (Algorithm-1 bit-field decode + `WideInt`
 //! register) must produce bit-identical results on every input — across
 //! random dot products, biases, resets and special values — or the
-//! "optimization" is a silent numerics change.
+//! "optimization" is a silent numerics change. These suites drive the
+//! per-MAC entry points; `kernel_equivalence` and `tile_equivalence` drive
+//! the sweeps.
 
-use dp_emac::{Emac, FixedEmac, FloatEmac, PositEmac};
+use dp_emac::{Emac, FixedEmac, FloatEmac, MacKernel, PositEmac};
 use dp_fixed::FixedFormat;
 use dp_minifloat::FloatFormat;
 use dp_posit::PositFormat;
@@ -21,27 +23,27 @@ fn xorshift(seed: u64) -> impl FnMut() -> u64 {
 
 #[test]
 fn posit_fast_path_engages_for_paper_formats() {
-    for (n, es) in [(5u32, 0u32), (6, 0), (7, 0), (8, 0), (8, 1), (8, 2)] {
-        let fmt = PositFormat::new(n, es).unwrap();
-        assert!(
-            PositEmac::new(fmt, 128).is_fast_path(),
-            "posit<{n},{es}> must run the fast path at k = 128"
-        );
-        assert!(!PositEmac::new_reference(fmt, 128).is_fast_path());
+    // Every posit of the paper's [5, 8]-bit sweep, and the 16-bit
+    // comparison formats over the split table, run the aligned band at
+    // k = 128; a reference unit never does.
+    let kernel = |n, es| PositEmac::new(PositFormat::new(n, es).unwrap(), 128).kernel();
+    for es in 0..=2u32 {
+        for n in 5..=8u32 {
+            assert_eq!(kernel(n, es), MacKernel::Aligned, "posit<{n},{es}>");
+        }
     }
-    // 13–16-bit formats run the split-table + native-accumulator fast
-    // path; the first width past the split ceiling does not.
-    for (n, es) in [(13u32, 0u32), (13, 2), (16, 0), (16, 1), (16, 2)] {
+    for (n, es) in [(13u32, 0u32), (16, 0), (16, 1)] {
+        assert_eq!(kernel(n, es), MacKernel::Aligned, "posit<{n},{es}>");
         let fmt = PositFormat::new(n, es).unwrap();
-        assert!(
-            PositEmac::new(fmt, 128).is_fast_path(),
-            "posit<{n},{es}> must run the split fast path at k = 128"
+        assert_eq!(
+            PositEmac::new_reference(fmt, 128).kernel(),
+            MacKernel::Scalar
         );
-        assert!(!PositEmac::new_reference(fmt, 128).is_fast_path());
     }
-    let wide = PositFormat::new(17, 1).unwrap();
-    assert!(!PositEmac::new(wide, 128).is_fast_path());
-    assert!(!PositEmac::new(PositFormat::new(24, 1).unwrap(), 128).is_fast_path());
+    // Operands past the aligned word, and widths past the split ceiling.
+    for (n, es) in [(13u32, 2u32), (16, 2), (17, 1), (24, 1)] {
+        assert_eq!(kernel(n, es), MacKernel::Scalar, "posit<{n},{es}>");
+    }
 }
 
 #[test]
@@ -53,7 +55,11 @@ fn posit_lut_boundary_is_deterministic() {
     let mut next = xorshift(0x5eed_0f5e_11e7_0b0a);
     for (n, es) in [(12u32, 1u32), (13, 1), (16, 1)] {
         let fmt = PositFormat::new(n, es).unwrap();
-        assert!(PositEmac::new(fmt, 64).is_fast_path(), "posit<{n},{es}>");
+        assert_eq!(
+            PositEmac::new(fmt, 64).kernel(),
+            MacKernel::Aligned,
+            "posit<{n},{es}>"
+        );
         for _ in 0..50 {
             let len = (next() % 16 + 1) as usize;
             let mut fast = PositEmac::new(fmt, len as u64);
@@ -71,10 +77,10 @@ fn posit_lut_boundary_is_deterministic() {
 
 #[test]
 fn posit_fast_matches_reference_on_random_dots() {
-    // Every format the paper sweeps, the LUT-but-256-bit-accumulator
-    // (12,2), the whole split band 13–16 (i128, 256-bit and — at large k —
-    // WideInt registers behind split operands), and the no-table (17,1),
-    // (24,1) fallbacks.
+    // Every format the paper sweeps, the table-decoded (10,2) and (12,2)
+    // on WideInt registers, the whole split band 13–16 (i128 and WideInt
+    // registers behind split operands), and the no-table (17,1), (24,1)
+    // fallbacks.
     let formats = [
         (5u32, 0u32),
         (6, 1),
@@ -83,6 +89,7 @@ fn posit_fast_matches_reference_on_random_dots() {
         (8, 1),
         (8, 2),
         (10, 1),
+        (10, 2),
         (12, 0),
         (12, 2),
         (13, 0),
@@ -146,26 +153,38 @@ fn posit_fast_matches_reference_exhaustively_on_single_products() {
 
 #[test]
 fn float_fast_path_engages_for_paper_formats() {
-    for (we, wf) in [(2u32, 2u32), (3, 2), (3, 4), (4, 3), (5, 2)] {
+    // The paper's sweep (we ∈ 2..=5 at n ≤ 8) and the computed-operand
+    // formats up to binary16 run the aligned band at k = 128; a reference
+    // unit never does.
+    for (we, wf) in [
+        (2u32, 2u32),
+        (3, 2),
+        (3, 4),
+        (4, 3),
+        (5, 2),
+        (4, 8),
+        (5, 10),
+    ] {
         let fmt = FloatFormat::new(we, wf).unwrap();
-        assert!(
-            FloatEmac::new(fmt, 128).is_fast_path(),
-            "float<{we},{wf}> must run the fast path at k = 128"
+        assert_eq!(
+            FloatEmac::new(fmt, 128).kernel(),
+            MacKernel::Aligned,
+            "{fmt}"
         );
-        assert!(!FloatEmac::new_reference(fmt, 128).is_fast_path());
+        assert_eq!(
+            FloatEmac::new_reference(fmt, 128).kernel(),
+            MacKernel::Scalar
+        );
     }
-    // 13–16-bit formats (binary16 included) run the computed-operand fast
-    // path; the first width past the ceiling does not.
-    for (we, wf) in [(4u32, 8u32), (5, 10), (6, 9)] {
+    // Six exponent bits, and the first width past the computed ceiling.
+    for (we, wf) in [(6u32, 5u32), (6, 9), (5, 11)] {
         let fmt = FloatFormat::new(we, wf).unwrap();
-        assert!(
-            FloatEmac::new(fmt, 128).is_fast_path(),
-            "float<{we},{wf}> must run the computed fast path at k = 128"
+        assert_eq!(
+            FloatEmac::new(fmt, 128).kernel(),
+            MacKernel::Scalar,
+            "{fmt}"
         );
-        assert!(!FloatEmac::new_reference(fmt, 128).is_fast_path());
     }
-    let wide = FloatFormat::new(5, 11).unwrap(); // n = 17
-    assert!(!FloatEmac::new(wide, 128).is_fast_path());
 }
 
 #[test]
@@ -177,11 +196,12 @@ fn float_fast_matches_reference_on_random_dots() {
         (4, 3),
         (5, 2),
         (4, 7),
-        (4, 8),  // 13-bit: computed operands, i128 register
-        (5, 10), // binary16: computed operands
-        (6, 9),  // 16-bit, wide exponent: computed operands, 256-bit register
-        (8, 7),  // 16-bit, we=8: computed operands over a WideInt register
-        (5, 11), // 17-bit: past the ceiling, bit-field decode + WideInt
+        (4, 8),  // 13-bit, i128 register
+        (5, 10), // binary16
+        (6, 5),  // 12-bit, wide exponent: WideInt register
+        (6, 9),  // 16-bit, wide exponent: WideInt register
+        (8, 7),  // 16-bit, we=8: WideInt register
+        (5, 11), // 17-bit: past the computed ceiling
     ];
     let mut next = xorshift(0xfeed_cafe_8765_4321);
     for (we, wf) in formats {
@@ -232,8 +252,8 @@ fn float_fast_matches_reference_exhaustively_on_single_products() {
 
 #[test]
 fn fixed_lut_sext_matches_arithmetic_sext() {
-    // FixedEmac's table-driven sign extension (n ≤ 12) vs a 16-bit format
-    // on the arithmetic path: both must match the i128 reference model.
+    // The per-MAC path's sign extension (decoded to sign and magnitude)
+    // at narrow and wide formats must match the i128 reference model.
     let mut next = xorshift(0x0bad_f00d_5555_aaaa);
     for (n, q) in [(5u32, 2u32), (8, 4), (8, 6), (12, 8), (16, 12)] {
         let fmt = FixedFormat::new(n, q).unwrap();

@@ -1,22 +1,25 @@
-//! Slice-kernel equivalence: [`Emac::dot_slice`] must be bit-identical to
-//! the scalar `mac()` loop and to the pre-LUT reference datapath on every
-//! input, or a kernel is a silent numerics change.
+//! Kernel equivalence at one column: a one-row, one-column
+//! [`Emac::dot_layer`] — the aligned band's single-pass `single_column`
+//! body — must be bit-identical to the `mac()` loop and to the reference
+//! datapath on every input, or a kernel is a silent numerics change.
 //!
 //! Coverage, per the kernel bands:
 //! * **Aligned integers, n = 8** — exhaustive over all `2^(2n)` operand
 //!   pairs for posit⟨8, es ∈ {0,1,2}⟩, an 8-bit minifloat and an 8-bit
-//!   fixed format, against the reference datapath.
-//! * **Aligned / batched fused (9–16 bits)** and **scalar (> 16 bits)** —
-//!   randomized slice-vs-scalar bit-identity, including empty and
-//!   length-1 slices.
+//!   fixed format, against the reference datapath (fixed point: the
+//!   `mac()` loop, whose sign-magnitude operands share no arithmetic with
+//!   the sweep).
+//! * **Aligned (9–16 bits)** and **scalar (wide operands, > 16 bits)** —
+//!   randomized sweep-vs-`mac()` bit-identity, including empty and
+//!   length-1 rows.
 //! * **Sum-width boundaries** — units built at the capacities where the
 //!   aligned running sum flips `i64` ↔ `i128` (and where the band ends),
 //!   fed their formats' extreme operands.
 //! * **Band pinning** — the kernel each constructor selects at the
 //!   boundaries n = 8/9 and 16/17, and `macs_done` equality between the
-//!   slice, scalar-fast and reference paths after identical workloads.
+//!   sweep, `mac()` and reference paths after identical workloads.
 
-use dp_emac::{Emac, FixedEmac, FloatEmac, MacKernel, PositEmac};
+use dp_emac::{Emac, EmacUnit, FixedEmac, FloatEmac, MacKernel, PositEmac};
 use dp_fixed::FixedFormat;
 use dp_minifloat::FloatFormat;
 use dp_posit::PositFormat;
@@ -31,22 +34,31 @@ fn xorshift(seed: u64) -> impl FnMut() -> u64 {
     }
 }
 
-/// Runs `(weights, activations)` through `fast.dot_slice` and through a
-/// scalar `mac()` loop on `scalar`, returning both readouts.
-fn slice_vs_scalar<E: Emac>(fast: &mut E, scalar: &mut E, ws: &[u32], xs: &[u32]) -> (u32, u32) {
-    fast.reset();
-    fast.dot_slice(ws, xs);
+/// `ws · xs` under `bias` as one row against one column of `dot_layer`:
+/// the readout, which is also the state the unit is left in.
+fn one_column<E: Emac>(unit: &mut E, bias: u32, ws: &[u32], xs: &[u32]) -> u32 {
+    let mut out = [0u32];
+    unit.dot_layer(&[bias], ws, xs, &mut out);
+    assert_eq!(unit.result(), out[0], "state after the sweep");
+    out[0]
+}
+
+/// Runs `(weights, activations)` through a one-column sweep on `fast` and
+/// through a `mac()` loop on `scalar`, returning both readouts. The
+/// all-zero pattern is zero in every format, so a zero bias is a reset.
+fn sweep_vs_mac_loop<E: Emac>(fast: &mut E, scalar: &mut E, ws: &[u32], xs: &[u32]) -> (u32, u32) {
+    let swept = one_column(fast, 0, ws, xs);
     scalar.reset();
     for (&w, &a) in ws.iter().zip(xs) {
         scalar.mac(w, a);
     }
     assert_eq!(fast.macs_done(), scalar.macs_done());
-    (fast.result(), scalar.result())
+    (swept, scalar.result())
 }
 
 #[test]
 fn posit8_aligned_kernel_matches_reference_exhaustively() {
-    // All 65 536 (w, a) pairs per es: once as length-1 slices (per-pair
+    // All 65 536 (w, a) pairs per es: once as length-1 rows (per-pair
     // rounding) and once as whole 256-long rows (accumulation order and
     // NaR poisoning), both against the WideInt reference datapath.
     for es in [0u32, 1, 2] {
@@ -57,19 +69,11 @@ fn posit8_aligned_kernel_matches_reference_exhaustively() {
         let mut reference = PositEmac::new_reference(fmt, 256);
         for &w in &all {
             let row = vec![w; all.len()];
-            fast.reset();
-            fast.dot_slice(&row, &all);
-            reference.reset();
+            let (f, r) = sweep_vs_mac_loop(&mut fast, &mut reference, &row, &all);
+            assert_eq!(f, r, "{fmt} row w={w:#x}");
             for &a in &all {
-                reference.mac(w, a);
-            }
-            assert_eq!(fast.result(), reference.result(), "{fmt} row w={w:#x}");
-            for &a in &all {
-                fast.reset();
-                fast.dot_slice(&[w], &[a]);
-                reference.reset();
-                reference.mac(w, a);
-                assert_eq!(fast.result(), reference.result(), "{fmt} {w:#x}×{a:#x}");
+                let (f, r) = sweep_vs_mac_loop(&mut fast, &mut reference, &[w], &[a]);
+                assert_eq!(f, r, "{fmt} {w:#x}×{a:#x}");
             }
         }
     }
@@ -84,39 +88,30 @@ fn minifloat8_aligned_kernel_matches_reference_exhaustively() {
     let mut reference = FloatEmac::new_reference(fmt, 256);
     for &w in &all {
         let row = vec![w; all.len()];
-        fast.reset();
-        fast.dot_slice(&row, &all);
-        reference.reset();
+        let (f, r) = sweep_vs_mac_loop(&mut fast, &mut reference, &row, &all);
+        assert_eq!(f, r, "row w={w:#x}");
         for &a in &all {
-            reference.mac(w, a);
-        }
-        assert_eq!(fast.result(), reference.result(), "row w={w:#x}");
-        for &a in &all {
-            fast.reset();
-            fast.dot_slice(&[w], &[a]);
-            reference.reset();
-            reference.mac(w, a);
-            assert_eq!(fast.result(), reference.result(), "{w:#x}×{a:#x}");
+            let (f, r) = sweep_vs_mac_loop(&mut fast, &mut reference, &[w], &[a]);
+            assert_eq!(f, r, "{w:#x}×{a:#x}");
         }
     }
 }
 
 #[test]
 fn fixed8_aligned_kernel_matches_scalar_exhaustively() {
-    // The fixed unit has no WideInt variant (its register is always an
-    // i128); the scalar mac() loop is its reference datapath.
+    // The mac() loop on a second unit is the reference: its decode goes
+    // through sign and magnitude, the sweep's through two shifts.
     let fmt = FixedFormat::new(8, 6).unwrap();
     let all: Vec<u32> = (0..256u32).collect();
     let mut fast = FixedEmac::new(fmt, 256);
     assert_eq!(fast.kernel(), MacKernel::Aligned);
-    let mut scalar = FixedEmac::new(fmt, 256).with_kernel_cap(MacKernel::Scalar);
-    assert_eq!(scalar.kernel(), MacKernel::Scalar);
+    let mut scalar = FixedEmac::new(fmt, 256);
     for &w in &all {
         let row = vec![w; all.len()];
-        let (f, s) = slice_vs_scalar(&mut fast, &mut scalar, &row, &all);
+        let (f, s) = sweep_vs_mac_loop(&mut fast, &mut scalar, &row, &all);
         assert_eq!(f, s, "row w={w:#x}");
         for &a in &all {
-            let (f, s) = slice_vs_scalar(&mut fast, &mut scalar, &[w], &[a]);
+            let (f, s) = sweep_vs_mac_loop(&mut fast, &mut scalar, &[w], &[a]);
             assert_eq!(f, s, "{w:#x}×{a:#x}");
         }
     }
@@ -125,17 +120,17 @@ fn fixed8_aligned_kernel_matches_scalar_exhaustively() {
 #[test]
 fn posit_batched_and_scalar_bands_match_randomized() {
     // 13–16-bit formats (aligned integers where the split-table operands
-    // fit the aligned word, else the batched fused kernel on an i128 or
-    // 256-bit window) and > 16-bit formats (scalar kernel) —
-    // random slices, always including the empty and length-1 edge cases,
-    // checked against the per-MAC loop on the same unit kind AND the
-    // reference datapath.
+    // fit the aligned word, else the scalar kernel on a WideInt register)
+    // and > 16-bit formats (scalar kernel) — random rows, always
+    // including the empty and length-1 edge cases, checked against the
+    // per-MAC loop on the same unit kind AND the reference datapath.
     let mut next = xorshift(0x51ce_ba7c_4ed0_7e57);
     for (n, es, want) in [
         (13u32, 0u32, MacKernel::Aligned),
         (14, 1, MacKernel::Aligned),
         (16, 1, MacKernel::Aligned), // 57-bit operands, i128 sums
-        (16, 2, MacKernel::BatchedFused),
+        (10, 2, MacKernel::Scalar),  // 65-bit operands, table decode
+        (16, 2, MacKernel::Scalar),  // 113-bit operands, split decode
         (17, 1, MacKernel::Scalar),
         (20, 2, MacKernel::Scalar),
     ] {
@@ -153,12 +148,12 @@ fn posit_batched_and_scalar_bands_match_randomized() {
             let mut reference = PositEmac::new_reference(fmt, cap);
             let ws: Vec<u32> = (0..len).map(|_| (next() as u32) & fmt.mask()).collect();
             let xs: Vec<u32> = (0..len).map(|_| (next() as u32) & fmt.mask()).collect();
-            let (f, s) = slice_vs_scalar(&mut fast, &mut scalar, &ws, &xs);
-            assert_eq!(f, s, "{fmt} slice vs scalar, len {len}");
+            let (f, s) = sweep_vs_mac_loop(&mut fast, &mut scalar, &ws, &xs);
+            assert_eq!(f, s, "{fmt} sweep vs mac loop, len {len}");
             for (&w, &a) in ws.iter().zip(&xs) {
                 reference.mac(w, a);
             }
-            assert_eq!(f, reference.result(), "{fmt} slice vs reference, len {len}");
+            assert_eq!(f, reference.result(), "{fmt} sweep vs reference, len {len}");
         }
     }
 }
@@ -170,10 +165,10 @@ fn minifloat_batched_and_scalar_bands_match_randomized() {
         (4u32, 8u32, MacKernel::Aligned), // n = 13
         (5, 10, MacKernel::Aligned),      // n = 16
         // Six exponent bits: operands past the aligned word.
-        (6, 5, MacKernel::BatchedFused), // n = 12, table operands
-        (6, 9, MacKernel::BatchedFused), // n = 16, computed operands
-        (5, 11, MacKernel::Scalar),      // n = 17
-        (8, 14, MacKernel::Scalar),      // n = 23
+        (6, 5, MacKernel::Scalar),  // n = 12
+        (6, 9, MacKernel::Scalar),  // n = 16
+        (5, 11, MacKernel::Scalar), // n = 17
+        (8, 14, MacKernel::Scalar), // n = 23
     ] {
         let fmt = FloatFormat::new(we, wf).unwrap();
         for trial in 0..100 {
@@ -189,12 +184,12 @@ fn minifloat_batched_and_scalar_bands_match_randomized() {
             let mut reference = FloatEmac::new_reference(fmt, cap);
             let ws: Vec<u32> = (0..len).map(|_| (next() as u32) & fmt.mask()).collect();
             let xs: Vec<u32> = (0..len).map(|_| (next() as u32) & fmt.mask()).collect();
-            let (f, s) = slice_vs_scalar(&mut fast, &mut scalar, &ws, &xs);
-            assert_eq!(f, s, "{fmt} slice vs scalar, len {len}");
+            let (f, s) = sweep_vs_mac_loop(&mut fast, &mut scalar, &ws, &xs);
+            assert_eq!(f, s, "{fmt} sweep vs mac loop, len {len}");
             for (&w, &a) in ws.iter().zip(&xs) {
                 reference.mac(w, a);
             }
-            assert_eq!(f, reference.result(), "{fmt} slice vs reference, len {len}");
+            assert_eq!(f, reference.result(), "{fmt} sweep vs reference, len {len}");
         }
     }
 }
@@ -216,20 +211,26 @@ fn fixed_aligned_matches_scalar_randomized_at_every_width() {
             let cap = len.max(1) as u64;
             let mut fast = FixedEmac::new(fmt, cap);
             assert_eq!(fast.kernel(), want, "{fmt}");
-            let mut scalar = FixedEmac::new(fmt, cap).with_kernel_cap(MacKernel::Scalar);
+            let mut scalar = FixedEmac::new(fmt, cap);
+            let mut reference = FixedEmac::new_reference(fmt, cap);
             let ws: Vec<u32> = (0..len).map(|_| (next() as u32) & mask).collect();
             let xs: Vec<u32> = (0..len).map(|_| (next() as u32) & mask).collect();
-            let (f, s) = slice_vs_scalar(&mut fast, &mut scalar, &ws, &xs);
-            assert_eq!(f, s, "{fmt} slice vs scalar, len {len}");
+            let (f, s) = sweep_vs_mac_loop(&mut fast, &mut scalar, &ws, &xs);
+            assert_eq!(f, s, "{fmt} sweep vs mac loop, len {len}");
+            for (&w, &a) in ws.iter().zip(&xs) {
+                reference.mac(w, a);
+            }
+            assert_eq!(f, reference.result(), "{fmt} sweep vs reference, len {len}");
         }
     }
 }
 
 #[test]
 fn macs_done_advances_by_slice_length() {
-    // The accounting audit: dot_slice must advance macs_done by exactly
-    // the slice length on every kernel, agreeing with the scalar-fast and
-    // reference paths after identical workloads — including empty slices.
+    // The accounting audit: dot_slice — the provided per-MAC loop, onto
+    // the running register — must advance macs_done by exactly the slice
+    // length, agreeing with the mac() and reference paths after identical
+    // workloads — including empty slices.
     let fmt = PositFormat::new(8, 1).unwrap();
     let mut slice_unit = PositEmac::new(fmt, 64);
     let mut scalar_unit = PositEmac::new(fmt, 64);
@@ -259,8 +260,8 @@ fn macs_done_advances_by_slice_length() {
 fn kernel_bands_pin_at_8_9_and_16_17() {
     // Posit: aligned integers while every operand fits the aligned word
     // and the register fits an i128 — all of n = 8, and past it as far as
-    // the dynamic range allows — batched fused otherwise through 16 bits,
-    // scalar past that; the reference constructor is always scalar.
+    // the dynamic range allows — scalar otherwise, and past 16 bits; the
+    // reference constructor is always scalar.
     let pk = |n: u32, es: u32| PositEmac::new(PositFormat::new(n, es).unwrap(), 128).kernel();
     for es in [0u32, 1, 2] {
         assert_eq!(pk(8, es), MacKernel::Aligned, "posit<8,{es}>");
@@ -271,24 +272,24 @@ fn kernel_bands_pin_at_8_9_and_16_17() {
     // Operands are 2·max_scale + 1 bits: 57 at max_scale = 28, with a
     // 121-bit eq.-(4) register for 128 products.
     assert_eq!(pk(9, 2), MacKernel::Aligned);
-    assert_eq!(pk(10, 2), MacKernel::BatchedFused); // 65-bit operands
+    assert_eq!(pk(10, 2), MacKernel::Scalar); // 65-bit operands
     assert_eq!(pk(16, 0), MacKernel::Aligned); // 29-bit operands
     assert_eq!(pk(15, 1), MacKernel::Aligned); // 53-bit operands
     assert_eq!(pk(16, 1), MacKernel::Aligned); // 57-bit operands
-    assert_eq!(pk(16, 2), MacKernel::BatchedFused); // 113-bit operands
+    assert_eq!(pk(16, 2), MacKernel::Scalar); // 113-bit operands
     assert_eq!(
         PositEmac::new_reference(PositFormat::new(8, 0).unwrap(), 128).kernel(),
         MacKernel::Scalar
     );
 
     // Minifloat: five exponent bits or fewer align through binary16; the
-    // fused band holds the wide-exponent shapes; scalar past 16 bits.
+    // wide-exponent shapes are scalar, as is everything past 16 bits.
     let fk = |we: u32, wf: u32| FloatEmac::new(FloatFormat::new(we, wf).unwrap(), 128).kernel();
     assert_eq!(fk(4, 3), MacKernel::Aligned); // n = 8
     assert_eq!(fk(4, 4), MacKernel::Aligned); // n = 9
     assert_eq!(fk(5, 10), MacKernel::Aligned); // n = 16
-    assert_eq!(fk(6, 2), MacKernel::BatchedFused); // n = 9
-    assert_eq!(fk(6, 9), MacKernel::BatchedFused); // n = 16
+    assert_eq!(fk(6, 2), MacKernel::Scalar); // n = 9
+    assert_eq!(fk(6, 9), MacKernel::Scalar); // n = 16
     assert_eq!(fk(5, 11), MacKernel::Scalar); // n = 17
     assert_eq!(
         FloatEmac::new_reference(FloatFormat::new(4, 3).unwrap(), 128).kernel(),
@@ -302,44 +303,27 @@ fn kernel_bands_pin_at_8_9_and_16_17() {
         assert_eq!(xk(n), MacKernel::Aligned, "fixed n = {n}");
     }
 
-    // Kernel caps step the selection down without changing results; fixed
-    // point has no fused band to step down to.
-    let fmt = PositFormat::new(8, 0).unwrap();
-    assert_eq!(
-        PositEmac::new(fmt, 128)
-            .with_kernel_cap(MacKernel::BatchedFused)
-            .kernel(),
-        MacKernel::BatchedFused
-    );
-    assert_eq!(
-        PositEmac::new(fmt, 128)
-            .with_kernel_cap(MacKernel::Scalar)
-            .kernel(),
-        MacKernel::Scalar
-    );
-    assert_eq!(
-        FixedEmac::new(FixedFormat::new(8, 4).unwrap(), 128)
-            .with_kernel_cap(MacKernel::BatchedFused)
-            .kernel(),
-        MacKernel::Scalar
-    );
+    // The erased unit reports its variant's band.
+    let erased = |fmt| EmacUnit::Posit(PositEmac::new(fmt, 128)).kernel();
+    assert_eq!(erased(PositFormat::new(8, 0).unwrap()), MacKernel::Aligned);
+    assert_eq!(erased(PositFormat::new(16, 2).unwrap()), MacKernel::Scalar);
 }
 
 #[test]
 fn aligned_kernel_requires_the_i128_window() {
     // A capacity so large the eq.-(4) register spills past 127 bits: the
-    // unit must step down from the aligned band, and stay bit-identical.
+    // unit must leave the aligned band.
     let fmt = PositFormat::new(8, 2).unwrap();
     let small = PositEmac::new(fmt, 128);
     assert_eq!(small.kernel(), MacKernel::Aligned);
     let huge = PositEmac::new(fmt, 1 << 40);
-    assert_eq!(huge.kernel(), MacKernel::BatchedFused);
+    assert_eq!(huge.kernel(), MacKernel::Scalar);
 }
 
 /// Feeds `unit` rows of `k` extreme products — all `+max·max`, all
 /// `−max·max`, and alternating — under a max-magnitude bias of either
-/// sign, through `dot_slice` and through a ragged `dot_tile`, against the
-/// per-MAC loop on `reference`.
+/// sign, through a one-column sweep and through a ragged `dot_tile`,
+/// against the per-MAC loop on `reference`.
 fn extremes_match_reference<E: Emac, R: Emac>(
     unit: &mut E,
     reference: &mut R,
@@ -358,9 +342,8 @@ fn extremes_match_reference<E: Emac, R: Emac>(
                 reference.mac(w, max);
             }
             expected.push(reference.result());
-            unit.set_bias(bias);
-            unit.dot_slice(ws, &same);
-            assert_eq!(unit.result(), reference.result(), "dot_slice, K = {k}");
+            let swept = one_column(unit, bias, ws, &same);
+            assert_eq!(swept, reference.result(), "one column, K = {k}");
         }
         // Weight row of +max against columns of each sign pattern: the
         // quad body plus a single-column tail.
@@ -400,7 +383,7 @@ fn aligned_sums_hold_at_the_i64_i128_boundaries() {
         (4u32, 3u32, 1u64 << 27, 63u32, MacKernel::Aligned),
         (4, 3, (1 << 27) + 1, 64, MacKernel::Aligned),
         (5, 10, 1 << 45, 127, MacKernel::Aligned),
-        (5, 10, (1 << 45) + 1, 128, MacKernel::BatchedFused),
+        (5, 10, (1 << 45) + 1, 128, MacKernel::Scalar),
     ] {
         let fmt = FloatFormat::new(we, wf).unwrap();
         let mut unit = FloatEmac::new(fmt, capacity);
@@ -423,35 +406,28 @@ fn aligned_sums_hold_at_the_i64_i128_boundaries() {
             (unit.kernel(), unit.accumulator_width()),
             (MacKernel::Aligned, width)
         );
-        let mut reference = FixedEmac::new(fmt, capacity).with_kernel_cap(MacKernel::Scalar);
+        let mut reference = FixedEmac::new_reference(fmt, capacity);
         extremes_match_reference(&mut unit, &mut reference, 300, (0x8000, 0x7fff));
     }
 }
 
 #[test]
 fn batched_kernel_requires_a_native_window() {
-    // posit<16,2> sized past 2^29 accumulations needs a 256-bit register
-    // (one past Acc256's ceiling), so the accumulator is WideInt even
-    // though the split table exists: the unit must report Scalar AND run
-    // the scalar loop — kernel() and dot_slice select on the same
-    // condition — and stay bit-identical to the reference datapath.
+    // posit<16,2>'s eq.-(4) register never fits the i128 window (233
+    // bits at k = 128, 256 when sized for 2^30 accumulations), so the
+    // accumulator is WideInt even though the split table exists: the unit
+    // must report Scalar AND sweep through the per-MAC loop, bit-identical
+    // to the reference datapath.
     let fmt = PositFormat::new(16, 2).unwrap();
     let mut spilled = PositEmac::new(fmt, 1 << 30);
-    assert_eq!(spilled.accumulator_width(), 256);
-    assert_eq!(spilled.kernel(), MacKernel::Scalar);
-    let fits = PositEmac::new(fmt, 1 << 29);
     assert_eq!(
-        (fits.kernel(), fits.accumulator_width()),
-        (MacKernel::BatchedFused, 255)
+        (spilled.kernel(), spilled.accumulator_width()),
+        (MacKernel::Scalar, 256)
     );
     let mut next = xorshift(0x0b5e_55ed_ca11_ab1e);
     let ws: Vec<u32> = (0..256).map(|_| (next() as u32) & fmt.mask()).collect();
     let xs: Vec<u32> = (0..256).map(|_| (next() as u32) & fmt.mask()).collect();
-    spilled.dot_slice(&ws, &xs);
     let mut reference = PositEmac::new_reference(fmt, 256);
-    for (&w, &a) in ws.iter().zip(&xs) {
-        reference.mac(w, a);
-    }
-    assert_eq!(spilled.result(), reference.result());
-    assert_eq!(spilled.macs_done(), reference.macs_done());
+    let (swept, want) = sweep_vs_mac_loop(&mut spilled, &mut reference, &ws, &xs);
+    assert_eq!(swept, want);
 }

@@ -63,14 +63,13 @@ impl<V: Fn(u32) -> f64, R: Fn(f64) -> u32> Oracle<V, R> {
         }
     }
 
+    /// One row against one column through `dot_tile`; the all-zero
+    /// pattern is zero in all three formats, so no bias is a zero bias.
     fn check<E: Emac>(&self, unit: &mut E, bias: Option<u32>, ws: &[u32], xs: &[u32]) {
-        match bias {
-            Some(bias) => unit.set_bias(bias),
-            None => unit.reset(),
-        }
-        unit.dot_slice(ws, xs);
+        let mut out = [0u32];
+        unit.dot_tile(bias.unwrap_or(0), ws, &[xs], &mut out);
         assert_eq!(
-            unit.result(),
+            out[0],
             self.expect(bias, ws, xs),
             "{}: bias {bias:x?}, weights {ws:x?}, activations {xs:x?}",
             self.name

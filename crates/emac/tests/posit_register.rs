@@ -14,9 +14,11 @@
 //!   [`dp_emac::Family`], including rows of K = capacity × (±maxpos)²
 //!   under a ±maxpos bias (at K = 117 and at the slack-free K = 128): the
 //!   largest magnitude the exact register (and the aligned band's
-//!   debug-build bound check) must hold.
+//!   debug-build bound check) must hold. posit⟨16,2⟩ and ⟨10,2⟩ — whose
+//!   operands are past the aligned word, so nothing but the reference
+//!   band evaluates them — run the same layers against the same quire.
 
-use dp_emac::{Emac, Family, MacKernel, Posit, PositEmac, TileKernel};
+use dp_emac::{Emac, Family, MacKernel, Posit, PositEmac};
 use dp_posit::convert::to_f64;
 use dp_posit::{PositFormat, Quire};
 
@@ -80,8 +82,15 @@ fn register_width_is_paper_eq4_exactly() {
     for es in 0..=2u32 {
         for n in 5..=16u32 {
             let fmt = PositFormat::new(n, es).unwrap();
-            for k in [1u64, 2, 3, 117, 128, 1024, 1 << 20] {
-                let eq4 = (1 << (es + 2)) * (n - 2) + 2 + (k as f64).log2().ceil() as u32;
+            let log2 = |k: u64| (k as f64).log2().ceil() as u32;
+            // Past 2^53 an f64 rounds k itself (2^63 + 1 reads 2^63), so
+            // the last three growths are written out.
+            for (k, growth) in [1u64, 2, 3, 117, 128, 1024, 1 << 20]
+                .map(|k| (k, log2(k)))
+                .into_iter()
+                .chain([(1 << 63, 63), ((1 << 63) + 1, 64), (u64::MAX, 64)])
+            {
+                let eq4 = (1 << (es + 2)) * (n - 2) + 2 + growth;
                 assert_eq!(PositEmac::paper_qsize(fmt, k), eq4, "{fmt} k = {k}");
                 assert_eq!(PositEmac::accumulator_width_for(fmt, k), eq4, "{fmt}");
                 assert_eq!(PositEmac::new(fmt, k).accumulator_width(), eq4, "{fmt}");
@@ -92,7 +101,6 @@ fn register_width_is_paper_eq4_exactly() {
     let p16 = PositEmac::new(PositFormat::new(16, 1).unwrap(), 128);
     assert_eq!(p16.accumulator_width(), 121);
     assert_eq!(p16.kernel(), MacKernel::Aligned);
-    assert_eq!(p16.tile_kernel(64), TileKernel::AlignedTile);
 }
 
 /// One layer through `dot_layer`, every output against a fresh quire.
@@ -127,14 +135,16 @@ fn layer_vs_quire(
     }
 }
 
-#[test]
-fn posit16e1_layers_match_the_quire_at_the_register_bound() {
+/// Layers of `fmt` against the quire at K = 117 (random rows, then the
+/// extremes) and at the slack-free K = 128, on the band and register
+/// width the format is expected to run.
+fn layers_match_the_quire(fmt: PositFormat, kernel: MacKernel, width: u32) {
     const K: usize = 117;
-    let fmt = PositFormat::new(16, 1).unwrap();
     let mut unit = PositEmac::new(fmt, K as u64);
     assert_eq!(
         (unit.kernel(), unit.accumulator_width()),
-        (MacKernel::Aligned, 121)
+        (kernel, width),
+        "{fmt}"
     );
     let (max, min) = (fmt.maxpos_bits(), fmt.minpos_bits());
     let neg = |bits| dp_posit::ops::neg(fmt, bits);
@@ -175,7 +185,7 @@ fn posit16e1_layers_match_the_quire_at_the_register_bound() {
     // A power-of-two capacity leaves no slack at all: 128 × maxpos² is
     // the register's top magnitude bit, and the bias adds below it.
     let mut full = PositEmac::new(fmt, 128);
-    assert_eq!(full.accumulator_width(), 121);
+    assert_eq!(full.accumulator_width(), width, "{fmt}");
     let rows = [vec![max; 128], vec![neg(max); 128]].concat();
     for batch in [1usize, 4] {
         let mut activations = vec![max; batch * 128];
@@ -184,10 +194,16 @@ fn posit16e1_layers_match_the_quire_at_the_register_bound() {
         layer_vs_quire(&mut full, &[neg(max), max], &rows, &activations, batch);
     }
     // The sums really are the extremes: they saturate.
-    full.set_bias(max);
-    full.dot_slice(&[max; 128], &[max; 128]);
-    assert_eq!(full.result(), max);
-    full.set_bias(neg(max));
-    full.dot_slice(&[neg(max); 128], &[max; 128]);
-    assert_eq!(full.result(), neg(max));
+    let mut out = [0u32; 2];
+    full.dot_layer(&[max, neg(max)], &rows, &[max; 128], &mut out);
+    assert_eq!(out, [max, neg(max)], "{fmt}");
+}
+
+#[test]
+fn posit16e1_layers_match_the_quire_at_the_register_bound() {
+    // ⌈log2 117⌉ = ⌈log2 128⌉ = 7, so both capacities share a width.
+    let fmt = |n, es| PositFormat::new(n, es).unwrap();
+    layers_match_the_quire(fmt(16, 1), MacKernel::Aligned, 121);
+    layers_match_the_quire(fmt(16, 2), MacKernel::Scalar, 233);
+    layers_match_the_quire(fmt(10, 2), MacKernel::Scalar, 137);
 }

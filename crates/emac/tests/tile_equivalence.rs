@@ -1,28 +1,25 @@
-//! Tile-kernel equivalence: [`Emac::dot_tile`] must be bit-identical, per
-//! column, to the `set_bias → dot_slice → result` expansion on every input,
-//! or a tile fast path is a silent numerics change.
+//! Tile and layer equivalence: [`Emac::dot_tile`] and [`Emac::dot_layer`]
+//! must be bit-identical, per output, to the `set_bias → dot_slice →
+//! result` expansion (the per-MAC definition) on every input, or the
+//! aligned sweep is a silent numerics change.
 //!
-//! Coverage, per the tile bands:
-//! * **Aligned tile, n = 8** — exhaustive over all `2^(2n)` operand
+//! Coverage, per band:
+//! * **Aligned, n = 8** — exhaustive over all `2^(2n)` operand
 //!   pairs at batch widths B ∈ {1, 8} for posit⟨8, es ∈ {0,1,2}⟩, the
 //!   8-bit minifloat and an 8-bit fixed format, against the reference
-//!   datapath (the slice row covers every weight pattern, each column
+//!   datapath (the weight row covers every pattern, each column
 //!   holds one constant activation pattern).
-//! * **Aligned / gathered fused (9–16 bits)** and **per-column scalar
-//!   (> 16 bits)** — randomized tile-vs-expansion bit-identity with
-//!   random biases, including K = 0, B ∈ {0, 1} and ragged
-//!   (non-power-of-two) B.
+//! * **Aligned (9–16 bits)** and **scalar (wide operands, > 16 bits)** —
+//!   randomized tile-vs-expansion bit-identity with random biases,
+//!   including K = 0, B ∈ {0, 1} and ragged (non-power-of-two) B.
 //! * **Layer level** — `dot_layer` against its per-row `dot_tile`
 //!   expansion (outputs, last-column state, `macs_done`), with poison
 //!   confined to its weight row / activation column.
 //! * **Accounting** — a non-empty tile leaves `macs_done` at exactly
-//!   K × B, agreeing with slice/scalar/reference paths fed the same
+//!   K × B, agreeing with mac()/reference paths fed the same
 //!   K × B workload; B = 0 is a state no-op.
-//! * **Selection** — `tile_kernel(B)` pins per band and batch width,
-//!   steps down under `with_kernel_cap` and under accumulator-window
-//!   spills exactly as the row kernel does.
 
-use dp_emac::{Emac, EmacUnit, FixedEmac, FloatEmac, MacKernel, PositEmac, TileKernel};
+use dp_emac::{Emac, EmacUnit, FixedEmac, FloatEmac, MacKernel, PositEmac};
 use dp_fixed::FixedFormat;
 use dp_minifloat::FloatFormat;
 use dp_posit::PositFormat;
@@ -38,9 +35,9 @@ fn xorshift(seed: u64) -> impl FnMut() -> u64 {
 }
 
 /// Runs one tile through `unit.dot_tile` and checks every column against
-/// the per-column `set_bias → dot_slice → result` expansion on a clone of
-/// the same unit (same kernel selection), plus the K × B accounting and
-/// the last-column state contract.
+/// the per-column `set_bias → dot_slice → result` expansion — the per-MAC
+/// loop — on a clone of the same unit, plus the K × B accounting and the
+/// last-column state contract.
 fn tile_vs_expansion<E: Emac + Clone>(unit: &mut E, bias: u32, ws: &[u32], cols: &[Vec<u32>]) {
     let col_refs: Vec<&[u32]> = cols.iter().map(|c| c.as_slice()).collect();
     let mut out = vec![0u32; cols.len()];
@@ -69,14 +66,14 @@ fn tile_vs_expansion<E: Emac + Clone>(unit: &mut E, bias: u32, ws: &[u32], cols:
 fn posit8_tile_matches_reference_exhaustively() {
     // All 65 536 (w, a) pairs per es: the weight row is every bit pattern
     // once, each column holds one constant activation pattern, so 256
-    // columns sweep every pair. Run as 32 tiles of B = 8 (aligned-tile
-    // fast path) and as 256 tiles of B = 1 (per-column wrap), both against
+    // columns sweep every pair. Run as 32 tiles of B = 8 (the 4-wide body)
+    // and as 256 tiles of B = 1 (the single-column body), both against
     // the WideInt reference datapath.
     for es in [0u32, 1, 2] {
         let fmt = PositFormat::new(8, es).unwrap();
         let all: Vec<u32> = fmt.patterns().collect();
         let mut unit = PositEmac::new(fmt, 256);
-        assert_eq!(unit.tile_kernel(8), TileKernel::AlignedTile, "{fmt}");
+        assert_eq!(unit.kernel(), MacKernel::Aligned, "{fmt}");
         let mut reference = PositEmac::new_reference(fmt, 256);
         let bias = all[all.len() / 3];
         let mut expected = Vec::with_capacity(all.len());
@@ -108,7 +105,7 @@ fn minifloat8_tile_matches_reference_exhaustively() {
     let fmt = FloatFormat::new(4, 3).unwrap();
     let all: Vec<u32> = fmt.patterns().collect();
     let mut unit = FloatEmac::new(fmt, 256);
-    assert_eq!(unit.tile_kernel(8), TileKernel::AlignedTile);
+    assert_eq!(unit.kernel(), MacKernel::Aligned);
     let mut reference = FloatEmac::new_reference(fmt, 256);
     let bias = all[all.len() / 3];
     let mut expected = Vec::with_capacity(all.len());
@@ -136,13 +133,13 @@ fn minifloat8_tile_matches_reference_exhaustively() {
 
 #[test]
 fn fixed8_tile_matches_scalar_exhaustively() {
-    // The fixed unit has no WideInt variant; its scalar-capped twin is the
-    // reference datapath.
+    // The mac() loop on a second unit is the reference: its decode goes
+    // through sign and magnitude, the sweep's through two shifts.
     let fmt = FixedFormat::new(8, 6).unwrap();
     let all: Vec<u32> = (0..256u32).collect();
     let mut unit = FixedEmac::new(fmt, 256);
-    assert_eq!(unit.tile_kernel(8), TileKernel::AlignedTile);
-    let mut scalar = FixedEmac::new(fmt, 256).with_kernel_cap(MacKernel::Scalar);
+    assert_eq!(unit.kernel(), MacKernel::Aligned);
+    let mut scalar = FixedEmac::new(fmt, 256);
     let bias = 0x5au32;
     let mut expected = Vec::with_capacity(all.len());
     for &a in &all {
@@ -169,19 +166,19 @@ fn fixed8_tile_matches_scalar_exhaustively() {
 
 #[test]
 fn posit_gathered_and_scalar_tiles_match_randomized() {
-    // 13–16-bit formats (aligned tile where the operands fit the aligned
-    // word, else the gathered fused tile over split operands) and
-    // > 16-bit formats (per-column scalar) — random tiles
+    // 13–16-bit formats (aligned where the operands fit the aligned
+    // word, else scalar) and > 16-bit formats (scalar) — random tiles
     // with random biases, always including K = 0, B ∈ {0, 1} and ragged
     // batch widths.
     let mut next = xorshift(0x711e_c0de ^ 0x51ce_ba7c_4ed0_7e57);
     for (n, es, want) in [
-        (13u32, 0u32, TileKernel::AlignedTile),
-        (14, 1, TileKernel::AlignedTile),
-        (16, 1, TileKernel::AlignedTile), // 57-bit operands, i128 sums
-        (16, 2, TileKernel::GatherFused),
-        (17, 1, TileKernel::PerColumn(MacKernel::Scalar)),
-        (20, 2, TileKernel::PerColumn(MacKernel::Scalar)),
+        (13u32, 0u32, MacKernel::Aligned),
+        (14, 1, MacKernel::Aligned),
+        (16, 1, MacKernel::Aligned), // 57-bit operands, i128 sums
+        (10, 2, MacKernel::Scalar),  // 65-bit operands
+        (16, 2, MacKernel::Scalar),  // 113-bit operands
+        (17, 1, MacKernel::Scalar),
+        (20, 2, MacKernel::Scalar),
     ] {
         let fmt = PositFormat::new(n, es).unwrap();
         for trial in 0..60 {
@@ -193,9 +190,7 @@ fn posit_gathered_and_scalar_tiles_match_randomized() {
                 _ => ((next() % 48) as usize, (next() % 11) as usize),
             };
             let mut unit = PositEmac::new(fmt, k.max(1) as u64);
-            if b >= 2 {
-                assert_eq!(unit.tile_kernel(b), want, "{fmt}");
-            }
+            assert_eq!(unit.kernel(), want, "{fmt}");
             let bias = (next() as u32) & fmt.mask();
             let ws: Vec<u32> = (0..k).map(|_| (next() as u32) & fmt.mask()).collect();
             let cols: Vec<Vec<u32>> = (0..b)
@@ -210,12 +205,12 @@ fn posit_gathered_and_scalar_tiles_match_randomized() {
 fn minifloat_gathered_and_scalar_tiles_match_randomized() {
     let mut next = xorshift(0xf10a_7b47_0000_711e ^ 0xffff);
     for (we, wf, want) in [
-        (4u32, 8u32, TileKernel::AlignedTile),             // n = 13
-        (5, 10, TileKernel::AlignedTile),                  // n = 16
-        (6, 5, TileKernel::GatherFused),                   // n = 12
-        (6, 9, TileKernel::GatherFused),                   // n = 16
-        (5, 11, TileKernel::PerColumn(MacKernel::Scalar)), // n = 17
-        (8, 14, TileKernel::PerColumn(MacKernel::Scalar)), // n = 23
+        (4u32, 8u32, MacKernel::Aligned), // n = 13
+        (5, 10, MacKernel::Aligned),      // n = 16
+        (6, 5, MacKernel::Scalar),        // n = 12, six exponent bits
+        (6, 9, MacKernel::Scalar),        // n = 16, six exponent bits
+        (5, 11, MacKernel::Scalar),       // n = 17
+        (8, 14, MacKernel::Scalar),       // n = 23
     ] {
         let fmt = FloatFormat::new(we, wf).unwrap();
         for trial in 0..60 {
@@ -227,9 +222,7 @@ fn minifloat_gathered_and_scalar_tiles_match_randomized() {
                 _ => ((next() % 48) as usize, (next() % 11) as usize),
             };
             let mut unit = FloatEmac::new(fmt, k.max(1) as u64);
-            if b >= 2 {
-                assert_eq!(unit.tile_kernel(b), want, "{fmt}");
-            }
+            assert_eq!(unit.kernel(), want, "{fmt}");
             let bias = (next() as u32) & fmt.mask();
             let ws: Vec<u32> = (0..k).map(|_| (next() as u32) & fmt.mask()).collect();
             let cols: Vec<Vec<u32>> = (0..b)
@@ -244,7 +237,6 @@ fn minifloat_gathered_and_scalar_tiles_match_randomized() {
 fn fixed_tiles_match_randomized_at_every_width() {
     let mut next = xorshift(0xf1ed_711e_4ed0_5eed ^ 0xaaaa);
     for (n, q) in [(13u32, 6u32), (16, 8), (17, 8), (24, 12), (32, 16)] {
-        let want = TileKernel::AlignedTile;
         let fmt = FixedFormat::new(n, q).unwrap();
         let mask = if n == 32 { u32::MAX } else { (1u32 << n) - 1 };
         for trial in 0..60 {
@@ -256,9 +248,7 @@ fn fixed_tiles_match_randomized_at_every_width() {
                 _ => ((next() % 48) as usize, (next() % 11) as usize),
             };
             let mut unit = FixedEmac::new(fmt, k.max(1) as u64);
-            if b >= 2 {
-                assert_eq!(unit.tile_kernel(b), want, "{fmt}");
-            }
+            assert_eq!(unit.kernel(), MacKernel::Aligned, "{fmt}");
             let bias = (next() as u32) & mask;
             let ws: Vec<u32> = (0..k).map(|_| (next() as u32) & mask).collect();
             let cols: Vec<Vec<u32>> = (0..b)
@@ -322,96 +312,15 @@ fn tile_macs_done_is_k_times_b_on_every_band() {
 }
 
 #[test]
-fn tile_kernels_pin_per_band_and_batch_width() {
-    // B ≤ 1 always wraps the row kernel; B ≥ 2 promotes the aligned band
-    // to the aligned tile and the fused band to the gathered tile, while
-    // the scalar band stays per-column. Kernel caps and accumulator-window
-    // spills step the tile down exactly as they step the row kernel down.
-    let p8 = PositFormat::new(8, 1).unwrap();
-    let p16 = PositFormat::new(16, 1).unwrap();
-    let p16e2 = PositFormat::new(16, 2).unwrap();
-    let p17 = PositFormat::new(17, 1).unwrap();
-    for b in [0usize, 1] {
-        for aligned in [p8, p16] {
-            assert_eq!(
-                PositEmac::new(aligned, 128).tile_kernel(b),
-                TileKernel::PerColumn(MacKernel::Aligned)
-            );
-        }
-        assert_eq!(
-            PositEmac::new(p16e2, 128).tile_kernel(b),
-            TileKernel::PerColumn(MacKernel::BatchedFused)
-        );
-    }
-    for b in [2usize, 8, 64] {
-        for aligned in [p8, p16] {
-            assert_eq!(
-                PositEmac::new(aligned, 128).tile_kernel(b),
-                TileKernel::AlignedTile
-            );
-        }
-        assert_eq!(
-            PositEmac::new(p16e2, 128).tile_kernel(b),
-            TileKernel::GatherFused
-        );
-        assert_eq!(
-            PositEmac::new(p17, 128).tile_kernel(b),
-            TileKernel::PerColumn(MacKernel::Scalar)
-        );
-    }
-
-    // Caps step the tile down without changing results.
-    assert_eq!(
-        PositEmac::new(p8, 128)
-            .with_kernel_cap(MacKernel::BatchedFused)
-            .tile_kernel(8),
-        TileKernel::GatherFused
-    );
-    assert_eq!(
-        PositEmac::new(p8, 128)
-            .with_kernel_cap(MacKernel::Scalar)
-            .tile_kernel(8),
-        TileKernel::PerColumn(MacKernel::Scalar)
-    );
-
-    // Accumulator-window spills demote tiles like they demote row kernels:
-    // posit<8,2> at k = 2^40 spills the i128 window (no aligned band);
-    // posit<16,2> past k = 2^29 spills Acc256 (no native window at all).
-    let spill8 = PositEmac::new(PositFormat::new(8, 2).unwrap(), 1 << 40);
-    assert_eq!(spill8.kernel(), MacKernel::BatchedFused);
-    assert_eq!(spill8.tile_kernel(8), TileKernel::GatherFused);
-    assert_eq!(
-        PositEmac::new(p16e2, 1 << 29).tile_kernel(8),
-        TileKernel::GatherFused
-    );
-    let spill16 = PositEmac::new(p16e2, 1 << 30);
-    assert_eq!(spill16.kernel(), MacKernel::Scalar);
-    assert_eq!(
-        spill16.tile_kernel(8),
-        TileKernel::PerColumn(MacKernel::Scalar)
-    );
-
-    // The erased unit dispatches tile selection like the concrete units.
-    let erased = EmacUnit::Posit(PositEmac::new(p8, 128));
-    assert_eq!(erased.tile_kernel(8), TileKernel::AlignedTile);
-    assert_eq!(
-        erased.tile_kernel(1),
-        TileKernel::PerColumn(MacKernel::Aligned)
-    );
-}
-
-#[test]
 fn spilled_window_tiles_stay_bit_identical() {
-    // The demoted tiles must still honour the per-column contract: run the
-    // posit<16,2> spill case — a unit sized for 2^30 accumulations, whose
-    // 256-bit register is one past Acc256 (per-column scalar tile) —
-    // against the reference datapath.
+    // The scalar band must honour the per-column contract on a register
+    // past the i128 too: posit<16,2> sized for 2^30 accumulations (256
+    // bits, WideInt) against the reference datapath.
     let fmt = PositFormat::new(16, 2).unwrap();
     let mut unit = PositEmac::new(fmt, 1 << 30);
-    assert_eq!(unit.accumulator_width(), 256);
     assert_eq!(
-        unit.tile_kernel(4),
-        TileKernel::PerColumn(MacKernel::Scalar)
+        (unit.kernel(), unit.accumulator_width()),
+        (MacKernel::Scalar, 256)
     );
     let mut next = xorshift(0x0b5e_55ed_ca11_ab1e);
     let ws: Vec<u32> = (0..256).map(|_| (next() as u32) & fmt.mask()).collect();
@@ -466,10 +375,10 @@ fn layer_vs_rows<E: Emac + Clone>(
 
 #[test]
 fn dot_layer_matches_per_row_tiles_on_every_band() {
-    // Aligned (i64 and i128 sums, table and computed operands), fused and
-    // scalar bands, all three families, random patterns (specials
-    // included): every batch width through the quad body and its tail,
-    // fan_in = 0, and the empty batch.
+    // Aligned (i64 and i128 sums, table and computed operands) and scalar
+    // (i128 and WideInt registers) bands, all three families, random
+    // patterns (specials included): every batch width through the quad
+    // body and its tail, fan_in = 0, and the empty batch.
     fn p(n: u32, es: u32, k: u64) -> EmacUnit {
         EmacUnit::Posit(PositEmac::new(PositFormat::new(n, es).unwrap(), k))
     }
@@ -480,11 +389,13 @@ fn dot_layer_matches_per_row_tiles_on_every_band() {
         EmacUnit::Fixed(FixedEmac::new(FixedFormat::new(n, q).unwrap(), k))
     }
     type Make = fn(u64) -> EmacUnit;
-    let units: [(u32, Make); 11] = [
+    let units: [(u32, Make); 13] = [
         (8, |k| p(8, 0, k)),
         (8, |k| p(8, 2, k)),
+        (10, |k| p(10, 2, k)),
         (16, |k| p(16, 0, k)),
         (16, |k| p(16, 1, k)),
+        (16, |k| p(16, 2, k)),
         (17, |k| p(17, 1, k)),
         (8, |k| f(4, 3, k)),
         (16, |k| f(5, 10, k)),
@@ -525,9 +436,9 @@ fn dot_layer_matches_per_row_tiles_on_every_band() {
 /// weights and one poisoned activation in exactly one column, only that
 /// column reads out poisoned and every other column equals its per-column
 /// `set_bias → dot_slice → result`; a poisoned *bias* poisons every
-/// column. Sweeps B over the quad, pair and tail bodies of both tile
-/// kernels and every column position, with the poison near the start and
-/// near the end of a short and a long row. `pattern` yields finite
+/// column. Sweeps B over the single-column, quad and tail bodies and
+/// every column position, with the poison near the start and near the end
+/// of a short and a long row. `pattern` yields finite
 /// patterns only.
 fn poison_stays_in_its_lane<E: Emac + Clone>(
     unit: &mut E,

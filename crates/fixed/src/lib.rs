@@ -25,7 +25,6 @@
 //! ```
 
 pub mod format;
-pub mod lut;
 pub mod value;
 
 pub use format::{FixedFormat, FormatError};

@@ -77,9 +77,10 @@ impl FormatSpec {
     }
 }
 
-/// ⌈log2 k⌉ for k ≥ 1.
+/// ⌈log2 k⌉ for k ≥ 1, at every `k`: `next_power_of_two` overflows past
+/// 2^63.
 fn ceil_log2(k: u64) -> u32 {
-    k.max(1).next_power_of_two().trailing_zeros()
+    64 - k.saturating_sub(1).leading_zeros()
 }
 
 /// Builds the EMAC netlist for `spec` sized for `k`-element dot products.
@@ -288,6 +289,14 @@ mod tests {
 
     fn fx(n: u32, q: u32) -> FormatSpec {
         FormatSpec::Fixed(FixedFormat::new(n, q).unwrap())
+    }
+
+    #[test]
+    fn ceil_log2_is_exact_up_to_u64_max() {
+        assert_eq!([1u64, 2, 3, 128].map(ceil_log2), [0, 1, 2, 7]);
+        assert_eq!(ceil_log2(1 << 63), 63);
+        assert_eq!(ceil_log2((1 << 63) + 1), 64);
+        assert_eq!(ceil_log2(u64::MAX), 64);
     }
 
     #[test]

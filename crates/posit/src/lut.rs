@@ -21,8 +21,8 @@
 //! [`split_cached`] memoize one table per format for the life of the
 //! process, so callers share tables across units, layers and threads.
 //!
-//! The EMAC's fused-operand and finished-product tables are built on top
-//! of these decodes in `dp_emac::table`, shared with the minifloat family.
+//! The EMAC's aligned-operand tables are built on top of these decodes in
+//! `dp_emac::table`, shared with the minifloat family.
 
 use crate::decode::{decode, Decoded, Unpacked};
 use crate::format::PositFormat;

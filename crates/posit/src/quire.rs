@@ -181,9 +181,10 @@ impl Quire {
     }
 }
 
-/// ⌈log2 k⌉ for k ≥ 1.
+/// ⌈log2 k⌉ for k ≥ 1, at every `k`: `next_power_of_two` overflows past
+/// 2^63.
 fn ceil_log2(k: u64) -> usize {
-    k.next_power_of_two().trailing_zeros() as usize
+    (64 - k.saturating_sub(1).leading_zeros()) as usize
 }
 
 #[cfg(test)]
@@ -205,6 +206,10 @@ mod tests {
         assert_eq!(ceil_log2(5), 3);
         assert_eq!(ceil_log2(1024), 10);
         assert_eq!(ceil_log2(1025), 11);
+        // Past 2^63 `next_power_of_two` would overflow.
+        assert_eq!(ceil_log2(1 << 63), 63);
+        assert_eq!(ceil_log2((1 << 63) + 1), 64);
+        assert_eq!(ceil_log2(u64::MAX), 64);
     }
 
     #[test]

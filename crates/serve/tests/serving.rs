@@ -400,8 +400,9 @@ fn chunked_tile_evaluation_is_bit_identical_to_per_sample() {
     // layer over the whole chunk (dot_layer, B = chunk width);
     // per sample they must match forward_bits / infer exactly — at the
     // production chunk width of 64, at ragged widths, at B = 1, and for
-    // the 16-bit formats whose gathered-fused tile rides the split-table
-    // operands.
+    // the 16-bit formats whose aligned operands are computed per element
+    // (split-table posits, bit-field minifloats, sign-extended fixed
+    // point).
     let (mlp, split) = trained_iris();
     let mut formats = mixed_formats();
     formats.push(NumericFormat::Posit(PositFormat::new(16, 1).unwrap()));

@@ -1306,7 +1306,6 @@ mod interleave_tests {
                         );
                     }
                 };
-                let finish2 = finish.clone();
                 vec![
                     Box::new(move || {
                         if ctx.resolve(TerminalKind::Completed) {
@@ -1320,7 +1319,7 @@ mod interleave_tests {
                             // relaxed-ok: schedule-local win counter.
                             wins_b.fetch_add(1, Ordering::Relaxed);
                         }
-                        finish2(&rec2, &wins_b, &done_b);
+                        finish(&rec2, &wins_b, &done_b);
                     }),
                 ]
             });

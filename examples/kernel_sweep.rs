@@ -1,13 +1,13 @@
-//! Which slice-level MAC kernel serves each registered model?
+//! Which MAC kernel serves each registered model?
 //!
 //! Trains one float MLP on Iris, quantizes it across the three format
-//! families and all three kernel bands (aligned integers wherever the
-//! format's operands fit the aligned word — posit⟨16,1⟩'s 57-bit
-//! minpos-unit operands included — batched fused otherwise up to 16 bits
-//! (posit⟨16,2⟩), scalar past that), registers everything in one `dp_serve` engine,
-//! prints the row kernel each model's layers selected plus the tile
-//! kernel the serving chunk width promotes it to, and verifies a served
-//! batch stays bit-identical to per-sample `forward_bits` on every model.
+//! families and both kernel bands (aligned integers wherever the format's
+//! operands fit the aligned word — posit⟨16,1⟩'s 57-bit minpos-unit
+//! operands included — the per-MAC scalar loop otherwise: posit⟨16,2⟩'s
+//! 113-bit operands, float⟨6,9⟩'s six exponent bits, anything past 16
+//! bits), registers everything in one `dp_serve` engine, prints the
+//! kernel each model's layers run, and verifies a served batch stays
+//! bit-identical to per-sample `forward_bits` on every model.
 //!
 //! Run with `cargo run --release --example kernel_sweep`.
 
@@ -39,6 +39,7 @@ fn main() {
         NumericFormat::Posit(PositFormat::new(17, 1).unwrap()),
         NumericFormat::Float(FloatFormat::new(4, 3).unwrap()),
         NumericFormat::Float(FloatFormat::new(5, 10).unwrap()),
+        NumericFormat::Float(FloatFormat::new(6, 9).unwrap()),
         NumericFormat::Fixed(FixedFormat::new(8, 5).unwrap()),
         NumericFormat::Fixed(FixedFormat::new(16, 10).unwrap()),
     ];
@@ -48,30 +49,22 @@ fn main() {
         chunk_samples,
         ..EngineConfig::default()
     });
-    println!("kernel selection per registered model (layer dims 4-12-3):\n");
-    println!(
-        "{:<22} {:>6}  {:<34} tile kernel (chunk = {chunk_samples})",
-        "model", "bits", "row kernel (one per layer)"
-    );
+    println!("kernel per registered model (layer dims 4-12-3, chunk = {chunk_samples}):\n");
+    println!("{:<22} {:>6}  kernel (one per layer)", "model", "bits");
     let mut models = Vec::new();
     for fmt in formats {
         let q = QuantizedMlp::quantize(&mlp, fmt);
         let kernels = q.layer_kernels().expect("low-precision format");
-        let tiles = q
-            .layer_tile_kernels(chunk_samples)
-            .expect("low-precision format");
         let key = engine
             .registry()
             .register("iris", q.clone())
             .expect("all sweep formats have EMAC datapaths");
         let rendered: Vec<String> = kernels.iter().map(|k| k.to_string()).collect();
-        let tile_rendered: Vec<String> = tiles.iter().map(|k| k.to_string()).collect();
         println!(
-            "{:<22} {:>6}  {:<34} {}",
+            "{:<22} {:>6}  {}",
             key.to_string(),
             fmt.n(),
-            rendered.join(", "),
-            tile_rendered.join(", ")
+            rendered.join(", ")
         );
         models.push((key, q));
     }
