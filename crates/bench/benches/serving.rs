@@ -87,7 +87,7 @@ fn main() {
         // Single-request round trip through queue + handle (latency).
         rows.push(measure(&format!("{name}_engine_single"), 1, || {
             engine
-                .submit_forward_one(key, black_box(x.clone()))
+                .submit_forward(key, black_box(vec![x.clone()]))
                 .expect("registered model")
                 .wait()
                 .expect("serving job")
@@ -141,8 +141,10 @@ fn main() {
         (
             "note",
             "elems = inference samples; *_scoped_batch* is the per-call scoped-thread engine \
-             (before), *_engine_batch* the persistent dp_serve pool (after); mixed3_engine_burst \
-             interleaves posit/minifloat/fixed requests through one pool"
+             (before), *_engine_batch* the persistent dp_serve pool (after); *_engine_single is a \
+             one-row submit_forward, so since PR 19 it runs the chunk evaluator (forward_chunk, \
+             B = 1) like every other request, not a closure around forward_bits; \
+             mixed3_engine_burst interleaves posit/minifloat/fixed requests through one pool"
                 .to_string(),
         ),
     ];

@@ -3,21 +3,22 @@
 //! per-model rate limits, request deadlines and cancellation.
 //!
 //! ```text
-//! clients ──try_submit──▶ [bounded ring] ──dispatcher──▶ [engine injector] ──▶ workers
+//! clients ──try_submit──▶ [bounded ring] ──dispatcher──▶ [worker slots] ──▶ workers
 //!              │                │ (overload policy:      │ group → one chunk     │
 //!              │ verdicts       │  Block / ShedNewest /  │ (throttled: at most   ▼
 //!              ▼                │  ShedOldest;           │  max_inflight_chunks  demux: store every
 //!        Admitted / QueueFull / │  lazy deadline expiry) │  queued + running)    member, then wake
-//!        ModelUnknown / RateLimited / Degraded
+//!        ModelUnknown / RateLimited / Unsupported / Degraded
 //! ```
 //!
 //! Admission never blocks on [`Gateway::try_submit_forward`] /
 //! [`Gateway::try_submit_classify`]: the caller gets a typed
 //! [`Admission`] verdict immediately. A single dispatcher thread drains
 //! the ring and forwards requests through the engine's non-blocking
-//! [`ServeEngine::try_dispatch`] seam, throttled so the engine's internal
-//! queue stays bounded too — backpressure surfaces in the ring, where the
-//! overload policy decides who pays for a burst.
+//! [`ServeEngine::try_dispatch`] seam (chunk jobs go straight into the
+//! pool's per-worker slots), throttled so the engine's backlog stays
+//! bounded too — backpressure surfaces in the ring, where the overload
+//! policy decides who pays for a burst.
 //!
 //! # Coalescing
 //!
@@ -26,8 +27,9 @@
 //! *already-queued* entry for the same model instance (`Arc::ptr_eq`, so
 //! a re-registered model never shares a chunk with its predecessor) and
 //! result kind that still fits in `chunk_samples` — in queue order, and
-//! without ever waiting for more. The group runs as **one** engine chunk
-//! whose outcome the demux fans back out: every member's result is
+//! without ever waiting for more. The group runs as **one** engine chunk;
+//! the engine assembles the dispatch's result and hands it to the demux
+//! in one call, which fans it back out: every member's result is
 //! stored in its completion cell (first-wins) *before* any member is
 //! woken, so a waiter that owns several of them wakes to a run of ready
 //! handles. An uncoalesced request is a group of one; a request larger
@@ -58,16 +60,16 @@
 //! resolve promptly rather than hanging, and [`GatewayHandle::wait_timeout`]
 //! bounds any residual wait.
 
-use crate::check::{self, check_yield};
 use crate::faults;
 use crate::handle::{GatewayError, GatewayHandle, HandleCell};
 use crate::limiter::{RateLimit, TokenBucket};
 use crate::metrics::{bump, bump_by, GatewayMetrics, MetricsSnapshot, ModelMetrics};
 use crate::ring::{SubmissionRing, TryPush};
-use deep_positron::{NumericFormat, QuantizedMlp};
+use deep_positron::QuantizedMlp;
+use dp_serve::check::check_yield;
 use dp_serve::{
-    classify_chunk, forward_chunk, CancelToken, ChunkEval, ChunkSink, EngineConfig, JobError,
-    ModelKey, ModelRegistry, PanicBudget, ServeEngine, ServeError, WatchdogConfig,
+    classify_chunk, forward_chunk, ChunkEval, ChunkSink, EngineConfig, JobError, ModelKey,
+    ModelRegistry, PanicBudget, ServeEngine, ServeError, WatchdogConfig,
 };
 use dp_trace::{Clock, Recorder, TerminalKind, TraceConfig, TraceCtx};
 use std::collections::HashMap;
@@ -109,8 +111,8 @@ impl OverloadPolicy {
     }
 }
 
-/// Per-request submission options: a completion deadline and a priority
-/// hint, carried with the request through the ring.
+/// Per-request submission options: a completion deadline and a trace
+/// identity, carried with the request through the ring.
 ///
 /// ```
 /// use dp_gateway::SubmitOptions;
@@ -126,10 +128,6 @@ pub struct SubmitOptions {
     /// resolves to [`GatewayError::DeadlineExceeded`] and the request's
     /// rate-limit tokens are refunded. `None` (the default) never expires.
     pub deadline: Option<Instant>,
-    /// Advisory priority (0 = most urgent). Carried in the ring entry but
-    /// not yet acted on — dispatch stays FIFO until priority classes land
-    /// (see ROADMAP); recorded now so the wire format is forward-stable.
-    pub priority_hint: Option<u8>,
     /// Request id for the flight recorder: network front ends pass the
     /// wire request id so timelines correlate with client logs; `None`
     /// makes the gateway assign one (high bit set, to keep the spaces
@@ -142,7 +140,7 @@ pub struct SubmitOptions {
 }
 
 impl SubmitOptions {
-    /// Default options: no deadline, no priority hint.
+    /// Default options: no deadline, a gateway-assigned trace id.
     pub fn new() -> Self {
         Self::default()
     }
@@ -159,12 +157,6 @@ impl SubmitOptions {
         // deadline at the submission boundary; the gateway's seam-based
         // clock only *checks* deadlines, it does not mint them.
         self.deadline = Some(Instant::now() + timeout);
-        self
-    }
-
-    /// Sets the advisory priority hint (0 = most urgent).
-    pub fn priority_hint(mut self, hint: u8) -> Self {
-        self.priority_hint = Some(hint);
         self
     }
 
@@ -205,8 +197,9 @@ pub enum Admission<T> {
     /// The model's token bucket is empty — the caller exceeded the
     /// configured samples-per-second budget.
     RateLimited,
-    /// The operation is undefined for the model's format (raw EMAC
-    /// activations of the `F32` baseline).
+    /// The request's shape does not fit the model: raw EMAC activations
+    /// of the `F32` baseline, or a row that is not the model's input
+    /// width (see [`ServeEngine::screen`]).
     Unsupported(String),
     /// The gateway is shutting down.
     Closed,
@@ -276,12 +269,6 @@ struct Pending {
     enqueued: Instant,
     /// Lazily enforced by the dispatcher; see [`SubmitOptions::deadline`].
     deadline: Option<Instant>,
-    /// Carried for future priority-class dispatch (ROADMAP); FIFO today.
-    #[allow(dead_code)]
-    priority_hint: Option<u8>,
-    /// The handle's cancel token: screened while queued, at chunk entry
-    /// and again before the demux publishes this member's result.
-    cancel: CancelToken,
     /// Flight-recorder context (`None` when tracing is off); stamped at
     /// each pipeline stage, emits the terminal event at resolution.
     trace: Option<TraceCtx>,
@@ -291,6 +278,17 @@ struct Pending {
 enum Reply {
     Forward(Arc<HandleCell<Vec<u32>>>),
     Classify(Arc<HandleCell<usize>>),
+}
+
+impl Reply {
+    /// Whether the handle was cancelled: screened while queued, at chunk
+    /// entry and again before the demux publishes this member's result.
+    fn cancelled(&self) -> bool {
+        match self {
+            Reply::Forward(cell) => cell.cancelled(),
+            Reply::Classify(cell) => cell.cancelled(),
+        }
+    }
 }
 
 /// A result shape the gateway serves: its chunk evaluator, and its typed
@@ -339,8 +337,8 @@ impl Pending {
             t.resolve(terminal_of(&reason));
         }
         match &self.reply {
-            Reply::Forward(cell) => cell.resolve(Err(reason)),
-            Reply::Classify(cell) => cell.resolve(Err(reason)),
+            Reply::Forward(cell) => cell.done.resolve(Err(reason)),
+            Reply::Classify(cell) => cell.done.resolve(Err(reason)),
         }
     }
 
@@ -396,34 +394,25 @@ impl Pending {
     }
 }
 
-/// Chunk outcomes of one dispatched group until the last one lands.
-struct Assembly<T> {
-    /// One slot per chunk, filled in any order, read out in order.
-    parts: Vec<Option<Vec<T>>>,
-    remaining: usize,
-    failed: Option<JobError>,
-}
-
-/// The completion sink of one dispatched group: fans the engine's chunk
-/// outcomes back out to the member requests. Either several members
-/// share one chunk, or one member spans several chunks; both are "the
-/// group's rows, in order, split by member".
-struct Demux<T> {
+/// The completion sink of one dispatched group: fans the result the
+/// engine assembled back out to the member requests. Either several
+/// members share one chunk, or one member spans several chunks; both are
+/// "the group's rows, in order, split by member".
+struct Demux {
     members: Vec<Pending>,
     started: Instant,
     /// The gateway's clock seam: service time is measured on it so the
     /// interleaving checker can virtualize trace/metric time.
     clock: Clock,
     metrics: Arc<GatewayMetrics>,
-    assembly: check::Mutex<Assembly<T>>,
 }
 
-impl<T: Shape> Demux<T> {
+impl Demux {
     /// Turns `group` (non-empty, formed by [`Pending::batches_with`])
     /// into its sink and the rows to evaluate: the members' rows in
     /// order, which the engine cuts into `chunk_samples`-sized chunks.
     /// Stamps each member's queue wait and dispatch stage.
-    fn new(
+    fn new<T: Shape>(
         mut group: Vec<Pending>,
         chunk_samples: usize,
         metrics: &Arc<GatewayMetrics>,
@@ -448,20 +437,12 @@ impl<T: Shape> Demux<T> {
             started: now,
             clock: clock.clone(),
             metrics: Arc::clone(metrics),
-            assembly: check::mutex(
-                "gateway.demux",
-                Assembly {
-                    parts: (0..n_chunks).map(|_| None).collect(),
-                    remaining: n_chunks,
-                    failed: None,
-                },
-            ),
         };
         (Arc::new(demux), xs)
     }
 
     /// Forwards `group` to the engine as one dispatch.
-    fn dispatch(
+    fn dispatch<T: Shape>(
         group: Vec<Pending>,
         engine: &ServeEngine,
         metrics: &Arc<GatewayMetrics>,
@@ -470,7 +451,7 @@ impl<T: Shape> Demux<T> {
         let model = Arc::clone(&group[0].model);
         let scope = Arc::clone(&group[0].model_name);
         let size = group.len() as u64;
-        let (demux, xs) = Self::new(group, engine.chunk_samples(), metrics, clock);
+        let (demux, xs) = Self::new::<T>(group, engine.chunk_samples(), metrics, clock);
         match engine.try_dispatch(model, xs, Some(scope), T::EVAL, Arc::clone(&demux)) {
             Ok(()) => {
                 bump_by(&metrics.dispatched, size);
@@ -497,44 +478,26 @@ impl<T: Shape> Demux<T> {
     }
 }
 
-impl<T: Shape> ChunkSink<T> for Demux<T> {
-    fn cancelled(&self, _index: usize) -> bool {
-        self.members.iter().all(|m| m.cancel.is_cancelled())
+impl<T: Shape> ChunkSink<T> for Demux {
+    fn cancelled(&self) -> bool {
+        self.members.iter().all(|m| m.reply.cancelled())
     }
 
-    fn complete_chunk(&self, index: usize, result: Result<Vec<T>, JobError>) {
-        check_yield!("gateway.chunk.settle");
+    fn chunk_done(&self) {
         for m in &self.members {
             if let Some(t) = &m.trace {
                 t.chunk_done();
             }
         }
-        let mut outcome = {
-            // panic-ok: holders only move parts/flags; no unwind, so
-            // poisoning is unreachable.
-            let mut st = self.assembly.lock().expect("demux lock");
-            match result {
-                Ok(part) => st.parts[index] = Some(part),
-                // A failure outranks a cancellation, whichever lands last.
-                Err(e) if st.failed.is_none() || e != JobError::Cancelled => st.failed = Some(e),
-                Err(_) => {}
-            }
-            st.remaining -= 1;
-            if st.remaining > 0 {
-                return;
-            }
-            match st.failed {
-                Some(e) => Err(e),
-                None => Ok(std::mem::take(&mut st.parts)
-                    .into_iter()
-                    .flatten()
-                    .flatten()),
-            }
-        };
-        // Last chunk out. Resolve-then-wake: settle and store every
-        // member's result (first-wins, under each cell's lock) and only
-        // then notify, so a waiter that owns several members wakes to a
-        // run of ready handles. Metrics settle before the cell resolves.
+    }
+
+    fn complete(&self, result: Result<Vec<T>, JobError>) {
+        check_yield!("gateway.chunk.settle");
+        let mut outcome = result.map(Vec::into_iter);
+        // Resolve-then-wake: settle and store every member's result
+        // (first-wins, under each cell's lock) and only then notify, so a
+        // waiter that owns several members wakes to a run of ready
+        // handles. Metrics settle before the cell resolves.
         let elapsed = self.clock.now().saturating_duration_since(self.started);
         let service_ns = elapsed.as_nanos() as u64;
         for m in &self.members {
@@ -544,7 +507,7 @@ impl<T: Shape> ChunkSink<T> for Demux<T> {
                     // Looked at again before publishing: a member
                     // cancelled mid-flight keeps the verdict its handle
                     // already shows; its batch-mates are served.
-                    if m.cancel.is_cancelled() {
+                    if m.reply.cancelled() {
                         Err(GatewayError::Cancelled)
                     } else {
                         Ok(mine)
@@ -553,10 +516,10 @@ impl<T: Shape> ChunkSink<T> for Demux<T> {
                 Err(e) => Err(GatewayError::from(*e)),
             };
             m.settle(&self.metrics, &result, service_ns);
-            T::cell(&m.reply).store(result);
+            T::cell(&m.reply).done.store(result);
         }
         for m in &self.members {
-            T::cell(&m.reply).wake();
+            T::cell(&m.reply).done.wake();
         }
     }
 }
@@ -774,7 +737,7 @@ impl GatewayBuilder {
 /// Why the dispatcher discarded a popped entry instead of dispatching it.
 /// `now` comes off the gateway's clock seam so expiry is virtualizable.
 fn dead_verdict(entry: &Pending, now: Instant) -> Option<GatewayError> {
-    if entry.cancel.is_cancelled() {
+    if entry.reply.cancelled() {
         Some(GatewayError::Cancelled)
     } else if entry.deadline.is_some_and(|d| now >= d) {
         Some(GatewayError::DeadlineExceeded)
@@ -848,9 +811,9 @@ fn take_group(
 /// The dispatcher: drains the ring in admission order, lazily expiring
 /// dead entries (deadline passed, cancelled), coalescing small requests
 /// into one engine chunk (see [`take_group`]) and throttling on the
-/// engine's queue depth so the unbounded injector never grows past
-/// `max_inflight` chunk jobs. During shutdown the backlog drain is
-/// bounded by `drain_deadline`; past it, remaining entries resolve
+/// engine's queue depth so the pool's unbounded worker slots never hold
+/// more than `max_inflight` chunk jobs. During shutdown the backlog drain
+/// is bounded by `drain_deadline`; past it, remaining entries resolve
 /// `Closed` instead of feeding a saturated engine.
 #[allow(clippy::too_many_arguments)] // one call site, in the builder
 fn dispatcher_loop(
@@ -868,7 +831,7 @@ fn dispatcher_loop(
     while let Some(entry) = ring.pop_for_dispatch() {
         // Fault seam: a planned sleep here models dispatcher latency and
         // deterministically widens the expiry-vs-dispatch race window.
-        faults::fire(faults::points::DELAY_DISPATCH, Some(&entry.model_name));
+        dp_serve::faults::fire(faults::DELAY_DISPATCH, Some(&entry.model_name));
 
         // Dispatch-side queue-depth sample for `/statusz`: together with
         // the admission-side samples this brackets the depth every request
@@ -923,9 +886,9 @@ fn dispatcher_loop(
                 let now = clock.now();
                 let group = take_group(ring, entry, chunk_samples, now, metrics, limiters);
                 if forward {
-                    Demux::<Vec<u32>>::dispatch(group, engine, metrics, clock);
+                    Demux::dispatch::<Vec<u32>>(group, engine, metrics, clock);
                 } else {
-                    Demux::<usize>::dispatch(group, engine, metrics, clock);
+                    Demux::dispatch::<usize>(group, engine, metrics, clock);
                 }
             }
         }
@@ -1099,7 +1062,7 @@ impl Gateway {
     }
 
     /// [`Gateway::try_submit_forward`] with per-request [`SubmitOptions`]
-    /// (deadline, priority hint).
+    /// (deadline, trace identity).
     pub fn try_submit_forward_opts(
         &self,
         key: &ModelKey,
@@ -1269,16 +1232,21 @@ impl Gateway {
             bump(&metrics.rejected_degraded);
             return Admission::Degraded;
         }
-        let Some(model) = self.engine.registry().get(key) else {
-            bump(&metrics.model_unknown);
-            return Admission::ModelUnknown(key.clone());
+        // The engine's own admission screen, before the limiter is
+        // charged and before a trace begins: a request the evaluators
+        // would panic on must never reach a worker (where it would fail
+        // its innocent batch-mates and spend the panic budget).
+        let model = match self.engine.screen(key, &xs, needs_emac) {
+            Ok(model) => model,
+            Err(ServeError::UnknownModel(key)) => {
+                bump(&metrics.model_unknown);
+                return Admission::ModelUnknown(key);
+            }
+            Err(shape) => {
+                bump(&metrics.unsupported);
+                return Admission::Unsupported(shape.to_string());
+            }
         };
-        if needs_emac && matches!(model.format, NumericFormat::F32) {
-            bump(&metrics.unsupported);
-            return Admission::Unsupported(format!(
-                "{key}: raw EMAC activations are undefined for the f32 baseline"
-            ));
-        }
         if xs.is_empty() {
             // Nothing to evaluate: resolve inline, skip the ring (and the
             // limiter — zero samples cost zero tokens).
@@ -1295,7 +1263,7 @@ impl Gateway {
                 let t = self.begin_trace(rec, key, 0, &opts);
                 t.resolve(TerminalKind::Completed);
             }
-            cell.resolve(Ok(Vec::new()));
+            cell.done.resolve(Ok(Vec::new()));
             return Admission::Admitted(handle);
         }
         // Rate limit before any per-model bookkeeping: the rejection
@@ -1311,7 +1279,6 @@ impl Gateway {
         }
         let model_metrics = metrics.model(key);
         let (handle, cell) = GatewayHandle::pending();
-        let cancel = cell.cancel_token().clone();
         // The trace context opens only once every pre-admission screen has
         // passed: a rejected-before-admission request (unknown model,
         // rate-limited, degraded, unsupported) never begins a trace, so
@@ -1329,8 +1296,6 @@ impl Gateway {
             model_metrics: Arc::clone(&model_metrics),
             enqueued: self.clock.now(),
             deadline: opts.deadline,
-            priority_hint: opts.priority_hint,
-            cancel,
             trace: trace.clone(),
         };
         let outcome = if may_block && matches!(self.policy, OverloadPolicy::Block) {
@@ -1419,14 +1384,17 @@ impl Drop for Gateway {
 /// Seeded PCT interleave test (compiled only with `--features
 /// check-yield`) over the coalescing path: producers, the dispatcher's
 /// take-matching + demux, and a canceller, on the real ring, cells and
-/// sink — with the pool worker's part (evaluate, then complete the chunk
-/// once) played inline by the dispatcher body.
+/// sink — with the pool worker's part run by the engine's real chunk jobs
+/// and assembly, inline on the dispatcher body's scheduled thread.
 #[cfg(all(test, feature = "check-yield"))]
 mod interleave_tests {
     use super::*;
     use dp_check::sched::explore;
 
     const CHUNK: usize = 4;
+
+    /// Stands in for the model: each row's id comes back as its class.
+    const ROW_ID: ChunkEval<usize> = |_, chunk| chunk.iter().map(|row| row[0] as usize).collect();
 
     /// One single-sample classify entry whose row carries its own id, so
     /// a demuxed result names the member it belongs to.
@@ -1443,12 +1411,10 @@ mod interleave_tests {
             model: Arc::clone(model),
             xs: vec![vec![id as f32]],
             samples: 1,
-            cancel: cell.cancel_token().clone(),
             reply: Reply::Classify(cell),
             model_metrics: metrics.model(&ModelKey::new("m", "f")),
             enqueued: clock.now(),
             deadline: None,
-            priority_hint: None,
             trace: Some(rec.begin(id, "m@f", 1, None)),
         };
         (handle, pending)
@@ -1463,7 +1429,9 @@ mod interleave_tests {
     #[test]
     fn coalesced_members_each_get_exactly_one_terminal_under_every_schedule() {
         let mlp = deep_positron::Mlp::new(&[1, 2], 1);
-        let format = NumericFormat::Posit(dp_posit::PositFormat::new(8, 0).expect("posit<8,0>"));
+        let format = deep_positron::NumericFormat::Posit(
+            dp_posit::PositFormat::new(8, 0).expect("posit<8,0>"),
+        );
         let model = Arc::new(QuantizedMlp::quantize(&mlp, format));
         for master in [0xC0A1_0001u64, 0xC0A1_0002, 0xC0A1_0003] {
             let mut audits = Vec::new();
@@ -1509,15 +1477,11 @@ mod interleave_tests {
                             let now = clock.now();
                             let group = take_group(&ring, head, CHUNK, now, &metrics, &limiters);
                             let size = group.len() as u64;
-                            let (demux, xs) = Demux::<usize>::new(group, CHUNK, &metrics, &clock);
+                            let (demux, xs) = Demux::new::<usize>(group, CHUNK, &metrics, &clock);
                             bump_by(&metrics.dispatched, size);
                             metrics.coalesced.record_ns(size);
-                            let result = if demux.cancelled(0) {
-                                Err(JobError::Cancelled)
-                            } else {
-                                Ok(xs.iter().map(|row| row[0] as usize).collect())
-                            };
-                            demux.complete_chunk(0, result);
+                            let model = Arc::clone(&demux.members[0].model);
+                            dp_serve::engine::run_chunks_inline(CHUNK, model, xs, ROW_ID, &demux);
                         }
                         ring.dispatch_done();
                     }

@@ -11,25 +11,27 @@
 //! shed/expired/cancelled request resolves promptly to its typed
 //! [`GatewayError`] instead of hanging forever.
 //!
-//! The handle and the gateway share **one completion cell**: whoever
-//! decides the request's fate — the dispatcher (shed, expired, closed),
-//! the chunk demux on a pool worker (value or job failure) or the caller
-//! ([`cancel`](GatewayHandle::cancel)) — stores the result there, and
-//! that is the only place a request resolves. There is no inner engine
-//! handle to take, wait on and put back.
+//! The handle and the gateway share **one completion cell** — the
+//! serving stack's [`dp_serve::Completion`], the same cell a
+//! `dp_serve::BatchHandle` is built on; this module adds only the
+//! `Queued`/`Dispatched` stage marker and the request's cancel flag.
+//! Whoever decides the request's fate — the dispatcher (shed, expired,
+//! closed), the demux on a pool worker (value or job failure) or the
+//! caller ([`cancel`](GatewayHandle::cancel)) — stores the result there,
+//! and that is the only place a request resolves.
 //!
-//! Unlike the single-consumer `dp_serve` handles, a gateway handle caches
-//! its resolved result: `wait` and `poll` can be called repeatedly (the
-//! clone of the first resolution is returned), which makes double-`wait`
-//! a defined, tested behavior rather than a panic. The first resolution
-//! **wins**: once cached it is never overwritten, so a request that was
-//! already expired or evicted keeps reporting the same verdict however
-//! late the engine-side result limps in.
+//! The cell caches its resolution: `wait` and `poll` can be called
+//! repeatedly (the clone of the first resolution is returned), which
+//! makes double-`wait` a defined, tested behavior rather than a panic.
+//! The first resolution **wins**: once cached it is never overwritten, so
+//! a request that was already expired or evicted keeps reporting the same
+//! verdict however late the engine-side result limps in.
 
-use crate::check::{self, check_yield, MutexGuard};
-use dp_serve::{CancelToken, JobError};
+use dp_serve::check::check_yield;
+use dp_serve::{Completion, JobError};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Why an admitted request failed to produce a value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,71 +97,35 @@ pub enum RequestStage {
     Done,
 }
 
-enum HandleState<T> {
-    /// In the submission ring (or being dispatched).
-    Queued,
-    /// Handed to the engine; the chunk demux will store the value.
-    Dispatched,
-    /// Final: the cached resolution every `wait`/`poll` clone returns.
-    Resolved(Result<Vec<T>, GatewayError>),
-}
-
 pub(crate) struct HandleCell<T> {
-    state: check::Mutex<HandleState<T>>,
-    ready: check::Condvar,
-    /// The request's cancellation token, checked at chunk boundaries.
-    cancel: CancelToken,
+    /// Where the request resolves. The chunk demux
+    /// [`store`](Completion::store)s every member of a coalesced group
+    /// first and [`wake`](Completion::wake)s them afterwards.
+    pub(crate) done: Completion<Result<Vec<T>, GatewayError>>,
+    /// Stage marker: handed to the engine (the demux will store the value).
+    dispatched: AtomicBool,
+    /// Set by [`GatewayHandle::cancel`]; looked at while the request is
+    /// queued, at **chunk boundaries** (before a chunk starts evaluating)
+    /// and again before the demux publishes — so an abandoned batch stops
+    /// burning workers within one chunk's latency.
+    cancelled: AtomicBool,
 }
 
 impl<T> HandleCell<T> {
-    /// The handle-state lock.
-    fn st(&self) -> MutexGuard<'_, HandleState<T>> {
-        // panic-ok: the handle lock is only poisoned if a holder panicked
-        // mid-section; the sections here are enum swaps and clones of
-        // caller data — a poisoned lock means the resolution state is
-        // already torn and no verdict would be trustworthy.
-        self.state.lock().expect("gateway handle lock")
-    }
-
-    /// Stores the request's resolution **without waking anyone** — pair
-    /// with [`HandleCell::wake`]. The chunk demux stores every member of
-    /// a coalesced chunk first and wakes afterwards, so a waiter that
-    /// owns several of them (a connection writer) wakes to a run of
-    /// ready handles. **First resolution wins**: an already-resolved
-    /// cell is left untouched, so a late verdict can never clobber the
-    /// one callers may have seen.
-    pub(crate) fn store(&self, result: Result<Vec<T>, GatewayError>) {
-        check_yield!("handle.resolve");
-        let mut st = self.st();
-        if !matches!(*st, HandleState::Resolved(_)) {
-            *st = HandleState::Resolved(result);
-        }
-    }
-
-    /// Wakes every waiter (after a [`HandleCell::store`]).
-    pub(crate) fn wake(&self) {
-        self.ready.notify_all();
-    }
-
-    /// Resolves the request (shed, closed, expired, cancelled, or an
-    /// inline empty result) and wakes every waiter; first wins.
-    pub(crate) fn resolve(&self, result: Result<Vec<T>, GatewayError>) {
-        self.store(result);
-        self.wake();
-    }
-
-    /// Transitions `Queued` → `Dispatched` (a stage marker only).
+    /// Marks `Queued` → `Dispatched` (a stage marker only).
     pub(crate) fn dispatched(&self) {
         check_yield!("handle.dispatched");
-        let mut st = self.st();
-        if matches!(*st, HandleState::Queued) {
-            *st = HandleState::Dispatched;
-        }
+        // relaxed-ok: a stage label for `GatewayHandle::stage` / `Debug`;
+        // nothing is published through it (results go through the cell's
+        // lock) and `stage` checks the cell first.
+        self.dispatched.store(true, Ordering::Relaxed);
     }
 
-    /// The request's cancel token.
-    pub(crate) fn cancel_token(&self) -> &CancelToken {
-        &self.cancel
+    /// Whether [`GatewayHandle::cancel`] was called.
+    pub(crate) fn cancelled(&self) -> bool {
+        // seqcst-ok: pairs with the store in `GatewayHandle::cancel`; read
+        // at chunk boundaries, well off the per-MAC hot path.
+        self.cancelled.load(Ordering::SeqCst)
     }
 }
 
@@ -184,9 +150,9 @@ impl<T> GatewayHandle<T> {
     /// it.
     pub(crate) fn pending() -> (Self, Arc<HandleCell<T>>) {
         let cell = Arc::new(HandleCell {
-            state: check::mutex("gateway.handle", HandleState::Queued),
-            ready: check::condvar(),
-            cancel: CancelToken::new(),
+            done: Completion::default(),
+            dispatched: AtomicBool::new(false),
+            cancelled: AtomicBool::new(false),
         });
         (
             GatewayHandle {
@@ -199,17 +165,19 @@ impl<T> GatewayHandle<T> {
     /// Where the request currently is. `Done` covers success, job failure
     /// and shed/closed verdicts alike.
     pub fn stage(&self) -> RequestStage {
-        match &*self.cell.st() {
-            HandleState::Queued => RequestStage::Queued,
-            HandleState::Dispatched => RequestStage::Dispatched,
-            HandleState::Resolved(_) => RequestStage::Done,
+        // relaxed-ok: see `HandleCell::dispatched`.
+        let dispatched = self.cell.dispatched.load(Ordering::Relaxed);
+        match (self.is_done(), dispatched) {
+            (true, _) => RequestStage::Done,
+            (false, true) => RequestStage::Dispatched,
+            (false, false) => RequestStage::Queued,
         }
     }
 
     /// Whether a result (or shed/failure verdict) is available without
     /// blocking.
     pub fn is_done(&self) -> bool {
-        matches!(*self.cell.st(), HandleState::Resolved(_))
+        self.cell.done.is_done()
     }
 
     /// Requests cancellation of this request. Idempotent.
@@ -220,16 +188,19 @@ impl<T> GatewayHandle<T> {
     /// * Already dispatched → if the engine result has already landed it
     ///   wins (cancellation is cooperative, not retroactive); otherwise
     ///   the handle resolves to [`GatewayError::Cancelled`] right away and
-    ///   the token tells the engine to skip chunks that have not started
+    ///   the flag tells the engine to skip chunks that have not started
     ///   and the demux not to publish ones that have. This also makes
     ///   `cancel` the recovery path for a request whose completion was
     ///   lost (e.g. under the `drop_completion` fault): the handle can
     ///   always be resolved.
     /// * Already resolved → no-op; the existing verdict sticks.
     pub fn cancel(&self) {
-        self.cell.cancel.cancel();
+        // seqcst-ok: standalone cancellation flag with no payload; the
+        // cold full fence keeps a cancel immediately visible to every
+        // chunk-boundary check.
+        self.cell.cancelled.store(true, Ordering::SeqCst);
         check_yield!("handle.cancel");
-        self.cell.resolve(Err(GatewayError::Cancelled));
+        self.cell.done.resolve(Err(GatewayError::Cancelled));
     }
 }
 
@@ -240,11 +211,7 @@ impl<T: Clone> GatewayHandle<T> {
     /// A request that was shed, expired or evicted resolves promptly: its
     /// cached verdict comes back on the very next `poll`, never a spin.
     pub fn poll(&self) -> Option<Result<Vec<T>, GatewayError>> {
-        check_yield!("handle.poll");
-        match &*self.cell.st() {
-            HandleState::Resolved(r) => Some(r.clone()),
-            _ => None,
-        }
+        self.cell.done.poll()
     }
 
     /// Blocks until the request resolves. A shed request returns
@@ -259,14 +226,7 @@ impl<T: Clone> GatewayHandle<T> {
     /// [`GatewayError::Cancelled`] after a cancel, [`GatewayError::Job`]
     /// when a dispatched chunk failed.
     pub fn wait(&self) -> Result<Vec<T>, GatewayError> {
-        let mut st = self.cell.st();
-        loop {
-            if let HandleState::Resolved(r) = &*st {
-                return r.clone();
-            }
-            // panic-ok: see `HandleCell::st`
-            st = self.cell.ready.wait(st).expect("gateway handle lock");
-        }
+        self.cell.done.wait()
     }
 
     /// Bounded [`GatewayHandle::wait`]: `Some(result)` if the request
@@ -277,27 +237,7 @@ impl<T: Clone> GatewayHandle<T> {
     /// chaos tests and latency-sensitive callers hang-free whatever fault
     /// is in play.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<Vec<T>, GatewayError>> {
-        // clock-ok: caller-side wall-clock wait bound (the OS condvar wait
-        // below is real-time anyway); the serving pipeline's own
-        // timestamps go through the dp_trace clock seam.
-        let deadline = Instant::now() + timeout;
-        let mut st = self.cell.st();
-        loop {
-            if let HandleState::Resolved(r) = &*st {
-                return Some(r.clone());
-            }
-            // clock-ok: see the deadline note above.
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (guard, _timeout) = self
-                .cell
-                .ready
-                .wait_timeout(st, deadline - now)
-                .expect("gateway handle lock"); // panic-ok: see `HandleCell::st`
-            st = guard;
-        }
+        self.cell.done.wait_timeout(timeout)
     }
 }
 
@@ -338,7 +278,7 @@ mod interleave_tests {
                         assert_eq!(got, Some(Ok(vec![7])));
                     }),
                     Box::new(move || {
-                        cell.resolve(Ok(vec![7]));
+                        cell.done.resolve(Ok(vec![7]));
                     }),
                 ]
             });
@@ -378,7 +318,7 @@ mod interleave_tests {
                         assert!(polled.is_some(), "poll after cancel spun");
                     }) as Box<dyn FnOnce() + Send>,
                     Box::new(move || {
-                        cell.resolve(Ok(vec![9]));
+                        cell.done.resolve(Ok(vec![9]));
                     }),
                     Box::new(move || {
                         let first = ho.wait();
@@ -412,7 +352,7 @@ mod tests {
         assert_eq!(handle.stage(), RequestStage::Queued);
         assert!(!handle.is_done());
         assert_eq!(handle.poll(), None);
-        cell.resolve(Err(GatewayError::Shed));
+        cell.done.resolve(Err(GatewayError::Shed));
         assert_eq!(handle.stage(), RequestStage::Done);
         assert_eq!(handle.wait(), Err(GatewayError::Shed));
         // Double-wait is defined: the cached verdict comes back again.
@@ -423,10 +363,10 @@ mod tests {
     #[test]
     fn first_resolution_wins() {
         let (handle, cell) = GatewayHandle::<u32>::pending();
-        cell.resolve(Err(GatewayError::DeadlineExceeded));
+        cell.done.resolve(Err(GatewayError::DeadlineExceeded));
         // A late second verdict (e.g. an engine result limping in after
         // expiry) must not clobber what callers already saw.
-        cell.resolve(Ok(vec![1, 2, 3]));
+        cell.done.resolve(Ok(vec![1, 2, 3]));
         assert_eq!(handle.wait(), Err(GatewayError::DeadlineExceeded));
     }
 
@@ -437,7 +377,7 @@ mod tests {
         let h2 = Arc::clone(&handle);
         let t = std::thread::spawn(move || h2.wait());
         std::thread::sleep(std::time::Duration::from_millis(5));
-        cell.resolve(Ok(vec![1, 2, 3]));
+        cell.done.resolve(Ok(vec![1, 2, 3]));
         assert_eq!(handle.wait(), Ok(vec![1, 2, 3]));
         assert_eq!(t.join().unwrap(), Ok(vec![1, 2, 3]));
     }
@@ -446,7 +386,7 @@ mod tests {
     fn wait_timeout_times_out_then_resolves() {
         let (handle, cell) = GatewayHandle::<u32>::pending();
         assert_eq!(handle.wait_timeout(Duration::from_millis(10)), None);
-        cell.resolve(Ok(vec![4]));
+        cell.done.resolve(Ok(vec![4]));
         assert_eq!(
             handle.wait_timeout(Duration::from_millis(10)),
             Some(Ok(vec![4]))
@@ -461,9 +401,9 @@ mod tests {
     #[test]
     fn cancel_of_queued_request_resolves_immediately() {
         let (handle, cell) = GatewayHandle::<u32>::pending();
-        assert!(!cell.cancel_token().is_cancelled());
+        assert!(!cell.cancelled());
         handle.cancel();
-        assert!(cell.cancel_token().is_cancelled());
+        assert!(cell.cancelled());
         assert_eq!(handle.wait(), Err(GatewayError::Cancelled));
         // Idempotent, and the verdict sticks.
         handle.cancel();

@@ -1,8 +1,8 @@
 //! # dp-gateway — async admission in front of the Deep Positron serving engine
 //!
 //! `dp_serve` gave the repo a persistent worker pool, but its admission
-//! was the missing front half: `submit_*` pushed straight into an
-//! **unbounded** injector queue, so a traffic burst grew memory without
+//! was the missing front half: `submit_*` pushes straight into the pool's
+//! **unbounded** worker slots, so a traffic burst grew memory without
 //! limit and gave callers no say in what gives under overload. This crate
 //! is that front half — the piece both Deep Positron papers implicitly
 //! assume when they pitch low-precision EMACs for *deployment*: a serving
@@ -86,7 +86,6 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-mod check;
 mod faults;
 pub mod gateway;
 pub mod handle;

@@ -12,7 +12,7 @@
 //! budget — the paper's multi-format comparison traffic counts as one
 //! model's load, not three.
 
-use crate::check::{self, check_yield, MutexGuard};
+use dp_serve::check::{self, check_yield, MutexGuard};
 use std::time::Instant;
 
 /// A token-bucket limit: sustained rate plus burst headroom.

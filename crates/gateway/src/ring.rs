@@ -19,7 +19,7 @@
 //! benches), and an idle condition (`empty ∧ not mid-dispatch`) that
 //! `wait_idle` callers block on.
 
-use crate::check::{self, check_yield, MutexGuard};
+use dp_serve::check::{self, check_yield, MutexGuard};
 use std::collections::VecDeque;
 use std::time::Instant;
 

@@ -8,7 +8,7 @@ use dp_fixed::FixedFormat;
 use dp_gateway::{Admission, Gateway, GatewayError, OverloadPolicy, RateLimit, RequestStage};
 use dp_minifloat::FloatFormat;
 use dp_posit::PositFormat;
-use dp_serve::ModelKey;
+use dp_serve::{Completion, JobError, ModelKey};
 use std::sync::Arc;
 
 fn trained_iris() -> (Mlp, dp_datasets::TrainTest) {
@@ -43,6 +43,24 @@ fn small_gateway(policy: OverloadPolicy) -> Gateway {
         .queue_capacity(8)
         .policy(policy)
         .build()
+}
+
+/// Panics a pool worker underneath the gateway: a chunk evaluator that
+/// blows up, through the engine's one dispatch entry, reporting to a bare
+/// completion cell. Returns once the failure has been delivered.
+fn panic_a_worker(gw: &Gateway, model: &QuantizedMlp) {
+    let blows_up = |_: &QuantizedMlp, _: &[Vec<f32>]| -> Vec<usize> { panic!("injected failure") };
+    let poisoned = Arc::new(Completion::default());
+    gw.engine()
+        .try_dispatch(
+            Arc::new(model.clone()),
+            vec![vec![0.0; 4]],
+            None,
+            blows_up,
+            Arc::clone(&poisoned),
+        )
+        .unwrap();
+    assert_eq!(poisoned.wait(), Err(JobError::Panicked));
 }
 
 fn batch(split: &dp_datasets::TrainTest, n: usize) -> Vec<Vec<f32>> {
@@ -235,6 +253,95 @@ fn f32_baseline_classifies_but_has_no_forward_path() {
 }
 
 #[test]
+fn wrong_width_request_is_unsupported_and_cannot_hurt_its_batch_mates() {
+    // Regression: a well-framed request of the wrong width used to be
+    // admitted, coalesced with whatever else was queued for the model,
+    // and then tripped `forward_batch_bits_with`'s length assert inside
+    // the pool — failing its innocent batch-mates with `Job(Panicked)`
+    // and, under a panic budget, degrading the whole gateway.
+    use std::time::Duration;
+    let (mlp, split) = trained_iris();
+    // No refill: the 20-sample budget shows what the limiter was charged.
+    let gw = Gateway::builder()
+        .workers(1)
+        .chunk_samples(16)
+        .queue_capacity(32)
+        .panic_budget(dp_serve::PanicBudget {
+            max_panics: 1,
+            window: Duration::from_secs(30),
+        })
+        .rate_limit(
+            "iris",
+            RateLimit {
+                burst: 20.0,
+                samples_per_sec: 0.0,
+            },
+        )
+        .trace(dp_gateway::TraceConfig::every_request())
+        .build();
+    let q = QuantizedMlp::quantize(&mlp, mixed_formats()[0]);
+    let key = gw.registry().register("iris", q.clone()).unwrap();
+    let f32_key = gw
+        .registry()
+        .register("iris", QuantizedMlp::quantize(&mlp, NumericFormat::F32))
+        .unwrap();
+
+    // Dispatch paused, so everything below queues together and would
+    // have been coalesced into one engine chunk.
+    gw.pause_dispatch();
+    let good = batch(&split, 10);
+    let mut admitted = Vec::new();
+    for x in &good {
+        admitted.push(
+            gw.try_submit_forward(&key, vec![x.clone()])
+                .expect_admitted(),
+        );
+        let verdict = gw.try_submit_forward(&key, vec![x[..3].to_vec()]);
+        assert!(
+            matches!(&verdict, Admission::Unsupported(what)
+                if what.contains("row 0 has 3 features") && what.contains("takes 4")),
+            "{verdict:?}"
+        );
+    }
+    // The f32 baseline used to zip-truncate such a row to a wrong answer.
+    assert!(matches!(
+        gw.try_submit_classify(&f32_key, vec![vec![0.5; 5]]),
+        Admission::Unsupported(_)
+    ));
+    // A ragged batch is refused whole.
+    assert!(matches!(
+        gw.try_submit_classify(&key, vec![good[0].clone(), Vec::new()]),
+        Admission::Unsupported(_)
+    ));
+    gw.resume_dispatch();
+    for (h, x) in admitted.iter().zip(&good) {
+        assert_eq!(
+            h.wait().unwrap(),
+            [q.forward_bits(x)],
+            "batch-mate diverged"
+        );
+    }
+    gw.wait_idle();
+
+    assert_eq!(gw.engine().stats().panics, 0);
+    assert!(!gw.is_degraded());
+    let snap = gw.snapshot();
+    assert_eq!(snap.unsupported, 12);
+    assert_eq!((snap.admitted, snap.completed, snap.failed), (10, 10, 0));
+    assert_eq!(snap.submitted, snap.admitted + snap.unsupported);
+    // Rejected before a trace began and before the limiter was charged:
+    // the ten admitted samples left exactly ten tokens.
+    assert_eq!(gw.recorder().unwrap().stats().begun, 10);
+    assert!(gw
+        .try_submit_classify(&key, batch(&split, 10))
+        .is_admitted());
+    assert!(matches!(
+        gw.try_submit_classify(&key, batch(&split, 1)),
+        Admission::RateLimited
+    ));
+}
+
+#[test]
 fn unknown_model_and_rate_limits_yield_typed_verdicts() {
     let (mlp, split) = trained_iris();
     // No refill: a 20-sample budget serves exactly 20 samples.
@@ -396,7 +503,7 @@ fn handle_edge_cases_poll_wait_and_empty_batches() {
     assert_eq!(h.wait().unwrap(), Vec::<Vec<u32>>::new());
 
     // Wait after the pool drained; then double-wait and poll-after-wait
-    // return the cached result (unlike the single-consumer serve handles).
+    // return the cached result.
     let xs = batch(&split, 9);
     let h = gw.try_submit_forward(&key, xs.clone()).expect_admitted();
     gw.wait_idle();
@@ -417,13 +524,9 @@ fn panicking_request_fails_only_its_own_handle() {
     // gateway and check the gateway metrics keep serving.
     let q = QuantizedMlp::quantize(&mlp, mixed_formats()[0]);
     let key = gw.registry().register("iris", q.clone()).unwrap();
-    let poisoned = gw
-        .engine()
-        .submit_job::<usize, _>(|| panic!("injected failure"))
-        .unwrap();
     let xs = batch(&split, 12);
     let healthy = gw.try_submit_forward(&key, xs.clone()).expect_admitted();
-    assert_eq!(poisoned.wait(), Err(dp_serve::JobError::Panicked));
+    panic_a_worker(&gw, &q);
     let direct: Vec<Vec<u32>> = xs.iter().map(|x| q.forward_bits(x)).collect();
     assert_eq!(healthy.wait().unwrap(), direct);
     gw.wait_idle();
@@ -617,15 +720,11 @@ fn panic_budget_degrades_admission_and_reset_restores_it() {
         })
         .build();
     let q = QuantizedMlp::quantize(&mlp, mixed_formats()[0]);
-    let key = gw.registry().register("iris", q).unwrap();
+    let key = gw.registry().register("iris", q.clone()).unwrap();
 
     // Two direct pool panics blow the budget of one.
     for _ in 0..2 {
-        let h = gw
-            .engine()
-            .submit_job::<usize, _>(|| panic!("boom"))
-            .unwrap();
-        assert!(h.wait().is_err());
+        panic_a_worker(&gw, &q);
     }
     let t0 = Instant::now();
     while !gw.is_degraded() && t0.elapsed() < Duration::from_secs(10) {

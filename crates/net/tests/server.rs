@@ -150,6 +150,67 @@ fn past_deadline_and_unknown_model_get_typed_verdicts() {
 }
 
 #[test]
+fn wrong_width_request_gets_unsupported_and_the_connection_keeps_serving() {
+    // Regression: `n_features` is whatever the client says, and nothing
+    // between the wire decoder and the pool compared it with the model's
+    // input width — so one client's short row panicked a worker, failed
+    // the requests coalesced with it and spent the panic budget (two of
+    // them degraded the server for everyone).
+    let (mlp, split) = trained_iris();
+    let gw = Arc::new(
+        Gateway::builder()
+            .workers(1)
+            .chunk_samples(16)
+            .queue_capacity(32)
+            .panic_budget(dp_serve::PanicBudget {
+                max_panics: 1,
+                window: Duration::from_secs(30),
+            })
+            .build(),
+    );
+    let q = QuantizedMlp::quantize(&mlp, mixed_formats()[0]);
+    gw.registry().register("iris", q.clone()).unwrap();
+    let server = NetServer::builder(Arc::clone(&gw))
+        .max_inflight(32)
+        .bind("127.0.0.1:0")
+        .expect("bind loopback");
+    let mut client = NetClient::connect(server.local_addr()).unwrap();
+    let fmt = q.format.to_string();
+
+    // Ten well-formed single-sample requests, each followed by one with a
+    // three-feature row, held in the ring together.
+    gw.pause_dispatch();
+    let good = batch(&split, 10);
+    let mut sent = Vec::new();
+    for x in &good {
+        for row in [x.clone(), x[..3].to_vec()] {
+            let req = client.forward_request("iris", &fmt, 0, vec![row]);
+            client.send(&req).unwrap();
+            sent.push(req.id());
+        }
+    }
+    wait_until("the good half is queued", || gw.queue_depth() == 10);
+    gw.resume_dispatch();
+    for (i, id) in sent.iter().enumerate() {
+        let resp = client.recv().unwrap();
+        assert_eq!(resp.id, *id);
+        if i % 2 == 0 {
+            let bits = vec![q.forward_bits(&good[i / 2])];
+            assert_eq!(resp.body, ResponseBody::ForwardOk(bits), "batch-mate {i}");
+        } else {
+            assert_eq!(resp.status(), WireStatus::Unsupported, "{:?}", resp.body);
+        }
+    }
+    assert_eq!(gw.engine().stats().panics, 0);
+    assert!(!gw.is_degraded());
+    assert_eq!(gw.snapshot().unsupported, 10);
+    // Same connection, still open, still serving.
+    let resp = client.classify("iris", &fmt, 0, good.clone()).unwrap();
+    let classes: Vec<u32> = good.iter().map(|x| q.infer(x) as u32).collect();
+    assert_eq!(resp.body, ResponseBody::ClassifyOk(classes));
+}
+
+#[test]
 fn oversized_frame_is_rejected_without_reading_the_body() {
     let (_gw, server, _models, _split) = boot();
     let mut raw = TcpStream::connect(server.local_addr()).unwrap();

@@ -11,26 +11,26 @@
 //! array once and sweeps its whole chunk through the weight-stationary
 //! layer kernels ([`QuantizedMlp::forward_batch_bits_with`]: one
 //! `dp_emac::Emac::dot_layer` call per layer, operand decode amortized
-//! across the chunk's samples) — and
-//! because the tile contract is per-column bit-identity, results are
-//! **bit-identical** to per-sample [`QuantizedMlp::forward_bits`].
+//! across the chunk's samples) — and because the tile contract is
+//! per-column bit-identity, results are **bit-identical** to per-sample
+//! [`QuantizedMlp::forward_bits`].
 //!
 //! There is **one** chunk evaluator per result shape ([`forward_chunk`],
-//! [`classify_chunk`]) and one place a chunk's outcome goes: the
-//! [`ChunkSink`] handed to [`ServeEngine::try_dispatch`]. In-process
-//! `submit_*` calls pass the [`BatchHandle`]'s completer; `dp_gateway`
-//! passes its demux, which fans one chunk out to every request coalesced
-//! into it.
+//! [`classify_chunk`]), **one** place chunk outcomes are reassembled
+//! ([`ServeEngine::try_dispatch`] owns it) and one place the result goes:
+//! a single [`ChunkSink::complete`] call per dispatch. In-process
+//! `submit_*` calls pass the [`BatchHandle`]'s cell; `dp_gateway` passes
+//! its demux, which fans the result out to the requests it coalesced.
 
-use crate::claim::ClaimCell;
+use crate::check::{self, check_yield, Mutex};
 use crate::faults;
-use crate::handle::{BatchHandle, JobError, JobHandle};
+use crate::handle::{BatchHandle, JobError};
 use crate::pool::{Job, PanicBudget, PoolStats, WatchdogConfig, WorkerPool};
 use crate::registry::{ModelKey, ModelRegistry};
 use deep_positron::{NumericFormat, QuantizedMlp};
 use dp_datasets::Dataset;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Engine sizing knobs.
@@ -113,60 +113,100 @@ impl From<JobError> for ServeError {
     }
 }
 
-/// A shared cancellation flag for one request.
-///
-/// Cloning yields another handle to the same flag. The serving datapath
-/// checks it at **chunk boundaries**: a sink reports it through
-/// [`ChunkSink::cancelled`] before a chunk job starts its evaluation, and
-/// looks again before it publishes the chunk's results — so an abandoned
-/// batch stops burning workers within one chunk's latency instead of
-/// finishing the whole request.
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken {
-    cancelled: Arc<AtomicBool>,
-}
-
-impl CancelToken {
-    /// A fresh, not-yet-cancelled token.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Requests cancellation. Idempotent; an already-running chunk
-    /// finishes, everything after the next check point is skipped and the
-    /// affected handles resolve with [`JobError::Cancelled`].
-    pub fn cancel(&self) {
-        // seqcst-ok: standalone cancellation flag with no payload; the
-        // cold full fence keeps a cancel immediately visible to every
-        // chunk-boundary check.
-        self.cancelled.store(true, Ordering::SeqCst);
-    }
-
-    /// Whether cancellation has been requested.
-    pub fn is_cancelled(&self) -> bool {
-        // seqcst-ok: pairs with the store in `cancel`; read at chunk
-        // boundaries, well off the per-MAC hot path.
-        self.cancelled.load(Ordering::SeqCst)
-    }
-}
-
 /// The per-chunk evaluator shape: [`forward_chunk`] or [`classify_chunk`].
 pub type ChunkEval<T> = fn(&QuantizedMlp, &[Vec<f32>]) -> Vec<T>;
 
-/// Where the chunks of one [`ServeEngine::try_dispatch`] call deliver
-/// their outcomes. Each chunk index is completed **exactly once** — by
-/// whichever of normal completion, the chunk-boundary cancel check, panic
-/// poisoning or the watchdog's stall resolution claims it first.
+/// Where one [`ServeEngine::try_dispatch`] call delivers its result. The
+/// engine assembles the chunk outcomes itself and calls
+/// [`complete`](ChunkSink::complete) **exactly once** per dispatch.
 pub trait ChunkSink<T>: Send + Sync + 'static {
-    /// Whether nobody wants chunk `index` any more; checked before the
-    /// chunk is evaluated, which is then completed with
-    /// [`JobError::Cancelled`] instead. Defaults to never.
-    fn cancelled(&self, _index: usize) -> bool {
+    /// Whether nobody wants the result any more (default: never); asked
+    /// before a chunk is evaluated, which then is [`JobError::Cancelled`].
+    fn cancelled(&self) -> bool {
         false
     }
 
-    /// Delivers chunk `index`'s outputs (in sample order) or its failure.
-    fn complete_chunk(&self, index: usize, result: Result<Vec<T>, JobError>);
+    /// One chunk's outcome was recorded (the trace stamp). Called once per
+    /// chunk, always before [`complete`](ChunkSink::complete).
+    fn chunk_done(&self) {}
+
+    /// Delivers the dispatch's outputs (in sample order) or its failure.
+    fn complete(&self, result: Result<Vec<T>, JobError>);
+}
+
+/// Chunk outcomes of one dispatch until the last one lands. A chunk's
+/// racing claimants (see [`ServeEngine::try_dispatch`]) meet at its slot,
+/// under the one lock: the **first** fills it, every later one no-ops.
+pub(crate) struct Assembly<T, S> {
+    sink: Arc<S>,
+    state: Mutex<AssemblyState<T>>,
+}
+
+struct AssemblyState<T> {
+    /// One slot per chunk: filled in any order, read out in order, and
+    /// once filled, filled for good.
+    slots: Vec<Option<Result<Vec<T>, JobError>>>,
+    remaining: usize,
+}
+
+impl<T, S: ChunkSink<T>> Assembly<T, S> {
+    pub(crate) fn new(chunks: usize, sink: Arc<S>) -> Self {
+        let state = AssemblyState {
+            slots: (0..chunks).map(|_| None).collect(),
+            remaining: chunks,
+        };
+        Assembly {
+            sink,
+            state: check::mutex("engine.assembly", state),
+        }
+    }
+
+    fn st(&self) -> check::MutexGuard<'_, AssemblyState<T>> {
+        // panic-ok: holders only move parts and call the sink's lock-free
+        // stamp; no unwind, so poisoning is unreachable.
+        self.state.lock().expect("assembly lock")
+    }
+
+    /// Whether some path already claimed chunk `index` (advisory: a
+    /// `false` can be stale by the time the caller acts; `fill` decides).
+    fn is_filled(&self, index: usize) -> bool {
+        self.st().slots[index].is_some()
+    }
+
+    /// Claims chunk `index` with `result`; a no-op unless this is the
+    /// chunk's first claimant. The last chunk in hands the sink the
+    /// assembled result: the parts in chunk order, or the first failure in
+    /// chunk order — where a failure outranks a cancellation. `point`
+    /// names the claiming path for the interleaving checker.
+    pub(crate) fn fill(&self, index: usize, result: Result<Vec<T>, JobError>, point: &'static str) {
+        check_yield!(point);
+        let mut out = Vec::new();
+        let mut failed: Option<JobError> = None;
+        {
+            let mut st = self.st();
+            if st.slots[index].is_some() {
+                return;
+            }
+            st.slots[index] = Some(result);
+            // Under the lock, so every chunk's stamp precedes whatever
+            // terminal the sink emits from `complete`.
+            self.sink.chunk_done();
+            st.remaining -= 1;
+            if st.remaining > 0 {
+                return;
+            }
+            for slot in st.slots.iter_mut().flatten() {
+                match slot {
+                    // A one-chunk dispatch hands its part over as is.
+                    Ok(part) if out.is_empty() => std::mem::swap(&mut out, part),
+                    Ok(part) => out.append(part),
+                    Err(e) if failed.is_none_or(|f| f == JobError::Cancelled) => failed = Some(*e),
+                    Err(_) => {}
+                }
+            }
+        }
+        self.sink.complete(failed.map_or(Ok(out), Err));
+    }
 }
 
 /// A persistent serving engine: one worker pool, one registry, many
@@ -249,16 +289,10 @@ impl ServeEngine {
     }
 
     /// Blocks until [`ServeEngine::queue_depth`] drops below `below` (or
-    /// the pool drains), returning the observed depth. See
-    /// [`WorkerPool::wait_depth_below`].
-    pub fn wait_depth_below(&self, below: usize) -> usize {
-        self.pool.wait_depth_below(below)
-    }
-
-    /// Bounded [`ServeEngine::wait_depth_below`]: `Some(depth)` once the
-    /// condition holds, `None` if `timeout` elapses first. Front ends use
-    /// this to keep their drain loops responsive to their own deadlines
-    /// even when a worker is wedged.
+    /// the pool drains): `Some(depth)` once the condition holds, `None` if
+    /// `timeout` elapses first. Front ends wait in bounded slices so their
+    /// drain loops stay responsive to their own deadlines even when a
+    /// worker is wedged.
     pub fn wait_depth_below_for(
         &self,
         below: usize,
@@ -267,19 +301,36 @@ impl ServeEngine {
         self.pool.wait_depth_below_for(below, timeout)
     }
 
-    fn model(&self, key: &ModelKey) -> Result<Arc<QuantizedMlp>, ServeError> {
-        self.registry
+    /// The admission screen every front end shares: resolves `key` and
+    /// rejects, on the caller's thread, what a chunk evaluator would
+    /// otherwise panic on inside a pool worker.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::UnknownModel`] for an unregistered key;
+    /// [`ServeError::UnsupportedFormat`] for raw activations (`raw`) of the
+    /// `F32` baseline, which has no EMAC datapath, and for any row whose
+    /// length is not the model's input width.
+    pub fn screen(
+        &self,
+        key: &ModelKey,
+        xs: &[Vec<f32>],
+        raw: bool,
+    ) -> Result<Arc<QuantizedMlp>, ServeError> {
+        let model = self
+            .registry
             .get(key)
-            .ok_or_else(|| ServeError::UnknownModel(key.clone()))
-    }
-
-    /// [`ServeEngine::model`] restricted to models with an EMAC datapath
-    /// (raw activations are undefined for the `F32` baseline).
-    fn emac_model(&self, key: &ModelKey) -> Result<Arc<QuantizedMlp>, ServeError> {
-        let model = self.model(key)?;
-        if matches!(model.format, NumericFormat::F32) {
+            .ok_or_else(|| ServeError::UnknownModel(key.clone()))?;
+        if raw && matches!(model.format, NumericFormat::F32) {
             return Err(ServeError::UnsupportedFormat(format!(
                 "{key}: raw EMAC activations are undefined for the f32 baseline"
+            )));
+        }
+        let width = model.layers[0].fan_in();
+        if let Some((row, x)) = xs.iter().enumerate().find(|(_, x)| x.len() != width) {
+            return Err(ServeError::UnsupportedFormat(format!(
+                "{key}: row {row} has {} features, the model takes {width}",
+                x.len()
             )));
         }
         Ok(model)
@@ -288,25 +339,26 @@ impl ServeEngine {
     /// The non-blocking dispatch seam: splits `xs` into chunk jobs running
     /// `eval` on the pool and returns immediately — it never waits for
     /// queue space or results. Chunk `i` covers samples
-    /// `i * chunk_samples ..` and reports to `sink` under that index.
+    /// `i * chunk_samples ..`; the engine puts the chunk outcomes back
+    /// together in that order and calls `sink.complete` **once**, from
+    /// whichever thread records the last chunk (inline for an empty `xs`).
     ///
     /// Chunk enqueueing is **atomic** (via [`WorkerPool::spawn_batch`]):
     /// either every chunk of the request is admitted or, if the engine is
     /// closed or degraded, none is (and `sink` is never called). This is
     /// the one entry point every admission path drives: the `submit_*`
-    /// methods below with a [`BatchHandle`]'s completer as the sink,
-    /// `dp_gateway` with its demux.
+    /// methods below with a [`BatchHandle`]'s cell as the sink,
+    /// `dp_gateway` with its demux. Callers run [`ServeEngine::screen`]
+    /// first; the evaluators panic on rows it would have rejected.
     ///
     /// `scope` is the logical model name fault-injection hits are scoped
     /// by (see the `dp_fault` crate).
     ///
-    /// Lifecycle guarantees per chunk: exactly **one** of normal
-    /// completion, the chunk-boundary cancel check
-    /// ([`ChunkSink::cancelled`]), panic poisoning, or the watchdog's
-    /// stall resolution completes it (first claimant wins), so the sink
-    /// can never see a double completion — not even when an abandoned
-    /// worker's chunk eventually finishes after the watchdog already
-    /// failed it.
+    /// Per chunk, exactly **one** of normal completion, the chunk-boundary
+    /// cancel check ([`ChunkSink::cancelled`]), panic poisoning, or the
+    /// watchdog's stall resolution records the outcome (first claimant
+    /// wins) — not even an abandoned worker's chunk finishing after the
+    /// watchdog already failed it can change the result.
     ///
     /// # Errors
     ///
@@ -328,90 +380,36 @@ impl ServeEngine {
         if self.pool.is_degraded() {
             return Err(ServeError::Degraded);
         }
-        let jobs: Vec<(usize, Job)> = split_chunks(xs, self.chunk_samples)
+        let jobs: Vec<(usize, Job)> = chunk_jobs(self.chunk_samples, model, xs, scope, eval, &sink)
             .into_iter()
-            .enumerate()
-            .map(|(index, chunk)| {
-                let model = Arc::clone(&model);
-                let sink = Arc::clone(&sink);
-                let stall_sink = Arc::clone(&sink);
-                let scope = scope.clone();
-                // First claimant — normal completion, boundary cancel,
-                // panic poisoning, or stall resolution — completes the
-                // chunk; the rest no-op.
-                let claimed = Arc::new(ClaimCell::new());
-                let stall_claimed = Arc::clone(&claimed);
-                // relaxed-ok: round-robin placement hint only; a torn or
-                // reordered read just shifts which slot a chunk lands on.
-                let slot = self.cursor.fetch_add(1, Ordering::Relaxed);
-                let job = Job::with_stall_handler(
-                    move || {
-                        let scope = scope.as_deref();
-                        // A planned sleep here wedges the worker exactly
-                        // like a runaway evaluation would.
-                        faults::fire(faults::points::STALL_WORKER, scope);
-                        if claimed.is_claimed() {
-                            // The watchdog already failed this chunk while
-                            // the worker was wedged; don't evaluate it.
-                            return;
-                        }
-                        // Chunk-boundary cancellation check.
-                        if sink.cancelled(index) {
-                            if claimed.claim("engine.chunk.cancel") {
-                                sink.complete_chunk(index, Err(JobError::Cancelled));
-                            }
-                            return;
-                        }
-                        // A panic inside the model evaluation (or the
-                        // `panic_in_chunk` failure point in front of it)
-                        // fails only this chunk's share of the sink;
-                        // re-raising lets the pool count it (and keep its
-                        // worker alive).
-                        match catch_unwind(AssertUnwindSafe(|| {
-                            faults::fire(faults::points::PANIC_IN_CHUNK, scope);
-                            eval(&model, &chunk)
-                        })) {
-                            Ok(out) => {
-                                let dropped = faults::fire(faults::points::DROP_COMPLETION, scope);
-                                if !dropped && claimed.claim("engine.chunk.complete") {
-                                    sink.complete_chunk(index, Ok(out));
-                                }
-                            }
-                            Err(payload) => {
-                                if claimed.claim("engine.chunk.panic") {
-                                    sink.complete_chunk(index, Err(JobError::Panicked));
-                                }
-                                std::panic::resume_unwind(payload);
-                            }
-                        }
-                    },
-                    move || {
-                        if stall_claimed.claim("engine.chunk.stall") {
-                            stall_sink.complete_chunk(index, Err(JobError::Stalled));
-                        }
-                    },
-                );
-                (slot, job)
-            })
+            // relaxed-ok: round-robin placement hint only; a torn or
+            // reordered read just shifts which slot a chunk lands on.
+            .map(|job| (self.cursor.fetch_add(1, Ordering::Relaxed), job))
             .collect();
+        let empty = jobs.is_empty();
         self.pool
             .spawn_batch(jobs)
-            .map_err(|_| ServeError::EngineClosed)
+            .map_err(|_| ServeError::EngineClosed)?;
+        if empty {
+            sink.complete(Ok(Vec::new()));
+        }
+        Ok(())
     }
 
-    /// [`ServeEngine::try_dispatch`] with a fresh [`BatchHandle`] as the
-    /// sink: what the in-process `submit_*` calls return.
+    /// [`ServeEngine::screen`], then [`ServeEngine::try_dispatch`] with a
+    /// fresh [`BatchHandle`]'s cell as the sink: what the in-process
+    /// `submit_*` calls return.
     fn submit_batch<T: Send + 'static>(
         &self,
-        model: Arc<QuantizedMlp>,
         key: &ModelKey,
         xs: Vec<Vec<f32>>,
+        raw: bool,
         eval: ChunkEval<T>,
     ) -> Result<BatchHandle<T>, ServeError> {
-        let chunks = xs.len().div_ceil(self.chunk_samples);
-        let (handle, completer) = BatchHandle::pending(chunks);
+        let model = self.screen(key, &xs, raw)?;
+        let (handle, cell) = BatchHandle::pending();
         let scope = Some(Arc::from(key.name()));
-        self.try_dispatch(model, xs, scope, eval, Arc::new(completer))?;
+        self.try_dispatch(model, xs, scope, eval, cell)?;
         Ok(handle)
     }
 
@@ -422,13 +420,15 @@ impl ServeEngine {
     ///
     /// [`ServeError::UnknownModel`] for an unregistered key,
     /// [`ServeError::UnsupportedFormat`] for an `F32` model (no EMAC
-    /// datapath), [`ServeError::EngineClosed`] after shutdown began.
+    /// datapath) or a row of the wrong width, [`ServeError::EngineClosed`]
+    /// after shutdown began, [`ServeError::Degraded`] while the panic
+    /// budget is tripped.
     pub fn submit_forward(
         &self,
         key: &ModelKey,
         xs: Vec<Vec<f32>>,
     ) -> Result<BatchHandle<Vec<u32>>, ServeError> {
-        self.submit_batch(self.emac_model(key)?, key, xs, forward_chunk)
+        self.submit_batch(key, xs, true, forward_chunk)
     }
 
     /// Submits a batch for class predictions, identical to per-sample
@@ -437,87 +437,14 @@ impl ServeEngine {
     ///
     /// # Errors
     ///
-    /// [`ServeError::UnknownModel`] for an unregistered key,
-    /// [`ServeError::EngineClosed`] after shutdown began.
+    /// As [`ServeEngine::submit_forward`], except that `F32` models are
+    /// served.
     pub fn submit_classify(
         &self,
         key: &ModelKey,
         xs: Vec<Vec<f32>>,
     ) -> Result<BatchHandle<usize>, ServeError> {
-        self.submit_batch(self.model(key)?, key, xs, classify_chunk)
-    }
-
-    /// Single-sample convenience: [`ServeEngine::submit_forward`] for one
-    /// input, yielding the output activations directly.
-    ///
-    /// # Errors
-    ///
-    /// As [`ServeEngine::submit_forward`].
-    pub fn submit_forward_one(
-        &self,
-        key: &ModelKey,
-        x: Vec<f32>,
-    ) -> Result<JobHandle<Vec<u32>>, ServeError> {
-        let model = self.emac_model(key)?;
-        self.submit_job(move || model.forward_bits(&x))
-    }
-
-    /// Single-sample convenience: class prediction for one input.
-    ///
-    /// # Errors
-    ///
-    /// As [`ServeEngine::submit_classify`].
-    pub fn submit_classify_one(
-        &self,
-        key: &ModelKey,
-        x: Vec<f32>,
-    ) -> Result<JobHandle<usize>, ServeError> {
-        let model = self.model(key)?;
-        self.submit_job(move || model.infer(&x))
-    }
-
-    /// Runs an arbitrary closure on the pool, returning a handle to its
-    /// value. A panic inside `f` poisons only the returned handle.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::EngineClosed`] after shutdown began;
-    /// [`ServeError::Degraded`] while the panic budget is tripped.
-    pub fn submit_job<T, F>(&self, f: F) -> Result<JobHandle<T>, ServeError>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        if self.pool.is_degraded() {
-            return Err(ServeError::Degraded);
-        }
-        let (handle, completer) = JobHandle::pending();
-        let stall_completer = completer.clone();
-        let claimed = Arc::new(ClaimCell::new());
-        let stall_claimed = Arc::clone(&claimed);
-        self.pool
-            .spawn(Job::with_stall_handler(
-                move || match catch_unwind(AssertUnwindSafe(f)) {
-                    Ok(v) => {
-                        if claimed.claim("engine.job.complete") {
-                            completer.complete(Ok(v));
-                        }
-                    }
-                    Err(payload) => {
-                        if claimed.claim("engine.job.panic") {
-                            completer.complete(Err(JobError::Panicked));
-                        }
-                        std::panic::resume_unwind(payload);
-                    }
-                },
-                move || {
-                    if stall_claimed.claim("engine.job.stall") {
-                        stall_completer.complete(Err(JobError::Stalled));
-                    }
-                },
-            ))
-            .map_err(|_| ServeError::EngineClosed)?;
-        Ok(handle)
+        self.submit_batch(key, xs, false, classify_chunk)
     }
 
     /// Classification accuracy of a registered model over a dataset,
@@ -559,6 +486,85 @@ impl ServeEngine {
     /// Dropping the engine does the same.
     pub fn shutdown(mut self) {
         self.pool.shutdown();
+    }
+}
+
+/// The chunk jobs of one dispatch, in chunk order, all reporting to one
+/// fresh [`Assembly`] in front of `sink`.
+fn chunk_jobs<T: Send + 'static, S: ChunkSink<T>>(
+    chunk_samples: usize,
+    model: Arc<QuantizedMlp>,
+    xs: Vec<Vec<f32>>,
+    scope: Option<Arc<str>>,
+    eval: ChunkEval<T>,
+    sink: &Arc<S>,
+) -> Vec<Job> {
+    let chunks = split_chunks(xs, chunk_samples);
+    let assembly = Arc::new(Assembly::new(chunks.len(), Arc::clone(sink)));
+    chunks
+        .into_iter()
+        .enumerate()
+        .map(|(index, chunk)| {
+            let model = Arc::clone(&model);
+            let assembly = Arc::clone(&assembly);
+            let stalled = Arc::clone(&assembly);
+            let scope = scope.clone();
+            Job::with_stall_handler(
+                move || {
+                    let scope = scope.as_deref();
+                    // A planned sleep here wedges the worker exactly
+                    // like a runaway evaluation would.
+                    faults::fire(faults::points::STALL_WORKER, scope);
+                    if assembly.is_filled(index) {
+                        // The watchdog already failed this chunk while
+                        // the worker was wedged; don't evaluate it.
+                        return;
+                    }
+                    // Chunk-boundary cancellation check.
+                    if assembly.sink.cancelled() {
+                        assembly.fill(index, Err(JobError::Cancelled), "engine.chunk.cancel");
+                        return;
+                    }
+                    // A panic inside the model evaluation (or the
+                    // `panic_in_chunk` failure point in front of it)
+                    // fails only this dispatch; re-raising once the slot
+                    // is filled lets the pool count it (and keep its
+                    // worker alive).
+                    match catch_unwind(AssertUnwindSafe(|| {
+                        faults::fire(faults::points::PANIC_IN_CHUNK, scope);
+                        eval(&model, &chunk)
+                    })) {
+                        Ok(out) => {
+                            if !faults::fire(faults::points::DROP_COMPLETION, scope) {
+                                assembly.fill(index, Ok(out), "engine.chunk.complete");
+                            }
+                        }
+                        Err(payload) => {
+                            assembly.fill(index, Err(JobError::Panicked), "engine.chunk.panic");
+                            std::panic::resume_unwind(payload);
+                        }
+                    }
+                },
+                move || stalled.fill(index, Err(JobError::Stalled), "engine.chunk.stall"),
+            )
+        })
+        .collect()
+}
+
+/// Checker seam (`check-yield` builds only): runs the chunk jobs of one
+/// dispatch on the calling — scheduled — thread instead of the pool, so a
+/// schedule explores the real job body, assembly and sink.
+#[cfg(feature = "check-yield")]
+#[doc(hidden)]
+pub fn run_chunks_inline<T: Send + 'static>(
+    chunk_samples: usize,
+    model: Arc<QuantizedMlp>,
+    xs: Vec<Vec<f32>>,
+    eval: ChunkEval<T>,
+    sink: &Arc<impl ChunkSink<T>>,
+) {
+    for job in chunk_jobs(chunk_samples, model, xs, None, eval, sink) {
+        (job.run)();
     }
 }
 
@@ -611,6 +617,120 @@ fn split_chunks(xs: Vec<Vec<f32>>, chunk_samples: usize) -> Vec<Vec<Vec<f32>>> {
         chunks.push(rest);
     }
     chunks
+}
+
+/// Seeded PCT interleave test (compiled only with `--features
+/// check-yield`): the checker drives the *real* chunk jobs, assembly and
+/// cell through 1000 schedules × 3 seeds instead of hoping the OS
+/// scheduler stumbles into the bad ordering.
+#[cfg(all(test, feature = "check-yield"))]
+mod interleave_tests {
+    use super::*;
+    use crate::handle::Completion;
+    use dp_check::sched::explore;
+    use std::sync::atomic::AtomicBool;
+
+    type Outcome = Result<Vec<usize>, JobError>;
+
+    /// The real cell behind counters (first-wins would hide a second
+    /// `complete`, so the calls are counted in front of it) and a cancel
+    /// flag.
+    #[derive(Default)]
+    struct Counted {
+        cell: Completion<Outcome>,
+        stamps: AtomicUsize,
+        completes: AtomicUsize,
+        cancelled: AtomicBool,
+    }
+
+    impl ChunkSink<usize> for Counted {
+        fn cancelled(&self) -> bool {
+            // seqcst-ok: test stand-in for the gateway's cancel flag.
+            self.cancelled.load(Ordering::SeqCst)
+        }
+
+        fn chunk_done(&self) {
+            // relaxed-ok: per-run test tally, read only after the schedule
+            // has joined every thread.
+            self.stamps.fetch_add(1, Ordering::Relaxed);
+        }
+
+        fn complete(&self, result: Outcome) {
+            // relaxed-ok: see `chunk_done`.
+            self.completes.fetch_add(1, Ordering::Relaxed);
+            self.cell.resolve(result);
+        }
+    }
+
+    /// The race the slots exist for, on one dispatch of three chunks: the
+    /// three workers finish in any order, the watchdog's stall handler
+    /// races chunk 1's worker, a canceller flips the sink's flag under
+    /// the chunk-boundary checks, and a waiter blocks on the cell. Under
+    /// every schedule each chunk has exactly one winner (three stamps)
+    /// and `complete` is called exactly once — with every part in chunk
+    /// order, or `Cancelled`, or (when the stall claimed chunk 1 first)
+    /// `Stalled`, which chunk 1's normal completion limping in
+    /// afterwards does not change.
+    #[test]
+    fn completion_stall_cancel_race_has_one_winner_per_schedule() {
+        let mlp = deep_positron::Mlp::new(&[1, 2], 1);
+        let model = Arc::new(QuantizedMlp::quantize(&mlp, NumericFormat::F32));
+        // Each row carries its own index, so the parts name their order.
+        let eval: ChunkEval<usize> = |_, chunk| chunk.iter().map(|row| row[0] as usize).collect();
+        let outcomes: [Outcome; 3] = [
+            Ok((0..6).collect()),
+            Err(JobError::Stalled),
+            Err(JobError::Cancelled),
+        ];
+        let mut seen = [0usize; 3];
+        for master in [0x51AB_0001u64, 0x51AB_0002, 0x51AB_0003] {
+            let mut sinks: Vec<Arc<Counted>> = Vec::new();
+            let out = explore(master, 1000, 3, |_| {
+                let sink = Arc::new(Counted::default());
+                sinks.push(Arc::clone(&sink));
+                let xs = (0..6).map(|i| vec![i as f32]).collect();
+                let mut jobs = chunk_jobs(2, Arc::clone(&model), xs, None, eval, &sink);
+                let stall = jobs[1].on_stalled.take().expect("chunk jobs carry one");
+                let mut bodies: Vec<Box<dyn FnOnce() + Send>> =
+                    jobs.into_iter().map(|job| job.run).collect();
+                bodies.push(stall);
+                let canceller = Arc::clone(&sink);
+                bodies.push(Box::new(move || {
+                    // seqcst-ok: pairs with the load in `Counted::cancelled`.
+                    canceller.cancelled.store(true, Ordering::SeqCst)
+                }));
+                let expected = outcomes.clone();
+                bodies.push(Box::new(move || {
+                    let got = sink.cell.wait();
+                    assert!(expected.contains(&got), "waiter woke to {got:?}");
+                }));
+                bodies
+            });
+            assert_eq!(out.schedules, 1000);
+            assert!(out.findings.is_empty(), "findings: {:?}", out.findings);
+            assert!(
+                out.distinct_traces >= 4,
+                "seed {master:#x}: the seed is not steering the schedule \
+                 ({} distinct traces)",
+                out.distinct_traces
+            );
+            for (run, sink) in sinks.iter().enumerate() {
+                // relaxed-ok: see `Counted::chunk_done` — the run's threads
+                // are already joined.
+                let tally = [&sink.stamps, &sink.completes].map(|c| c.load(Ordering::Relaxed));
+                assert_eq!(tally, [3, 1], "seed {master:#x} run {run}");
+                let got = sink.cell.poll().expect("resolved");
+                seen[outcomes
+                    .iter()
+                    .position(|o| *o == got)
+                    .expect("a listed outcome")] += 1;
+            }
+        }
+        assert!(
+            seen.iter().all(|&n| n > 0),
+            "served / stalled / cancelled runs: {seen:?} — a claim path never won"
+        );
+    }
 }
 
 #[cfg(test)]

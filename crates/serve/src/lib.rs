@@ -5,28 +5,31 @@
 //! of the `deep-positron` quantized batch datapath, built for sustained
 //! request streams rather than one-shot batch calls.
 //!
-//! * [`pool`] — a fixed pool of long-lived worker threads around a
-//!   condvar-backed injector queue, with per-worker LIFO slots and work
-//!   stealing, panic-isolated jobs and graceful draining shutdown.
-//! * [`handle`] — completion handles ([`JobHandle`], [`BatchHandle`]):
-//!   submission returns immediately; results are polled or awaited, and a
-//!   panicking job poisons only its own handle.
+//! * [`pool`] — a fixed pool of long-lived worker threads, one LIFO slot
+//!   each, with work stealing, one way in ([`WorkerPool::spawn_batch`]),
+//!   panic-isolated jobs and graceful draining shutdown.
+//! * [`handle`] — the serving stack's one completion cell
+//!   ([`Completion`]: first resolution wins and is cached) and the
+//!   [`BatchHandle`] built on it: submission returns immediately; results
+//!   are polled or awaited; a panicking chunk poisons only its own request.
 //! * [`registry`] — a [`ModelRegistry`] of named
 //!   [`QuantizedMlp`](deep_positron::QuantizedMlp)s keyed
 //!   by name + format descriptor, so one engine serves posit, minifloat
 //!   and fixed-point models side by side.
-//! * [`engine`] — the [`ServeEngine`] admission layer: accepts single
-//!   samples or batches, splits large batches into chunk jobs with
-//!   per-chunk EMAC reuse, and stays **bit-identical** to per-sample
+//! * [`engine`] — the [`ServeEngine`] admission layer: screens a batch
+//!   against its model, splits it into chunk jobs with per-chunk EMAC
+//!   reuse, reassembles their outcomes and stays **bit-identical** to
 //!   [`QuantizedMlp::forward_bits`](deep_positron::QuantizedMlp::forward_bits).
 //!   Optional supervision hardens it: a stall **watchdog** respawns
 //!   wedged workers (failing only the stuck job, [`JobError::Stalled`]),
 //!   a **panic budget** flips admission to a degraded read-only mode
-//!   ([`ServeError::Degraded`]), and a [`CancelToken`] lets callers stop
-//!   an abandoned batch at chunk granularity. Every chunk is evaluated
-//!   by one tile-sweep evaluator and reports to one [`ChunkSink`].
+//!   ([`ServeError::Degraded`]), and [`ChunkSink::cancelled`] lets a sink
+//!   stop an abandoned batch at chunk granularity. Every chunk is evaluated
+//!   by one tile-sweep evaluator; each dispatch's result reaches its
+//!   [`ChunkSink`] in one call.
 //! * [`faults`] — the compile-time seam for the `dp_fault` failure points
-//!   (feature `fault-inject`; inert inlined stubs otherwise).
+//!   (feature `fault-inject`; inert inlined stubs otherwise); `check` is
+//!   its `check-yield` twin. `dp_gateway` reaches both through this crate.
 //!
 //! ```no_run
 //! use deep_positron::{NumericFormat, QuantizedMlp};
@@ -45,8 +48,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-pub(crate) mod check;
-pub(crate) mod claim;
+#[doc(hidden)]
+pub mod check;
 pub mod engine;
 pub mod faults;
 pub mod handle;
@@ -54,9 +57,8 @@ pub mod pool;
 pub mod registry;
 
 pub use engine::{
-    classify_chunk, forward_chunk, CancelToken, ChunkEval, ChunkSink, EngineConfig, ServeEngine,
-    ServeError,
+    classify_chunk, forward_chunk, ChunkEval, ChunkSink, EngineConfig, ServeEngine, ServeError,
 };
-pub use handle::{BatchHandle, JobError, JobHandle};
+pub use handle::{BatchHandle, Completion, JobError};
 pub use pool::{Job, PanicBudget, PoolStats, WatchdogConfig, WorkerPool};
 pub use registry::{ModelKey, ModelRegistry, RegistryError};

@@ -1,16 +1,14 @@
-//! The long-lived worker pool: a condvar-backed injector queue plus one
-//! LIFO slot per worker, with work stealing — now supervised.
+//! The long-lived worker pool: one condvar-backed LIFO slot per worker,
+//! with work stealing — now supervised.
 //!
 //! Workers are ordinary `std::thread`s that live for the pool's lifetime,
 //! so a request stream pays thread spawn cost once rather than per batch
 //! (the scoped-thread engine in `deep_positron::batch` remains as the
-//! zero-setup fallback). Scheduling is the classic two-level scheme:
-//!
-//! * the **injector** is a global FIFO that any producer can push to;
-//! * each worker owns a **LIFO slot** — targeted submissions
-//!   ([`WorkerPool::spawn_at`]) land there, the owner pops newest-first
-//!   (its model/EMAC state is still cache-warm), and idle workers steal
-//!   oldest-first from other slots once the injector is dry.
+//! zero-setup fallback). There is one way in,
+//! [`WorkerPool::spawn_batch`]: each job lands in the **LIFO slot** of the
+//! worker its hint names; the owner pops newest-first (its model/EMAC
+//! state is still cache-warm) and an idle worker steals oldest-first from
+//! the other slots.
 //!
 //! A panicking job is caught and counted; the worker thread survives and
 //! keeps serving (the `engine` layer additionally poisons the panicked
@@ -51,8 +49,8 @@ use std::time::{Duration, Instant};
 /// job's** completion handle; the watchdog has already settled the pool's
 /// queue accounting when it runs.
 pub struct Job {
-    run: Box<dyn FnOnce() + Send + 'static>,
-    on_stalled: Option<Box<dyn FnOnce() + Send + 'static>>,
+    pub(crate) run: Box<dyn FnOnce() + Send + 'static>,
+    pub(crate) on_stalled: Option<Box<dyn FnOnce() + Send + 'static>>,
 }
 
 impl Job {
@@ -163,7 +161,6 @@ pub struct PoolStats {
 }
 
 struct State {
-    injector: VecDeque<Job>,
     /// Jobs currently sitting in per-worker LIFO slots.
     queued_local: usize,
     /// Jobs currently executing on a worker.
@@ -172,13 +169,9 @@ struct State {
 }
 
 impl State {
-    fn is_drained(&self) -> bool {
-        self.injector.is_empty() && self.queued_local == 0 && self.active == 0
-    }
-
-    /// Queued + running jobs (injector, LIFO slots, and active workers).
+    /// Queued + running jobs (LIFO slots and active workers); 0 = drained.
     fn depth(&self) -> usize {
-        self.injector.len() + self.queued_local + self.active
+        self.queued_local + self.active
     }
 }
 
@@ -213,7 +206,7 @@ struct Shared {
     work: Condvar,
     /// Signalled after every job completion, so waiters can re-check
     /// drain ([`WorkerPool::wait_idle`]) or depth
-    /// ([`WorkerPool::wait_depth_below`]).
+    /// ([`WorkerPool::wait_depth_below_for`]).
     progress: Condvar,
     /// Per-worker LIFO slots. Lock order: `state` before any slot.
     slots: Vec<Mutex<Vec<Job>>>,
@@ -259,29 +252,25 @@ impl Shared {
         self.threads.lock().expect("threads lock")
     }
 
-    /// Pops the next job for worker `me`: own slot newest-first, then the
-    /// injector, then steal oldest-first from the other slots. Must be
-    /// called with the `state` lock held (`st` is that guard's contents).
+    /// Pops the next job for worker `me`: own slot newest-first, else steal
+    /// oldest-first from the other slots. Must be called with the `state`
+    /// lock held (`st` is that guard's contents). The order is
+    /// load-bearing, not taste: `pool::tests::pop_order_is_newest_first_…`
+    /// has the FIFO measurement.
     fn take_job(&self, st: &mut State, me: usize) -> Option<Job> {
-        if st.queued_local > 0 {
-            if let Some(job) = self.slot(me).pop() {
-                st.queued_local -= 1;
-                return Some(job);
-            }
+        if st.queued_local == 0 {
+            return None;
         }
-        if let Some(job) = st.injector.pop_front() {
+        if let Some(job) = self.slot(me).pop() {
+            st.queued_local -= 1;
             return Some(job);
         }
-        if st.queued_local > 0 {
-            let n = self.slots.len();
-            for off in 1..n {
-                let victim = (me + off) % n;
-                let mut slot = self.slot(victim);
-                if !slot.is_empty() {
-                    let job = slot.remove(0);
-                    st.queued_local -= 1;
-                    return Some(job);
-                }
+        let n = self.slots.len();
+        for off in 1..n {
+            let mut slot = self.slot((me + off) % n);
+            if !slot.is_empty() {
+                st.queued_local -= 1;
+                return Some(slot.remove(0));
             }
         }
         None
@@ -362,7 +351,6 @@ impl WorkerPool {
             state: check::mutex(
                 "pool.state",
                 State {
-                    injector: VecDeque::new(),
                     queued_local: 0,
                     active: 0,
                     shutdown: false,
@@ -469,28 +457,13 @@ impl WorkerPool {
         self.shared.degraded.store(false, Ordering::SeqCst);
     }
 
-    /// Submits a job to the global injector queue.
-    ///
-    /// # Errors
-    ///
-    /// [`ShuttingDown`] once [`WorkerPool::shutdown`] has begun.
-    pub fn spawn(&self, job: Job) -> Result<(), ShuttingDown> {
-        let mut st = self.shared.st();
-        if st.shutdown {
-            return Err(ShuttingDown);
-        }
-        st.injector.push_back(job);
-        drop(st);
-        self.shared.work.notify_one();
-        Ok(())
-    }
-
     /// Submits a whole batch of `(hint, job)` pairs **atomically**: either
-    /// every job is enqueued (each to worker `hint % workers`'s LIFO slot,
-    /// like [`WorkerPool::spawn_at`]) or — if shutdown has begun — none
-    /// are. A multi-chunk request can therefore never be split by a
-    /// concurrent shutdown into "first half enqueued, second half
-    /// rejected".
+    /// every job is enqueued (each to worker `hint % workers`'s LIFO slot —
+    /// producers spreading a chunked batch round-robin keep each worker on
+    /// its own chunk run while idle workers steal) or — if shutdown has
+    /// begun — none are. A multi-chunk request can therefore never be
+    /// split by a concurrent shutdown into "first half enqueued, second
+    /// half rejected". The pool's only way in.
     ///
     /// # Errors
     ///
@@ -510,6 +483,8 @@ impl WorkerPool {
         }
         drop(st);
         if n == 1 {
+            // One waker suffices: whichever worker wakes reaches the job
+            // via its own slot or the steal scan.
             self.shared.work.notify_one();
         } else if n > 1 {
             self.shared.work.notify_all();
@@ -517,34 +492,19 @@ impl WorkerPool {
         Ok(())
     }
 
-    /// Queued + running job count: injector backlog, LIFO-slot backlog and
-    /// jobs currently executing. This is the pressure signal admission
+    /// Queued + running job count: LIFO-slot backlog and jobs currently
+    /// executing. This is the pressure signal admission
     /// layers (the `dp_gateway` dispatcher) throttle on.
     pub fn queue_depth(&self) -> usize {
         self.shared.st().depth()
     }
 
     /// Blocks until [`WorkerPool::queue_depth`] drops below `below` (or
-    /// the pool drains entirely, which covers `below == 0`), returning the
-    /// depth observed. Progress is guaranteed: workers signal after every
-    /// job completion and queued jobs always run, even during shutdown
-    /// (draining semantics) — and under a watchdog even a wedged worker's
-    /// accounting is settled.
-    pub fn wait_depth_below(&self, below: usize) -> usize {
-        let mut st = self.shared.st();
-        loop {
-            let depth = st.depth();
-            if depth < below || st.is_drained() {
-                return depth;
-            }
-            // panic-ok: see `Shared::st` — the state lock cannot poison.
-            st = self.shared.progress.wait(st).expect("pool lock");
-        }
-    }
-
-    /// Bounded [`WorkerPool::wait_depth_below`]: returns `Some(depth)` as
-    /// soon as the depth condition holds, or `None` if `timeout` elapses
-    /// first (the depth condition still false).
+    /// the pool drains entirely, which covers `below == 0`): `Some(depth)`
+    /// as soon as that holds, `None` if `timeout` elapses first. Progress
+    /// is guaranteed: workers signal after every job completion and queued
+    /// jobs always run, even during shutdown (draining semantics) — and
+    /// under a watchdog even a wedged worker's accounting is settled.
     pub fn wait_depth_below_for(&self, below: usize, timeout: Duration) -> Option<usize> {
         // clock-ok: caller-side wall-clock wait bound (the OS condvar
         // wait below is real-time anyway).
@@ -552,7 +512,7 @@ impl WorkerPool {
         let mut st = self.shared.st();
         loop {
             let depth = st.depth();
-            if depth < below || st.is_drained() {
+            if depth < below || depth == 0 {
                 return Some(depth);
             }
             // clock-ok: see the deadline note above.
@@ -569,32 +529,10 @@ impl WorkerPool {
         }
     }
 
-    /// Submits a job to worker `hint % workers`'s LIFO slot — producers
-    /// spreading a chunked batch round-robin keep each worker on its own
-    /// chunk run (cache-warm model state) while idle workers steal.
-    ///
-    /// # Errors
-    ///
-    /// [`ShuttingDown`] once [`WorkerPool::shutdown`] has begun.
-    pub fn spawn_at(&self, hint: usize, job: Job) -> Result<(), ShuttingDown> {
-        let slot = hint % self.shared.slots.len();
-        let mut st = self.shared.st();
-        if st.shutdown {
-            return Err(ShuttingDown);
-        }
-        st.queued_local += 1;
-        self.shared.slot(slot).push(job);
-        drop(st);
-        // One waker suffices: whichever worker wakes reaches the job via
-        // its own slot, the injector, or the steal scan.
-        self.shared.work.notify_one();
-        Ok(())
-    }
-
     /// Blocks until every submitted job has finished executing.
     pub fn wait_idle(&self) {
         let mut st = self.shared.st();
-        while !st.is_drained() {
+        while st.depth() > 0 {
             // panic-ok: see `Shared::st` — the state lock cannot poison.
             st = self.shared.progress.wait(st).expect("pool lock");
         }
@@ -721,7 +659,7 @@ fn watchdog_loop(shared: &Arc<Shared>, cfg: WatchdogConfig) {
         let mut handlers: Vec<Box<dyn FnOnce() + Send>> = Vec::new();
         {
             let mut st = shared.st();
-            if st.shutdown && st.is_drained() {
+            if st.shutdown && st.depth() == 0 {
                 return;
             }
             let now = shared.now_ms();
@@ -803,16 +741,38 @@ mod tests {
         })
     }
 
+    /// One job into slot `hint % workers`, through the pool's one entry.
+    fn put(pool: &WorkerPool, hint: usize, job: Job) -> Result<(), ShuttingDown> {
+        pool.spawn_batch(vec![(hint, job)])
+    }
+
+    /// Parks workers `0..n`, each on a gate job in its own slot — queued
+    /// as one batch, so every worker finds its own slot non-empty and none
+    /// steals another's — and returns once all are picked up. Dropping
+    /// `gates[i]` releases worker `i`.
+    fn park_workers(pool: &WorkerPool, n: usize) -> Vec<std::sync::mpsc::SyncSender<()>> {
+        let (started, picked_up) = std::sync::mpsc::sync_channel(n);
+        let gate = |slot| {
+            let (open, gate) = std::sync::mpsc::sync_channel::<()>(1);
+            let started = started.clone();
+            let job = Job::new(move || {
+                started.send(()).unwrap();
+                let _ = gate.recv();
+            });
+            (open, (slot, job))
+        };
+        let (gates, jobs) = (0..n).map(gate).unzip();
+        pool.spawn_batch(jobs).unwrap();
+        (0..n).for_each(|_| picked_up.recv().unwrap());
+        gates
+    }
+
     #[test]
     fn executes_injected_and_targeted_jobs() {
         let pool = WorkerPool::new(3);
         let counter = Arc::new(AtomicUsize::new(0));
         for i in 0..40 {
-            if i % 2 == 0 {
-                pool.spawn(counting_job(&counter)).unwrap();
-            } else {
-                pool.spawn_at(i, counting_job(&counter)).unwrap();
-            }
+            put(&pool, i, counting_job(&counter)).unwrap();
         }
         pool.wait_idle();
         assert_eq!(get(&counter), 40);
@@ -825,23 +785,22 @@ mod tests {
         let mut pool = WorkerPool::new(2);
         let counter = Arc::new(AtomicUsize::new(0));
         for i in 0..64 {
-            pool.spawn_at(i, counting_job(&counter)).unwrap();
+            put(&pool, i, counting_job(&counter)).unwrap();
         }
         // Shut down immediately: every queued job must still run.
         pool.shutdown();
         assert_eq!(get(&counter), 64);
         // Submissions after shutdown are rejected.
-        assert!(pool.spawn(counting_job(&counter)).is_err());
-        assert!(pool.spawn_at(0, counting_job(&counter)).is_err());
+        assert!(put(&pool, 0, counting_job(&counter)).is_err());
         assert_eq!(get(&counter), 64);
     }
 
     #[test]
     fn panicking_job_leaves_pool_serviceable() {
         let pool = WorkerPool::new(1);
-        pool.spawn(Job::new(|| panic!("job blows up"))).unwrap();
+        put(&pool, 0, Job::new(|| panic!("job blows up"))).unwrap();
         let counter = Arc::new(AtomicUsize::new(0));
-        pool.spawn(counting_job(&counter)).unwrap();
+        put(&pool, 0, counting_job(&counter)).unwrap();
         pool.wait_idle();
         assert_eq!(get(&counter), 1);
         let stats = pool.stats();
@@ -856,10 +815,53 @@ mod tests {
         let pool = WorkerPool::new(4);
         let counter = Arc::new(AtomicUsize::new(0));
         for _ in 0..32 {
-            pool.spawn_at(0, counting_job(&counter)).unwrap();
+            put(&pool, 0, counting_job(&counter)).unwrap();
         }
         pool.wait_idle();
         assert_eq!(get(&counter), 32);
+    }
+
+    /// Pins the pop order the serving numbers rest on: a worker runs its
+    /// own slot **newest-first**, a thief takes **oldest-first**.
+    ///
+    /// The obvious simplification, one FIFO, was measured (PR 19; six
+    /// alternating pinned 10 s pairs, seed 42, parent → FIFO medians, every
+    /// suite green): `net_large` `samples_per_s` 6.88e5 → 5.98e5 (×0.87,
+    /// 0/6 pairs won), `latency_p50_us` 1 430 → 1 628; `net_small`
+    /// `latency_p50_us` 232 → 288 (×1.24, 0/6, past the 15 % bound). Why: a
+    /// connection's writer answers in request order, so when the one
+    /// worker runs the newest chunk first the oldest finishes last and the
+    /// writer wakes once to a run of ready handles (one context switch,
+    /// one `write`, fuller coalesced groups); FIFO wakes it per request.
+    #[test]
+    fn pop_order_is_newest_first_on_the_own_slot_oldest_first_on_a_steal() {
+        let order = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let named = |name: char| {
+            let order = Arc::clone(&order);
+            Job::new(move || order.lock().unwrap().push(name))
+        };
+        let abc = || vec![(0, named('A')), (0, named('B')), (0, named('C'))];
+
+        // Own slot: A B C queued behind the one, parked, worker → C B A.
+        let pool = WorkerPool::new(1);
+        let gates = park_workers(&pool, 1);
+        pool.spawn_batch(abc()).unwrap();
+        drop(gates);
+        pool.wait_idle();
+        assert_eq!(std::mem::take(&mut *order.lock().unwrap()), ['C', 'B', 'A']);
+
+        // Steal: A B C queued on parked worker 0's slot, only worker 1
+        // released → it steals A B C.
+        let pool = WorkerPool::new(2);
+        let mut gates = park_workers(&pool, 2);
+        pool.spawn_batch(abc()).unwrap();
+        gates.pop();
+        assert_eq!(
+            pool.wait_depth_below_for(2, Duration::from_secs(10)),
+            Some(1),
+            "worker 1 drains slot 0 while worker 0 stays parked"
+        );
+        assert_eq!(*order.lock().unwrap(), ['A', 'B', 'C']);
     }
 
     #[test]
@@ -890,30 +892,18 @@ mod tests {
         let pool = WorkerPool::new(1);
         assert_eq!(pool.queue_depth(), 0);
         // A gate job holds the single worker busy while we pile up backlog.
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        {
-            let gate = Arc::clone(&gate);
-            pool.spawn(Job::new(move || {
-                let (open, cv) = &*gate;
-                let mut open = open.lock().unwrap();
-                while !*open {
-                    open = cv.wait(open).unwrap();
-                }
-            }))
-            .unwrap();
-        }
+        let gates = park_workers(&pool, 1);
         let counter = Arc::new(AtomicUsize::new(0));
         for i in 0..5 {
-            pool.spawn_at(i, counting_job(&counter)).unwrap();
+            put(&pool, i, counting_job(&counter)).unwrap();
         }
-        // Gate job active (or queued) + 5 queued behind it.
-        assert!(pool.queue_depth() >= 5);
-        {
-            let (open, cv) = &*gate;
-            *open.lock().unwrap() = true;
-            cv.notify_all();
-        }
-        assert_eq!(pool.wait_depth_below(1), 0);
+        // Gate job active + 5 queued behind it.
+        assert_eq!(pool.queue_depth(), 6);
+        drop(gates);
+        assert_eq!(
+            pool.wait_depth_below_for(1, Duration::from_secs(10)),
+            Some(0)
+        );
         assert_eq!(pool.queue_depth(), 0);
         assert_eq!(get(&counter), 5);
     }
@@ -921,28 +911,13 @@ mod tests {
     #[test]
     fn wait_depth_below_for_times_out_while_blocked() {
         let pool = WorkerPool::new(1);
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        {
-            let gate = Arc::clone(&gate);
-            pool.spawn(Job::new(move || {
-                let (open, cv) = &*gate;
-                let mut open = open.lock().unwrap();
-                while !*open {
-                    open = cv.wait(open).unwrap();
-                }
-            }))
-            .unwrap();
-        }
+        let gates = park_workers(&pool, 1);
         // One job active forever-ish: depth never drops below 1.
         assert_eq!(
             pool.wait_depth_below_for(1, Duration::from_millis(50)),
             None
         );
-        {
-            let (open, cv) = &*gate;
-            *open.lock().unwrap() = true;
-            cv.notify_all();
-        }
+        drop(gates);
         assert_eq!(
             pool.wait_depth_below_for(1, Duration::from_secs(5)),
             Some(0)
@@ -962,18 +937,23 @@ mod tests {
         let stalled_seen = Arc::new(AtomicUsize::new(0));
         {
             let stalled_seen = Arc::clone(&stalled_seen);
-            pool.spawn(Job::with_stall_handler(
+            let (started, picked_up) = std::sync::mpsc::sync_channel(1);
+            let wedge = Job::with_stall_handler(
                 // Wedge the only worker well past the stall threshold.
-                || std::thread::sleep(Duration::from_millis(400)),
+                move || {
+                    started.send(()).unwrap();
+                    std::thread::sleep(Duration::from_millis(400));
+                },
                 move || {
                     bump(&stalled_seen);
                 },
-            ))
-            .unwrap();
+            );
+            put(&pool, 0, wedge).unwrap();
+            picked_up.recv().unwrap();
         }
         // A job queued behind the wedge: the respawned worker must run it.
         let counter = Arc::new(AtomicUsize::new(0));
-        pool.spawn(counting_job(&counter)).unwrap();
+        put(&pool, 0, counting_job(&counter)).unwrap();
         pool.wait_idle();
         assert_eq!(get(&counter), 1);
         assert_eq!(get(&stalled_seen), 1);
@@ -1000,11 +980,11 @@ mod tests {
             }),
         );
         for _ in 0..2 {
-            pool.spawn(Job::new(|| panic!("boom"))).unwrap();
+            put(&pool, 0, Job::new(|| panic!("boom"))).unwrap();
         }
         pool.wait_idle();
         assert!(!pool.is_degraded(), "within budget");
-        pool.spawn(Job::new(|| panic!("boom"))).unwrap();
+        put(&pool, 0, Job::new(|| panic!("boom"))).unwrap();
         pool.wait_idle();
         assert!(pool.is_degraded(), "third panic exceeds max_panics = 2");
         assert!(pool.stats().degraded);

@@ -7,7 +7,10 @@ use deep_positron::{Mlp, NumericFormat, QuantizedMlp};
 use dp_fixed::FixedFormat;
 use dp_minifloat::FloatFormat;
 use dp_posit::PositFormat;
-use dp_serve::{EngineConfig, ModelKey, ServeEngine, ServeError};
+use dp_serve::{
+    Completion, EngineConfig, JobError, ModelKey, PanicBudget, ServeEngine, ServeError,
+};
+use std::sync::Arc;
 
 fn trained_iris() -> (Mlp, dp_datasets::TrainTest) {
     let split = dp_datasets::iris::load(77).split(50, 77).normalized();
@@ -96,17 +99,17 @@ fn single_sample_requests_match_batch_path() {
     let key = engine.registry().register("iris", q.clone()).unwrap();
     let x = split.test.features[3].clone();
     let bits = engine
-        .submit_forward_one(&key, x.clone())
+        .submit_forward(&key, vec![x.clone()])
         .unwrap()
         .wait()
         .unwrap();
-    assert_eq!(bits, q.forward_bits(&x));
+    assert_eq!(bits, [q.forward_bits(&x)]);
     let class = engine
-        .submit_classify_one(&key, x.clone())
+        .submit_classify(&key, vec![x.clone()])
         .unwrap()
         .wait()
         .unwrap();
-    assert_eq!(class, q.infer(&x));
+    assert_eq!(class, [q.infer(&x)]);
 }
 
 #[test]
@@ -152,10 +155,56 @@ fn admission_errors_are_reported() {
         engine.submit_forward(&key, vec![vec![0.0; 4]]),
         Err(ServeError::UnsupportedFormat(_))
     ));
-    assert!(matches!(
-        engine.submit_forward_one(&key, vec![0.0; 4]),
-        Err(ServeError::UnsupportedFormat(_))
-    ));
+}
+
+#[test]
+fn rows_of_the_wrong_width_are_rejected_at_admission_not_in_a_worker() {
+    // Regression: nothing compared a row's length with the model's input
+    // width, so a short row reached `forward_batch_bits_with`'s assert
+    // inside the pool — a worker panic charged to the panic budget — and
+    // on an `F32` model was silently zip-truncated to a wrong answer.
+    let (mlp, split) = trained_iris();
+    let engine = ServeEngine::new(EngineConfig {
+        workers: 1,
+        chunk_samples: 16,
+        panic_budget: Some(PanicBudget {
+            max_panics: 1,
+            ..PanicBudget::default()
+        }),
+        ..EngineConfig::default()
+    });
+    let q = QuantizedMlp::quantize(&mlp, mixed_formats()[0]);
+    let key = engine.registry().register("iris", q.clone()).unwrap();
+    let f32_key = engine
+        .registry()
+        .register("iris", QuantizedMlp::quantize(&mlp, NumericFormat::F32))
+        .unwrap();
+    let good = split.test.features[0].clone();
+    for _ in 0..10 {
+        // A ragged batch: one good row, one three-feature row.
+        let ragged = vec![good.clone(), good[..3].to_vec()];
+        let err = engine.submit_forward(&key, ragged.clone()).unwrap_err();
+        assert!(
+            matches!(&err, ServeError::UnsupportedFormat(what)
+                if what.contains("row 1 has 3 features") && what.contains("takes 4")),
+            "{err}"
+        );
+        assert!(matches!(
+            engine.submit_classify(&f32_key, ragged),
+            Err(ServeError::UnsupportedFormat(_))
+        ));
+        assert!(matches!(
+            engine.submit_classify(&key, vec![vec![0.5; 5]]),
+            Err(ServeError::UnsupportedFormat(_))
+        ));
+    }
+    // Nothing reached the pool; well-formed traffic is served as before.
+    let served = engine.submit_forward(&key, vec![good.clone()]).unwrap();
+    assert_eq!(served.wait().unwrap(), [q.forward_bits(&good)]);
+    engine.wait_idle();
+    assert_eq!(engine.stats().panics, 0);
+    assert_eq!(engine.stats().jobs_run, 1);
+    assert!(!engine.is_degraded());
 }
 
 #[test]
@@ -226,14 +275,26 @@ fn panicking_job_poisons_only_its_own_handle() {
     let q = QuantizedMlp::quantize(&mlp, mixed_formats()[0]);
     let key = engine.registry().register("iris", q.clone()).unwrap();
 
-    let poisoned = engine
-        .submit_job::<usize, _>(|| panic!("model evaluation blows up"))
+    // A chunk evaluator that panics, through the one dispatch entry,
+    // reporting to a bare completion cell.
+    let poisoned = Arc::new(Completion::default());
+    let blows_up =
+        |_: &QuantizedMlp, _: &[Vec<f32>]| -> Vec<usize> { panic!("model evaluation blows up") };
+    let xs = split.test.features[..3].to_vec();
+    engine
+        .try_dispatch(
+            Arc::new(q.clone()),
+            xs,
+            None,
+            blows_up,
+            Arc::clone(&poisoned),
+        )
         .unwrap();
     let healthy = engine
         .submit_classify(&key, split.test.features.clone())
         .unwrap();
 
-    assert_eq!(poisoned.wait(), Err(dp_serve::JobError::Panicked));
+    assert_eq!(poisoned.wait(), Err(JobError::Panicked));
     // The concurrent request and the engine itself are unaffected.
     let preds = healthy.wait().unwrap();
     assert_eq!(preds.len(), split.test.len());
@@ -242,9 +303,9 @@ fn panicking_job_poisons_only_its_own_handle() {
     engine.wait_idle();
     assert_eq!(engine.stats().panics, 1);
     let again = engine
-        .submit_classify_one(&key, split.test.features[0].clone())
+        .submit_classify(&key, vec![split.test.features[0].clone()])
         .unwrap();
-    assert_eq!(again.wait().unwrap(), q.infer(&split.test.features[0]));
+    assert_eq!(again.wait().unwrap(), [q.infer(&split.test.features[0])]);
 }
 
 #[test]
@@ -313,7 +374,7 @@ fn closed_engine_rejects_whole_batches_with_typed_error() {
         ServeError::EngineClosed
     );
     assert_eq!(
-        engine.submit_forward_one(&key, xs[0].clone()).unwrap_err(),
+        engine.submit_forward(&key, Vec::new()).unwrap_err(),
         ServeError::EngineClosed
     );
     // The admitted batch still drains completely and correctly.
@@ -346,11 +407,11 @@ fn wait_after_pool_drained_still_returns_the_result() {
 }
 
 #[test]
-#[should_panic(expected = "batch result already taken")]
-fn wait_after_poll_took_the_result_panics() {
-    // The dp_serve handles are single-consumer: poll() hands the result
-    // out exactly once and a later wait() is a caller bug, reported as a
-    // panic (the cached-resolution behavior lives in dp_gateway handles).
+fn wait_after_poll_returns_the_cached_result() {
+    // The serving stack has one completion cell and it caches: poll()
+    // and wait() hand out clones of the one resolution, so a wait() after
+    // a poll() is defined behaviour (it used to be a caller bug, reported
+    // as a panic, while only the dp_gateway handles cached).
     let (mlp, split) = trained_iris();
     let engine = test_engine();
     let key = engine
@@ -361,8 +422,9 @@ fn wait_after_poll_took_the_result_panics() {
         .submit_classify(&key, split.test.features.clone())
         .unwrap();
     engine.wait_idle();
-    assert!(handle.poll().is_some());
-    let _ = handle.wait();
+    let polled = handle.poll().expect("done after wait_idle");
+    assert_eq!(polled.as_ref().unwrap().len(), split.test.len());
+    assert_eq!(handle.wait(), polled);
 }
 
 #[test]
@@ -378,8 +440,8 @@ fn poll_transitions_from_pending_to_ready() {
     assert!(handle.is_done());
     let polled = handle.poll().expect("done after wait_idle");
     assert_eq!(polled.unwrap().len(), split.test.len());
-    // Taken exactly once.
-    assert!(handle.poll().is_none());
+    // Cached, not taken: the next poll sees the same resolution.
+    assert_eq!(handle.poll().unwrap().unwrap().len(), split.test.len());
 }
 
 #[test]

@@ -17,7 +17,9 @@
 //!   deadline   queue a backlog, then a 1 ms-deadline request behind it;
 //!              demand the DeadlineExceeded wire status
 //!   malformed  send a garbage opcode and a truncated frame; demand the
-//!              ProtocolError verdict and connection close
+//!              ProtocolError verdict and connection close. Then a
+//!              well-framed request of the wrong width; demand Unsupported
+//!              and a good answer next on the same connection
 //!   scrape     print the /metrics exposition body
 //!   shutdown   request a graceful drain; demand the ShutdownOk ack
 //! ```
@@ -246,6 +248,32 @@ fn malformed(addr: &str) {
     raw.write_all(&64u32.to_le_bytes()).expect("write len");
     raw.write_all(&[0u8; 8]).expect("write partial");
     drop(raw);
+
+    // Well-framed but the wrong width: three features for a 4-input
+    // model. A typed verdict, not a protocol error — the connection
+    // stays open and serves a good request next.
+    let (mlp, split) = trained_iris();
+    let q = QuantizedMlp::quantize(&mlp, formats()[0]);
+    let fmt = q.format.to_string();
+    let x = split.test.features[0].clone();
+    let mut client = NetClient::connect(addr).expect("connect");
+    let resp = client
+        .forward("iris", &fmt, 0, vec![x[..3].to_vec()])
+        .expect("wrong-width io");
+    assert_eq!(
+        resp.status(),
+        WireStatus::Unsupported,
+        "expected the short row to be refused, got {:?}",
+        resp.body
+    );
+    let resp = client
+        .forward("iris", &fmt, 0, vec![x.clone()])
+        .expect("forward io");
+    assert_eq!(
+        resp.body,
+        ResponseBody::ForwardOk(vec![q.forward_bits(&x)]),
+        "connection did not keep serving after the refusal"
+    );
     println!("MALFORMED OK");
 }
 

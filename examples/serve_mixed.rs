@@ -89,7 +89,7 @@ fn main() {
         .map(|i| {
             let (key, _) = &models[i % models.len()];
             engine
-                .submit_classify_one(key, batch[i].clone())
+                .submit_classify(key, vec![batch[i].clone()])
                 .expect("admitted")
         })
         .collect();
@@ -109,7 +109,7 @@ fn main() {
         let (_, q) = &models[i % models.len()];
         assert_eq!(
             pending.wait().expect("request completed"),
-            q.infer(&batch[i])
+            [q.infer(&batch[i])]
         );
         samples += 1;
     }
