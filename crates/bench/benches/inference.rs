@@ -1,7 +1,7 @@
 //! Whole-network inference throughput (Iris topology): per-sample EMAC
-//! inference vs the batch engine (contiguous weights, per-thread EMAC
-//! reuse, sample parallelism), plus the per-op rounding path and the f32
-//! baseline.
+//! inference vs the batch engine (contiguous weights, EMACs built once,
+//! one tile sweep per layer on the calling thread), plus the per-op
+//! rounding path and the f32 baseline.
 //!
 //! Run with `cargo bench --bench inference`. Writes the committed baseline
 //! `BENCH_inference.json` at the repository root.
@@ -29,8 +29,7 @@ fn main() {
         },
     );
     let x = split.test.features[0].clone();
-    // Batch-traffic workload: the test set cycled to serving scale, so the
-    // parallel engine has enough work to amortize thread spawn.
+    // Batch-traffic workload: the test set cycled to serving scale.
     let batch: Vec<Vec<f32>> = split
         .test
         .features
@@ -71,15 +70,8 @@ fn main() {
                 .map(|x| q.forward_bits(black_box(x)).len())
                 .sum::<usize>()
         }));
-        // Batch engine pinned to one thread: isolates EMAC-reuse +
-        // contiguous-weight gains from thread parallelism.
-        std::env::set_var("DEEP_POSITRON_THREADS", "1");
-        rows.push(measure(&format!("{name}_batch{b}_1thread"), b, || {
-            q.forward_batch(black_box(&batch)).len()
-        }));
-        std::env::remove_var("DEEP_POSITRON_THREADS");
-        // Batch engine at machine parallelism.
-        rows.push(measure(&format!("{name}_batch{b}_parallel"), b, || {
+        // Batch engine: EMACs built once, one tile sweep per layer.
+        rows.push(measure(&format!("{name}_batch{b}"), b, || {
             q.forward_batch(black_box(&batch)).len()
         }));
     }
@@ -92,10 +84,10 @@ fn main() {
     let find = |name: &str| rows.iter().find(|m| m.name == name).unwrap();
     for (name, _) in configs {
         let scalar = find(&format!("{name}_scalar_batch{b}"));
-        let par = find(&format!("{name}_batch{b}_parallel"));
+        let swept = find(&format!("{name}_batch{b}"));
         println!(
             "{name}: batch engine {:.2}x samples/sec over the scalar loop",
-            scalar.ns_per_iter / par.ns_per_iter
+            scalar.ns_per_iter / swept.ns_per_iter
         );
     }
 
@@ -105,14 +97,11 @@ fn main() {
         ("command", "cargo bench --bench inference".to_string()),
         ("topology", "iris 4-16-3".to_string()),
         ("batch", b.to_string()),
-        (
-            "threads",
-            deep_positron::quantized::batch_threads().to_string(),
-        ),
+        ("threads", "1".to_string()),
         (
             "note",
             "elems = inference samples; *_scalar_batch* is the per-sample loop (before), \
-             *_batch*_parallel is the batch engine (after)"
+             *_batch* is the batch engine (after), on the calling thread"
                 .to_string(),
         ),
     ];

@@ -1,7 +1,7 @@
 //! Serving-engine throughput: the persistent `dp_serve` worker pool
-//! against the per-call scoped-thread batch engine, plus mixed-format
-//! traffic (posit + minifloat + fixed interleaved through one pool) and
-//! single-request latency.
+//! against a direct `forward_batch` call on the caller's thread, plus
+//! mixed-format traffic (posit + minifloat + fixed interleaved through one
+//! pool) and single-request latency.
 //!
 //! Run with `cargo bench --bench serving`. Writes the committed baseline
 //! `BENCH_serving.json` at the repository root (`results/smoke/` under
@@ -71,7 +71,7 @@ fn main() {
 
     let mut rows: Vec<Measurement> = Vec::new();
     for (name, key, q) in &keys {
-        // Per-call scoped-thread batch engine (the fallback path).
+        // Direct call on the caller's thread: no pool, no handle.
         rows.push(measure(&format!("{name}_scoped_batch{b}"), b, || {
             q.forward_batch(black_box(&batch)).len()
         }));
@@ -124,7 +124,7 @@ fn main() {
         let scoped = find(&format!("{name}_scoped_batch{b}"));
         let engine_row = find(&format!("{name}_engine_batch{b}"));
         println!(
-            "{name}: persistent pool at {:.2}x the scoped-thread engine",
+            "{name}: persistent pool at {:.2}x the direct call",
             scoped.ns_per_iter / engine_row.ns_per_iter
         );
     }
@@ -140,10 +140,10 @@ fn main() {
         ("jobs_run", stats.jobs_run.to_string()),
         (
             "note",
-            "elems = inference samples; *_scoped_batch* is the per-call scoped-thread engine \
-             (before), *_engine_batch* the persistent dp_serve pool (after); *_engine_single is a \
-             one-row submit_forward, so since PR 19 it runs the chunk evaluator (forward_chunk, \
-             B = 1) like every other request, not a closure around forward_bits; \
+            "elems = inference samples; *_scoped_batch* is a direct forward_batch call on the \
+             caller's thread, *_engine_batch* the same batch through the persistent dp_serve pool; \
+             *_engine_single is a one-row submit_forward, which runs the chunk evaluator \
+             (forward_batch, B = 1) like every other request; \
              mixed3_engine_burst interleaves posit/minifloat/fixed requests through one pool"
                 .to_string(),
         ),

@@ -369,15 +369,21 @@ fn check_forbid_unsafe(root: &Path, member: &str, workspace_forbids: bool, repor
 
 /// The prom-drift rule: full `dp_gateway_*` metric names appearing in
 /// string literals of the gateway metrics source (non-test lines) must
-/// exactly match the `# TYPE` rows of the committed artifact.
+/// exactly match the `# TYPE` rows of the committed root
+/// `gateway_metrics.prom` artifact.
 fn check_prom_drift(root: &Path, report: &mut Report) {
-    let src_path = root.join("crates/gateway/src/metrics.rs");
-    let prom_path = root.join("results/smoke/gateway_metrics.prom");
-    let (Ok(src), Ok(prom)) = (
-        fs::read_to_string(&src_path),
-        fs::read_to_string(&prom_path),
-    ) else {
-        return; // nothing to diff outside a full checkout
+    let Ok(src) = fs::read_to_string(root.join("crates/gateway/src/metrics.rs")) else {
+        return; // no gateway source under this root: nothing to diff
+    };
+    let Ok(prom) = fs::read_to_string(root.join("gateway_metrics.prom")) else {
+        report.findings.push(Finding::new(
+            "prom-drift",
+            "gateway_metrics.prom",
+            0,
+            "the gateway metrics source exists but the committed artifact is missing",
+            "copy the bench-smoke exposition (results/smoke/gateway_metrics.prom) to the repository root and commit it",
+        ));
+        return;
     };
     let lexed = lex(&src);
     let mask = lexed.test_mask();
@@ -404,7 +410,7 @@ fn check_prom_drift(root: &Path, report: &mut Report) {
             "gateway_metrics.prom",
             0,
             format!("source emits `{name}` but the committed artifact has no `# TYPE {name}` row"),
-            "regenerate the artifact (bench-smoke writes results/smoke/gateway_metrics.prom) and commit it",
+            "regenerate the artifact (bench-smoke writes results/smoke/gateway_metrics.prom), copy it to the root gateway_metrics.prom and commit it",
         ));
     }
     for name in in_artifact.difference(&in_source) {
@@ -625,6 +631,42 @@ mod tests {
             ),
             vec!["dp_gateway_model_requests_total"]
         );
+    }
+
+    #[test]
+    fn prom_drift_reads_the_committed_root_artifact() {
+        let root = std::env::temp_dir().join(format!("dp_lint_prom_drift_{}", std::process::id()));
+        let src_dir = root.join("crates/gateway/src");
+        fs::create_dir_all(&src_dir).unwrap();
+        fs::write(
+            src_dir.join("metrics.rs"),
+            "const ROWS: &[&str] = &[\"dp_gateway_a_total\", \"dp_gateway_b_total\"];\n",
+        )
+        .unwrap();
+        let drift = |root: &Path| {
+            let mut report = Report::new("dp_lint");
+            check_prom_drift(root, &mut report);
+            report
+        };
+        // Source present, artifact absent: a finding, not a silent pass.
+        let r = drift(&root);
+        assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
+        assert_eq!(r.findings[0].rule, "prom-drift");
+        // The source names a row the artifact lacks: one finding naming it.
+        let prom = root.join("gateway_metrics.prom");
+        fs::write(&prom, "# TYPE dp_gateway_a_total counter\n").unwrap();
+        let r = drift(&root);
+        assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
+        assert_eq!(r.findings[0].rule, "prom-drift");
+        assert!(r.findings[0].message.contains("dp_gateway_b_total"));
+        // In step: clean.
+        fs::write(
+            &prom,
+            "# TYPE dp_gateway_a_total counter\n# TYPE dp_gateway_b_total counter\n",
+        )
+        .unwrap();
+        assert!(drift(&root).is_clean());
+        fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

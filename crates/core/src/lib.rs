@@ -37,7 +37,6 @@
 //! ```
 
 pub mod ablation;
-pub mod batch;
 pub mod experiments;
 pub mod format;
 pub mod io;

@@ -9,31 +9,16 @@
 //!
 //! ## Batch engine
 //!
-//! Weights are stored as one contiguous row-major pattern array per layer,
-//! so a whole layer streams through the cache linearly. Dataset-scale
-//! entry points ([`QuantizedMlp::forward_batch`],
-//! [`QuantizedMlp::infer_batch`], [`QuantizedMlp::accuracy`]) partition
-//! samples across threads; each thread builds its per-layer EMAC array
-//! once and sweeps its whole contiguous chunk through
-//! [`QuantizedMlp::forward_batch_bits_with`], which evaluates each layer
-//! across the entire chunk before advancing — one
+//! Weights are stored as one contiguous row-major pattern array per layer.
+//! The dataset-scale entry points ([`QuantizedMlp::forward_batch`],
+//! [`QuantizedMlp::infer_batch`], [`QuantizedMlp::accuracy`]) build the
+//! per-layer EMAC array once and run the whole slice as one sweep on the
+//! calling thread ([`QuantizedMlp::forward_batch_bits_with`]: one
 //! [`dp_emac::Emac::dot_layer`] call per layer over one flat activation
-//! buffer, so the weight-stationary kernels decode the activation tile
-//! once per layer and each weight row once per chunk, the way a hardware
-//! EMAC array is amortized across a request stream. Results are
-//! bit-identical to per-sample [`QuantizedMlp::forward_bits`] (the tile
-//! contract).
-//!
-//! Partitioning policy (thread counts, chunking, the scoped-thread
-//! fallback) lives in [`crate::batch`]; the persistent serving path —
-//! long-lived worker pool, request queue, completion handles and a
-//! multi-format model registry — is the `dp_serve` crate, which drives
-//! the same [`QuantizedMlp::forward_bits_with`] /
-//! [`QuantizedMlp::infer_with`] inner loops and therefore stays
-//! bit-identical too.
+//! buffer), bit-identical to per-sample [`QuantizedMlp::forward_bits`]
+//! (the tile contract). Spreading batches over threads is the `dp_serve`
+//! crate's job; its pool workers call these same methods per chunk.
 
-pub use crate::batch::batch_threads;
-use crate::batch::{par_chunk_map_with, par_map_with};
 use crate::format::NumericFormat;
 use crate::mlp::Mlp;
 use crate::tensor::argmax;
@@ -178,8 +163,8 @@ impl QuantizedMlp {
     }
 
     /// One EMAC per layer, sized for that layer's fan-in, or `None` for
-    /// the `F32` baseline. Batch callers build this once per thread and
-    /// reuse it across samples.
+    /// the `F32` baseline. Batch callers build this once and reuse it
+    /// across samples.
     ///
     /// # Panics
     ///
@@ -275,21 +260,6 @@ impl QuantizedMlp {
             })
     }
 
-    /// The [`dp_emac::MacKernel`] each layer's EMAC runs (in layer order;
-    /// a function of the format and the layer's fan-in, the same at every
-    /// batch width), or `None` for the `F32` baseline — serving
-    /// introspection for registries, reports and the `kernel_sweep`
-    /// example.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the format has no EMAC datapath, like
-    /// [`QuantizedMlp::make_layer_emacs`].
-    pub fn layer_kernels(&self) -> Option<Vec<dp_emac::MacKernel>> {
-        self.make_layer_emacs()
-            .map(|emacs| emacs.iter().map(|u| u.kernel()).collect())
-    }
-
     /// Whole-chunk EMAC inference with caller-owned EMACs: evaluates each
     /// layer across **all** of `xs` before advancing to the next, as one
     /// [`dp_emac::Emac::dot_layer`] call over a flat sample-major
@@ -332,29 +302,20 @@ impl QuantizedMlp {
             .collect()
     }
 
-    /// EMAC inference over a whole batch, bit-identical to calling
-    /// [`QuantizedMlp::forward_bits`] per sample but with the samples
-    /// partitioned across threads, per-layer EMACs reused within each
-    /// thread, and each thread's chunk evaluated as one weight-stationary
-    /// tile sweep per layer ([`QuantizedMlp::forward_batch_bits_with`]).
-    ///
-    /// Thread count defaults to the machine's available parallelism
-    /// (capped by the batch size) and can be pinned with the
-    /// `DEEP_POSITRON_THREADS` environment variable.
+    /// EMAC inference over a whole batch on the calling thread: per-layer
+    /// EMACs built once, then one weight-stationary tile sweep per layer
+    /// ([`QuantizedMlp::forward_batch_bits_with`]), bit-identical to
+    /// calling [`QuantizedMlp::forward_bits`] per sample. Also the chunk
+    /// evaluator `dp_serve`'s pool workers run.
     ///
     /// # Panics
     ///
     /// Panics for the `F32` baseline (which has no EMAC datapath).
     pub fn forward_batch(&self, xs: &[Vec<f32>]) -> Vec<Vec<u32>> {
-        assert!(
-            !matches!(self.format, NumericFormat::F32),
-            "forward_batch requires a low-precision format"
-        );
-        par_chunk_map_with(
-            xs,
-            || self.make_layer_emacs().expect("low-precision format"),
-            |emacs, chunk| self.forward_batch_bits_with(emacs, chunk),
-        )
+        let mut emacs = self
+            .make_layer_emacs()
+            .expect("forward_batch requires a low-precision format");
+        self.forward_batch_bits_with(&mut emacs, xs)
     }
 
     /// Predicted class via the EMAC path (or plain f32 math for `F32`).
@@ -365,17 +326,14 @@ impl QuantizedMlp {
         }
     }
 
-    /// Predicted classes for a whole batch (parallel, EMACs reused per
-    /// thread, one tile sweep per layer per chunk); agrees with per-sample
-    /// [`QuantizedMlp::infer`] exactly.
+    /// Predicted classes for a whole batch on the calling thread (one tile
+    /// sweep per layer; plain f32 math for `F32`); agrees with per-sample
+    /// [`QuantizedMlp::infer`] exactly. Also the chunk evaluator
+    /// `dp_serve`'s pool workers run.
     pub fn infer_batch(&self, xs: &[Vec<f32>]) -> Vec<usize> {
-        match self.format {
-            NumericFormat::F32 => par_map_with(xs, || (), |(), x| self.infer_inexact(x)),
-            _ => par_chunk_map_with(
-                xs,
-                || self.make_layer_emacs().expect("low-precision format"),
-                |emacs, chunk| self.infer_batch_with(emacs, chunk),
-            ),
+        match self.make_layer_emacs() {
+            Some(mut emacs) => self.infer_batch_with(&mut emacs, xs),
+            None => xs.iter().map(|x| self.infer_inexact(x)).collect(),
         }
     }
 
@@ -391,8 +349,8 @@ impl QuantizedMlp {
         argmax(&logits)
     }
 
-    /// Classification accuracy of the EMAC path on a dataset (batched and
-    /// parallel; see [`QuantizedMlp::infer_batch`]).
+    /// Classification accuracy of the EMAC path on a dataset (batched;
+    /// see [`QuantizedMlp::infer_batch`]).
     pub fn accuracy(&self, data: &Dataset) -> f64 {
         if data.is_empty() {
             return 0.0;
@@ -430,16 +388,16 @@ impl QuantizedMlp {
         self.argmax_bits(&acts)
     }
 
-    /// Accuracy of the per-op rounding path (batched and parallel).
+    /// Accuracy of the per-op rounding path.
     pub fn accuracy_inexact(&self, data: &Dataset) -> f64 {
         if data.is_empty() {
             return 0.0;
         }
-        let preds = par_map_with(&data.features, || (), |(), x| self.infer_inexact(x));
-        let correct = preds
+        let correct = data
+            .features
             .iter()
             .zip(&data.labels)
-            .filter(|(p, &y)| **p == y)
+            .filter(|(x, &y)| self.infer_inexact(x) == y)
             .count();
         correct as f64 / data.len() as f64
     }
@@ -455,7 +413,6 @@ impl QuantizedMlp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::par_map_with_threads;
     use crate::train::{train, TrainConfig};
     use dp_datasets::iris;
     use dp_fixed::FixedFormat;
@@ -644,8 +601,9 @@ mod tests {
             NumericFormat::Fixed(FixedFormat::new(16, 10).unwrap()),
         ] {
             let q = QuantizedMlp::quantize(&mlp, fmt);
-            for take in [1usize, 7, 25] {
-                let xs: Vec<Vec<f32>> = split.test.features.iter().take(take).cloned().collect();
+            for take in [1usize, 7, 25, 100] {
+                let samples = split.test.features.iter().cycle().take(take);
+                let xs: Vec<Vec<f32>> = samples.cloned().collect();
                 let mut emacs = q.make_layer_emacs().unwrap();
                 let chunk = q.forward_batch_bits_with(&mut emacs, &xs);
                 let per_sample: Vec<Vec<u32>> = xs.iter().map(|x| q.forward_bits(x)).collect();
@@ -661,45 +619,14 @@ mod tests {
     }
 
     #[test]
-    fn chunk_worker_count_does_not_change_results() {
-        use crate::batch::par_chunk_map_with_threads;
-        let (mlp, split) = trained_iris();
-        let q = QuantizedMlp::quantize(&mlp, NumericFormat::Posit(PositFormat::new(8, 0).unwrap()));
-        let xs: Vec<Vec<f32>> = split
-            .test
-            .features
-            .iter()
-            .cycle()
-            .take(100)
-            .cloned()
-            .collect();
-        let run = |threads: usize| {
-            par_chunk_map_with_threads(
-                &xs,
-                threads,
-                || q.make_layer_emacs().unwrap(),
-                |emacs, chunk| q.forward_batch_bits_with(emacs, chunk),
-            )
-        };
-        let serial = run(1);
-        // The tile width is the chunk width, so worker count changes B —
-        // bit-identity must hold anyway (per-column tile contract).
-        for threads in [2, 4, 7, 1000] {
-            assert_eq!(run(threads), serial, "threads = {threads}");
-        }
-        let per_sample: Vec<Vec<u32>> = xs.iter().map(|x| q.forward_bits(x)).collect();
-        assert_eq!(serial, per_sample);
-    }
-
-    #[test]
     fn layer_kernels_reports_band_selection() {
         let (mlp, _) = trained_iris();
-        let by_fmt = |fmt: NumericFormat| {
-            QuantizedMlp::quantize(&mlp, fmt)
-                .layer_kernels()
-                .expect("low-precision format")
-        };
         use dp_emac::MacKernel;
+        let by_fmt = |fmt: NumericFormat| -> Vec<MacKernel> {
+            let q = QuantizedMlp::quantize(&mlp, fmt);
+            let emacs = q.make_layer_emacs().expect("low-precision format");
+            emacs.iter().map(|u| u.kernel()).collect()
+        };
         let p8 = by_fmt(NumericFormat::Posit(PositFormat::new(8, 0).unwrap()));
         assert!(p8.iter().all(|&k| k == MacKernel::Aligned), "{p8:?}");
         let p16 = by_fmt(NumericFormat::Posit(PositFormat::new(16, 1).unwrap()));
@@ -709,7 +636,7 @@ mod tests {
         let p17 = by_fmt(NumericFormat::Posit(PositFormat::new(17, 1).unwrap()));
         assert!(p17.iter().all(|&k| k == MacKernel::Scalar), "{p17:?}");
         assert!(QuantizedMlp::quantize(&mlp, NumericFormat::F32)
-            .layer_kernels()
+            .make_layer_emacs()
             .is_none());
     }
 
@@ -719,38 +646,6 @@ mod tests {
         let q = QuantizedMlp::quantize(&mlp, NumericFormat::Posit(PositFormat::new(8, 0).unwrap()));
         assert!(q.forward_batch(&[]).is_empty());
         assert!(q.infer_batch(&[]).is_empty());
-    }
-
-    #[test]
-    fn worker_count_does_not_change_results() {
-        // Drive the spawn/chunk/merge path directly with explicit worker
-        // counts (the public entry points would stay single-threaded for
-        // small batches, and on single-core machines always).
-        let (mlp, split) = trained_iris();
-        let q = QuantizedMlp::quantize(&mlp, NumericFormat::Posit(PositFormat::new(8, 0).unwrap()));
-        let xs: Vec<Vec<f32>> = split
-            .test
-            .features
-            .iter()
-            .cycle()
-            .take(100)
-            .cloned()
-            .collect();
-        let run = |threads: usize| {
-            par_map_with_threads(
-                &xs,
-                threads,
-                || q.make_layer_emacs().unwrap(),
-                |emacs, x| q.forward_bits_with(emacs, x),
-            )
-        };
-        let serial = run(1);
-        for threads in [2, 4, 7] {
-            assert_eq!(run(threads), serial, "threads = {threads}");
-        }
-        // Degenerate worker counts clamp instead of panicking.
-        assert_eq!(run(0), serial);
-        assert_eq!(run(1000), serial);
     }
 
     #[test]

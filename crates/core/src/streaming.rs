@@ -13,7 +13,7 @@
 //! `i+1` while layer `ℓ+1` works on input `i`.
 
 use crate::quantized::QuantizedMlp;
-use dp_emac::Emac;
+use dp_emac::{Emac, EmacUnit};
 
 /// Latency/throughput results of a streaming run.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,15 +46,18 @@ impl StreamingReport {
 /// The analytic per-layer occupancy in cycles: `fan_in` MACs (one per
 /// cycle) plus the EMAC pipeline depth for drain and rounding.
 pub fn layer_cycles(qmlp: &QuantizedMlp) -> Vec<u64> {
+    occupancy(qmlp, qmlp.make_layer_emacs().as_deref())
+}
+
+/// [`layer_cycles`] read off already-built per-layer units (`None` for the
+/// `F32` baseline, which has no pipeline to drain beyond one cycle).
+fn occupancy(qmlp: &QuantizedMlp, emacs: Option<&[EmacUnit]>) -> Vec<u64> {
     qmlp.layers
         .iter()
-        .map(|l| {
-            let depth = qmlp
-                .format
-                .make_emac(l.fan_in() as u64)
-                .map(|e| e.pipeline_depth())
-                .unwrap_or(1) as u64;
-            l.fan_in() as u64 + depth
+        .enumerate()
+        .map(|(l, layer)| {
+            let depth = emacs.map_or(1, |units| units[l].pipeline_depth());
+            layer.fan_in() as u64 + depth as u64
         })
         .collect()
 }
@@ -67,7 +70,11 @@ pub fn layer_cycles(qmlp: &QuantizedMlp) -> Vec<u64> {
 /// Panics if the format is `F32` (the streaming architecture exists for
 /// the low-precision EMACs).
 pub fn simulate(qmlp: &QuantizedMlp, inputs: &[Vec<f32>]) -> (Vec<usize>, StreamingReport) {
-    let occupancy = layer_cycles(qmlp);
+    // One unit per layer for the whole run, as in the hardware.
+    let mut emacs = qmlp
+        .make_layer_emacs()
+        .expect("streaming requires a low-precision format");
+    let occupancy = occupancy(qmlp, Some(&emacs));
     let n_layers = qmlp.layers.len();
     // Per-layer state: Some((input_index, remaining_cycles)) when busy.
     let mut busy: Vec<Option<(usize, u64)>> = vec![None; n_layers];
@@ -90,7 +97,7 @@ pub fn simulate(qmlp: &QuantizedMlp, inputs: &[Vec<f32>]) -> (Vec<usize>, Stream
                 }
                 // Layer finished: compute its functional output now.
                 let acts = payload[l].take().expect("payload follows busy");
-                let out = layer_forward(qmlp, l, &acts);
+                let out = qmlp.layer_forward(l, &mut emacs[l], &acts, 1);
                 if l + 1 == n_layers {
                     let logits: Vec<f32> =
                         out.iter().map(|&b| qmlp.format.to_f64(b) as f32).collect();
@@ -135,19 +142,6 @@ pub fn simulate(qmlp: &QuantizedMlp, inputs: &[Vec<f32>]) -> (Vec<usize>, Stream
         inferences: inputs.len(),
     };
     (preds, report)
-}
-
-/// One layer of EMAC evaluation on quantized activations (ReLU on hidden
-/// layers, identity on the readout — same semantics as
-/// [`QuantizedMlp::forward_bits`]). The streaming FSM advances one input
-/// at a time, so the layer goes through [`Emac::dot_layer`] with a batch
-/// of one — the same entry point as the per-sample and batch engines.
-fn layer_forward(qmlp: &QuantizedMlp, l: usize, acts: &[u32]) -> Vec<u32> {
-    let mut emac = qmlp
-        .format
-        .make_emac(qmlp.layers[l].fan_in() as u64)
-        .expect("streaming requires a low-precision format");
-    qmlp.layer_forward(l, &mut emac, acts, 1)
 }
 
 #[cfg(test)]

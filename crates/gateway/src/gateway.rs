@@ -68,8 +68,8 @@ use crate::ring::{SubmissionRing, TryPush};
 use deep_positron::QuantizedMlp;
 use dp_serve::check::check_yield;
 use dp_serve::{
-    classify_chunk, forward_chunk, ChunkEval, ChunkSink, EngineConfig, JobError, ModelKey,
-    ModelRegistry, PanicBudget, ServeEngine, ServeError, WatchdogConfig,
+    ChunkEval, ChunkSink, EngineConfig, JobError, ModelKey, ModelRegistry, PanicBudget,
+    ServeEngine, ServeError, WatchdogConfig,
 };
 use dp_trace::{Clock, Recorder, TerminalKind, TraceConfig, TraceCtx};
 use std::collections::HashMap;
@@ -299,7 +299,7 @@ trait Shape: Clone + Send + Sync + 'static {
 }
 
 impl Shape for Vec<u32> {
-    const EVAL: ChunkEval<Self> = forward_chunk;
+    const EVAL: ChunkEval<Self> = QuantizedMlp::forward_batch;
     fn cell(reply: &Reply) -> &HandleCell<Self> {
         match reply {
             Reply::Forward(cell) => cell,
@@ -311,7 +311,7 @@ impl Shape for Vec<u32> {
 }
 
 impl Shape for usize {
-    const EVAL: ChunkEval<Self> = classify_chunk;
+    const EVAL: ChunkEval<Self> = QuantizedMlp::infer_batch;
     fn cell(reply: &Reply) -> &HandleCell<Self> {
         match reply {
             Reply::Classify(cell) => cell,
@@ -544,9 +544,10 @@ pub struct GatewayBuilder {
 
 impl Default for GatewayBuilder {
     fn default() -> Self {
+        let engine = EngineConfig::default();
         GatewayBuilder {
-            workers: deep_positron::batch::batch_threads(),
-            chunk_samples: 64,
+            workers: engine.workers,
+            chunk_samples: engine.chunk_samples,
             queue_capacity: 128,
             // 0 = derive from the worker count at build time.
             max_inflight_chunks: 0,
@@ -1087,7 +1088,7 @@ impl Gateway {
     }
 
     /// [`Gateway::try_submit_classify`] with per-request
-    /// [`SubmitOptions`] (deadline, priority hint).
+    /// [`SubmitOptions`] (deadline, trace identity).
     pub fn try_submit_classify_opts(
         &self,
         key: &ModelKey,
@@ -1112,16 +1113,6 @@ impl Gateway {
         )
     }
 
-    /// [`Gateway::submit_forward`] with per-request [`SubmitOptions`].
-    pub fn submit_forward_opts(
-        &self,
-        key: &ModelKey,
-        xs: Vec<Vec<f32>>,
-        opts: SubmitOptions,
-    ) -> Admission<Vec<u32>> {
-        self.admit(key, xs, opts, true, Reply::Forward, true)
-    }
-
     /// Policy-applying submission for class predictions; see
     /// [`Gateway::submit_forward`].
     pub fn submit_classify(&self, key: &ModelKey, xs: Vec<Vec<f32>>) -> Admission<usize> {
@@ -1133,16 +1124,6 @@ impl Gateway {
             Reply::Classify,
             true,
         )
-    }
-
-    /// [`Gateway::submit_classify`] with per-request [`SubmitOptions`].
-    pub fn submit_classify_opts(
-        &self,
-        key: &ModelKey,
-        xs: Vec<Vec<f32>>,
-        opts: SubmitOptions,
-    ) -> Admission<usize> {
-        self.admit(key, xs, opts, false, Reply::Classify, true)
     }
 
     /// Blocks until the ring is drained **and** the engine is idle: every

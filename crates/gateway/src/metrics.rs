@@ -379,7 +379,7 @@ pub struct MetricsSnapshot {
 /// Every metric family the Prometheus exposition emits, as full literal
 /// `(name, kind)` rows in emission order. This is the drift anchor: the
 /// `prom-drift` lint extracts these names and diffs them against the
-/// committed `results/smoke/gateway_metrics.prom` artifact, and a golden
+/// committed root `gateway_metrics.prom` artifact, and a golden
 /// test pins them to what [`MetricsSnapshot::to_prometheus`] actually
 /// renders — so adding, renaming or dropping a metric without updating
 /// both the artifact and this table fails CI.

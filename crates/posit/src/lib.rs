@@ -60,7 +60,6 @@ pub mod encode;
 pub mod exact;
 pub mod format;
 pub mod lut;
-pub mod neural;
 pub mod ops;
 pub mod quire;
 pub mod value;

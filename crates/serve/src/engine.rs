@@ -15,8 +15,10 @@
 //! per-column bit-identity, results are **bit-identical** to per-sample
 //! [`QuantizedMlp::forward_bits`].
 //!
-//! There is **one** chunk evaluator per result shape ([`forward_chunk`],
-//! [`classify_chunk`]), **one** place chunk outcomes are reassembled
+//! There is **one** chunk evaluator per result shape
+//! ([`QuantizedMlp::forward_batch`], [`QuantizedMlp::infer_batch`] — the
+//! same calls a caller without an engine makes on its own thread), **one**
+//! place chunk outcomes are reassembled
 //! ([`ServeEngine::try_dispatch`] owns it) and one place the result goes:
 //! a single [`ChunkSink::complete`] call per dispatch. In-process
 //! `submit_*` calls pass the [`BatchHandle`]'s cell; `dp_gateway` passes
@@ -31,19 +33,80 @@ use deep_positron::{NumericFormat, QuantizedMlp};
 use dp_datasets::Dataset;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Once};
+
+/// The environment variable overriding the pool's worker-thread count.
+const THREADS_ENV: &str = "DEEP_POSITRON_THREADS";
+
+/// Result of parsing a [`THREADS_ENV`] override.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ThreadOverride {
+    /// Variable absent or empty: use the machine default.
+    Unset,
+    /// A valid explicit worker count (≥ 1).
+    Threads(usize),
+    /// Present but not a positive integer (`0`, junk, overflow): the
+    /// override is rejected and the machine default applies.
+    Invalid,
+}
+
+/// Parses a [`THREADS_ENV`] value. `None` and empty/whitespace strings are
+/// [`ThreadOverride::Unset`]; `0`, non-numeric and overflowing values are
+/// [`ThreadOverride::Invalid`] rather than being silently clamped or
+/// silently ignored.
+fn parse_thread_override(raw: Option<&str>) -> ThreadOverride {
+    let Some(raw) = raw else {
+        return ThreadOverride::Unset;
+    };
+    let trimmed = raw.trim();
+    if trimmed.is_empty() {
+        return ThreadOverride::Unset;
+    }
+    match trimmed.parse::<usize>() {
+        Ok(0) | Err(_) => ThreadOverride::Invalid,
+        Ok(n) => ThreadOverride::Threads(n),
+    }
+}
+
+/// Default pool size: a valid [`THREADS_ENV`] override when set, otherwise
+/// the machine's available parallelism. An invalid override (zero or
+/// non-numeric) is rejected with a one-time warning on stderr and the
+/// default is used instead.
+fn default_workers() -> usize {
+    let raw = std::env::var(THREADS_ENV).ok();
+    match parse_thread_override(raw.as_deref()) {
+        ThreadOverride::Threads(n) => n,
+        ThreadOverride::Unset => machine_threads(),
+        ThreadOverride::Invalid => {
+            static WARN: Once = Once::new();
+            WARN.call_once(|| {
+                eprintln!(
+                    "warning: {THREADS_ENV}={:?} is not a positive integer; \
+                     falling back to {} worker thread(s)",
+                    raw.unwrap_or_default(),
+                    machine_threads()
+                );
+            });
+            machine_threads()
+        }
+    }
+}
+
+fn machine_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
 
 /// Engine sizing knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Worker thread count (clamped to ≥ 1). Defaults to
-    /// [`deep_positron::batch::batch_threads`] — the machine's available
-    /// parallelism unless `DEEP_POSITRON_THREADS` overrides it.
+    /// Worker thread count (clamped to ≥ 1). Defaults to the machine's
+    /// available parallelism unless the `DEEP_POSITRON_THREADS`
+    /// environment variable overrides it (a positive integer; `0` or junk
+    /// is rejected with a one-time warning on stderr).
     pub workers: usize,
     /// Samples per chunk job when admission splits a batch (clamped to
     /// ≥ 1). The default of 64 keeps per-chunk EMAC construction amortized
-    /// (cf. the scoped engine's 32-samples-per-thread spawn floor) while
-    /// still feeding every worker on serving-scale batches.
+    /// while still feeding every worker on serving-scale batches.
     pub chunk_samples: usize,
     /// Optional stall watchdog: a wedged worker is detected, its job's
     /// handle failed with [`JobError::Stalled`], and the worker respawned
@@ -60,7 +123,7 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            workers: deep_positron::batch::batch_threads(),
+            workers: default_workers(),
             chunk_samples: 64,
             watchdog: None,
             panic_budget: None,
@@ -113,7 +176,8 @@ impl From<JobError> for ServeError {
     }
 }
 
-/// The per-chunk evaluator shape: [`forward_chunk`] or [`classify_chunk`].
+/// The per-chunk evaluator shape: [`QuantizedMlp::forward_batch`] or
+/// [`QuantizedMlp::infer_batch`].
 pub type ChunkEval<T> = fn(&QuantizedMlp, &[Vec<f32>]) -> Vec<T>;
 
 /// Where one [`ServeEngine::try_dispatch`] call delivers its result. The
@@ -428,7 +492,7 @@ impl ServeEngine {
         key: &ModelKey,
         xs: Vec<Vec<f32>>,
     ) -> Result<BatchHandle<Vec<u32>>, ServeError> {
-        self.submit_batch(key, xs, true, forward_chunk)
+        self.submit_batch(key, xs, true, QuantizedMlp::forward_batch)
     }
 
     /// Submits a batch for class predictions, identical to per-sample
@@ -444,7 +508,7 @@ impl ServeEngine {
         key: &ModelKey,
         xs: Vec<Vec<f32>>,
     ) -> Result<BatchHandle<usize>, ServeError> {
-        self.submit_batch(key, xs, false, classify_chunk)
+        self.submit_batch(key, xs, false, QuantizedMlp::infer_batch)
     }
 
     /// Classification accuracy of a registered model over a dataset,
@@ -565,41 +629,6 @@ pub fn run_chunks_inline<T: Send + 'static>(
 ) {
     for job in chunk_jobs(chunk_samples, model, xs, None, eval, sink) {
         (job.run)();
-    }
-}
-
-/// The canonical per-chunk forward evaluation: build the model's
-/// per-layer EMAC array once, then run the whole chunk as one
-/// weight-stationary sweep per layer
-/// ([`QuantizedMlp::forward_batch_bits_with`] — one
-/// `dp_emac::Emac::dot_layer` call per layer, with the chunk's samples as
-/// the activation columns). This is the **single**
-/// definition shared by [`ServeEngine::submit_forward`] and external front
-/// ends (`dp_gateway`), so every admission path runs the identical
-/// datapath and stays bit-identical to per-sample
-/// [`QuantizedMlp::forward_bits`] (the tile contract).
-///
-/// # Panics
-///
-/// Panics if the model's format has no EMAC datapath. Callers must gate
-/// admission the way the engine does: registration already validates EMAC
-/// support ([`crate::ModelRegistry::register`]), so excluding the `F32`
-/// baseline at admission makes this infallible inside a pool worker.
-pub fn forward_chunk(model: &QuantizedMlp, chunk: &[Vec<f32>]) -> Vec<Vec<u32>> {
-    let mut emacs = model
-        .make_layer_emacs()
-        .expect("admission validated the format"); // panic-ok: registry admission excludes formats without an EMAC datapath
-    model.forward_batch_bits_with(&mut emacs, chunk)
-}
-
-/// The canonical per-chunk classification: the tile-sweep datapath where
-/// an EMAC exists, plain float math for the `F32` baseline. Shared by
-/// [`ServeEngine::submit_classify`] and external front ends (`dp_gateway`)
-/// — see [`forward_chunk`].
-pub fn classify_chunk(model: &QuantizedMlp, chunk: &[Vec<f32>]) -> Vec<usize> {
-    match model.make_layer_emacs() {
-        Some(mut emacs) => model.infer_batch_with(&mut emacs, chunk),
-        None => chunk.iter().map(|x| model.infer(x)).collect(),
     }
 }
 
@@ -736,6 +765,40 @@ mod interleave_tests {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn parse_accepts_positive_integers() {
+        assert_eq!(parse_thread_override(Some("1")), ThreadOverride::Threads(1));
+        assert_eq!(parse_thread_override(Some("4")), ThreadOverride::Threads(4));
+        assert_eq!(
+            parse_thread_override(Some(" 16 ")),
+            ThreadOverride::Threads(16)
+        );
+    }
+
+    #[test]
+    fn parse_treats_missing_and_empty_as_unset() {
+        assert_eq!(parse_thread_override(None), ThreadOverride::Unset);
+        assert_eq!(parse_thread_override(Some("")), ThreadOverride::Unset);
+        assert_eq!(parse_thread_override(Some("   ")), ThreadOverride::Unset);
+    }
+
+    #[test]
+    fn parse_rejects_zero_and_junk() {
+        for bad in ["0", "-1", "two", "4.5", "4t", "99999999999999999999999"] {
+            assert_eq!(
+                parse_thread_override(Some(bad)),
+                ThreadOverride::Invalid,
+                "{bad}"
+            );
+        }
+    }
+
+    #[test]
+    fn default_workers_is_at_least_one() {
+        // Whatever the environment says, the policy never returns zero.
+        assert!(default_workers() >= 1);
+    }
 
     #[test]
     fn split_chunks_preserves_order_and_sizes() {

@@ -25,8 +25,11 @@
 //!   a **panic budget** flips admission to a degraded read-only mode
 //!   ([`ServeError::Degraded`]), and [`ChunkSink::cancelled`] lets a sink
 //!   stop an abandoned batch at chunk granularity. Every chunk is evaluated
-//!   by one tile-sweep evaluator; each dispatch's result reaches its
-//!   [`ChunkSink`] in one call.
+//!   by `QuantizedMlp::forward_batch` / `infer_batch` — the one batch
+//!   evaluator, which runs on whatever thread calls it; this crate is the
+//!   only thing that spreads work over threads, and `DEEP_POSITRON_THREADS`
+//!   sizes its pool ([`EngineConfig::default`]). Each dispatch's result
+//!   reaches its [`ChunkSink`] in one call.
 //! * [`faults`] — the compile-time seam for the `dp_fault` failure points
 //!   (feature `fault-inject`; inert inlined stubs otherwise); `check` is
 //!   its `check-yield` twin. `dp_gateway` reaches both through this crate.
@@ -56,9 +59,7 @@ pub mod handle;
 pub mod pool;
 pub mod registry;
 
-pub use engine::{
-    classify_chunk, forward_chunk, ChunkEval, ChunkSink, EngineConfig, ServeEngine, ServeError,
-};
+pub use engine::{ChunkEval, ChunkSink, EngineConfig, ServeEngine, ServeError};
 pub use handle::{BatchHandle, Completion, JobError};
 pub use pool::{Job, PanicBudget, PoolStats, WatchdogConfig, WorkerPool};
 pub use registry::{ModelKey, ModelRegistry, RegistryError};

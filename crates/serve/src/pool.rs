@@ -2,13 +2,11 @@
 //! with work stealing — now supervised.
 //!
 //! Workers are ordinary `std::thread`s that live for the pool's lifetime,
-//! so a request stream pays thread spawn cost once rather than per batch
-//! (the scoped-thread engine in `deep_positron::batch` remains as the
-//! zero-setup fallback). There is one way in,
-//! [`WorkerPool::spawn_batch`]: each job lands in the **LIFO slot** of the
-//! worker its hint names; the owner pops newest-first (its model/EMAC
-//! state is still cache-warm) and an idle worker steals oldest-first from
-//! the other slots.
+//! so a request stream pays thread spawn cost once rather than per batch.
+//! There is one way in, [`WorkerPool::spawn_batch`]: each job lands in the
+//! **LIFO slot** of the worker its hint names; the owner pops newest-first
+//! (its model/EMAC state is still cache-warm) and an idle worker steals
+//! oldest-first from the other slots.
 //!
 //! A panicking job is caught and counted; the worker thread survives and
 //! keeps serving (the `engine` layer additionally poisons the panicked

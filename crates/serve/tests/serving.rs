@@ -458,7 +458,7 @@ fn empty_batch_completes_immediately() {
 
 #[test]
 fn chunked_tile_evaluation_is_bit_identical_to_per_sample() {
-    // forward_chunk/classify_chunk run one weight-stationary sweep per
+    // forward_batch/infer_batch run one weight-stationary sweep per
     // layer over the whole chunk (dot_layer, B = chunk width);
     // per sample they must match forward_bits / infer exactly — at the
     // production chunk width of 64, at ragged widths, at B = 1, and for
@@ -485,14 +485,14 @@ fn chunked_tile_evaluation_is_bit_identical_to_per_sample() {
         for width in [64usize, 13, 1] {
             let chunk = &xs[..width];
             assert_eq!(
-                dp_serve::forward_chunk(&q, chunk),
+                q.forward_batch(chunk),
                 direct[..width],
-                "{fmt} forward_chunk B={width}"
+                "{fmt} forward_batch B={width}"
             );
             assert_eq!(
-                dp_serve::classify_chunk(&q, chunk),
+                q.infer_batch(chunk),
                 classes[..width],
-                "{fmt} classify_chunk B={width}"
+                "{fmt} infer_batch B={width}"
             );
         }
     }

@@ -13,6 +13,7 @@
 
 use deep_positron::train::{train, TrainConfig};
 use deep_positron::{Mlp, NumericFormat, QuantizedMlp};
+use dp_emac::Emac;
 use dp_fixed::FixedFormat;
 use dp_minifloat::FloatFormat;
 use dp_posit::PositFormat;
@@ -54,12 +55,12 @@ fn main() {
     let mut models = Vec::new();
     for fmt in formats {
         let q = QuantizedMlp::quantize(&mlp, fmt);
-        let kernels = q.layer_kernels().expect("low-precision format");
+        let emacs = q.make_layer_emacs().expect("low-precision format");
         let key = engine
             .registry()
             .register("iris", q.clone())
             .expect("all sweep formats have EMAC datapaths");
-        let rendered: Vec<String> = kernels.iter().map(|k| k.to_string()).collect();
+        let rendered: Vec<String> = emacs.iter().map(|u| u.kernel().to_string()).collect();
         println!(
             "{:<22} {:>6}  {}",
             key.to_string(),
