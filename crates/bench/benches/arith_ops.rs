@@ -1,10 +1,14 @@
 //! Micro-benchmarks of the software arithmetic substrates: posit vs
-//! minifloat vs fixed vs native f32 add/mul throughput.
+//! minifloat vs fixed vs native f32 add/mul throughput, and the `f32`
+//! slice quantisers of the six trio formats (`*_quantize_f32x128`: one
+//! [`NumericFormat::quantize_into`] call over 128 features — the forward
+//! pass's first stage, per element).
 //!
 //! Run with `cargo bench --bench arith_ops`. Writes the committed baseline
 //! `BENCH_arith_ops.json` at the repository root (`results/smoke/` under
 //! `--smoke`).
 
+use deep_positron::NumericFormat;
 use dp_bench::timing::{measure, out_path, render_measurements, write_json, Measurement};
 use dp_fixed::FixedFormat;
 use dp_minifloat::FloatFormat;
@@ -116,6 +120,32 @@ fn main() {
         acc
     }));
 
+    // Normalised-feature-like inputs: mostly inside every trio format's
+    // range, some beyond fixed point's (so the clamp runs), zeros included.
+    let features: Vec<f32> = (0..128).map(|i| (i as f32 - 60.0) / 24.0).collect();
+    let mut bits = Vec::with_capacity(features.len());
+    for (label, fmt) in [
+        (
+            "posit8e0",
+            NumericFormat::Posit(PositFormat::new(8, 0).unwrap()),
+        ),
+        ("float8e4m3", NumericFormat::Float(e4m3)),
+        (
+            "fixed8q6",
+            NumericFormat::Fixed(FixedFormat::new(8, 6).unwrap()),
+        ),
+        ("posit16e1", NumericFormat::Posit(p16)),
+        ("float16e5m10", NumericFormat::Float(f16)),
+        ("fixed16q8", NumericFormat::Fixed(q168)),
+    ] {
+        let name = format!("{label}_quantize_f32x128");
+        rows.push(measure(&name, features.len() as u64, || {
+            bits.clear();
+            fmt.quantize_into(black_box(&features), &mut bits);
+            bits[0]
+        }));
+    }
+
     println!("{}", render_measurements(&rows));
 
     let path = out_path("arith_ops");
@@ -123,7 +153,12 @@ fn main() {
         ("bench", "arith_ops".to_string()),
         ("command", "cargo bench --bench arith_ops".to_string()),
         ("n", N.to_string()),
-        ("note", "elems = scalar add/mul operations".to_string()),
+        (
+            "note",
+            "elems = scalar add/mul operations; *_quantize_f32x128 rows: elems = f32 values \
+             quantised by one NumericFormat::quantize_into call"
+                .to_string(),
+        ),
     ];
     write_json(&path, &meta, &rows).expect("write BENCH_arith_ops.json");
     println!("\nwrote {}", path.display());

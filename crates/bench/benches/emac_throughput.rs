@@ -7,6 +7,11 @@
 //!   [`dp_emac::MacKernel`]: the aligned band's single-pass body
 //!   (operands decoded to plain integers, `i64`/`i128` integer dot
 //!   product), or the per-MAC loop of the scalar band,
+//! * at B ≥ 2 the aligned band sums in the [`dp_emac::SumLane`] its
+//!   register width picks: `f64`, eight interleaved columns abreast, up
+//!   to 53 bits (posit8e0, float8e4m3, both fixed formats here), `i64` to
+//!   63 (posit8e1) and `i128` beyond — CI pins posit8e0's layer row at
+//!   ≥ 1.2 × posit8e1's, which is that difference and nothing else,
 //! * `*_dot128_scalar_mac` — the per-element `mac()` loop on the same
 //!   unit (what the scalar band sweeps with, and every band's
 //!   definition),
@@ -330,7 +335,10 @@ fn main() {
              loop. *_scalar_mac = per-element mac() loop on the same unit; *_reference = \
              bit-field decode + WideInt datapath. dot{K}x{B} rows run dot_tile against B \
              activation columns (elems = K*B): *_aligned_tile = weight row and activation \
-             tile decoded once each, integer micro-kernel 4 columns abreast, \
+             tile decoded once each, then the micro-kernel of the register's sum type — f64, \
+             8 interleaved columns abreast, for registers <= 53 bits (posit8e0 33, float8e4m3 \
+             43, fixed8q6 23, fixed16q8 39 at k = 128), i64 / i128 4 columns abreast beyond \
+             (posit8e1 57; posit8e2 105, posit16e0 65, posit16e1 121, float16e5m10 89), \
              *_per_column_scalar = the per-MAC loop per column. layer16x128x64 rows run \
              dot_layer (16 weight rows against the B = 64 tile, elems = 16*K*64): the aligned \
              band decodes the activation tile once per layer, the scalar band is the per-MAC \

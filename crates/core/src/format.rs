@@ -34,15 +34,43 @@ impl NumericFormat {
 
     /// Quantizes an `f32` to this format's bit pattern (saturating — the
     /// paper's EMACs clip at the maximum magnitude). `F32` returns the raw
-    /// IEEE bits.
+    /// IEEE bits. One value of [`NumericFormat::quantize_into`].
     pub fn quantize(&self, v: f32) -> u32 {
         match self {
             NumericFormat::F32 => v.to_bits(),
-            NumericFormat::Posit(f) => dp_posit::convert::from_f64(*f, v as f64),
-            NumericFormat::Float(f) => dp_minifloat::convert::from_f64_saturating(*f, v as f64),
+            NumericFormat::Posit(f) => dp_posit::convert::from_f32(*f, v),
+            NumericFormat::Float(f) => dp_minifloat::convert::from_f32_saturating(*f, v),
+            NumericFormat::Fixed(f) => (f.from_f32(v) as u32) & mask(f.n()),
+        }
+    }
+
+    /// Appends [`NumericFormat::quantize`] of every element of `xs` to
+    /// `out`: the family is matched once per slice. Each arm is a plain
+    /// loop over a pre-sized tail of `out` with the format in a local, so
+    /// the per-element step inlines and the format's constants stay in
+    /// registers — behind an iterator adaptor's closure the stores may
+    /// alias the captured format, and they are re-derived per element.
+    pub fn quantize_into(&self, xs: &[f32], out: &mut Vec<u32>) {
+        let start = out.len();
+        out.resize(start + xs.len(), 0);
+        let slots = out[start..].iter_mut().zip(xs);
+        match *self {
+            NumericFormat::F32 => slots.for_each(|(slot, v)| *slot = v.to_bits()),
+            NumericFormat::Posit(f) => {
+                for (slot, &v) in slots {
+                    *slot = dp_posit::convert::from_f32(f, v);
+                }
+            }
+            NumericFormat::Float(f) => {
+                for (slot, &v) in slots {
+                    *slot = dp_minifloat::convert::from_f32_saturating(f, v);
+                }
+            }
             NumericFormat::Fixed(f) => {
-                let raw = f.from_f64(v as f64);
-                (raw as u64 as u32) & mask(f.n())
+                let mask = mask(f.n());
+                for (slot, &v) in slots {
+                    *slot = (f.from_f32(v) as u32) & mask;
+                }
             }
         }
     }
@@ -62,38 +90,78 @@ impl NumericFormat {
         self.to_f64(self.quantize(v))
     }
 
-    /// ReLU on a bit pattern: negative values clamp to zero.
+    /// ReLU on a bit pattern: negative values clamp to zero. One value of
+    /// [`NumericFormat::relu_in_place`].
     pub fn relu_bits(&self, bits: u32) -> u32 {
-        match self {
+        let mut one = [bits];
+        self.relu_in_place(&mut one);
+        one[0]
+    }
+
+    /// ReLU over a layer's activations: the family is matched once, and
+    /// the per-value step is a range test on the pattern. Negative means
+    /// below zero: posit NaR, minifloat and `f32` NaN (whatever their sign
+    /// bit) and −0 all pass through unchanged.
+    pub fn relu_in_place(&self, acts: &mut [u32]) {
+        match *self {
             NumericFormat::F32 => {
-                let v = f32::from_bits(bits);
-                if v < 0.0 {
-                    0
-                } else {
-                    bits
+                for bits in acts {
+                    if f32::from_bits(*bits) < 0.0 {
+                        *bits = 0;
+                    }
                 }
             }
             NumericFormat::Posit(f) => {
-                if dp_posit::ops::is_negative(*f, bits) {
-                    0
-                } else {
-                    bits
+                let (mask, nar) = (f.mask(), f.nar_bits());
+                for bits in acts {
+                    if *bits & mask > nar {
+                        *bits = 0;
+                    }
                 }
             }
             NumericFormat::Float(f) => {
-                if dp_minifloat::ops::is_negative(*f, bits) {
-                    f.zero_bits(false)
-                } else {
-                    bits
+                let (mask, zero, inf) = (f.mask(), f.zero_bits(true), f.inf_bits(true));
+                for bits in acts {
+                    let b = *bits & mask;
+                    if zero < b && b <= inf {
+                        *bits = 0;
+                    }
                 }
             }
             NumericFormat::Fixed(f) => {
-                if sext(bits, f.n()) < 0 {
-                    0
-                } else {
-                    bits
+                let sign = 1u32 << (f.n() - 1);
+                for bits in acts {
+                    if *bits & sign != 0 {
+                        *bits = 0;
+                    }
                 }
             }
+        }
+    }
+
+    /// A key that orders this format's patterns as their values order:
+    /// `order_key(a) < order_key(b)` exactly when `to_f64(a) < to_f64(b)`,
+    /// with −0 and +0 sharing a key (as they compare equal) and NaR / NaN
+    /// below every real value, so a poisoned logit never wins a maximum.
+    /// Posits and fixed point order as their two's-complement patterns,
+    /// minifloats and `f32` as sign and magnitude.
+    pub fn order_key(&self, bits: u32) -> i64 {
+        let sign_magnitude = |bits: u32, n: u32, inf: u32| {
+            let magnitude = (bits & (mask(n) >> 1)) as i64;
+            if magnitude > inf as i64 {
+                i64::MIN
+            } else if (bits >> (n - 1)) & 1 == 0 {
+                magnitude
+            } else {
+                -magnitude
+            }
+        };
+        match *self {
+            NumericFormat::F32 => sign_magnitude(bits, 32, 0x7f80_0000),
+            NumericFormat::Posit(f) if bits & f.mask() == f.nar_bits() => i64::MIN,
+            NumericFormat::Posit(f) => sext(bits, f.n()),
+            NumericFormat::Float(f) => sign_magnitude(bits, f.n(), f.inf_bits(false)),
+            NumericFormat::Fixed(f) => sext(bits, f.n()),
         }
     }
 
@@ -232,6 +300,50 @@ mod tests {
             assert_eq!(fmt.relu_bits(pos), pos, "{fmt}");
             assert_eq!(fmt.to_f64(fmt.relu_bits(fmt.quantize(0.0))), 0.0);
         }
+    }
+
+    #[test]
+    fn relu_forms_agree_with_the_families_sign_tests_on_every_pattern() {
+        for fmt in formats().into_iter().skip(1) {
+            let negative = |bits: u32| match fmt {
+                NumericFormat::Posit(f) => dp_posit::ops::is_negative(f, bits),
+                NumericFormat::Float(f) => dp_minifloat::ops::is_negative(f, bits),
+                NumericFormat::Fixed(f) => sext(bits, f.n()) < 0,
+                NumericFormat::F32 => unreachable!(),
+            };
+            let mut layer: Vec<u32> = (0..256).collect();
+            fmt.relu_in_place(&mut layer);
+            for bits in 0..256u32 {
+                let want = if negative(bits) { 0 } else { bits };
+                assert_eq!(layer[bits as usize], want, "{fmt} {bits:#x}");
+                assert_eq!(fmt.relu_bits(bits), want, "{fmt} {bits:#x}");
+            }
+        }
+        // f32: −0.0 is not below zero, NaN is not either.
+        let mut layer = [-1.5f32, -0.0, 0.0, 2.0, f32::NAN, -f32::NAN].map(f32::to_bits);
+        let want = [0, layer[1], layer[2], layer[3], layer[4], layer[5]];
+        NumericFormat::F32.relu_in_place(&mut layer);
+        assert_eq!(layer, want);
+    }
+
+    #[test]
+    fn order_key_orders_every_pair_of_patterns_as_their_values() {
+        for fmt in formats().into_iter().skip(1) {
+            for a in 0..256u32 {
+                let (va, ka) = (fmt.to_f64(a), fmt.order_key(a));
+                assert_eq!(va.is_nan(), ka == i64::MIN, "{fmt} {a:#x}");
+                for b in 0..256u32 {
+                    let (vb, kb) = (fmt.to_f64(b), fmt.order_key(b));
+                    if let Some(order) = va.partial_cmp(&vb) {
+                        assert_eq!(ka.cmp(&kb), order, "{fmt} {a:#x} vs {b:#x}");
+                    }
+                }
+            }
+        }
+        let key = |v: f32| NumericFormat::F32.order_key(v.to_bits());
+        assert!(key(f32::NEG_INFINITY) < key(-1.0) && key(-1.0) < key(-0.0));
+        assert!(key(-0.0) == key(0.0) && key(0.0) < key(1e-40) && key(1.0) < key(f32::INFINITY));
+        assert!(key(f32::NAN) < key(f32::NEG_INFINITY) && key(-f32::NAN) == key(f32::NAN));
     }
 
     #[test]

@@ -21,7 +21,6 @@
 
 use crate::format::NumericFormat;
 use crate::mlp::Mlp;
-use crate::tensor::argmax;
 use dp_datasets::Dataset;
 use dp_emac::{Emac, EmacUnit};
 
@@ -144,14 +143,11 @@ impl QuantizedMlp {
                 let (fan_in, fan_out) = (l.fan_in(), l.fan_out());
                 let mut weights = Vec::with_capacity(fan_in * fan_out);
                 for j in 0..fan_out {
-                    weights.extend(l.w.row(j).iter().map(|&w| format.quantize(w)));
+                    format.quantize_into(l.w.row(j), &mut weights);
                 }
-                QuantizedLayer::new(
-                    fan_in,
-                    fan_out,
-                    weights,
-                    l.b.iter().map(|&b| format.quantize(b)).collect(),
-                )
+                let mut biases = Vec::with_capacity(fan_out);
+                format.quantize_into(&l.b, &mut biases);
+                QuantizedLayer::new(fan_in, fan_out, weights, biases)
             })
             .collect();
         QuantizedMlp { format, layers }
@@ -159,7 +155,9 @@ impl QuantizedMlp {
 
     /// Quantizes an input feature vector.
     pub fn quantize_input(&self, x: &[f32]) -> Vec<u32> {
-        x.iter().map(|&v| self.format.quantize(v)).collect()
+        let mut bits = Vec::with_capacity(x.len());
+        self.format.quantize_into(x, &mut bits);
+        bits
     }
 
     /// One EMAC per layer, sized for that layer's fan-in, or `None` for
@@ -242,9 +240,7 @@ impl QuantizedMlp {
         let mut out = vec![0u32; batch * layer.fan_out()];
         emac.dot_layer(layer.biases(), layer.weights(), acts, &mut out);
         if li + 1 != self.layers.len() {
-            for bits in &mut out {
-                *bits = self.format.relu_bits(*bits);
-            }
+            self.format.relu_in_place(&mut out);
         }
         out
     }
@@ -282,7 +278,7 @@ impl QuantizedMlp {
         let mut inputs = Vec::with_capacity(xs.len() * fan_in);
         for x in xs {
             assert_eq!(x.len(), fan_in, "sample/first-layer length mismatch");
-            inputs.extend(x.iter().map(|&v| self.format.quantize(v)));
+            self.format.quantize_into(x, &mut inputs);
         }
         let outputs = self.forward_flat(emacs, inputs, xs.len());
         let classes = self.layers[self.layers.len() - 1].fan_out();
@@ -344,9 +340,18 @@ impl QuantizedMlp {
         self.argmax_bits(&self.forward_bits_with(emacs, x))
     }
 
-    fn argmax_bits(&self, bits: &[u32]) -> usize {
-        let logits: Vec<f32> = bits.iter().map(|&b| self.format.to_f64(b) as f32).collect();
-        argmax(&logits)
+    /// Index of the largest logit by [`NumericFormat::order_key`], first
+    /// on ties: a NaR / NaN logit loses to every real one wherever it
+    /// sits, and only an all-special row falls back to class 0.
+    pub(crate) fn argmax_bits(&self, bits: &[u32]) -> usize {
+        let mut best = (0, i64::MIN);
+        for (i, &b) in bits.iter().enumerate() {
+            let key = self.format.order_key(b);
+            if key > best.1 {
+                best = (i, key);
+            }
+        }
+        best.0
     }
 
     /// Classification accuracy of the EMAC path on a dataset (batched;
@@ -493,7 +498,8 @@ mod tests {
     #[test]
     fn batch_forward_is_bit_identical_to_per_sample() {
         // Includes the 16-bit §IV formats, which exercise the split-table
-        // decode and the 256-bit accumulator through the batch engine.
+        // decode and the i128 sum of the aligned band through the batch
+        // engine.
         let (mlp, split) = trained_iris();
         for fmt in [
             NumericFormat::Posit(PositFormat::new(8, 0).unwrap()),
@@ -511,6 +517,55 @@ mod tests {
             let preds = q.infer_batch(&xs);
             let scalar_preds: Vec<usize> = xs.iter().map(|x| q.infer(x)).collect();
             assert_eq!(preds, scalar_preds, "{fmt}");
+        }
+    }
+
+    #[test]
+    fn a_poisoned_logit_loses_the_argmax_wherever_it_sits() {
+        // Poison one readout neuron through its bias: that logit reads NaR
+        // / NaN for every input, and the class must be the best of the
+        // *other* logits — at index 0 the f32 argmax used to keep it.
+        let (mlp, split) = trained_iris();
+        let xs: Vec<Vec<f32>> = split.test.features.iter().take(20).cloned().collect();
+        for (fmt, special) in [
+            (
+                NumericFormat::Posit(PositFormat::new(8, 0).unwrap()),
+                PositFormat::new(8, 0).unwrap().nar_bits(),
+            ),
+            (
+                NumericFormat::Float(FloatFormat::new(4, 3).unwrap()),
+                FloatFormat::new(4, 3).unwrap().nan_bits(),
+            ),
+        ] {
+            let clean = QuantizedMlp::quantize(&mlp, fmt);
+            for poisoned in 0..3 {
+                let mut q = clean.clone();
+                q.layers[1].biases_mut()[poisoned] = special;
+                let want: Vec<usize> = xs
+                    .iter()
+                    .map(|x| {
+                        let logits = q.forward_bits(x);
+                        assert!(fmt.to_f64(logits[poisoned]).is_nan(), "{fmt}");
+                        let real = |i: &usize| *i != poisoned;
+                        let mut best = (0..3).find(real).unwrap();
+                        for i in (0..3).filter(real) {
+                            if fmt.to_f64(logits[i]) > fmt.to_f64(logits[best]) {
+                                best = i;
+                            }
+                        }
+                        best
+                    })
+                    .collect();
+                let single: Vec<usize> = xs.iter().map(|x| q.infer(x)).collect();
+                assert_eq!(single, want, "{fmt} logit {poisoned} poisoned");
+                assert_eq!(q.infer_batch(&xs), want, "{fmt} logit {poisoned} poisoned");
+                let (streamed, _) = crate::streaming::simulate(&q, &xs);
+                assert_eq!(streamed, want, "{fmt} logit {poisoned} poisoned");
+            }
+            // Nothing real to pick: class 0.
+            let mut q = clean.clone();
+            q.layers[1].biases_mut().fill(special);
+            assert_eq!(q.infer_batch(&xs), vec![0; xs.len()], "{fmt}");
         }
     }
 

@@ -99,9 +99,7 @@ pub fn simulate(qmlp: &QuantizedMlp, inputs: &[Vec<f32>]) -> (Vec<usize>, Stream
                 let acts = payload[l].take().expect("payload follows busy");
                 let out = qmlp.layer_forward(l, &mut emacs[l], &acts, 1);
                 if l + 1 == n_layers {
-                    let logits: Vec<f32> =
-                        out.iter().map(|&b| qmlp.format.to_f64(b) as f32).collect();
-                    results[idx] = Some(crate::tensor::argmax(&logits));
+                    results[idx] = Some(qmlp.argmax_bits(&out));
                     done += 1;
                     if first_done.is_none() {
                         first_done = Some(cycle);

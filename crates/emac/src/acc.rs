@@ -123,6 +123,19 @@ impl Accum {
                     return None;
                 }
                 let sign = *acc < 0;
+                // A sum in `i64` range — every ≤ 64-bit register — has its
+                // whole magnitude inside the window: one 64-bit shift, no
+                // sticky.
+                if let Ok(narrow) = i64::try_from(*acc) {
+                    let mag = narrow.unsigned_abs();
+                    let lz = mag.leading_zeros();
+                    return Some(Window {
+                        sign,
+                        msb: 63 - lz as usize,
+                        sig: mag << lz,
+                        sticky: false,
+                    });
+                }
                 let mag = acc.unsigned_abs();
                 let msb = 127 - mag.leading_zeros() as usize;
                 // Left-align the magnitude so bit `msb` lands at bit 127;
@@ -209,6 +222,30 @@ mod tests {
             assert_eq!(small.is_zero(), wide.is_zero());
             assert_eq!(small.window(), wide.window());
         }
+    }
+
+    #[test]
+    fn narrow_and_wide_small_windows_meet_at_the_i64_boundary() {
+        // −2^63 is the last sum the 64-bit read takes, +2^63 the first it
+        // does not; around both, the triple must equal the WideInt one.
+        for k in [
+            1i128,
+            2,
+            3,
+            (1 << 62) - 1,
+            1 << 62,
+            (1 << 63) - 1,
+            1 << 63,
+            (1 << 63) + 1,
+        ] {
+            for v in [k, -k] {
+                let mut wide = Accum::new_wide(120);
+                wide.add_shifted_u128(v.unsigned_abs(), 0, v < 0);
+                assert_eq!(Accum::Small(v).window(), wide.window(), "{v}");
+            }
+        }
+        let w = Accum::Small(i64::MIN as i128).window().unwrap();
+        assert_eq!((w.sign, w.msb, w.sig, w.sticky), (true, 63, 1 << 63, false));
     }
 
     #[test]

@@ -62,7 +62,8 @@
 //!   eq.-(3)/(4) register fits an `i128` — the 8-bit trio, posits through
 //!   ⟨16,1⟩, minifloats up to binary16, fixed point at every width — a
 //!   sweep decodes its operands once and runs `acc[j] += w[k] · a[j][k]`
-//!   in an `i64` or `i128` ([`MacKernel::Aligned`]). Everything else, and
+//!   in the [`SumLane`] the register width proves exact — `f64` (≤ 53
+//!   bits), `i64` (≤ 63) or `i128` ([`MacKernel::Aligned`]). Everything else, and
 //!   every `new_reference()` unit, runs the per-MAC datapath in a loop
 //!   ([`MacKernel::Scalar`]) — the reference the aligned band is pinned
 //!   against.
@@ -97,7 +98,7 @@ mod unit;
 pub use acc::{Accum, Window, SMALL_ACC_MAX_BITS};
 pub use fixed_emac::{Fixed, FixedEmac};
 pub use float_emac::{Float, FloatEmac};
-pub use kernel::MacKernel;
+pub use kernel::{MacKernel, SumLane};
 pub use posit_emac::{Posit, PositEmac, SplitOperands};
 pub use table::{AlignedLut, EmacEntry};
 pub use table_emac::{Family, TableEmac};

@@ -169,7 +169,17 @@ impl AlignedLut {
     /// The aligned word for the low `n` bits of `bits`.
     #[inline(always)]
     pub fn word(&self, bits: u32) -> i64 {
-        self.words[(bits & self.mask) as usize]
+        self.decoder()(bits)
+    }
+
+    /// [`AlignedLut::word`] as a closure holding the table's slice and
+    /// mask by value — what a decode loop should call: a loop that also
+    /// stores cannot prove the table's own fields unchanged, and through
+    /// `&self` re-reads all three per element.
+    #[inline(always)]
+    pub fn decoder(&self) -> impl Fn(u32) -> i64 + Copy + '_ {
+        let (words, mask) = (self.words.as_slice(), self.mask);
+        move |bits| words[(bits & mask) as usize]
     }
 }
 

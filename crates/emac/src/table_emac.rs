@@ -113,7 +113,7 @@ macro_rules! with_aligned_word {
     ($source:expr, $word:ident => $body:expr) => {
         match $source {
             Source::Table(t) => {
-                let $word = move |bits: u32| t.word(bits);
+                let $word = t.decoder();
                 $body
             }
             Source::Computed(c) => {
@@ -142,8 +142,12 @@ macro_rules! with_aligned_word {
 ///   Table II, for posit⟨16,1⟩ — 121 bits at k = 128 — binary16 and
 ///   fixed point), [`Emac::dot_tile`] and [`Emac::dot_layer`] decode
 ///   their operands once ([`AlignedLut`], or [`Family::aligned_word`])
-///   and accumulate a plain `i64`/`i128` integer dot product; per-MAC
-///   calls run the reference datapath on the same `i128`.
+///   and accumulate a plain integer dot product in the
+///   [`crate::SumLane`] the register width picks — `f64` up to 53 bits
+///   (every operand below `2^26`, every partial sum below `2^52`: all
+///   exact in an `f64`, eight columns abreast in packed multiplies),
+///   `i64` up to 63, `i128` beyond; per-MAC calls run the reference
+///   datapath on the same `i128`.
 /// * **The reference band** ([`MacKernel::Scalar`]) — everything else,
 ///   and every [`TableEmac::new_reference`] unit: one
 ///   [`Family::decode`] per operand, one shifted add into the
@@ -238,7 +242,7 @@ impl<F: Family> TableEmac<F> {
             aligned,
             count: 0,
             poisoned: false,
-            tile: AlignedTile::default(),
+            tile: AlignedTile::new(width),
         }
     }
 
@@ -277,14 +281,14 @@ impl<F: Family> TableEmac<F> {
             "{} EMAC over capacity",
             F::NAME
         );
-        let (family, width, bias_shift) = (&self.family, self.width, self.family.bias_shift());
+        let (family, bias_shift) = (&self.family, self.family.bias_shift());
         let mut last = (0, false);
-        self.tile.load(cols, word);
+        self.tile.load(cols, fan_in, out.len() / rows, word);
         for (r, &bias) in biases.iter().enumerate() {
             let bias = word(bias);
             let seed = ((bias >> 1) as i128) << bias_shift;
             let wrow = &weights[r * fan_in..(r + 1) * fan_in];
-            self.tile.row(seed, width, wrow, word, |j, sum, poison| {
+            self.tile.row(seed, wrow, word, |j, sum, poison| {
                 last = (sum, bias & 1 != 0 || poison);
                 out[j * rows + r] = match last.1 {
                     true => family.poison_bits(),

@@ -15,6 +15,10 @@
 //! * **Layer level** — `dot_layer` against its per-row `dot_tile`
 //!   expansion (outputs, last-column state, `macs_done`), with poison
 //!   confined to its weight row / activation column.
+//! * **Register bound** — per trio format at K = capacity: every operand
+//!   at the largest magnitude (the eq.-(3)/(4) register's own bound),
+//!   alternating signs (cancellation to the bias), and a special in the
+//!   last real column of a padded group of the `f64` lane.
 //! * **Accounting** — a non-empty tile leaves `macs_done` at exactly
 //!   K × B, agreeing with mac()/reference paths fed the same
 //!   K × B workload; B = 0 is a state no-op.
@@ -256,6 +260,85 @@ fn fixed_tiles_match_randomized_at_every_width() {
                 .collect();
             tile_vs_expansion(&mut unit, bias, &ws, &cols);
         }
+    }
+}
+
+/// The adversarial tiles of one format at `K = capacity`: `big` is the
+/// pattern of the largest magnitude, `small` its negation (or the largest
+/// of the other sign), `special` the poisoning pattern where the family
+/// has one.
+fn register_bound_tiles<E: Emac + Clone>(
+    name: &str,
+    mut unit: E,
+    k: usize,
+    (big, small): (u32, u32),
+    special: Option<u32>,
+) {
+    let bigs = vec![big; k];
+    // B = 7 and 9 leave the f64 lane's last group one column short and
+    // seven columns short; 8 fills it; 1 is the single-pass body.
+    for b in [1usize, 7, 8, 9] {
+        // The register's own bound: bias and every product at the largest
+        // magnitude, all of one sign.
+        let same = vec![vec![big; k]; b];
+        tile_vs_expansion(&mut unit, big, &bigs, &same);
+        tile_vs_expansion(&mut unit, small, &vec![small; k], &same);
+        // Alternating signs: the running sum swings between the two
+        // largest products and cancels to the bias.
+        let swing: Vec<u32> = (0..k).map(|i| [big, small][i % 2]).collect();
+        let swings = vec![swing.clone(); b];
+        tile_vs_expansion(&mut unit, 0, &bigs, &swings);
+        let mut out = vec![0u32; b];
+        let refs: Vec<&[u32]> = swings.iter().map(|c| c.as_slice()).collect();
+        unit.dot_tile(0, &bigs, &refs, &mut out);
+        assert!(
+            out.iter().all(|&o| o == out[0]),
+            "{name} B={b}: columns differ"
+        );
+        // A special in the last real column poisons that column only.
+        let Some(special) = special else { continue };
+        let mut cols = same.clone();
+        cols[b - 1][k / 2] = special;
+        tile_vs_expansion(&mut unit, 0, &bigs, &cols);
+        let refs: Vec<&[u32]> = cols.iter().map(|c| c.as_slice()).collect();
+        let mut poisoned = vec![0u32; b];
+        unit.dot_tile(0, &bigs, &refs, &mut poisoned);
+        let refs: Vec<&[u32]> = same.iter().map(|c| c.as_slice()).collect();
+        let mut clean = vec![0u32; b];
+        unit.dot_tile(0, &bigs, &refs, &mut clean);
+        assert_eq!(
+            poisoned[..b - 1],
+            clean[..b - 1],
+            "{name} B={b}: poison leaked"
+        );
+        assert_ne!(poisoned[b - 1], clean[b - 1], "{name} B={b}: poison lost");
+    }
+}
+
+#[test]
+fn register_bound_tiles_are_exact_on_every_trio_format() {
+    const K: usize = 128;
+    for (n, es) in [(8u32, 0u32), (16, 1)] {
+        let fmt = PositFormat::new(n, es).unwrap();
+        let maxpos = fmt.maxpos_bits();
+        let unit = PositEmac::new(fmt, K as u64);
+        assert_eq!(unit.kernel(), MacKernel::Aligned, "{fmt}");
+        let pair = (maxpos, maxpos.wrapping_neg() & fmt.mask());
+        register_bound_tiles(&fmt.to_string(), unit, K, pair, Some(fmt.nar_bits()));
+    }
+    for (we, wf) in [(4u32, 3u32), (5, 10)] {
+        let fmt = FloatFormat::new(we, wf).unwrap();
+        let unit = FloatEmac::new(fmt, K as u64);
+        assert_eq!(unit.kernel(), MacKernel::Aligned, "{fmt}");
+        let pair = (fmt.max_bits(false), fmt.max_bits(true));
+        register_bound_tiles(&fmt.to_string(), unit, K, pair, Some(fmt.nan_bits()));
+    }
+    for (n, q) in [(8u32, 6u32), (16, 8)] {
+        let fmt = FixedFormat::new(n, q).unwrap();
+        let unit = FixedEmac::new(fmt, K as u64);
+        // Two's complement: the most negative word is the largest.
+        let pair = (1u32 << (n - 1), (1u32 << (n - 1)) - 1);
+        register_bound_tiles(&fmt.to_string(), unit, K, pair, None);
     }
 }
 

@@ -148,6 +148,21 @@ impl FixedFormat {
         r as i64
     }
 
+    /// [`FixedFormat::from_f64`] of `v as f64`, without the libm `rint`
+    /// behind `round_ties_even` on baseline x86-64: the slice quantiser's
+    /// per-element step. The scaled value is clamped to the raw range
+    /// first (so `|x| ≤ 2^31`, and NaN stays NaN), then `(x + 1.5·2^52) −
+    /// 1.5·2^52` rounds it to the nearest integer, ties to even — the sum
+    /// lands where an `f64`'s ulp is exactly 1 — and the saturating cast
+    /// maps NaN to 0.
+    #[inline(always)]
+    pub fn from_f32(self, v: f32) -> i64 {
+        const ROUND: f64 = 1.5 * (1u64 << 52) as f64;
+        let scaled = v as f64 * exp2(self.q as i32);
+        let clamped = scaled.clamp(self.min_raw() as f64, self.max_raw() as f64);
+        ((clamped + ROUND) - ROUND) as i64
+    }
+
     /// The exact value of a raw word.
     pub fn to_f64(self, raw: i64) -> f64 {
         raw as f64 * exp2(-(self.q as i32))

@@ -87,6 +87,7 @@ pub fn decode(fmt: FloatFormat, bits: u32) -> FloatClass {
 /// # Panics
 ///
 /// Panics in debug builds if `sig`'s MSB is not set.
+#[inline]
 pub fn encode(fmt: FloatFormat, sign: bool, scale: i32, sig: u64, sticky: bool) -> u32 {
     debug_assert!(sig >> 63 == 1, "significand must be normalized");
     let wf = fmt.wf();
@@ -128,6 +129,7 @@ pub fn encode(fmt: FloatFormat, sign: bool, scale: i32, sig: u64, sticky: bool) 
 }
 
 /// Splits `v >> drop` into (kept value, round bit, sticky-of-rest).
+#[inline]
 fn shift_with_grs(v: u64, drop: u64) -> (u64, bool, bool) {
     if drop == 0 {
         return (v, false, false);

@@ -54,6 +54,61 @@ pub fn from_f64_saturating(fmt: FloatFormat, v: f64) -> u32 {
     }
 }
 
+/// [`from_f64_saturating`] of `v as f64`, on the `f32`'s own fields: the
+/// slice quantiser's per-element step. A single's 31-bit magnitude is
+/// already `exponent ‖ fraction`, so a normal target is that integer with
+/// the exponent re-biased, shifted right to `wf` fraction bits and rounded
+/// to nearest even by an integer add — a carry out of the fraction bumps
+/// the exponent, and whatever reaches the reserved top exponent clips to
+/// ±max. Below the smallest normal the significand (hidden bit included)
+/// takes the wider shift of a subnormal; with `we = 8` a *subnormal
+/// single* is itself a representable subnormal and takes the normal path
+/// as it is (exponent field 0, no hidden bit).
+///
+/// ```
+/// use dp_minifloat::{convert, FloatFormat};
+/// let fmt = FloatFormat::new(4, 3)?;
+/// assert_eq!(convert::from_f32_saturating(fmt, 1e9), fmt.max_bits(false));
+/// assert_eq!(
+///     convert::from_f32_saturating(fmt, 0.3),
+///     convert::from_f64_saturating(fmt, 0.3f32 as f64)
+/// );
+/// # Ok::<(), dp_minifloat::FormatError>(())
+/// ```
+#[inline(always)]
+pub fn from_f32_saturating(fmt: FloatFormat, v: f32) -> u32 {
+    let bits = v.to_bits();
+    let abs = bits & 0x7fff_ffff;
+    if abs > 0x7f80_0000 {
+        return encode_nan(fmt);
+    }
+    if abs == 0 {
+        return fmt.zero_bits(bits != 0);
+    }
+    let wf = fmt.wf();
+    let (exp, frac) = (abs >> 23, abs & 0x007f_ffff);
+    // The target's exponent field, were the value normal there (a
+    // subnormal single scales like field 1, without a hidden bit).
+    let rebias = (127 - fmt.bias()) as u32;
+    let field = exp.max(1) as i32 - rebias as i32;
+    let (exact, drop) = if field >= 1 {
+        (abs - (rebias << 23), 23 - wf)
+    } else {
+        // Subnormal target: one more place per binade below the smallest
+        // normal; past 31 places nothing of a 24-bit significand is left.
+        let sig = (((exp != 0) as u32) << 23) | frac;
+        (sig, (24 - wf + field.unsigned_abs()).min(31))
+    };
+    let pattern = match drop {
+        0 => exact,
+        _ => {
+            let lsb = (exact >> drop) & 1;
+            (exact + ((1u32 << (drop - 1)) - 1) + lsb) >> drop
+        }
+    };
+    fmt.zero_bits(bits >> 31 == 1) | pattern.min(fmt.max_bits(false))
+}
+
 /// Converts a minifloat to `f64` (always exact: `wf ≤ 23`, `we ≤ 8`).
 pub fn to_f64(fmt: FloatFormat, bits: u32) -> f64 {
     match decode(fmt, bits) {

@@ -1,7 +1,7 @@
 //! Conversions between posits and other numeric types.
 
 use crate::decode::{decode, Decoded};
-use crate::encode::encode;
+use crate::encode::{apply_sign, encode, round_body, FRACTION_BITS};
 use crate::format::{exp2i, PositFormat};
 
 /// Converts an `f64` to the nearest posit (round to nearest, ties to even
@@ -37,6 +37,40 @@ pub fn from_f64(fmt: PositFormat, v: f64) -> u32 {
         (exp_field - 1023, ((1u64 << 52) | man) << 11)
     };
     encode(fmt, sign, scale, sig, false)
+}
+
+/// [`from_f64`] of `v as f64`, on the `f32`'s own fields: the slice
+/// quantiser's per-element step. A single's magnitude with its exponent
+/// re-biased in place *is* `scale ‖ fraction` as one signed integer, which
+/// is what the encoder's rounding core takes.
+///
+/// ```
+/// use dp_posit::{convert, PositFormat};
+/// let fmt = PositFormat::new(8, 0)?;
+/// assert_eq!(convert::from_f32(fmt, 1.0), 0x40);
+/// assert_eq!(convert::from_f32(fmt, 0.3), convert::from_f64(fmt, 0.3f32 as f64));
+/// # Ok::<(), dp_posit::FormatError>(())
+/// ```
+#[inline(always)]
+pub fn from_f32(fmt: PositFormat, v: f32) -> u32 {
+    let bits = v.to_bits();
+    let abs = bits & 0x7fff_ffff;
+    if abs >= 0x7f80_0000 {
+        return fmt.nar_bits();
+    }
+    if abs == 0 {
+        return fmt.zero_bits();
+    }
+    let scaled = if abs < 0x0080_0000 {
+        // Subnormal single: normalise the 23-bit field (the hidden bit it
+        // shifts up to is masked off).
+        let up = abs.leading_zeros() - 8;
+        ((-126 - up as i64) << 23) | ((abs << up) & 0x007f_ffff) as i64
+    } else {
+        abs as i64 - (127 << 23)
+    };
+    let body = round_body(fmt, scaled << (FRACTION_BITS - 23 - fmt.es()), false);
+    apply_sign(fmt, body, bits >> 31 == 1)
 }
 
 /// Converts a posit to `f64`. Exact for every format whose scales fit the

@@ -30,67 +30,69 @@ use crate::format::PositFormat;
 /// assert_eq!(encode(fmt, false, 40, 1 << 63, false), fmt.maxpos_bits());
 /// # Ok::<(), dp_posit::FormatError>(())
 /// ```
+#[inline]
 pub fn encode(fmt: PositFormat, sign: bool, scale: i32, sig: u64, sticky: bool) -> u32 {
     debug_assert!(sig >> 63 == 1, "significand must be normalized");
-    let max_scale = fmt.max_scale();
-    // value = 1.f × 2^scale >= 2^max_scale = maxpos whenever scale >= max_scale.
-    if scale >= max_scale {
-        return apply_sign(fmt, fmt.maxpos_bits(), sign);
-    }
-    // value < minpos whenever scale < -max_scale; posits never round to zero.
-    if scale < -max_scale {
-        return apply_sign(fmt, fmt.minpos_bits(), sign);
-    }
-
-    let es = fmt.es();
-    // Regime / exponent split: k = floor(scale / 2^es), e = scale mod 2^es.
-    let k = scale >> es;
-    let e = (scale - (k << es)) as u128;
-    let w = (fmt.n() - 1) as usize; // body width below the sign bit
-
-    // Assemble the exact (pre-rounding) body, left-aligned at bit 127:
-    // regime, then es exponent bits, then the 63 fraction bits of sig.
-    let mut pat: u128 = 0;
-    let rlen: usize = if k >= 0 {
-        let ones = (k + 1) as usize;
-        let r = ones + 1; // ones run + terminating zero
-        pat |= (((1u128 << ones) - 1) << 1) << (128 - r);
-        r
-    } else {
-        let r = (-k) as usize + 1; // zeros run + terminating one
-        pat |= 1u128 << (128 - r);
-        r
-    };
-    if es > 0 {
-        pat |= e << (128 - rlen - es as usize);
-    }
-    let frac63 = (sig & ((1u64 << 63) - 1)) as u128;
-    pat |= frac63 << (128 - rlen - es as usize - 63);
-
-    // Round to nearest, ties to even at the body width.
-    let keep = (pat >> (128 - w)) as u32;
-    let round = (pat >> (127 - w)) & 1 == 1;
-    let rest = pat & ((1u128 << (127 - w)) - 1);
-    let sticky_all = sticky || rest != 0;
-    let mut body = keep;
-    if round && (sticky_all || keep & 1 == 1) {
-        body += 1;
-    }
-    if body >> w != 0 {
-        // Rounding carried past the regime of maxpos: clamp (posit saturation).
-        body = fmt.maxpos_bits();
-    }
-    debug_assert_ne!(body, 0, "finite nonzero values never round to zero");
+    // The top `FRACTION_BITS − es` fraction bits go in exactly; whatever
+    // lies below them can only break a tie.
+    let kept = FRACTION_BITS - fmt.es();
+    let fraction = (sig << 1) >> (64 - kept);
+    let sticky = sticky || sig << (1 + kept) != 0;
+    let body = round_body(fmt, ((scale as i64) << kept) | fraction as i64, sticky);
     apply_sign(fmt, body, sign)
 }
 
+/// Fraction bits [`round_body`] takes, counting the `es` exponent bits in:
+/// `scale ‖ fraction` then splits into the regime count and exactly 31
+/// bits to follow the regime, whatever the format.
+pub(crate) const FRACTION_BITS: u32 = 31;
+
+/// The body (the `n − 1` bits below the sign) nearest to `1.f × 2^scale`,
+/// given as `scaled = scale ‖ f` — one signed integer carrying
+/// [`FRACTION_BITS`]` − es` fraction bits — plus whether nonzero bits were
+/// dropped below them. Values beyond maxpos / below minpos saturate.
+///
+/// `scaled`, clamped to the format's range, splits into the regime count
+/// `k` and the 31 bits that follow the regime (`es` exponent bits, then
+/// fraction). The exact body is then one arithmetic shift: `10 ‖ tail`
+/// shifted right by `k` replicates the leading one into `k + 1` ones and a
+/// zero; `01 ‖ tail` shifted by `−k − 1` prepends the zeros. That is at
+/// most 2 + 30 + 31 bits, left-aligned in a `u64`, which leaves bit 0 for
+/// the sticky. Rounding to nearest even at the body width is an integer
+/// add, so a carry out of the fraction ripples through the exponent into
+/// the regime — the next pattern up *is* the next posit. The clamp's upper
+/// end (everything below maxpos set) rounds up to maxpos; its lower end is
+/// minpos exactly.
+#[inline(always)]
+pub(crate) fn round_body(fmt: PositFormat, scaled: i64, sticky: bool) -> u32 {
+    let kept = FRACTION_BITS - fmt.es();
+    let max_scale = fmt.max_scale() as i64;
+    let scaled = scaled.clamp(-max_scale << kept, (max_scale << kept) - 1);
+    let k = scaled >> FRACTION_BITS;
+    let tail = scaled as u64 & ((1 << FRACTION_BITS) - 1);
+    let below_one = k >> 63; // all ones when k < 0
+    let head = (1 << 63) ^ (below_one as u64 & (3 << 62));
+    let run = (k ^ below_one) as u32; // k, or −k − 1: at most n − 3
+    let exact = (((head | (tail << FRACTION_BITS)) as i64) >> run) as u64 | sticky as u64;
+    // Keep the top n − 1 bits, nearest even: the kept LSB breaks a tie,
+    // the sticky in bit 0 prevents one. The regime's terminating bit keeps
+    // the kept bits below maxpos before the add, so nothing overflows.
+    let drop = 65 - fmt.n();
+    let lsb = (exact >> drop) & 1;
+    let body = ((exact + ((1u64 << (drop - 1)) - 1) + lsb) >> drop) as u32;
+    debug_assert!(
+        body != 0 && body <= fmt.maxpos_bits(),
+        "finite nonzero values round to a finite nonzero posit"
+    );
+    body
+}
+
+/// The pattern of `±body`: negation is the two's complement. Branch-free
+/// — the signs of a row of inputs or sums are as good as random.
 #[inline]
-fn apply_sign(fmt: PositFormat, body: u32, sign: bool) -> u32 {
-    if sign {
-        body.wrapping_neg() & fmt.mask()
-    } else {
-        body
-    }
+pub(crate) fn apply_sign(fmt: PositFormat, body: u32, sign: bool) -> u32 {
+    let negate = (sign as u32).wrapping_neg();
+    (body ^ negate).wrapping_sub(negate) & fmt.mask()
 }
 
 #[cfg(test)]

@@ -113,6 +113,27 @@ fn single_sample_requests_match_batch_path() {
 }
 
 #[test]
+fn a_poisoned_first_logit_does_not_win_through_the_engine() {
+    // NaR at logit 0 used to win the f32 argmax by position; through the
+    // pool it must lose to a real logit, exactly as `infer` says.
+    let (mlp, split) = trained_iris();
+    let fmt = PositFormat::new(8, 0).unwrap();
+    let mut q = QuantizedMlp::quantize(&mlp, NumericFormat::Posit(fmt));
+    q.layers[1].biases_mut()[0] = fmt.nar_bits();
+    let engine = test_engine();
+    let key = engine.registry().register("poisoned", q.clone()).unwrap();
+    let xs: Vec<Vec<f32>> = split.test.features.iter().take(20).cloned().collect();
+    let served = engine
+        .submit_classify(&key, xs.clone())
+        .unwrap()
+        .wait()
+        .unwrap();
+    assert!(xs.iter().all(|x| q.forward_bits(x)[0] == fmt.nar_bits()));
+    assert!(served.iter().all(|&class| class != 0), "{served:?}");
+    assert_eq!(served, xs.iter().map(|x| q.infer(x)).collect::<Vec<_>>());
+}
+
+#[test]
 fn engine_accuracy_matches_batch_accuracy() {
     let (mlp, split) = trained_iris();
     let engine = test_engine();
