@@ -7,11 +7,23 @@
 //!   [`dp_emac::MacKernel`]: the aligned band's single-pass body
 //!   (operands decoded to plain integers, `i64`/`i128` integer dot
 //!   product), or the per-MAC loop of the scalar band,
-//! * at B ≥ 2 the aligned band sums in the [`dp_emac::SumLane`] its
-//!   register width picks: `f64`, eight interleaved columns abreast, up
-//!   to 53 bits (posit8e0, float8e4m3, both fixed formats here), `i64` to
-//!   63 (posit8e1) and `i128` beyond — CI pins posit8e0's layer row at
-//!   ≥ 1.2 × posit8e1's, which is that difference and nothing else,
+//! * at B ≥ 2 the aligned band sums in the static [`dp_emac::SumLane`]
+//!   its register width picks: `f64`, eight interleaved columns abreast,
+//!   up to 53 bits (posit8e0, float8e4m3, both fixed formats here), `i64`
+//!   to 63 (posit8e1) and `i128` beyond — CI pins posit8e0's layer row at
+//!   ≥ 1.2 × posit8e1's, which is that difference and nothing else. Past
+//!   53 bits the static lane is only the fallback: in a `dot_layer` of
+//!   two or more rows, a (weight row, tile) pair whose operand span
+//!   proves 53 bits enough ([`dp_emac::SumLane::span_bound`]) sums in
+//!   `f64` too (one-row `dot_tile` sweeps never do). Random patterns span
+//!   the whole format, so on the `i128` formats no layer row passes and
+//!   they measure the fallback plus the span test; posit8e1's 57-bit
+//!   register lets 5 of its 16 random layer rows through,
+//! * `*_layer16x128x64_gauss` — the layer row on trained-like operands
+//!   (`from_f32` of a bell-shaped stream, the one `tile_equivalence` pins)
+//!   for three `W > 53` formats, where every pair passes: beside the
+//!   random-pattern `*_aligned` row of the same format it is the span
+//!   rule's gain — CI pins posit8e2's at ≥ 1.3 ×,
 //! * `*_dot128_scalar_mac` — the per-element `mac()` loop on the same
 //!   unit (what the scalar band sweeps with, and every band's
 //!   definition),
@@ -123,33 +135,70 @@ fn tile_row<E: Emac>(
     }));
 }
 
-/// One `dot_layer` row: asserts the unit runs `kernel`, then measures
-/// [`LAYER_ROWS`] weight rows against all of `cols`
-/// (`LAYER_ROWS × K × B` MACs per iteration).
-fn layer_row<E: Emac>(
+/// The trained-like operand stream of the `*_gauss` rows, `len` patterns
+/// long: the centred sum of four uniform bytes times `step`, quantised by
+/// `quantize` — the bell-shaped stream `tile_equivalence` pins.
+fn bell(len: usize, step: f32, seed: u64, quantize: impl Fn(f32) -> u32) -> Vec<u32> {
+    let mut s = seed;
+    (0..len)
+        .map(|_| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            let sum: i32 = (0..4).map(|i| ((s >> (8 * i)) & 0xff) as i32).sum();
+            quantize((sum - 510) as f32 * step)
+        })
+        .collect()
+}
+
+/// The `*_layer16x128x64_gauss` row: [`layer_row`] on bell-shaped weights
+/// (step 2^-11) and activations (step 2^-8).
+fn gauss_row<E: Emac>(
     rows: &mut Vec<Measurement>,
     label: &str,
+    unit: E,
+    quantize: impl Fn(f32) -> u32,
+) {
+    let b = TILE_BS[1];
+    let weights = bell(LAYER_ROWS * K, 2f32.powi(-11), 0x7a11_ed00, &quantize);
+    let activations = bell(b * K, 2f32.powi(-8), 0x0ac7_1e55, &quantize);
+    let name = format!("{label}_layer{LAYER_ROWS}x{K}x{b}_gauss");
+    layer_row(
+        rows,
+        &name,
+        unit,
+        MacKernel::Aligned,
+        &weights,
+        &activations,
+    );
+}
+
+/// One `dot_layer` row named `name`: asserts the unit runs `kernel`, then
+/// measures [`LAYER_ROWS`] weight rows against `activations`, `K` per
+/// column (`LAYER_ROWS × K × B` MACs per iteration).
+fn layer_row<E: Emac>(
+    rows: &mut Vec<Measurement>,
+    name: &str,
     mut unit: E,
     kernel: MacKernel,
-    cols: &[Vec<u32>],
+    weights: &[u32],
+    activations: &[u32],
 ) {
     assert_eq!(
         unit.kernel(),
         kernel,
-        "{label}: unit does not run the {kernel} kernel"
+        "{name}: unit does not run the {kernel} kernel"
     );
-    let weights = cols[..LAYER_ROWS].concat();
-    let activations = cols.concat();
     let biases = [0u32; LAYER_ROWS];
-    let mut out = vec![0u32; LAYER_ROWS * cols.len()];
+    let mut out = vec![0u32; LAYER_ROWS * activations.len() / K];
     rows.push(measure(
-        &format!("{label}_layer{LAYER_ROWS}x{K}x{}_{kernel}", cols.len()),
-        (LAYER_ROWS * K * cols.len()) as u64,
+        name,
+        (LAYER_ROWS * activations.len()) as u64,
         || {
             unit.dot_layer(
                 black_box(&biases),
-                black_box(&weights),
-                black_box(&activations),
+                black_box(weights),
+                black_box(activations),
                 &mut out,
             );
             out[0]
@@ -192,7 +241,9 @@ fn bench_format<E: Emac>(
     for b in TILE_BS {
         tile_row(rows, label, unit(), kernel, &ws, &cols[..b]);
     }
-    layer_row(rows, label, unit(), kernel, &cols);
+    let name = format!("{label}_layer{LAYER_ROWS}x{K}x{}_{kernel}", cols.len());
+    let (weights, activations) = (cols[..LAYER_ROWS].concat(), cols.concat());
+    layer_row(rows, &name, unit(), kernel, &weights, &activations);
     tile_row(rows, label, unit(), kernel, &ws, std::slice::from_ref(&xs));
     let name = format!("{label}_dot{K}_scalar_mac");
     mac_loop_row(rows, &name, unit(), &ws, &xs);
@@ -271,6 +322,23 @@ fn main() {
     bench_fixed(&mut rows, "fixed8q6", 8, 6);
     bench_fixed(&mut rows, "fixed16q8", 16, 8);
 
+    // Trained-like operands on three W > 53 units (105-, 121- and 89-bit
+    // registers): every (row, tile) pair passes the span rule.
+    for (n, es) in [(8u32, 2u32), (16, 1)] {
+        let fmt = PositFormat::new(n, es).unwrap();
+        let unit = PositEmac::new(fmt, K as u64);
+        gauss_row(&mut rows, &format!("posit{n}e{es}"), unit, |v| {
+            dp_posit::convert::from_f32(fmt, v)
+        });
+    }
+    let fmt = FloatFormat::new(5, 10).unwrap();
+    gauss_row(
+        &mut rows,
+        "float16e5m10",
+        FloatEmac::new(fmt, K as u64),
+        |v| dp_minifloat::convert::from_f32_saturating(fmt, v),
+    );
+
     println!("{}", render_measurements(&rows));
 
     // Headline speedups per format: each one-column row over the
@@ -318,6 +386,17 @@ fn main() {
             }
         }
     }
+    // The span rule's gain: trained-like operands against random patterns
+    // on the same unit and shape.
+    for label in ["posit8e2", "posit16e1", "float16e5m10"] {
+        let layer = |kind: &str| find(&format!("{label}_layer{LAYER_ROWS}x{K}x64_{kind}")).unwrap();
+        let (gauss, aligned) = (layer("gauss"), layer("aligned"));
+        println!(
+            "{label} gauss: {:.2}x MACs/sec over {}",
+            gauss.elems_per_sec() / aligned.elems_per_sec(),
+            aligned.name,
+        );
+    }
 
     let path = out_path("emac");
     let meta = [
@@ -335,14 +414,20 @@ fn main() {
              loop. *_scalar_mac = per-element mac() loop on the same unit; *_reference = \
              bit-field decode + WideInt datapath. dot{K}x{B} rows run dot_tile against B \
              activation columns (elems = K*B): *_aligned_tile = weight row and activation \
-             tile decoded once each, then the micro-kernel of the register's sum type — f64, \
-             8 interleaved columns abreast, for registers <= 53 bits (posit8e0 33, float8e4m3 \
-             43, fixed8q6 23, fixed16q8 39 at k = 128), i64 / i128 4 columns abreast beyond \
-             (posit8e1 57; posit8e2 105, posit16e0 65, posit16e1 121, float16e5m10 89), \
+             tile decoded once each, then the micro-kernel of the register's static sum type \
+             — f64, 8 interleaved columns abreast, for registers <= 53 bits (posit8e0 33, \
+             float8e4m3 43, fixed8q6 23, fixed16q8 39 at k = 128), i64 / i128 4 columns \
+             abreast beyond (posit8e1 57; posit8e2 105, posit16e0 65, posit16e1 121, \
+             float16e5m10 89); in dot_layer sweeps of 2+ rows a (row, tile) pair whose \
+             operand span proves 53 bits enough (SumLane::span_bound) sums in f64 instead — \
+             never for the i128 formats' random patterns, for 5 of posit8e1's 16 random layer \
+             rows. \
              *_per_column_scalar = the per-MAC loop per column. layer16x128x64 rows run \
              dot_layer (16 weight rows against the B = 64 tile, elems = 16*K*64): the aligned \
              band decodes the activation tile once per layer, the scalar band is the per-MAC \
-             loop again"
+             loop again. *_layer16x128x64_gauss = the same on trained-like operands (from_f32 \
+             of a bell-shaped stream: weights on a 2^-11 grid, activations on 2^-8), where \
+             every pair passes the span rule and sums in f64"
                 .to_string(),
         ),
     ];

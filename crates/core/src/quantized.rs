@@ -498,8 +498,10 @@ mod tests {
     #[test]
     fn batch_forward_is_bit_identical_to_per_sample() {
         // Includes the 16-bit §IV formats, which exercise the split-table
-        // decode and the i128 sum of the aligned band through the batch
-        // engine.
+        // decode through the batch engine and, on posit⟨16,1⟩ and
+        // float⟨5,10⟩ (121- and 89-bit registers), the f64 lane wherever
+        // the trained operands' span admits it, the i128 fallback
+        // elsewhere.
         let (mlp, split) = trained_iris();
         for fmt in [
             NumericFormat::Posit(PositFormat::new(8, 0).unwrap()),

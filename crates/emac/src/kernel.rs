@@ -21,8 +21,8 @@
 //!   each weight row once per row (on the fly when there is a single
 //!   column to spend it on), and the loop is `acc += w · a` — no shift,
 //!   no sign select, no special handling (poison is decided at decode
-//!   time) — with the sums held in the [`SumLane`] the register width
-//!   proves sufficient, below.
+//!   time) — with the sums held in the [`SumLane`] the register width,
+//!   or failing that the operands themselves, prove exact, below.
 //! * [`MacKernel::Scalar`] — everything else (posits past
 //!   `max_scale = 30`, six-bit-exponent minifloats, formats past 16 bits,
 //!   registers past 127 bits, and every `new_reference()` unit): the
@@ -35,12 +35,12 @@
 //! change a result bit — pinned by the `kernel_equivalence` and
 //! `tile_equivalence` test suites, exhaustively at 8 bits.
 //!
-//! ## Three sum types, one rule
+//! ## Three sum types: one by format, `f64` by proof
 //!
 //! The register width `W` of eq. (3)/(4) — itself a function of (format,
-//! capacity) — picks how the aligned band holds its running sums
-//! ([`SumLane::for_width`]): `f64` for `W ≤ 53`, `i64` for `W ≤ 63`,
-//! `i128` beyond. The `f64` lane is exact, not approximate:
+//! capacity) — fixes a unit's **static** lane ([`SumLane::for_width`]):
+//! `f64` for `W ≤ 53`, `i64` for `W ≤ 63`, `i128` beyond. The static `f64`
+//! lane is exact, not approximate:
 //!
 //! 1. `W` bits hold a sign, the bias and `K` products of the two largest
 //!    operands, so every operand is an integer below `2^26`;
@@ -49,7 +49,23 @@
 //! 3. an `f64` multiply or add (fused or not) whose exact result is
 //!    representable returns it — the same integer the `i64` lane computes.
 //!
-//! What it buys: baseline x86-64 has no packed 64-bit integer multiply
+//! A wider unit's static lane is only its **fallback**. Eq. (3)/(4) sizes
+//! the register for `K` products of the format's largest operands down to
+//! its smallest, but the operands a trained network carries occupy far
+//! less, so on a tile of `B ≥ 2` columns that two or more weight rows
+//! share (a one-row sweep cannot repay the tile's `f64` copy), each
+//! (weight row, activation tile) pair is checked against what its
+//! operands prove ([`SumLane::span_bound`]): with `mw` /
+//! `ma` the OR of the row's / the tile's aligned magnitudes and `span(m) =
+//! msb(m) − lsb(m)`, the pair sums in `f64` when `span(mw) + span(ma) + 2
+//! + ⌈log₂K⌉ ≤ 53` (or either OR is 0), in the fallback otherwise. Every
+//! product is a multiple of `2^(lsb(mw) + lsb(ma))` and below
+//! `2^(msb(mw) + msb(ma) + 2)`, so with both operands shifted down by
+//! their `lsb` every partial sum is an integer below `2^53` — exact, by
+//! points 2–3 above — and the seed joins in `i128` after the sum:
+//! `seed + ((s as i64 as i128) << (lsb(mw) + lsb(ma)))`.
+//!
+//! What `f64` buys: baseline x86-64 has no packed 64-bit integer multiply
 //! but does have `mulpd` / `addpd`. The `f64` lane therefore lays its
 //! tile out **interleaved**, [`LANES`] columns abreast —
 //! `lanes[(g · K + k) · 8 + l]` is operand `k` of column `8g + l`, the
@@ -58,7 +74,9 @@
 //! inner array compiles to packed ops without `std::simd` or `unsafe`.
 //! The integer lanes keep `i64` operands column after column and run
 //! [`quad`], four scalar chains; a lone column (`B = 1`) is always one
-//! fused decode-and-multiply pass in integers ([`single_column`]).
+//! fused decode-and-multiply pass in integers ([`single_column`]). A
+//! `W > 53` unit loads the integer layout and builds the interleaved copy
+//! from it on the first row that passes, once per tile.
 
 use std::fmt;
 
@@ -134,13 +152,21 @@ impl AlignedSum for i128 {
     }
 }
 
-/// How an aligned-band unit holds its running sums — a function of the
-/// eq.-(3)/(4) register width alone, hence of (format, capacity); see the
-/// module docs for why each is exact.
+/// Bits of an `f64` significand, hidden bit included: every integer of at
+/// most this many bits is an `f64`.
+const F64_BITS: u32 = 53;
+
+/// How an aligned-band unit holds its running sums. A unit's **static**
+/// lane is a function of the eq.-(3)/(4) register width alone, hence of
+/// (format, capacity) ([`SumLane::for_width`]); on a `W > 53` unit it is
+/// the **fallback**, and each (weight row, activation tile) pair of a
+/// multi-row sweep at `B ≥ 2` whose [`SumLane::span_bound`] is ≤ 53 bits
+/// sums in `f64` instead. See the module docs for why each is exact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SumLane {
-    /// Registers up to 53 bits: `f64` sums over an interleaved tile,
-    /// eight columns abreast in packed multiplies and adds.
+    /// Registers up to 53 bits, or a pair whose operands prove 53 enough:
+    /// `f64` sums over an interleaved tile, eight columns abreast in
+    /// packed multiplies and adds.
     F64,
     /// Registers up to 63 bits: `i64` sums, four columns abreast.
     I64,
@@ -149,13 +175,29 @@ pub enum SumLane {
 }
 
 impl SumLane {
-    /// The lane of a unit whose eq.-(3)/(4) register is `width` bits.
+    /// The static lane of a unit whose eq.-(3)/(4) register is `width`
+    /// bits.
     pub fn for_width(width: u32) -> Self {
         match width {
-            0..=53 => SumLane::F64,
+            0..=F64_BITS => SumLane::F64,
             54..=63 => SumLane::I64,
             _ => SumLane::I128,
         }
+    }
+
+    /// The bits a (weight row, activation tile) pair's sums can occupy
+    /// once both operands are shifted down by their common trailing
+    /// zeros: `span(weights_or) + span(acts_or) + 2 + ⌈log₂ fan_in⌉`, where
+    /// each argument is the OR of one side's aligned magnitudes and
+    /// `span(m) = msb(m) − lsb(m)` — 0 when either OR is 0 (every product
+    /// is). A pair whose bound is at most 53 sums exactly in `f64`
+    /// whatever the unit's register width.
+    pub fn span_bound(weights_or: u64, acts_or: u64, fan_in: usize) -> u32 {
+        if weights_or == 0 || acts_or == 0 {
+            return 0;
+        }
+        let span = |m: u64| 63 - m.leading_zeros() - m.trailing_zeros();
+        span(weights_or) + span(acts_or) + 2 + crate::ceil_log2(fan_in as u64)
     }
 
     /// Stable lower-case name, used in reports.
@@ -186,25 +228,42 @@ const LANES: usize = 8;
 /// the weight row being evaluated. Never semantic — refilled by every
 /// [`AlignedTile::load`] / [`AlignedTile::row`].
 ///
-/// The unit's [`SumLane`] fixes the layout: on [`SumLane::F64`] a tile of
-/// two or more columns is held as `f64`s, [`LANES`] columns interleaved;
-/// the integer lanes, and every lone column, keep `i64` operands column
-/// after column.
+/// The unit's static [`SumLane`] fixes the layout a load writes: on
+/// [`SumLane::F64`] a tile of two or more columns is held as `f64`s,
+/// [`LANES`] columns interleaved; the integer lanes, and every lone column,
+/// keep `i64` operands column after column. At `B ≥ 2` an integer-lane
+/// row that passes [`SumLane::span_bound`] ([`AlignedTile::admits`]) sums
+/// in `f64` all the same, over an interleaved copy the first such row
+/// after a load builds.
 #[derive(Debug, Clone)]
 pub(crate) struct AlignedTile {
-    /// The unit's eq.-(3)/(4) register width: picks the [`SumLane`].
+    /// The unit's eq.-(3)/(4) register width: picks the static
+    /// [`SumLane`].
     width: u32,
     /// `B × K` aligned activation values, column after column (integer
     /// lanes).
     acts: Vec<i64>,
+    /// OR of the magnitudes of the first `or_columns` columns of `acts`,
+    /// extended only as far as a row's span test needs
+    /// ([`AlignedTile::admits`]).
+    acts_or: u64,
+    /// Columns `acts_or` covers.
+    or_columns: usize,
+    /// Whether two or more weight rows sweep the loaded tile — the span
+    /// rule's precondition ([`AlignedTile::admits`]).
+    shared: bool,
     /// `⌈B / 8⌉ × K × 8` aligned activation values, interleaved (`f64`
-    /// lane).
+    /// lane) — on the integer lanes shifted down by `lsb(acts_or)`.
     lanes: Vec<f64>,
+    /// Whether `lanes` holds the loaded tile on an integer-lane unit:
+    /// cleared by every load, set by the first row that passes.
+    lanes_ready: bool,
     /// Whether column `j` holds a special operand.
     poison: Vec<bool>,
     /// The `K` aligned values of the current weight row (integer lanes).
     weights: Vec<i64>,
-    /// The same for the `f64` lane.
+    /// The same for the `f64` lane — on an integer-lane unit shifted down
+    /// by their `lsb`, and empty while the row sums in integers.
     weights_f64: Vec<f64>,
 }
 
@@ -249,56 +308,93 @@ fn single_column<S: AlignedSum>(
     (sum, flags & 1 != 0)
 }
 
+/// OR of the magnitudes of `values` — one side of
+/// [`SumLane::span_bound`].
+#[inline(always)]
+fn magnitude_or(values: &[i64]) -> u64 {
+    values.iter().fold(0, |m, &v| m | v.unsigned_abs())
+}
+
+/// The trailing zeros every magnitude whose OR is `m` shares (0 for
+/// `m = 0`, whose values are all zero).
+#[inline(always)]
+fn lsb(m: u64) -> u32 {
+    match m {
+        0 => 0,
+        m => m.trailing_zeros(),
+    }
+}
+
+/// Sizes `lanes` for `batch` interleaved columns of `fan_in` operands and
+/// zeroes the slots a short last group has no column for, so they read as
+/// zeros, not as an earlier tile's operands.
+fn size_lanes(lanes: &mut Vec<f64>, batch: usize, fan_in: usize) {
+    let group_len = fan_in * LANES;
+    lanes.resize(batch.div_ceil(LANES) * group_len, 0.0);
+    let filled = batch % LANES;
+    if filled > 0 {
+        let last = lanes.len() - group_len;
+        for slots in lanes[last..].chunks_exact_mut(LANES) {
+            slots[filled..].fill(0.0);
+        }
+    }
+}
+
+/// Writes column `j`'s `fan_in` operands into its slots of the interleaved
+/// layout.
+#[inline(always)]
+fn put_column(lanes: &mut [f64], fan_in: usize, j: usize, values: impl Iterator<Item = f64>) {
+    let group_len = fan_in * LANES;
+    let group = &mut lanes[j / LANES * group_len..][..group_len];
+    for (slots, v) in group.chunks_exact_mut(LANES).zip(values) {
+        slots[j % LANES] = v;
+    }
+}
+
 impl AlignedTile {
     /// Scratch for a unit whose eq.-(3)/(4) register is `width` bits.
     pub(crate) fn new(width: u32) -> Self {
         AlignedTile {
             width,
             acts: Vec::new(),
+            acts_or: 0,
+            or_columns: 0,
+            shared: false,
             lanes: Vec::new(),
+            lanes_ready: false,
             poison: Vec::new(),
             weights: Vec::new(),
             weights_f64: Vec::new(),
         }
     }
 
-    /// Whether a tile of `batch` columns is summed on the `f64` lane.
+    /// Whether a tile of `batch` columns is loaded interleaved: on the
+    /// static `f64` lane.
     fn interleaved(&self, batch: usize) -> bool {
         SumLane::for_width(self.width) == SumLane::F64 && batch > 1
     }
 
     /// Decodes the `batch` activation columns `cols` yields, each `fan_in`
-    /// long, once for every weight row that follows — straight into the
-    /// layout the unit's lane reads.
+    /// long, once for each of the `rows` weight rows that follow —
+    /// straight into the layout the unit's static lane reads.
     #[inline(always)]
     pub(crate) fn load<'a>(
         &mut self,
         cols: impl Iterator<Item = &'a [u32]>,
         fan_in: usize,
         batch: usize,
+        rows: usize,
         word: impl Fn(u32) -> i64,
     ) {
         self.poison.clear();
+        self.shared = rows > 1;
         if self.interleaved(batch) {
-            let group_len = fan_in * LANES;
-            self.lanes.resize(batch.div_ceil(LANES) * group_len, 0.0);
+            size_lanes(&mut self.lanes, batch, fan_in);
             for (j, col) in cols.enumerate() {
-                let group = &mut self.lanes[j / LANES * group_len..][..group_len];
                 let mut flags = 0;
-                let values = aligned_values(col, &word, &mut flags);
-                for (slots, v) in group.chunks_exact_mut(LANES).zip(values) {
-                    slots[j % LANES] = v as f64;
-                }
+                let values = aligned_values(col, &word, &mut flags).map(|v| v as f64);
+                put_column(&mut self.lanes, fan_in, j, values);
                 self.poison.push(flags & 1 != 0);
-            }
-            // The columns a short last group lacks read as zeros, not as
-            // an earlier tile's operands.
-            let filled = batch % LANES;
-            if filled > 0 {
-                let last = self.lanes.len() - group_len;
-                for slots in self.lanes[last..].chunks_exact_mut(LANES) {
-                    slots[filled..].fill(0.0);
-                }
             }
         } else {
             self.acts.clear();
@@ -307,8 +403,37 @@ impl AlignedTile {
                 self.acts.extend(aligned_values(col, &word, &mut flags));
                 self.poison.push(flags & 1 != 0);
             }
+            (self.acts_or, self.or_columns, self.lanes_ready) = (0, 0, false);
         }
         debug_assert_eq!(self.poison.len(), batch);
+    }
+
+    /// Whether a decoded row whose magnitudes OR to `weights_or` passes
+    /// [`SumLane::span_bound`] against the loaded tile — asked only of a
+    /// tile two or more rows share: the tile's OR and interleaved copy
+    /// cost more than one row's `f64` sum saves (at K = 128, B = 64 about
+    /// 2 + 3.5 µs against 1.3 µs on the `i64` lane, 3 µs on `i128`). The
+    /// OR is a pass of its own (folded into the decode it halved the
+    /// one-row tiles), run a column at a time and only as far as this row
+    /// needs: spans only grow as columns join, so a row ruled out early is
+    /// ruled out by the whole tile, and a full-span tile — random patterns
+    /// — costs its rows about a column each instead of a pass per tile. A
+    /// row that passes has seen the whole tile.
+    #[inline(always)]
+    fn admits(&mut self, weights_or: u64) -> bool {
+        if !self.shared {
+            return false;
+        }
+        let (k, batch) = (self.weights.len(), self.poison.len());
+        while SumLane::span_bound(weights_or, self.acts_or, k) <= F64_BITS {
+            if self.or_columns == batch {
+                return true;
+            }
+            let j = self.or_columns;
+            self.acts_or |= magnitude_or(&self.acts[j * k..(j + 1) * k]);
+            self.or_columns += 1;
+        }
+        false
     }
 
     /// One weight row against the loaded tile: `emit(j, register,
@@ -349,9 +474,11 @@ impl AlignedTile {
 
     /// [`AlignedTile::row`] on the integer lanes, the running sums held in
     /// `S`. A lone column goes through [`single_column`]; otherwise the
-    /// weight row is decoded once and the columns go through [`quad`] in
-    /// full groups of four, then a single-column tail. Nothing past the
-    /// decode handles specials — poison was decided there.
+    /// weight row is decoded once and, when [`SumLane::span_bound`] admits
+    /// it against the tile, summed in `f64` ([`AlignedTile::row_by_span`]),
+    /// else the columns go through [`quad`] in full groups of four, then a
+    /// single-column tail. Nothing past the decode handles specials —
+    /// poison was decided there.
     #[inline(always)]
     fn row_in<S: AlignedSum>(
         &mut self,
@@ -371,6 +498,11 @@ impl AlignedTile {
         self.weights
             .extend(aligned_values(weights, word, &mut flags));
         let row_poison = flags & 1 != 0;
+        let weights_or = magnitude_or(&self.weights);
+        self.weights_f64.clear();
+        if self.admits(weights_or) {
+            return self.row_by_span(seed, weights_or, row_poison, emit);
+        }
         let (w, k) = (self.weights.as_slice(), self.weights.len());
         let col = |j: usize| &self.acts[j * k..(j + 1) * k];
         let seed = S::from_register(seed);
@@ -391,41 +523,80 @@ impl AlignedTile {
         }
     }
 
-    /// [`AlignedTile::row`] on the `f64` lane: the weight row decoded once
-    /// to `f64`s, then [`oct`] per group of [`LANES`] interleaved columns.
-    /// Exact by the module docs' argument; each emitted sum is checked
-    /// (debug builds) to be an integer inside the register.
+    /// [`AlignedTile::row`] on the static `f64` lane: the weight row
+    /// decoded once to `f64`s, then [`oct`] per group of [`LANES`]
+    /// interleaved columns with the seed inside the sum.
     #[inline(always)]
     fn row_in_f64(
         &mut self,
         seed: i128,
         weights: &[u32],
         word: impl Fn(u32) -> i64,
-        mut emit: impl FnMut(usize, i128, bool),
+        emit: impl FnMut(usize, i128, bool),
     ) {
         self.weights_f64.clear();
         let mut flags = 0;
         self.weights_f64
             .extend(aligned_values(weights, word, &mut flags).map(|v| v as f64));
         let row_poison = flags & 1 != 0;
+        self.sum_groups(seed as f64, row_poison, |sum| sum as i64 as i128, emit);
+    }
+
+    /// [`AlignedTile::row`] on an integer-lane unit for a decoded row that
+    /// [`SumLane::span_bound`] admits: both operands shifted down by their
+    /// `lsb` into `f64` — the tile's interleaved copy built by the first
+    /// such row after a load — summed from zero, and the seed added in
+    /// `i128` after the scale is restored. Never `sum as i128`: that is a
+    /// compiler-rt call, not an instruction.
+    #[inline(always)]
+    fn row_by_span(
+        &mut self,
+        seed: i128,
+        weights_or: u64,
+        row_poison: bool,
+        emit: impl FnMut(usize, i128, bool),
+    ) {
+        let (k, batch) = (self.weights.len(), self.poison.len());
+        let (w_shift, a_shift) = (lsb(weights_or), lsb(self.acts_or));
+        if !self.lanes_ready {
+            size_lanes(&mut self.lanes, batch, k);
+            for j in 0..batch {
+                let col = self.acts[j * k..(j + 1) * k].iter();
+                put_column(&mut self.lanes, k, j, col.map(|&a| (a >> a_shift) as f64));
+            }
+            self.lanes_ready = true;
+        }
+        self.weights_f64
+            .extend(self.weights.iter().map(|&w| (w >> w_shift) as f64));
+        let shift = w_shift + a_shift;
+        let read = |sum: f64| seed + ((sum as i64 as i128) << shift);
+        self.sum_groups(0.0, row_poison, read, emit);
+    }
+
+    /// The `f64` lane's sweep of `weights_f64` over the interleaved tile:
+    /// [`oct`] from `seed` per group of [`LANES`] columns, each sum
+    /// (checked in debug builds to be an integer) turned into its register
+    /// by `read`. Exact by the module docs' argument.
+    #[inline(always)]
+    fn sum_groups(
+        &self,
+        seed: f64,
+        row_poison: bool,
+        read: impl Fn(f64) -> i128,
+        mut emit: impl FnMut(usize, i128, bool),
+    ) {
         let w = self.weights_f64.as_slice();
         // `chunks_exact` would reject `K = 0`.
         let group = |g: usize| &self.lanes[g * w.len() * LANES..(g + 1) * w.len() * LANES];
         for (g, poison) in self.poison.chunks(LANES).enumerate() {
-            let sums = oct(seed as f64, w, group(g));
+            let sums = oct(seed, w, group(g));
             for (l, (&sum, &column_poison)) in sums.iter().zip(poison).enumerate() {
                 debug_assert!(
                     sum == sum as i64 as f64,
                     "f64 lane left the integers: {sum}"
                 );
                 let poison = row_poison || column_poison;
-                Self::finish(
-                    self.width,
-                    sum as i64 as i128,
-                    g * LANES + l,
-                    poison,
-                    &mut emit,
-                );
+                Self::finish(self.width, read(sum), g * LANES + l, poison, &mut emit);
             }
         }
     }
@@ -479,15 +650,58 @@ mod tests {
         assert_eq!(lanes, ["f64", "f64", "i64", "i64", "i128", "i128"]);
     }
 
-    #[test]
-    fn aligned_tile_sums_exactly_on_both_sum_widths() {
-        // Identity-decoded words (value << 1 | special, specials carry
-        // value 0), with i32::MIN standing in for the special pattern.
-        const SPECIAL: u32 = i32::MIN as u32;
-        let word = |b: u32| match b {
+    /// The pattern the test words decode as special.
+    const SPECIAL: u32 = i32::MIN as u32;
+
+    /// Identity-decoded words: value `b as i32`, shifted over the special
+    /// flag; the special carries value 0.
+    fn identity(b: u32) -> i64 {
+        match b {
             SPECIAL => 1,
             b => (b as i32 as i64) << 1,
+        }
+    }
+
+    /// One row against the loaded tile: its sums in column order, their
+    /// poison flags, and whether the row took the `f64` lane — read off
+    /// the tile, whose `f64` weight row stays empty while a row sums in
+    /// integers.
+    fn sweep_row(
+        tile: &mut AlignedTile,
+        seed: i128,
+        weights: &[u32],
+        word: impl Fn(u32) -> i64,
+    ) -> (Vec<i128>, Vec<bool>, bool) {
+        let (mut sums, mut poison) = (Vec::new(), Vec::new());
+        tile.row(seed, weights, word, |j, sum, p| {
+            assert_eq!(j, sums.len(), "columns arrive in order");
+            sums.push(sum);
+            poison.push(p);
+        });
+        (sums, poison, !tile.weights_f64.is_empty())
+    }
+
+    /// `seed + Σ value(w) · value(a)` per column, in `i128`.
+    fn reference(
+        seed: i128,
+        weights: &[u32],
+        cols: &[Vec<u32>],
+        word: impl Fn(u32) -> i64,
+    ) -> Vec<i128> {
+        let value = |b: u32| (word(b) >> 1) as i128;
+        let dot = |c: &[u32]| -> i128 {
+            weights
+                .iter()
+                .zip(c)
+                .map(|(&w, &a)| value(w) * value(a))
+                .sum()
         };
+        cols.iter().map(|c| seed + dot(c)).collect()
+    }
+
+    #[test]
+    fn aligned_tile_sums_exactly_on_both_sum_widths() {
+        let word = identity;
         let value = |b: u32| (word(b) >> 1) as i128;
         let weights = [3u32, -5i32 as u32, 7];
         let pool: [[u32; 3]; 6] = [
@@ -505,10 +719,12 @@ mod tests {
                 .map(|(&w, &a)| value(w) * value(a))
                 .sum()
         };
-        // 53 / 54 bits straddle the f64 / i64 sum, 63 / 64 the i64 / i128
-        // one; 1 column is the single-pass body, 2 the smallest tile, 7 / 8
-        // / 9 straddle one group of the f64 lane and two of the integer
-        // lanes' quads, 64 is the benchmark's chunk.
+        // 53 / 54 bits straddle the static f64 / i64 lanes, 63 / 64 the
+        // i64 / i128 ones (operands this small pass the span rule on every
+        // width at B ≥ 2; the fallbacks are pinned by the span tests
+        // below); 1 column is the single-pass body, 2 the smallest tile,
+        // 7 / 8 / 9 straddle one group of the f64 lane and two of the
+        // integer lanes' quads, 64 is the benchmark's chunk.
         for width in [40u32, 53, 54, 63, 64, 100] {
             for batch in [1usize, 2, 7, 8, 9, 64] {
                 // The pool in rotation, scaled per column so no two
@@ -525,7 +741,7 @@ mod tests {
                 let special = |j: usize| j % 6 == 3;
                 let want: Vec<i128> = cols.iter().map(|c| 100 + dot(c)).collect();
                 let mut tile = AlignedTile::new(width);
-                tile.load(cols.iter().map(Vec::as_slice), 3, batch, word);
+                tile.load(cols.iter().map(Vec::as_slice), 3, batch, 2, word);
                 let mut got = Vec::new();
                 tile.row(100, &weights, word, |j, sum, poison| {
                     assert_eq!(j, got.len(), "columns arrive in order");
@@ -545,6 +761,7 @@ mod tests {
                     cols[..batch.div_ceil(2)].iter().map(Vec::as_slice),
                     3,
                     batch.div_ceil(2),
+                    1,
                     word,
                 );
                 let mut again = Vec::new();
@@ -569,7 +786,7 @@ mod tests {
             let weights = [w as u32; 2];
             let cols = vec![vec![a as u32; 2]; 9];
             let mut tile = AlignedTile::new(53);
-            tile.load(cols.iter().map(Vec::as_slice), 2, 9, word);
+            tile.load(cols.iter().map(Vec::as_slice), 2, 9, 1, word);
             let seed = w as i128 * a as i128;
             tile.row(seed, &weights, word, |j, sum, _| {
                 assert_eq!(sum, 3 * seed, "column {j}");
@@ -579,7 +796,131 @@ mod tests {
         let weights = [max as u32, max as u32];
         let cols = vec![vec![max as u32, -max as u32]; 8];
         let mut tile = AlignedTile::new(53);
-        tile.load(cols.iter().map(Vec::as_slice), 2, 8, word);
+        tile.load(cols.iter().map(Vec::as_slice), 2, 8, 1, word);
         tile.row(-7, &weights, word, |_, sum, _| assert_eq!(sum, -7));
+    }
+
+    #[test]
+    fn span_rule_takes_f64_at_53_bits_and_falls_back_at_54() {
+        // K = 3 (⌈log₂K⌉ = 2) weights of 2^26 − 1 (span 25) against
+        // activations of 2^25 − 1 (span 24): a bound of exactly 53, so
+        // f64; activations of 2^26 − 1 make it 54, so the fallback — and
+        // rightly: three all-positive products sum to an odd integer above
+        // 2^53, which an f64 cannot hold. Dropping the `+ 2` or the
+        // `⌈log₂K⌉` from the bound sends that pair to f64 and fails here.
+        // Two rows share each tile; a tile swept by one row only never
+        // takes f64.
+        let ones = |bits: u32| ((1i64 << bits) - 1) as u32;
+        for width in [57u32, 100] {
+            for (a_bits, bound, in_f64) in [(25u32, 53u32, true), (26, 54, false)] {
+                let weights = [ones(26); 3];
+                // Column j negates operand k where bit k of j is set: nine
+                // distinct columns, one full group and a one-column tail,
+                // column 0 all positive.
+                let cols: Vec<Vec<u32>> = (0..9)
+                    .map(|j| {
+                        let a = ones(a_bits) as i32;
+                        (0..3).map(|k| [a, -a][(j >> k) & 1] as u32).collect()
+                    })
+                    .collect();
+                let or = |bits: u32| (1u64 << bits) - 1;
+                assert_eq!(SumLane::span_bound(or(26), or(a_bits), 3), bound);
+                let want = reference(100, &weights, &cols, identity);
+                let top = want[0] - 100;
+                assert_eq!(top as f64 as i128 == top, in_f64, "f64 holds the sum");
+                let mut tile = AlignedTile::new(width);
+                for rows in [2, 1] {
+                    tile.load(cols.iter().map(Vec::as_slice), 3, 9, rows, identity);
+                    for _ in 0..rows {
+                        let (sums, _, took_f64) = sweep_row(&mut tile, 100, &weights, identity);
+                        let (ctx, in_f64) = (
+                            format!("width {width} bound {bound} rows {rows}"),
+                            in_f64 && rows > 1,
+                        );
+                        assert_eq!(took_f64, in_f64, "{ctx}: lane");
+                        assert_eq!(tile.lanes_ready, in_f64, "{ctx}: interleaved copy");
+                        assert_eq!(sums, want, "{ctx}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn span_rule_reads_back_sums_past_2_to_63() {
+        // Patterns carry a 16-bit significand and a shift: odd 13-bit
+        // significands at << 40 (weights) and << 40 / 41 (activations)
+        // keep the spans at 12 and 13 bits (bound 30) while products reach
+        // 2^107 and sums pass 2^63 — the register value comes back only
+        // through the shift by the two lsbs.
+        let word = |b: u32| match b {
+            SPECIAL => 1,
+            b => ((b as u16 as i16 as i64) << (b >> 16)) << 1,
+        };
+        let pat = |sig: i16, shift: u32| shift << 16 | sig as u16 as u32;
+        let sigs = [8191i16, -8001, 6333, -4097, 8189, 1, -8191, 4095];
+        let weights: Vec<u32> = sigs.iter().map(|&s| pat(s, 40)).collect();
+        let mut cols: Vec<Vec<u32>> = (0..9)
+            .map(|j| {
+                let shift = |k: usize| 40 + ((j + k) % 2) as u32;
+                (0..8).map(|k| pat(sigs[(j + k) % 8], shift(k))).collect()
+            })
+            .collect();
+        // A special in the padded group poisons its column only.
+        cols[8][3] = SPECIAL;
+        let mut tile = AlignedTile::new(127);
+        tile.load(cols.iter().map(Vec::as_slice), 8, 9, 2, word);
+        let seed = -(1i128 << 90) + 12_345;
+        // The second row reuses the first one's interleaved copy.
+        for weights in [weights.clone(), weights.iter().rev().copied().collect()] {
+            let (sums, poison, took_f64) = sweep_row(&mut tile, seed, &weights, word);
+            assert!(took_f64, "a bound of 30 bits takes f64");
+            assert_eq!(sums, reference(seed, &weights, &cols, word));
+            assert!(sums.iter().all(|s| (s - seed).abs() > i64::MAX as i128));
+            assert_eq!(poison, [vec![false; 8], vec![true]].concat());
+        }
+    }
+
+    #[test]
+    fn span_rule_mixes_lanes_within_one_sweep() {
+        // Activations of span 21, K = 4: a small-weight row (span 2,
+        // bound 27) passes, a row holding 2^30 (span 30, bound 55) falls
+        // back. In both orders each row takes its own lane, the
+        // interleaved copy is built by the first row that passes and then
+        // reused, and a reload — at a different lsb and width — starts
+        // without it. Only the last column holds the tile's lsb, so a row
+        // must see the whole tile before it passes.
+        let pass = [3u32, -5i32 as u32, 7, 1];
+        let fail = [1u32, 1 << 30, -3i32 as u32, 2];
+        let tile_of = |batch: usize, scale: i32| -> Vec<Vec<u32>> {
+            let pool = [1, 3, 1 << 20, -(1 << 19) - 1, 5, -7, 0, 9, 11];
+            let scale = |j: usize| if j + 1 == batch { scale } else { 2 * scale };
+            (0..batch)
+                .map(|j| {
+                    (0..4)
+                        .map(|k| (pool[(j + k) % 9] * scale(j)) as u32)
+                        .collect()
+                })
+                .collect()
+        };
+        for order in [[true, false, true], [false, true, false]] {
+            let mut tile = AlignedTile::new(100);
+            for (batch, scale) in [(9usize, 1), (5, 8)] {
+                let cols = tile_of(batch, scale);
+                tile.load(cols.iter().map(Vec::as_slice), 4, batch, 3, identity);
+                assert!(!tile.lanes_ready, "a load drops the interleaved copy");
+                let mut built = false;
+                for (r, &passes) in order.iter().enumerate() {
+                    let weights = if passes { &pass } else { &fail };
+                    let seed = r as i128 - 1;
+                    let (sums, _, took_f64) = sweep_row(&mut tile, seed, weights, identity);
+                    let ctx = format!("{order:?} B={batch} row {r}");
+                    assert_eq!(took_f64, passes, "{ctx}: lane");
+                    built |= passes;
+                    assert_eq!(tile.lanes_ready, built, "{ctx}: interleaved copy");
+                    assert_eq!(sums, reference(seed, weights, &cols, identity), "{ctx}");
+                }
+            }
+        }
     }
 }

@@ -62,8 +62,12 @@
 //!   eq.-(3)/(4) register fits an `i128` — the 8-bit trio, posits through
 //!   ⟨16,1⟩, minifloats up to binary16, fixed point at every width — a
 //!   sweep decodes its operands once and runs `acc[j] += w[k] · a[j][k]`
-//!   in the [`SumLane`] the register width proves exact — `f64` (≤ 53
-//!   bits), `i64` (≤ 63) or `i128` ([`MacKernel::Aligned`]). Everything else, and
+//!   ([`MacKernel::Aligned`]) in the static [`SumLane`] the register width
+//!   proves exact — `f64` (≤ 53 bits), `i64` (≤ 63) or `i128` — or, past
+//!   53 bits, in `f64` for every (weight row, activation tile) pair of a
+//!   multi-row sweep whose operands prove it exact
+//!   ([`SumLane::span_bound`]: the bits the pair's sums can occupy,
+//!   checked per call). Everything else, and
 //!   every `new_reference()` unit, runs the per-MAC datapath in a loop
 //!   ([`MacKernel::Scalar`]) — the reference the aligned band is pinned
 //!   against.

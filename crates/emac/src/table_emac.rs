@@ -142,12 +142,16 @@ macro_rules! with_aligned_word {
 ///   Table II, for posit⟨16,1⟩ — 121 bits at k = 128 — binary16 and
 ///   fixed point), [`Emac::dot_tile`] and [`Emac::dot_layer`] decode
 ///   their operands once ([`AlignedLut`], or [`Family::aligned_word`])
-///   and accumulate a plain integer dot product in the
+///   and accumulate a plain integer dot product in the static
 ///   [`crate::SumLane`] the register width picks — `f64` up to 53 bits
 ///   (every operand below `2^26`, every partial sum below `2^52`: all
 ///   exact in an `f64`, eight columns abreast in packed multiplies),
-///   `i64` up to 63, `i128` beyond; per-MAC calls run the reference
-///   datapath on the same `i128`.
+///   `i64` up to 63, `i128` beyond — except that past 53 bits, in a
+///   [`Emac::dot_layer`] of two or more rows at `B ≥ 2`, each (weight
+///   row, activation tile) pair whose operand span
+///   proves 53 bits enough ([`crate::SumLane::span_bound`], checked per
+///   call on the operands themselves) sums in `f64` too; per-MAC calls run
+///   the reference datapath on the same `i128`.
 /// * **The reference band** ([`MacKernel::Scalar`]) — everything else,
 ///   and every [`TableEmac::new_reference`] unit: one
 ///   [`Family::decode`] per operand, one shifted add into the
@@ -265,6 +269,13 @@ impl<F: Family> TableEmac<F> {
     /// last column — going through `set_bias` and `result()` per output
     /// measured ×0.97 samples/s and ×1.07 median latency on the
     /// benchmark's Iris-sized workload (`offline_narrow8`, 0/6 pairs).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `fan_in` exceeds the unit's capacity, in release builds
+    /// too: the register width, hence every sum type's exactness, rests on
+    /// it, and an integer lane handed more terms than it was sized for
+    /// would wrap silently.
     #[inline(always)]
     fn aligned_sweep<'a>(
         &mut self,
@@ -276,14 +287,15 @@ impl<F: Family> TableEmac<F> {
         out: &mut [u32],
     ) {
         let rows = biases.len();
-        debug_assert!(
+        assert!(
             fan_in as u64 <= self.capacity,
-            "{} EMAC over capacity",
-            F::NAME
+            "{} EMAC over capacity: {fan_in} terms, sized for {}",
+            F::NAME,
+            self.capacity
         );
         let (family, bias_shift) = (&self.family, self.family.bias_shift());
         let mut last = (0, false);
-        self.tile.load(cols, fan_in, out.len() / rows, word);
+        self.tile.load(cols, fan_in, out.len() / rows, rows, word);
         for (r, &bias) in biases.iter().enumerate() {
             let bias = word(bias);
             let seed = ((bias >> 1) as i128) << bias_shift;

@@ -19,11 +19,21 @@
 //!   at the largest magnitude (the eq.-(3)/(4) register's own bound),
 //!   alternating signs (cancellation to the bias), and a special in the
 //!   last real column of a padded group of the `f64` lane.
+//! * **Trained-like operands** — random bit patterns span about the whole
+//!   format, so on `W > 53` units they mostly take the integer fallback;
+//!   a bell-shaped stream quantised by `from_f32` (posit⟨16,1⟩,
+//!   float⟨5,10⟩, posit⟨8,1⟩, posit⟨8,2⟩) takes the `f64` lane by
+//!   [`SumLane::span_bound`], beside a full-span row and column that must
+//!   fall back, against `new_reference()`.
 //! * **Accounting** — a non-empty tile leaves `macs_done` at exactly
 //!   K × B, agreeing with mac()/reference paths fed the same
-//!   K × B workload; B = 0 is a state no-op.
+//!   K × B workload; B = 0 is a state no-op; a sweep past the unit's
+//!   capacity panics, in release builds too.
 
-use dp_emac::{Emac, EmacUnit, FixedEmac, FloatEmac, MacKernel, PositEmac};
+use dp_emac::{
+    Emac, EmacEntry, EmacUnit, Family, FixedEmac, Float, FloatEmac, MacKernel, Posit, PositEmac,
+    SumLane, TableEmac,
+};
 use dp_fixed::FixedFormat;
 use dp_minifloat::FloatFormat;
 use dp_posit::PositFormat;
@@ -392,6 +402,126 @@ fn tile_macs_done_is_k_times_b_on_every_band() {
             assert_eq!(unit.macs_done(), before, "B=0 must be a no-op");
         }
     }
+}
+
+#[test]
+#[should_panic(expected = "over capacity")]
+fn a_sweep_past_the_units_capacity_panics() {
+    // The eq.-(3)/(4) register, and with it every sum type's exactness,
+    // is sized for the capacity: five terms on a unit built for four must
+    // not be summed, in a release build either.
+    let fmt = PositFormat::new(8, 1).unwrap();
+    let mut unit = PositEmac::new(fmt, 4);
+    assert_eq!(unit.kernel(), MacKernel::Aligned);
+    let one = dp_posit::convert::from_f64(fmt, 1.0);
+    unit.dot_layer(&[0], &[one; 5], &[one; 10], &mut [0; 2]);
+}
+
+/// A seeded bell-shaped stream: the centred sum of four uniform bytes,
+/// times `step` — values on a grid of `step`, zero included, densest near
+/// zero, within ±510 steps. At a step of 2^-11 for weights and 2^-8 for
+/// activations it occupies the register the way a trained layer does.
+fn bell(seed: u64, step: f32) -> impl FnMut() -> f32 {
+    let mut next = xorshift(seed);
+    move || {
+        let r = next();
+        let sum: i32 = (0..4).map(|i| ((r >> (8 * i)) & 0xff) as i32).sum();
+        (sum - 510) as f32 * step
+    }
+}
+
+/// Every output of `unit.dot_layer` against the reference unit's
+/// `set_bias → dot_slice → result`.
+fn layer_vs_reference<E: Emac>(
+    unit: &mut E,
+    reference: &mut E,
+    (biases, weights, acts): (&[u32], &[u32], &[u32]),
+    batch: usize,
+    ctx: &str,
+) {
+    let rows = biases.len();
+    let k = weights.len() / rows;
+    let mut out = vec![0u32; rows * batch];
+    unit.dot_layer(biases, weights, acts, &mut out);
+    for j in 0..batch {
+        for (r, &bias) in biases.iter().enumerate() {
+            reference.set_bias(bias);
+            reference.dot_slice(&weights[r * k..][..k], &acts[j * k..][..k]);
+            assert_eq!(
+                out[j * rows + r],
+                reference.result(),
+                "{ctx} row {r} column {j}"
+            );
+        }
+    }
+}
+
+/// Trained-like layers of one `W > 53` format at K ∈ {24, 117, 128} and
+/// B ∈ {2, 7, 8, 9, 64}: three rows — bell, full-span (`big` and `small`,
+/// the largest and smallest magnitudes, among bell weights), bell —
+/// against a bell tile with a special in the padded group, then against
+/// the same tile with one full-span column. The bell rows must take the
+/// `f64` lane by [`SumLane::span_bound`] against the bell tile and the
+/// full-span row must fall back against the full-span tile, so one sweep
+/// mixes lanes; every output must equal `new_reference()`.
+fn trained_like_layers<F: Family>(
+    fmt: F::Format,
+    quantize: impl Fn(f32) -> u32,
+    (big, small, special): (u32, u32, u32),
+) {
+    let name = fmt.to_string();
+    let decoder = F::new(fmt, false);
+    let magnitude = |b: u32| {
+        let e: EmacEntry = decoder.decode(b);
+        e.field() << e.scale()
+    };
+    let or = |bits: &[u32]| bits.iter().fold(0, |m, &b| m | magnitude(b));
+    let mut weight = bell(0xbe11_0000 ^ big as u64, 2f32.powi(-11));
+    let mut act = bell(0xbe11_ac75 ^ big as u64, 2f32.powi(-8));
+    for k in [24usize, 117, 128] {
+        let mut unit = TableEmac::<F>::new(fmt, k as u64);
+        assert_eq!(unit.kernel(), MacKernel::Aligned, "{name}");
+        assert!(unit.accumulator_width() > 53, "{name}: not a W > 53 unit");
+        let mut reference = TableEmac::<F>::new_reference(fmt, k as u64);
+        for b in [2usize, 7, 8, 9, 64] {
+            let biases: Vec<u32> = (0..3).map(|_| quantize(weight())).collect();
+            let mut weights: Vec<u32> = (0..3 * k).map(|_| quantize(weight())).collect();
+            (weights[k + k / 2], weights[k + k / 3]) = (big, small);
+            let mut acts: Vec<u32> = (0..b * k).map(|_| quantize(act())).collect();
+            if b % 8 != 0 {
+                acts[(b - 1) * k + k / 4] = special;
+            }
+            let bound = |r: usize, acts: &[u32]| {
+                SumLane::span_bound(or(&weights[r * k..][..k]), or(acts), k)
+            };
+            let ctx = format!("{name} K={k} B={b}");
+            for r in [0, 2] {
+                let bound = bound(r, &acts);
+                assert!(bound <= 53, "{ctx}: bell row {r} needs {bound} bits");
+            }
+            let layer = (&biases[..], &weights[..], &acts[..]);
+            layer_vs_reference(&mut unit, &mut reference, layer, b, &ctx);
+            (acts[k / 2], acts[k / 3]) = (big, small);
+            let bound = bound(1, &acts);
+            assert!(bound > 53, "{ctx}: full-span pair passes at {bound} bits");
+            let layer = (&biases[..], &weights[..], &acts[..]);
+            layer_vs_reference(&mut unit, &mut reference, layer, b, &ctx);
+        }
+    }
+}
+
+#[test]
+fn trained_like_operands_sum_in_f64_by_span_bit_identically() {
+    for (n, es) in [(16u32, 1u32), (8, 1), (8, 2)] {
+        let fmt = PositFormat::new(n, es).unwrap();
+        let extremes = (fmt.maxpos_bits(), fmt.minpos_bits(), fmt.nar_bits());
+        trained_like_layers::<Posit>(fmt, |v| dp_posit::convert::from_f32(fmt, v), extremes);
+    }
+    let fmt = FloatFormat::new(5, 10).unwrap();
+    // Pattern 1 is the smallest subnormal.
+    let extremes = (fmt.max_bits(false), 1, fmt.nan_bits());
+    let quantize = |v| dp_minifloat::convert::from_f32_saturating(fmt, v);
+    trained_like_layers::<Float>(fmt, quantize, extremes);
 }
 
 #[test]
