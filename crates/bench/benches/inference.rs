@@ -1,7 +1,10 @@
 //! Whole-network inference throughput (Iris topology): per-sample EMAC
 //! inference vs the batch engine (contiguous weights, EMACs built once,
 //! one tile sweep per layer on the calling thread), plus the per-op
-//! rounding path and the f32 baseline.
+//! rounding path and the f32 baseline — and the `offline_wide16` shape of
+//! the end-to-end benchmark: Mushroom 117-24-2, trained as `benchmark/`
+//! trains it, in batches of 64 on caller-owned EMACs, per 16-bit format
+//! (`*_mushroom_batch64`).
 //!
 //! Run with `cargo bench --bench inference`. Writes the committed baseline
 //! `BENCH_inference.json` at the repository root.
@@ -9,7 +12,7 @@
 use deep_positron::train::{train, TrainConfig};
 use deep_positron::{Mlp, NumericFormat, QuantizedMlp};
 use dp_bench::timing::{measure, out_path, render_measurements, smoke, write_json, Measurement};
-use dp_datasets::iris;
+use dp_datasets::{iris, mushroom};
 use dp_fixed::FixedFormat;
 use dp_minifloat::FloatFormat;
 use dp_posit::PositFormat;
@@ -79,6 +82,42 @@ fn main() {
         mlp.predict(black_box(&x))
     }));
 
+    // The wide16 shape: layers hand each other operand words, so what
+    // separates posit<16,1> from fixed<16,8> is the posit decode of the
+    // weights and the round-to-word epilogue, not a pattern round trip.
+    let wide = mushroom::load(42).split(2708, 42).normalized();
+    let mut wide_mlp = Mlp::new(&[117, 24, 2], 42);
+    let schedule = TrainConfig {
+        epochs: 2,
+        batch_size: 64,
+        lr: 0.01,
+        seed: 42,
+    };
+    train(&mut wide_mlp, &wide.train, schedule);
+    let chunk: Vec<Vec<f32>> = wide.test.features.iter().take(64).cloned().collect();
+    let wide_configs = [
+        (
+            "posit16e1",
+            NumericFormat::Posit(PositFormat::new(16, 1).unwrap()),
+        ),
+        (
+            "float16e5m10",
+            NumericFormat::Float(FloatFormat::new(5, 10).unwrap()),
+        ),
+        (
+            "fixed16q8",
+            NumericFormat::Fixed(FixedFormat::new(16, 8).unwrap()),
+        ),
+    ];
+    for (name, fmt) in wide_configs {
+        let q = QuantizedMlp::quantize(&wide_mlp, fmt);
+        let mut emacs = q.make_layer_emacs().expect("the 16-bit trio has EMACs");
+        rows.push(measure(&format!("{name}_mushroom_batch64"), 64, || {
+            q.forward_batch_bits_with(&mut emacs, black_box(&chunk))
+                .len()
+        }));
+    }
+
     println!("{}", render_measurements(&rows));
 
     let find = |name: &str| rows.iter().find(|m| m.name == name).unwrap();
@@ -90,6 +129,14 @@ fn main() {
             scalar.ns_per_iter / swept.ns_per_iter
         );
     }
+    let fixed = find("fixed16q8_mushroom_batch64").ns_per_iter;
+    for (name, _) in wide_configs {
+        let row = find(&format!("{name}_mushroom_batch64"));
+        println!(
+            "{name} mushroom 117-24-2 B=64: {:.2}x fixed16q8's time",
+            row.ns_per_iter / fixed
+        );
+    }
 
     let path = out_path("inference");
     let meta = [
@@ -97,6 +144,10 @@ fn main() {
         ("command", "cargo bench --bench inference".to_string()),
         ("topology", "iris 4-16-3".to_string()),
         ("batch", b.to_string()),
+        (
+            "wide_topology",
+            "mushroom 117-24-2, batches of 64 (*_mushroom_batch64)".to_string(),
+        ),
         ("threads", "1".to_string()),
         (
             "note",

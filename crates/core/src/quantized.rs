@@ -10,14 +10,35 @@
 //! ## Batch engine
 //!
 //! Weights are stored as one contiguous row-major pattern array per layer.
-//! The dataset-scale entry points ([`QuantizedMlp::forward_batch`],
-//! [`QuantizedMlp::infer_batch`], [`QuantizedMlp::accuracy`]) build the
-//! per-layer EMAC array once and run the whole slice as one sweep on the
-//! calling thread ([`QuantizedMlp::forward_batch_bits_with`]: one
-//! [`dp_emac::Emac::dot_layer`] call per layer over one flat activation
-//! buffer), bit-identical to per-sample [`QuantizedMlp::forward_bits`]
-//! (the tile contract). Spreading batches over threads is the `dp_serve`
-//! crate's job; its pool workers call these same methods per chunk.
+//! Every EMAC entry point is a thin wrapper around one forward pass,
+//! [`QuantizedMlp::forward_into`]: `batch` samples (one flat sample-major
+//! `f32` slice) through one [`dp_emac::Emac::dot_layer`]-shaped sweep per
+//! layer on caller-owned EMACs, the readout patterns written to a
+//! caller-owned slice; the entry points that take a slice of rows run the
+//! same pass on their rows as they lie. The dataset-scale entry points
+//! ([`QuantizedMlp::forward_batch`], [`QuantizedMlp::infer_batch`],
+//! [`QuantizedMlp::accuracy`]) build the per-layer EMAC array once and run
+//! the whole slice as one such pass on the calling thread, bit-identical
+//! to per-sample [`QuantizedMlp::forward_bits`] (the tile contract).
+//! Spreading batches over threads is the `dp_serve` crate's job; its pool
+//! workers call these same methods per chunk.
+//!
+//! ## Patterns at the edges only
+//!
+//! In paper Fig. 1 each EMAC's output register feeds the next layer; the
+//! decode stage exists because posit bits arrive from memory, which in
+//! software happens only at the edges. So when a format's operands align
+//! ([`dp_emac::TableEmac::takes_words`]) layers hand each other **operand
+//! words** — the rounded value in the format's operand unit, shifted over a
+//! poison flag ([`dp_emac::table::align`]) — not bit patterns: layer 0
+//! quantises `f32` straight to words, every hidden layer rounds its sums
+//! straight to the next layer's words (ReLU is then `max(0, w)`, which
+//! leaves a poisoned word, `1`, poisoned), and only the readout encodes
+//! patterns. Each word is `align(decode(·))` of the pattern the pattern
+//! path would have produced, so the readout is the same bit for bit.
+//! Formats whose operands do not align (posit⟨16,2⟩, minifloats and posits
+//! past 16 bits) keep patterns between layers, as do `new_reference()`
+//! units and the streaming simulator, whose hardware model moves bits.
 
 use crate::format::NumericFormat;
 use crate::mlp::Mlp;
@@ -201,10 +222,116 @@ impl QuantizedMlp {
             .map(Some)
     }
 
-    /// EMAC inference: each neuron seeds its accumulator with the bias,
-    /// streams one exact MAC per input, rounds once, then applies ReLU
-    /// (identity on the readout layer). Returns the output activations as
-    /// bit patterns.
+    /// The forward pass every EMAC entry point wraps: `batch` samples (`xs`,
+    /// flat, one sample after another) through every layer on caller-owned
+    /// EMACs (one per layer, as built by
+    /// [`QuantizedMlp::make_layer_emacs`]), the readout patterns written to
+    /// `out` (flat, sample-major). Each layer evaluates across **all**
+    /// samples before the next, as one `dot_layer`-shaped sweep, so the
+    /// kernels load the activation tile once per layer and decode each
+    /// weight row once per call; each neuron seeds its accumulator with the
+    /// bias, accumulates exact products, rounds once, then applies ReLU
+    /// (identity on the readout layer). Between layers the activations are
+    /// operand words when the format's operands align, patterns otherwise
+    /// (see the module docs) — the same readout either way. Allocates the
+    /// quantised input and one buffer per hidden layer.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `xs` is not `batch` samples of the first layer's fan-in,
+    /// `out` not `batch` readouts, or `emacs` not one unit per layer.
+    pub fn forward_into(&self, emacs: &mut [EmacUnit], xs: &[f32], batch: usize, out: &mut [u32]) {
+        let fan_in = self.layers[0].fan_in();
+        assert_eq!(
+            xs.len(),
+            batch * fan_in,
+            "sample/first-layer length mismatch"
+        );
+        // `chunks_exact` would reject `fan_in = 0`.
+        let rows = (0..batch).map(|j| &xs[j * fan_in..(j + 1) * fan_in]);
+        self.forward_rows(emacs, rows, batch, out);
+    }
+
+    /// [`QuantizedMlp::forward_into`] over `batch` samples handed over as
+    /// rows: the row-fed entry points quantise their samples where they lie
+    /// instead of first copying them into one flat slice (an allocation and
+    /// ≈ 20 ns per 117-feature sample).
+    fn forward_rows<'a>(
+        &self,
+        emacs: &mut [EmacUnit],
+        rows: impl Iterator<Item = &'a [f32]>,
+        batch: usize,
+        out: &mut [u32],
+    ) {
+        let fan_in = self.layers[0].fan_in();
+        assert_eq!(
+            out.len(),
+            batch * self.classes(),
+            "output/readout length mismatch"
+        );
+        assert_eq!(emacs.len(), self.layers.len(), "one EMAC per layer");
+        let sample = |x: &'a [f32]| {
+            assert_eq!(x.len(), fan_in, "sample/first-layer length mismatch");
+            x
+        };
+        if emacs.iter().all(EmacUnit::takes_words) {
+            let mut words = Vec::with_capacity(batch * fan_in);
+            for x in rows {
+                emacs[0].quantize_words(sample(x), &mut words);
+            }
+            self.word_layers(emacs, 0, &words, batch, out);
+        } else {
+            let mut patterns = Vec::with_capacity(batch * fan_in);
+            for x in rows {
+                self.format.quantize_into(sample(x), &mut patterns);
+            }
+            self.pattern_layers(emacs, 0, &patterns, batch, out);
+        }
+    }
+
+    /// Layers `li..` over `batch` columns of operand words: each hidden
+    /// layer rounds straight to the next layer's words, ReLU is
+    /// `max(0, w)`, and the readout writes its patterns to `out`.
+    fn word_layers(
+        &self,
+        emacs: &mut [EmacUnit],
+        li: usize,
+        acts: &[i64],
+        batch: usize,
+        out: &mut [u32],
+    ) {
+        let (layer, unit) = (&self.layers[li], &mut emacs[li]);
+        if li + 1 == self.layers.len() {
+            return unit.dot_layer_words(layer.biases(), layer.weights(), acts, out);
+        }
+        let mut next = vec![0i64; batch * layer.fan_out()];
+        unit.dot_layer_words(layer.biases(), layer.weights(), acts, &mut next);
+        for word in &mut next {
+            *word = (*word).max(0);
+        }
+        self.word_layers(emacs, li + 1, &next, batch, out);
+    }
+
+    /// [`QuantizedMlp::word_layers`] over patterns, for formats whose
+    /// operands do not align.
+    fn pattern_layers(
+        &self,
+        emacs: &mut [EmacUnit],
+        li: usize,
+        acts: &[u32],
+        batch: usize,
+        out: &mut [u32],
+    ) {
+        let (layer, unit) = (&self.layers[li], &mut emacs[li]);
+        if li + 1 == self.layers.len() {
+            return unit.dot_layer(layer.biases(), layer.weights(), acts, out);
+        }
+        let next = self.layer_forward(li, unit, acts, batch);
+        self.pattern_layers(emacs, li + 1, &next, batch, out);
+    }
+
+    /// EMAC inference of one sample; returns the output activations as bit
+    /// patterns.
     pub fn forward_bits(&self, x: &[f32]) -> Vec<u32> {
         let mut emacs = self
             .make_layer_emacs()
@@ -212,23 +339,20 @@ impl QuantizedMlp {
         self.forward_bits_with(&mut emacs, x)
     }
 
-    /// [`QuantizedMlp::forward_bits`] with caller-owned EMACs (one per
-    /// layer, as built by [`QuantizedMlp::make_layer_emacs`]); the batch
-    /// engine's inner loop.
-    ///
-    /// Each layer is one [`dp_emac::Emac::dot_layer`] call over a batch of
-    /// one, so the unit runs its [`dp_emac::MacKernel`]: an aligned-integer
-    /// dot product with the activation vector decoded once per layer
-    /// wherever the format's operands allow it, the per-MAC loop
-    /// otherwise — bit-identical either way by the kernel contract.
+    /// [`QuantizedMlp::forward_bits`] with caller-owned EMACs:
+    /// [`QuantizedMlp::forward_into`] at a batch of one.
     pub fn forward_bits_with(&self, emacs: &mut [EmacUnit], x: &[f32]) -> Vec<u32> {
-        self.forward_flat(emacs, self.quantize_input(x), 1)
+        let mut out = vec![0; self.classes()];
+        self.forward_into(emacs, x, 1, &mut out);
+        out
     }
 
-    /// Layer `li` over `batch` samples' activations (flat, one sample
-    /// after another): one [`dp_emac::Emac::dot_layer`] call, then ReLU in
-    /// place on hidden layers (identity on the readout). Returns the
-    /// layer's outputs in the same flat sample-major layout.
+    /// Layer `li` over `batch` samples' activation patterns (flat, one
+    /// sample after another): one [`dp_emac::Emac::dot_layer`] call, then
+    /// ReLU in place on hidden layers (identity on the readout). Returns
+    /// the layer's output patterns in the same flat sample-major layout —
+    /// the streaming simulator's stage, which moves bits as its hardware
+    /// model does.
     pub(crate) fn layer_forward(
         &self,
         li: usize,
@@ -245,25 +369,11 @@ impl QuantizedMlp {
         out
     }
 
-    /// Every layer in turn over `batch` samples' quantized inputs.
-    fn forward_flat(&self, emacs: &mut [EmacUnit], inputs: Vec<u32>, batch: usize) -> Vec<u32> {
-        debug_assert_eq!(emacs.len(), self.layers.len());
-        emacs
-            .iter_mut()
-            .enumerate()
-            .fold(inputs, |acts, (li, emac)| {
-                self.layer_forward(li, emac, &acts, batch)
-            })
-    }
-
-    /// Whole-chunk EMAC inference with caller-owned EMACs: evaluates each
-    /// layer across **all** of `xs` before advancing to the next, as one
-    /// [`dp_emac::Emac::dot_layer`] call over a flat sample-major
-    /// activation buffer, so the kernels decode the activation tile once
-    /// per layer and each weight row once per chunk. Per sample, the
-    /// output is bit-identical to [`QuantizedMlp::forward_bits_with`] (the
-    /// tile contract); this is the batch engine's and the serving chunk
-    /// path's inner loop.
+    /// Whole-chunk EMAC inference with caller-owned EMACs: the
+    /// [`QuantizedMlp::forward_into`] pass over the rows of `xs`, one output
+    /// row per sample. Per sample, the output is bit-identical to
+    /// [`QuantizedMlp::forward_bits_with`] (the tile contract); the batch
+    /// engine's and the serving chunk path's inner loop.
     ///
     /// # Panics
     ///
@@ -274,28 +384,28 @@ impl QuantizedMlp {
         emacs: &mut [EmacUnit],
         xs: &[Vec<f32>],
     ) -> Vec<Vec<u32>> {
-        let fan_in = self.layers[0].fan_in();
-        let mut inputs = Vec::with_capacity(xs.len() * fan_in);
-        for x in xs {
-            assert_eq!(x.len(), fan_in, "sample/first-layer length mismatch");
-            self.format.quantize_into(x, &mut inputs);
-        }
-        let outputs = self.forward_flat(emacs, inputs, xs.len());
-        let classes = self.layers[self.layers.len() - 1].fan_out();
-        (0..xs.len())
-            .map(|j| outputs[j * classes..(j + 1) * classes].to_vec())
+        let classes = self.classes();
+        let mut out = vec![0; xs.len() * classes];
+        self.forward_rows(emacs, xs.iter().map(Vec::as_slice), xs.len(), &mut out);
+        out.chunks(classes).map(<[u32]>::to_vec).collect()
+    }
+
+    /// Predicted classes for a whole chunk — the classify counterpart of
+    /// [`QuantizedMlp::forward_batch_bits_with`], shared by
+    /// [`QuantizedMlp::infer_batch`] and the `dp_serve` chunk path. Agrees
+    /// with per-sample [`QuantizedMlp::infer_with`] exactly.
+    pub fn infer_batch_with(&self, emacs: &mut [EmacUnit], xs: &[Vec<f32>]) -> Vec<usize> {
+        let classes = self.classes();
+        let mut out = vec![0; xs.len() * classes];
+        self.forward_rows(emacs, xs.iter().map(Vec::as_slice), xs.len(), &mut out);
+        out.chunks(classes)
+            .map(|bits| self.argmax_bits(bits))
             .collect()
     }
 
-    /// Predicted classes for a whole chunk via the tile sweep — the
-    /// classify counterpart of [`QuantizedMlp::forward_batch_bits_with`],
-    /// shared by [`QuantizedMlp::infer_batch`] and the `dp_serve` chunk
-    /// path. Agrees with per-sample [`QuantizedMlp::infer_with`] exactly.
-    pub fn infer_batch_with(&self, emacs: &mut [EmacUnit], xs: &[Vec<f32>]) -> Vec<usize> {
-        self.forward_batch_bits_with(emacs, xs)
-            .iter()
-            .map(|bits| self.argmax_bits(bits))
-            .collect()
+    /// Output neurons of the readout layer.
+    fn classes(&self) -> usize {
+        self.layers[self.layers.len() - 1].fan_out()
     }
 
     /// EMAC inference over a whole batch on the calling thread: per-layer
@@ -371,8 +481,15 @@ impl QuantizedMlp {
 
     /// Per-op rounding inference (an ordinary MAC: every product and every
     /// accumulation rounds to the format) — the ablation baseline showing
-    /// what the EMAC's exactness buys.
+    /// what the EMAC's exactness buys, and the `F32` model's inference.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `x`'s length differs from the first layer's fan-in, as
+    /// [`QuantizedMlp::forward_into`] does.
     pub fn infer_inexact(&self, x: &[f32]) -> usize {
+        let fan_in = self.layers[0].fan_in();
+        assert_eq!(x.len(), fan_in, "sample/first-layer length mismatch");
         let mut acts = self.quantize_input(x);
         let last = self.layers.len() - 1;
         for (li, layer) in self.layers.iter().enumerate() {
@@ -703,6 +820,32 @@ mod tests {
         let q = QuantizedMlp::quantize(&mlp, NumericFormat::Posit(PositFormat::new(8, 0).unwrap()));
         assert!(q.forward_batch(&[]).is_empty());
         assert!(q.infer_batch(&[]).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "sample/first-layer length mismatch")]
+    fn f32_model_rejects_a_wrong_width_sample() {
+        // The F32 model infers per op; zipping the sample against the
+        // weight rows used to drop the extra feature silently.
+        let (mlp, _) = trained_iris();
+        QuantizedMlp::quantize(&mlp, NumericFormat::F32).infer(&[0.5; 5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "sample/first-layer length mismatch")]
+    fn per_op_inference_rejects_a_wrong_width_sample() {
+        let (mlp, _) = trained_iris();
+        let q = QuantizedMlp::quantize(&mlp, NumericFormat::Posit(PositFormat::new(8, 0).unwrap()));
+        q.infer_inexact(&[0.5; 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "sample/first-layer length mismatch")]
+    fn forward_into_rejects_a_ragged_batch() {
+        let (mlp, _) = trained_iris();
+        let q = QuantizedMlp::quantize(&mlp, NumericFormat::Posit(PositFormat::new(8, 0).unwrap()));
+        let mut emacs = q.make_layer_emacs().unwrap();
+        q.forward_into(&mut emacs, &[0.5; 9], 2, &mut [0; 6]);
     }
 
     #[test]

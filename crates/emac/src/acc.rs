@@ -115,56 +115,63 @@ impl Accum {
     }
 
     /// Sign, MSB index and left-aligned 64-bit rounding window of the
-    /// current value, or `None` when zero. Identical between paths.
+    /// current value, or `None` when zero. Identical between paths. The
+    /// `i128` read inlines into every readout; the `WideInt` one is a call.
+    #[inline(always)]
     pub fn window(&self) -> Option<Window> {
         match self {
-            Accum::Small(acc) => {
-                if *acc == 0 {
-                    return None;
-                }
-                let sign = *acc < 0;
-                // A sum in `i64` range — every ≤ 64-bit register — has its
-                // whole magnitude inside the window: one 64-bit shift, no
-                // sticky.
-                if let Ok(narrow) = i64::try_from(*acc) {
-                    let mag = narrow.unsigned_abs();
-                    let lz = mag.leading_zeros();
-                    return Some(Window {
-                        sign,
-                        msb: 63 - lz as usize,
-                        sig: mag << lz,
-                        sticky: false,
-                    });
-                }
-                let mag = acc.unsigned_abs();
-                let msb = 127 - mag.leading_zeros() as usize;
-                // Left-align the magnitude so bit `msb` lands at bit 127;
-                // the top half is then the 64-bit window, the bottom half
-                // collapses into the sticky flag.
-                let aligned = mag << (127 - msb);
-                Some(Window {
-                    sign,
-                    msb,
-                    sig: (aligned >> 64) as u64,
-                    sticky: aligned as u64 != 0,
-                })
-            }
-            Accum::Wide(w) => {
-                if w.is_zero() {
-                    return None;
-                }
-                let sign = w.is_negative();
-                let mag = w.magnitude();
-                let msb = mag.msb_index().expect("nonzero accumulator");
-                let (sig, sticky) = mag.extract_window(msb);
-                Some(Window {
-                    sign,
-                    msb,
-                    sig,
-                    sticky,
-                })
-            }
+            Accum::Small(acc) => Self::small_window(*acc),
+            Accum::Wide(w) => Self::wide_window(w),
         }
+    }
+
+    #[inline(always)]
+    fn small_window(acc: i128) -> Option<Window> {
+        if acc == 0 {
+            return None;
+        }
+        let sign = acc < 0;
+        // A sum in `i64` range — every ≤ 64-bit register — has its whole
+        // magnitude inside the window: one 64-bit shift, no sticky.
+        if let Ok(narrow) = i64::try_from(acc) {
+            let mag = narrow.unsigned_abs();
+            let lz = mag.leading_zeros();
+            return Some(Window {
+                sign,
+                msb: 63 - lz as usize,
+                sig: mag << lz,
+                sticky: false,
+            });
+        }
+        let mag = acc.unsigned_abs();
+        let msb = 127 - mag.leading_zeros() as usize;
+        // Left-align the magnitude so bit `msb` lands at bit 127; the top
+        // half is then the 64-bit window, the bottom half collapses into
+        // the sticky flag.
+        let aligned = mag << (127 - msb);
+        Some(Window {
+            sign,
+            msb,
+            sig: (aligned >> 64) as u64,
+            sticky: aligned as u64 != 0,
+        })
+    }
+
+    #[inline(never)]
+    fn wide_window(w: &WideInt) -> Option<Window> {
+        if w.is_zero() {
+            return None;
+        }
+        let sign = w.is_negative();
+        let mag = w.magnitude();
+        let msb = mag.msb_index().expect("nonzero accumulator");
+        let (sig, sticky) = mag.extract_window(msb);
+        Some(Window {
+            sign,
+            msb,
+            sig,
+            sticky,
+        })
     }
 }
 

@@ -57,6 +57,18 @@ impl Fixed {
         let sh = 64 - self.fmt.n();
         (((bits as u64) << sh) as i64) >> sh
     }
+
+    /// The register read out as a raw word ([`FixedFormat::truncate`]).
+    #[inline(always)]
+    fn readout(&self, acc: &Accum) -> i64 {
+        let sum = match acc {
+            Accum::Small(sum) => *sum,
+            Accum::Wide(wide) => wide
+                .to_i128()
+                .expect("check_format bounds the fixed register to an i128"),
+        };
+        self.fmt.truncate(sum)
+    }
 }
 
 impl Family for Fixed {
@@ -130,20 +142,24 @@ impl Family for Fixed {
     /// then clip to `n` bits.
     #[inline(always)]
     fn encode(&self, acc: &Accum) -> u32 {
-        let sum = match acc {
-            Accum::Small(sum) => *sum,
-            Accum::Wide(wide) => wide
-                .to_i128()
-                .expect("check_format bounds the fixed register to an i128"),
-        };
-        let clipped =
-            (sum >> self.fmt.q()).clamp(self.fmt.min_raw() as i128, self.fmt.max_raw() as i128);
-        (clipped as u32) & (u32::MAX >> (32 - self.fmt.n()))
+        (self.readout(acc) as u32) & (u32::MAX >> (32 - self.fmt.n()))
     }
 
     /// Never read: no fixed-point pattern is special.
     fn poison_bits(&self) -> u32 {
         0
+    }
+
+    /// The raw word is the value in the operand unit already: the word is
+    /// the readout, shifted over the (clear) special flag.
+    #[inline(always)]
+    fn round_word(&self, acc: &Accum) -> i64 {
+        self.readout(acc) << 1
+    }
+
+    #[inline(always)]
+    fn word_from_f32(fmt: FixedFormat, v: f32) -> i64 {
+        fmt.from_f32(v) << 1
     }
 }
 

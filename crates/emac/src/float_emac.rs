@@ -5,7 +5,7 @@ use crate::ceil_log2;
 use crate::table::{self, AlignedLut, EmacEntry, MAX_COMPUTED_WIDTH, MAX_LUT_WIDTH};
 use crate::table_emac::{Family, TableEmac};
 use crate::UnsupportedFormat;
-use dp_minifloat::{encode, FloatFormat};
+use dp_minifloat::{encode, encode_word, FloatFormat};
 
 /// Exact floating-point multiply-and-accumulate: the shared
 /// [`TableEmac`] datapath with the [`Float`] decode/encode stages.
@@ -148,6 +148,23 @@ impl Family for Float {
 
     fn poison_bits(&self) -> u32 {
         self.fmt.nan_bits()
+    }
+
+    /// The same rounding and clip as [`Family::encode`], yielding the value
+    /// in units of the smallest subnormal — the operand unit — instead of
+    /// the pattern.
+    #[inline(always)]
+    fn round_word(&self, acc: &Accum) -> i64 {
+        let Some(w) = acc.window() else {
+            return 0;
+        };
+        let scale = w.msb as i32 - 2 * self.bias_shift() as i32;
+        encode_word(self.fmt, w.sign, scale, w.sig, w.sticky)
+    }
+
+    #[inline(always)]
+    fn word_from_f32(fmt: FloatFormat, v: f32) -> i64 {
+        dp_minifloat::convert::word_from_f32(fmt, v)
     }
 }
 

@@ -16,13 +16,16 @@
 //!   `max_scale = 30` — every es ≤ 1 format through posit⟨16,1⟩, es = 2
 //!   through n = 9). Operands are `±field × 2^scale` with a
 //!   non-negative scale, so `±(field << scale)` is a plain signed integer
-//!   and the exact sum is an integer dot product: the activation tile is
-//!   decoded once per sweep into unit-owned scratch ([`AlignedTile`]),
-//!   each weight row once per row (on the fly when there is a single
-//!   column to spend it on), and the loop is `acc += w · a` — no shift,
-//!   no sign select, no special handling (poison is decided at decode
-//!   time) — with the sums held in the [`SumLane`] the register width,
-//!   or failing that the operands themselves, prove exact, below.
+//!   and the exact sum is an integer dot product: the activation tile —
+//!   operand words ([`crate::table::align`]'s `value << 1 | special`),
+//!   handed over by the previous layer's word epilogue or decoded from
+//!   patterns — is loaded once per sweep into unit-owned scratch
+//!   ([`AlignedTile`]), each weight row decoded once per row (on the fly
+//!   when there is a single column to spend it on), and the loop is
+//!   `acc += w · a` — no shift, no sign select, no special handling
+//!   (poison is decided at load time) — with the sums held in the
+//!   [`SumLane`] the register width, or failing that the operands
+//!   themselves, prove exact, below.
 //! * [`MacKernel::Scalar`] — everything else (posits past
 //!   `max_scale = 30`, six-bit-exponent minifloats, formats past 16 bits,
 //!   registers past 127 bits, and every `new_reference()` unit): the
@@ -60,10 +63,14 @@
 //! msb(m) − lsb(m)`, the pair sums in `f64` when `span(mw) + span(ma) + 2
 //! + ⌈log₂K⌉ ≤ 53` (or either OR is 0), in the fallback otherwise. Every
 //! product is a multiple of `2^(lsb(mw) + lsb(ma))` and below
-//! `2^(msb(mw) + msb(ma) + 2)`, so with both operands shifted down by
-//! their `lsb` every partial sum is an integer below `2^53` — exact, by
-//! points 2–3 above — and the seed joins in `i128` after the sum:
-//! `seed + ((s as i64 as i128) << (lsb(mw) + lsb(ma)))`.
+//! `2^(msb(mw) + msb(ma) + 2)`, so every partial sum is such a multiple
+//! below `2^(msb(mw) + msb(ma) + 2 + ⌈log₂K⌉)`: at most 53 significant
+//! bits at an exponent far inside the `f64` range, hence exactly an `f64`
+//! — points 2–3 above, scaled by a power of two, so no operand is shifted
+//! down first. Every aligned operand has at most 32 significant bits, so
+//! `v as f64` is exact too. The seed joins in `i128` after the sum, which
+//! is read back off its fields ([`exact_i128`]: the 53-bit significand
+//! placed by the exponent) — never `sum as i128`, a compiler-rt call.
 //!
 //! What `f64` buys: baseline x86-64 has no packed 64-bit integer multiply
 //! but does have `mulpd` / `addpd`. The `f64` lane therefore lays its
@@ -75,8 +82,10 @@
 //! The integer lanes keep `i64` operands column after column and run
 //! [`quad`], four scalar chains; a lone column (`B = 1`) is always one
 //! fused decode-and-multiply pass in integers ([`single_column`]). A
-//! `W > 53` unit loads the integer layout and builds the interleaved copy
-//! from it on the first row that passes, once per tile.
+//! `W > 53` unit whose tile two or more rows share loads it **eagerly**
+//! into the interleaved layout, OR-ing the magnitudes in the same pass,
+//! and builds the integer copy (from the `f64`s) only for a row the span
+//! rule refuses; a one-row tile keeps the integer layout.
 
 use std::fmt;
 
@@ -185,9 +194,10 @@ impl SumLane {
         }
     }
 
-    /// The bits a (weight row, activation tile) pair's sums can occupy
-    /// once both operands are shifted down by their common trailing
-    /// zeros: `span(weights_or) + span(acts_or) + 2 + ⌈log₂ fan_in⌉`, where
+    /// The significant bits a (weight row, activation tile) pair's sums
+    /// can occupy — from the lowest bit every product shares to the
+    /// highest any partial sum reaches: `span(weights_or) + span(acts_or) +
+    /// 2 + ⌈log₂ fan_in⌉`, where
     /// each argument is the OR of one side's aligned magnitudes and
     /// `span(m) = msb(m) − lsb(m)` — 0 when either OR is 0 (every product
     /// is). A pair whose bound is at most 53 sums exactly in `f64`
@@ -224,67 +234,76 @@ const LANES: usize = 8;
 
 /// Scratch of the aligned band ([`MacKernel::Aligned`]), retained by the
 /// unit across calls so a sweep does not allocate per row: the activation
-/// tile decoded to plain integers with one poison flag per column, and
-/// the weight row being evaluated. Never semantic — refilled by every
+/// tile as plain values with one poison flag per column, and the weight
+/// row being evaluated. Never semantic — refilled by every
 /// [`AlignedTile::load`] / [`AlignedTile::row`].
 ///
-/// The unit's static [`SumLane`] fixes the layout a load writes: on
-/// [`SumLane::F64`] a tile of two or more columns is held as `f64`s,
-/// [`LANES`] columns interleaved; the integer lanes, and every lone column,
-/// keep `i64` operands column after column. At `B ≥ 2` an integer-lane
-/// row that passes [`SumLane::span_bound`] ([`AlignedTile::admits`]) sums
-/// in `f64` all the same, over an interleaved copy the first such row
-/// after a load builds.
+/// A load fixes the tile's [`Layout`] from the unit's static [`SumLane`],
+/// the batch and the rows that will share the tile.
 #[derive(Debug, Clone)]
 pub(crate) struct AlignedTile {
     /// The unit's eq.-(3)/(4) register width: picks the static
     /// [`SumLane`].
     width: u32,
-    /// `B × K` aligned activation values, column after column (integer
-    /// lanes).
+    /// How the loaded tile is held.
+    layout: Layout,
+    /// `B × K` aligned activation values, column after column: the
+    /// [`Layout::Integer`] tile, and a [`Layout::Shared`] tile's integer
+    /// copy once `ints_ready`.
     acts: Vec<i64>,
-    /// OR of the magnitudes of the first `or_columns` columns of `acts`,
-    /// extended only as far as a row's span test needs
-    /// ([`AlignedTile::admits`]).
+    /// OR of the loaded tile's magnitudes ([`Layout::Shared`]): its side of
+    /// [`SumLane::span_bound`].
     acts_or: u64,
-    /// Columns `acts_or` covers.
-    or_columns: usize,
-    /// Whether two or more weight rows sweep the loaded tile — the span
-    /// rule's precondition ([`AlignedTile::admits`]).
-    shared: bool,
-    /// `⌈B / 8⌉ × K × 8` aligned activation values, interleaved (`f64`
-    /// lane) — on the integer lanes shifted down by `lsb(acts_or)`.
+    /// `⌈B / 8⌉ × K × 8` aligned activation values, interleaved.
     lanes: Vec<f64>,
-    /// Whether `lanes` holds the loaded tile on an integer-lane unit:
-    /// cleared by every load, set by the first row that passes.
-    lanes_ready: bool,
+    /// Whether `acts` holds the [`Layout::Shared`] tile too: cleared by
+    /// every load, set by the first row the span rule refuses.
+    ints_ready: bool,
     /// Whether column `j` holds a special operand.
     poison: Vec<bool>,
-    /// The `K` aligned values of the current weight row (integer lanes).
+    /// The `K` aligned values of the current weight row (integer sums and
+    /// the span test).
     weights: Vec<i64>,
-    /// The same for the `f64` lane — on an integer-lane unit shifted down
-    /// by their `lsb`, and empty while the row sums in integers.
+    /// The same as `f64`s, for a row summed on the `f64` lane — empty
+    /// while a row sums in integers.
     weights_f64: Vec<f64>,
 }
 
-/// The aligned values of `bits` through `word` (an
-/// [`crate::table::align`]ed word per pattern), in order; every word is
-/// OR-ed into `flags`, whose bit 0 afterwards says whether any operand was
-/// special. Specials decode to value 0, so they add nothing to any sum.
+/// How an [`AlignedTile`] holds the loaded tile.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Layout {
+    /// `i64` values column after column: a lone column (`B = 1`), or a
+    /// `W > 53` tile one row sweeps — the one-row sweep cannot repay an
+    /// `f64` copy (at K = 128, B = 64 the OR and copy cost about 5.5 µs
+    /// against a row's 1.3–3 µs).
+    Integer,
+    /// `f64`s, [`LANES`] columns interleaved, on the static `f64` lane
+    /// (`W ≤ 53`, `B ≥ 2`): the seed goes inside the sum.
+    Interleaved,
+    /// The same interleaved `f64`s past 53 bits, for a tile two or more
+    /// rows share at `B ≥ 2`, with the magnitudes' OR taken in the same
+    /// pass: a row that passes [`SumLane::span_bound`] sums over it, a row
+    /// that does not over the integer copy it builds once.
+    Shared,
+}
+
+/// The aligned values of a column of operand words
+/// ([`crate::table::align`]'s `value << 1 | special`), in order; every
+/// word is OR-ed into `flags`, whose bit 0 afterwards says whether any
+/// operand was special. Specials carry value 0, so they add nothing to any
+/// sum.
 #[inline(always)]
 fn aligned_values<'a>(
-    bits: &'a [u32],
-    word: impl Fn(u32) -> i64 + 'a,
+    words: impl IntoIterator<Item = i64> + 'a,
     flags: &'a mut i64,
 ) -> impl Iterator<Item = i64> + 'a {
-    bits.iter().map(move |&b| {
-        let w = word(b);
+    words.into_iter().map(move |w| {
         *flags |= w;
         w >> 1
     })
 }
 
-/// One weight row against one decoded column, in a single pass: with
+/// One weight row against one loaded column, in a single pass: with
 /// nothing to share the decoded weights with, storing them first only
 /// costs (the per-sample path's rows are as short as K = 4). Returns the
 /// exact sum and whether a weight was special. A leaf kept out of line
@@ -315,14 +334,20 @@ fn magnitude_or(values: &[i64]) -> u64 {
     values.iter().fold(0, |m, &v| m | v.unsigned_abs())
 }
 
-/// The trailing zeros every magnitude whose OR is `m` shares (0 for
-/// `m = 0`, whose values are all zero).
+/// An exact `f64`-lane sum — an integer below `2^127` — as an `i128`,
+/// read off its fields: the 53-bit significand (hidden bit set unless the
+/// sum is ±0), top-aligned in the `u128` and shifted down until its
+/// leading bit sits at the exponent. `sum as i128` would be exact too, but
+/// it is a compiler-rt call, not an instruction.
 #[inline(always)]
-fn lsb(m: u64) -> u32 {
-    match m {
-        0 => 0,
-        m => m.trailing_zeros(),
-    }
+fn exact_i128(sum: f64) -> i128 {
+    let bits = sum.to_bits();
+    let field = ((bits >> 52) & 0x7ff) as u32;
+    let significand = (bits << 11) | ((field != 0) as u64) << 63;
+    let shift = (1023 + 127 - field as i32).min(127) as u32;
+    let magnitude = (((significand as u128) << 64) >> shift) as i128;
+    let negate = -((bits >> 63) as i128);
+    (magnitude ^ negate) - negate
 }
 
 /// Sizes `lanes` for `batch` interleaved columns of `fan_in` operands and
@@ -356,84 +381,70 @@ impl AlignedTile {
     pub(crate) fn new(width: u32) -> Self {
         AlignedTile {
             width,
+            layout: Layout::Integer,
             acts: Vec::new(),
             acts_or: 0,
-            or_columns: 0,
-            shared: false,
             lanes: Vec::new(),
-            lanes_ready: false,
+            ints_ready: false,
             poison: Vec::new(),
             weights: Vec::new(),
             weights_f64: Vec::new(),
         }
     }
 
-    /// Whether a tile of `batch` columns is loaded interleaved: on the
-    /// static `f64` lane.
-    fn interleaved(&self, batch: usize) -> bool {
-        SumLane::for_width(self.width) == SumLane::F64 && batch > 1
-    }
-
-    /// Decodes the `batch` activation columns `cols` yields, each `fan_in`
-    /// long, once for each of the `rows` weight rows that follow —
-    /// straight into the layout the unit's static lane reads.
+    /// Loads the `batch` columns of operand words `cols` yields, each
+    /// `fan_in` long, once for each of the `rows` weight rows that follow
+    /// — straight into the layout those rows will read.
     #[inline(always)]
-    pub(crate) fn load<'a>(
+    pub(crate) fn load<C: IntoIterator<Item = i64>>(
         &mut self,
-        cols: impl Iterator<Item = &'a [u32]>,
+        cols: impl Iterator<Item = C>,
         fan_in: usize,
         batch: usize,
         rows: usize,
-        word: impl Fn(u32) -> i64,
     ) {
         self.poison.clear();
-        self.shared = rows > 1;
-        if self.interleaved(batch) {
-            size_lanes(&mut self.lanes, batch, fan_in);
-            for (j, col) in cols.enumerate() {
-                let mut flags = 0;
-                let values = aligned_values(col, &word, &mut flags).map(|v| v as f64);
-                put_column(&mut self.lanes, fan_in, j, values);
-                self.poison.push(flags & 1 != 0);
+        self.ints_ready = false;
+        self.layout = match SumLane::for_width(self.width) {
+            _ if batch == 1 => Layout::Integer,
+            SumLane::F64 => Layout::Interleaved,
+            _ if rows > 1 => Layout::Shared,
+            _ => Layout::Integer,
+        };
+        match self.layout {
+            Layout::Integer => {
+                self.acts.clear();
+                for col in cols {
+                    let mut flags = 0;
+                    self.acts.extend(aligned_values(col, &mut flags));
+                    self.poison.push(flags & 1 != 0);
+                }
             }
-        } else {
-            self.acts.clear();
-            for col in cols {
-                let mut flags = 0;
-                self.acts.extend(aligned_values(col, &word, &mut flags));
-                self.poison.push(flags & 1 != 0);
+            Layout::Interleaved => {
+                size_lanes(&mut self.lanes, batch, fan_in);
+                for (j, col) in cols.enumerate() {
+                    let mut flags = 0;
+                    let values = aligned_values(col, &mut flags).map(|v| v as f64);
+                    put_column(&mut self.lanes, fan_in, j, values);
+                    self.poison.push(flags & 1 != 0);
+                }
             }
-            (self.acts_or, self.or_columns, self.lanes_ready) = (0, 0, false);
+            Layout::Shared => {
+                size_lanes(&mut self.lanes, batch, fan_in);
+                let mut or = 0;
+                for (j, col) in cols.enumerate() {
+                    let mut flags = 0;
+                    let values = aligned_values(col, &mut flags).map(|v| {
+                        or |= v.unsigned_abs();
+                        v as f64
+                    });
+                    put_column(&mut self.lanes, fan_in, j, values);
+                    self.poison.push(flags & 1 != 0);
+                }
+                self.acts_or = or;
+            }
         }
         debug_assert_eq!(self.poison.len(), batch);
-    }
-
-    /// Whether a decoded row whose magnitudes OR to `weights_or` passes
-    /// [`SumLane::span_bound`] against the loaded tile — asked only of a
-    /// tile two or more rows share: the tile's OR and interleaved copy
-    /// cost more than one row's `f64` sum saves (at K = 128, B = 64 about
-    /// 2 + 3.5 µs against 1.3 µs on the `i64` lane, 3 µs on `i128`). The
-    /// OR is a pass of its own (folded into the decode it halved the
-    /// one-row tiles), run a column at a time and only as far as this row
-    /// needs: spans only grow as columns join, so a row ruled out early is
-    /// ruled out by the whole tile, and a full-span tile — random patterns
-    /// — costs its rows about a column each instead of a pass per tile. A
-    /// row that passes has seen the whole tile.
-    #[inline(always)]
-    fn admits(&mut self, weights_or: u64) -> bool {
-        if !self.shared {
-            return false;
-        }
-        let (k, batch) = (self.weights.len(), self.poison.len());
-        while SumLane::span_bound(weights_or, self.acts_or, k) <= F64_BITS {
-            if self.or_columns == batch {
-                return true;
-            }
-            let j = self.or_columns;
-            self.acts_or |= magnitude_or(&self.acts[j * k..(j + 1) * k]);
-            self.or_columns += 1;
-        }
-        false
     }
 
     /// One weight row against the loaded tile: `emit(j, register,
@@ -448,10 +459,12 @@ impl AlignedTile {
         word: impl Fn(u32) -> i64,
         emit: impl FnMut(usize, i128, bool),
     ) {
-        match SumLane::for_width(self.width) {
-            SumLane::F64 if self.poison.len() > 1 => self.row_in_f64(seed, weights, word, emit),
-            SumLane::I128 => self.row_in::<i128>(seed, weights, word, emit),
-            _ => self.row_in::<i64>(seed, weights, word, emit),
+        let wide = SumLane::for_width(self.width) == SumLane::I128;
+        match self.layout {
+            Layout::Interleaved => self.row_in_f64(seed, weights, word, emit),
+            Layout::Shared => self.row_by_span(seed, weights, word, wide, emit),
+            Layout::Integer if wide => self.row_in::<i128>(seed, weights, word, emit),
+            Layout::Integer => self.row_in::<i64>(seed, weights, word, emit),
         }
     }
 
@@ -472,13 +485,21 @@ impl AlignedTile {
         emit(j, register, poison);
     }
 
-    /// [`AlignedTile::row`] on the integer lanes, the running sums held in
-    /// `S`. A lone column goes through [`single_column`]; otherwise the
-    /// weight row is decoded once and, when [`SumLane::span_bound`] admits
-    /// it against the tile, summed in `f64` ([`AlignedTile::row_by_span`]),
-    /// else the columns go through [`quad`] in full groups of four, then a
-    /// single-column tail. Nothing past the decode handles specials —
-    /// poison was decided there.
+    /// Decodes a weight row into `weights`; returns whether a weight was
+    /// special.
+    #[inline(always)]
+    fn decode_row(&mut self, weights: &[u32], word: impl Fn(u32) -> i64) -> bool {
+        self.weights.clear();
+        self.weights_f64.clear();
+        let mut flags = 0;
+        self.weights
+            .extend(aligned_values(weights.iter().map(|&b| word(b)), &mut flags));
+        flags & 1 != 0
+    }
+
+    /// [`AlignedTile::row`] over the [`Layout::Integer`] tile, the running
+    /// sums held in `S`: a lone column through [`single_column`], otherwise
+    /// the weight row decoded once and [`AlignedTile::quads`].
     #[inline(always)]
     fn row_in<S: AlignedSum>(
         &mut self,
@@ -487,22 +508,25 @@ impl AlignedTile {
         word: impl Fn(u32) -> i64,
         mut emit: impl FnMut(usize, i128, bool),
     ) {
-        let width = self.width;
         if let [column_poison] = self.poison[..] {
             let (sum, row_poison) = single_column::<S>(seed, weights, &self.acts, word);
             let poison = row_poison || column_poison;
-            return Self::finish(width, sum.register(), 0, poison, &mut emit);
+            return Self::finish(self.width, sum.register(), 0, poison, &mut emit);
         }
-        self.weights.clear();
-        let mut flags = 0;
-        self.weights
-            .extend(aligned_values(weights, word, &mut flags));
-        let row_poison = flags & 1 != 0;
-        let weights_or = magnitude_or(&self.weights);
-        self.weights_f64.clear();
-        if self.admits(weights_or) {
-            return self.row_by_span(seed, weights_or, row_poison, emit);
-        }
+        let row_poison = self.decode_row(weights, word);
+        self.quads::<S>(seed, row_poison, emit);
+    }
+
+    /// The decoded row against the integer tile: [`quad`] in full groups of
+    /// four columns, then a single-column tail. Nothing here handles
+    /// specials — poison was decided at decode and load.
+    #[inline(always)]
+    fn quads<S: AlignedSum>(
+        &self,
+        seed: i128,
+        row_poison: bool,
+        mut emit: impl FnMut(usize, i128, bool),
+    ) {
         let (w, k) = (self.weights.as_slice(), self.weights.len());
         let col = |j: usize| &self.acts[j * k..(j + 1) * k];
         let seed = S::from_register(seed);
@@ -512,14 +536,14 @@ impl AlignedTile {
             let sums = quad(seed, w, [col(j), col(j + 1), col(j + 2), col(j + 3)]);
             for (i, sum) in sums.into_iter().enumerate() {
                 let poison = row_poison || self.poison[j + i];
-                Self::finish(width, sum.register(), j + i, poison, &mut emit);
+                Self::finish(self.width, sum.register(), j + i, poison, &mut emit);
             }
             j += 4;
         }
         for j in j..batch {
             let sum = w.iter().zip(col(j)).fold(seed, |s, (&w, &a)| s.mac(w, a));
             let poison = row_poison || self.poison[j];
-            Self::finish(width, sum.register(), j, poison, &mut emit);
+            Self::finish(self.width, sum.register(), j, poison, &mut emit);
         }
     }
 
@@ -536,41 +560,48 @@ impl AlignedTile {
     ) {
         self.weights_f64.clear();
         let mut flags = 0;
-        self.weights_f64
-            .extend(aligned_values(weights, word, &mut flags).map(|v| v as f64));
+        let values = aligned_values(weights.iter().map(|&b| word(b)), &mut flags);
+        self.weights_f64.extend(values.map(|v| v as f64));
         let row_poison = flags & 1 != 0;
         self.sum_groups(seed as f64, row_poison, |sum| sum as i64 as i128, emit);
     }
 
-    /// [`AlignedTile::row`] on an integer-lane unit for a decoded row that
-    /// [`SumLane::span_bound`] admits: both operands shifted down by their
-    /// `lsb` into `f64` — the tile's interleaved copy built by the first
-    /// such row after a load — summed from zero, and the seed added in
-    /// `i128` after the scale is restored. Never `sum as i128`: that is a
-    /// compiler-rt call, not an instruction.
+    /// [`AlignedTile::row`] over the [`Layout::Shared`] tile: the row
+    /// decoded once, and summed in `f64` from zero when
+    /// [`SumLane::span_bound`] admits it against the tile — the seed added
+    /// in `i128` to the sum read back by [`exact_i128`] — else in the
+    /// unit's static lane (`i128` when `wide`) over the integer copy, built
+    /// from the `f64`s by the first row that needs it.
     #[inline(always)]
     fn row_by_span(
         &mut self,
         seed: i128,
-        weights_or: u64,
-        row_poison: bool,
+        weights: &[u32],
+        word: impl Fn(u32) -> i64,
+        wide: bool,
         emit: impl FnMut(usize, i128, bool),
     ) {
+        let row_poison = self.decode_row(weights, word);
         let (k, batch) = (self.weights.len(), self.poison.len());
-        let (w_shift, a_shift) = (lsb(weights_or), lsb(self.acts_or));
-        if !self.lanes_ready {
-            size_lanes(&mut self.lanes, batch, k);
-            for j in 0..batch {
-                let col = self.acts[j * k..(j + 1) * k].iter();
-                put_column(&mut self.lanes, k, j, col.map(|&a| (a >> a_shift) as f64));
-            }
-            self.lanes_ready = true;
+        if SumLane::span_bound(magnitude_or(&self.weights), self.acts_or, k) <= F64_BITS {
+            self.weights_f64
+                .extend(self.weights.iter().map(|&w| w as f64));
+            let read = |sum| seed + exact_i128(sum);
+            return self.sum_groups(0.0, row_poison, read, emit);
         }
-        self.weights_f64
-            .extend(self.weights.iter().map(|&w| (w >> w_shift) as f64));
-        let shift = w_shift + a_shift;
-        let read = |sum: f64| seed + ((sum as i64 as i128) << shift);
-        self.sum_groups(0.0, row_poison, read, emit);
+        if !self.ints_ready {
+            self.acts.clear();
+            for j in 0..batch {
+                let group = &self.lanes[j / LANES * k * LANES..][..k * LANES];
+                let column = group.chunks_exact(LANES).map(|slots| slots[j % LANES]);
+                self.acts.extend(column.map(|a| a as i64));
+            }
+            self.ints_ready = true;
+        }
+        match wide {
+            true => self.quads::<i128>(seed, row_poison, emit),
+            false => self.quads::<i64>(seed, row_poison, emit),
+        }
     }
 
     /// The `f64` lane's sweep of `weights_f64` over the interleaved tile:
@@ -591,10 +622,7 @@ impl AlignedTile {
         for (g, poison) in self.poison.chunks(LANES).enumerate() {
             let sums = oct(seed, w, group(g));
             for (l, (&sum, &column_poison)) in sums.iter().zip(poison).enumerate() {
-                debug_assert!(
-                    sum == sum as i64 as f64,
-                    "f64 lane left the integers: {sum}"
-                );
+                debug_assert!(sum == sum.trunc(), "f64 lane left the integers: {sum}");
                 let poison = row_poison || column_poison;
                 Self::finish(self.width, read(sum), g * LANES + l, poison, &mut emit);
             }
@@ -660,6 +688,18 @@ mod tests {
             SPECIAL => 1,
             b => (b as i32 as i64) << 1,
         }
+    }
+
+    /// Loads pattern columns through `word`, as the pattern-fed sweep does.
+    fn load(
+        tile: &mut AlignedTile,
+        cols: &[Vec<u32>],
+        fan_in: usize,
+        rows: usize,
+        word: impl Fn(u32) -> i64 + Copy,
+    ) {
+        let words = cols.iter().map(|c| c.iter().map(move |&b| word(b)));
+        tile.load(words, fan_in, cols.len(), rows);
     }
 
     /// One row against the loaded tile: its sums in column order, their
@@ -741,7 +781,7 @@ mod tests {
                 let special = |j: usize| j % 6 == 3;
                 let want: Vec<i128> = cols.iter().map(|c| 100 + dot(c)).collect();
                 let mut tile = AlignedTile::new(width);
-                tile.load(cols.iter().map(Vec::as_slice), 3, batch, 2, word);
+                load(&mut tile, &cols, 3, 2, word);
                 let mut got = Vec::new();
                 tile.row(100, &weights, word, |j, sum, poison| {
                     assert_eq!(j, got.len(), "columns arrive in order");
@@ -757,13 +797,7 @@ mod tests {
                 });
                 assert_eq!(seen, batch, "padding is never emitted");
                 // A narrower tile after a wider one sees none of it.
-                tile.load(
-                    cols[..batch.div_ceil(2)].iter().map(Vec::as_slice),
-                    3,
-                    batch.div_ceil(2),
-                    1,
-                    word,
-                );
+                load(&mut tile, &cols[..batch.div_ceil(2)], 3, 1, word);
                 let mut again = Vec::new();
                 tile.row(100, &weights, word, |_, sum, _| again.push(sum));
                 assert_eq!(
@@ -786,7 +820,7 @@ mod tests {
             let weights = [w as u32; 2];
             let cols = vec![vec![a as u32; 2]; 9];
             let mut tile = AlignedTile::new(53);
-            tile.load(cols.iter().map(Vec::as_slice), 2, 9, 1, word);
+            load(&mut tile, &cols, 2, 1, word);
             let seed = w as i128 * a as i128;
             tile.row(seed, &weights, word, |j, sum, _| {
                 assert_eq!(sum, 3 * seed, "column {j}");
@@ -796,7 +830,7 @@ mod tests {
         let weights = [max as u32, max as u32];
         let cols = vec![vec![max as u32, -max as u32]; 8];
         let mut tile = AlignedTile::new(53);
-        tile.load(cols.iter().map(Vec::as_slice), 2, 8, 1, word);
+        load(&mut tile, &cols, 2, 1, word);
         tile.row(-7, &weights, word, |_, sum, _| assert_eq!(sum, -7));
     }
 
@@ -830,15 +864,16 @@ mod tests {
                 assert_eq!(top as f64 as i128 == top, in_f64, "f64 holds the sum");
                 let mut tile = AlignedTile::new(width);
                 for rows in [2, 1] {
-                    tile.load(cols.iter().map(Vec::as_slice), 3, 9, rows, identity);
+                    load(&mut tile, &cols, 3, rows, identity);
                     for _ in 0..rows {
                         let (sums, _, took_f64) = sweep_row(&mut tile, 100, &weights, identity);
-                        let (ctx, in_f64) = (
-                            format!("width {width} bound {bound} rows {rows}"),
-                            in_f64 && rows > 1,
-                        );
-                        assert_eq!(took_f64, in_f64, "{ctx}: lane");
-                        assert_eq!(tile.lanes_ready, in_f64, "{ctx}: interleaved copy");
+                        let (ctx, shared) =
+                            (format!("width {width} bound {bound} rows {rows}"), rows > 1);
+                        assert_eq!(took_f64, in_f64 && shared, "{ctx}: lane");
+                        let layout = [Layout::Integer, Layout::Shared][shared as usize];
+                        assert_eq!(tile.layout, layout, "{ctx}: layout");
+                        let copied = shared && !in_f64;
+                        assert_eq!(tile.ints_ready, copied, "{ctx}: integer copy");
                         assert_eq!(sums, want, "{ctx}");
                     }
                 }
@@ -852,7 +887,7 @@ mod tests {
         // significands at << 40 (weights) and << 40 / 41 (activations)
         // keep the spans at 12 and 13 bits (bound 30) while products reach
         // 2^107 and sums pass 2^63 — the register value comes back only
-        // through the shift by the two lsbs.
+        // through the f64's exponent.
         let word = |b: u32| match b {
             SPECIAL => 1,
             b => ((b as u16 as i16 as i64) << (b >> 16)) << 1,
@@ -869,9 +904,9 @@ mod tests {
         // A special in the padded group poisons its column only.
         cols[8][3] = SPECIAL;
         let mut tile = AlignedTile::new(127);
-        tile.load(cols.iter().map(Vec::as_slice), 8, 9, 2, word);
+        load(&mut tile, &cols, 8, 2, word);
         let seed = -(1i128 << 90) + 12_345;
-        // The second row reuses the first one's interleaved copy.
+        // The second row reads the same interleaved tile.
         for weights in [weights.clone(), weights.iter().rev().copied().collect()] {
             let (sums, poison, took_f64) = sweep_row(&mut tile, seed, &weights, word);
             assert!(took_f64, "a bound of 30 bits takes f64");
@@ -885,11 +920,11 @@ mod tests {
     fn span_rule_mixes_lanes_within_one_sweep() {
         // Activations of span 21, K = 4: a small-weight row (span 2,
         // bound 27) passes, a row holding 2^30 (span 30, bound 55) falls
-        // back. In both orders each row takes its own lane, the
-        // interleaved copy is built by the first row that passes and then
-        // reused, and a reload — at a different lsb and width — starts
-        // without it. Only the last column holds the tile's lsb, so a row
-        // must see the whole tile before it passes.
+        // back. In both orders each row takes its own lane, the integer
+        // copy is built by the first row that falls back and then reused,
+        // and a reload — at a different lsb and width — starts without it.
+        // Only the last column holds the tile's lsb, so the tile's OR must
+        // cover every column.
         let pass = [3u32, -5i32 as u32, 7, 1];
         let fail = [1u32, 1 << 30, -3i32 as u32, 2];
         let tile_of = |batch: usize, scale: i32| -> Vec<Vec<u32>> {
@@ -907,8 +942,8 @@ mod tests {
             let mut tile = AlignedTile::new(100);
             for (batch, scale) in [(9usize, 1), (5, 8)] {
                 let cols = tile_of(batch, scale);
-                tile.load(cols.iter().map(Vec::as_slice), 4, batch, 3, identity);
-                assert!(!tile.lanes_ready, "a load drops the interleaved copy");
+                load(&mut tile, &cols, 4, 3, identity);
+                assert!(!tile.ints_ready, "a load drops the integer copy");
                 let mut built = false;
                 for (r, &passes) in order.iter().enumerate() {
                     let weights = if passes { &pass } else { &fail };
@@ -916,11 +951,24 @@ mod tests {
                     let (sums, _, took_f64) = sweep_row(&mut tile, seed, weights, identity);
                     let ctx = format!("{order:?} B={batch} row {r}");
                     assert_eq!(took_f64, passes, "{ctx}: lane");
-                    built |= passes;
-                    assert_eq!(tile.lanes_ready, built, "{ctx}: interleaved copy");
+                    built |= !passes;
+                    assert_eq!(tile.ints_ready, built, "{ctx}: integer copy");
                     assert_eq!(sums, reference(seed, weights, &cols, identity), "{ctx}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn exact_i128_reads_every_f64_integer_back() {
+        let mut cases = vec![0.0, -0.0, 1.0, -1.0, 3.0, (1u64 << 53) as f64];
+        for e in [52, 53, 62, 63, 64, 100, 125, 126] {
+            let top = 2f64.powi(e);
+            cases.extend([top, -top, top * 1.5, -top * (1.0 + f64::EPSILON)]);
+        }
+        for sum in cases {
+            let want = sum as i128;
+            assert_eq!(exact_i128(sum), want, "{sum:e}");
         }
     }
 }

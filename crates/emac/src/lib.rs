@@ -105,7 +105,7 @@ pub use float_emac::{Float, FloatEmac};
 pub use kernel::{MacKernel, SumLane};
 pub use posit_emac::{Posit, PositEmac, SplitOperands};
 pub use table::{AlignedLut, EmacEntry};
-pub use table_emac::{Family, TableEmac};
+pub use table_emac::{Family, Readout, TableEmac};
 pub use unit::{Emac, EmacUnit};
 
 /// ⌈log2 k⌉ for k ≥ 1 (accumulator growth bits, paper eqs. 3–4), at every

@@ -6,7 +6,7 @@ use crate::table::{self, AlignedLut, EmacEntry};
 use crate::table_emac::{Family, TableEmac};
 use crate::UnsupportedFormat;
 use dp_posit::lut::{self, DecodeLut, SplitLut};
-use dp_posit::{decode, encode, Decoded, PositFormat};
+use dp_posit::{decode, encode, encode_word, Decoded, PositFormat};
 
 /// Exact posit multiply-and-accumulate: the shared [`TableEmac`] datapath
 /// with the [`Posit`] decode/encode stages.
@@ -203,6 +203,22 @@ impl Family for Posit {
 
     fn poison_bits(&self) -> u32 {
         self.fmt.nar_bits()
+    }
+
+    /// The same rounding as [`Family::encode`], yielding the value in
+    /// minpos — the operand unit — instead of the pattern ([`encode_word`]).
+    #[inline(always)]
+    fn round_word(&self, acc: &Accum) -> i64 {
+        let Some(w) = acc.window() else {
+            return 0;
+        };
+        let scale = w.msb as i32 - 2 * self.max_scale;
+        encode_word(self.fmt, w.sign, scale, w.sig, w.sticky)
+    }
+
+    #[inline(always)]
+    fn word_from_f32(fmt: PositFormat, v: f32) -> i64 {
+        dp_posit::convert::word_from_f32(fmt, v)
     }
 }
 

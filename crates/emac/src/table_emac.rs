@@ -3,7 +3,7 @@
 use crate::acc::{Accum, SMALL_ACC_MAX_BITS};
 use crate::kernel::AlignedTile;
 use crate::table::{self, AlignedLut, EmacEntry, ALIGNED_OPERAND_BITS};
-use crate::unit::{per_mac_sweep, Emac};
+use crate::unit::{layer_shape, per_mac_sweep, Emac};
 use crate::{MacKernel, UnsupportedFormat};
 use std::fmt;
 
@@ -92,6 +92,55 @@ pub trait Family: Clone + fmt::Debug {
 
     /// The pattern a poisoned accumulation reads out as (NaR / NaN).
     fn poison_bits(&self) -> u32;
+
+    /// The operand word ([`table::align`]) of the register read out once —
+    /// `align(decode(encode(acc)))`, from the family's one rounding step
+    /// without the pattern in between. For formats whose operands align.
+    fn round_word(&self, acc: &Accum) -> i64;
+
+    /// The operand word of `v` quantised to `fmt` —
+    /// `align(decode(q))` of the pattern `q` the `f32` quantiser yields
+    /// (posit `from_f32`, minifloat `from_f32_saturating`, fixed point's
+    /// `from_f32`), from the same rounding step. For formats whose
+    /// operands align.
+    fn word_from_f32(fmt: Self::Format, v: f32) -> i64;
+}
+
+/// What a sweep writes for one (sample, row): the rounded pattern (`u32`)
+/// or the rounded value's operand word (`i64`, [`table::align`]'s
+/// `value << 1 | special`) — patterns where bits leave a model, words
+/// between its layers.
+pub trait Readout: Copy {
+    /// `acc` read out once by `family`, or the poison when `poisoned`.
+    /// `table` is the format's operand table, when it has one.
+    fn read<F: Family>(family: &F, acc: &Accum, poisoned: bool, table: Option<&AlignedLut>)
+        -> Self;
+}
+
+impl Readout for u32 {
+    #[inline(always)]
+    fn read<F: Family>(family: &F, acc: &Accum, poisoned: bool, _: Option<&AlignedLut>) -> u32 {
+        match poisoned {
+            true => family.poison_bits(),
+            false => family.encode(acc),
+        }
+    }
+}
+
+/// A tabulated format's word is its table's word of the encoded pattern —
+/// the same rounding, then one load, which at posit⟨8,0⟩ measured 5.1 ns
+/// per output against 9.9 for [`Family::round_word`] (whose extra variable
+/// shifts cost more than a 2 KiB look-up); the computed word serves the
+/// 13–16-bit formats, whose decode it saves.
+impl Readout for i64 {
+    #[inline(always)]
+    fn read<F: Family>(family: &F, acc: &Accum, poisoned: bool, table: Option<&AlignedLut>) -> i64 {
+        match (poisoned, table) {
+            (_, Some(table)) => table.word(u32::read(family, acc, poisoned, None)),
+            (true, None) => table::align(EmacEntry::SPECIAL),
+            (false, None) => family.round_word(acc),
+        }
+    }
 }
 
 /// Where the aligned band's operand words come from: a per-pattern table
@@ -107,17 +156,18 @@ enum Source<C> {
 /// — value and special flag in one word ([`table::align`]) — as a closure
 /// monomorphized per source, so the decode loops see one straight-line
 /// lookup: a single closure matching on the source was left out of line
-/// and called per element when measured. For use inside
-/// `impl<F: Family> TableEmac<F>`.
+/// and called per element when measured. `$table` is bound to the table,
+/// if the source is one. For use inside `impl<F: Family> TableEmac<F>`.
 macro_rules! with_aligned_word {
-    ($source:expr, $word:ident => $body:expr) => {
+    ($source:expr, $word:ident, $table:ident => $body:expr) => {
         match $source {
             Source::Table(t) => {
-                let $word = t.decoder();
+                let ($word, $table) = (t.decoder(), Some(t));
                 $body
             }
             Source::Computed(c) => {
                 let $word = move |bits: u32| F::aligned_word(c, bits);
+                let $table = None;
                 $body
             }
         }
@@ -168,6 +218,10 @@ pub struct TableEmac<F: Family> {
     /// aligned word and the register is an `i128`
     /// ([`MacKernel::Aligned`]).
     aligned: Option<Source<F::Computed>>,
+    /// Whether the format's operands align and the unit has an aligned
+    /// decode for them — the band rule without its capacity half
+    /// ([`TableEmac::takes_words`]).
+    words: bool,
     count: u64,
     poisoned: bool,
     /// Decoded activation tile and weight row of the aligned band,
@@ -205,13 +259,13 @@ impl<F: Family> TableEmac<F> {
         let width = F::accumulator_width_for(fmt, capacity);
         // The band rule: operands in the aligned word, register in the
         // i128 — and a table or computed source to decode them with.
-        let aligned = match F::tables(fmt) {
-            _ if width > SMALL_ACC_MAX_BITS || !F::operands_align(fmt) => None,
+        let source = match F::tables(fmt) {
+            _ if !F::operands_align(fmt) => None,
             Some(t) => Some(Source::Table(t)),
             None => family.computed().map(Source::Computed),
         };
         let acc = Accum::new(width);
-        Ok(Self::build(family, capacity, width, aligned, acc))
+        Ok(Self::build(family, capacity, width, source, acc))
     }
 
     /// Creates a unit on the reference datapath: bit-field decode per MAC
@@ -231,11 +285,14 @@ impl<F: Family> TableEmac<F> {
         Self::build(F::new(fmt, false), capacity, width, None, acc)
     }
 
+    /// A unit around `family` whose aligned operands, if any, come from
+    /// `source`: it takes words whenever there is one, and runs the aligned
+    /// band when the register fits the `i128` too.
     fn build(
         family: F,
         capacity: u64,
         width: u32,
-        aligned: Option<Source<F::Computed>>,
+        source: Option<Source<F::Computed>>,
         acc: Accum,
     ) -> Self {
         TableEmac {
@@ -243,11 +300,112 @@ impl<F: Family> TableEmac<F> {
             capacity,
             width,
             acc,
-            aligned,
+            aligned: source.filter(|_| width <= SMALL_ACC_MAX_BITS),
+            words: source.is_some(),
             count: 0,
             poisoned: false,
             tile: AlignedTile::new(width),
         }
+    }
+
+    /// Whether layers of this unit's format hand each other operand words
+    /// ([`TableEmac::dot_layer_words`]) rather than patterns: the format's
+    /// operands align and the unit can decode them to words — the aligned
+    /// band's own test without its capacity half, so a unit whose register
+    /// outgrew the `i128` still takes and yields words, on its scalar band.
+    /// False for formats whose operands do not align (posit⟨16,2⟩, formats
+    /// past 16 bits other than fixed point) and for `new_reference()`
+    /// units, which stay on patterns.
+    pub fn takes_words(&self) -> bool {
+        self.words
+    }
+
+    /// Appends the operand word of every element of `xs` quantised,
+    /// `align(decode(quantize(x)))` ([`Family::word_from_f32`]), to `out`:
+    /// a model's words start here, with no pattern in between. A plain loop
+    /// over a pre-sized tail with the format in a local, as the pattern
+    /// quantiser is. (Quantising inside the tile load instead measured
+    /// slower: posit⟨8,0⟩'s first layer 1.23 µs per sample against
+    /// 0.13 + 0.75 in two passes.)
+    pub fn quantize_words(&self, xs: &[f32], out: &mut Vec<i64>) {
+        let start = out.len();
+        out.resize(start + xs.len(), 0);
+        let fmt = self.format();
+        for (slot, &v) in out[start..].iter_mut().zip(xs) {
+            *slot = F::word_from_f32(fmt, v);
+        }
+    }
+
+    /// [`Emac::dot_layer`] over operand words: `biases.len()` weight rows
+    /// (patterns, row-major) against a batch of activation columns given as
+    /// operand words (`acts`, flat, one sample after another), `out[j ·
+    /// rows + r]` receiving row `r` against column `j` read out as `O` —
+    /// the next layer's operand word (`i64`) or the readout pattern
+    /// (`u32`). Exactly `align(decode(·))` of, or equal to, what
+    /// [`Emac::dot_layer`] returns on the patterns these words decode from;
+    /// same final state and [`Emac::macs_done`]. For units that
+    /// [`TableEmac::takes_words`].
+    ///
+    /// # Panics
+    ///
+    /// As [`Emac::dot_layer`] on a ragged shape.
+    pub fn dot_layer_words<O: Readout>(
+        &mut self,
+        biases: &[u32],
+        weights: &[u32],
+        acts: &[i64],
+        out: &mut [O],
+    ) {
+        debug_assert!(self.words, "{} unit does not take words", F::NAME);
+        let Some((fan_in, batch)) = layer_shape(biases.len(), weights.len(), acts.len(), out.len())
+        else {
+            return;
+        };
+        // `chunks_exact` would reject `fan_in = 0`.
+        let cols = (0..batch).map(|j| acts[j * fan_in..(j + 1) * fan_in].iter().copied());
+        match self.aligned {
+            Some(source) => with_aligned_word!(source, word, table => {
+                self.aligned_sweep(word, table, biases, weights, cols, out)
+            }),
+            None => {
+                for (col, outs) in cols.zip(out.chunks_exact_mut(biases.len())) {
+                    for (r, (&bias, slot)) in biases.iter().zip(outs).enumerate() {
+                        self.set_bias(bias);
+                        let wrow = &weights[r * fan_in..(r + 1) * fan_in];
+                        for (&w, a) in wrow.iter().zip(col.clone()) {
+                            self.mac_word(w, a);
+                        }
+                        *slot = O::read(&self.family, &self.acc, self.poisoned, None);
+                    }
+                }
+            }
+        }
+        self.set_macs_done((fan_in * batch) as u64);
+    }
+
+    /// [`Emac::mac`] with the activation as an operand word: the same
+    /// exact product, `field_w · |a| << scale_w` with `|a| = field_a <<
+    /// scale_a` already aligned — the scalar band's step inside a model of
+    /// words.
+    #[inline]
+    fn mac_word(&mut self, weight: u32, activation: i64) {
+        self.count += 1;
+        debug_assert!(
+            self.count <= self.capacity,
+            "{} EMAC over capacity",
+            F::NAME
+        );
+        let ew = self.family.decode(weight);
+        if ew.is_special() || activation & 1 != 0 {
+            self.poisoned = true;
+            return;
+        }
+        let a = activation >> 1;
+        self.acc.add_shifted_u128(
+            ew.field() as u128 * a.unsigned_abs() as u128,
+            ew.scale() as usize,
+            ew.sign() ^ (a < 0),
+        );
     }
 
     /// The format of this unit.
@@ -262,31 +420,34 @@ impl<F: Family> TableEmac<F> {
     }
 
     /// The aligned band's sweep of `biases.len()` weight rows over one
-    /// activation tile, decoded once: `out[j · rows + r]` receives row
-    /// `r` against column `j`. Each row is seeded from its bias's aligned
-    /// word and each sum encoded straight through the family; the unit's
-    /// own register and poison flag are written once, after the last row's
-    /// last column — going through `set_bias` and `result()` per output
-    /// measured ×0.97 samples/s and ×1.07 median latency on the
-    /// benchmark's Iris-sized workload (`offline_narrow8`, 0/6 pairs).
+    /// activation tile of operand words, loaded once: `out[j · rows + r]`
+    /// receives row `r` against column `j`. Each row is seeded from its
+    /// bias's aligned word and each sum read out straight through the
+    /// family ([`Readout`], with the operand `table` of a tabulated
+    /// format); the unit's own register and poison flag are
+    /// written once, after the last row's last column — going through
+    /// `set_bias` and `result()` per output measured ×0.97 samples/s and
+    /// ×1.07 median latency on the benchmark's Iris-sized workload
+    /// (`offline_narrow8`, 0/6 pairs).
     ///
     /// # Panics
     ///
-    /// Panics when `fan_in` exceeds the unit's capacity, in release builds
+    /// Panics when the fan-in exceeds the unit's capacity, in release builds
     /// too: the register width, hence every sum type's exactness, rests on
     /// it, and an integer lane handed more terms than it was sized for
     /// would wrap silently.
     #[inline(always)]
-    fn aligned_sweep<'a>(
+    fn aligned_sweep<C: IntoIterator<Item = i64>, O: Readout>(
         &mut self,
         word: impl Fn(u32) -> i64 + Copy,
+        table: Option<&AlignedLut>,
         biases: &[u32],
         weights: &[u32],
-        fan_in: usize,
-        cols: impl Iterator<Item = &'a [u32]>,
-        out: &mut [u32],
+        cols: impl Iterator<Item = C>,
+        out: &mut [O],
     ) {
         let rows = biases.len();
+        let fan_in = weights.len() / rows;
         assert!(
             fan_in as u64 <= self.capacity,
             "{} EMAC over capacity: {fan_in} terms, sized for {}",
@@ -295,17 +456,14 @@ impl<F: Family> TableEmac<F> {
         );
         let (family, bias_shift) = (&self.family, self.family.bias_shift());
         let mut last = (0, false);
-        self.tile.load(cols, fan_in, out.len() / rows, rows, word);
+        self.tile.load(cols, fan_in, out.len() / rows, rows);
         for (r, &bias) in biases.iter().enumerate() {
             let bias = word(bias);
             let seed = ((bias >> 1) as i128) << bias_shift;
             let wrow = &weights[r * fan_in..(r + 1) * fan_in];
             self.tile.row(seed, wrow, word, |j, sum, poison| {
                 last = (sum, bias & 1 != 0 || poison);
-                out[j * rows + r] = match last.1 {
-                    true => family.poison_bits(),
-                    false => family.encode(&Accum::Small(sum)),
-                };
+                out[j * rows + r] = O::read(family, &Accum::Small(sum), last.1, table);
             });
         }
         (self.acc, self.poisoned) = (Accum::Small(last.0), last.1);
@@ -364,8 +522,9 @@ impl<F: Family> Emac for TableEmac<F> {
         out: &mut [u32],
     ) {
         match self.aligned {
-            Some(source) => with_aligned_word!(source, word => {
-                self.aligned_sweep(word, biases, weights, fan_in, cols, out)
+            Some(source) => with_aligned_word!(source, word, table => {
+                let cols = cols.map(move |col| col.iter().map(move |&b| word(b)));
+                self.aligned_sweep(word, table, biases, weights, cols, out)
             }),
             None => per_mac_sweep(self, biases, weights, fan_in, cols, out),
         }

@@ -1,6 +1,6 @@
 //! The [`Emac`] trait and the format-erased [`EmacUnit`].
 
-use crate::{FixedEmac, FloatEmac, MacKernel, PositEmac};
+use crate::{FixedEmac, FloatEmac, MacKernel, PositEmac, Readout};
 
 /// Common interface of the three exact multiply-and-accumulate units.
 ///
@@ -106,29 +106,10 @@ pub trait Emac {
     /// Panics when `weights` or `out` is not a whole number of rows, or
     /// `activations` is not `K × B` long.
     fn dot_layer(&mut self, biases: &[u32], weights: &[u32], activations: &[u32], out: &mut [u32]) {
-        let rows = biases.len();
-        if rows == 0 {
-            assert!(
-                weights.is_empty() && out.is_empty(),
-                "dot_layer: weights or outputs without rows"
-            );
+        let lens = (weights.len(), activations.len(), out.len());
+        let Some((fan_in, batch)) = layer_shape(biases.len(), lens.0, lens.1, lens.2) else {
             return;
-        }
-        let (fan_in, batch) = (weights.len() / rows, out.len() / rows);
-        assert_eq!(
-            weights.len(),
-            fan_in * rows,
-            "dot_layer: ragged weight rows"
-        );
-        assert_eq!(out.len(), batch * rows, "dot_layer: ragged output rows");
-        assert_eq!(
-            activations.len(),
-            fan_in * batch,
-            "dot_layer: activation/weight length mismatch"
-        );
-        if batch == 0 {
-            return;
-        }
+        };
         // `chunks_exact` would reject `fan_in = 0`.
         let cols = (0..batch).map(|j| &activations[j * fan_in..(j + 1) * fan_in]);
         self.sweep(biases, weights, fan_in, cols, out);
@@ -174,6 +155,37 @@ pub trait Emac {
     fn accumulator_width(&self) -> u32;
 }
 
+/// `(fan_in, batch)` of a layer of `rows` rows given the lengths of its
+/// weights, activations and outputs, or `None` when there is nothing to
+/// evaluate (no rows, or an empty batch).
+///
+/// # Panics
+///
+/// Panics on a ragged shape, with [`Emac::dot_layer`]'s messages.
+pub(crate) fn layer_shape(
+    rows: usize,
+    weights: usize,
+    activations: usize,
+    out: usize,
+) -> Option<(usize, usize)> {
+    if rows == 0 {
+        assert!(
+            weights == 0 && out == 0,
+            "dot_layer: weights or outputs without rows"
+        );
+        return None;
+    }
+    let (fan_in, batch) = (weights / rows, out / rows);
+    assert_eq!(weights, fan_in * rows, "dot_layer: ragged weight rows");
+    assert_eq!(out, batch * rows, "dot_layer: ragged output rows");
+    assert_eq!(
+        activations,
+        fan_in * batch,
+        "dot_layer: activation/weight length mismatch"
+    );
+    (batch > 0).then_some((fan_in, batch))
+}
+
 /// [`Emac::sweep`]'s provided body, callable from an overriding unit for
 /// the shapes its own band does not cover.
 pub(crate) fn per_mac_sweep<'a, E: Emac + ?Sized>(
@@ -213,6 +225,31 @@ macro_rules! dispatch {
             EmacUnit::Posit($u) => $body,
         }
     };
+}
+
+/// The word path of the unit inside ([`crate::TableEmac`]'s methods of the
+/// same names).
+impl EmacUnit {
+    /// [`crate::TableEmac::takes_words`].
+    pub fn takes_words(&self) -> bool {
+        dispatch!(self, u => u.takes_words())
+    }
+
+    /// [`crate::TableEmac::quantize_words`].
+    pub fn quantize_words(&self, xs: &[f32], out: &mut Vec<i64>) {
+        dispatch!(self, u => u.quantize_words(xs, out))
+    }
+
+    /// [`crate::TableEmac::dot_layer_words`].
+    pub fn dot_layer_words<O: Readout>(
+        &mut self,
+        biases: &[u32],
+        weights: &[u32],
+        acts: &[i64],
+        out: &mut [O],
+    ) {
+        dispatch!(self, u => u.dot_layer_words(biases, weights, acts, out))
+    }
 }
 
 impl Emac for EmacUnit {

@@ -193,6 +193,18 @@ impl FixedFormat {
         self.saturate((a * b) >> self.q)
     }
 
+    /// Paper Fig. 3's readout of an exact sum of products (`2q` fraction
+    /// bits, as wide as the EMAC register): shift right by `q` (arithmetic,
+    /// so truncation toward −∞), then clip to the raw range — what
+    /// [`FixedFormat::mul_truncate`] does to a single product in `i64`.
+    /// A raw word sign-extended and shifted left once is the EMAC's
+    /// operand word, so this is also the fixed-point rounding core of the
+    /// word path.
+    #[inline(always)]
+    pub fn truncate(self, wide: i128) -> i64 {
+        (wide >> self.q).clamp(self.min_raw() as i128, self.max_raw() as i128) as i64
+    }
+
     /// Multiplication with round-to-nearest-even of the low `q` bits and
     /// clipping (the higher-quality per-op rounding used for ablations).
     pub fn mul_round(self, a: i64, b: i64) -> i64 {
@@ -380,6 +392,10 @@ mod tests {
         assert_eq!(f.mul_round(5, 5), 2);
         // Truncation is floor, also for negatives (arithmetic shift).
         assert_eq!(f.mul_truncate(-5, 5), -2);
+        // The readout clips past either rail, from registers wider than i64.
+        assert_eq!(f.truncate(1 << 100), 127);
+        assert_eq!(f.truncate(-(1 << 100)), -128);
+        assert_eq!(f.truncate(-17), -2);
     }
 
     #[test]

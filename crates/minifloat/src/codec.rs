@@ -89,61 +89,87 @@ pub fn decode(fmt: FloatFormat, bits: u32) -> FloatClass {
 /// Panics in debug builds if `sig`'s MSB is not set.
 #[inline]
 pub fn encode(fmt: FloatFormat, sign: bool, scale: i32, sig: u64, sticky: bool) -> u32 {
-    debug_assert!(sig >> 63 == 1, "significand must be normalized");
-    let wf = fmt.wf();
-    if scale > fmt.max_scale() + 1 {
-        // At least one binade above the top: overflows past max + ulp/2.
-        return fmt.inf_bits(sign);
-    }
-    // Build an integer pattern (exp_field << wf | frac) plus guard/sticky and
-    // round it as one integer so carries ripple naturally across binades.
-    let (exp_field, frac_shift_extra) = if scale < fmt.min_normal_scale() {
-        // Subnormal: exponent field 0, fraction shifted right further.
-        (0u32, (fmt.min_normal_scale() - scale) as u32)
-    } else {
-        ((scale + fmt.bias()) as u32, 0)
-    };
-    // frac = top wf bits of sig below the hidden bit, shifted right extra for
-    // subnormals (the hidden bit then becomes part of the fraction).
-    let keep_bits = 64 - 1 - wf; // bits of sig dropped for a normal encode
-    let total_drop = keep_bits as u64 + frac_shift_extra as u64;
-    let (kept, round, rest_nonzero) = if frac_shift_extra == 0 {
-        // Normal: drop the hidden bit (it is implied).
-        let body = sig & !(1u64 << 63);
-        shift_with_grs(body, keep_bits as u64)
-    } else {
-        // Subnormal: the hidden bit stays in the shifted fraction.
-        shift_with_grs(sig, total_drop)
-    };
-    let sticky_all = sticky || rest_nonzero;
-    let mut pattern = ((exp_field as u64) << wf) | kept;
-    if round && (sticky_all || pattern & 1 == 1) {
-        pattern += 1;
-    }
-    // A carry out of the fraction bumps the exponent; reaching the reserved
-    // top exponent is exactly IEEE overflow-to-infinity.
-    if (pattern >> wf) as u32 >= (1 << fmt.we()) - 1 {
-        return fmt.inf_bits(sign);
-    }
-    fmt.zero_bits(sign) | pattern as u32
+    let magnitude = encode_magnitude(fmt, scale, sig, sticky);
+    // Reaching the reserved top exponent is exactly IEEE overflow.
+    fmt.zero_bits(sign) | magnitude.min(fmt.inf_bits(false))
 }
 
-/// Splits `v >> drop` into (kept value, round bit, sticky-of-rest).
-#[inline]
-fn shift_with_grs(v: u64, drop: u64) -> (u64, bool, bool) {
-    if drop == 0 {
-        return (v, false, false);
-    }
-    if drop > 64 {
-        return (0, false, v != 0);
-    }
-    if drop == 64 {
-        return (0, v >> 63 == 1, v & ((1u64 << 63) - 1) != 0);
-    }
-    let kept = v >> drop;
-    let round = (v >> (drop - 1)) & 1 == 1;
-    let rest = v & ((1u64 << (drop - 1)) - 1) != 0;
-    (kept, round, rest)
+/// The operand word of [`encode`]`(fmt, sign, scale, sig, sticky)` clipped
+/// at ±max — the paper's EMAC readout, which never overflows to infinity:
+/// the rounded value in units of the smallest subnormal, signed, shifted
+/// left once (bit 0, the NaN flag, clear). A word is what an exact dot
+/// product consumes, so a layer can hand its rounded sums to the next
+/// without encoding and decoding a pattern in between.
+///
+/// # Examples
+///
+/// ```
+/// use dp_minifloat::{encode_word, FloatFormat};
+/// let fmt = FloatFormat::new(4, 3)?; // smallest subnormal 2^-9
+/// // 1.5 is 768 subnormal units.
+/// assert_eq!(encode_word(fmt, false, 0, 0b11 << 62, false), 768 << 1);
+/// // 2^20 clips to −max = −240, i.e. −240 · 2^9 units.
+/// assert_eq!(encode_word(fmt, true, 20, 1 << 63, false), -(240 << 9) << 1);
+/// # Ok::<(), dp_minifloat::FormatError>(())
+/// ```
+#[inline(always)]
+pub fn encode_word(fmt: FloatFormat, sign: bool, scale: i32, sig: u64, sticky: bool) -> i64 {
+    let magnitude = encode_magnitude(fmt, scale, sig, sticky);
+    magnitude_word(fmt, sign, magnitude.min(fmt.max_bits(false)))
+}
+
+/// [`round_magnitude`] of `(-1)^sign × sig × 2^(scale-63)`, with `sig`
+/// narrowed to `62 − we` fraction bits and everything below folded into a
+/// sticky in bit 0 — below the round bit, so it can only break a tie. A
+/// field past the reserved one is clamped to one past it, so every
+/// overflow comes out at or above the infinity pattern's magnitude.
+#[inline(always)]
+fn encode_magnitude(fmt: FloatFormat, scale: i32, sig: u64, sticky: bool) -> u32 {
+    debug_assert!(sig >> 63 == 1, "significand must be normalized");
+    let bits = 62 - fmt.we();
+    let narrowed = (sig >> (63 - bits)) | (sticky || sig << (bits + 1) != 0) as u64;
+    let field = scale + fmt.bias();
+    let above = (field.clamp(1, 1 << fmt.we()) - 1) as u64;
+    round_magnitude(fmt, (above << bits) + narrowed, field, bits)
+}
+
+/// The one rounding step of the family: the pattern magnitude (`exponent
+/// field ‖ fraction`, no sign) nearest to a value, under
+/// round-to-nearest-even. `field` is the exponent field the value would
+/// have as a normal; `exact` is, for `field ≥ 1`, its pattern magnitude
+/// with `bits − wf` extra fraction bits — `(field − 1) << bits` plus the
+/// significand, hidden bit at bit `bits` — and below the smallest normal
+/// its significand at field 1's scale (hidden bit clear for a source
+/// subnormal), which shifts one more place per binade: the subnormal
+/// encoding.
+///
+/// Rounding at the pattern width is one integer add, so a carry out of the
+/// fraction bumps the exponent, and an overflow lands at or past the
+/// infinity pattern's magnitude; callers clip or overflow from there.
+/// Needs `bits ≥ wf + 2` when `exact` holds a sticky in bit 0, and
+/// `exact < 2^62`; past 63 places nothing of such a value survives.
+#[inline(always)]
+pub(crate) fn round_magnitude(fmt: FloatFormat, exact: u64, field: i32, bits: u32) -> u32 {
+    let drop = match field >= 1 {
+        true => bits - fmt.wf(),
+        false => (bits - fmt.wf() + (1 - field) as u32).min(63),
+    };
+    let rounded = match drop {
+        0 => exact,
+        _ => (exact + (1 << (drop - 1)) - 1 + ((exact >> drop) & 1)) >> drop,
+    };
+    rounded as u32
+}
+
+/// The operand word of a finite pattern magnitude with sign `sign`: its
+/// `hidden | frac` field at scale `max(exp_field, 1) − 1`, in units of the
+/// smallest subnormal.
+#[inline(always)]
+pub(crate) fn magnitude_word(fmt: FloatFormat, sign: bool, magnitude: u32) -> i64 {
+    let scale = (magnitude >> fmt.wf()).saturating_sub(1);
+    let units = ((magnitude - (scale << fmt.wf())) as i64) << scale;
+    let negate = -(sign as i64);
+    ((units ^ negate) - negate) << 1
 }
 
 /// The ±0 pattern.
@@ -283,12 +309,38 @@ mod tests {
     }
 
     #[test]
-    fn shift_with_grs_cases() {
-        assert_eq!(shift_with_grs(0b1011, 0), (0b1011, false, false));
-        assert_eq!(shift_with_grs(0b1011, 1), (0b101, true, false));
-        assert_eq!(shift_with_grs(0b1011, 2), (0b10, true, true));
-        assert_eq!(shift_with_grs(0b1000, 3), (0b1, false, false));
-        assert_eq!(shift_with_grs(u64::MAX, 64), (0, true, true));
-        assert_eq!(shift_with_grs(1, 65), (0, false, true));
+    fn round_magnitude_cases() {
+        let f = fmt(4, 3);
+        // 1.0 (field 7) with 5 spare bits: exact, a tie to even, above a
+        // tie, and a carry out of the fraction into the next binade.
+        assert_eq!(round_magnitude(f, 7 << 8, 7, 8), 0x38);
+        assert_eq!(round_magnitude(f, (7 << 8) | (1 << 4), 7, 8), 0x38);
+        assert_eq!(round_magnitude(f, (7 << 8) | (3 << 4), 7, 8), 0x3a);
+        assert_eq!(round_magnitude(f, (7 << 8) | (1 << 4) | 1, 7, 8), 0x39);
+        assert_eq!(round_magnitude(f, 0x7f8, 7, 8), 0x40);
+        // Below the smallest normal a field of 0 shifts one more place:
+        // 2^-7 is the subnormal 0b100; half the smallest subnormal ties to
+        // 0, and a field far below drops everything.
+        assert_eq!(round_magnitude(f, 1 << 8, 0, 8), 0x04);
+        assert_eq!(round_magnitude(f, 1 << 8, -2, 8), 0x01);
+        assert_eq!(round_magnitude(f, 1 << 8, -3, 8), 0x00);
+        assert_eq!(round_magnitude(f, (1 << 8) | 1, -3, 8), 0x01);
+        assert_eq!(round_magnitude(f, u64::MAX >> 9, -900, 54), 0);
+        // A source subnormal (no hidden bit) scales like field 1.
+        assert_eq!(round_magnitude(f, 0x7f, -6, 23), 0x00);
+        // Overflow lands at or past the infinity pattern, and the encoder
+        // clamps fields far above it.
+        assert!(round_magnitude(f, 15 << 8, 15, 8) >= f.inf_bits(false));
+        assert_eq!(encode(f, true, 900, 1 << 63, false), f.inf_bits(true));
+    }
+
+    #[test]
+    fn magnitude_words_count_smallest_subnormals() {
+        let f = fmt(4, 3);
+        assert_eq!(magnitude_word(f, false, 0x01), 2);
+        assert_eq!(magnitude_word(f, false, 0x08), 8 << 1);
+        assert_eq!(magnitude_word(f, true, 0x38), -(512 << 1));
+        assert_eq!(magnitude_word(f, false, f.max_bits(false)), (240 << 9) << 1);
+        assert_eq!(magnitude_word(f, true, 0), 0);
     }
 }

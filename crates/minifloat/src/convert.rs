@@ -1,7 +1,10 @@
 //! Conversions between minifloats and `f64`, plus the saturating quantizer
 //! used by the Deep Positron DNN path.
 
-use crate::codec::{decode, encode, encode_inf, encode_nan, encode_zero, FloatClass};
+use crate::codec::{
+    decode, encode, encode_inf, encode_nan, encode_zero, magnitude_word, round_magnitude,
+    FloatClass,
+};
 use crate::format::FloatFormat;
 
 /// Converts an `f64` to the nearest minifloat (IEEE RNE; overflow → ±Inf,
@@ -85,28 +88,51 @@ pub fn from_f32_saturating(fmt: FloatFormat, v: f32) -> u32 {
     if abs == 0 {
         return fmt.zero_bits(bits != 0);
     }
-    let wf = fmt.wf();
+    fmt.zero_bits(bits >> 31 == 1) | f32_magnitude(fmt, abs)
+}
+
+/// The operand word (see [`crate::codec::encode_word`]) of
+/// [`from_f32_saturating`]`(fmt, v)`, from the same rounding step: NaN
+/// gives NaN's word `1`, ±0 gives `0`, ±infinity ±max's word.
+///
+/// ```
+/// use dp_minifloat::{convert, FloatFormat};
+/// let fmt = FloatFormat::new(4, 3)?; // smallest subnormal 2^-9
+/// assert_eq!(convert::word_from_f32(fmt, -0.75), -(384 << 1));
+/// assert_eq!(convert::word_from_f32(fmt, f32::NAN), 1);
+/// # Ok::<(), dp_minifloat::FormatError>(())
+/// ```
+#[inline(always)]
+pub fn word_from_f32(fmt: FloatFormat, v: f32) -> i64 {
+    let bits = v.to_bits();
+    let abs = bits & 0x7fff_ffff;
+    if abs > 0x7f80_0000 {
+        return 1;
+    }
+    if abs == 0 {
+        return 0;
+    }
+    magnitude_word(fmt, bits >> 31 == 1, f32_magnitude(fmt, abs))
+}
+
+/// The clipped pattern magnitude nearest to a nonzero single's magnitude
+/// `abs` (infinity included). A single's 31 bits are already `exponent ‖
+/// fraction`, so with the exponent re-biased to the target's they are the
+/// exact pattern [`round_magnitude`] takes, with `23 − wf` extra fraction
+/// bits. Below the target's smallest normal the significand (hidden bit
+/// included) goes in instead; a subnormal single scales like field 1,
+/// without a hidden bit — and with `we = 8` is itself a representable
+/// subnormal, which comes through as it is.
+#[inline(always)]
+fn f32_magnitude(fmt: FloatFormat, abs: u32) -> u32 {
     let (exp, frac) = (abs >> 23, abs & 0x007f_ffff);
-    // The target's exponent field, were the value normal there (a
-    // subnormal single scales like field 1, without a hidden bit).
     let rebias = (127 - fmt.bias()) as u32;
     let field = exp.max(1) as i32 - rebias as i32;
-    let (exact, drop) = if field >= 1 {
-        (abs - (rebias << 23), 23 - wf)
-    } else {
-        // Subnormal target: one more place per binade below the smallest
-        // normal; past 31 places nothing of a 24-bit significand is left.
-        let sig = (((exp != 0) as u32) << 23) | frac;
-        (sig, (24 - wf + field.unsigned_abs()).min(31))
+    let exact = match field >= 1 {
+        true => abs - (rebias << 23),
+        false => (((exp != 0) as u32) << 23) | frac,
     };
-    let pattern = match drop {
-        0 => exact,
-        _ => {
-            let lsb = (exact >> drop) & 1;
-            (exact + ((1u32 << (drop - 1)) - 1) + lsb) >> drop
-        }
-    };
-    fmt.zero_bits(bits >> 31 == 1) | pattern.min(fmt.max_bits(false))
+    round_magnitude(fmt, exact as u64, field, 23).min(fmt.max_bits(false))
 }
 
 /// Converts a minifloat to `f64` (always exact: `wf ≤ 23`, `we ≤ 8`).

@@ -33,7 +33,9 @@ pub mod format;
 pub mod ops;
 pub mod value;
 
-pub use codec::{decode, encode, encode_inf, encode_nan, encode_zero, FloatClass, FloatUnpacked};
+pub use codec::{
+    decode, encode, encode_inf, encode_nan, encode_word, encode_zero, FloatClass, FloatUnpacked,
+};
 pub use format::{FloatFormat, FormatError};
 pub use value::{
     MiniFloat, BF16, F16, F6E2M3, F6E3M2, F7E3M3, F7E4M2, F8E2M5, F8E3M4, F8E4M3, F8E5M2,

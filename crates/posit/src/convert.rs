@@ -1,7 +1,7 @@
 //! Conversions between posits and other numeric types.
 
 use crate::decode::{decode, Decoded};
-use crate::encode::{apply_sign, encode, round_body, FRACTION_BITS};
+use crate::encode::{apply_sign, encode, round_body, round_scaled, rounded_word, FRACTION_BITS};
 use crate::format::{exp2i, PositFormat};
 
 /// Converts an `f64` to the nearest posit (round to nearest, ties to even
@@ -61,6 +61,39 @@ pub fn from_f32(fmt: PositFormat, v: f32) -> u32 {
     if abs == 0 {
         return fmt.zero_bits();
     }
+    let body = round_body(fmt, f32_scaled(fmt, abs), false);
+    apply_sign(fmt, body, bits >> 31 == 1)
+}
+
+/// The operand word (see [`crate::encode::encode_word`]) of
+/// [`from_f32`]`(fmt, v)`, from the same rounding step: NaN and ±infinity
+/// give NaR's word `1`, ±0 gives `0`. For the formats `encode_word` serves.
+///
+/// ```
+/// use dp_posit::{convert, PositFormat};
+/// let fmt = PositFormat::new(8, 0)?; // minpos = 2^-6
+/// assert_eq!(convert::word_from_f32(fmt, -0.75), -(48 << 1));
+/// assert_eq!(convert::word_from_f32(fmt, f32::NAN), 1);
+/// # Ok::<(), dp_posit::FormatError>(())
+/// ```
+#[inline(always)]
+pub fn word_from_f32(fmt: PositFormat, v: f32) -> i64 {
+    let bits = v.to_bits();
+    let abs = bits & 0x7fff_ffff;
+    if abs >= 0x7f80_0000 {
+        return 1;
+    }
+    if abs == 0 {
+        return 0;
+    }
+    let rounded = round_scaled(fmt, f32_scaled(fmt, abs), false).1;
+    rounded_word(fmt, bits >> 31 == 1, rounded)
+}
+
+/// A finite nonzero single's magnitude `abs` as `scale ‖ fraction`: with
+/// its exponent re-biased in place it already is that integer.
+#[inline(always)]
+fn f32_scaled(fmt: PositFormat, abs: u32) -> i64 {
     let scaled = if abs < 0x0080_0000 {
         // Subnormal single: normalise the 23-bit field (the hidden bit it
         // shifts up to is masked off).
@@ -69,8 +102,7 @@ pub fn from_f32(fmt: PositFormat, v: f32) -> u32 {
     } else {
         abs as i64 - (127 << 23)
     };
-    let body = round_body(fmt, scaled << (FRACTION_BITS - 23 - fmt.es()), false);
-    apply_sign(fmt, body, bits >> 31 == 1)
+    scaled << (FRACTION_BITS - 23 - fmt.es())
 }
 
 /// Converts a posit to `f64`. Exact for every format whose scales fit the

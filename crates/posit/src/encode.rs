@@ -7,6 +7,13 @@
 //! standard prescribe (paper §III-A). Posits saturate: values beyond maxpos
 //! round to maxpos, nonzero values below minpos round to minpos; rounding
 //! never produces zero or NaR from a finite nonzero input.
+//!
+//! [`encode_word`] rounds the same way but yields the rounded value's
+//! **operand word** instead of its pattern: the value in units of minpos as
+//! a two's-complement integer, shifted left once, bit 0 flagging NaR — the
+//! form an exact dot product consumes, so a layer can hand its rounded
+//! sums to the next without encoding and decoding a pattern in between.
+//! Both come out of one rounding step.
 
 use crate::format::PositFormat;
 
@@ -32,14 +39,43 @@ use crate::format::PositFormat;
 /// ```
 #[inline]
 pub fn encode(fmt: PositFormat, sign: bool, scale: i32, sig: u64, sticky: bool) -> u32 {
+    let (scaled, sticky) = scaled_of(fmt, scale, sig, sticky);
+    apply_sign(fmt, round_body(fmt, scaled, sticky), sign)
+}
+
+/// The operand word of [`encode`]`(fmt, sign, scale, sig, sticky)`: the
+/// rounded value in units of minpos, signed, shifted left once (bit 0, the
+/// NaR flag, clear). For formats whose maxpos is at most `2^30` (every
+/// posit whose values, counted in minpos, fit 61 bits), which is every
+/// format whose EMAC operands align.
+///
+/// # Examples
+///
+/// ```
+/// use dp_posit::{encode_word, PositFormat};
+/// let fmt = PositFormat::new(8, 0)?; // minpos = 2^-6
+/// // 1.5 is 96 minpos.
+/// assert_eq!(encode_word(fmt, false, 0, 0b11 << 62, false), 96 << 1);
+/// // Saturation: −2^40 rounds to −maxpos = −2^6, which is −2^12 minpos.
+/// assert_eq!(encode_word(fmt, true, 40, 1 << 63, false), -(1 << 12) << 1);
+/// # Ok::<(), dp_posit::FormatError>(())
+/// ```
+#[inline(always)]
+pub fn encode_word(fmt: PositFormat, sign: bool, scale: i32, sig: u64, sticky: bool) -> i64 {
+    let (scaled, sticky) = scaled_of(fmt, scale, sig, sticky);
+    rounded_word(fmt, sign, round_scaled(fmt, scaled, sticky).1)
+}
+
+/// `(-1)^sign × sig × 2^(scale-63)` as [`round_body`]'s input: `scale ‖
+/// fraction` and the sticky. The top `FRACTION_BITS − es` fraction bits go
+/// in exactly; whatever lies below them can only break a tie.
+#[inline(always)]
+fn scaled_of(fmt: PositFormat, scale: i32, sig: u64, sticky: bool) -> (i64, bool) {
     debug_assert!(sig >> 63 == 1, "significand must be normalized");
-    // The top `FRACTION_BITS − es` fraction bits go in exactly; whatever
-    // lies below them can only break a tie.
     let kept = FRACTION_BITS - fmt.es();
     let fraction = (sig << 1) >> (64 - kept);
     let sticky = sticky || sig << (1 + kept) != 0;
-    let body = round_body(fmt, ((scale as i64) << kept) | fraction as i64, sticky);
-    apply_sign(fmt, body, sign)
+    (((scale as i64) << kept) | fraction as i64, sticky)
 }
 
 /// Fraction bits [`round_body`] takes, counting the `es` exponent bits in:
@@ -65,6 +101,24 @@ pub(crate) const FRACTION_BITS: u32 = 31;
 /// minpos exactly.
 #[inline(always)]
 pub(crate) fn round_body(fmt: PositFormat, scaled: i64, sticky: bool) -> u32 {
+    round_scaled(fmt, scaled, sticky).0
+}
+
+/// The one rounding step under [`round_body`], with both its outputs: the
+/// body, and `scaled` (clamped) rounded to the value that body encodes.
+///
+/// The body keeps the regime and the top `t = n − 3 − run` bits of the
+/// tail, so its last kept bit is bit `g = 31 − t` of `scaled`, and the
+/// dropped bits of the body are exactly `scaled`'s bits below `g` plus the
+/// sticky. One round-up decision therefore serves both: the body's
+/// pattern add, and `(scaled >> g) + up` — a carry out of the kept tail
+/// bits lands in the regime count `k` just as it ripples into the
+/// pattern's regime, and with no tail bit kept (`t = 0`, the saturating
+/// extremes) the tie is broken by the regime's own last bit, as in the
+/// pattern. Pinned against `decode(encode(…))` for every pattern's
+/// neighbourhood of every operand-aligned trio format.
+#[inline(always)]
+pub(crate) fn round_scaled(fmt: PositFormat, scaled: i64, sticky: bool) -> (u32, i64) {
     let kept = FRACTION_BITS - fmt.es();
     let max_scale = fmt.max_scale() as i64;
     let scaled = scaled.clamp(-max_scale << kept, (max_scale << kept) - 1);
@@ -84,7 +138,23 @@ pub(crate) fn round_body(fmt: PositFormat, scaled: i64, sticky: bool) -> u32 {
         body != 0 && body <= fmt.maxpos_bits(),
         "finite nonzero values round to a finite nonzero posit"
     );
-    body
+    let up = (body as u64 - (exact >> drop)) as i64;
+    let g = 34 - fmt.n() + run;
+    (body, ((scaled >> g) + up) << g)
+}
+
+/// The operand word of the value `±rounded` (a [`round_scaled`] output):
+/// its significand `1.f`, `kept` fraction bits, moved to its scale counted
+/// in minpos plus one for the word's shift. A shift down drops only zeros:
+/// every posit is a whole number of minpos.
+#[inline(always)]
+pub(crate) fn rounded_word(fmt: PositFormat, sign: bool, rounded: i64) -> i64 {
+    let kept = FRACTION_BITS - fmt.es();
+    let significand = (rounded as u64 & ((1 << kept) - 1)) | 1 << kept;
+    let up = ((rounded >> kept) + fmt.max_scale() as i64 + 1) as u32;
+    let units = ((significand << up.saturating_sub(kept)) >> kept.saturating_sub(up)) as i64;
+    let negate = -(sign as i64);
+    (units ^ negate) - negate
 }
 
 /// The pattern of `±body`: negation is the two's complement. Branch-free

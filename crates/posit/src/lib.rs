@@ -66,7 +66,7 @@ pub mod value;
 pub mod wide;
 
 pub use decode::{decode, Decoded, Unpacked};
-pub use encode::encode;
+pub use encode::{encode, encode_word};
 pub use format::{FormatError, PositFormat};
 pub use quire::Quire;
 pub use value::{
