@@ -1,10 +1,11 @@
 //! Whole-network inference throughput (Iris topology): per-sample EMAC
 //! inference vs the batch engine (contiguous weights, EMACs built once,
 //! one tile sweep per layer on the calling thread), plus the per-op
-//! rounding path and the f32 baseline — and the `offline_wide16` shape of
-//! the end-to-end benchmark: Mushroom 117-24-2, trained as `benchmark/`
-//! trains it, in batches of 64 on caller-owned EMACs, per 16-bit format
-//! (`*_mushroom_batch64`).
+//! rounding path and the f32 baseline — and two shapes of the end-to-end
+//! benchmark, each trained as `benchmark/` trains it on caller-owned EMACs:
+//! `offline_narrow8`'s Iris 4-16-3 in batches of 16 per 8-bit format
+//! (`*_iris_batch16`), and `offline_wide16`'s Mushroom 117-24-2 in batches
+//! of 64 per 16-bit format (`*_mushroom_batch64`).
 //!
 //! Run with `cargo bench --bench inference`. Writes the committed baseline
 //! `BENCH_inference.json` at the repository root.
@@ -42,6 +43,7 @@ fn main() {
         .cloned()
         .collect();
     let b = batch.len() as u64;
+    let chunk16 = &batch[..16];
 
     let mut rows: Vec<Measurement> = Vec::new();
     let configs = [
@@ -76,6 +78,13 @@ fn main() {
         // Batch engine: EMACs built once, one tile sweep per layer.
         rows.push(measure(&format!("{name}_batch{b}"), b, || {
             q.forward_batch(black_box(&batch)).len()
+        }));
+        // The narrow8 shape: 19 outputs per sample against 112 MACs, so the
+        // round/encode stage weighs as much as the sweep.
+        let mut emacs = q.make_layer_emacs().expect("the 8-bit trio has EMACs");
+        rows.push(measure(&format!("{name}_iris_batch16"), 16, || {
+            q.forward_batch_bits_with(&mut emacs, black_box(chunk16))
+                .len()
         }));
     }
     rows.push(measure("f32_native_per_sample", 1, || {
@@ -129,6 +138,14 @@ fn main() {
             scalar.ns_per_iter / swept.ns_per_iter
         );
     }
+    let fixed = find("fixed8q6_iris_batch16").ns_per_iter;
+    for (name, _) in configs {
+        let row = find(&format!("{name}_iris_batch16"));
+        println!(
+            "{name} iris 4-16-3 B=16: {:.2}x fixed8q6's time",
+            row.ns_per_iter / fixed
+        );
+    }
     let fixed = find("fixed16q8_mushroom_batch64").ns_per_iter;
     for (name, _) in wide_configs {
         let row = find(&format!("{name}_mushroom_batch64"));
@@ -144,6 +161,10 @@ fn main() {
         ("command", "cargo bench --bench inference".to_string()),
         ("topology", "iris 4-16-3".to_string()),
         ("batch", b.to_string()),
+        (
+            "narrow_topology",
+            "iris 4-16-3, batches of 16 (*_iris_batch16)".to_string(),
+        ),
         (
             "wide_topology",
             "mushroom 117-24-2, batches of 64 (*_mushroom_batch64)".to_string(),

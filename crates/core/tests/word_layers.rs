@@ -5,11 +5,14 @@
 //! of 1 (the lone-column kernel), 2, 7, 8, 9 (around the `f64` lane's
 //! group of eight and the integer lanes' quads) and 64 (the benchmark's
 //! chunk), on both trios and on posit⟨16,2⟩, whose operands do not align
-//! and which keeps the pattern path.
+//! and which keeps the pattern path. The 8-bit posit and minifloat read
+//! every sum out through their rounding table on both paths, so they are
+//! pinned against `new_reference()` units as well: bit-field decode,
+//! `WideInt` register, the family's `encode`.
 
 use deep_positron::train::{train, TrainConfig};
 use deep_positron::{Mlp, NumericFormat, QuantizedLayer, QuantizedMlp};
-use dp_emac::{Emac, MacKernel};
+use dp_emac::{Emac, EmacUnit, FixedEmac, FloatEmac, MacKernel, PositEmac};
 use dp_fixed::FixedFormat;
 use dp_minifloat::FloatFormat;
 use dp_posit::PositFormat;
@@ -44,9 +47,56 @@ fn formats() -> Vec<NumericFormat> {
 /// The pattern path, spelled out with public pieces.
 fn pattern_forward(q: &QuantizedMlp, xs: &[f32], batch: usize) -> Vec<u32> {
     let mut emacs = q.make_layer_emacs().expect("low-precision format");
+    pattern_forward_on(q, &mut emacs, xs, batch)
+}
+
+/// A `new_reference()` unit of `fmt` for `k` accumulations.
+fn reference_unit(fmt: NumericFormat, k: u64) -> EmacUnit {
+    match fmt {
+        NumericFormat::Posit(f) => EmacUnit::Posit(PositEmac::new_reference(f, k)),
+        NumericFormat::Float(f) => EmacUnit::Float(FloatEmac::new_reference(f, k)),
+        NumericFormat::Fixed(f) => EmacUnit::Fixed(FixedEmac::new_reference(f, k)),
+        NumericFormat::F32 => unreachable!("no EMAC for the f32 baseline"),
+    }
+}
+
+/// The pattern path on `new_reference()` units.
+fn reference_forward(q: &QuantizedMlp, xs: &[f32], batch: usize) -> Vec<u32> {
+    let mut emacs: Vec<EmacUnit> = q
+        .layers
+        .iter()
+        .map(|l| reference_unit(q.format, l.fan_in() as u64))
+        .collect();
+    pattern_forward_on(q, &mut emacs, xs, batch)
+}
+
+/// Whether `q`'s units read out through rounding tables.
+fn rounds_by_table(q: &QuantizedMlp) -> bool {
+    let emacs = q.make_layer_emacs().expect("low-precision format");
+    emacs.iter().any(EmacUnit::rounds_by_table)
+}
+
+/// The model's forward pass, checked against the pattern path — and
+/// against `new_reference()` units when its units round by table.
+fn forward_checked(q: &QuantizedMlp, xs: &[f32], batch: usize, ctx: &str) -> Vec<u32> {
+    let out = forward(q, xs, batch);
+    assert_eq!(out, pattern_forward(q, xs, batch), "{ctx}");
+    if rounds_by_table(q) {
+        assert_eq!(out, reference_forward(q, xs, batch), "{ctx}: reference");
+    }
+    out
+}
+
+/// The pattern path on `emacs`, one unit per layer.
+fn pattern_forward_on(
+    q: &QuantizedMlp,
+    emacs: &mut [EmacUnit],
+    xs: &[f32],
+    batch: usize,
+) -> Vec<u32> {
     let mut acts = Vec::new();
     q.format.quantize_into(xs, &mut acts);
-    for (li, (layer, unit)) in q.layers.iter().zip(&mut emacs).enumerate() {
+    for (li, (layer, unit)) in q.layers.iter().zip(emacs).enumerate() {
         let mut out = vec![0; batch * layer.fan_out()];
         unit.dot_layer(layer.biases(), layer.weights(), &acts, &mut out);
         if li + 1 < q.layers.len() {
@@ -125,11 +175,7 @@ fn truncated_models_match_the_pattern_path_at_every_layer() {
                 for batch in BATCHES {
                     let xs = batch_of(&pool, batch);
                     let ctx = format!("{fmt} {:?} readout {readout} B={batch}", q.dims());
-                    assert_eq!(
-                        forward(&cut, &xs, batch),
-                        pattern_forward(&cut, &xs, batch),
-                        "{ctx}"
-                    );
+                    forward_checked(&cut, &xs, batch, &ctx);
                 }
             }
         }
@@ -214,8 +260,7 @@ fn a_poisoned_hidden_bias_poisons_its_neuron_and_every_readout_it_feeds() {
         for batch in BATCHES {
             let xs = batch_of(&pool, batch);
             let cut = truncated(&q, 0);
-            let words = forward(&cut, &xs, batch);
-            assert_eq!(words, pattern_forward(&cut, &xs, batch), "{fmt} B={batch}");
+            let words = forward_checked(&cut, &xs, batch, &format!("{fmt} B={batch}"));
             for (j, row) in words.chunks(hidden).enumerate() {
                 for (r, &bits) in row.iter().enumerate() {
                     match r {
@@ -224,13 +269,12 @@ fn a_poisoned_hidden_bias_poisons_its_neuron_and_every_readout_it_feeds() {
                     }
                 }
             }
-            let readout = forward(&q, &xs, batch);
+            let readout = forward_checked(&q, &xs, batch, &format!("{fmt} B={batch}"));
             assert_eq!(readout.len(), batch * classes);
             assert!(
                 readout.iter().all(|&b| fmt.to_f64(b).is_nan()),
                 "{fmt} B={batch}"
             );
-            assert_eq!(readout, pattern_forward(&q, &xs, batch), "{fmt} B={batch}");
         }
     }
 }
@@ -249,12 +293,21 @@ fn nan_and_infinite_inputs_give_the_pattern_path_outputs() {
             for readout in 0..q.layers.len() {
                 let cut = truncated(&q, readout);
                 let ctx = format!("{fmt} readout {readout} B={batch}");
-                assert_eq!(
-                    forward(&cut, &xs, batch),
-                    pattern_forward(&cut, &xs, batch),
-                    "{ctx}"
-                );
+                forward_checked(&cut, &xs, batch, &ctx);
             }
+        }
+    }
+}
+
+#[test]
+fn rounding_tables_serve_the_8_bit_posit_and_minifloat_only() {
+    // The benchmark models' fan-ins: Iris 4-16-3, Mushroom 117-24-2.
+    for k in [4u64, 16, 117, 24] {
+        for fmt in formats() {
+            let by_table = fmt == posit(8, 0) || fmt == float(4, 3);
+            let unit = fmt.make_emac(k).unwrap();
+            assert_eq!(unit.rounds_by_table(), by_table, "{fmt} K={k}");
+            assert!(!reference_unit(fmt, k).rounds_by_table(), "{fmt} K={k}");
         }
     }
 }

@@ -104,7 +104,7 @@ pub use fixed_emac::{Fixed, FixedEmac};
 pub use float_emac::{Float, FloatEmac};
 pub use kernel::{MacKernel, SumLane};
 pub use posit_emac::{Posit, PositEmac, SplitOperands};
-pub use table::{AlignedLut, EmacEntry};
+pub use table::{AlignedLut, EmacEntry, RoundLut};
 pub use table_emac::{Family, Readout, TableEmac};
 pub use unit::{Emac, EmacUnit};
 

@@ -10,7 +10,11 @@
 //! non-negative), so one operand word ([`EmacEntry`]), one aligned-integer
 //! image of it ([`align`]), one per-pattern table of those images
 //! ([`AlignedLut`]) and one leak-once cache ([`cached`]) serve both; a
-//! [`crate::Family`] supplies only the decode that fills them.
+//! [`crate::Family`] supplies only the decode that fills them. Each
+//! operand table also carries the other end of the datapath for the
+//! ≤ 8-bit formats: the round/encode stage, tabulated from the family's
+//! own `encode` per register width ([`RoundLut`],
+//! [`AlignedLut::rounding`]).
 
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
@@ -140,6 +144,8 @@ pub fn align(e: EmacEntry) -> i64 {
 pub struct AlignedLut {
     mask: u32,
     words: Vec<i64>,
+    /// The format's [`RoundLut`] per register width, built on first use.
+    rounding: [OnceLock<Option<&'static RoundLut>>; MAX_ROUND_REGISTER as usize + 1],
 }
 
 impl AlignedLut {
@@ -163,7 +169,22 @@ impl AlignedLut {
         AlignedLut {
             mask: (1 << n) - 1,
             words: words.collect(),
+            rounding: std::array::from_fn(|_| OnceLock::new()),
         }
+    }
+
+    /// The format's process-wide [`RoundLut`] at a `width`-bit register,
+    /// built on first use from `encode` — the family's readout of a
+    /// register — and leaked like the operand table; `None`, also kept,
+    /// when the readout does not tabulate ([`RoundLut::build`]).
+    pub fn rounding(
+        &'static self,
+        width: u32,
+        encode: impl Fn(i64) -> u32,
+    ) -> Option<&'static RoundLut> {
+        let n = self.words.len().trailing_zeros();
+        let slot = self.rounding.get(width as usize)?;
+        *slot.get_or_init(|| RoundLut::build(n, width, encode).map(|t| &*Box::leak(Box::new(t))))
     }
 
     /// The aligned word for the low `n` bits of `bits`.
@@ -183,6 +204,128 @@ impl AlignedLut {
     }
 }
 
+/// Widest format whose readout may tabulate: one byte per pattern.
+pub const MAX_ROUND_WIDTH: u32 = 8;
+
+/// Widest register whose readout may tabulate: every sum is an `i64`.
+pub const MAX_ROUND_REGISTER: u32 = 63;
+
+/// Largest [`RoundLut`], in bytes.
+pub const MAX_ROUND_BYTES: usize = 16 << 10;
+
+/// The round/encode stage as a table: every register `R` of a unit whose
+/// register is at most 63 bits wide mapped straight to the pattern the family's
+/// `encode` rounds it to. `R` is indexed by its sign, the bit length `q` of
+/// `|R|`, the `M` bits `b` below its leading one, and whether any bit below
+/// those is set (`rest`); `R = 0` is the slot `q = 0`. A slot holds
+/// `encode(±lo)` when `rest` is clear — the bucket's exact value, which is
+/// also its tie — and `encode(±(lo + 1))` when set: the interior, every
+/// value strictly between `lo` and the next bucket's `hi`. Negative slots
+/// encode the negative register itself.
+///
+/// [`RoundLut::build`] keeps the smallest `M` for which every interior is
+/// uniform — `encode(lo + 1) == encode(hi − 1)` for both signs. Rounding
+/// is monotone, so that check proves each interior slot equal to `encode`
+/// of every register it stands for: the table is exact by construction,
+/// and a format whose check fails within [`MAX_ROUND_BYTES`] gets none.
+#[derive(Debug, Clone)]
+pub struct RoundLut {
+    /// `M`: register bits kept below the leading one.
+    m: u32,
+    /// Bit lengths per sign: `0..=width`, every magnitude a `width`-bit
+    /// register holds (`2^(width−1)` included).
+    rows: usize,
+    /// The patterns, indexed `((sign · rows + q) << M | b) << 1 | rest`.
+    patterns: Vec<u8>,
+}
+
+impl RoundLut {
+    /// The rounding table of an `n`-bit format at a `width`-bit register
+    /// whose readout is `encode(R)`, or `None` when `n` exceeds
+    /// [`MAX_ROUND_WIDTH`], the register exceeds [`MAX_ROUND_REGISTER`]
+    /// bits, or no `M` makes every bucket uniform within
+    /// [`MAX_ROUND_BYTES`].
+    pub fn build(n: u32, width: u32, encode: impl Fn(i64) -> u32) -> Option<Self> {
+        if n > MAX_ROUND_WIDTH || !(1..=MAX_ROUND_REGISTER).contains(&width) {
+            return None;
+        }
+        let rows = width as usize + 1;
+        (1..)
+            .take_while(|&m| (4 * rows) << m <= MAX_ROUND_BYTES)
+            .find_map(|m| Self::try_build(rows, m, &encode))
+    }
+
+    /// The table at `m` bits, or `None` at the first interior that is not
+    /// uniform. A bit length whose least and greatest registers read out
+    /// alike reads out alike throughout (rounding is monotone) and is
+    /// filled from those two: the saturating binades and those below the
+    /// format's least value, most of a register, cost two `encode`s each.
+    fn try_build(rows: usize, m: u32, encode: &impl Fn(i64) -> u32) -> Option<Self> {
+        let mut patterns = Vec::with_capacity((4 * rows) << m);
+        for sign in [1, -1] {
+            for q in 0..rows {
+                let first = encode(sign * Self::bucket(q, 0, m).0);
+                if first == encode(sign * Self::bucket(q, (1 << m) - 1, m).1) {
+                    patterns.resize(patterns.len() + (2 << m), first as u8);
+                    continue;
+                }
+                for b in 0..1 << m {
+                    let (lo, last) = Self::bucket(q, b, m);
+                    let (lo, last) = (sign * lo, sign * last);
+                    let exact = encode(lo);
+                    let interior = match lo == last {
+                        true => exact,
+                        false => encode(lo + sign),
+                    };
+                    if last != lo + sign && encode(last) != interior {
+                        return None;
+                    }
+                    patterns.extend([exact as u8, interior as u8]);
+                }
+            }
+        }
+        Some(RoundLut { m, rows, patterns })
+    }
+
+    /// The least and greatest magnitudes of bucket `(q, b)` at `m` bits
+    /// (equal unless the bit length exceeds `m + 1`).
+    fn bucket(q: usize, b: u64, m: u32) -> (i64, i64) {
+        let Some(p) = q.checked_sub(1) else {
+            return (0, 0);
+        };
+        let lo = (1u64 << p) + (((b as u128) << p) >> m) as u64;
+        let span = (1u64 << p.saturating_sub(m as usize)) - 1;
+        (lo as i64, (lo + span) as i64)
+    }
+
+    /// `M`, the register bits this table keeps below the leading one.
+    pub fn kept_bits(&self) -> u32 {
+        self.m
+    }
+
+    /// The pattern register `r` reads out as.
+    #[inline(always)]
+    pub fn pattern(&self, r: i64) -> u32 {
+        self.rounder()(r)
+    }
+
+    /// [`RoundLut::pattern`] as a closure holding the table's slice and
+    /// shape by value, for the same reason as [`AlignedLut::decoder`].
+    #[inline(always)]
+    pub fn rounder(&self) -> impl Fn(i64) -> u32 + Copy + '_ {
+        let (patterns, m, rows) = (self.patterns.as_slice(), self.m, self.rows);
+        move |r: i64| {
+            let magnitude = r.unsigned_abs();
+            let lz = magnitude.leading_zeros();
+            // The bits below the leading one, left-aligned (0 for R = 0).
+            let below = magnitude.wrapping_shl(lz) << 1;
+            let row = (r < 0) as usize * rows + (64 - lz) as usize;
+            let bucket = row << m | (below >> (64 - m)) as usize;
+            patterns[bucket << 1 | (below << m != 0) as usize] as u32
+        }
+    }
+}
+
 /// What identifies one (family, format) in the table cache: the family
 /// name and the format's two parameters.
 pub type TableKey = (&'static str, u32, u32);
@@ -195,7 +338,8 @@ pub type TableKey = (&'static str, u32, u32);
 ///
 /// Tables are leaked intentionally: the format space is small and finite,
 /// each table is built once, and a `'static` borrow lets hot loops hold
-/// the table without reference counting.
+/// the table without reference counting. The same holds for the rounding
+/// tables each one carries ([`AlignedLut::rounding`]).
 pub fn cached(
     key: TableKey,
     n: u32,
@@ -266,6 +410,116 @@ mod tests {
             let aligned = Float::tables(fmt).unwrap();
             check_aligned(&fmt.to_string(), fmt.n(), |b| fields.decode(b), aligned);
         }
+    }
+
+    /// Capacities of the widths the rounding tables are pinned at: the
+    /// benchmark models' fan-ins (4, 16, 117) and the sweeps' (1, 128, 1024).
+    const CAPACITIES: [u64; 6] = [1, 4, 16, 117, 128, 1024];
+
+    /// A unit's readout, `Family::encode` of the register `r`.
+    fn encode_of<F: Family>(family: &F) -> impl Fn(i64) -> u32 + '_ {
+        |r| family.encode(&crate::Accum::Small(r.into()))
+    }
+
+    /// `family`'s rounding table at a `width`-bit register, if any.
+    fn round_table<F: Family>(family: &F, width: u32) -> Option<&'static RoundLut> {
+        F::tables(family.format())?.rounding(width, encode_of(family))
+    }
+
+    /// Every register around every bucket of `lut` — `lo − 1`, `lo`,
+    /// `lo + 1` and `hi − 1` of each (bit length, `b`), which include 0,
+    /// `±2^p` and the saturating binades — and `draws` seeded registers of
+    /// every magnitude, both signs, against `encode`.
+    fn pin(name: &str, width: u32, lut: &RoundLut, encode: impl Fn(i64) -> u32, draws: usize) {
+        let check = |r: i64| assert_eq!(lut.pattern(r), encode(r), "{name} W={width} R={r}");
+        let m = lut.kept_bits();
+        check(0);
+        for q in 1..=width as usize {
+            for b in 0..1u64 << m {
+                let (lo, last) = RoundLut::bucket(q, b, m);
+                for r in [lo - 1, lo, lo + 1, last] {
+                    if r.unsigned_abs() <= 1 << (width - 1) {
+                        check(r);
+                        check(-r);
+                    }
+                }
+            }
+        }
+        let mut s = 0x9e37_79b9_7f4a_7c15u64 ^ width as u64;
+        for _ in 0..draws {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            let magnitude = (s >> (65 - width)) >> ((s >> 3) % width as u64);
+            check(if s & 1 == 0 {
+                magnitude as i64
+            } else {
+                -(magnitude as i64)
+            });
+        }
+    }
+
+    /// Pins `family`'s rounding table at each capacity's register width;
+    /// returns the widths that got one. 10^6 seeded registers per format,
+    /// spread over those widths.
+    fn pin_family<F: Family>(family: &F) -> Vec<u32> {
+        let name = family.format().to_string();
+        let widths: Vec<u32> = CAPACITIES
+            .iter()
+            .map(|&k| F::accumulator_width_for(family.format(), k))
+            .filter(|&w| round_table(family, w).is_some())
+            .collect();
+        for &w in &widths {
+            let lut = round_table(family, w).unwrap();
+            pin(&name, w, lut, encode_of(family), 1_000_000 / widths.len());
+        }
+        widths
+    }
+
+    #[test]
+    fn rounding_tables_equal_encode_on_every_admitted_paper_format() {
+        use dp_hw::FormatSpec;
+        for spec in (5..=8).flat_map(dp_hw::paper_grid) {
+            let (admitted, widths) = match spec {
+                FormatSpec::Posit(f) => {
+                    let family = Posit::new(f, true);
+                    let all = CAPACITIES.map(|k| Posit::accumulator_width_for(f, k));
+                    (pin_family(&family), all)
+                }
+                FormatSpec::Float(f) => {
+                    let family = Float::new(f, true);
+                    let all = CAPACITIES.map(|k| Float::accumulator_width_for(f, k));
+                    (pin_family(&family), all)
+                }
+                FormatSpec::Fixed(_) => continue,
+            };
+            // Admission is the register width alone on this grid: every
+            // ≤ 63-bit register of a ≤ 8-bit posit or minifloat tabulates.
+            let fits: Vec<u32> = widths.into_iter().filter(|&w| w <= 63).collect();
+            assert_eq!(admitted, fits, "{spec:?}");
+        }
+    }
+
+    #[test]
+    fn rounding_tables_keep_the_fewest_bits_that_make_every_bucket_uniform() {
+        let posit = |n, es| Posit::new(PositFormat::new(n, es).unwrap(), true);
+        let float = |we, wf| Float::new(FloatFormat::new(we, wf).unwrap(), true);
+        // posit<8,0> near 1: five fraction bits and the round bit.
+        let lut = round_table(&posit(8, 0), 30).unwrap();
+        assert_eq!(lut.kept_bits(), 6);
+        assert_eq!(round_table(&float(4, 3), 40).unwrap().kept_bits(), 4);
+        // Memoized per (format, width); no table past a 63-bit register or
+        // past 8 bits.
+        assert!(std::ptr::eq(lut, round_table(&posit(8, 0), 30).unwrap()));
+        assert!(!std::ptr::eq(lut, round_table(&posit(8, 0), 31).unwrap()));
+        assert!(round_table(&posit(8, 1), 64).is_none());
+        assert!(round_table(&posit(9, 0), 40).is_none());
+        // One bit fewer than kept leaves a bucket that straddles a rounding
+        // boundary.
+        let posit8 = posit(8, 0);
+        let encode = encode_of(&posit8);
+        assert!(RoundLut::try_build(31, 5, &encode).is_none());
+        assert!(RoundLut::try_build(31, 6, &encode).is_some());
     }
 
     #[test]

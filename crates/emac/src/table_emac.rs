@@ -2,7 +2,7 @@
 
 use crate::acc::{Accum, SMALL_ACC_MAX_BITS};
 use crate::kernel::AlignedTile;
-use crate::table::{self, AlignedLut, EmacEntry, ALIGNED_OPERAND_BITS};
+use crate::table::{self, AlignedLut, EmacEntry, RoundLut, ALIGNED_OPERAND_BITS};
 use crate::unit::{layer_shape, per_mac_sweep, Emac};
 use crate::{MacKernel, UnsupportedFormat};
 use std::fmt;
@@ -112,62 +112,93 @@ pub trait Family: Clone + fmt::Debug {
 /// between its layers.
 pub trait Readout: Copy {
     /// `acc` read out once by `family`, or the poison when `poisoned`.
-    /// `table` is the format's operand table, when it has one.
-    fn read<F: Family>(family: &F, acc: &Accum, poisoned: bool, table: Option<&AlignedLut>)
-        -> Self;
+    fn read<F: Family>(family: &F, acc: &Accum, poisoned: bool) -> Self;
+
+    /// The readout whose pattern is `bits`, in the format whose operand
+    /// table is `table` — how a tabulated format's sweep reads out.
+    fn of_pattern(bits: u32, table: &AlignedLut) -> Self;
 }
 
 impl Readout for u32 {
     #[inline(always)]
-    fn read<F: Family>(family: &F, acc: &Accum, poisoned: bool, _: Option<&AlignedLut>) -> u32 {
+    fn read<F: Family>(family: &F, acc: &Accum, poisoned: bool) -> u32 {
         match poisoned {
             true => family.poison_bits(),
             false => family.encode(acc),
         }
     }
+
+    #[inline(always)]
+    fn of_pattern(bits: u32, _: &AlignedLut) -> u32 {
+        bits
+    }
 }
 
-/// A tabulated format's word is its table's word of the encoded pattern —
-/// the same rounding, then one load, which at posit⟨8,0⟩ measured 5.1 ns
-/// per output against 9.9 for [`Family::round_word`] (whose extra variable
-/// shifts cost more than a 2 KiB look-up); the computed word serves the
-/// 13–16-bit formats, whose decode it saves.
+/// The computed formats' word comes from the family's rounding core
+/// ([`Family::round_word`]), which saves their decode. A tabulated
+/// format's word is its operand table's word of the pattern
+/// ([`Readout::of_pattern`]), looked up in its [`RoundLut`] when it has
+/// one and encoded otherwise — chosen once per sweep. Per output, pinned
+/// on one x86-64 Xeon core: posit⟨8,0⟩ 3.0–5.3 ns by table against
+/// 8.2–8.8 for `encode` then the table word and 11.5–14.9 for
+/// `round_word`; float⟨4,3⟩ 3.0 against 5.2–7.8 and 4.9–7.5.
 impl Readout for i64 {
     #[inline(always)]
-    fn read<F: Family>(family: &F, acc: &Accum, poisoned: bool, table: Option<&AlignedLut>) -> i64 {
-        match (poisoned, table) {
-            (_, Some(table)) => table.word(u32::read(family, acc, poisoned, None)),
-            (true, None) => table::align(EmacEntry::SPECIAL),
-            (false, None) => family.round_word(acc),
+    fn read<F: Family>(family: &F, acc: &Accum, poisoned: bool) -> i64 {
+        match poisoned {
+            true => table::align(EmacEntry::SPECIAL),
+            false => family.round_word(acc),
         }
+    }
+
+    #[inline(always)]
+    fn of_pattern(bits: u32, table: &AlignedLut) -> i64 {
+        table.word(bits)
     }
 }
 
 /// Where the aligned band's operand words come from: a per-pattern table
-/// (`n ≤ 12`) or the family's computed source. Both produce identical
-/// words.
+/// (`n ≤ 12`, with the format's rounding table when it has one) or the
+/// family's computed source. Both produce identical words.
 #[derive(Debug, Clone, Copy)]
 enum Source<C> {
-    Table(&'static AlignedLut),
+    Table(&'static AlignedLut, Option<&'static RoundLut>),
     Computed(C),
 }
 
 /// Evaluates `$body` with `$word` bound to the aligned decode of `$source`
-/// — value and special flag in one word ([`table::align`]) — as a closure
-/// monomorphized per source, so the decode loops see one straight-line
-/// lookup: a single closure matching on the source was left out of line
-/// and called per element when measured. `$table` is bound to the table,
-/// if the source is one. For use inside `impl<F: Family> TableEmac<F>`.
+/// — value and special flag in one word ([`table::align`]) — and `$read`
+/// to the readout of a finished register, `(family, sum, poisoned) → O`,
+/// both as closures monomorphized per source, so the decode loops see one
+/// straight-line lookup and each output one readout: a single closure
+/// matching on the source was left out of line and called per element when
+/// measured. For use inside `impl<F: Family> TableEmac<F>`.
 macro_rules! with_aligned_word {
-    ($source:expr, $word:ident, $table:ident => $body:expr) => {
+    ($source:expr, $word:ident, $read:ident => $body:expr) => {
         match $source {
-            Source::Table(t) => {
-                let ($word, $table) = (t.decoder(), Some(t));
+            Source::Table(t, Some(round)) => {
+                let ($word, pattern) = (t.decoder(), round.rounder());
+                let $read = move |family: &F, sum: i128, poisoned: bool| {
+                    let bits = match poisoned {
+                        true => family.poison_bits(),
+                        false => pattern(sum as i64),
+                    };
+                    Readout::of_pattern(bits, t)
+                };
+                $body
+            }
+            Source::Table(t, None) => {
+                let $word = t.decoder();
+                let $read = move |family: &F, sum: i128, poisoned: bool| {
+                    Readout::of_pattern(u32::read(family, &Accum::Small(sum), poisoned), t)
+                };
                 $body
             }
             Source::Computed(c) => {
                 let $word = move |bits: u32| F::aligned_word(c, bits);
-                let $table = None;
+                let $read = |family: &F, sum: i128, poisoned: bool| {
+                    Readout::read(family, &Accum::Small(sum), poisoned)
+                };
                 $body
             }
         }
@@ -261,7 +292,10 @@ impl<F: Family> TableEmac<F> {
         // i128 — and a table or computed source to decode them with.
         let source = match F::tables(fmt) {
             _ if !F::operands_align(fmt) => None,
-            Some(t) => Some(Source::Table(t)),
+            Some(t) => {
+                let encode = |r: i64| family.encode(&Accum::Small(r.into()));
+                Some(Source::Table(t, t.rounding(width, encode)))
+            }
             None => family.computed().map(Source::Computed),
         };
         let acc = Accum::new(width);
@@ -320,6 +354,17 @@ impl<F: Family> TableEmac<F> {
         self.words
     }
 
+    /// Whether this unit's aligned sweeps read every sum out through the
+    /// format's [`RoundLut`] — one load instead of [`Family::encode`] —
+    /// rather than the family's rounding: a ≤ 8-bit format with an operand
+    /// table whose register is at most 63 bits and whose rounding
+    /// tabulates ([`RoundLut::build`]'s check). In practice the ≤ 8-bit
+    /// posits and minifloats; never fixed point, a 13–16-bit format or a
+    /// `new_reference()` unit.
+    pub fn rounds_by_table(&self) -> bool {
+        matches!(self.aligned, Some(Source::Table(_, Some(_))))
+    }
+
     /// Appends the operand word of every element of `xs` quantised,
     /// `align(decode(quantize(x)))` ([`Family::word_from_f32`]), to `out`:
     /// a model's words start here, with no pattern in between. A plain loop
@@ -364,8 +409,8 @@ impl<F: Family> TableEmac<F> {
         // `chunks_exact` would reject `fan_in = 0`.
         let cols = (0..batch).map(|j| acts[j * fan_in..(j + 1) * fan_in].iter().copied());
         match self.aligned {
-            Some(source) => with_aligned_word!(source, word, table => {
-                self.aligned_sweep(word, table, biases, weights, cols, out)
+            Some(source) => with_aligned_word!(source, word, read => {
+                self.aligned_sweep(word, read, biases, weights, cols, out)
             }),
             None => {
                 for (col, outs) in cols.zip(out.chunks_exact_mut(biases.len())) {
@@ -375,7 +420,7 @@ impl<F: Family> TableEmac<F> {
                         for (&w, a) in wrow.iter().zip(col.clone()) {
                             self.mac_word(w, a);
                         }
-                        *slot = O::read(&self.family, &self.acc, self.poisoned, None);
+                        *slot = O::read(&self.family, &self.acc, self.poisoned);
                     }
                 }
             }
@@ -422,9 +467,9 @@ impl<F: Family> TableEmac<F> {
     /// The aligned band's sweep of `biases.len()` weight rows over one
     /// activation tile of operand words, loaded once: `out[j · rows + r]`
     /// receives row `r` against column `j`. Each row is seeded from its
-    /// bias's aligned word and each sum read out straight through the
-    /// family ([`Readout`], with the operand `table` of a tabulated
-    /// format); the unit's own register and poison flag are
+    /// bias's aligned word and each sum read out straight by `read` — the
+    /// format's [`RoundLut`], or the family ([`Readout`]), chosen once per
+    /// sweep; the unit's own register and poison flag are
     /// written once, after the last row's last column — going through
     /// `set_bias` and `result()` per output measured ×0.97 samples/s and
     /// ×1.07 median latency on the benchmark's Iris-sized workload
@@ -440,7 +485,7 @@ impl<F: Family> TableEmac<F> {
     fn aligned_sweep<C: IntoIterator<Item = i64>, O: Readout>(
         &mut self,
         word: impl Fn(u32) -> i64 + Copy,
-        table: Option<&AlignedLut>,
+        read: impl Fn(&F, i128, bool) -> O,
         biases: &[u32],
         weights: &[u32],
         cols: impl Iterator<Item = C>,
@@ -463,7 +508,7 @@ impl<F: Family> TableEmac<F> {
             let wrow = &weights[r * fan_in..(r + 1) * fan_in];
             self.tile.row(seed, wrow, word, |j, sum, poison| {
                 last = (sum, bias & 1 != 0 || poison);
-                out[j * rows + r] = O::read(family, &Accum::Small(sum), last.1, table);
+                out[j * rows + r] = read(family, sum, last.1);
             });
         }
         (self.acc, self.poisoned) = (Accum::Small(last.0), last.1);
@@ -522,9 +567,9 @@ impl<F: Family> Emac for TableEmac<F> {
         out: &mut [u32],
     ) {
         match self.aligned {
-            Some(source) => with_aligned_word!(source, word, table => {
+            Some(source) => with_aligned_word!(source, word, read => {
                 let cols = cols.map(move |col| col.iter().map(move |&b| word(b)));
-                self.aligned_sweep(word, table, biases, weights, cols, out)
+                self.aligned_sweep(word, read, biases, weights, cols, out)
             }),
             None => per_mac_sweep(self, biases, weights, fan_in, cols, out),
         }

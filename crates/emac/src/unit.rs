@@ -235,6 +235,11 @@ impl EmacUnit {
         dispatch!(self, u => u.takes_words())
     }
 
+    /// [`crate::TableEmac::rounds_by_table`].
+    pub fn rounds_by_table(&self) -> bool {
+        dispatch!(self, u => u.rounds_by_table())
+    }
+
     /// [`crate::TableEmac::quantize_words`].
     pub fn quantize_words(&self, xs: &[f32], out: &mut Vec<i64>) {
         dispatch!(self, u => u.quantize_words(xs, out))
