@@ -27,23 +27,56 @@
 //!
 //! In paper Fig. 1 each EMAC's output register feeds the next layer; the
 //! decode stage exists because posit bits arrive from memory, which in
-//! software happens only at the edges. So when a format's operands align
-//! ([`dp_emac::TableEmac::takes_words`]) layers hand each other **operand
-//! words** — the rounded value in the format's operand unit, shifted over a
-//! poison flag ([`dp_emac::table::align`]) — not bit patterns: layer 0
+//! software happens only at the edges. A model advances by one step,
+//! `QuantizedMlp::layer`: one [`dp_emac::Emac::dot_layer`], then ReLU on
+//! hidden layers, generic over what moves between layers. When a format's
+//! operands align ([`dp_emac::TableEmac::takes_words`]) that is the
+//! **operand word** — the rounded value in the format's operand unit,
+//! shifted over a poison flag ([`dp_emac::table::align`]): layer 0
 //! quantises `f32` straight to words, every hidden layer rounds its sums
 //! straight to the next layer's words (ReLU is then `max(0, w)`, which
 //! leaves a poisoned word, `1`, poisoned), and only the readout encodes
 //! patterns. Each word is `align(decode(·))` of the pattern the pattern
 //! path would have produced, so the readout is the same bit for bit.
 //! Formats whose operands do not align (posit⟨16,2⟩, minifloats and posits
-//! past 16 bits) keep patterns between layers, as do `new_reference()`
+//! past 16 bits) take the same step over patterns, as do `new_reference()`
 //! units and the streaming simulator, whose hardware model moves bits.
 
 use crate::format::NumericFormat;
 use crate::mlp::Mlp;
 use dp_datasets::Dataset;
 use dp_emac::{Emac, EmacUnit};
+
+/// What moves between layers, patterns (`u32`) or operand words (`i64`;
+/// see the module docs): how it is quantised from `f32` and rectified.
+pub(crate) trait Activation: dp_emac::Readout + Default {
+    /// Appends `xs` quantised to `out`.
+    fn quantize(format: &NumericFormat, unit: &EmacUnit, xs: &[f32], out: &mut Vec<Self>);
+    /// ReLU in place.
+    fn relu(format: &NumericFormat, acts: &mut [Self]);
+}
+
+impl Activation for u32 {
+    fn quantize(format: &NumericFormat, _: &EmacUnit, xs: &[f32], out: &mut Vec<u32>) {
+        format.quantize_into(xs, out);
+    }
+
+    fn relu(format: &NumericFormat, acts: &mut [u32]) {
+        format.relu_in_place(acts);
+    }
+}
+
+impl Activation for i64 {
+    fn quantize(_: &NumericFormat, unit: &EmacUnit, xs: &[f32], out: &mut Vec<i64>) {
+        unit.quantize_words(xs, out);
+    }
+
+    fn relu(_: &NumericFormat, acts: &mut [i64]) {
+        for word in acts {
+            *word = (*word).max(0);
+        }
+    }
+}
 
 /// One quantized dense layer: contiguous row-major weight patterns plus
 /// per-neuron biases.
@@ -263,71 +296,56 @@ impl QuantizedMlp {
         batch: usize,
         out: &mut [u32],
     ) {
-        let fan_in = self.layers[0].fan_in();
         assert_eq!(
             out.len(),
             batch * self.classes(),
             "output/readout length mismatch"
         );
         assert_eq!(emacs.len(), self.layers.len(), "one EMAC per layer");
-        let sample = |x: &'a [f32]| {
+        match emacs.iter().all(EmacUnit::takes_words) {
+            true => self.forward_as::<i64>(emacs, rows, batch, out),
+            false => self.forward_as::<u32>(emacs, rows, batch, out),
+        }
+    }
+
+    /// [`QuantizedMlp::forward_rows`] with `A` between the layers.
+    fn forward_as<'a, A: Activation>(
+        &self,
+        emacs: &mut [EmacUnit],
+        rows: impl Iterator<Item = &'a [f32]>,
+        batch: usize,
+        out: &mut [u32],
+    ) {
+        let fan_in = self.layers[0].fan_in();
+        let mut acts = Vec::with_capacity(batch * fan_in);
+        for x in rows {
             assert_eq!(x.len(), fan_in, "sample/first-layer length mismatch");
-            x
-        };
-        if emacs.iter().all(EmacUnit::takes_words) {
-            let mut words = Vec::with_capacity(batch * fan_in);
-            for x in rows {
-                emacs[0].quantize_words(sample(x), &mut words);
-            }
-            self.word_layers(emacs, 0, &words, batch, out);
-        } else {
-            let mut patterns = Vec::with_capacity(batch * fan_in);
-            for x in rows {
-                self.format.quantize_into(sample(x), &mut patterns);
-            }
-            self.pattern_layers(emacs, 0, &patterns, batch, out);
+            A::quantize(&self.format, &emacs[0], x, &mut acts);
         }
+        let last = self.layers.len() - 1;
+        for (li, unit) in emacs[..last].iter_mut().enumerate() {
+            let mut next = vec![A::default(); batch * self.layers[li].fan_out()];
+            self.layer(li, unit, &acts, &mut next);
+            acts = next;
+        }
+        self.layer(last, &mut emacs[last], &acts, out);
     }
 
-    /// Layers `li..` over `batch` columns of operand words: each hidden
-    /// layer rounds straight to the next layer's words, ReLU is
-    /// `max(0, w)`, and the readout writes its patterns to `out`.
-    fn word_layers(
+    /// The one layer step of the forward pass and the streaming simulator:
+    /// layer `li` on `unit` over the flat sample-major columns `acts`, one
+    /// [`dp_emac::Emac::dot_layer`] into `out`, then ReLU on hidden layers.
+    pub(crate) fn layer<A: Activation, O: Activation>(
         &self,
-        emacs: &mut [EmacUnit],
         li: usize,
-        acts: &[i64],
-        batch: usize,
-        out: &mut [u32],
+        unit: &mut EmacUnit,
+        acts: &[A],
+        out: &mut [O],
     ) {
-        let (layer, unit) = (&self.layers[li], &mut emacs[li]);
-        if li + 1 == self.layers.len() {
-            return unit.dot_layer_words(layer.biases(), layer.weights(), acts, out);
+        let layer = &self.layers[li];
+        unit.dot_layer(layer.biases(), layer.weights(), acts, out);
+        if li + 1 < self.layers.len() {
+            O::relu(&self.format, out);
         }
-        let mut next = vec![0i64; batch * layer.fan_out()];
-        unit.dot_layer_words(layer.biases(), layer.weights(), acts, &mut next);
-        for word in &mut next {
-            *word = (*word).max(0);
-        }
-        self.word_layers(emacs, li + 1, &next, batch, out);
-    }
-
-    /// [`QuantizedMlp::word_layers`] over patterns, for formats whose
-    /// operands do not align.
-    fn pattern_layers(
-        &self,
-        emacs: &mut [EmacUnit],
-        li: usize,
-        acts: &[u32],
-        batch: usize,
-        out: &mut [u32],
-    ) {
-        let (layer, unit) = (&self.layers[li], &mut emacs[li]);
-        if li + 1 == self.layers.len() {
-            return unit.dot_layer(layer.biases(), layer.weights(), acts, out);
-        }
-        let next = self.layer_forward(li, unit, acts, batch);
-        self.pattern_layers(emacs, li + 1, &next, batch, out);
     }
 
     /// EMAC inference of one sample; returns the output activations as bit
@@ -344,28 +362,6 @@ impl QuantizedMlp {
     pub fn forward_bits_with(&self, emacs: &mut [EmacUnit], x: &[f32]) -> Vec<u32> {
         let mut out = vec![0; self.classes()];
         self.forward_into(emacs, x, 1, &mut out);
-        out
-    }
-
-    /// Layer `li` over `batch` samples' activation patterns (flat, one
-    /// sample after another): one [`dp_emac::Emac::dot_layer`] call, then
-    /// ReLU in place on hidden layers (identity on the readout). Returns
-    /// the layer's output patterns in the same flat sample-major layout —
-    /// the streaming simulator's stage, which moves bits as its hardware
-    /// model does.
-    pub(crate) fn layer_forward(
-        &self,
-        li: usize,
-        emac: &mut EmacUnit,
-        acts: &[u32],
-        batch: usize,
-    ) -> Vec<u32> {
-        let layer = &self.layers[li];
-        let mut out = vec![0u32; batch * layer.fan_out()];
-        emac.dot_layer(layer.biases(), layer.weights(), acts, &mut out);
-        if li + 1 != self.layers.len() {
-            self.format.relu_in_place(&mut out);
-        }
         out
     }
 

@@ -97,7 +97,8 @@ pub fn simulate(qmlp: &QuantizedMlp, inputs: &[Vec<f32>]) -> (Vec<usize>, Stream
                 }
                 // Layer finished: compute its functional output now.
                 let acts = payload[l].take().expect("payload follows busy");
-                let out = qmlp.layer_forward(l, &mut emacs[l], &acts, 1);
+                let mut out = vec![0u32; qmlp.layers[l].fan_out()];
+                qmlp.layer(l, &mut emacs[l], &acts, &mut out);
                 if l + 1 == n_layers {
                     results[idx] = Some(qmlp.argmax_bits(&out));
                     done += 1;

@@ -233,11 +233,11 @@ fn readout_words_match_the_readout_patterns_through_the_sweep() {
             let mut bits = vec![0u32; rows * batch];
             unit.dot_layer(&biases, &weights, &acts, &mut bits);
             let mut words = vec![0i64; rows * batch];
-            unit.dot_layer_words(&biases, &weights, &act_words, &mut words);
+            unit.dot_layer(&biases, &weights, &act_words, &mut words);
             let want: Vec<i64> = bits.iter().map(|&b| (p.word_of)(b)).collect();
             assert_eq!(words, want, "{} {rows}x{fan_in}x{batch}", p.fmt);
             let mut readout = vec![0u32; rows * batch];
-            unit.dot_layer_words(&biases, &weights, &act_words, &mut readout);
+            unit.dot_layer(&biases, &weights, &act_words, &mut readout);
             assert_eq!(readout, bits, "{} {rows}x{fan_in}x{batch}", p.fmt);
         }
     }

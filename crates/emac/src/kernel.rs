@@ -3,11 +3,11 @@
 //! The paper's performance story is the exact EMAC dot product
 //! (eqs. 3–4); a software model that dispatches one [`crate::Emac::mac`]
 //! call per weight pays per-element dispatch, per-element decode and a
-//! per-element wide accumulate. [`crate::Emac::dot_layer`] (and its
-//! one-row front [`crate::Emac::dot_tile`]) instead hand the unit a whole
-//! layer against a batch of activation columns, and each unit runs the
-//! [`MacKernel`] it was built on — a function of (format, capacity),
-//! decided **once** at construction; nothing selects it afterwards:
+//! per-element wide accumulate. [`crate::Emac::dot_layer`] instead hands
+//! the unit a whole layer against a batch of activation columns (patterns
+//! or operand words), and the unit's one sweep runs the [`MacKernel`] it
+//! was built on — a function of (format, capacity), decided **once** at
+//! construction; nothing selects it afterwards:
 //!
 //! * [`MacKernel::Aligned`] — every operand of the format fits
 //!   [`crate::table::ALIGNED_OPERAND_BITS`] bits and the eq.-(3)/(4)
@@ -29,7 +29,8 @@
 //! * [`MacKernel::Scalar`] — everything else (posits past
 //!   `max_scale = 30`, six-bit-exponent minifloats, formats past 16 bits,
 //!   registers past 127 bits, and every `new_reference()` unit): the
-//!   sweep is [`crate::Emac::mac`] in a loop — one
+//!   sweep is [`crate::Emac::mac`] in a loop (for a word activation, the
+//!   same step with the activation already aligned) — one
 //!   [`crate::Family::decode`] per operand into the
 //!   [`crate::Accum`] register — which is also the definition every
 //!   aligned loop is pinned against.

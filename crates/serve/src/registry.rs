@@ -24,12 +24,22 @@ pub enum RegistryError {
         /// Why the format has no EMAC datapath.
         reason: String,
     },
+    /// The model's layers do not form one network: it has none, or some
+    /// layer's fan-out is not the next layer's fan-in. Its first forward
+    /// pass would panic a pool worker, so registration rejects it.
+    MalformedModel {
+        /// The key the model would have been registered under.
+        key: ModelKey,
+        /// Which layers fail to chain.
+        reason: String,
+    },
 }
 
 impl std::fmt::Display for RegistryError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RegistryError::UnsupportedModel { key, reason } => {
+            RegistryError::UnsupportedModel { key, reason }
+            | RegistryError::MalformedModel { key, reason } => {
                 write!(f, "cannot register {key}: {reason}")
             }
         }
@@ -105,23 +115,28 @@ impl ModelRegistry {
     /// the model itself. Returns the key; an existing entry under the same
     /// key is replaced (in-flight requests keep their `Arc`).
     ///
-    /// EMAC support is validated here, at admission: a model whose format
-    /// has no EMAC datapath (e.g. posit `es > n − 3`) used to panic inside
-    /// a pool worker on its first request, poisoning that job's handle;
-    /// now it never enters the registry, so every registered low-precision
-    /// model is guaranteed servable.
+    /// Shape and EMAC support are validated here, at admission: a model
+    /// without layers, with layers that do not chain, or whose format has
+    /// no EMAC datapath (e.g. posit `es > n − 3`) would panic inside a pool
+    /// worker on its first request, poisoning that job's handle; instead it
+    /// never enters the registry, so every registered model is servable.
     ///
     /// # Errors
     ///
-    /// [`RegistryError::UnsupportedModel`] when some layer of the model
-    /// cannot build its EMAC (`F32` baseline models are fine: they serve
-    /// classification through plain float math).
+    /// [`RegistryError::MalformedModel`] when the model has no layers or
+    /// some layer's fan-out differs from the next layer's fan-in, in any
+    /// format; [`RegistryError::UnsupportedModel`] when some layer of the
+    /// model cannot build its EMAC (`F32` baseline models are fine: they
+    /// serve classification through plain float math).
     pub fn register(
         &self,
         name: impl Into<String>,
         model: QuantizedMlp,
     ) -> Result<ModelKey, RegistryError> {
         let key = ModelKey::new(name, model.format.to_string());
+        if let Some(reason) = malformation(&model) {
+            return Err(RegistryError::MalformedModel { key, reason });
+        }
         if let Err(e) = model.try_make_layer_emacs() {
             return Err(RegistryError::UnsupportedModel {
                 key,
@@ -171,6 +186,25 @@ impl ModelRegistry {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+}
+
+/// Why `model`'s layers do not form one network, if they do not: it has
+/// none, or a layer's fan-out is not the next layer's fan-in.
+fn malformation(model: &QuantizedMlp) -> Option<String> {
+    if model.layers.is_empty() {
+        return Some("the model has no layers".into());
+    }
+    let (l, pair) = model
+        .layers
+        .windows(2)
+        .enumerate()
+        .find(|(_, pair)| pair[0].fan_out() != pair[1].fan_in())?;
+    Some(format!(
+        "layer {l} yields {} outputs but layer {} takes {} inputs",
+        pair[0].fan_out(),
+        l + 1,
+        pair[1].fan_in()
+    ))
 }
 
 #[cfg(test)]
@@ -238,7 +272,9 @@ mod tests {
         let reg = ModelRegistry::new();
         let bad = NumericFormat::Posit(PositFormat::new(8, 6).unwrap());
         let err = reg.register("iris", tiny_model(bad)).unwrap_err();
-        let RegistryError::UnsupportedModel { key, reason } = &err;
+        let RegistryError::UnsupportedModel { key, reason } = &err else {
+            panic!("expected UnsupportedModel, got {err:?}");
+        };
         assert_eq!(key, &ModelKey::new("iris", "posit<8,6>"));
         assert!(reason.contains("es <= n-3"), "{err}");
         assert!(err.to_string().contains("iris@posit<8,6>"));
@@ -251,5 +287,42 @@ mod tests {
         // 16-bit formats are servable via the split-table datapath.
         let p16 = NumericFormat::Posit(PositFormat::new(16, 1).unwrap());
         assert!(reg.register("iris", tiny_model(p16)).is_ok());
+    }
+
+    #[test]
+    fn register_rejects_models_whose_layers_do_not_chain() {
+        // A ragged model (layer 0 yields 6 outputs, layer 1 takes 5) and a
+        // model with no layers would each panic a pool worker on their
+        // first forward: both are rejected in every format, F32 included.
+        let reg = ModelRegistry::new();
+        let p8 = NumericFormat::Posit(PositFormat::new(8, 0).unwrap());
+        for format in [p8, NumericFormat::F32] {
+            let mut ragged = tiny_model(format);
+            let (fan_out, bias) = (ragged.layers[1].fan_out(), ragged.layers[1].biases()[0]);
+            ragged.layers[1] = deep_positron::QuantizedLayer::new(
+                5,
+                fan_out,
+                vec![bias; 5 * fan_out],
+                vec![bias; fan_out],
+            );
+            let err = reg.register("ragged", ragged).unwrap_err();
+            let RegistryError::MalformedModel { key, reason } = &err else {
+                panic!("expected MalformedModel, got {err:?}");
+            };
+            assert_eq!(key, &ModelKey::new("ragged", format.to_string()));
+            assert!(reason.contains("layer 0 yields 6 outputs"), "{err}");
+            assert!(reason.contains("layer 1 takes 5 inputs"), "{err}");
+            let empty = QuantizedMlp {
+                format,
+                layers: Vec::new(),
+            };
+            let err = reg.register("empty", empty).unwrap_err();
+            assert!(matches!(err, RegistryError::MalformedModel { .. }), "{err}");
+            assert!(err.to_string().contains("no layers"), "{err}");
+        }
+        assert!(reg.is_empty());
+        // A well-formed model still registers.
+        assert!(reg.register("iris", tiny_model(p8)).is_ok());
+        assert_eq!(reg.len(), 1);
     }
 }
