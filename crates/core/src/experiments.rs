@@ -6,8 +6,7 @@ use crate::quantized::QuantizedMlp;
 use crate::train::{train, TrainConfig};
 use dp_datasets::{iris, mushroom, wbc, TrainTest};
 use dp_fixed::FixedFormat;
-use dp_hw::Family;
-use dp_minifloat::FloatFormat;
+use dp_hw::{paper_grid, Family};
 use dp_posit::PositFormat;
 
 /// A trained task: dataset split + 32-bit float model + its baseline
@@ -83,9 +82,10 @@ pub fn paper_tasks(quick: bool, seed: u64) -> Vec<TrainedTask> {
         .collect()
 }
 
-/// Candidate configurations at width `n` for one family, matching the
-/// paper's sweep: posit es ∈ {0,1,2}; float we ∈ {2..5} (paper: best use
-/// we ∈ {3,4}); fixed point uses the pure-fractional Q1.(n−1) layout.
+/// Candidate configurations at width `n` for one family: the paper's
+/// sweep ([`dp_hw::paper_grid`]: posit es ∈ {0,1,2}; float we ∈ {2..5},
+/// paper: best use we ∈ {3,4}), except that fixed point uses the
+/// pure-fractional Q1.(n−1) layout.
 ///
 /// The fixed-point choice reproduces the paper's configuration: with all
 /// DNN inputs normalized to [0, 1] and weights clustered in [−1, 1]
@@ -95,17 +95,12 @@ pub fn paper_tasks(quick: bool, seed: u64) -> Vec<TrainedTask> {
 /// point instead; the comparison is an extension experiment.
 pub fn candidate_formats(family: Family, n: u32) -> Vec<NumericFormat> {
     match family {
-        Family::Posit => (0..=2u32)
-            .filter(|&es| es <= n - 3)
-            .map(|es| NumericFormat::Posit(PositFormat::new(n, es).unwrap()))
+        Family::Fixed => vec![NumericFormat::Fixed(FixedFormat::new(n, n - 1).unwrap())],
+        _ => paper_grid(n)
+            .into_iter()
+            .filter(|spec| spec.family() == family)
+            .map(NumericFormat::from)
             .collect(),
-        Family::Float => (2..=5u32)
-            .filter(|&we| we + 2 <= n)
-            .map(|we| NumericFormat::Float(FloatFormat::new(we, n - 1 - we).unwrap()))
-            .collect(),
-        Family::Fixed => {
-            vec![NumericFormat::Fixed(FixedFormat::new(n, n - 1).unwrap())]
-        }
     }
 }
 

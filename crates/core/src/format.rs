@@ -196,16 +196,6 @@ impl NumericFormat {
         }
     }
 
-    /// The hardware-model spec, or `None` for `F32`.
-    pub fn spec(&self) -> Option<FormatSpec> {
-        match self {
-            NumericFormat::F32 => None,
-            NumericFormat::Posit(f) => Some(FormatSpec::Posit(*f)),
-            NumericFormat::Float(f) => Some(FormatSpec::Float(*f)),
-            NumericFormat::Fixed(f) => Some(FormatSpec::Fixed(*f)),
-        }
-    }
-
     /// Rounded multiplication of two patterns (per-op MAC, for the
     /// exact-vs-inexact ablation). Fixed point truncates, as its hardware
     /// multiplier does.
@@ -246,6 +236,16 @@ fn mask(n: u32) -> u32 {
 fn sext(bits: u32, n: u32) -> i64 {
     let sh = 64 - n;
     (((bits as u64) << sh) as i64) >> sh
+}
+
+impl From<FormatSpec> for NumericFormat {
+    fn from(spec: FormatSpec) -> Self {
+        match spec {
+            FormatSpec::Posit(f) => NumericFormat::Posit(f),
+            FormatSpec::Float(f) => NumericFormat::Float(f),
+            FormatSpec::Fixed(f) => NumericFormat::Fixed(f),
+        }
+    }
 }
 
 impl fmt::Display for NumericFormat {
@@ -351,9 +351,7 @@ mod tests {
         assert!(NumericFormat::F32.make_emac(8).is_none());
         for fmt in formats().into_iter().skip(1) {
             assert!(fmt.make_emac(8).is_some(), "{fmt}");
-            assert!(fmt.spec().is_some());
         }
-        assert!(NumericFormat::F32.spec().is_none());
     }
 
     #[test]

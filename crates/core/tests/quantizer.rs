@@ -6,7 +6,7 @@
 
 use deep_positron::NumericFormat;
 use dp_fixed::FixedFormat;
-use dp_hw::{paper_grid, FormatSpec};
+use dp_hw::paper_grid;
 use dp_minifloat::FloatFormat;
 use dp_posit::PositFormat;
 
@@ -20,11 +20,7 @@ const RANDOM_PROBES: usize = 1 << 20;
 fn formats() -> Vec<NumericFormat> {
     let mut all: Vec<NumericFormat> = (5..=8)
         .flat_map(paper_grid)
-        .map(|spec| match spec {
-            FormatSpec::Posit(f) => NumericFormat::Posit(f),
-            FormatSpec::Float(f) => NumericFormat::Float(f),
-            FormatSpec::Fixed(f) => NumericFormat::Fixed(f),
-        })
+        .map(NumericFormat::from)
         .collect();
     all.extend([
         NumericFormat::Posit(PositFormat::new(16, 1).unwrap()),

@@ -186,9 +186,9 @@ mod tests {
     fn accumulator_width_matches_eq3() {
         // Paper eq. (3): wa = ceil(log2 k) + 2 ceil(log2(max/min)) + 2.
         // For fixed point max/min = 2^(n-1) - 1, so 2(n-1) + 2 = 2n.
-        assert_eq!(FixedEmac::accumulator_width_for(fmt(8, 4), 1), 16);
-        assert_eq!(FixedEmac::accumulator_width_for(fmt(8, 4), 128), 23);
-        assert_eq!(FixedEmac::accumulator_width_for(fmt(5, 2), 10), 14);
+        assert_eq!(Fixed::accumulator_width_for(fmt(8, 4), 1), 16);
+        assert_eq!(Fixed::accumulator_width_for(fmt(8, 4), 128), 23);
+        assert_eq!(Fixed::accumulator_width_for(fmt(5, 2), 10), 14);
     }
 
     #[test]

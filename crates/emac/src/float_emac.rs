@@ -182,8 +182,8 @@ mod tests {
     #[test]
     fn accumulator_width_matches_eq3() {
         // we=4, wf=3: log2(max/min) = 2^4 - 2 + 3 = 17; k=128 -> 7 + 34 + 2.
-        assert_eq!(FloatEmac::accumulator_width_for(fmt(4, 3), 128), 43);
-        assert_eq!(FloatEmac::accumulator_width_for(fmt(2, 2), 1), 2 * 4 + 2);
+        assert_eq!(Float::accumulator_width_for(fmt(4, 3), 128), 43);
+        assert_eq!(Float::accumulator_width_for(fmt(2, 2), 1), 2 * 4 + 2);
     }
 
     #[test]

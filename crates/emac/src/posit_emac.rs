@@ -57,14 +57,6 @@ use dp_posit::{decode, encode, encode_word, Decoded, PositFormat};
 /// ```
 pub type PositEmac = TableEmac<Posit>;
 
-impl PositEmac {
-    /// Paper eq. (4): `2^(es+2)·(n−2) + 2 + ⌈log2 k⌉` — the width of
-    /// every posit unit's register ([`TableEmac::accumulator_width_for`]).
-    pub fn paper_qsize(fmt: PositFormat, k: u64) -> u32 {
-        Posit::accumulator_width_for(fmt, k)
-    }
-}
-
 /// The posit [`Family`]: Algorithm-1 decode (monolithic table for
 /// `n ≤ 12`, split table for 13–16 bits, bit fields otherwise) and
 /// Algorithm 2's convergent round-and-encode.
@@ -231,14 +223,6 @@ mod tests {
 
     fn fmt(n: u32, es: u32) -> PositFormat {
         PositFormat::new(n, es).unwrap()
-    }
-
-    #[test]
-    fn widths_match_paper_eq4() {
-        assert_eq!(PositEmac::paper_qsize(fmt(8, 0), 1), 26);
-        assert_eq!(PositEmac::paper_qsize(fmt(8, 1), 128), 8 * 6 + 2 + 7);
-        assert_eq!(PositEmac::paper_qsize(fmt(16, 1), 16), 8 * 14 + 2 + 4);
-        assert_eq!(PositEmac::accumulator_width_for(fmt(8, 0), 1), 26);
     }
 
     #[test]

@@ -29,18 +29,20 @@ pub trait Family: Clone + fmt::Debug {
     type Computed: Copy + fmt::Debug;
     /// Family name, used in panic messages and as the table-cache key.
     const NAME: &'static str;
-    /// Pipeline depth in cycles, for the streaming latency model.
+    /// Pipeline depth in cycles, for the streaming latency model and
+    /// `dp_hw`'s netlist of the unit (every stage but the readout streams).
     const PIPELINE_DEPTH: u32;
 
     /// Whether `fmt` has an EMAC datapath for `capacity ≥ 1`
-    /// accumulations.
+    /// accumulations — the rule the units and `dp_hw`'s netlists share.
     ///
     /// # Errors
     ///
     /// [`UnsupportedFormat`] naming why it does not.
     fn check_format(fmt: Self::Format, capacity: u64) -> Result<(), UnsupportedFormat>;
 
-    /// Exact accumulator width for `k` accumulations (paper eqs. 3–4).
+    /// Exact accumulator width for `k` accumulations (paper eqs. 3–4): the
+    /// one definition, read by the units and by `dp_hw`'s netlists.
     fn accumulator_width_for(fmt: Self::Format, k: u64) -> u32;
 
     /// Whether every operand of `fmt` fits the aligned word
@@ -442,12 +444,6 @@ impl<F: Family> TableEmac<F> {
     /// The format of this unit.
     pub fn format(&self) -> F::Format {
         self.family.format()
-    }
-
-    /// Register width for `k` accumulations: paper eq. (3) for fixed
-    /// point and minifloats, eq. (4) for posits.
-    pub fn accumulator_width_for(fmt: F::Format, k: u64) -> u32 {
-        F::accumulator_width_for(fmt, k)
     }
 
     /// The one sweep under [`Emac::dot_layer`] and [`Emac::dot_tile`], for

@@ -7,12 +7,15 @@
 //! * The readout (normalize/round/encode) fires once per dot product and is
 //!   treated as a multi-cycle path, the standard closure technique — so it
 //!   contributes area/energy and drain latency but not Fmax.
-//! * Register widths follow the paper: eq. (3) for fixed/float, eq. (4)
-//!   for the posit quire.
+//! * Register widths (eq. (3) for fixed/float, eq. (4) for the posit
+//!   quire), the datapath rule and the pipeline depth are the priced
+//!   unit's [`dp_emac::Family`]'s: a format its `check_format` refuses
+//!   panics here too, with the same reason, in every build.
 
 use crate::calib::Calib;
 use crate::component::Component;
 use crate::netlist::{Netlist, Stage};
+use dp_emac::{Family as _, Fixed, Float, Posit};
 use dp_fixed::FixedFormat;
 use dp_minifloat::FloatFormat;
 use dp_posit::PositFormat;
@@ -77,10 +80,11 @@ impl FormatSpec {
     }
 }
 
-/// ⌈log2 k⌉ for k ≥ 1, at every `k`: `next_power_of_two` overflows past
-/// 2^63.
-fn ceil_log2(k: u64) -> u32 {
-    64 - k.saturating_sub(1).leading_zeros()
+/// `F`'s register width for `k` MACs; panics with the `UnsupportedFormat`
+/// reason, as `TableEmac::new` does, if `F` has no datapath for `fmt`.
+fn register_width<F: dp_emac::Family>(fmt: F::Format, k: u64) -> u32 {
+    F::check_format(fmt, k).unwrap_or_else(|e| panic!("{e}"));
+    F::accumulator_width_for(fmt, k)
 }
 
 /// Builds the EMAC netlist for `spec` sized for `k`-element dot products.
@@ -94,8 +98,8 @@ pub fn emac_netlist(spec: FormatSpec, k: u64, calib: Calib) -> Netlist {
 
 /// Fixed-point EMAC (paper Fig. 3): multiply → accumulate → shift/clip.
 pub fn fixed_emac_netlist(fmt: FixedFormat, k: u64, c: Calib) -> Netlist {
+    let wa = register_width::<Fixed>(fmt, k);
     let n = fmt.n();
-    let wa = 2 * n + ceil_log2(k); // paper eq. (3) for fixed point
     let s_mult = Stage::new(
         "multiply",
         vec![Component::multiplier(&c, "mult", n, n)],
@@ -125,18 +129,17 @@ pub fn fixed_emac_netlist(fmt: FixedFormat, k: u64, c: Calib) -> Netlist {
         vec![s_mult, s_acc, s_out],
         c,
     )
-    .with_streaming_stages(2)
+    .with_streaming_stages(Fixed::PIPELINE_DEPTH as usize - 1)
 }
 
 /// Floating-point EMAC (paper Fig. 4): decode (subnormal normalize) +
 /// multiply → fixed-point convert (2's comp + biased shift) → accumulate →
 /// normalize/round/clip readout.
 pub fn float_emac_netlist(fmt: FloatFormat, k: u64, c: Calib) -> Netlist {
+    let wa = register_width::<Float>(fmt, k);
     let n = fmt.n();
     let (we, wf) = (fmt.we(), fmt.wf());
     let f = 1 + wf; // significand width with hidden bit
-                    // Paper eq. (3) with ceil(log2(max/min)) = 2^we − 2 + wf.
-    let wa = ceil_log2(k) + 2 * ((1u32 << we) - 2 + wf) + 2;
     let prod_w = 2 + 2 * wf;
     let s_decode_mult = Stage::new(
         "decode_multiply",
@@ -191,17 +194,16 @@ pub fn float_emac_netlist(fmt: FloatFormat, k: u64, c: Calib) -> Netlist {
         vec![s_decode_mult, s_convert, s_acc, s_round],
         c,
     )
-    .with_streaming_stages(3)
+    .with_streaming_stages(Float::PIPELINE_DEPTH as usize - 1)
 }
 
 /// Posit EMAC (paper Fig. 5, Algorithms 1–2): decode → multiply + scale
 /// factor → quire shift → accumulate → extract/round/encode readout.
 pub fn posit_emac_netlist(fmt: PositFormat, k: u64, c: Calib) -> Netlist {
+    let qs = register_width::<Posit>(fmt, k);
     let n = fmt.n();
     let es = fmt.es();
     let f = n - 2 - es; // significand width with hidden bit
-                        // Paper eq. (4).
-    let qs = (1u32 << (es + 2)) * (n - 2) + 2 + ceil_log2(k);
     let sf_w = es + 32 - n.leading_zeros() + 2; // {regime, exp} scale factor
     let prod_w = 2 * f;
     let s_decode = Stage::new(
@@ -268,7 +270,7 @@ pub fn posit_emac_netlist(fmt: PositFormat, k: u64, c: Calib) -> Netlist {
         vec![s_decode, s_mult, s_shift, s_acc, s_round],
         c,
     )
-    .with_streaming_stages(4)
+    .with_streaming_stages(Posit::PIPELINE_DEPTH as usize - 1)
 }
 
 #[cfg(test)]
@@ -289,14 +291,6 @@ mod tests {
 
     fn fx(n: u32, q: u32) -> FormatSpec {
         FormatSpec::Fixed(FixedFormat::new(n, q).unwrap())
-    }
-
-    #[test]
-    fn ceil_log2_is_exact_up_to_u64_max() {
-        assert_eq!([1u64, 2, 3, 128].map(ceil_log2), [0, 1, 2, 7]);
-        assert_eq!(ceil_log2(1 << 63), 63);
-        assert_eq!(ceil_log2((1 << 63) + 1), 64);
-        assert_eq!(ceil_log2(u64::MAX), 64);
     }
 
     #[test]
@@ -366,8 +360,28 @@ mod tests {
 
     #[test]
     fn pipeline_depths_match_emac_models() {
-        assert_eq!(emac_netlist(fx(8, 6), 8, calib()).stages.len(), 3);
-        assert_eq!(emac_netlist(fl(4, 3), 8, calib()).stages.len(), 4);
-        assert_eq!(emac_netlist(p(8, 0), 8, calib()).stages.len(), 5);
+        for spec in (5..=8).flat_map(crate::paper_grid) {
+            let depth = match spec.family() {
+                Family::Fixed => Fixed::PIPELINE_DEPTH,
+                Family::Float => Float::PIPELINE_DEPTH,
+                Family::Posit => Posit::PIPELINE_DEPTH,
+            };
+            let stages = emac_netlist(spec, 8, calib()).stages.len() as u32;
+            assert_eq!(stages, depth, "{}", spec.label());
+        }
+    }
+
+    // dp_emac's rule in every build: posit<5,3> has no significand bits,
+    // and posit<5,4>'s n − 2 − es would underflow.
+    #[test]
+    #[should_panic(expected = "es <= n-3")]
+    fn report_refuses_posit_5_3_like_the_emac() {
+        crate::report(p(5, 3), 128, calib());
+    }
+
+    #[test]
+    #[should_panic(expected = "es <= n-3")]
+    fn report_refuses_posit_5_4_like_the_emac() {
+        crate::report(p(5, 4), 128, calib());
     }
 }

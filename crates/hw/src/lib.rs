@@ -12,8 +12,9 @@
 //!    characteristics ([`calib::Calib`]), and
 //! 2. mirrors the stage structure of paper Figs. 3–5 exactly
 //!    ([`emacs::fixed_emac_netlist`], [`emacs::float_emac_netlist`],
-//!    [`emacs::posit_emac_netlist`]), with register widths from paper
-//!    eqs. (3)–(4).
+//!    [`emacs::posit_emac_netlist`]), with the register widths (paper
+//!    eqs. (3)–(4)), datapath rule and pipeline depth read from the
+//!    priced unit's [`dp_emac::Family`].
 //!
 //! Because every number derives from the same small constant set plus
 //! datapath structure, *relative* comparisons between formats — the

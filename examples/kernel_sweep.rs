@@ -25,7 +25,7 @@ use deep_positron::train::{train, TrainConfig};
 use deep_positron::{Mlp, NumericFormat, QuantizedMlp};
 use dp_emac::{Emac, EmacEntry, EmacUnit, Family, Fixed, Float, MacKernel, Posit, SumLane};
 use dp_fixed::FixedFormat;
-use dp_hw::{paper_grid, FormatSpec};
+use dp_hw::paper_grid;
 use dp_minifloat::FloatFormat;
 use dp_posit::PositFormat;
 use dp_serve::{EngineConfig, ServeEngine};
@@ -106,11 +106,7 @@ fn main() {
     // k = 128.
     let mut grid: Vec<NumericFormat> = (5..=8)
         .flat_map(paper_grid)
-        .map(|spec| match spec {
-            FormatSpec::Posit(f) => NumericFormat::Posit(f),
-            FormatSpec::Float(f) => NumericFormat::Float(f),
-            FormatSpec::Fixed(f) => NumericFormat::Fixed(f),
-        })
+        .map(NumericFormat::from)
         .collect();
     grid.extend([
         NumericFormat::Posit(PositFormat::new(16, 1).unwrap()),

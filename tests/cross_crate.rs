@@ -6,6 +6,7 @@
 use deep_positron::NumericFormat;
 use dp_emac::{Emac, EmacUnit, FixedEmac, FloatEmac, PositEmac};
 use dp_fixed::FixedFormat;
+use dp_hw::{emac_netlist, Calib, FormatSpec};
 use dp_minifloat::FloatFormat;
 use dp_posit::exact::exact_dot;
 use dp_posit::{PositFormat, Quire};
@@ -78,38 +79,107 @@ fn numeric_format_quantize_agrees_with_emac_identity() {
     }
 }
 
+/// The pinned capacities with ⌈log2 k⌉ written out: past 2^53 an `f64`
+/// rounds k itself (2^63 + 1 reads 2^63).
+const GROWTH: [(u64, u32); 10] = [
+    (1, 0),
+    (2, 1),
+    (3, 2),
+    (117, 7),
+    (128, 7),
+    (1024, 10),
+    (1 << 20, 20),
+    (1 << 63, 63),
+    ((1 << 63) + 1, 64),
+    (u64::MAX, 64),
+];
+
+/// Paper eqs. (3)/(4), each written out once, at `growth = ⌈log2 k⌉`.
+fn paper_width(spec: FormatSpec, growth: u32) -> u32 {
+    match spec {
+        // eq. (3), fixed point: ⌈log2(max/min)⌉ = n − 1.
+        FormatSpec::Fixed(f) => growth + 2 * f.n(),
+        // eq. (3), minifloat: ⌈log2(max/min)⌉ = 2^we − 2 + wf.
+        FormatSpec::Float(f) => growth + 2 * ((1 << f.we()) - 2 + f.wf()) + 2,
+        // eq. (4), posit quire.
+        FormatSpec::Posit(f) => (1 << (f.es() + 2)) * (f.n() - 2) + 2 + growth,
+    }
+}
+
+/// The unit's register and the `dp_hw` netlist's accumulator register
+/// (its flip-flop count) for `spec` at `k` accumulations.
+fn register_widths(spec: FormatSpec, k: u64) -> (u32, u32) {
+    let unit = NumericFormat::from(spec).make_emac(k).unwrap();
+    let netlist = emac_netlist(spec, k, Calib::default());
+    let name = match spec {
+        FormatSpec::Posit(_) => "quire_reg",
+        _ => "acc_reg",
+    };
+    let register = netlist
+        .stages
+        .iter()
+        .flat_map(|s| s.path.iter().chain(&s.side))
+        .find(|c| c.name == name)
+        .unwrap_or_else(|| panic!("{}: no {name}", netlist.name));
+    (unit.accumulator_width(), register.ffs)
+}
+
 #[test]
 fn emac_accumulator_widths_match_paper_equations() {
-    // eq. (3) for fixed: wa = ceil(log2 k) + 2n
-    assert_eq!(
-        FixedEmac::accumulator_width_for(FixedFormat::new(8, 4).unwrap(), 128),
-        7 + 16
-    );
-    // eq. (3) for float: wa = ceil(log2 k) + 2(2^we − 2 + wf) + 2
-    assert_eq!(
-        FloatEmac::accumulator_width_for(FloatFormat::new(4, 3).unwrap(), 128),
-        7 + 2 * 17 + 2
-    );
-    // eq. (4) for posit: qsize = 2^(es+2)(n−2) + 2 + ceil(log2 k)
-    assert_eq!(
-        PositEmac::paper_qsize(PositFormat::new(8, 0).unwrap(), 128),
-        4 * 6 + 2 + 7
-    );
-    assert_eq!(
-        PositEmac::paper_qsize(PositFormat::new(16, 1).unwrap(), 1024),
-        8 * 14 + 2 + 10
-    );
-    // The unit's register is eq. (4) itself, not a padded superset, and
-    // the quire module computes the same widths independently.
-    for (n, es, k) in [(8u32, 0u32, 128u64), (8, 2, 32), (16, 1, 128), (16, 2, 117)] {
-        let fmt = PositFormat::new(n, es).unwrap();
-        let qsize = PositEmac::paper_qsize(fmt, k);
-        assert_eq!(PositEmac::accumulator_width_for(fmt, k), qsize, "{fmt}");
-        assert_eq!(PositEmac::new(fmt, k).accumulator_width(), qsize, "{fmt}");
-        assert_eq!(Quire::paper_width(fmt, k), qsize as usize, "{fmt}");
+    let posit = |n, es| FormatSpec::Posit(PositFormat::new(n, es).unwrap());
+    let float = |we, wf| FormatSpec::Float(FloatFormat::new(we, wf).unwrap());
+    let fixed = |n, q| FormatSpec::Fixed(FixedFormat::new(n, q).unwrap());
+    // Every posit<5..=16, 0..=2>, minifloat (2..=5, 1..=10) and fixed
+    // point from 4 to 16 bits (the width ignores q), at every capacity:
+    // the unit's register is the equation itself, not a padded superset,
+    // dp_hw prices that register, and the quire computes eq. (4)
+    // independently.
+    let mut specs: Vec<FormatSpec> = (0..=2)
+        .flat_map(|es| (5..=16).map(move |n| posit(n, es)))
+        .collect();
+    specs.extend((2..=5).flat_map(|we| (1..=10).map(move |wf| float(we, wf))));
+    specs.extend((4..=16).map(|n| fixed(n, n / 2)));
+    for spec in specs {
+        for (k, growth) in GROWTH {
+            let width = paper_width(spec, growth);
+            assert_eq!(register_widths(spec, k), (width, width), "{spec:?} k = {k}");
+            if let FormatSpec::Posit(f) = spec {
+                assert_eq!(Quire::paper_width(f, k), width as usize, "{f} k = {k}");
+            }
+        }
     }
-    let p16 = PositEmac::new(PositFormat::new(16, 1).unwrap(), 128);
-    assert_eq!(p16.accumulator_width(), 121);
+    // Worked rows, the paper's headline configuration first: posit<8,0>
+    // at k = 128 products holds 2^2·6 + 2 + 7 = 33 bits.
+    for (spec, k, width) in [
+        (posit(8, 0), 128, 33),
+        (posit(16, 1), 128, 121),
+        (posit(16, 1), 1024, 8 * 14 + 2 + 10),
+        (float(4, 3), 128, 7 + 2 * 17 + 2),
+        (fixed(8, 4), 128, 7 + 16),
+        // The widest fixed register the i128 readout takes.
+        (fixed(32, 16), 1 << 63, 127),
+    ] {
+        assert_eq!(register_widths(spec, k), (width, width), "{spec:?} k = {k}");
+    }
+}
+
+#[test]
+fn dp_hw_refuses_every_format_the_emac_refuses_for_the_same_reason() {
+    let posit = |n, es| FormatSpec::Posit(PositFormat::new(n, es).unwrap());
+    let fixed = FormatSpec::Fixed(FixedFormat::new(32, 16).unwrap());
+    for (spec, k) in [
+        (posit(5, 3), 128),
+        (posit(5, 4), 128),
+        (posit(6, 4), 1),
+        (fixed, (1 << 63) + 1),
+        (fixed, u64::MAX),
+    ] {
+        let refusal = NumericFormat::from(spec).try_make_emac(k).err();
+        let reason = refusal.expect("the EMAC refuses").to_string();
+        let panic = std::panic::catch_unwind(|| emac_netlist(spec, k, Calib::default()))
+            .expect_err("dp_hw refuses");
+        assert_eq!(panic.downcast_ref::<String>(), Some(&reason), "{spec:?}");
+    }
 }
 
 #[test]
