@@ -226,6 +226,14 @@ mod tests {
     }
 
     #[test]
+    fn widths_match_paper_eq4() {
+        assert_eq!(Posit::accumulator_width_for(fmt(8, 0), 1), 26);
+        assert_eq!(Posit::accumulator_width_for(fmt(8, 1), 128), 8 * 6 + 2 + 7);
+        assert_eq!(Posit::accumulator_width_for(fmt(16, 1), 16), 8 * 14 + 2 + 4);
+        assert_eq!(PositEmac::new(fmt(8, 0), 1).accumulator_width(), 26);
+    }
+
+    #[test]
     fn simple_dot_products() {
         let f = fmt(8, 0);
         let mut e = PositEmac::new(f, 8);

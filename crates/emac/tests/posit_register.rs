@@ -6,6 +6,9 @@
 //!   (n ≤ 12, es ≤ 2) and all 2^16 patterns of posit⟨16, 0..2⟩ decode to
 //!   an integer count of minpos equal to the pattern's value, at most
 //!   `2·max_scale + 1` bits long.
+//! * **Register width** — `accumulator_width_for` and the unit's register
+//!   equal eq. (4) over the §IV sweep, which puts posit⟨16,1⟩ at k = 128
+//!   in a 121-bit register on the aligned band.
 //! * **Tightest sums** — posit⟨16,1⟩ layers of K = 117 against
 //!   [`dp_posit::Quire`], an accumulator that shares nothing with
 //!   [`dp_emac::Family`], including rows of K = capacity × (±maxpos)²
@@ -15,8 +18,7 @@
 //!   operands are past the aligned word, so nothing but the reference
 //!   band evaluates them — run the same layers against the same quire.
 //!
-//! The register width itself — eq. (4) for the unit, the `dp_hw` netlist
-//! and the quire, up to k = `u64::MAX` — is pinned in the workspace's
+//! The same widths for the `dp_hw` netlist are pinned in the workspace's
 //! `tests/cross_crate.rs`.
 
 use dp_emac::{Emac, Family, MacKernel, Posit, PositEmac};
@@ -76,6 +78,31 @@ fn every_operand_is_an_integer_multiple_of_minpos() {
         }
         operands_count_minpos(PositFormat::new(16, es).unwrap());
     }
+}
+
+#[test]
+fn register_width_is_paper_eq4_exactly() {
+    for es in 0..=2u32 {
+        for n in 5..=16u32 {
+            let fmt = PositFormat::new(n, es).unwrap();
+            let log2 = |k: u64| (k as f64).log2().ceil() as u32;
+            // Past 2^53 an f64 rounds k itself (2^63 + 1 reads 2^63), so
+            // the last three growths are written out.
+            for (k, growth) in [1u64, 2, 3, 117, 128, 1024, 1 << 20]
+                .map(|k| (k, log2(k)))
+                .into_iter()
+                .chain([(1 << 63, 63), ((1 << 63) + 1, 64), (u64::MAX, 64)])
+            {
+                let eq4 = (1 << (es + 2)) * (n - 2) + 2 + growth;
+                assert_eq!(Posit::accumulator_width_for(fmt, k), eq4, "{fmt} k = {k}");
+                assert_eq!(PositEmac::new(fmt, k).accumulator_width(), eq4, "{fmt}");
+                assert_eq!(Quire::paper_width(fmt, k), eq4 as usize, "{fmt} k = {k}");
+            }
+        }
+    }
+    let p16 = PositEmac::new(PositFormat::new(16, 1).unwrap(), 128);
+    assert_eq!(p16.accumulator_width(), 121);
+    assert_eq!(p16.kernel(), MacKernel::Aligned);
 }
 
 /// One layer through `dot_layer`, every output against a fresh quire.

@@ -238,6 +238,18 @@ fn sub_8bit_degradation_is_bounded_on_iris() {
     }
 }
 
+/// Paper eq. (4) / §III-D: the posit quire width for the paper's headline
+/// configuration.
+#[test]
+fn quire_width_headline_configuration() {
+    // p8e0, k=128 products: 2^2·6 + 2 + 7 = 33 bits.
+    let p8e0 = PositFormat::new(8, 0).unwrap();
+    assert_eq!(
+        <dp_emac::Posit as dp_emac::Family>::accumulator_width_for(p8e0, 128),
+        33
+    );
+}
+
 /// The representative sweep labels match the families they claim.
 #[test]
 fn representative_specs_are_well_formed() {
