@@ -88,12 +88,14 @@ fn main() {
         acc
     }));
 
+    // The truncating multiply of paper Fig. 3, which the per-op ablation
+    // (`NumericFormat::mul_bits`) runs.
     let q84 = FixedFormat::new(8, 4).unwrap();
     rows.push(measure("fixed8_mul", N as u64, || {
         let mut acc = 0i64;
         for &(x, y) in &ops_p {
             let (xa, ya) = (x as i64 - 128, y as i64 - 128);
-            acc ^= q84.mul_round(black_box(xa), black_box(ya));
+            acc ^= q84.mul_truncate(black_box(xa), black_box(ya));
         }
         acc
     }));
@@ -103,7 +105,7 @@ fn main() {
         let mut acc = 0i64;
         for &(x, y) in &ops_p16 {
             let (xa, ya) = (x as i64 - 32768, y as i64 - 32768);
-            acc ^= q168.mul_round(black_box(xa), black_box(ya));
+            acc ^= q168.mul_truncate(black_box(xa), black_box(ya));
         }
         acc
     }));

@@ -80,8 +80,9 @@ pub fn to_string(model: &QuantizedMlp) -> String {
 /// # Errors
 ///
 /// Returns [`ParseModelError`] on malformed input (bad magic, unknown
-/// format tag, zero / oversized / inconsistent shapes, truncation,
-/// non-hex or over-wide patterns), naming the offending line.
+/// format tag, a format with no EMAC datapath at some layer's fan-in,
+/// zero / oversized / inconsistent shapes, truncation, non-hex or
+/// over-wide patterns), naming the offending line.
 pub fn from_str(text: &str) -> Result<QuantizedMlp, ParseModelError> {
     let mut lines = text.lines().enumerate().map(|(i, l)| (i + 1, l));
     // A missing line is reported at the line number it should have had.
@@ -95,8 +96,8 @@ pub fn from_str(text: &str) -> Result<QuantizedMlp, ParseModelError> {
     if magic.trim() != "deep-positron-model v1" {
         return Err(ParseModelError::new(n, "bad magic line"));
     }
-    let (n, fmt_line) = next("format line")?;
-    let format = parse_format(fmt_line).map_err(|m| ParseModelError::new(n, m))?;
+    let (format_at, fmt_line) = next("format line")?;
+    let format = parse_format(fmt_line).map_err(|m| ParseModelError::new(format_at, m))?;
     let (n, dims_line) = next("dims line")?;
     let dims: Vec<usize> = dims_line
         .strip_prefix("dims ")
@@ -124,6 +125,14 @@ pub fn from_str(text: &str) -> Result<QuantizedMlp, ParseModelError> {
                 text.len()
             ),
         ));
+    }
+
+    // A format with no EMAC datapath at some layer's fan-in could not run
+    // a forward pass: refuse it here, at its format line.
+    for d in dims.windows(2) {
+        format
+            .try_make_emac(d[0] as u64)
+            .map_err(|e| ParseModelError::new(format_at, e.to_string()))?;
     }
 
     let width_mask = u32::MAX >> (32 - format.n());
@@ -281,6 +290,13 @@ mod tests {
         assert!(from_str("wrong magic").is_err());
         let e = from_str("deep-positron-model v1\nformat posit 99 0\ndims 2 2\n").unwrap_err();
         assert_eq!(e.line, 2);
+        // A valid posit<8,6> has no EMAC datapath (es > n − 3).
+        let text = "deep-positron-model v1\nformat posit 8 6\ndims 1 1\nlayer 0\nw 40\nb 0\n";
+        let e = from_str(text).unwrap_err();
+        let why = NumericFormat::Posit(PositFormat::new(8, 6).unwrap())
+            .try_make_emac(1)
+            .unwrap_err();
+        assert_eq!((e.line, e.message.as_str()), (2, why.to_string().as_str()));
         let e = from_str("deep-positron-model v1\nformat f32\ndims 2\n").unwrap_err();
         assert!(e.to_string().contains("two dims"));
         // Wrong row width.

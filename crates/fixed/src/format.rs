@@ -65,18 +65,6 @@ impl FixedFormat {
         Ok(FixedFormat { n, q })
     }
 
-    /// Like [`FixedFormat::new`] but panics on invalid parameters; `const`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `2 <= n <= 32` and `q < n`.
-    pub const fn new_const(n: u32, q: u32) -> Self {
-        match Self::new(n, q) {
-            Ok(f) => f,
-            Err(_) => panic!("invalid fixed-point format parameters"),
-        }
-    }
-
     /// Total width in bits.
     #[inline]
     pub const fn n(self) -> u32 {
@@ -87,12 +75,6 @@ impl FixedFormat {
     #[inline]
     pub const fn q(self) -> u32 {
         self.q
-    }
-
-    /// Integer bits (including sign).
-    #[inline]
-    pub const fn integer_bits(self) -> u32 {
-        self.n - self.q
     }
 
     /// Largest raw word, `2^(n-1) − 1`.
@@ -125,7 +107,7 @@ impl FixedFormat {
 
     /// Saturates an arbitrary integer to the raw range.
     #[inline]
-    pub fn saturate(self, v: i64) -> i64 {
+    fn saturate(self, v: i64) -> i64 {
         v.clamp(self.min_raw(), self.max_raw())
     }
 
@@ -174,18 +156,6 @@ impl FixedFormat {
         self.saturate(a + b)
     }
 
-    /// Saturating subtraction of two raw words.
-    #[inline]
-    pub fn sub_sat(self, a: i64, b: i64) -> i64 {
-        self.saturate(a - b)
-    }
-
-    /// Saturating negation (−min saturates to max).
-    #[inline]
-    pub fn neg_sat(self, a: i64) -> i64 {
-        self.saturate(-a)
-    }
-
     /// Multiplication with **truncation** of the low `q` bits (arithmetic
     /// shift right — the hardware behaviour in paper Fig. 3) and clipping.
     #[inline]
@@ -205,13 +175,6 @@ impl FixedFormat {
         (wide >> self.q).clamp(self.min_raw() as i128, self.max_raw() as i128) as i64
     }
 
-    /// Multiplication with round-to-nearest-even of the low `q` bits and
-    /// clipping (the higher-quality per-op rounding used for ablations).
-    pub fn mul_round(self, a: i64, b: i64) -> i64 {
-        let p = a * b;
-        self.saturate(rne_shift(p, self.q))
-    }
-
     /// Iterator over every raw word of the format.
     pub fn raws(self) -> impl Iterator<Item = i64> {
         self.min_raw()..=self.max_raw()
@@ -225,21 +188,6 @@ impl FixedFormat {
 fn exp2(e: i32) -> f64 {
     debug_assert!(e.abs() < 32);
     f64::from_bits(((1023 + e) as u64) << 52)
-}
-
-/// Round-to-nearest-even arithmetic right shift.
-pub(crate) fn rne_shift(v: i64, sh: u32) -> i64 {
-    if sh == 0 {
-        return v;
-    }
-    let keep = v >> sh;
-    let round = (v >> (sh - 1)) & 1;
-    let rest = v & ((1i64 << (sh - 1)) - 1);
-    if round == 1 && (rest != 0 || keep & 1 == 1) {
-        keep + 1
-    } else {
-        keep
-    }
 }
 
 impl fmt::Debug for FixedFormat {
@@ -277,7 +225,6 @@ mod tests {
         assert_eq!(f.min_raw(), -128);
         assert_eq!(f.max_value(), 7.9375);
         assert_eq!(f.min_value(), 0.0625);
-        assert_eq!(f.integer_bits(), 4);
     }
 
     #[test]
@@ -374,8 +321,7 @@ mod tests {
     fn saturating_arithmetic() {
         let f = fmt(8, 4);
         assert_eq!(f.add_sat(127, 1), 127);
-        assert_eq!(f.sub_sat(-128, 1), -128);
-        assert_eq!(f.neg_sat(-128), 127);
+        assert_eq!(f.add_sat(-128, -1), -128);
         assert_eq!(f.add_sat(20, 12), 32);
     }
 
@@ -385,27 +331,17 @@ mod tests {
         // 1.25 × 1.25 = 1.5625 = raw 25 exactly at q=4? 25/16 = 1.5625: raw
         // product = 20×20 = 400; >>4 = 25 exactly (no truncation error).
         assert_eq!(f.mul_truncate(20, 20), 25);
-        assert_eq!(f.mul_round(20, 20), 25);
+        assert_eq!(f.from_f64(1.25 * 1.25), 25);
         // 0.3125 × 0.3125 = 0.09765625: raw 5×5 = 25; >>4 trunc = 1 (0.0625),
-        // rne = 2 (0.125) since 25/16 = 1.5625 rounds to 2.
+        // where quantising the exact product rounds 25/16 = 1.5625 to 2.
         assert_eq!(f.mul_truncate(5, 5), 1);
-        assert_eq!(f.mul_round(5, 5), 2);
+        assert_eq!(f.from_f64(0.3125 * 0.3125), 2);
         // Truncation is floor, also for negatives (arithmetic shift).
         assert_eq!(f.mul_truncate(-5, 5), -2);
         // The readout clips past either rail, from registers wider than i64.
         assert_eq!(f.truncate(1 << 100), 127);
         assert_eq!(f.truncate(-(1 << 100)), -128);
         assert_eq!(f.truncate(-17), -2);
-    }
-
-    #[test]
-    fn rne_shift_cases() {
-        assert_eq!(rne_shift(25, 4), 2);
-        assert_eq!(rne_shift(24, 4), 2, "tie 1.5 -> 2");
-        assert_eq!(rne_shift(8, 4), 0, "tie 0.5 -> 0");
-        assert_eq!(rne_shift(-8, 4), 0, "-0.5 tie -> 0");
-        assert_eq!(rne_shift(-24, 4), -2, "-1.5 tie -> -2");
-        assert_eq!(rne_shift(7, 0), 7);
     }
 
     #[test]

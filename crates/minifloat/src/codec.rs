@@ -28,16 +28,6 @@ pub enum FloatClass {
     NaN,
 }
 
-impl FloatClass {
-    /// Returns the unpacked fields, or `None` for zero / Inf / NaN.
-    pub fn finite(self) -> Option<FloatUnpacked> {
-        match self {
-            FloatClass::Finite(u) => Some(u),
-            _ => None,
-        }
-    }
-}
-
 /// Decodes the low `n` bits of `bits` according to `fmt`, performing the
 /// subnormal detection of paper Fig. 4 (hidden bit cleared, exponent
 /// adjusted).
@@ -45,10 +35,10 @@ impl FloatClass {
 /// # Examples
 ///
 /// ```
-/// use dp_minifloat::{decode, FloatClass, FloatFormat};
+/// use dp_minifloat::{decode, FloatClass, FloatFormat, FloatUnpacked};
 /// let fmt = FloatFormat::new(4, 3)?;
-/// let one = decode(fmt, 0x38).finite().unwrap(); // 0 0111 000
-/// assert_eq!((one.sign, one.scale, one.sig), (false, 0, 1 << 63));
+/// let one = FloatUnpacked { sign: false, scale: 0, sig: 1 << 63 };
+/// assert_eq!(decode(fmt, 0x38), FloatClass::Finite(one)); // 0 0111 000
 /// assert_eq!(decode(fmt, 0x78), FloatClass::Inf(false));
 /// # Ok::<(), dp_minifloat::FormatError>(())
 /// ```
@@ -172,24 +162,16 @@ pub(crate) fn magnitude_word(fmt: FloatFormat, sign: bool, magnitude: u32) -> i6
     ((units ^ negate) - negate) << 1
 }
 
-/// The ±0 pattern.
-pub fn encode_zero(fmt: FloatFormat, sign: bool) -> u32 {
-    fmt.zero_bits(sign)
-}
-
-/// The ±Inf pattern.
-pub fn encode_inf(fmt: FloatFormat, sign: bool) -> u32 {
-    fmt.inf_bits(sign)
-}
-
-/// The canonical NaN pattern.
-pub fn encode_nan(fmt: FloatFormat) -> u32 {
-    fmt.nan_bits()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn finite(c: FloatClass) -> FloatUnpacked {
+        match c {
+            FloatClass::Finite(u) => u,
+            _ => panic!("{c:?} is not finite"),
+        }
+    }
 
     fn fmt(we: u32, wf: u32) -> FloatFormat {
         FloatFormat::new(we, wf).unwrap()
@@ -210,13 +192,13 @@ mod tests {
     fn decode_normals() {
         let f = fmt(4, 3);
         // 0x38 = 0 0111 000 = 1.0
-        let u = decode(f, 0x38).finite().unwrap();
+        let u = finite(decode(f, 0x38));
         assert_eq!((u.sign, u.scale, u.sig), (false, 0, 1 << 63));
         // 0x3c = 1.5
-        let u = decode(f, 0x3c).finite().unwrap();
+        let u = finite(decode(f, 0x3c));
         assert_eq!((u.scale, u.sig), (0, 0b11 << 62));
         // 0xc0 = -2.0
-        let u = decode(f, 0xc0).finite().unwrap();
+        let u = finite(decode(f, 0xc0));
         assert_eq!((u.sign, u.scale, u.sig), (true, 1, 1 << 63));
     }
 
@@ -224,10 +206,10 @@ mod tests {
     fn decode_subnormals_normalize() {
         let f = fmt(4, 3);
         // smallest subnormal: frac=1 -> 2^-9
-        let u = decode(f, 0x01).finite().unwrap();
+        let u = finite(decode(f, 0x01));
         assert_eq!((u.scale, u.sig), (-9, 1 << 63));
         // frac=0b101 -> 1.01b × 2^-7
-        let u = decode(f, 0x05).finite().unwrap();
+        let u = finite(decode(f, 0x05));
         assert_eq!(u.scale, -7);
         assert_eq!(u.sig >> 61, 0b101);
     }
@@ -238,7 +220,7 @@ mod tests {
             let f = fmt(we, wf);
             for bits in f.finites() {
                 match decode(f, bits) {
-                    FloatClass::Zero(s) => assert_eq!(encode_zero(f, s), bits),
+                    FloatClass::Zero(s) => assert_eq!(f.zero_bits(s), bits),
                     FloatClass::Finite(u) => {
                         assert_eq!(
                             encode(f, u.sign, u.scale, u.sig, false),
@@ -301,10 +283,10 @@ mod tests {
         let f = fmt(3, 0);
         // Values are ±2^k only. 1.0 = exp field bias = 3 -> bits 0 011.
         let one = encode(f, false, 0, 1 << 63, false);
-        assert_eq!(decode(f, one).finite().unwrap().scale, 0);
+        assert_eq!(finite(decode(f, one)).scale, 0);
         // 1.5 ties between 1.0 and 2.0 -> even pattern.
         let res = encode(f, false, 0, 0b11 << 62, false);
-        let u = decode(f, res).finite().unwrap();
+        let u = finite(decode(f, res));
         assert!(u.scale == 0 || u.scale == 1);
     }
 

@@ -1,10 +1,7 @@
 //! Conversions between minifloats and `f64`, plus the saturating quantizer
 //! used by the Deep Positron DNN path.
 
-use crate::codec::{
-    decode, encode, encode_inf, encode_nan, encode_zero, magnitude_word, round_magnitude,
-    FloatClass,
-};
+use crate::codec::{decode, encode, magnitude_word, round_magnitude, FloatClass};
 use crate::format::FloatFormat;
 
 /// Converts an `f64` to the nearest minifloat (IEEE RNE; overflow → ±Inf,
@@ -21,13 +18,13 @@ use crate::format::FloatFormat;
 /// ```
 pub fn from_f64(fmt: FloatFormat, v: f64) -> u32 {
     if v.is_nan() {
-        return encode_nan(fmt);
+        return fmt.nan_bits();
     }
     if v.is_infinite() {
-        return encode_inf(fmt, v < 0.0);
+        return fmt.inf_bits(v < 0.0);
     }
     if v == 0.0 {
-        return encode_zero(fmt, v.is_sign_negative());
+        return fmt.zero_bits(v.is_sign_negative());
     }
     let bits = v.to_bits();
     let sign = bits >> 63 == 1;
@@ -48,7 +45,7 @@ pub fn from_f64(fmt: FloatFormat, v: f64) -> u32 {
 /// maps to NaN.
 pub fn from_f64_saturating(fmt: FloatFormat, v: f64) -> u32 {
     if v.is_nan() {
-        return encode_nan(fmt);
+        return fmt.nan_bits();
     }
     let b = from_f64(fmt, v);
     match decode(fmt, b) {
@@ -83,7 +80,7 @@ pub fn from_f32_saturating(fmt: FloatFormat, v: f32) -> u32 {
     let bits = v.to_bits();
     let abs = bits & 0x7fff_ffff;
     if abs > 0x7f80_0000 {
-        return encode_nan(fmt);
+        return fmt.nan_bits();
     }
     if abs == 0 {
         return fmt.zero_bits(bits != 0);
@@ -166,16 +163,6 @@ pub fn to_f64(fmt: FloatFormat, bits: u32) -> f64 {
     }
 }
 
-/// Re-rounds a minifloat from one format into another.
-pub fn convert(src: FloatFormat, dst: FloatFormat, bits: u32) -> u32 {
-    match decode(src, bits) {
-        FloatClass::Zero(s) => encode_zero(dst, s),
-        FloatClass::Inf(s) => encode_inf(dst, s),
-        FloatClass::NaN => encode_nan(dst),
-        FloatClass::Finite(u) => encode(dst, u.sign, u.scale, u.sig, false),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,13 +223,5 @@ mod tests {
         let f = fmt(4, 3);
         assert_eq!(from_f64(f, -0.0), 0x80);
         assert!(to_f64(f, 0x80).is_sign_negative());
-    }
-
-    #[test]
-    fn cross_format() {
-        let (a, b) = (fmt(5, 10), fmt(4, 3));
-        let x = from_f64(a, 1.3125);
-        assert_eq!(convert(a, b, x), from_f64(b, 1.3125));
-        assert_eq!(convert(a, b, a.inf_bits(true)), b.inf_bits(true));
     }
 }

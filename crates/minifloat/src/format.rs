@@ -49,7 +49,7 @@ impl std::error::Error for FormatError {}
 /// ```
 /// use dp_minifloat::FloatFormat;
 /// let f16 = FloatFormat::new(5, 10)?;
-/// assert_eq!(f16.bias(), 15);
+/// assert_eq!(f16.n(), 16);
 /// assert_eq!(f16.max_value(), 65504.0);
 /// assert_eq!(f16.min_value(), 2f64.powi(-24));
 /// # Ok::<(), dp_minifloat::FormatError>(())
@@ -74,19 +74,6 @@ impl FloatFormat {
             return Err(FormatError::FractionOutOfRange(wf));
         }
         Ok(FloatFormat { we, wf })
-    }
-
-    /// Like [`FloatFormat::new`] but panics on invalid parameters; usable in
-    /// `const` contexts.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `2 <= we <= 8` and `wf <= 23`.
-    pub const fn new_const(we: u32, wf: u32) -> Self {
-        match Self::new(we, wf) {
-            Ok(f) => f,
-            Err(_) => panic!("invalid minifloat format parameters"),
-        }
     }
 
     /// Exponent field width in bits.
@@ -119,19 +106,19 @@ impl FloatFormat {
 
     /// Exponent bias, `2^(we-1) - 1`.
     #[inline]
-    pub const fn bias(self) -> i32 {
+    pub(crate) const fn bias(self) -> i32 {
         (1i32 << (self.we - 1)) - 1
     }
 
     /// Largest non-reserved exponent field value, `2^we - 2`.
     #[inline]
-    pub const fn expmax_field(self) -> u32 {
+    const fn expmax_field(self) -> u32 {
         (1u32 << self.we) - 2
     }
 
     /// Binary scale of the largest finite binade, `expmax − bias = bias`.
     #[inline]
-    pub const fn max_scale(self) -> i32 {
+    const fn max_scale(self) -> i32 {
         self.expmax_field() as i32 - self.bias()
     }
 
@@ -186,12 +173,6 @@ impl FloatFormat {
     #[inline]
     pub const fn max_bits(self, sign: bool) -> u32 {
         self.zero_bits(sign) | (self.expmax_field() << self.wf) | ((1u32 << self.wf) - 1)
-    }
-
-    /// Number of distinct bit patterns, `2^n`.
-    #[inline]
-    pub const fn pattern_count(self) -> u64 {
-        1u64 << self.n()
     }
 
     /// Iterator over every bit pattern of the format.

@@ -4,23 +4,8 @@
 //! exact integer intermediate and rounds once, with full IEEE-754 special
 //! value semantics (signed zeros, ±Inf, NaN propagation).
 
-use crate::codec::{
-    decode, encode, encode_inf, encode_nan, encode_zero, FloatClass, FloatUnpacked,
-};
+use crate::codec::{decode, encode, FloatClass, FloatUnpacked};
 use crate::format::FloatFormat;
-use std::cmp::Ordering;
-
-/// Negation (sign-bit flip; exact, applies to zeros/Inf/NaN too).
-#[inline]
-pub fn neg(fmt: FloatFormat, a: u32) -> u32 {
-    (a ^ (1 << (fmt.n() - 1))) & fmt.mask()
-}
-
-/// Absolute value (sign-bit clear).
-#[inline]
-pub fn abs(fmt: FloatFormat, a: u32) -> u32 {
-    a & (fmt.mask() >> 1)
-}
 
 /// True for finite negative values and −Inf (not NaN, not −0).
 pub fn is_negative(fmt: FloatFormat, a: u32) -> bool {
@@ -31,43 +16,22 @@ pub fn is_negative(fmt: FloatFormat, a: u32) -> bool {
     }
 }
 
-/// IEEE comparison: NaN is unordered (returns `None`); ±0 compare equal.
-pub fn cmp(fmt: FloatFormat, a: u32, b: u32) -> Option<Ordering> {
-    let ka = key(fmt, a)?;
-    let kb = key(fmt, b)?;
-    Some(ka.cmp(&kb))
-}
-
-/// Total-order key for finite/Inf patterns (None for NaN): sign-magnitude
-/// to two's-complement trick, with both zeros mapping to 0.
-fn key(fmt: FloatFormat, a: u32) -> Option<i64> {
-    match decode(fmt, a) {
-        FloatClass::NaN => None,
-        FloatClass::Zero(_) => Some(0),
-        _ => {
-            let a = (a & fmt.mask()) as i64;
-            let signbit = 1i64 << (fmt.n() - 1);
-            Some(if a & signbit != 0 { signbit - a } else { a })
-        }
-    }
-}
-
 /// Addition with a single rounding (IEEE RNE).
 pub fn add(fmt: FloatFormat, a: u32, b: u32) -> u32 {
     let (ua, ub) = match (decode(fmt, a), decode(fmt, b)) {
-        (FloatClass::NaN, _) | (_, FloatClass::NaN) => return encode_nan(fmt),
+        (FloatClass::NaN, _) | (_, FloatClass::NaN) => return fmt.nan_bits(),
         (FloatClass::Inf(sa), FloatClass::Inf(sb)) => {
             return if sa == sb {
-                encode_inf(fmt, sa)
+                fmt.inf_bits(sa)
             } else {
-                encode_nan(fmt)
+                fmt.nan_bits()
             };
         }
-        (FloatClass::Inf(s), _) => return encode_inf(fmt, s),
-        (_, FloatClass::Inf(s)) => return encode_inf(fmt, s),
+        (FloatClass::Inf(s), _) => return fmt.inf_bits(s),
+        (_, FloatClass::Inf(s)) => return fmt.inf_bits(s),
         (FloatClass::Zero(sa), FloatClass::Zero(sb)) => {
             // RNE: +0 + -0 = +0; like signs keep the sign.
-            return encode_zero(fmt, sa && sb);
+            return fmt.zero_bits(sa && sb);
         }
         (FloatClass::Zero(_), _) => return b & fmt.mask(),
         (_, FloatClass::Zero(_)) => return a & fmt.mask(),
@@ -109,7 +73,7 @@ fn add_finite(fmt: FloatFormat, ua: FloatUnpacked, ub: FloatUnpacked) -> u32 {
             mag = mag.wrapping_sub(1);
         }
         if mag == 0 {
-            return encode_zero(fmt, false); // exact cancellation -> +0 (RNE)
+            return fmt.zero_bits(false); // exact cancellation -> +0 (RNE)
         }
         let lz = mag.leading_zeros();
         mag <<= lz;
@@ -119,26 +83,20 @@ fn add_finite(fmt: FloatFormat, ua: FloatUnpacked, ub: FloatUnpacked) -> u32 {
     }
 }
 
-/// Subtraction: `a + (-b)`.
-#[inline]
-pub fn sub(fmt: FloatFormat, a: u32, b: u32) -> u32 {
-    add(fmt, a, neg(fmt, b))
-}
-
 /// Multiplication with a single rounding (IEEE RNE).
 pub fn mul(fmt: FloatFormat, a: u32, b: u32) -> u32 {
     let (ua, ub) = match (decode(fmt, a), decode(fmt, b)) {
-        (FloatClass::NaN, _) | (_, FloatClass::NaN) => return encode_nan(fmt),
-        (FloatClass::Inf(sa), FloatClass::Inf(sb)) => return encode_inf(fmt, sa ^ sb),
+        (FloatClass::NaN, _) | (_, FloatClass::NaN) => return fmt.nan_bits(),
+        (FloatClass::Inf(sa), FloatClass::Inf(sb)) => return fmt.inf_bits(sa ^ sb),
         (FloatClass::Inf(s), FloatClass::Zero(_)) | (FloatClass::Zero(_), FloatClass::Inf(s)) => {
             let _ = s;
-            return encode_nan(fmt); // 0 × ∞
+            return fmt.nan_bits(); // 0 × ∞
         }
-        (FloatClass::Inf(sa), FloatClass::Finite(u)) => return encode_inf(fmt, sa ^ u.sign),
-        (FloatClass::Finite(u), FloatClass::Inf(sb)) => return encode_inf(fmt, u.sign ^ sb),
-        (FloatClass::Zero(sa), FloatClass::Zero(sb)) => return encode_zero(fmt, sa ^ sb),
-        (FloatClass::Zero(sa), FloatClass::Finite(u)) => return encode_zero(fmt, sa ^ u.sign),
-        (FloatClass::Finite(u), FloatClass::Zero(sb)) => return encode_zero(fmt, u.sign ^ sb),
+        (FloatClass::Inf(sa), FloatClass::Finite(u)) => return fmt.inf_bits(sa ^ u.sign),
+        (FloatClass::Finite(u), FloatClass::Inf(sb)) => return fmt.inf_bits(u.sign ^ sb),
+        (FloatClass::Zero(sa), FloatClass::Zero(sb)) => return fmt.zero_bits(sa ^ sb),
+        (FloatClass::Zero(sa), FloatClass::Finite(u)) => return fmt.zero_bits(sa ^ u.sign),
+        (FloatClass::Finite(u), FloatClass::Zero(sb)) => return fmt.zero_bits(u.sign ^ sb),
         (FloatClass::Finite(ua), FloatClass::Finite(ub)) => (ua, ub),
     };
     let prod = (ua.sig as u128) * (ub.sig as u128);
@@ -159,80 +117,15 @@ pub fn mul(fmt: FloatFormat, a: u32, b: u32) -> u32 {
     encode(fmt, sign, scale, sig, sticky)
 }
 
-/// Division with a single rounding (IEEE RNE).
-pub fn div(fmt: FloatFormat, a: u32, b: u32) -> u32 {
-    let (ua, ub) = match (decode(fmt, a), decode(fmt, b)) {
-        (FloatClass::NaN, _) | (_, FloatClass::NaN) => return encode_nan(fmt),
-        (FloatClass::Inf(_), FloatClass::Inf(_)) => return encode_nan(fmt),
-        (FloatClass::Zero(_), FloatClass::Zero(_)) => return encode_nan(fmt),
-        (FloatClass::Inf(sa), FloatClass::Finite(u)) => return encode_inf(fmt, sa ^ u.sign),
-        (FloatClass::Inf(sa), FloatClass::Zero(sb)) => return encode_inf(fmt, sa ^ sb),
-        (FloatClass::Finite(u), FloatClass::Inf(sb)) => return encode_zero(fmt, u.sign ^ sb),
-        (FloatClass::Zero(sa), FloatClass::Inf(sb)) => return encode_zero(fmt, sa ^ sb),
-        (FloatClass::Zero(sa), FloatClass::Finite(u)) => return encode_zero(fmt, sa ^ u.sign),
-        (FloatClass::Finite(u), FloatClass::Zero(sb)) => return encode_inf(fmt, u.sign ^ sb),
-        (FloatClass::Finite(ua), FloatClass::Finite(ub)) => (ua, ub),
-    };
-    let sign = ua.sign ^ ub.sign;
-    let num = (ua.sig as u128) << 63;
-    let den = ub.sig as u128;
-    let q = num / den;
-    let r = num % den;
-    let (sig, scale, sticky) = if q >> 63 == 1 {
-        (q as u64, ua.scale - ub.scale, r != 0)
-    } else {
-        let r2 = r << 1;
-        let bit = (r2 >= den) as u128;
-        let r3 = r2 - if bit == 1 { den } else { 0 };
-        (((q << 1) | bit) as u64, ua.scale - ub.scale - 1, r3 != 0)
-    };
-    encode(fmt, sign, scale, sig, sticky)
-}
-
-/// Square root with a single rounding. `sqrt(-0) = -0`; negatives give NaN.
-pub fn sqrt(fmt: FloatFormat, a: u32) -> u32 {
-    let u = match decode(fmt, a) {
-        FloatClass::NaN => return encode_nan(fmt),
-        FloatClass::Zero(s) => return encode_zero(fmt, s),
-        FloatClass::Inf(false) => return encode_inf(fmt, false),
-        FloatClass::Inf(true) => return encode_nan(fmt),
-        FloatClass::Finite(u) if u.sign => return encode_nan(fmt),
-        FloatClass::Finite(u) => u,
-    };
-    let e = u.scale - 63;
-    let shift: u32 = if (e + 63) % 2 == 0 { 63 } else { 64 };
-    let big = (u.sig as u128) << shift;
-    let r = isqrt_u128(big);
-    let rem = big - r * r;
-    let scale = (e - shift as i32) / 2 + 63;
-    encode(fmt, false, scale, r as u64, rem != 0)
-}
-
-fn isqrt_u128(v: u128) -> u128 {
-    if v == 0 {
-        return 0;
-    }
-    let mut x = (v as f64).sqrt() as u128 + 2;
-    loop {
-        let y = (x + v / x) / 2;
-        if y >= x {
-            break;
-        }
-        x = y;
-    }
-    while x.checked_mul(x).is_none_or(|sq| sq > v) {
-        x -= 1;
-    }
-    while (x + 1).checked_mul(x + 1).is_some_and(|sq| sq <= v) {
-        x += 1;
-    }
-    x
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::convert::{from_f64, to_f64};
+
+    /// Negation: the sign-bit flip.
+    fn neg(fmt: FloatFormat, a: u32) -> u32 {
+        a ^ fmt.zero_bits(true)
+    }
 
     fn fmt(we: u32, wf: u32) -> FloatFormat {
         FloatFormat::new(we, wf).unwrap()
@@ -251,9 +144,9 @@ mod tests {
     #[test]
     fn add_special_values() {
         let f = fmt(4, 3);
-        let inf = encode_inf(f, false);
-        let ninf = encode_inf(f, true);
-        let nan = encode_nan(f);
+        let inf = f.inf_bits(false);
+        let ninf = f.inf_bits(true);
+        let nan = f.nan_bits();
         let x = from_f64(f, 2.0);
         assert_eq!(add(f, inf, x), inf);
         assert_eq!(add(f, ninf, x), ninf);
@@ -303,53 +196,11 @@ mod tests {
     }
 
     #[test]
-    fn div_basic_and_specials() {
-        let f = fmt(4, 3);
-        let six = from_f64(f, 6.0);
-        let two = from_f64(f, 2.0);
-        assert_eq!(to_f64(f, div(f, six, two)), 3.0);
-        assert_eq!(div(f, six, f.zero_bits(false)), f.inf_bits(false));
-        assert_eq!(div(f, six, f.zero_bits(true)), f.inf_bits(true));
-        assert_eq!(
-            decode(f, div(f, f.zero_bits(false), f.zero_bits(true))),
-            FloatClass::NaN
-        );
-        assert_eq!(div(f, f.zero_bits(true), six), f.zero_bits(true));
-        assert_eq!(div(f, six, f.inf_bits(false)), 0);
-    }
-
-    #[test]
-    fn sqrt_basic() {
-        let f = fmt(5, 10); // fp16
-        assert_eq!(to_f64(f, sqrt(f, from_f64(f, 4.0))), 2.0);
-        assert_eq!(sqrt(f, f.zero_bits(true)), f.zero_bits(true));
-        assert_eq!(decode(f, sqrt(f, from_f64(f, -1.0))), FloatClass::NaN);
-        assert_eq!(sqrt(f, f.inf_bits(false)), f.inf_bits(false));
-        let r = to_f64(f, sqrt(f, from_f64(f, 2.0)));
-        assert!((r - std::f64::consts::SQRT_2).abs() < 1e-3);
-    }
-
-    #[test]
-    fn cmp_ieee_semantics() {
-        let f = fmt(4, 3);
-        let a = from_f64(f, 1.0);
-        let b = from_f64(f, -2.0);
-        assert_eq!(cmp(f, a, b), Some(Ordering::Greater));
-        assert_eq!(cmp(f, b, a), Some(Ordering::Less));
-        assert_eq!(cmp(f, a, a), Some(Ordering::Equal));
-        assert_eq!(
-            cmp(f, f.zero_bits(true), f.zero_bits(false)),
-            Some(Ordering::Equal)
-        );
-        assert_eq!(cmp(f, encode_nan(f), a), None);
-        assert_eq!(cmp(f, f.inf_bits(true), b), Some(Ordering::Less));
-    }
-
-    #[test]
     fn neg_abs_patterns() {
         let f = fmt(4, 3);
         let a = from_f64(f, -1.5);
-        assert_eq!(to_f64(f, abs(f, a)), 1.5);
+        // |a| of a negative is its sign flip.
+        assert!(!is_negative(f, neg(f, a)));
         assert_eq!(to_f64(f, neg(f, a)), 1.5);
         assert!(is_negative(f, a));
         assert!(!is_negative(f, f.zero_bits(true)));

@@ -52,7 +52,8 @@ fn midpoint(f: FloatFormat, p: u32) -> Dyadic {
 
 /// Overflow threshold: max + ulp_top/2 (at or above rounds to infinity).
 fn overflow_bound(f: FloatFormat) -> Dyadic {
-    let ulp_half = Dyadic::from_f64(2f64.powi(f.max_scale() - f.wf() as i32 - 1));
+    let max_scale = (1i32 << (f.we() - 1)) - 1; // expmax − bias = bias
+    let ulp_half = Dyadic::from_f64(2f64.powi(max_scale - f.wf() as i32 - 1));
     Dyadic::from_f64(f.max_value()).add(ulp_half)
 }
 
@@ -164,108 +165,6 @@ fn mul_matches_oracle_exhaustively() {
                     }
                 };
                 assert_eq!(got, expected, "{f}: {a:#x} * {b:#x}");
-            }
-        }
-    }
-}
-
-/// Interval check for division: |a/b| must sit on the correct side of the
-/// midpoints around the returned quotient (exact cross-multiplication).
-#[test]
-fn div_matches_oracle_exhaustively() {
-    for &(we, wf) in FORMATS {
-        let f = fmt(we, wf);
-        let finites: Vec<u32> = f.finites().collect();
-        for &a in &finites {
-            if is_zero_pat(f, a).is_some() {
-                continue; // special-value semantics covered by unit tests
-            }
-            let mag_a = Dyadic {
-                sign: false,
-                ..Dyadic::from_f64(pattern_value(f, a))
-            };
-            let sa = a >> (f.n() - 1) == 1;
-            for &b in &finites {
-                if is_zero_pat(f, b).is_some() {
-                    continue;
-                }
-                let sb = b >> (f.n() - 1) == 1;
-                let q = ops::div(f, a, b);
-                let mag_b = Dyadic {
-                    sign: false,
-                    ..Dyadic::from_f64(pattern_value(f, b))
-                };
-                // Sign is always the XOR.
-                assert_eq!(q >> (f.n() - 1) == 1, sa ^ sb, "{f}: {a:#x}/{b:#x} sign");
-                let qa = q & (f.mask() >> 1);
-                if qa == f.inf_bits(false) & (f.mask() >> 1) {
-                    // Overflowed: |a| must be >= bound × |b| (tie goes up).
-                    let lhs = overflow_bound(f).mul(mag_b);
-                    assert_ne!(
-                        mag_a.cmp_value(lhs),
-                        Ordering::Less,
-                        "{f}: {a:#x}/{b:#x} overflowed too eagerly"
-                    );
-                    continue;
-                }
-                // Lower midpoint (qa == 0 means underflow-to-zero; its lower
-                // bound is absent).
-                if qa > 0 {
-                    let m = midpoint(f, qa - 1).mul(mag_b);
-                    match m.cmp_value(mag_a) {
-                        Ordering::Greater => panic!("{f}: |{a:#x}/{b:#x}| = {qa:#x} too high"),
-                        Ordering::Equal => assert_eq!(qa & 1, 0, "{f}: tie must pick even"),
-                        Ordering::Less => {}
-                    }
-                }
-                // Upper midpoint.
-                if qa < f.max_bits(false) {
-                    let m = midpoint(f, qa).mul(mag_b);
-                    match mag_a.cmp_value(m) {
-                        Ordering::Greater => panic!("{f}: |{a:#x}/{b:#x}| = {qa:#x} too low"),
-                        Ordering::Equal => assert_eq!(qa & 1, 0, "{f}: tie must pick even"),
-                        Ordering::Less => {}
-                    }
-                } else {
-                    let bound = overflow_bound(f).mul(mag_b);
-                    assert_ne!(
-                        mag_a.cmp_value(bound),
-                        Ordering::Greater,
-                        "{f}: {a:#x}/{b:#x} should have overflowed"
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn sqrt_matches_oracle_exhaustively() {
-    for &(we, wf) in FORMATS {
-        let f = fmt(we, wf);
-        for a in f.finites() {
-            if a >> (f.n() - 1) == 1 || is_zero_pat(f, a).is_some() {
-                continue;
-            }
-            let r = ops::sqrt(f, a);
-            let da = Dyadic::from_f64(pattern_value(f, a));
-            let ra = r & (f.mask() >> 1);
-            assert_eq!(r, ra, "{f}: sqrt({a:#x}) must be positive");
-            if ra > 0 {
-                let m = midpoint(f, ra - 1);
-                match m.mul(m).cmp_value(da) {
-                    Ordering::Greater => panic!("{f}: sqrt({a:#x}) = {ra:#x} too high"),
-                    Ordering::Equal => assert_eq!(ra & 1, 0, "{f}: sqrt tie must pick even"),
-                    Ordering::Less => {}
-                }
-            }
-            if ra < f.max_bits(false) {
-                let m = midpoint(f, ra);
-                match da.cmp_value(m.mul(m)) {
-                    Ordering::Greater => panic!("{f}: sqrt({a:#x}) = {ra:#x} too low"),
-                    Ordering::Equal => assert_eq!(ra & 1, 0, "{f}: sqrt tie must pick even"),
-                    Ordering::Less => {}
-                }
             }
         }
     }

@@ -107,8 +107,10 @@ fn f32_scaled(fmt: PositFormat, abs: u32) -> i64 {
 
 /// Converts a posit to `f64`. Exact for every format whose scales fit the
 /// f64 exponent range (all formats with `max_scale() <= 1023`, i.e. every
-/// format used in the paper); wider formats saturate to ±infinity at the
-/// extremes. NaR maps to NaN.
+/// format used in the paper). Wider formats saturate at both ends: their
+/// largest magnitudes become ±infinity and their tiniest ±0 (posit⟨24,6⟩
+/// pattern `0xf` gives `0.0`, posit⟨32,6⟩ `0xfffffec2` gives `-0.0`).
+/// NaR maps to NaN.
 pub fn to_f64(fmt: PositFormat, bits: u32) -> f64 {
     match decode(fmt, bits) {
         Decoded::Zero => 0.0,
@@ -123,29 +125,6 @@ pub fn to_f64(fmt: PositFormat, bits: u32) -> f64 {
                 v
             }
         }
-    }
-}
-
-/// Converts an `i64` to the nearest posit.
-pub fn from_i64(fmt: PositFormat, v: i64) -> u32 {
-    // i64 -> f64 can lose low bits for |v| > 2^53; go through exact path.
-    if v == 0 {
-        return fmt.zero_bits();
-    }
-    let sign = v < 0;
-    let mag = v.unsigned_abs();
-    let lz = mag.leading_zeros();
-    let sig = mag << lz;
-    let scale = 63 - lz as i32;
-    encode(fmt, sign, scale, sig, false)
-}
-
-/// Re-rounds a posit of one format into another format.
-pub fn convert(src: PositFormat, dst: PositFormat, bits: u32) -> u32 {
-    match decode(src, bits) {
-        Decoded::Zero => dst.zero_bits(),
-        Decoded::NaR => dst.nar_bits(),
-        Decoded::Finite(u) => encode(dst, u.sign, u.scale, u.sig, false),
     }
 }
 
@@ -189,6 +168,13 @@ mod tests {
         assert_eq!(from_f64(f, -1e300), f.nar_bits() | 1); // -maxpos pattern
         assert_eq!(from_f64(f, 1e-300), f.minpos_bits());
         assert_eq!(from_f64(f, f64::INFINITY), f.nar_bits());
+        // Past f64's exponent range `to_f64` saturates at both ends: the
+        // largest magnitudes to ±infinity, the tiniest to ±0.
+        let (p24e6, p32e6) = (fmt(24, 6), fmt(32, 6));
+        assert_eq!(to_f64(p32e6, p32e6.maxpos_bits()), f64::INFINITY);
+        assert_eq!(to_f64(p32e6, p32e6.nar_bits() | 1), f64::NEG_INFINITY);
+        assert_eq!(to_f64(p24e6, 0xf).to_bits(), 0.0f64.to_bits());
+        assert_eq!(to_f64(p32e6, 0xffff_fec2).to_bits(), (-0.0f64).to_bits());
     }
 
     #[test]
@@ -197,29 +183,5 @@ mod tests {
         let tiny = f64::from_bits(1); // smallest subnormal
         assert_eq!(from_f64(f, tiny), f.minpos_bits());
         assert_eq!(from_f64(f, -tiny), from_f64(f, -f.min_value()));
-    }
-
-    #[test]
-    fn from_i64_values() {
-        let f = fmt(16, 1);
-        for v in [-100i64, -3, -1, 0, 1, 2, 7, 255, 4096] {
-            assert_eq!(to_f64(f, from_i64(f, v)), v as f64, "i64 {v}");
-        }
-        // Saturation for huge integers
-        assert_eq!(from_i64(fmt(8, 0), i64::MAX), fmt(8, 0).maxpos_bits());
-    }
-
-    #[test]
-    fn cross_format_conversion() {
-        let p16 = fmt(16, 1);
-        let p8 = fmt(8, 0);
-        // 1.3125 is exact in p16e1; narrowing must agree with direct rounding.
-        let x = from_f64(p16, 1.3125);
-        assert_eq!(convert(p16, p8, x), from_f64(p8, 1.3125));
-        assert_eq!(convert(p16, p8, p16.nar_bits()), p8.nar_bits());
-        assert_eq!(convert(p16, p8, 0), 0);
-        // Widening an exact value is lossless.
-        let y = from_f64(p8, 1.25);
-        assert_eq!(to_f64(p16, convert(p8, p16, y)), 1.25);
     }
 }

@@ -32,16 +32,6 @@ pub enum Decoded {
     Finite(Unpacked),
 }
 
-impl Decoded {
-    /// Returns the unpacked fields, or `None` for zero / NaR.
-    pub fn finite(self) -> Option<Unpacked> {
-        match self {
-            Decoded::Finite(u) => Some(u),
-            _ => None,
-        }
-    }
-}
-
 /// Decodes the low `n` bits of `bits` according to `fmt`.
 ///
 /// Mirrors paper Algorithm 1: take the two's complement when negative,
@@ -53,10 +43,10 @@ impl Decoded {
 /// # Examples
 ///
 /// ```
-/// use dp_posit::{decode, Decoded, PositFormat};
+/// use dp_posit::{decode, Decoded, PositFormat, Unpacked};
 /// let fmt = PositFormat::new(8, 0)?;
-/// let one = decode(fmt, 0x40).finite().unwrap();
-/// assert_eq!((one.sign, one.scale, one.sig), (false, 0, 1 << 63));
+/// let one = Unpacked { sign: false, scale: 0, sig: 1 << 63 };
+/// assert_eq!(decode(fmt, 0x40), Decoded::Finite(one));
 /// assert_eq!(decode(fmt, 0x00), Decoded::Zero);
 /// assert_eq!(decode(fmt, 0x80), Decoded::NaR);
 /// # Ok::<(), dp_posit::FormatError>(())
@@ -103,9 +93,10 @@ pub fn decode(fmt: PositFormat, bits: u32) -> Decoded {
 /// Returns the regime value `k` of a finite posit (paper Table I), mainly
 /// useful for diagnostics and for reproducing Table I.
 pub fn regime(fmt: PositFormat, bits: u32) -> Option<i32> {
-    decode(fmt, bits)
-        .finite()
-        .map(|u| u.scale.div_euclid(fmt.useed_log2()))
+    match decode(fmt, bits) {
+        Decoded::Finite(u) => Some(u.scale.div_euclid(fmt.useed_log2())),
+        _ => None,
+    }
 }
 
 #[cfg(test)]
@@ -119,8 +110,15 @@ mod tests {
         PositFormat::new(n, es).unwrap()
     }
 
+    fn finite(d: Decoded) -> Unpacked {
+        match d {
+            Decoded::Finite(u) => u,
+            _ => panic!("{d:?} is not finite"),
+        }
+    }
+
     fn scale_of(f: PositFormat, bits: u32) -> i32 {
-        decode(f, bits).finite().unwrap().scale
+        finite(decode(f, bits)).scale
     }
 
     #[test]
@@ -135,7 +133,7 @@ mod tests {
     fn p8e0_known_values() {
         let f = fmt(8, 0);
         // 0x40 = +1.0
-        let u = decode(f, 0x40).finite().unwrap();
+        let u = finite(decode(f, 0x40));
         assert_eq!((u.sign, u.scale, u.sig), (false, 0, 1 << 63));
         // 0x60 = regime 110 -> k=1 -> 2.0
         assert_eq!(scale_of(f, 0x60), 1);
@@ -146,7 +144,7 @@ mod tests {
         // minpos 0x01: regime 0000001 -> k = -6
         assert_eq!(scale_of(f, 0x01), -6);
         // 0x48 = 0 10 01000 -> 1.f = 1.01 -> 1.25
-        let u = decode(f, 0x48).finite().unwrap();
+        let u = finite(decode(f, 0x48));
         assert_eq!(u.scale, 0);
         assert_eq!(u.sig, (1u64 << 63) | (1u64 << 61));
     }
@@ -155,10 +153,10 @@ mod tests {
     fn negative_values_use_twos_complement() {
         let f = fmt(8, 0);
         // -1.0 is the two's complement of 0x40: 0xc0
-        let u = decode(f, 0xc0).finite().unwrap();
+        let u = finite(decode(f, 0xc0));
         assert_eq!((u.sign, u.scale, u.sig), (true, 0, 1 << 63));
         // -0.5: two's complement of 0x20 -> 0xe0
-        let u = decode(f, 0xe0).finite().unwrap();
+        let u = finite(decode(f, 0xe0));
         assert_eq!((u.sign, u.scale), (true, -1));
     }
 
@@ -198,7 +196,7 @@ mod tests {
     fn fraction_is_left_aligned_after_exponent() {
         let f = fmt(8, 1);
         // 0 10 1 1010: k=0, e=1, f=1010 -> sig = 1.1010, scale 1
-        let u = decode(f, 0b0_10_1_1010).finite().unwrap();
+        let u = finite(decode(f, 0b0_10_1_1010));
         assert_eq!(u.scale, 1);
         assert_eq!(u.sig >> 59, 0b11010);
         assert_eq!(u.sig & ((1 << 59) - 1), 0);

@@ -66,19 +66,6 @@ impl PositFormat {
         Ok(PositFormat { n, es })
     }
 
-    /// Like [`PositFormat::new`] but panics on invalid parameters; usable in
-    /// `const` contexts (backs the const-generic [`crate::Posit`] wrapper).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `3 <= n <= 32` and `es <= 6`.
-    pub const fn new_const(n: u32, es: u32) -> Self {
-        match Self::new(n, es) {
-            Ok(f) => f,
-            Err(_) => panic!("invalid posit format parameters"),
-        }
-    }
-
     /// Total width in bits.
     #[inline]
     pub const fn n(self) -> u32 {
@@ -133,7 +120,7 @@ impl PositFormat {
 
     /// `useed = 2^(2^es)` expressed as a base-2 logarithm.
     #[inline]
-    pub const fn useed_log2(self) -> i32 {
+    pub(crate) const fn useed_log2(self) -> i32 {
         1i32 << self.es
     }
 
@@ -156,12 +143,6 @@ impl PositFormat {
     /// Dynamic range in decades, `log10(maxpos / minpos)` (paper §IV-A).
     pub fn dynamic_range_log10(self) -> f64 {
         2.0 * self.max_scale() as f64 * std::f64::consts::LOG10_2
-    }
-
-    /// Number of distinct bit patterns, `2^n`.
-    #[inline]
-    pub const fn pattern_count(self) -> u64 {
-        1u64 << self.n
     }
 
     /// Iterator over every bit pattern of the format (including 0 and NaR).
@@ -254,8 +235,8 @@ mod tests {
     #[test]
     fn pattern_iterators() {
         let f = PositFormat::new(6, 1).unwrap();
-        assert_eq!(f.patterns().count() as u64, f.pattern_count());
-        assert_eq!(f.reals().count() as u64, f.pattern_count() - 1);
+        assert_eq!(f.patterns().count(), 1 << 6);
+        assert_eq!(f.reals().count(), (1 << 6) - 1);
         assert!(f.reals().all(|b| b != f.nar_bits()));
     }
 

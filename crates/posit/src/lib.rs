@@ -17,16 +17,22 @@
 //!
 //! ## What this crate provides
 //!
+//! Only what the Deep Positron datapath and its tests call:
+//!
 //! * [`PositFormat`] — a runtime-parameterized format descriptor (any
-//!   `3 ≤ n ≤ 32`, `0 ≤ es ≤ 6`), with correctly rounded (round to nearest,
-//!   ties to even) [`ops`] (add/sub/mul/div/sqrt), [`decode`](mod@decode)/[`encode`](mod@encode) and
-//!   exact [`convert`] conversions to and from `f64`.
-//! * [`Posit`] — a zero-cost const-generic wrapper (`P8E0`, `P16E1`, ...)
-//!   with standard operator overloads.
+//!   `3 ≤ n ≤ 32`, `0 ≤ es ≤ 6`).
+//! * [`decode`](mod@decode) (paper Algorithm 1) and [`encode`](mod@encode)
+//!   (Algorithm 2's rounding, to a pattern or to an EMAC operand word),
+//!   with table-driven decode in [`lut`] for the paper-scale formats.
+//! * [`convert`] — the `f32` quantisers of the inference path and the
+//!   exact `f64` conversions.
+//! * [`ops`] — correctly rounded `add` and `mul` (the per-operation
+//!   ablation against the EMAC), `neg` and `is_negative`.
 //! * [`Quire`] — an exact Kulisch-style accumulator whose width follows
 //!   paper eq. (4); sums of products are accumulated without intermediate
 //!   rounding and rounded exactly once, which is what makes the paper's
-//!   EMAC ("exact multiply-and-accumulate") unit *exact*.
+//!   EMAC ("exact multiply-and-accumulate") unit *exact*. It is the
+//!   independent reference `dp-emac`'s posit unit is tested against.
 //! * [`WideInt`] — the arbitrary-width two's-complement integer substrate
 //!   used by the quire and by `dp-emac`'s accumulators.
 //! * [`exact`] — an exact dyadic-rational reference arithmetic used as a
@@ -35,23 +41,22 @@
 //! ## Quickstart
 //!
 //! ```
-//! use dp_posit::{P8E0, PositFormat, Quire};
+//! use dp_posit::{convert, ops, PositFormat, Quire};
 //!
-//! // Typed API
-//! let a = P8E0::from_f64(0.5);
-//! let b = P8E0::from_f64(1.5);
-//! assert_eq!((a + b).to_f64(), 2.0);
+//! let fmt = PositFormat::new(8, 0)?;
+//! let a = convert::from_f64(fmt, 1.5);
+//! let b = convert::from_f64(fmt, 0.5);
 //!
-//! // Runtime-parameterized API
-//! let fmt = PositFormat::new(8, 0).unwrap();
-//! let bits = dp_posit::ops::mul(fmt, a.to_bits(), b.to_bits());
-//! assert_eq!(dp_posit::convert::to_f64(fmt, bits), 0.75);
+//! // One rounding per operation.
+//! assert_eq!(convert::to_f64(fmt, ops::add(fmt, a, b)), 2.0);
+//! assert_eq!(convert::to_f64(fmt, ops::mul(fmt, a, b)), 0.75);
 //!
-//! // Exact dot product through the quire
+//! // Exact dot product through the quire: one rounding at the end.
 //! let mut q = Quire::new(fmt, 16);
-//! q.add_product(a.to_bits(), b.to_bits());
-//! q.add_product(b.to_bits(), b.to_bits());
-//! assert_eq!(dp_posit::convert::to_f64(fmt, q.to_posit()), 3.0);
+//! q.add_product(a, b);
+//! q.add_product(a, a);
+//! assert_eq!(convert::to_f64(fmt, q.to_posit()), 3.0);
+//! # Ok::<(), dp_posit::FormatError>(())
 //! ```
 
 pub mod convert;
@@ -62,14 +67,10 @@ pub mod format;
 pub mod lut;
 pub mod ops;
 pub mod quire;
-pub mod value;
 pub mod wide;
 
 pub use decode::{decode, Decoded, Unpacked};
 pub use encode::{encode, encode_word};
 pub use format::{FormatError, PositFormat};
 pub use quire::Quire;
-pub use value::{
-    ParsePositError, Posit, P16E1, P16E2, P32E2, P5E0, P6E0, P6E1, P7E0, P7E1, P8E0, P8E1, P8E2,
-};
 pub use wide::WideInt;

@@ -8,15 +8,15 @@
 //! on every multiply-accumulate.
 //!
 //! A [`DecodeLut`] holds the fully decoded [`Decoded`] for all `2^n`
-//! patterns of one format. Formats up to [`MAX_LUT_WIDTH`] bits qualify
+//! patterns of one format. Formats up to 12 bits qualify
 //! (4096 entries × 16 B = 64 KiB worst case). Formats of 13 to
-//! [`MAX_SPLIT_WIDTH`] bits — the paper's §IV comparison sweep runs up to
+//! 16 bits — the paper's §IV comparison sweep runs up to
 //! \[16,1\] — use the **split-table** scheme instead ([`SplitLut`]): a
 //! 256-entry regime-prefix table indexed by the top 8 bits of the
 //! sign-folded body yields the regime length, its scale contribution and
 //! (implicitly) the fraction-shift, composed with a direct fraction
 //! extraction — table-driven regime handling without a 64 K-entry
-//! monolithic table per format. Only formats wider than `MAX_SPLIT_WIDTH`
+//! monolithic table per format. Only formats wider than 16 bits
 //! fall back to the bit-field [`decode`] path. [`cached`] /
 //! [`split_cached`] memoize one table per format for the life of the
 //! process, so callers share tables across units, layers and threads.
@@ -34,18 +34,18 @@ use std::sync::{Mutex, OnceLock};
 /// formats the paper evaluates (whose tables are ≤4 KiB and live in L1).
 /// Formats of `MAX_LUT_WIDTH + 1 ..= MAX_SPLIT_WIDTH` bits use the
 /// [`SplitLut`] scheme; only wider ones run bit-field [`decode`].
-pub const MAX_LUT_WIDTH: u32 = 12;
+const MAX_LUT_WIDTH: u32 = 12;
 
 /// Widest format that gets a split (regime-prefix + direct fraction)
 /// table. Covers the whole §IV sweep, whose widest format is posit⟨16,1⟩.
-pub const MAX_SPLIT_WIDTH: u32 = 16;
+const MAX_SPLIT_WIDTH: u32 = 16;
 
 /// A precomputed decode table for one posit format.
 ///
 /// Indexing is by the raw bit pattern (masked to the format width); the
 /// entry is exactly what [`decode`] returns for that pattern, so swapping
 /// one for the other is bit-identical by construction — and verified
-/// exhaustively by the `lut_equivalence` test suite.
+/// exhaustively by this module's tests.
 ///
 /// # Examples
 ///
@@ -67,7 +67,7 @@ pub struct DecodeLut {
 impl DecodeLut {
     /// Builds the table for `fmt`, or `None` when the format is wider than
     /// [`MAX_LUT_WIDTH`] (table-driven decode would waste cache there).
-    pub fn build(fmt: PositFormat) -> Option<Self> {
+    fn build(fmt: PositFormat) -> Option<Self> {
         if fmt.n() > MAX_LUT_WIDTH {
             return None;
         }
@@ -75,26 +75,11 @@ impl DecodeLut {
         Some(DecodeLut { fmt, entries })
     }
 
-    /// The format this table was built for.
-    pub fn format(&self) -> PositFormat {
-        self.fmt
-    }
-
     /// Table-driven decode of the low `n` bits of `bits`; bit-identical to
-    /// [`decode`]`(self.format(), bits)`.
+    /// [`decode`] in the table's format.
     #[inline]
     pub fn decode(&self, bits: u32) -> Decoded {
         self.entries[(bits & self.fmt.mask()) as usize]
-    }
-
-    /// Number of table entries (`2^n`).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Always false: every format has at least `2^3` patterns.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -132,7 +117,7 @@ fn scheme(fmt: PositFormat) -> Option<&'static Scheme> {
 
 /// The process-wide decode table for `fmt`, built on first use and leaked
 /// for a `'static` borrow, or `None` for formats wider than
-/// [`MAX_LUT_WIDTH`].
+/// 12 bits.
 pub fn cached(fmt: PositFormat) -> Option<&'static DecodeLut> {
     scheme(fmt)?.monolithic.as_ref()
 }
@@ -189,7 +174,7 @@ impl SplitLut {
     /// Builds the split table for `fmt`, or `None` unless
     /// [`MAX_LUT_WIDTH`]` < n ≤ `[`MAX_SPLIT_WIDTH`] (narrower formats use
     /// the monolithic [`DecodeLut`]; wider ones the bit-field [`decode`]).
-    pub fn build(fmt: PositFormat) -> Option<Self> {
+    fn build(fmt: PositFormat) -> Option<Self> {
         if fmt.n() <= MAX_LUT_WIDTH || fmt.n() > MAX_SPLIT_WIDTH {
             return None;
         }
@@ -361,8 +346,7 @@ mod tests {
         ] {
             let fmt = PositFormat::new(n, es).unwrap();
             let lut = DecodeLut::build(fmt).unwrap();
-            assert_eq!(lut.len() as u64, fmt.pattern_count());
-            assert!(!lut.is_empty());
+            assert_eq!(lut.entries.len(), 1 << n);
             for bits in fmt.patterns() {
                 assert_eq!(lut.decode(bits), decode(fmt, bits), "{fmt} {bits:#x}");
             }
@@ -382,6 +366,6 @@ mod tests {
         let a = cached(fmt).unwrap();
         let b = cached(fmt).unwrap();
         assert!(std::ptr::eq(a, b), "cache must memoize per format");
-        assert_eq!(a.format(), fmt);
+        assert_eq!(a.fmt, fmt);
     }
 }

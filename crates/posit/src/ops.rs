@@ -8,7 +8,6 @@
 use crate::decode::{decode, Decoded, Unpacked};
 use crate::encode::encode;
 use crate::format::PositFormat;
-use std::cmp::Ordering;
 
 /// Negation. Exact for every posit: the two's complement of the pattern.
 /// `-0 = 0` and `-NaR = NaR` fall out of the encoding.
@@ -17,37 +16,11 @@ pub fn neg(fmt: PositFormat, a: u32) -> u32 {
     a.wrapping_neg() & fmt.mask()
 }
 
-/// Absolute value (NaR maps to NaR).
-#[inline]
-pub fn abs(fmt: PositFormat, a: u32) -> u32 {
-    if a == fmt.nar_bits() {
-        return a;
-    }
-    if is_negative(fmt, a) {
-        neg(fmt, a)
-    } else {
-        a & fmt.mask()
-    }
-}
-
 /// True if the pattern represents a negative real (NaR is not negative).
 #[inline]
 pub fn is_negative(fmt: PositFormat, a: u32) -> bool {
     let a = a & fmt.mask();
     a != fmt.nar_bits() && (a >> (fmt.n() - 1)) & 1 == 1
-}
-
-/// Total order on patterns: NaR first, then reals by value.
-///
-/// Posit patterns compare as `n`-bit two's-complement integers — one of the
-/// format's designed-in conveniences (used verbatim by comparators in the
-/// Deep Positron datapath).
-#[inline]
-pub fn cmp(fmt: PositFormat, a: u32, b: u32) -> Ordering {
-    let sh = 32 - fmt.n();
-    let ai = ((a << sh) as i32) >> sh;
-    let bi = ((b << sh) as i32) >> sh;
-    ai.cmp(&bi)
 }
 
 /// Addition with a single rounding.
@@ -105,12 +78,6 @@ pub fn add(fmt: PositFormat, a: u32, b: u32) -> u32 {
     }
 }
 
-/// Subtraction: `a + (-b)` (exact negation, so correctly rounded).
-#[inline]
-pub fn sub(fmt: PositFormat, a: u32, b: u32) -> u32 {
-    add(fmt, a, neg(fmt, b))
-}
-
 /// Multiplication with a single rounding.
 pub fn mul(fmt: PositFormat, a: u32, b: u32) -> u32 {
     let (ua, ub) = match specials_mul(fmt, a, b) {
@@ -133,105 +100,6 @@ pub fn mul(fmt: PositFormat, a: u32, b: u32) -> u32 {
         )
     };
     encode(fmt, sign, scale, sig, sticky)
-}
-
-/// Division with a single rounding. `x/0 = NaR`, `0/x = 0` (x nonzero).
-pub fn div(fmt: PositFormat, a: u32, b: u32) -> u32 {
-    let nar = fmt.nar_bits();
-    let (a, b) = (a & fmt.mask(), b & fmt.mask());
-    if a == nar || b == nar || b == 0 {
-        return nar;
-    }
-    if a == 0 {
-        return 0;
-    }
-    let ua = decode(fmt, a).finite().expect("finite");
-    let ub = decode(fmt, b).finite().expect("finite");
-    let sign = ua.sign ^ ub.sign;
-    let num = (ua.sig as u128) << 63;
-    let den = ub.sig as u128;
-    let q = num / den; // in (2^62, 2^64)
-    let r = num % den;
-    let (sig, scale, sticky) = if q >> 63 == 1 {
-        (q as u64, ua.scale - ub.scale, r != 0)
-    } else {
-        // One more quotient bit for normalization.
-        let r2 = r << 1;
-        let bit = (r2 >= den) as u128;
-        let r3 = r2 - if bit == 1 { den } else { 0 };
-        (((q << 1) | bit) as u64, ua.scale - ub.scale - 1, r3 != 0)
-    };
-    encode(fmt, sign, scale, sig, sticky)
-}
-
-/// Fused multiply-add `a×b + c` with a single rounding, computed through
-/// a three-term quire — the numerically recommended primitive of the
-/// posit standard and exactly what one EMAC step performs.
-///
-/// # Examples
-///
-/// ```
-/// use dp_posit::{convert, ops, PositFormat};
-/// let f = PositFormat::new(8, 0)?;
-/// let x = convert::from_f64(f, 1.25);
-/// let tiny = f.minpos_bits();
-/// // 1.25 × 1.25 + minpos: the product alone rounds to 1.5625; the fused
-/// // form sees the minpos before rounding.
-/// let fused = ops::fma(f, x, x, tiny);
-/// assert_eq!(convert::to_f64(f, fused), 1.5625);
-/// # Ok::<(), dp_posit::FormatError>(())
-/// ```
-pub fn fma(fmt: PositFormat, a: u32, b: u32, c: u32) -> u32 {
-    let nar = fmt.nar_bits();
-    if (a & fmt.mask()) == nar || (b & fmt.mask()) == nar || (c & fmt.mask()) == nar {
-        return nar;
-    }
-    let mut q = crate::quire::Quire::new(fmt, 2);
-    q.add_product(a, b);
-    q.add_posit(c);
-    q.to_posit()
-}
-
-/// Square root with a single rounding. Negative inputs and NaR give NaR.
-pub fn sqrt(fmt: PositFormat, a: u32) -> u32 {
-    let a = a & fmt.mask();
-    if a == 0 {
-        return 0;
-    }
-    if a == fmt.nar_bits() || is_negative(fmt, a) {
-        return fmt.nar_bits();
-    }
-    let u = decode(fmt, a).finite().expect("finite positive");
-    let e = u.scale - 63; // value = sig × 2^e
-    let shift: u32 = if (e + 63) % 2 == 0 { 63 } else { 64 };
-    let big = (u.sig as u128) << shift; // in [2^126, 2^128)
-    let r = isqrt_u128(big); // in [2^63, 2^64)
-    let rem = big - r * r;
-    let scale = (e - shift as i32) / 2 + 63;
-    encode(fmt, false, scale, r as u64, rem != 0)
-}
-
-/// Integer square root of a u128 (floor).
-fn isqrt_u128(v: u128) -> u128 {
-    if v == 0 {
-        return 0;
-    }
-    // Newton's method seeded from the f64 estimate.
-    let mut x = (v as f64).sqrt() as u128 + 2;
-    loop {
-        let y = (x + v / x) / 2;
-        if y >= x {
-            break;
-        }
-        x = y;
-    }
-    while x.checked_mul(x).is_none_or(|sq| sq > v) {
-        x -= 1;
-    }
-    while (x + 1).checked_mul(x + 1).is_some_and(|sq| sq <= v) {
-        x += 1;
-    }
-    x
 }
 
 enum Specials {
@@ -324,70 +192,15 @@ mod tests {
     }
 
     #[test]
-    fn div_basics() {
-        let f = fmt(8, 1);
-        let six = from_f64(f, 6.0);
-        let two = from_f64(f, 2.0);
-        assert_eq!(to_f64(f, div(f, six, two)), 3.0);
-        assert_eq!(div(f, six, 0), f.nar_bits());
-        assert_eq!(div(f, 0, two), 0);
-        assert_eq!(to_f64(f, div(f, two, neg(f, two))), -1.0);
-    }
-
-    #[test]
-    fn sqrt_basics() {
-        let f = fmt(8, 1);
-        assert_eq!(to_f64(f, sqrt(f, from_f64(f, 4.0))), 2.0);
-        assert_eq!(to_f64(f, sqrt(f, from_f64(f, 1.0))), 1.0);
-        assert_eq!(sqrt(f, 0), 0);
-        assert_eq!(sqrt(f, from_f64(f, -1.0)), f.nar_bits());
-        assert_eq!(sqrt(f, f.nar_bits()), f.nar_bits());
-    }
-
-    #[test]
-    fn sqrt_of_two_rounds_correctly() {
-        let f = fmt(16, 1);
-        let r = to_f64(f, sqrt(f, from_f64(f, 2.0)));
-        assert!((r - std::f64::consts::SQRT_2).abs() < 1e-3, "got {r}");
-    }
-
-    #[test]
-    fn cmp_orders_like_reals() {
-        let f = fmt(8, 0);
-        let vals = [-4.0, -1.0, -0.25, 0.0, 0.125, 1.0, 3.0, 60.0];
-        for &x in &vals {
-            for &y in &vals {
-                let (px, py) = (from_f64(f, x), from_f64(f, y));
-                assert_eq!(cmp(f, px, py), x.partial_cmp(&y).unwrap(), "{x} vs {y}");
-            }
-        }
-        // NaR orders first
-        assert_eq!(cmp(f, f.nar_bits(), from_f64(f, -60.0)), Ordering::Less);
-    }
-
-    #[test]
     fn neg_and_abs() {
         let f = fmt(8, 2);
         let x = from_f64(f, -2.5);
         assert_eq!(to_f64(f, neg(f, x)), 2.5);
-        assert_eq!(to_f64(f, abs(f, x)), 2.5);
+        // |x| of a negative real is its negation.
+        assert!(!is_negative(f, neg(f, x)));
         assert_eq!(neg(f, 0), 0);
         assert_eq!(neg(f, f.nar_bits()), f.nar_bits());
         assert!(is_negative(f, x));
         assert!(!is_negative(f, f.nar_bits()));
-    }
-
-    #[test]
-    fn isqrt_exhaustive_small() {
-        for v in 0u128..2000 {
-            let r = isqrt_u128(v);
-            assert!(r * r <= v && (r + 1) * (r + 1) > v, "isqrt({v}) = {r}");
-        }
-        let big = u128::MAX;
-        let r = isqrt_u128(big);
-        assert!(r * r <= big);
-        assert!(r
-            .checked_add(1)
-            .is_none_or(|r1| r1.checked_mul(r1).is_none_or(|sq| sq > big)));
     }
 }

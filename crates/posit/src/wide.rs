@@ -7,7 +7,6 @@
 //! sign/magnitude inspection, and windowed significand extraction with a
 //! sticky flag for round-to-nearest-even.
 
-use std::cmp::Ordering;
 use std::fmt;
 
 /// A two's-complement integer over `64 × limbs` bits (little-endian limbs).
@@ -26,7 +25,7 @@ use std::fmt;
 /// w.add_shifted_u128(3, 200, true);  // w -= 3 << 200
 /// assert!(w.is_zero());
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct WideInt {
     limbs: Vec<u64>,
 }
@@ -38,25 +37,6 @@ impl WideInt {
         WideInt {
             limbs: vec![0; limbs],
         }
-    }
-
-    /// Capacity in bits (a multiple of 64).
-    pub fn bit_capacity(&self) -> usize {
-        self.limbs.len() * 64
-    }
-
-    /// Builds a wide integer from an `i128`, sign-extended to at least
-    /// `min_bits` of capacity.
-    pub fn from_i128(v: i128, min_bits: usize) -> Self {
-        let mut w = Self::zero(min_bits.max(128));
-        let uv = v as u128;
-        w.limbs[0] = uv as u64;
-        w.limbs[1] = (uv >> 64) as u64;
-        let ext = if v < 0 { u64::MAX } else { 0 };
-        for l in w.limbs.iter_mut().skip(2) {
-            *l = ext;
-        }
-        w
     }
 
     /// True if every bit is clear.
@@ -74,24 +54,8 @@ impl WideInt {
         self.limbs.iter_mut().for_each(|l| *l = 0);
     }
 
-    /// `self += rhs`. Both operands must have equal capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if capacities differ.
-    pub fn add_assign_wide(&mut self, rhs: &WideInt) {
-        debug_assert_eq!(self.limbs.len(), rhs.limbs.len());
-        let mut carry = 0u64;
-        for (a, b) in self.limbs.iter_mut().zip(&rhs.limbs) {
-            let (s1, c1) = a.overflowing_add(*b);
-            let (s2, c2) = s1.overflowing_add(carry);
-            *a = s2;
-            carry = (c1 | c2) as u64;
-        }
-    }
-
     /// Two's-complement negation in place.
-    pub fn negate(&mut self) {
+    fn negate(&mut self) {
         for l in self.limbs.iter_mut() {
             *l = !*l;
         }
@@ -201,8 +165,8 @@ impl WideInt {
     }
 
     /// Reads bit `i`; indices at or beyond capacity read the sign extension.
-    pub fn bit(&self, i: usize) -> bool {
-        if i >= self.bit_capacity() {
+    fn bit(&self, i: usize) -> bool {
+        if i >= self.limbs.len() * 64 {
             return self.is_negative();
         }
         (self.limbs[i / 64] >> (i % 64)) & 1 == 1
@@ -280,24 +244,6 @@ impl WideInt {
     }
 }
 
-impl PartialOrd for WideInt {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for WideInt {
-    fn cmp(&self, other: &Self) -> Ordering {
-        debug_assert_eq!(self.limbs.len(), other.limbs.len());
-        match (self.is_negative(), other.is_negative()) {
-            (true, false) => Ordering::Less,
-            (false, true) => Ordering::Greater,
-            // Same sign: two's complement compares like unsigned.
-            _ => self.limbs.iter().rev().cmp(other.limbs.iter().rev()),
-        }
-    }
-}
-
 impl fmt::Debug for WideInt {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "WideInt(0x")?;
@@ -308,29 +254,30 @@ impl fmt::Debug for WideInt {
     }
 }
 
-impl fmt::Display for WideInt {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:?} (~{})", self, self.to_f64())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `v` sign-extended into a register of at least `bits` bits.
+    fn wide(v: i128, bits: usize) -> WideInt {
+        let mut w = WideInt::zero(bits);
+        w.add_shifted_u128(v.unsigned_abs(), 0, v < 0);
+        w
+    }
 
     #[test]
     fn zero_and_capacity() {
         let w = WideInt::zero(200);
         assert!(w.is_zero());
         assert!(!w.is_negative());
-        assert_eq!(w.bit_capacity(), 256);
-        assert_eq!(WideInt::zero(0).bit_capacity(), 64);
+        assert_eq!(w.limbs.len(), 4);
+        assert_eq!(WideInt::zero(0).limbs.len(), 1);
     }
 
     #[test]
     fn from_i128_roundtrip() {
         for v in [0i128, 1, -1, 42, -42, i128::MAX, i128::MIN, 1 << 100] {
-            let w = WideInt::from_i128(v, 256);
+            let w = wide(v, 256);
             assert_eq!(w.to_i128(), Some(v), "roundtrip {v}");
             assert_eq!(w.is_negative(), v < 0);
         }
@@ -347,8 +294,8 @@ mod tests {
             ((1 << 90) - 3, -(1 << 89)),
         ];
         for (a, b) in cases {
-            let mut w = WideInt::from_i128(a, 256);
-            w.add_assign_wide(&WideInt::from_i128(b, 256));
+            let mut w = wide(a, 256);
+            w.add_shifted_u128(b.unsigned_abs(), 0, b < 0);
             assert_eq!(w.to_i128(), Some(a + b), "{a} + {b}");
         }
     }
@@ -356,7 +303,7 @@ mod tests {
     #[test]
     fn negate_matches_i128() {
         for v in [0i128, 1, -1, 12345, -99999, 1 << 120] {
-            let mut w = WideInt::from_i128(v, 256);
+            let mut w = wide(v, 256);
             w.negate();
             assert_eq!(w.to_i128(), Some(-v));
         }
@@ -383,7 +330,7 @@ mod tests {
 
     #[test]
     fn magnitude_and_msb() {
-        let w = WideInt::from_i128(-260, 256);
+        let w = wide(-260, 256);
         let m = w.magnitude();
         assert_eq!(m.to_i128(), Some(260));
         assert_eq!(m.msb_index(), Some(8));
@@ -418,23 +365,11 @@ mod tests {
     }
 
     #[test]
-    fn ordering_matches_i128() {
-        let vals = [-5i128, -1, 0, 1, 3, 1 << 100, -(1 << 100)];
-        for &a in &vals {
-            for &b in &vals {
-                let wa = WideInt::from_i128(a, 256);
-                let wb = WideInt::from_i128(b, 256);
-                assert_eq!(wa.cmp(&wb), a.cmp(&b), "{a} vs {b}");
-            }
-        }
-    }
-
-    #[test]
     fn to_f64_approximates() {
-        let w = WideInt::from_i128(3 << 90, 256);
+        let w = wide(3 << 90, 256);
         let expect = 3.0 * 2f64.powi(90);
         assert_eq!(w.to_f64(), expect);
-        assert_eq!(WideInt::from_i128(-7, 128).to_f64(), -7.0);
+        assert_eq!(wide(-7, 128).to_f64(), -7.0);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! suite pins for ≤ 12 bits, now over all 65 536 patterns of the §IV
 //! sweep's widest formats.
 
-use dp_posit::lut::{split_cached, SplitLut};
+use dp_posit::lut::split_cached;
 use dp_posit::{decode, PositFormat};
 
 #[test]
@@ -23,7 +23,7 @@ fn split_decode_matches_bitfield_for_all_65536_encodings() {
 fn split_decode_matches_bitfield_for_13_to_15_bit_formats() {
     for (n, es) in [(13u32, 0u32), (13, 1), (14, 2), (15, 1), (15, 6)] {
         let fmt = PositFormat::new(n, es).unwrap();
-        let lut = SplitLut::build(fmt).unwrap();
+        let lut = split_cached(fmt).unwrap();
         for bits in fmt.patterns() {
             assert_eq!(lut.decode(bits), decode(fmt, bits), "{fmt} {bits:#06x}");
         }

@@ -1,23 +1,26 @@
 //! Quickstart: posit arithmetic, exact accumulation, and a quantized
-//! Deep Positron network in ~60 lines.
+//! Deep Positron network in ~60 lines, on the runtime-format API.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
 use deep_positron::experiments::paper_tasks;
 use deep_positron::{NumericFormat, QuantizedMlp};
 use dp_emac::{Emac, PositEmac};
-use dp_posit::{PositFormat, Quire, P8E0};
+use dp_posit::{convert, ops, PositFormat, Quire};
 
 fn main() {
-    // --- 1. Typed posit arithmetic -------------------------------------
-    let a = P8E0::from_f64(1.5);
-    let b = P8E0::from_f64(0.25);
-    println!("p8e0: {a} + {b} = {}", a + b);
-    println!("p8e0: {a} × {b} = {}", a * b);
+    // --- 1. Posit arithmetic on bit patterns ---------------------------
+    let p8 = PositFormat::new(8, 0).unwrap();
+    let value = |bits| convert::to_f64(p8, bits);
+    let a = convert::from_f64(p8, 1.5);
+    let b = convert::from_f64(p8, 0.25);
+    let (va, vb) = (value(a), value(b));
+    println!("{p8}: {va} + {vb} = {}", value(ops::add(p8, a, b)));
+    println!("{p8}: {va} × {vb} = {}", value(ops::mul(p8, a, b)));
     println!(
-        "p8e0: maxpos = {}, minpos = {}",
-        P8E0::MAX,
-        P8E0::MIN_POSITIVE
+        "{p8}: maxpos = {}, minpos = {}",
+        value(p8.maxpos_bits()),
+        value(p8.minpos_bits())
     );
 
     // --- 2. Exact accumulation: the quire ------------------------------
@@ -30,7 +33,7 @@ fn main() {
     quire.add_product(fmt.minpos_bits(), one);
     println!(
         "quire survives catastrophic cancellation: {} (minpos = {})",
-        dp_posit::convert::to_f64(fmt, quire.to_posit()),
+        convert::to_f64(fmt, quire.to_posit()),
         fmt.min_value(),
     );
 
@@ -40,7 +43,7 @@ fn main() {
     emac.mac(fmt.one_bits(), fmt.one_bits());
     println!(
         "EMAC: bias 1.0 + 1.0×1.0 = {}",
-        dp_posit::convert::to_f64(fmt, emac.result())
+        convert::to_f64(fmt, emac.result())
     );
 
     // --- 4. A Deep Positron network on Iris ----------------------------
