@@ -1,12 +1,13 @@
 //! # dp-bench — experiment harness for the Deep Positron reproduction
 //!
-//! Shared plumbing (CSV/table writers, sweep definitions) for the binaries
-//! that regenerate every table and figure of the paper. See `src/bin/` for
-//! the per-artifact entry points and `benches/` for criterion benchmarks.
+//! [`artifacts`] computes every table and figure of the paper (and the
+//! extensions beside them) and the `reproduce` binary emits them; the
+//! table / CSV / plot writers they share live in [`report`]. The
+//! `benches/` targets run on the in-crate [`timing`] harness.
 
 pub mod accuracy;
+pub mod artifacts;
 pub mod report;
 pub mod timing;
 
 pub use report::{render_table, write_csv, Ascii};
-pub use timing::{measure, Measurement};

@@ -1,6 +1,5 @@
-//! Small table / CSV rendering helpers shared by the figure binaries.
+//! Small table / CSV / plot rendering helpers shared by the artifacts.
 
-use std::fmt::Display;
 use std::fs;
 use std::io;
 use std::path::Path;
@@ -15,38 +14,25 @@ use std::path::Path;
 /// assert!(t.contains("posit<8,0>"));
 /// ```
 pub fn render_table(header: &[&str], rows: &[Vec<String>]) -> String {
-    let ncol = header.len();
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
     for row in rows {
-        for (i, cell) in row.iter().enumerate().take(ncol) {
-            widths[i] = widths[i].max(cell.len());
+        for (w, cell) in widths.iter_mut().zip(row) {
+            *w = (*w).max(cell.len());
         }
     }
-    let mut out = String::new();
-    let line = |out: &mut String, cells: &[String]| {
-        for (i, c) in cells.iter().enumerate().take(ncol) {
-            if i > 0 {
-                out.push_str("  ");
-            }
-            out.push_str(&format!("{:<width$}", c, width = widths[i]));
-        }
-        out.push('\n');
+    let line = |cells: Vec<&str>| {
+        let padded = cells.iter().zip(&widths).map(|(c, &w)| format!("{c:<w$}"));
+        padded.collect::<Vec<_>>().join("  ") + "\n"
     };
-    line(
-        &mut out,
-        &header.iter().map(|s| s.to_string()).collect::<Vec<_>>(),
-    );
-    line(
-        &mut out,
-        &widths.iter().map(|w| "-".repeat(*w)).collect::<Vec<_>>(),
-    );
+    let rule: Vec<String> = widths.iter().map(|&w| "-".repeat(w)).collect();
+    let mut out = line(header.to_vec()) + &line(rule.iter().map(String::as_str).collect());
     for row in rows {
-        line(&mut out, row);
+        out += &line(row.iter().map(String::as_str).collect());
     }
     out
 }
 
-/// Writes rows as CSV under `results/` (creates the directory if needed).
+/// Writes rows as CSV to `path` (creates its directory if needed).
 ///
 /// # Errors
 ///
@@ -55,13 +41,8 @@ pub fn write_csv<P: AsRef<Path>>(path: P, header: &[&str], rows: &[Vec<String>])
     if let Some(parent) = path.as_ref().parent() {
         fs::create_dir_all(parent)?;
     }
-    let mut s = header.join(",");
-    s.push('\n');
-    for row in rows {
-        s.push_str(&row.join(","));
-        s.push('\n');
-    }
-    fs::write(path, s)
+    let lines = std::iter::once(header.join(",")).chain(rows.iter().map(|row| row.join(",")));
+    fs::write(path, lines.map(|line| line + "\n").collect::<String>())
 }
 
 /// A tiny ASCII scatter/line plot for terminal figure output.
@@ -77,8 +58,11 @@ pub struct Ascii {
     series: Vec<Series>,
 }
 
-/// One plotted series: glyph, legend name, `(x, y)` points.
-type Series = (char, String, Vec<(f64, f64)>);
+/// One plotted `(x, y)` point.
+type Point = (f64, f64);
+
+/// One plotted series: glyph, legend name, points.
+type Series = (char, String, Vec<Point>);
 
 impl Ascii {
     /// Creates a canvas of `width × height` characters; `log_y` plots the
@@ -93,12 +77,7 @@ impl Ascii {
     }
 
     /// Adds a named series drawn with `glyph`.
-    pub fn series<I: IntoIterator<Item = (f64, f64)>>(
-        mut self,
-        glyph: char,
-        name: &str,
-        pts: I,
-    ) -> Self {
+    pub fn series(mut self, glyph: char, name: &str, pts: impl IntoIterator<Item = Point>) -> Self {
         self.series
             .push((glyph, name.to_string(), pts.into_iter().collect()));
         self
@@ -106,22 +85,16 @@ impl Ascii {
 
     /// Renders the canvas with axes and a legend.
     pub fn render(&self) -> String {
-        let pts: Vec<(f64, f64)> = self
-            .series
-            .iter()
-            .flat_map(|(_, _, p)| p.iter().copied())
-            .map(|(x, y)| (x, if self.log_y { y.max(1e-300).log10() } else { y }))
-            .collect();
-        if pts.is_empty() {
+        if self.series.iter().all(|(_, _, pts)| pts.is_empty()) {
             return String::from("(empty plot)\n");
         }
-        let (mut x0, mut x1) = (f64::INFINITY, f64::NEG_INFINITY);
-        let (mut y0, mut y1) = (f64::INFINITY, f64::NEG_INFINITY);
-        for &(x, y) in &pts {
-            x0 = x0.min(x);
-            x1 = x1.max(x);
-            y0 = y0.min(y);
-            y1 = y1.max(y);
+        let (w, h) = (self.width, self.height);
+        let y_of = |y: f64| if self.log_y { y.max(1e-300).log10() } else { y };
+        let (mut x0, mut y0) = (f64::INFINITY, f64::INFINITY);
+        let (mut x1, mut y1) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
+        for &(x, y) in self.series.iter().flat_map(|(_, _, pts)| pts) {
+            (x0, x1) = (x0.min(x), x1.max(x));
+            (y0, y1) = (y0.min(y_of(y)), y1.max(y_of(y)));
         }
         if (x1 - x0).abs() < 1e-12 {
             x1 = x0 + 1.0;
@@ -129,56 +102,26 @@ impl Ascii {
         if (y1 - y0).abs() < 1e-12 {
             y1 = y0 + 1.0;
         }
-        let mut grid = vec![vec![' '; self.width]; self.height];
-        for (glyph, _, series) in &self.series {
-            for &(x, y) in series {
-                let yy = if self.log_y { y.max(1e-300).log10() } else { y };
-                let cx = ((x - x0) / (x1 - x0) * (self.width - 1) as f64).round() as usize;
-                let cy = ((yy - y0) / (y1 - y0) * (self.height - 1) as f64).round() as usize;
-                let row = self.height - 1 - cy.min(self.height - 1);
-                grid[row][cx.min(self.width - 1)] = *glyph;
+        let mut grid = vec![vec![' '; w]; h];
+        for (glyph, _, pts) in &self.series {
+            for &(x, y) in pts {
+                let cx = ((x - x0) / (x1 - x0) * (w - 1) as f64).round() as usize;
+                let cy = ((y_of(y) - y0) / (y1 - y0) * (h - 1) as f64).round() as usize;
+                grid[h - 1 - cy.min(h - 1)][cx.min(w - 1)] = *glyph;
             }
         }
-        let mut out = String::new();
-        let ylab = |v: f64| {
-            if self.log_y {
-                format!("1e{v:.1}")
-            } else {
-                format!("{v:.3}")
-            }
-        };
-        out.push_str(&format!("{:>10} +", ylab(y1)));
-        out.push_str(&"-".repeat(self.width));
-        out.push('\n');
+        let (prefix, digits) = if self.log_y { ("1e", 1) } else { ("", 3) };
+        let label = |v: f64| format!("{prefix}{v:.digits$}");
+        let mut out = format!("{:>10} +{}\n", label(y1), "-".repeat(w));
         for (i, row) in grid.iter().enumerate() {
-            let label = if i == self.height - 1 {
-                format!("{:>10} |", ylab(y0))
-            } else {
-                format!("{:>10} |", "")
-            };
-            out.push_str(&label);
-            out.extend(row.iter());
-            out.push('\n');
+            let y = if i == h - 1 { label(y0) } else { String::new() };
+            out += &format!("{y:>10} |{}\n", row.iter().collect::<String>());
         }
-        out.push_str(&format!("{:>12}{:<.3} .. {:.3}\n", "x: ", x0, x1));
+        out += &format!("{:>12}{x0:<.3} .. {x1:.3}\n", "x: ");
         for (glyph, name, _) in &self.series {
-            out.push_str(&format!("{:>12}{} = {}\n", "", glyph, name));
+            out += &format!("{:>12}{glyph} = {name}\n", "");
         }
         out
-    }
-}
-
-/// Formats a float with engineering-friendly precision for table cells.
-pub fn fmt_num<T: Display + Into<f64> + Copy>(v: T) -> String {
-    let f: f64 = v.into();
-    if f == 0.0 {
-        return "0".into();
-    }
-    let a = f.abs();
-    if !(1e-3..1e4).contains(&a) {
-        format!("{f:.3e}")
-    } else {
-        format!("{f:.4}")
     }
 }
 
@@ -219,13 +162,5 @@ mod tests {
         let s = p.render();
         assert!(s.contains('o') && s.contains('x') && s.contains("s1"));
         assert!(Ascii::new(10, 4, true).render().contains("empty"));
-    }
-
-    #[test]
-    fn fmt_num_ranges() {
-        assert_eq!(fmt_num(0.0), "0");
-        assert_eq!(fmt_num(1.5), "1.5000");
-        assert!(fmt_num(1e7).contains('e'));
-        assert!(fmt_num(1e-7).contains('e'));
     }
 }

@@ -211,12 +211,8 @@ pub struct Fig9Point {
     pub edp: f64,
 }
 
-/// Regenerates Fig. 9: average accuracy degradation vs EDP for n ∈ [5, 8].
-pub fn fig9(tasks: &[TrainedTask]) -> Vec<Fig9Point> {
-    fig9_on(tasks, usize::MAX)
-}
-
-/// Like [`fig9`] but with a per-dataset evaluation sample limit.
+/// Regenerates Fig. 9: average accuracy degradation vs EDP for n ∈ [5, 8],
+/// evaluating at most `limit` test samples per dataset.
 pub fn fig9_on(tasks: &[TrainedTask], limit: usize) -> Vec<Fig9Point> {
     let mut out = Vec::new();
     for n in 5..=8u32 {

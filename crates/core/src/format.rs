@@ -1,6 +1,6 @@
 //! The format-erased numeric type the quantized network runs on.
 
-use dp_emac::{EmacUnit, FixedEmac, FloatEmac, PositEmac, UnsupportedFormat};
+use dp_emac::{EmacUnit, Family as _, FixedEmac, FloatEmac, PositEmac, UnsupportedFormat};
 use dp_fixed::FixedFormat;
 use dp_hw::FormatSpec;
 use dp_minifloat::FloatFormat;
@@ -181,8 +181,8 @@ impl NumericFormat {
     /// [`NumericFormat::make_emac`] with a typed error instead of a panic
     /// for formats without an EMAC datapath — `Ok(None)` is the `F32`
     /// baseline, `Err` a low-precision format the EMACs cannot serve
-    /// (posit `es > n − 3`, fixed eq.-(3) register past `i128`). Serving
-    /// registries validate with this before accepting a model.
+    /// (posit `es > n − 3`, fixed eq.-(3) register past `i128`), with
+    /// [`NumericFormat::check_emac`]'s verdict.
     ///
     /// # Errors
     ///
@@ -193,6 +193,26 @@ impl NumericFormat {
             NumericFormat::Posit(f) => Ok(Some(EmacUnit::Posit(PositEmac::try_new(*f, k)?))),
             NumericFormat::Float(f) => Ok(Some(EmacUnit::Float(FloatEmac::try_new(*f, k)?))),
             NumericFormat::Fixed(f) => Ok(Some(EmacUnit::Fixed(FixedEmac::try_new(*f, k)?))),
+        }
+    }
+
+    /// Whether the format has an EMAC datapath for `k`-element dot
+    /// products, checked by the rule the unit's constructor runs first
+    /// (its family's `check_format`) without building a unit or its
+    /// operand tables. Checkpoint loading and serving registries validate
+    /// with this; the `F32` baseline always passes.
+    ///
+    /// # Errors
+    ///
+    /// [`UnsupportedFormat`] describing why the datapath is missing, as
+    /// [`NumericFormat::try_make_emac`] reports it.
+    pub fn check_emac(&self, k: u64) -> Result<(), UnsupportedFormat> {
+        let k = k.max(1);
+        match *self {
+            NumericFormat::F32 => Ok(()),
+            NumericFormat::Posit(f) => dp_emac::Posit::check_format(f, k),
+            NumericFormat::Float(f) => dp_emac::Float::check_format(f, k),
+            NumericFormat::Fixed(f) => dp_emac::Fixed::check_format(f, k),
         }
     }
 
@@ -384,6 +404,23 @@ mod tests {
         assert!(wide.try_make_emac(1 << 63).unwrap().is_some());
         let err = wide.try_make_emac((1 << 63) + 1).unwrap_err();
         assert!(err.reason().contains("128 bits"), "{err}");
+        // The check-only entry point gives the same verdict, error text
+        // included, for every pair above.
+        let mut pairs = vec![
+            (bad, 8),
+            (NumericFormat::F32, 8),
+            (NumericFormat::Posit(PositFormat::new(16, 1).unwrap()), 128),
+            (NumericFormat::Float(FloatFormat::new(5, 10).unwrap()), 128),
+            (NumericFormat::Fixed(FixedFormat::new(16, 8).unwrap()), 128),
+            (wide, 1 << 63),
+            (wide, (1 << 63) + 1),
+        ];
+        pairs.extend(formats().into_iter().skip(1).map(|fmt| (fmt, 8)));
+        for (fmt, k) in pairs {
+            let checked = fmt.check_emac(k).map_err(|e| e.to_string());
+            let built = fmt.try_make_emac(k).map(drop).map_err(|e| e.to_string());
+            assert_eq!(checked, built, "{fmt} at k = {k}");
+        }
     }
 
     #[test]

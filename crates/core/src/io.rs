@@ -131,7 +131,7 @@ pub fn from_str(text: &str) -> Result<QuantizedMlp, ParseModelError> {
     // a forward pass: refuse it here, at its format line.
     for d in dims.windows(2) {
         format
-            .try_make_emac(d[0] as u64)
+            .check_emac(d[0] as u64)
             .map_err(|e| ParseModelError::new(format_at, e.to_string()))?;
     }
 

@@ -222,7 +222,7 @@ impl QuantizedMlp {
     ///
     /// Panics when the format has no EMAC datapath (e.g. a posit with
     /// `es > n − 3`); registries and other untrusted entry points should
-    /// gate on [`QuantizedMlp::try_make_layer_emacs`] first.
+    /// gate on [`NumericFormat::check_emac`] per layer first.
     pub fn make_layer_emacs(&self) -> Option<Vec<EmacUnit>> {
         self.try_make_layer_emacs()
             .expect("format has no EMAC datapath (see try_make_layer_emacs)")
@@ -230,9 +230,9 @@ impl QuantizedMlp {
 
     /// [`QuantizedMlp::make_layer_emacs`] with a typed error instead of a
     /// panic: `Ok(None)` for the `F32` baseline, `Err` when the format
-    /// has no EMAC datapath for some layer. `dp_serve`'s model registry
-    /// calls this at registration time so an unsupported model is
-    /// rejected up front rather than panicking a pool worker mid-request.
+    /// has no EMAC datapath for some layer. To validate without building
+    /// the units, check each layer with [`NumericFormat::check_emac`], as
+    /// `dp_serve`'s model registry does at registration.
     ///
     /// # Errors
     ///

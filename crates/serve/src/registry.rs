@@ -125,9 +125,11 @@ impl ModelRegistry {
     ///
     /// [`RegistryError::MalformedModel`] when the model has no layers or
     /// some layer's fan-out differs from the next layer's fan-in, in any
-    /// format; [`RegistryError::UnsupportedModel`] when some layer of the
-    /// model cannot build its EMAC (`F32` baseline models are fine: they
-    /// serve classification through plain float math).
+    /// format; [`RegistryError::UnsupportedModel`] when the format has no
+    /// EMAC datapath at some layer's fan-in, by
+    /// [`deep_positron::NumericFormat::check_emac`], which builds no unit
+    /// (`F32` baseline models are fine: they serve classification through
+    /// plain float math).
     pub fn register(
         &self,
         name: impl Into<String>,
@@ -137,7 +139,8 @@ impl ModelRegistry {
         if let Some(reason) = malformation(&model) {
             return Err(RegistryError::MalformedModel { key, reason });
         }
-        if let Err(e) = model.try_make_layer_emacs() {
+        let datapath = |k: usize| model.format.check_emac(k as u64);
+        if let Err(e) = model.layers.iter().try_for_each(|l| datapath(l.fan_in())) {
             return Err(RegistryError::UnsupportedModel {
                 key,
                 reason: e.reason().to_string(),
