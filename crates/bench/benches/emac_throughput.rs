@@ -4,15 +4,15 @@
 //!
 //! * `*_dot128_aligned` / `*_dot128_scalar` — one row against **one**
 //!   column through [`dp_emac::Emac::dot_tile`], named after the unit's
-//!   [`dp_emac::MacKernel`]: the aligned band's single-pass body
-//!   (operands decoded to plain integers, `i64`/`i128` integer dot
-//!   product), or the per-MAC loop of the scalar band,
+//!   [`dp_emac::MacKernel`]: the aligned band's one-row plan compiled for
+//!   the call, then an `i64`/`i128` integer dot product, or the per-MAC
+//!   loop of the scalar band,
 //! * at B ≥ 2 the aligned band sums in the static [`dp_emac::SumLane`]
 //!   its register width picks: `f64`, eight interleaved columns abreast,
 //!   up to 53 bits (posit8e0, float8e4m3, both fixed formats here), `i64`
 //!   to 63 (posit8e1) and `i128` beyond — CI pins posit8e0's layer row at
 //!   ≥ 1.2 × posit8e1's, which is that difference and nothing else. Past
-//!   53 bits the static lane is only the fallback: in a `dot_layer` of
+//!   53 bits the static lane is only the fallback: in a layer sweep of
 //!   two or more rows, a (weight row, tile) pair whose operand span
 //!   proves 53 bits enough ([`dp_emac::SumLane::span_bound`]) sums in
 //!   `f64` too (one-row `dot_tile` sweeps never do). Random patterns span
@@ -32,12 +32,13 @@
 //!   `dot_tile` of the same row against B = 8 and B = 64 activation
 //!   columns (the batch the stack serves), with `elems = K × B` so
 //!   MACs/sec is directly comparable to the one-column rows,
-//! * `*_layer16x128x64_*` — one `dot_layer` of 16 weight rows against the
-//!   B = 64 tile, named after the kernel: the entry point the engines
+//! * `*_layer16x128x64_*` — one `dot_plan` of 16 weight rows, compiled
+//!   once outside the timed loop as a model compiles its layers, against
+//!   the B = 64 tile, named after the kernel: the entry point the engines
 //!   use, and the only one where the aligned band decodes the activation
-//!   tile once per layer instead of once per row (for computed-operand
-//!   formats such as posit⟨16,1⟩ that decode, not the multiply, is what a
-//!   `dot_tile` row spends its time on),
+//!   tile once per layer instead of once per row and no weight at all (for
+//!   computed-operand formats such as posit⟨16,1⟩ that decode, not the
+//!   multiply, is what a `dot_tile` row spends its time on),
 //!
 //! plus the quire for posits. Every row asserts the unit really runs the
 //! kernel it claims to measure, so a silent fallback to a slower path
@@ -173,9 +174,10 @@ fn gauss_row<E: Emac>(
     );
 }
 
-/// One `dot_layer` row named `name`: asserts the unit runs `kernel`, then
-/// measures [`LAYER_ROWS`] weight rows against `activations`, `K` per
-/// column (`LAYER_ROWS × K × B` MACs per iteration).
+/// One layer row named `name`: asserts the unit runs `kernel`, compiles
+/// the layer once, as a model does, then measures `dot_plan` of its
+/// [`LAYER_ROWS`] weight rows against `activations`, `K` per column
+/// (`LAYER_ROWS × K × B` MACs per iteration).
 fn layer_row<E: Emac>(
     rows: &mut Vec<Measurement>,
     name: &str,
@@ -190,12 +192,14 @@ fn layer_row<E: Emac>(
         "{name}: unit does not run the {kernel} kernel"
     );
     let biases = [0u32; LAYER_ROWS];
+    let plan = unit.compile(&biases, weights);
     let mut out = vec![0u32; LAYER_ROWS * activations.len() / K];
     rows.push(measure(
         name,
         (LAYER_ROWS * activations.len()) as u64,
         || {
-            unit.dot_layer(
+            unit.dot_plan(
+                black_box(plan.as_ref()),
                 black_box(&biases),
                 black_box(weights),
                 black_box(activations),
@@ -409,8 +413,8 @@ fn main() {
             "elems = MACs; rows are named after the MacKernel the unit runs (a function of \
              format and capacity; nothing selects it). dot{K}_aligned / dot{K}_scalar = one \
              row against ONE column through dot_tile (before PR 17 these rows ran dot_slice, \
-             which is now only the provided per-MAC loop): aligned = operands decoded to plain \
-             integers in a single pass, i64/i128 integer dot product; scalar = the per-MAC \
+             which is now only the provided per-MAC loop): aligned = the row compiled to plain \
+             integers for the call, then an i64/i128 integer dot product; scalar = the per-MAC \
              loop. *_scalar_mac = per-element mac() loop on the same unit; *_reference = \
              bit-field decode + WideInt datapath. dot{K}x{B} rows run dot_tile against B \
              activation columns (elems = K*B): *_aligned_tile = weight row and activation \
@@ -418,13 +422,14 @@ fn main() {
              — f64, 8 interleaved columns abreast, for registers <= 53 bits (posit8e0 33, \
              float8e4m3 43, fixed8q6 23, fixed16q8 39 at k = 128), i64 / i128 4 columns \
              abreast beyond (posit8e1 57; posit8e2 105, posit16e0 65, posit16e1 121, \
-             float16e5m10 89); in dot_layer sweeps of 2+ rows a (row, tile) pair whose \
+             float16e5m10 89); in layer sweeps of 2+ rows a (row, tile) pair whose \
              operand span proves 53 bits enough (SumLane::span_bound) sums in f64 instead — \
              never for the i128 formats' random patterns, for 5 of posit8e1's 16 random layer \
              rows. \
              *_per_column_scalar = the per-MAC loop per column. layer16x128x64 rows run \
-             dot_layer (16 weight rows against the B = 64 tile, elems = 16*K*64): the aligned \
-             band decodes the activation tile once per layer, the scalar band is the per-MAC \
+             dot_plan (16 weight rows, compiled once outside the timed loop, against the B = 64 \
+             tile, elems = 16*K*64): the aligned band decodes the activation tile once per layer \
+             and no weight, the scalar band is the per-MAC \
              loop again. *_layer16x128x64_gauss = the same on trained-like operands (from_f32 \
              of a bell-shaped stream: weights on a 2^-11 grid, activations on 2^-8), where \
              every pair passes the span rule and sums in f64"

@@ -14,12 +14,7 @@ pub fn decimal_accuracy(x: f64, x_hat: f64) -> f64 {
     if x_hat <= 0.0 {
         return f64::NEG_INFINITY; // flushed to zero or sign error
     }
-    let err = (x_hat / x).log10().abs();
-    if err == 0.0 {
-        f64::INFINITY
-    } else {
-        -err.log10()
-    }
+    -(x_hat / x).log10().abs().log10()
 }
 
 /// Mean decimal accuracy of `quantize` over `samples` log-uniform points
@@ -33,13 +28,9 @@ pub fn mean_decimal_accuracy(
 ) -> f64 {
     assert!(lo > 0.0 && hi > lo && samples > 0);
     let (l0, l1) = (lo.log10(), hi.log10());
-    let mut total = 0.0;
-    for i in 0..samples {
-        let x = 10f64.powf(l0 + (l1 - l0) * (i as f64 + 0.5) / samples as f64);
-        let da = decimal_accuracy(x, quantize(x));
-        total += da.clamp(-clamp, clamp);
-    }
-    total / samples as f64
+    let x = |i: usize| 10f64.powf(l0 + (l1 - l0) * (i as f64 + 0.5) / samples as f64);
+    let da = |x: f64| decimal_accuracy(x, quantize(x)).clamp(-clamp, clamp);
+    (0..samples).map(|i| da(x(i))).sum::<f64>() / samples as f64
 }
 
 #[cfg(test)]

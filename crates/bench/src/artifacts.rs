@@ -52,8 +52,10 @@ pub struct Context {
 impl Context {
     /// A run on the full training schedule, or the short one if `quick`.
     pub fn new(quick: bool) -> Self {
-        let tasks = OnceCell::new();
-        Context { quick, tasks }
+        Context {
+            quick,
+            tasks: OnceCell::new(),
+        }
     }
 
     /// The three paper tasks (seed 42), trained on the first call.
@@ -69,11 +71,11 @@ impl Context {
 type Rows = Vec<Vec<String>>;
 
 /// What one artifact prints, in order, and the CSVs it writes: each a
-/// name, a header line and rows.
+/// name, header cells and rows.
 #[derive(Debug, Default)]
 pub struct Report {
     text: String,
-    csvs: Vec<(&'static str, String, Rows)>,
+    csvs: Vec<(&'static str, Vec<&'static str>, Rows)>,
 }
 
 impl Report {
@@ -88,14 +90,14 @@ impl Report {
         self.line(render_table(&Vec::from_iter(header), rows))
     }
 
-    /// Writes `name.csv` under `header`, its comma-separated first line.
-    fn csv(mut self, name: &'static str, header: impl Into<String>, rows: Rows) -> Self {
-        self.csvs.push((name, header.into(), rows));
+    /// Writes `name.csv` under `header`, its cells separated by commas.
+    fn csv(mut self, name: &'static str, header: &'static str, rows: Rows) -> Self {
+        self.csvs.push((name, header.split(',').collect(), rows));
         self
     }
 
     /// Prints a table and writes the same rows as `name.csv`, under one
-    /// header given as the CSV's first line.
+    /// header of comma-separated cells.
     fn table_csv(self, name: &'static str, header: &'static str, rows: Rows) -> Self {
         self.table(header.split(','), &rows).csv(name, header, rows)
     }
@@ -112,7 +114,7 @@ pub fn emit(report: &Report, dir: &Path, out: &mut dyn Write) -> io::Result<()> 
     let mut wrote = Vec::new();
     for (name, header, rows) in &report.csvs {
         let path = dir.join(format!("{name}.csv"));
-        write_csv(&path, &header.split(',').collect::<Vec<_>>(), rows)?;
+        write_csv(&path, header, rows)?;
         wrote.push(path.display().to_string());
     }
     if !wrote.is_empty() {
@@ -400,15 +402,15 @@ fn decimal_accuracy(_: &Context) -> Report {
         [spec.label()].into_iter().chain(digits).collect()
     };
     let rows = posits.chain(floats).chain(fixed).map(row).collect();
-    // The range labels hold commas: the printed header is not split from
-    // the CSV's first line but the CSV's is joined from it.
+    // The range labels hold commas: the header is given as cells.
     let header = ["format", ranges[0].0, ranges[1].0, ranges[2].0];
-    Report::default()
+    let mut report = Report::default()
         .line("== Mean decimal accuracy (digits) of 8-bit formats ==\n")
         .table(header, &rows)
         .line("posit's tapered precision concentrates digits near ±1 (the DNN")
-        .line("range, paper Fig. 2) while still covering the wide range.")
-        .csv("decimal_accuracy", header.join(","), rows)
+        .line("range, paper Fig. 2) while still covering the wide range.");
+    report.csvs.push(("decimal_accuracy", header.into(), rows));
+    report
 }
 
 /// Extension: the accuracy the EMAC's exact accumulation buys over a MAC
@@ -497,7 +499,7 @@ mod tests {
             ("fig8_luts", "format,n,luts", 29),
             ("fig7_edp", "format,n,edp_js,energy_per_mac_pj,fmax_mhz", 12),
             ("accelerator_report", "workload,format,luts,ffs,dsps,wmem_kb,fmax_mhz,latency_us,kinf_per_s,nj_per_inf,edp_js", 12),
-            ("decimal_accuracy", "format,dnn [0.01, 1],wide [1e-4, 1e4],tiny [1e-6, 1e-2]", 10),
+            ("decimal_accuracy", r#"format,"dnn [0.01, 1]","wide [1e-4, 1e4]","tiny [1e-6, 1e-2]""#, 10),
         ];
         let (ctx, mut out) = (Context::new(true), Vec::new());
         let names = [["table1_regime"].as_slice(), &csvs.map(|c| c.0)].concat();

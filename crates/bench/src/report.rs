@@ -32,7 +32,8 @@ pub fn render_table(header: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Writes rows as CSV to `path` (creates its directory if needed).
+/// Writes rows as CSV to `path` (creates its directory if needed), each
+/// cell holding a comma, a quote or a line break quoted per RFC 4180.
 ///
 /// # Errors
 ///
@@ -41,8 +42,16 @@ pub fn write_csv<P: AsRef<Path>>(path: P, header: &[&str], rows: &[Vec<String>])
     if let Some(parent) = path.as_ref().parent() {
         fs::create_dir_all(parent)?;
     }
-    let lines = std::iter::once(header.join(",")).chain(rows.iter().map(|row| row.join(",")));
-    fs::write(path, lines.map(|line| line + "\n").collect::<String>())
+    let field = |c: &&str| match c.contains([',', '"', '\n', '\r']) {
+        true => format!("\"{}\"", c.replace('"', "\"\"")),
+        false => c.to_string(),
+    };
+    let line = |cells: Vec<&str>| cells.iter().map(field).collect::<Vec<_>>().join(",") + "\n";
+    let mut csv = line(header.to_vec());
+    for row in rows {
+        csv += &line(row.iter().map(String::as_str).collect());
+    }
+    fs::write(path, csv)
 }
 
 /// A tiny ASCII scatter/line plot for terminal figure output.

@@ -179,12 +179,8 @@ pub fn write_json<P: AsRef<Path>>(
     let mut s = String::from("{\n  \"meta\": {\n");
     for (i, (k, v)) in meta.iter().enumerate() {
         let comma = if i + 1 < meta.len() { "," } else { "" };
-        let _ = writeln!(
-            s,
-            "    \"{}\": \"{}\"{comma}",
-            json_escape(k),
-            json_escape(v)
-        );
+        let (k, v) = (json_escape(k), json_escape(v));
+        let _ = writeln!(s, "    \"{k}\": \"{v}\"{comma}");
     }
     s.push_str("  },\n  \"results\": [\n");
     for (i, m) in rows.iter().enumerate() {

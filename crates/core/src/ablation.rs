@@ -1,6 +1,6 @@
-//! Exact-vs-inexact MAC ablation (paper §III-A's motivation, E10 in
-//! DESIGN.md): how much accuracy does the EMAC's delayed rounding buy over
-//! an ordinary per-operation-rounding MAC?
+//! Exact-vs-inexact MAC ablation (paper §III-A's motivation; README.md's
+//! `ablation_exact_vs_inexact` artifact): how much accuracy does the
+//! EMAC's delayed rounding buy over an ordinary per-operation-rounding MAC?
 
 use crate::format::NumericFormat;
 use crate::quantized::QuantizedMlp;

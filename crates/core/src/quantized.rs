@@ -9,8 +9,11 @@
 //!
 //! ## Batch engine
 //!
-//! Weights are stored as one contiguous row-major pattern array per layer.
-//! Every EMAC entry point is a thin wrapper around one forward pass,
+//! Weights are stored as one contiguous row-major pattern array per layer,
+//! beside which the layer keeps itself compiled for the aligned sweep
+//! ([`dp_emac::LayerPlan`]: decoded once per model, as paper Fig. 1's
+//! weight-stationary arrays load their weights once). Every EMAC entry
+//! point is a thin wrapper around one forward pass,
 //! [`QuantizedMlp::forward_into`]: `batch` samples (one flat sample-major
 //! `f32` slice) through one [`dp_emac::Emac::dot_layer`]-shaped sweep per
 //! layer on caller-owned EMACs, the readout patterns written to a
@@ -28,7 +31,7 @@
 //! In paper Fig. 1 each EMAC's output register feeds the next layer; the
 //! decode stage exists because posit bits arrive from memory, which in
 //! software happens only at the edges. A model advances by one step,
-//! `QuantizedMlp::layer`: one [`dp_emac::Emac::dot_layer`], then ReLU on
+//! `QuantizedMlp::layer`: one [`dp_emac::Emac::dot_plan`], then ReLU on
 //! hidden layers, generic over what moves between layers. When a format's
 //! operands align ([`dp_emac::TableEmac::takes_words`]) that is the
 //! **operand word** — the rounded value in the format's operand unit,
@@ -45,7 +48,8 @@
 use crate::format::NumericFormat;
 use crate::mlp::Mlp;
 use dp_datasets::Dataset;
-use dp_emac::{Emac, EmacUnit};
+use dp_emac::{Emac, EmacUnit, LayerPlan};
+use std::sync::OnceLock;
 
 /// What moves between layers, patterns (`u32`) or operand words (`i64`;
 /// see the module docs): how it is quantised from `f32` and rectified.
@@ -79,8 +83,10 @@ impl Activation for i64 {
 }
 
 /// One quantized dense layer: contiguous row-major weight patterns plus
-/// per-neuron biases.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// per-neuron biases, and the layer compiled for the aligned sweep
+/// ([`LayerPlan`]) once a forward pass or [`QuantizedMlp::compile`] has
+/// asked for it. Equality compares the patterns only.
+#[derive(Debug, Clone)]
 pub struct QuantizedLayer {
     fan_in: usize,
     fan_out: usize,
@@ -89,7 +95,20 @@ pub struct QuantizedLayer {
     weights: Vec<u32>,
     /// Per-neuron bias patterns.
     biases: Vec<u32>,
+    /// The plan of the patterns above, under the format it was compiled
+    /// for (`None`: the format has no aligned sweep). Filled on first use,
+    /// dropped by every `&mut` accessor.
+    plan: OnceLock<(NumericFormat, Option<LayerPlan>)>,
 }
+
+impl PartialEq for QuantizedLayer {
+    fn eq(&self, other: &Self) -> bool {
+        (self.fan_in, self.fan_out, &self.weights, &self.biases)
+            == (other.fan_in, other.fan_out, &other.weights, &other.biases)
+    }
+}
+
+impl Eq for QuantizedLayer {}
 
 impl QuantizedLayer {
     /// Builds a layer from a contiguous row-major weight array.
@@ -106,6 +125,7 @@ impl QuantizedLayer {
             fan_out,
             weights,
             biases,
+            plan: OnceLock::new(),
         }
     }
 
@@ -163,18 +183,35 @@ impl QuantizedLayer {
     }
 
     /// Mutable view of neuron `j`'s weight row (weight surgery, fault
-    /// injection).
+    /// injection). Drops the layer's plan.
     ///
     /// # Panics
     ///
     /// Panics if `j >= fan_out`.
     pub fn weight_row_mut(&mut self, j: usize) -> &mut [u32] {
+        self.plan.take();
         &mut self.weights[j * self.fan_in..(j + 1) * self.fan_in]
     }
 
-    /// Mutable view of the bias patterns.
+    /// Mutable view of the bias patterns. Drops the layer's plan.
     pub fn biases_mut(&mut self) -> &mut [u32] {
+        self.plan.take();
         &mut self.biases
+    }
+
+    /// The layer compiled for `format`'s aligned sweep: built from the
+    /// format — by a unit of its own, never by whichever unit runs first —
+    /// the first time it is asked for and kept. `None` when the format has
+    /// no aligned sweep, or when the layer keeps a plan for another format
+    /// (a changed [`QuantizedMlp::format`]): an aligned unit then compiles
+    /// the layer for its call.
+    fn plan(&self, format: &NumericFormat) -> Option<&LayerPlan> {
+        let (compiled_for, plan) = self.plan.get_or_init(|| {
+            let unit = format.try_make_emac(self.fan_in as u64).ok().flatten();
+            let plan = unit.and_then(|u| u.compile(&self.biases, &self.weights));
+            (*format, plan)
+        });
+        plan.as_ref().filter(|_| compiled_for == format)
     }
 }
 
@@ -224,35 +261,18 @@ impl QuantizedMlp {
     /// `es > n − 3`); registries and other untrusted entry points should
     /// gate on [`NumericFormat::check_emac`] per layer first.
     pub fn make_layer_emacs(&self) -> Option<Vec<EmacUnit>> {
-        self.try_make_layer_emacs()
-            .expect("format has no EMAC datapath (see try_make_layer_emacs)")
+        let unit = |l: &QuantizedLayer| self.format.make_emac(l.fan_in() as u64);
+        self.layers.iter().map(unit).collect()
     }
 
-    /// [`QuantizedMlp::make_layer_emacs`] with a typed error instead of a
-    /// panic: `Ok(None)` for the `F32` baseline, `Err` when the format
-    /// has no EMAC datapath for some layer. To validate without building
-    /// the units, check each layer with [`NumericFormat::check_emac`], as
-    /// `dp_serve`'s model registry does at registration.
-    ///
-    /// # Errors
-    ///
-    /// [`dp_emac::UnsupportedFormat`] naming the offending format/layer
-    /// pairing.
-    pub fn try_make_layer_emacs(
-        &self,
-    ) -> Result<Option<Vec<EmacUnit>>, dp_emac::UnsupportedFormat> {
-        if matches!(self.format, NumericFormat::F32) {
-            return Ok(None);
+    /// Compiles every layer for the model's format now ([`LayerPlan`])
+    /// rather than on the first forward pass, as `dp_serve`'s model
+    /// registry does at registration. The plans are kept until a layer's
+    /// patterns are edited; a no-op for layers that already hold one.
+    pub fn compile(&self) {
+        for layer in &self.layers {
+            layer.plan(&self.format);
         }
-        self.layers
-            .iter()
-            .map(|l| {
-                self.format
-                    .try_make_emac(l.fan_in() as u64)
-                    .map(|unit| unit.expect("low-precision formats yield an EMAC"))
-            })
-            .collect::<Result<Vec<_>, _>>()
-            .map(Some)
     }
 
     /// The forward pass every EMAC entry point wraps: `batch` samples (`xs`,
@@ -261,8 +281,9 @@ impl QuantizedMlp {
     /// [`QuantizedMlp::make_layer_emacs`]), the readout patterns written to
     /// `out` (flat, sample-major). Each layer evaluates across **all**
     /// samples before the next, as one `dot_layer`-shaped sweep, so the
-    /// kernels load the activation tile once per layer and decode each
-    /// weight row once per call; each neuron seeds its accumulator with the
+    /// kernels load the activation tile once per layer and read the weight
+    /// rows from the layer's plan, decoded once per model (the first call
+    /// compiles it); each neuron seeds its accumulator with the
     /// bias, accumulates exact products, rounds once, then applies ReLU
     /// (identity on the readout layer). Between layers the activations are
     /// operand words when the format's operands align, patterns otherwise
@@ -333,7 +354,8 @@ impl QuantizedMlp {
 
     /// The one layer step of the forward pass and the streaming simulator:
     /// layer `li` on `unit` over the flat sample-major columns `acts`, one
-    /// [`dp_emac::Emac::dot_layer`] into `out`, then ReLU on hidden layers.
+    /// [`dp_emac::Emac::dot_plan`] over the layer's plan into `out`, then
+    /// ReLU on hidden layers.
     pub(crate) fn layer<A: Activation, O: Activation>(
         &self,
         li: usize,
@@ -342,7 +364,8 @@ impl QuantizedMlp {
         out: &mut [O],
     ) {
         let layer = &self.layers[li];
-        unit.dot_layer(layer.biases(), layer.weights(), acts, out);
+        let plan = layer.plan(&self.format);
+        unit.dot_plan(plan, layer.biases(), layer.weights(), acts, out);
         if li + 1 < self.layers.len() {
             O::relu(&self.format, out);
         }
@@ -686,18 +709,204 @@ mod tests {
 
     #[test]
     fn try_make_layer_emacs_validates_instead_of_panicking() {
+        // Validation is `check_emac` per layer fan-in, the gate registries
+        // and checkpoint loading run before `make_layer_emacs`.
         let (mlp, _) = trained_iris();
+        let check = |q: &QuantizedMlp| {
+            let fan_ins = q.layers.iter().map(|l| l.fan_in() as u64);
+            fan_ins
+                .map(|k| q.format.check_emac(k))
+                .collect::<Result<Vec<_>, _>>()
+        };
         // A datapath-less format: posit es > n − 3.
         let bad =
             QuantizedMlp::quantize(&mlp, NumericFormat::Posit(PositFormat::new(8, 6).unwrap()));
-        let err = bad.try_make_layer_emacs().unwrap_err();
+        let err = check(&bad).unwrap_err();
         assert!(err.reason().contains("es <= n-3"), "{err}");
+        let panic = std::panic::catch_unwind(|| bad.make_layer_emacs()).unwrap_err();
+        let message = panic.downcast_ref::<String>().expect("a formatted panic");
+        assert!(message.contains("es <= n-3"), "{message}");
         // Supported formats yield one EMAC per layer; F32 yields None.
         let good =
             QuantizedMlp::quantize(&mlp, NumericFormat::Posit(PositFormat::new(16, 1).unwrap()));
-        assert_eq!(good.try_make_layer_emacs().unwrap().unwrap().len(), 2);
+        assert!(check(&good).is_ok());
+        assert_eq!(good.make_layer_emacs().unwrap().len(), 2);
         let f32_model = QuantizedMlp::quantize(&mlp, NumericFormat::F32);
-        assert!(f32_model.try_make_layer_emacs().unwrap().is_none());
+        assert!(check(&f32_model).is_ok());
+        assert!(f32_model.make_layer_emacs().is_none());
+    }
+
+    /// The aligned 8- and 16-bit trios.
+    fn aligned_trios() -> [NumericFormat; 6] {
+        [
+            NumericFormat::Posit(PositFormat::new(8, 0).unwrap()),
+            NumericFormat::Float(FloatFormat::new(4, 3).unwrap()),
+            NumericFormat::Fixed(FixedFormat::new(8, 6).unwrap()),
+            NumericFormat::Posit(PositFormat::new(16, 1).unwrap()),
+            NumericFormat::Float(FloatFormat::new(5, 10).unwrap()),
+            NumericFormat::Fixed(FixedFormat::new(16, 8).unwrap()),
+        ]
+    }
+
+    /// One `new_reference()` unit per layer: the scalar band, which reads
+    /// the patterns and never a plan.
+    fn reference_units(q: &QuantizedMlp) -> Vec<EmacUnit> {
+        use dp_emac::{FixedEmac, FloatEmac, PositEmac};
+        let unit = |l: &QuantizedLayer| {
+            let k = l.fan_in() as u64;
+            match q.format {
+                NumericFormat::Posit(f) => EmacUnit::Posit(PositEmac::new_reference(f, k)),
+                NumericFormat::Float(f) => EmacUnit::Float(FloatEmac::new_reference(f, k)),
+                NumericFormat::Fixed(f) => EmacUnit::Fixed(FixedEmac::new_reference(f, k)),
+                NumericFormat::F32 => unreachable!("no EMAC"),
+            }
+        };
+        q.layers.iter().map(unit).collect()
+    }
+
+    /// `q`'s patterns in layers that have compiled nothing yet.
+    fn rebuilt(q: &QuantizedMlp) -> QuantizedMlp {
+        let layer = |l: &QuantizedLayer| {
+            QuantizedLayer::new(l.fan_in, l.fan_out, l.weights.clone(), l.biases.clone())
+        };
+        let layers = q.layers.iter().map(layer).collect();
+        QuantizedMlp {
+            format: q.format,
+            layers,
+        }
+    }
+
+    /// `take` test samples, cycled.
+    fn samples(split: &dp_datasets::TrainTest, take: usize) -> Vec<Vec<f32>> {
+        split
+            .test
+            .features
+            .iter()
+            .cycle()
+            .take(take)
+            .cloned()
+            .collect()
+    }
+
+    #[test]
+    fn weight_surgery_after_a_forward_drops_the_plan() {
+        let (mlp, split) = trained_iris();
+        let xs = samples(&split, 9);
+        for fmt in aligned_trios() {
+            let q = QuantizedMlp::quantize(&mlp, fmt);
+            let mut units = q.make_layer_emacs().unwrap();
+            let before = q.forward_batch_bits_with(&mut units, &xs);
+            assert!(q.layers.iter().all(|l| l.plan.get().is_some()), "{fmt}");
+            let high = 1 << (fmt.n() - 2);
+            let special = match fmt {
+                NumericFormat::Posit(f) => Some(f.nar_bits()),
+                NumericFormat::Float(f) => Some(f.nan_bits()),
+                _ => None,
+            };
+            type Edit = Box<dyn Fn(&mut QuantizedMlp)>;
+            let mut edits: Vec<(&str, Edit)> = vec![(
+                "flipped weights",
+                Box::new(move |q| {
+                    q.layers[1]
+                        .weight_row_mut(0)
+                        .iter_mut()
+                        .for_each(|w| *w ^= high)
+                }),
+            )];
+            if let Some(s) = special {
+                edits.push((
+                    "special weight",
+                    Box::new(move |q| q.layers[0].weight_row_mut(2)[1] = s),
+                ));
+                edits.push((
+                    "special bias",
+                    Box::new(move |q| q.layers[1].biases_mut()[1] = s),
+                ));
+            }
+            for (what, edit) in edits {
+                // The clone keeps the compiled plans; the edit on the same
+                // units must not read them.
+                let mut edited = q.clone();
+                edit(&mut edited);
+                let got = edited.forward_batch_bits_with(&mut units, &xs);
+                let fresh = rebuilt(&edited);
+                let want: Vec<Vec<u32>> = xs.iter().map(|x| fresh.forward_bits(x)).collect();
+                assert_eq!(got, want, "{fmt}: {what}");
+                assert_ne!(got, before, "{fmt}: {what} changes an output");
+            }
+        }
+    }
+
+    #[test]
+    fn a_plan_is_built_from_the_format_not_the_first_unit() {
+        let (mlp, split) = trained_iris();
+        let xs = samples(&split, 9);
+        for fmt in aligned_trios() {
+            let q = QuantizedMlp::quantize(&mlp, fmt);
+            let by_reference = q.forward_batch_bits_with(&mut reference_units(&q), &xs);
+            for layer in &q.layers {
+                let (compiled_for, plan) = layer.plan.get().expect("compiled on first use");
+                assert_eq!((compiled_for, plan.is_some()), (&fmt, true), "{fmt}");
+            }
+            let mut units = q.make_layer_emacs().unwrap();
+            assert_eq!(
+                q.forward_batch_bits_with(&mut units, &xs),
+                by_reference,
+                "{fmt}"
+            );
+        }
+        // A changed format never reads the plan of the old one.
+        let mut q = QuantizedMlp::quantize(&mlp, aligned_trios()[0]);
+        q.compile();
+        q.format = NumericFormat::Posit(PositFormat::new(8, 1).unwrap());
+        let fresh = rebuilt(&q);
+        let mut units = q.make_layer_emacs().unwrap();
+        let want: Vec<Vec<u32>> = xs.iter().map(|x| fresh.forward_bits(x)).collect();
+        assert_eq!(q.forward_batch_bits_with(&mut units, &xs), want);
+    }
+
+    #[test]
+    fn two_threads_making_the_first_forward_agree() {
+        let (mlp, split) = trained_iris();
+        let xs = std::sync::Arc::new(samples(&split, 64));
+        for fmt in [aligned_trios()[3], aligned_trios()[0]] {
+            let q = std::sync::Arc::new(QuantizedMlp::quantize(&mlp, fmt));
+            let oracle = rebuilt(&q);
+            let want = oracle.forward_batch_bits_with(&mut reference_units(&oracle), &xs);
+            assert!(q.layers.iter().all(|l| l.plan.get().is_none()), "{fmt}");
+            let barrier = std::sync::Arc::new(std::sync::Barrier::new(2));
+            let threads: Vec<_> = (0..2)
+                .map(|_| {
+                    let (q, xs, barrier) = (q.clone(), xs.clone(), barrier.clone());
+                    std::thread::spawn(move || {
+                        let mut units = q.make_layer_emacs().unwrap();
+                        barrier.wait();
+                        q.forward_batch_bits_with(&mut units, &xs)
+                    })
+                })
+                .collect();
+            for thread in threads {
+                assert_eq!(thread.join().unwrap(), want, "{fmt}");
+            }
+        }
+    }
+
+    #[test]
+    fn cached_plans_match_the_reference_band_at_every_batch() {
+        let (mlp, split) = trained_iris();
+        for fmt in aligned_trios() {
+            let q = QuantizedMlp::quantize(&mlp, fmt);
+            let (mut units, mut reference) = (q.make_layer_emacs().unwrap(), reference_units(&q));
+            for batch in [1, 2, 8, 9, 64] {
+                let xs = samples(&split, batch);
+                let want = q.forward_batch_bits_with(&mut reference, &xs);
+                assert_eq!(
+                    q.forward_batch_bits_with(&mut units, &xs),
+                    want,
+                    "{fmt} B={batch}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -20,10 +20,11 @@
 //!   operand words ([`crate::table::align`]'s `value << 1 | special`),
 //!   handed over by the previous layer's word epilogue or decoded from
 //!   patterns — is loaded once per sweep into unit-owned scratch
-//!   ([`AlignedTile`]), each weight row decoded once per row (on the fly
-//!   when there is a single column to spend it on), and the loop is
-//!   `acc += w · a` — no shift, no sign select, no special handling
-//!   (poison is decided at load time) — with the sums held in the
+//!   ([`AlignedTile`]), the weight rows come compiled ([`LayerPlan`]:
+//!   decoded once per model that keeps its plans, once per call
+//!   otherwise), and the loop is `acc += w · a` — no shift, no sign
+//!   select, no special handling (poison is decided at compile and load
+//!   time) — with the sums held in the
 //!   [`SumLane`] the register width, or failing that the operands
 //!   themselves, prove exact, below.
 //! * [`MacKernel::Scalar`] — everything else (posits past
@@ -81,12 +82,13 @@
 //! meets eight activations in adjacent memory and [`oct`]'s fixed-size
 //! inner array compiles to packed ops without `std::simd` or `unsafe`.
 //! The integer lanes keep `i64` operands column after column and run
-//! [`quad`], four scalar chains; a lone column (`B = 1`) is always one
-//! fused decode-and-multiply pass in integers ([`single_column`]). A
-//! `W > 53` unit whose tile two or more rows share loads it **eagerly**
-//! into the interleaved layout, OR-ing the magnitudes in the same pass,
-//! and builds the integer copy (from the `f64`s) only for a row the span
-//! rule refuses; a one-row tile keeps the integer layout.
+//! [`quad`], four scalar chains, plus a one-column tail (all of a lone
+//! column, `B = 1`). Every tile at `B ≥ 2` but a `W > 53` one a single row
+//! sweeps is loaded **eagerly** into the interleaved layout, OR-ing the
+//! magnitudes in the same pass; a plan holds each row's OR and both
+//! copies of its values, so the lane rule costs one comparison per row,
+//! and the tile's integer copy (from the `f64`s) is built only for a row
+//! the rule refuses.
 
 use std::fmt;
 
@@ -233,15 +235,77 @@ impl fmt::Display for SumLane {
 /// 4.3–5.6e9 at eight and 4.5–5.7e9 at sixteen — no better than eight.
 const LANES: usize = 8;
 
+/// One layer compiled for the aligned band ([`MacKernel::Aligned`]): per
+/// weight row its aligned values as the sweep reads them — `i64` for the
+/// integer lanes, `f64` for the `f64` lane — the OR of their magnitudes
+/// (the row's static half of [`SumLane::span_bound`]) and whether a weight
+/// or the bias is special; per row the bias's image in the register, the
+/// seed. Built from a layer's patterns by [`crate::Emac::compile`] in the
+/// unit's format, and from then on only read: paper Fig. 1's
+/// weight-stationary arrays load their weights once per model, and so can
+/// a model that keeps its plans. The scalar band never reads one.
+#[derive(Debug, Clone, Default)]
+pub struct LayerPlan {
+    fan_in: usize,
+    /// `rows × fan_in` aligned weight values, row after row.
+    ints: Vec<i64>,
+    /// The same values as `f64`s.
+    floats: Vec<f64>,
+    /// Per row, the OR of the weights' magnitudes.
+    ors: Vec<u64>,
+    /// Per row, the bias's register image and whether a weight or the bias
+    /// is special.
+    seeds: Vec<(i128, bool)>,
+}
+
+impl LayerPlan {
+    /// Refills the plan: one row per `(seed, bias special)` of `seeds`,
+    /// each `fan_in` of the operand words ([`crate::table::align`]'s
+    /// layout) `weights` yields. The buffers are kept, so a plan refilled
+    /// per call allocates only while it grows.
+    pub(crate) fn fill(
+        &mut self,
+        fan_in: usize,
+        seeds: impl IntoIterator<Item = (i128, bool)>,
+        weights: impl IntoIterator<Item = i64>,
+    ) {
+        self.fan_in = fan_in;
+        self.ints.clear();
+        self.floats.clear();
+        self.ors.clear();
+        self.seeds.clear();
+        let mut words = weights.into_iter();
+        for (seed, special) in seeds {
+            let (mut flags, start) = (special as i64, self.ints.len());
+            self.ints
+                .extend(aligned_values(words.by_ref().take(fan_in), &mut flags));
+            let row = &self.ints[start..];
+            self.floats.extend(row.iter().map(|&v| v as f64));
+            self.ors
+                .push(row.iter().fold(0, |m, &v| m | v.unsigned_abs()));
+            self.seeds.push((seed, flags & 1 != 0));
+        }
+    }
+
+    /// Weight rows in the plan.
+    pub(crate) fn rows(&self) -> usize {
+        self.seeds.len()
+    }
+
+    /// Weights per row.
+    pub(crate) fn fan_in(&self) -> usize {
+        self.fan_in
+    }
+}
+
 /// Scratch of the aligned band ([`MacKernel::Aligned`]), retained by the
-/// unit across calls so a sweep does not allocate per row: the activation
-/// tile as plain values with one poison flag per column, and the weight
-/// row being evaluated. Never semantic — refilled by every
-/// [`AlignedTile::load`] / [`AlignedTile::row`].
+/// unit across calls so a sweep does not allocate: the activation tile as
+/// plain values with one poison flag per column. Never semantic — refilled
+/// by every [`AlignedTile::load`]; the weights come from a [`LayerPlan`].
 ///
 /// A load fixes the tile's [`Layout`] from the unit's static [`SumLane`],
 /// the batch and the rows that will share the tile.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct AlignedTile {
     /// The unit's eq.-(3)/(4) register width: picks the static
     /// [`SumLane`].
@@ -258,33 +322,25 @@ pub(crate) struct AlignedTile {
     /// `⌈B / 8⌉ × K × 8` aligned activation values, interleaved.
     lanes: Vec<f64>,
     /// Whether `acts` holds the [`Layout::Shared`] tile too: cleared by
-    /// every load, set by the first row the span rule refuses.
+    /// every load, set by the first row the lane rule sends to integers.
     ints_ready: bool,
     /// Whether column `j` holds a special operand.
     poison: Vec<bool>,
-    /// The `K` aligned values of the current weight row (integer sums and
-    /// the span test).
-    weights: Vec<i64>,
-    /// The same as `f64`s, for a row summed on the `f64` lane — empty
-    /// while a row sums in integers.
-    weights_f64: Vec<f64>,
 }
 
 /// How an [`AlignedTile`] holds the loaded tile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 enum Layout {
     /// `i64` values column after column: a lone column (`B = 1`), or a
     /// `W > 53` tile one row sweeps — the one-row sweep cannot repay an
     /// `f64` copy (at K = 128, B = 64 the OR and copy cost about 5.5 µs
     /// against a row's 1.3–3 µs).
+    #[default]
     Integer,
-    /// `f64`s, [`LANES`] columns interleaved, on the static `f64` lane
-    /// (`W ≤ 53`, `B ≥ 2`): the seed goes inside the sum.
-    Interleaved,
-    /// The same interleaved `f64`s past 53 bits, for a tile two or more
-    /// rows share at `B ≥ 2`, with the magnitudes' OR taken in the same
-    /// pass: a row that passes [`SumLane::span_bound`] sums over it, a row
-    /// that does not over the integer copy it builds once.
+    /// `f64`s, [`LANES`] columns interleaved, past 53 bits with the
+    /// magnitudes' OR taken in the same pass — every other tile at `B ≥ 2`.
+    /// A row sums over it when the lane rule admits the pair, else over
+    /// the integer copy the first such row builds.
     Shared,
 }
 
@@ -302,37 +358,6 @@ fn aligned_values<'a>(
         *flags |= w;
         w >> 1
     })
-}
-
-/// One weight row against one loaded column, in a single pass: with
-/// nothing to share the decoded weights with, storing them first only
-/// costs (the per-sample path's rows are as short as K = 4). Returns the
-/// exact sum and whether a weight was special. A leaf kept out of line
-/// for the same reason as [`quad`].
-#[inline(never)]
-fn single_column<S: AlignedSum>(
-    seed: i128,
-    weights: &[u32],
-    acts: &[i64],
-    word: impl Fn(u32) -> i64,
-) -> (S, bool) {
-    let mut flags = 0;
-    let sum = weights
-        .iter()
-        .zip(acts)
-        .fold(S::from_register(seed), |s, (&b, &a)| {
-            let w = word(b);
-            flags |= w;
-            s.mac(w >> 1, a)
-        });
-    (sum, flags & 1 != 0)
-}
-
-/// OR of the magnitudes of `values` — one side of
-/// [`SumLane::span_bound`].
-#[inline(always)]
-fn magnitude_or(values: &[i64]) -> u64 {
-    values.iter().fold(0, |m, &v| m | v.unsigned_abs())
 }
 
 /// An exact `f64`-lane sum — an integer below `2^127` — as an `i128`,
@@ -382,14 +407,7 @@ impl AlignedTile {
     pub(crate) fn new(width: u32) -> Self {
         AlignedTile {
             width,
-            layout: Layout::Integer,
-            acts: Vec::new(),
-            acts_or: 0,
-            lanes: Vec::new(),
-            ints_ready: false,
-            poison: Vec::new(),
-            weights: Vec::new(),
-            weights_f64: Vec::new(),
+            ..AlignedTile::default()
         }
     }
 
@@ -406,11 +424,10 @@ impl AlignedTile {
     ) {
         self.poison.clear();
         self.ints_ready = false;
-        self.layout = match SumLane::for_width(self.width) {
-            _ if batch == 1 => Layout::Integer,
-            SumLane::F64 => Layout::Interleaved,
-            _ if rows > 1 => Layout::Shared,
-            _ => Layout::Integer,
+        let f64_static = SumLane::for_width(self.width) == SumLane::F64;
+        self.layout = match batch > 1 && (rows > 1 || f64_static) {
+            true => Layout::Shared,
+            false => Layout::Integer,
         };
         match self.layout {
             Layout::Integer => {
@@ -421,22 +438,16 @@ impl AlignedTile {
                     self.poison.push(flags & 1 != 0);
                 }
             }
-            Layout::Interleaved => {
-                size_lanes(&mut self.lanes, batch, fan_in);
-                for (j, col) in cols.enumerate() {
-                    let mut flags = 0;
-                    let values = aligned_values(col, &mut flags).map(|v| v as f64);
-                    put_column(&mut self.lanes, fan_in, j, values);
-                    self.poison.push(flags & 1 != 0);
-                }
-            }
             Layout::Shared => {
                 size_lanes(&mut self.lanes, batch, fan_in);
+                // The lane rule reads the OR only past 53 bits.
                 let mut or = 0;
                 for (j, col) in cols.enumerate() {
                     let mut flags = 0;
                     let values = aligned_values(col, &mut flags).map(|v| {
-                        or |= v.unsigned_abs();
+                        if !f64_static {
+                            or |= v.unsigned_abs();
+                        }
                         v as f64
                     });
                     put_column(&mut self.lanes, fan_in, j, values);
@@ -448,25 +459,53 @@ impl AlignedTile {
         debug_assert_eq!(self.poison.len(), batch);
     }
 
-    /// One weight row against the loaded tile: `emit(j, register,
+    /// Row `r` of `plan` against the loaded tile: `emit(j, register,
     /// poisoned)` receives, in column order, column `j`'s exact sum
-    /// `seed + Σ w[k] · a[j][k]` and whether the row or the column held a
-    /// special.
+    /// `seed + Σ w[k] · a[j][k]` and whether the row, its bias or the
+    /// column held a special. Returns the lane the row summed in.
+    ///
+    /// The one lane rule: over a [`Layout::Shared`] tile, `f64` when the
+    /// unit's register is at most 53 bits (the seed inside the sum) or the
+    /// pair's [`SumLane::span_bound`] is (the seed added in `i128` to the
+    /// sum read back by [`exact_i128`]); otherwise, and over an integer
+    /// tile, the register's integer lane — `i128` past 63 bits, else `i64`.
     #[inline(always)]
     pub(crate) fn row(
         &mut self,
-        seed: i128,
-        weights: &[u32],
-        word: impl Fn(u32) -> i64,
+        plan: &LayerPlan,
+        r: usize,
         emit: impl FnMut(usize, i128, bool),
-    ) {
-        let wide = SumLane::for_width(self.width) == SumLane::I128;
-        match self.layout {
-            Layout::Interleaved => self.row_in_f64(seed, weights, word, emit),
-            Layout::Shared => self.row_by_span(seed, weights, word, wide, emit),
-            Layout::Integer if wide => self.row_in::<i128>(seed, weights, word, emit),
-            Layout::Integer => self.row_in::<i64>(seed, weights, word, emit),
+    ) -> SumLane {
+        let k = plan.fan_in;
+        let (seed, poison) = plan.seeds[r];
+        let lane = SumLane::for_width(self.width);
+        if self.layout == Layout::Shared {
+            let floats = &plan.floats[r * k..(r + 1) * k];
+            if lane == SumLane::F64 {
+                self.sum_groups(seed as f64, floats, poison, |s| s as i64 as i128, emit);
+                return SumLane::F64;
+            }
+            if SumLane::span_bound(plan.ors[r], self.acts_or, k) <= F64_BITS {
+                self.sum_groups(0.0, floats, poison, |s| seed + exact_i128(s), emit);
+                return SumLane::F64;
+            }
+            if !self.ints_ready {
+                self.acts.clear();
+                for j in 0..self.poison.len() {
+                    let group = &self.lanes[j / LANES * k * LANES..][..k * LANES];
+                    let column = group.chunks_exact(LANES).map(|slots| slots[j % LANES]);
+                    self.acts.extend(column.map(|a| a as i64));
+                }
+                self.ints_ready = true;
+            }
         }
+        let ints = &plan.ints[r * k..(r + 1) * k];
+        if lane == SumLane::I128 {
+            self.quads::<i128>(seed, ints, poison, emit);
+            return SumLane::I128;
+        }
+        self.quads::<i64>(seed, ints, poison, emit);
+        SumLane::I64
     }
 
     /// Hands one finished sum to `emit`, checking it against the register
@@ -486,49 +525,19 @@ impl AlignedTile {
         emit(j, register, poison);
     }
 
-    /// Decodes a weight row into `weights`; returns whether a weight was
-    /// special.
-    #[inline(always)]
-    fn decode_row(&mut self, weights: &[u32], word: impl Fn(u32) -> i64) -> bool {
-        self.weights.clear();
-        self.weights_f64.clear();
-        let mut flags = 0;
-        self.weights
-            .extend(aligned_values(weights.iter().map(|&b| word(b)), &mut flags));
-        flags & 1 != 0
-    }
-
-    /// [`AlignedTile::row`] over the [`Layout::Integer`] tile, the running
-    /// sums held in `S`: a lone column through [`single_column`], otherwise
-    /// the weight row decoded once and [`AlignedTile::quads`].
-    #[inline(always)]
-    fn row_in<S: AlignedSum>(
-        &mut self,
-        seed: i128,
-        weights: &[u32],
-        word: impl Fn(u32) -> i64,
-        mut emit: impl FnMut(usize, i128, bool),
-    ) {
-        if let [column_poison] = self.poison[..] {
-            let (sum, row_poison) = single_column::<S>(seed, weights, &self.acts, word);
-            let poison = row_poison || column_poison;
-            return Self::finish(self.width, sum.register(), 0, poison, &mut emit);
-        }
-        let row_poison = self.decode_row(weights, word);
-        self.quads::<S>(seed, row_poison, emit);
-    }
-
-    /// The decoded row against the integer tile: [`quad`] in full groups of
-    /// four columns, then a single-column tail. Nothing here handles
-    /// specials — poison was decided at decode and load.
+    /// A weight row against the integer tile, the running sums held in
+    /// `S`: [`quad`] in full groups of four columns, then a single-column
+    /// tail (all of a lone column). Nothing here handles specials — poison
+    /// was decided at compile and load.
     #[inline(always)]
     fn quads<S: AlignedSum>(
         &self,
         seed: i128,
+        w: &[i64],
         row_poison: bool,
         mut emit: impl FnMut(usize, i128, bool),
     ) {
-        let (w, k) = (self.weights.as_slice(), self.weights.len());
+        let k = w.len();
         let col = |j: usize| &self.acts[j * k..(j + 1) * k];
         let seed = S::from_register(seed);
         let batch = self.poison.len();
@@ -548,76 +557,19 @@ impl AlignedTile {
         }
     }
 
-    /// [`AlignedTile::row`] on the static `f64` lane: the weight row
-    /// decoded once to `f64`s, then [`oct`] per group of [`LANES`]
-    /// interleaved columns with the seed inside the sum.
-    #[inline(always)]
-    fn row_in_f64(
-        &mut self,
-        seed: i128,
-        weights: &[u32],
-        word: impl Fn(u32) -> i64,
-        emit: impl FnMut(usize, i128, bool),
-    ) {
-        self.weights_f64.clear();
-        let mut flags = 0;
-        let values = aligned_values(weights.iter().map(|&b| word(b)), &mut flags);
-        self.weights_f64.extend(values.map(|v| v as f64));
-        let row_poison = flags & 1 != 0;
-        self.sum_groups(seed as f64, row_poison, |sum| sum as i64 as i128, emit);
-    }
-
-    /// [`AlignedTile::row`] over the [`Layout::Shared`] tile: the row
-    /// decoded once, and summed in `f64` from zero when
-    /// [`SumLane::span_bound`] admits it against the tile — the seed added
-    /// in `i128` to the sum read back by [`exact_i128`] — else in the
-    /// unit's static lane (`i128` when `wide`) over the integer copy, built
-    /// from the `f64`s by the first row that needs it.
-    #[inline(always)]
-    fn row_by_span(
-        &mut self,
-        seed: i128,
-        weights: &[u32],
-        word: impl Fn(u32) -> i64,
-        wide: bool,
-        emit: impl FnMut(usize, i128, bool),
-    ) {
-        let row_poison = self.decode_row(weights, word);
-        let (k, batch) = (self.weights.len(), self.poison.len());
-        if SumLane::span_bound(magnitude_or(&self.weights), self.acts_or, k) <= F64_BITS {
-            self.weights_f64
-                .extend(self.weights.iter().map(|&w| w as f64));
-            let read = |sum| seed + exact_i128(sum);
-            return self.sum_groups(0.0, row_poison, read, emit);
-        }
-        if !self.ints_ready {
-            self.acts.clear();
-            for j in 0..batch {
-                let group = &self.lanes[j / LANES * k * LANES..][..k * LANES];
-                let column = group.chunks_exact(LANES).map(|slots| slots[j % LANES]);
-                self.acts.extend(column.map(|a| a as i64));
-            }
-            self.ints_ready = true;
-        }
-        match wide {
-            true => self.quads::<i128>(seed, row_poison, emit),
-            false => self.quads::<i64>(seed, row_poison, emit),
-        }
-    }
-
-    /// The `f64` lane's sweep of `weights_f64` over the interleaved tile:
-    /// [`oct`] from `seed` per group of [`LANES`] columns, each sum
+    /// The `f64` lane's sweep of a weight row `w` over the interleaved
+    /// tile: [`oct`] from `seed` per group of [`LANES`] columns, each sum
     /// (checked in debug builds to be an integer) turned into its register
     /// by `read`. Exact by the module docs' argument.
     #[inline(always)]
     fn sum_groups(
         &self,
         seed: f64,
+        w: &[f64],
         row_poison: bool,
         read: impl Fn(f64) -> i128,
         mut emit: impl FnMut(usize, i128, bool),
     ) {
-        let w = self.weights_f64.as_slice();
         // `chunks_exact` would reject `K = 0`.
         let group = |g: usize| &self.lanes[g * w.len() * LANES..(g + 1) * w.len() * LANES];
         for (g, poison) in self.poison.chunks(LANES).enumerate() {
@@ -703,23 +655,27 @@ mod tests {
         tile.load(words, fan_in, cols.len(), rows);
     }
 
-    /// One row against the loaded tile: its sums in column order, their
-    /// poison flags, and whether the row took the `f64` lane — read off
-    /// the tile, whose `f64` weight row stays empty while a row sums in
-    /// integers.
-    fn sweep_row(
-        tile: &mut AlignedTile,
-        seed: i128,
-        weights: &[u32],
-        word: impl Fn(u32) -> i64,
-    ) -> (Vec<i128>, Vec<bool>, bool) {
+    /// A one-row plan of `weights` under `seed`, compiled through `word`.
+    fn plan(seed: i128, weights: &[u32], word: impl Fn(u32) -> i64) -> LayerPlan {
+        let mut plan = LayerPlan::default();
+        plan.fill(
+            weights.len(),
+            [(seed, false)],
+            weights.iter().map(|&b| word(b)),
+        );
+        plan
+    }
+
+    /// Row 0 of `plan` against the loaded tile: its sums in column order,
+    /// their poison flags, and whether the row took the `f64` lane.
+    fn sweep_row(tile: &mut AlignedTile, plan: &LayerPlan) -> (Vec<i128>, Vec<bool>, bool) {
         let (mut sums, mut poison) = (Vec::new(), Vec::new());
-        tile.row(seed, weights, word, |j, sum, p| {
+        let lane = tile.row(plan, 0, |j, sum, p| {
             assert_eq!(j, sums.len(), "columns arrive in order");
             sums.push(sum);
             poison.push(p);
         });
-        (sums, poison, !tile.weights_f64.is_empty())
+        (sums, poison, lane == SumLane::F64)
     }
 
     /// `seed + Σ value(w) · value(a)` per column, in `i128`.
@@ -743,7 +699,6 @@ mod tests {
     #[test]
     fn aligned_tile_sums_exactly_on_both_sum_widths() {
         let word = identity;
-        let value = |b: u32| (word(b) >> 1) as i128;
         let weights = [3u32, -5i32 as u32, 7];
         let pool: [[u32; 3]; 6] = [
             [1, 1, 1],
@@ -753,17 +708,10 @@ mod tests {
             [5, 4, 3],
             [-1i32 as u32; 3],
         ];
-        let dot = |c: &[u32]| -> i128 {
-            weights
-                .iter()
-                .zip(c)
-                .map(|(&w, &a)| value(w) * value(a))
-                .sum()
-        };
         // 53 / 54 bits straddle the static f64 / i64 lanes, 63 / 64 the
         // i64 / i128 ones (operands this small pass the span rule on every
         // width at B ≥ 2; the fallbacks are pinned by the span tests
-        // below); 1 column is the single-pass body, 2 the smallest tile,
+        // below); 1 column is the lone-column tail, 2 the smallest tile,
         // 7 / 8 / 9 straddle one group of the f64 lane and two of the
         // integer lanes' quads, 64 is the benchmark's chunk.
         for width in [40u32, 53, 54, 63, 64, 100] {
@@ -779,33 +727,25 @@ mod tests {
                         pool[j % 6].map(scale).to_vec()
                     })
                     .collect();
-                let special = |j: usize| j % 6 == 3;
-                let want: Vec<i128> = cols.iter().map(|c| 100 + dot(c)).collect();
+                let want = reference(100, &weights, &cols, word);
                 let mut tile = AlignedTile::new(width);
                 load(&mut tile, &cols, 3, 2, word);
-                let mut got = Vec::new();
-                tile.row(100, &weights, word, |j, sum, poison| {
-                    assert_eq!(j, got.len(), "columns arrive in order");
-                    assert_eq!(poison, special(j), "width {width} B={batch} column {j}");
-                    got.push(sum);
-                });
+                let (got, poison, _) = sweep_row(&mut tile, &plan(100, &weights, word));
                 assert_eq!(got, want, "width {width} B={batch}");
-                // A special weight poisons every column of its row.
-                let mut seen = 0;
-                tile.row(0, &[1, SPECIAL, 1], word, |_, _, poison| {
-                    assert!(poison);
-                    seen += 1;
-                });
-                assert_eq!(seen, batch, "padding is never emitted");
+                let special: Vec<bool> = (0..batch).map(|j| j % 6 == 3).collect();
+                assert_eq!(poison, special, "width {width} B={batch}");
+                // A special weight, or a special bias, poisons every column
+                // of its row, and padding is never emitted.
+                let mut special_bias = plan(0, &weights, word);
+                special_bias.seeds[0].1 = true;
+                for plan in [plan(0, &[1, SPECIAL, 1], word), special_bias] {
+                    assert_eq!(sweep_row(&mut tile, &plan).1, vec![true; batch]);
+                }
                 // A narrower tile after a wider one sees none of it.
-                load(&mut tile, &cols[..batch.div_ceil(2)], 3, 1, word);
-                let mut again = Vec::new();
-                tile.row(100, &weights, word, |_, sum, _| again.push(sum));
-                assert_eq!(
-                    again,
-                    want[..batch.div_ceil(2)],
-                    "width {width} B={batch} reload"
-                );
+                let half = batch.div_ceil(2);
+                load(&mut tile, &cols[..half], 3, 1, word);
+                let (again, _, _) = sweep_row(&mut tile, &plan(100, &weights, word));
+                assert_eq!(again, want[..half], "width {width} B={batch} reload");
             }
         }
     }
@@ -823,7 +763,7 @@ mod tests {
             let mut tile = AlignedTile::new(53);
             load(&mut tile, &cols, 2, 1, word);
             let seed = w as i128 * a as i128;
-            tile.row(seed, &weights, word, |j, sum, _| {
+            tile.row(&plan(seed, &weights, word), 0, |j, sum, _| {
                 assert_eq!(sum, 3 * seed, "column {j}");
             });
         }
@@ -832,7 +772,9 @@ mod tests {
         let cols = vec![vec![max as u32, -max as u32]; 8];
         let mut tile = AlignedTile::new(53);
         load(&mut tile, &cols, 2, 1, word);
-        tile.row(-7, &weights, word, |_, sum, _| assert_eq!(sum, -7));
+        tile.row(&plan(-7, &weights, word), 0, |_, sum, _| {
+            assert_eq!(sum, -7)
+        });
     }
 
     #[test]
@@ -867,7 +809,8 @@ mod tests {
                 for rows in [2, 1] {
                     load(&mut tile, &cols, 3, rows, identity);
                     for _ in 0..rows {
-                        let (sums, _, took_f64) = sweep_row(&mut tile, 100, &weights, identity);
+                        let (sums, _, took_f64) =
+                            sweep_row(&mut tile, &plan(100, &weights, identity));
                         let (ctx, shared) =
                             (format!("width {width} bound {bound} rows {rows}"), rows > 1);
                         assert_eq!(took_f64, in_f64 && shared, "{ctx}: lane");
@@ -909,7 +852,7 @@ mod tests {
         let seed = -(1i128 << 90) + 12_345;
         // The second row reads the same interleaved tile.
         for weights in [weights.clone(), weights.iter().rev().copied().collect()] {
-            let (sums, poison, took_f64) = sweep_row(&mut tile, seed, &weights, word);
+            let (sums, poison, took_f64) = sweep_row(&mut tile, &plan(seed, &weights, word));
             assert!(took_f64, "a bound of 30 bits takes f64");
             assert_eq!(sums, reference(seed, &weights, &cols, word));
             assert!(sums.iter().all(|s| (s - seed).abs() > i64::MAX as i128));
@@ -949,7 +892,7 @@ mod tests {
                 for (r, &passes) in order.iter().enumerate() {
                     let weights = if passes { &pass } else { &fail };
                     let seed = r as i128 - 1;
-                    let (sums, _, took_f64) = sweep_row(&mut tile, seed, weights, identity);
+                    let (sums, _, took_f64) = sweep_row(&mut tile, &plan(seed, weights, identity));
                     let ctx = format!("{order:?} B={batch} row {r}");
                     assert_eq!(took_f64, passes, "{ctx}: lane");
                     built |= !passes;

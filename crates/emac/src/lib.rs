@@ -61,23 +61,23 @@
 //!   every operand of a format fits the aligned word and the
 //!   eq.-(3)/(4) register fits an `i128` — the 8-bit trio, posits through
 //!   ⟨16,1⟩, minifloats up to binary16, fixed point at every width — a
-//!   sweep decodes its operands once and runs `acc[j] += w[k] · a[j][k]`
-//!   ([`MacKernel::Aligned`]) in the static [`SumLane`] the register width
-//!   proves exact — `f64` (≤ 53 bits), `i64` (≤ 63) or `i128` — or, past
-//!   53 bits, in `f64` for every (weight row, activation tile) pair of a
-//!   multi-row sweep whose operands prove it exact
-//!   ([`SumLane::span_bound`]: the bits the pair's sums can occupy,
-//!   checked per call). Everything else, and
-//!   every `new_reference()` unit, runs the per-MAC datapath in a loop
+//!   sweep runs `acc[j] += w[k] · a[j][k]` ([`MacKernel::Aligned`]) in the
+//!   [`SumLane`] the register width — `f64` (≤ 53 bits), `i64` (≤ 63) or
+//!   `i128` — or, past 53 bits, the pair's operand span
+//!   ([`SumLane::span_bound`]) proves exact. Everything else, and every
+//!   `new_reference()` unit, runs the per-MAC datapath in a loop
 //!   ([`MacKernel::Scalar`]) — the reference the aligned band is pinned
 //!   against.
-//! * **One sweep.** [`Emac::dot_layer`] is the one way a layer is
-//!   evaluated: a shape-validating front over [`TableEmac`]'s one private
-//!   sweep, generic over what it reads and writes ([`Readout`]: patterns,
-//!   or operand words between a model's layers). The sweep's aligned arm
-//!   decodes the tile once; its scalar arm is the per-MAC definition —
-//!   `set_bias`, one [`Emac::mac`] (or its word twin) per pair, one
-//!   readout — and both refuse a fan-in past the unit's capacity.
+//! * **One sweep, over compiled layers.** [`Emac::dot_plan`] is the one
+//!   way a layer is evaluated: a shape-validating front over
+//!   [`TableEmac`]'s one private sweep, generic over what it reads and
+//!   writes ([`Readout`]: patterns, or operand words between a model's
+//!   layers). The aligned arm reads the weights from a [`LayerPlan`] —
+//!   decoded once, by [`Emac::compile`], with each row's span half and
+//!   bias seed — and decodes the activation tile once; the scalar arm is
+//!   the per-MAC definition — `set_bias`, one [`Emac::mac`] (or its word
+//!   twin) per pair, one readout — and both refuse a fan-in past the
+//!   unit's capacity.
 //!
 //! ```
 //! use dp_emac::{Emac, PositEmac};
@@ -105,7 +105,7 @@ mod unit;
 pub use acc::{Accum, Window, SMALL_ACC_MAX_BITS};
 pub use fixed_emac::{Fixed, FixedEmac};
 pub use float_emac::{Float, FloatEmac};
-pub use kernel::{MacKernel, SumLane};
+pub use kernel::{LayerPlan, MacKernel, SumLane};
 pub use posit_emac::{Posit, PositEmac, SplitOperands};
 pub use table::{AlignedLut, EmacEntry, RoundLut};
 pub use table_emac::{Family, Readout, TableEmac};

@@ -1,7 +1,7 @@
 //! The one EMAC datapath and the [`Family`] seam.
 
 use crate::acc::{Accum, SMALL_ACC_MAX_BITS};
-use crate::kernel::AlignedTile;
+use crate::kernel::{AlignedTile, LayerPlan};
 use crate::table::{self, AlignedLut, EmacEntry, RoundLut, ALIGNED_OPERAND_BITS};
 use crate::unit::{layer_shape, Emac};
 use crate::{MacKernel, UnsupportedFormat};
@@ -254,18 +254,12 @@ macro_rules! with_aligned_word {
 ///   `±(field << scale)` fits the aligned word and the eq.-(3)/(4)
 ///   register fits an `i128` (true for every 5–8-bit configuration in
 ///   Table II, for posit⟨16,1⟩ — 121 bits at k = 128 — binary16 and
-///   fixed point), [`Emac::dot_tile`] and [`Emac::dot_layer`] decode
-///   their operands once ([`AlignedLut`], or [`Family::aligned_word`])
-///   and accumulate a plain integer dot product in the static
-///   [`crate::SumLane`] the register width picks — `f64` up to 53 bits
-///   (every operand below `2^26`, every partial sum below `2^52`: all
-///   exact in an `f64`, eight columns abreast in packed multiplies),
-///   `i64` up to 63, `i128` beyond — except that past 53 bits, in a
-///   [`Emac::dot_layer`] of two or more rows at `B ≥ 2`, each (weight
-///   row, activation tile) pair whose operand span
-///   proves 53 bits enough ([`crate::SumLane::span_bound`], checked per
-///   call on the operands themselves) sums in `f64` too; per-MAC calls run
-///   the reference datapath on the same `i128`.
+///   fixed point), a sweep reads its weights compiled ([`LayerPlan`]),
+///   decodes its activation tile once ([`AlignedLut`], or
+///   [`Family::aligned_word`]) and accumulates a plain integer dot product
+///   in the [`crate::SumLane`] the register width, or the operands' span,
+///   proves exact (the `kernel` module's docs); per-MAC calls run the
+///   reference datapath on the same `i128`.
 /// * **The reference band** ([`MacKernel::Scalar`]) — everything else,
 ///   and every [`TableEmac::new_reference`] unit: one
 ///   [`Family::decode`] per operand, one shifted add into the
@@ -288,10 +282,11 @@ pub struct TableEmac<F: Family> {
     words: bool,
     count: u64,
     poisoned: bool,
-    /// Decoded activation tile and weight row of the aligned band,
-    /// retained across sweeps so a layer does not allocate per row. Never
-    /// semantic: refilled on each sweep.
+    /// Decoded activation tile of the aligned band, and the plan a sweep
+    /// without one compiles (boxed: a unit is moved whole), retained
+    /// across sweeps. Never semantic: refilled on each sweep.
     tile: AlignedTile,
+    transient: Option<Box<LayerPlan>>,
 }
 
 impl<F: Family> TableEmac<F> {
@@ -372,6 +367,7 @@ impl<F: Family> TableEmac<F> {
             count: 0,
             poisoned: false,
             tile: AlignedTile::new(width),
+            transient: None,
         }
     }
 
@@ -446,12 +442,15 @@ impl<F: Family> TableEmac<F> {
         self.family.format()
     }
 
-    /// The one sweep under [`Emac::dot_layer`] and [`Emac::dot_tile`], for
+    /// The one sweep under [`Emac::dot_plan`] and [`Emac::dot_tile`], for
     /// an already validated, non-empty shape: `biases.len()` rows of
     /// `fan_in` weights against the activation columns `cols` yields (each
     /// `fan_in` long, patterns or words), `out[j · rows + r]` receiving row
-    /// `r` against column `j` read out as `O`. Leaves the unit in the last
-    /// row's last column's state with [`Emac::macs_done`] at `K × B`.
+    /// `r` against column `j` read out as `O`. The aligned band reads the
+    /// weights from `plan`, or from a plan it compiles for this call when
+    /// there is none; the scalar band reads the patterns. Leaves the unit
+    /// in the last row's last column's state with [`Emac::macs_done`] at
+    /// `K × B`.
     ///
     /// # Panics
     ///
@@ -461,6 +460,7 @@ impl<F: Family> TableEmac<F> {
     /// than it was sized for would wrap silently.
     fn sweep<'a, A: Readout + 'a, O: Readout>(
         &mut self,
+        plan: Option<&LayerPlan>,
         biases: &[u32],
         weights: &[u32],
         fan_in: usize,
@@ -475,10 +475,19 @@ impl<F: Family> TableEmac<F> {
         );
         let rows = biases.len();
         let batch = out.len() / rows;
+        let shape = |p: &LayerPlan| (p.rows(), p.fan_in()) == (rows, fan_in);
+        assert!(plan.is_none_or(shape), "dot_plan: plan of another shape");
         match self.aligned {
             Some(source) => with_aligned_word!(source, word, read => {
+                let transient = plan.is_none().then(|| {
+                    let mut transient = self.transient.take().unwrap_or_default();
+                    self.fill(&mut transient, word, biases, weights);
+                    transient
+                });
                 let cols = cols.map(move |col| col.iter().map(move |&a| a.to_word(word)));
-                self.aligned_sweep(word, read, biases, weights, cols, out)
+                let plan = plan.or(transient.as_deref()).expect("given or compiled");
+                self.aligned_sweep(read, plan, cols, out);
+                self.transient = transient.or(self.transient.take());
             }),
             None => {
                 for (col, outs) in cols.zip(out.chunks_exact_mut(rows)) {
@@ -495,10 +504,20 @@ impl<F: Family> TableEmac<F> {
         self.count = (fan_in * batch) as u64;
     }
 
-    /// The aligned band's sweep of `biases.len()` weight rows over one
-    /// activation tile of operand words, loaded once: `out[j · rows + r]`
-    /// receives row `r` against column `j`. Each row is seeded from its
-    /// bias's aligned word and each sum read out straight by `read` — the
+    /// Fills `plan` with the layer of biases `b` and row-major weights `w`
+    /// compiled through the aligned decode `word`, each row seeded from its
+    /// bias's word.
+    fn fill(&self, plan: &mut LayerPlan, word: impl Fn(u32) -> i64, b: &[u32], w: &[u32]) {
+        let shift = self.family.bias_shift();
+        let seed = |b: i64| (((b >> 1) as i128) << shift, b & 1 != 0);
+        let fan_in = w.len().checked_div(b.len()).unwrap_or(0);
+        let seeds = b.iter().map(|&b| seed(word(b)));
+        plan.fill(fan_in, seeds, w.iter().map(|&w| word(w)));
+    }
+
+    /// The aligned band's sweep of `plan`'s weight rows over one activation
+    /// tile of operand words, loaded once: `out[j · rows + r]` receives row
+    /// `r` against column `j`, each sum read out straight by `read` — the
     /// format's [`RoundLut`], or the family ([`Readout`]), chosen once per
     /// sweep; the unit's own register and poison flag are
     /// written once, after the last row's last column — going through
@@ -508,25 +527,19 @@ impl<F: Family> TableEmac<F> {
     #[inline(always)]
     fn aligned_sweep<C: IntoIterator<Item = i64>, O: Readout>(
         &mut self,
-        word: impl Fn(u32) -> i64 + Copy,
         read: impl Fn(&F, i128, bool) -> O,
-        biases: &[u32],
-        weights: &[u32],
+        plan: &LayerPlan,
         cols: impl Iterator<Item = C>,
         out: &mut [O],
     ) {
-        let rows = biases.len();
-        let fan_in = weights.len() / rows;
-        let (family, bias_shift) = (&self.family, self.family.bias_shift());
+        let rows = plan.rows();
+        let family = &self.family;
         let mut last = (0, false);
-        self.tile.load(cols, fan_in, out.len() / rows, rows);
-        for (r, &bias) in biases.iter().enumerate() {
-            let bias = word(bias);
-            let seed = ((bias >> 1) as i128) << bias_shift;
-            let wrow = &weights[r * fan_in..(r + 1) * fan_in];
-            self.tile.row(seed, wrow, word, |j, sum, poison| {
-                last = (sum, bias & 1 != 0 || poison);
-                out[j * rows + r] = read(family, sum, last.1);
+        self.tile.load(cols, plan.fan_in(), out.len() / rows, rows);
+        for r in 0..rows {
+            self.tile.row(plan, r, |j, sum, poison| {
+                last = (sum, poison);
+                out[j * rows + r] = read(family, sum, poison);
             });
         }
         (self.acc, self.poisoned) = (Accum::Small(last.0), last.1);
@@ -576,8 +589,19 @@ impl<F: Family> Emac for TableEmac<F> {
         );
     }
 
-    fn dot_layer<A: Readout, O: Readout>(
+    /// Decodes through [`Family::decode`], whose aligned word every
+    /// aligned decode equals.
+    fn compile(&self, biases: &[u32], weights: &[u32]) -> Option<LayerPlan> {
+        self.aligned?;
+        let word = |b| table::align(self.family.decode(b));
+        let mut plan = LayerPlan::default();
+        self.fill(&mut plan, word, biases, weights);
+        Some(plan)
+    }
+
+    fn dot_plan<A: Readout, O: Readout>(
         &mut self,
+        plan: Option<&LayerPlan>,
         biases: &[u32],
         weights: &[u32],
         acts: &[A],
@@ -589,7 +613,7 @@ impl<F: Family> Emac for TableEmac<F> {
         };
         // `chunks_exact` would reject `fan_in = 0`.
         let cols = (0..batch).map(|j| &acts[j * fan_in..(j + 1) * fan_in]);
-        self.sweep(biases, weights, fan_in, cols, out);
+        self.sweep(plan, biases, weights, fan_in, cols, out);
     }
 
     fn dot_tile(&mut self, bias: u32, weights: &[u32], cols: &[&[u32]], out: &mut [u32]) {
@@ -606,7 +630,8 @@ impl<F: Family> Emac for TableEmac<F> {
             );
         }
         if !cols.is_empty() {
-            self.sweep(&[bias], weights, weights.len(), cols.iter().copied(), out);
+            let (fan_in, cols) = (weights.len(), cols.iter().copied());
+            self.sweep(None, &[bias], weights, fan_in, cols, out);
         }
     }
 

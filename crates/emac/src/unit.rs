@@ -1,14 +1,15 @@
 //! The [`Emac`] trait and the format-erased [`EmacUnit`].
 
-use crate::{FixedEmac, FloatEmac, MacKernel, PositEmac, Readout};
+use crate::{FixedEmac, FloatEmac, LayerPlan, MacKernel, PositEmac, Readout};
 
 /// Common interface of the three exact multiply-and-accumulate units.
 ///
 /// Values are raw bit patterns of the unit's numerical format. A unit is
 /// used in three phases, mirroring the hardware control flow (paper §III-E):
 /// seed with a bias, stream `k` MAC operations (one per cycle), read the
-/// rounded result. [`Emac::dot_layer`] runs those phases for a whole layer
-/// against a batch in one call, through the unit's one sweep.
+/// rounded result. [`Emac::dot_plan`] runs those phases for a whole layer
+/// against a batch in one call, through the unit's one sweep, over weights
+/// compiled once ([`Emac::compile`]).
 pub trait Emac {
     /// Clears the accumulator to zero (and any NaR/NaN poison state).
     fn reset(&mut self);
@@ -23,9 +24,7 @@ pub trait Emac {
 
     /// The kernel this unit's sweeps run, fixed at construction by
     /// (format, capacity); see [`MacKernel`].
-    fn kernel(&self) -> MacKernel {
-        MacKernel::Scalar
-    }
+    fn kernel(&self) -> MacKernel;
 
     /// Whole-layer evaluation, the batch engine's and the serving chunk
     /// path's inner loop (and, at a batch of one, the per-sample path's):
@@ -49,6 +48,9 @@ pub trait Emac {
     /// `K × B` instead of only its last output). An empty batch (or a
     /// layer without rows) is a no-op.
     ///
+    /// An aligned-band unit compiles the layer for the call; a layer swept
+    /// more than once is compiled once ([`Emac::compile`], [`Emac::dot_plan`]).
+    ///
     /// # Panics
     ///
     /// Panics when `weights` or `out` is not a whole number of rows, `acts`
@@ -59,12 +61,38 @@ pub trait Emac {
         weights: &[u32],
         acts: &[A],
         out: &mut [O],
+    ) {
+        self.dot_plan(None, biases, weights, acts, out);
+    }
+
+    /// The layer of `biases` and row-major `weights` compiled for the
+    /// aligned sweep ([`LayerPlan`]), or `None` on the scalar band, which
+    /// reads patterns. It depends on the format only: any aligned unit of
+    /// the format may run it.
+    fn compile(&self, biases: &[u32], weights: &[u32]) -> Option<LayerPlan>;
+
+    /// [`Emac::dot_layer`] over `plan`, compiled from these `biases` and
+    /// `weights` in this unit's format: an aligned-band unit reads its
+    /// weights from it (or compiles one for the call when `None`), a
+    /// scalar-band unit reads the patterns.
+    ///
+    /// # Panics
+    ///
+    /// As [`Emac::dot_layer`], and when `plan` has another shape.
+    fn dot_plan<A: Readout, O: Readout>(
+        &mut self,
+        plan: Option<&LayerPlan>,
+        biases: &[u32],
+        weights: &[u32],
+        acts: &[A],
+        out: &mut [O],
     );
 
     /// One row of [`Emac::dot_layer`] over borrowed pattern columns:
     /// `out[j]` receives row `weights` under `bias` against `cols[j]`, with
     /// the same final state and `K × B` accounting. An empty `cols` is a
-    /// no-op. Kept for callers that time one row at a time.
+    /// no-op. Compiles the row for the call. Kept for callers that time one
+    /// row at a time.
     ///
     /// # Panics
     ///
@@ -172,14 +200,18 @@ impl Emac for EmacUnit {
     fn kernel(&self) -> MacKernel {
         dispatch!(self, u => u.kernel())
     }
-    fn dot_layer<A: Readout, O: Readout>(
+    fn compile(&self, biases: &[u32], weights: &[u32]) -> Option<LayerPlan> {
+        dispatch!(self, u => u.compile(biases, weights))
+    }
+    fn dot_plan<A: Readout, O: Readout>(
         &mut self,
+        plan: Option<&LayerPlan>,
         biases: &[u32],
         weights: &[u32],
         acts: &[A],
         out: &mut [O],
     ) {
-        dispatch!(self, u => u.dot_layer(biases, weights, acts, out))
+        dispatch!(self, u => u.dot_plan(plan, biases, weights, acts, out))
     }
     fn dot_tile(&mut self, bias: u32, weights: &[u32], cols: &[&[u32]], out: &mut [u32]) {
         dispatch!(self, u => u.dot_tile(bias, weights, cols, out))

@@ -19,7 +19,7 @@
 //! Because every number derives from the same small constant set plus
 //! datapath structure, *relative* comparisons between formats — the
 //! quantity the paper argues from — are preserved even though absolute
-//! values are model-scale (recorded as such in EXPERIMENTS.md).
+//! values are model-scale (recorded as such in README.md's crate map).
 //!
 //! ```
 //! use dp_hw::{report, Calib, FormatSpec};

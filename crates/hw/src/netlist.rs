@@ -174,7 +174,7 @@ impl Netlist {
     }
 
     /// Energy-delay product of a `k`-MAC dot product (J·s) — paper Fig. 7's
-    /// metric (relative scale; see EXPERIMENTS.md on absolute units).
+    /// metric (relative scale; see README.md's crate map on absolute units).
     pub fn edp(&self, k: u64) -> f64 {
         (self.dot_energy_pj(k) * 1e-12) * (self.dot_latency_ns(k) * 1e-9)
     }

@@ -10,8 +10,9 @@
 //! handle immediately. Each chunk job builds the model's per-layer EMAC
 //! array once and sweeps its whole chunk through the weight-stationary
 //! layer kernels ([`QuantizedMlp::forward_batch_bits_with`]: one
-//! `dp_emac::Emac::dot_layer` call per layer, operand decode amortized
-//! across the chunk's samples) — and because the tile contract is
+//! `dp_emac::Emac::dot_plan` call per layer over the layer's plan, compiled
+//! when the model was registered, activation decode amortized across the
+//! chunk's samples) — and because the tile contract is
 //! per-column bit-identity, results are **bit-identical** to per-sample
 //! [`QuantizedMlp::forward_bits`].
 //!

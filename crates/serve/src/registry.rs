@@ -120,6 +120,9 @@ impl ModelRegistry {
     /// no EMAC datapath (e.g. posit `es > n − 3`) would panic inside a pool
     /// worker on its first request, poisoning that job's handle; instead it
     /// never enters the registry, so every registered model is servable.
+    /// An admitted model is compiled here too
+    /// ([`deep_positron::QuantizedMlp::compile`]), so no request pays for
+    /// its plans.
     ///
     /// # Errors
     ///
@@ -146,6 +149,7 @@ impl ModelRegistry {
                 reason: e.reason().to_string(),
             });
         }
+        model.compile();
         self.wr().insert(key.clone(), Arc::new(model));
         Ok(key)
     }

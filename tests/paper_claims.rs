@@ -1,9 +1,11 @@
 //! The paper's qualitative claims, asserted against this reproduction
-//! (DESIGN.md experiment E8 plus shape checks for each table/figure).
+//! (the artifacts README.md's quick start lists, as shape checks for each
+//! table/figure).
 //!
 //! These tests pin the *shape* of every result — who wins, where, by
 //! roughly how much — not the absolute numbers (our substrate is an
-//! analytical FPGA model and synthetic UCI stand-ins; see EXPERIMENTS.md).
+//! analytical FPGA model and synthetic UCI stand-ins; see README.md's crate
+//! map).
 
 use deep_positron::experiments::{best_config_on, paper_tasks};
 use dp_hw::{emac_netlist, paper_grid, report, representative, Calib, Family, FormatSpec};
