@@ -24,6 +24,12 @@
 //!   for three `W > 53` formats, where every pair passes: beside the
 //!   random-pattern `*_aligned` row of the same format it is the span
 //!   rule's gain — CI pins posit8e2's at ≥ 1.3 ×,
+//! * `*_layer24x117x64_onehot` — Mushroom's first layer for each 8-bit
+//!   format: 24 rows of 117 bell-shaped weights against a 64-column
+//!   one-hot tile (about 22 ones per column, as the min-max-scaled
+//!   one-hot inputs). Every pair of a `W ≤ 53` unit (posit8e0,
+//!   float8e4m3, fixed8q6) is within 24 bits and sums in `f32`, sixteen
+//!   columns abreast; posit8e1 / posit8e2 take `f64` by the span rule,
 //! * `*_dot128_scalar_mac` — the per-element `mac()` loop on the same
 //!   unit (what the scalar band sweeps with, and every band's
 //!   definition),
@@ -169,34 +175,57 @@ fn gauss_row<E: Emac>(
         &name,
         unit,
         MacKernel::Aligned,
-        &weights,
-        &activations,
+        (&weights, &activations, K),
     );
 }
 
+/// The `*_layer24x117x64_onehot` row: [`layer_row`] on Mushroom's first
+/// layer shape — 24 rows of `K = 117` bell-shaped weights (step 2^-8)
+/// against 64 one-hot columns, each feature a one with probability 22/117.
+fn onehot_row<E: Emac>(
+    rows: &mut Vec<Measurement>,
+    label: &str,
+    unit: impl Fn(u64) -> E,
+    quantize: impl Fn(f32) -> u32,
+) {
+    let (n, k, b) = (24, 117, TILE_BS[1]);
+    let weights = bell(n * k, 2f32.powi(-8), 0x6d75_5348, &quantize);
+    let mut s = 0x0e4e_4075_c01a_b007u64;
+    let activations: Vec<u32> = (0..b * k)
+        .map(|_| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            quantize((s % 117 < 22) as u32 as f32)
+        })
+        .collect();
+    let name = format!("{label}_layer{n}x{k}x{b}_onehot");
+    let layer = (&weights[..], &activations[..], k);
+    layer_row(rows, &name, unit(k as u64), MacKernel::Aligned, layer);
+}
+
 /// One layer row named `name`: asserts the unit runs `kernel`, compiles
-/// the layer once, as a model does, then measures `dot_plan` of its
-/// [`LAYER_ROWS`] weight rows against `activations`, `K` per column
-/// (`LAYER_ROWS × K × B` MACs per iteration).
+/// the layer once, as a model does, then measures `dot_plan` of its weight
+/// rows, `k` each, against `activations`, `k` per column (`rows × k × B`
+/// MACs per iteration).
 fn layer_row<E: Emac>(
     rows: &mut Vec<Measurement>,
     name: &str,
     mut unit: E,
     kernel: MacKernel,
-    weights: &[u32],
-    activations: &[u32],
+    (weights, activations, k): (&[u32], &[u32], usize),
 ) {
     assert_eq!(
         unit.kernel(),
         kernel,
         "{name}: unit does not run the {kernel} kernel"
     );
-    let biases = [0u32; LAYER_ROWS];
+    let biases = vec![0u32; weights.len() / k];
     let plan = unit.compile(&biases, weights);
-    let mut out = vec![0u32; LAYER_ROWS * activations.len() / K];
+    let mut out = vec![0u32; biases.len() * activations.len() / k];
     rows.push(measure(
         name,
-        (LAYER_ROWS * activations.len()) as u64,
+        (biases.len() * activations.len()) as u64,
         || {
             unit.dot_plan(
                 black_box(plan.as_ref()),
@@ -247,7 +276,7 @@ fn bench_format<E: Emac>(
     }
     let name = format!("{label}_layer{LAYER_ROWS}x{K}x{}_{kernel}", cols.len());
     let (weights, activations) = (cols[..LAYER_ROWS].concat(), cols.concat());
-    layer_row(rows, &name, unit(), kernel, &weights, &activations);
+    layer_row(rows, &name, unit(), kernel, (&weights, &activations, K));
     tile_row(rows, label, unit(), kernel, &ws, std::slice::from_ref(&xs));
     let name = format!("{label}_dot{K}_scalar_mac");
     mac_loop_row(rows, &name, unit(), &ws, &xs);
@@ -343,6 +372,32 @@ fn main() {
         |v| dp_minifloat::convert::from_f32_saturating(fmt, v),
     );
 
+    // Mushroom's first layer on each 8-bit format: the f32 lane on the
+    // W <= 53 units (33-, 43- and 23-bit registers at K = 117).
+    for es in [0u32, 1, 2] {
+        let fmt = PositFormat::new(8, es).unwrap();
+        onehot_row(
+            &mut rows,
+            &format!("posit8e{es}"),
+            |k| PositEmac::new(fmt, k),
+            |v| dp_posit::convert::from_f32(fmt, v),
+        );
+    }
+    let fmt = FloatFormat::new(4, 3).unwrap();
+    onehot_row(
+        &mut rows,
+        "float8e4m3",
+        |k| FloatEmac::new(fmt, k),
+        |v| dp_minifloat::convert::from_f32_saturating(fmt, v),
+    );
+    let fmt = FixedFormat::new(8, 6).unwrap();
+    onehot_row(
+        &mut rows,
+        "fixed8q6",
+        |k| FixedEmac::new(fmt, k),
+        |v| fmt.from_f32(v) as u32 & 0xff,
+    );
+
     println!("{}", render_measurements(&rows));
 
     // Headline speedups per format: each one-column row over the
@@ -432,7 +487,11 @@ fn main() {
              and no weight, the scalar band is the per-MAC \
              loop again. *_layer16x128x64_gauss = the same on trained-like operands (from_f32 \
              of a bell-shaped stream: weights on a 2^-11 grid, activations on 2^-8), where \
-             every pair passes the span rule and sums in f64"
+             every pair passes the span rule and sums in f64. *_layer24x117x64_onehot = \
+             Mushroom's first layer shape (24 bell-shaped weight rows on a 2^-8 grid, K = 117, \
+             against 64 one-hot columns, elems = 24*117*64): on the W <= 53 units (posit8e0, \
+             float8e4m3, fixed8q6) every pair's span bound is <= 24 bits and sums in f32, 16 \
+             columns abreast"
                 .to_string(),
         ),
     ];

@@ -1,96 +1,60 @@
 //! The two MAC kernels, and the aligned band's loops.
 //!
-//! The paper's performance story is the exact EMAC dot product
-//! (eqs. 3–4); a software model that dispatches one [`crate::Emac::mac`]
-//! call per weight pays per-element dispatch, per-element decode and a
-//! per-element wide accumulate. [`crate::Emac::dot_layer`] instead hands
-//! the unit a whole layer against a batch of activation columns (patterns
-//! or operand words), and the unit's one sweep runs the [`MacKernel`] it
-//! was built on — a function of (format, capacity), decided **once** at
-//! construction; nothing selects it afterwards:
+//! [`crate::Emac::dot_layer`] hands a unit a whole layer against a batch of
+//! activation columns (patterns or operand words), and its one sweep runs
+//! the [`MacKernel`] it was built on, a function of (format, capacity):
 //!
-//! * [`MacKernel::Aligned`] — every operand of the format fits
+//! * [`MacKernel::Aligned`] — every operand fits
 //!   [`crate::table::ALIGNED_OPERAND_BITS`] bits and the eq.-(3)/(4)
-//!   register fits the `i128` window (all three 8-bit families, fixed
-//!   point at every width, minifloats up to binary16, posits up to
-//!   `max_scale = 30` — every es ≤ 1 format through posit⟨16,1⟩, es = 2
-//!   through n = 9). Operands are `±field × 2^scale` with a
-//!   non-negative scale, so `±(field << scale)` is a plain signed integer
-//!   and the exact sum is an integer dot product: the activation tile —
-//!   operand words ([`crate::table::align`]'s `value << 1 | special`),
-//!   handed over by the previous layer's word epilogue or decoded from
-//!   patterns — is loaded once per sweep into unit-owned scratch
-//!   ([`AlignedTile`]), the weight rows come compiled ([`LayerPlan`]:
-//!   decoded once per model that keeps its plans, once per call
-//!   otherwise), and the loop is `acc += w · a` — no shift, no sign
-//!   select, no special handling (poison is decided at compile and load
-//!   time) — with the sums held in the
-//!   [`SumLane`] the register width, or failing that the operands
-//!   themselves, prove exact, below.
-//! * [`MacKernel::Scalar`] — everything else (posits past
-//!   `max_scale = 30`, six-bit-exponent minifloats, formats past 16 bits,
-//!   registers past 127 bits, and every `new_reference()` unit): the
-//!   sweep is [`crate::Emac::mac`] in a loop (for a word activation, the
-//!   same step with the activation already aligned) — one
-//!   [`crate::Family::decode`] per operand into the
-//!   [`crate::Accum`] register — which is also the definition every
-//!   aligned loop is pinned against.
+//!   register fits an `i128` (the 8-bit trio, fixed point, minifloats up to
+//!   binary16, posits up to `max_scale = 30`). Operands are `±(field <<
+//!   scale)`, plain signed integers, so the exact sum is an integer dot
+//!   product: the activation tile is loaded once per sweep into unit-owned
+//!   scratch ([`AlignedTile`]), the weight rows come compiled
+//!   ([`LayerPlan`]), and the loop is `acc += w · a` — no shift, no sign
+//!   select, no special handling (poison is decided at compile and load) —
+//!   in the [`SumLane`] the register width, or the operands, prove exact.
+//! * [`MacKernel::Scalar`] — everything else, and every `new_reference()`
+//!   unit: [`crate::Emac::mac`] in a loop, the definition every aligned
+//!   loop is pinned against (`kernel_equivalence`, `tile_equivalence`).
 //!
-//! Both accumulate the same exact integer terms, so the band can never
-//! change a result bit — pinned by the `kernel_equivalence` and
-//! `tile_equivalence` test suites, exhaustively at 8 bits.
+//! ## Four sum types: one by format, `f32` and `f64` by proof
 //!
-//! ## Three sum types: one by format, `f64` by proof
+//! The register width `W` fixes a unit's **static** lane
+//! ([`SumLane::for_width`]): `f64` for `W ≤ 53`, `i64` for `W ≤ 63`,
+//! `i128` beyond. A float lane is exact: every product and partial sum is
+//! an integer below `2^(W−1) ≤ 2^52`, hence an `f64`, and a float multiply
+//! or add whose exact result is representable returns it.
 //!
-//! The register width `W` of eq. (3)/(4) — itself a function of (format,
-//! capacity) — fixes a unit's **static** lane ([`SumLane::for_width`]):
-//! `f64` for `W ≤ 53`, `i64` for `W ≤ 63`, `i128` beyond. The static `f64`
-//! lane is exact, not approximate:
+//! Eq. (3)/(4) sizes the register for the format's whole range; a trained
+//! network's operands occupy far less. On a tile of `B ≥ 2` columns that
+//! two or more rows share, each (weight row, tile) pair is checked against
+//! [`SumLane::span_bound`] (one row cannot repay the tile's copy): with
+//! `mw` / `ma` the OR of the row's / the tile's magnitudes, every product
+//! is a multiple of `2^(lsb(mw) + lsb(ma))` below `2^(msb(mw) + msb(ma) +
+//! 2)`, so every partial sum has at most `span(mw) + span(ma) + 2 +
+//! ⌈log₂K⌉` significant bits: exactly an `f64` when that is ≤ 53, an `f32`
+//! when ≤ 24 (and so is every operand). Per pair, a static-`f64` unit sums
+//! in `f32` at ≤ 24 bits, else in `f64`; a wider unit in `f64` at ≤ 53,
+//! else in its static integer lane, its **fallback**. One-row sweeps and
+//! lone columns take the static lane. Sums start from zero; the seed joins
+//! in `i128`, and a sum past 2^63 is read back off its fields
+//! ([`exact_i128`]).
 //!
-//! 1. `W` bits hold a sign, the bias and `K` products of the two largest
-//!    operands, so every operand is an integer below `2^26`;
-//! 2. hence the seed, every product and every partial sum is an integer of
-//!    magnitude below `2^(W−1) ≤ 2^52`, and every such integer is an `f64`;
-//! 3. an `f64` multiply or add (fused or not) whose exact result is
-//!    representable returns it — the same integer the `i64` lane computes.
-//!
-//! A wider unit's static lane is only its **fallback**. Eq. (3)/(4) sizes
-//! the register for `K` products of the format's largest operands down to
-//! its smallest, but the operands a trained network carries occupy far
-//! less, so on a tile of `B ≥ 2` columns that two or more weight rows
-//! share (a one-row sweep cannot repay the tile's `f64` copy), each
-//! (weight row, activation tile) pair is checked against what its
-//! operands prove ([`SumLane::span_bound`]): with `mw` /
-//! `ma` the OR of the row's / the tile's aligned magnitudes and `span(m) =
-//! msb(m) − lsb(m)`, the pair sums in `f64` when `span(mw) + span(ma) + 2
-//! + ⌈log₂K⌉ ≤ 53` (or either OR is 0), in the fallback otherwise. Every
-//! product is a multiple of `2^(lsb(mw) + lsb(ma))` and below
-//! `2^(msb(mw) + msb(ma) + 2)`, so every partial sum is such a multiple
-//! below `2^(msb(mw) + msb(ma) + 2 + ⌈log₂K⌉)`: at most 53 significant
-//! bits at an exponent far inside the `f64` range, hence exactly an `f64`
-//! — points 2–3 above, scaled by a power of two, so no operand is shifted
-//! down first. Every aligned operand has at most 32 significant bits, so
-//! `v as f64` is exact too. The seed joins in `i128` after the sum, which
-//! is read back off its fields ([`exact_i128`]: the 53-bit significand
-//! placed by the exponent) — never `sum as i128`, a compiler-rt call.
-//!
-//! What `f64` buys: baseline x86-64 has no packed 64-bit integer multiply
-//! but does have `mulpd` / `addpd`. The `f64` lane therefore lays its
-//! tile out **interleaved**, [`LANES`] columns abreast —
-//! `lanes[(g · K + k) · 8 + l]` is operand `k` of column `8g + l`, the
-//! last group's missing columns zero and never emitted — so one weight
-//! meets eight activations in adjacent memory and [`oct`]'s fixed-size
-//! inner array compiles to packed ops without `std::simd` or `unsafe`.
-//! The integer lanes keep `i64` operands column after column and run
-//! [`quad`], four scalar chains, plus a one-column tail (all of a lone
-//! column, `B = 1`). Every tile at `B ≥ 2` but a `W > 53` one a single row
-//! sweeps is loaded **eagerly** into the interleaved layout, OR-ing the
-//! magnitudes in the same pass; a plan holds each row's OR and both
-//! copies of its values, so the lane rule costs one comparison per row,
-//! and the tile's integer copy (from the `f64`s) is built only for a row
-//! the rule refuses.
+//! Floats exist because baseline x86-64 has packed `mulpd` / `addpd` and
+//! `mulps` / `addps` but no packed 64-bit integer multiply. The `f64` tile
+//! is **interleaved**, [`LANES`] columns to a group — `lanes[(g · K + k) ·
+//! 8 + l]` is operand `k` of column `8g + l`, a short last group padded
+//! with zeros — so [`oct`]'s fixed-size inner array compiles to packed ops
+//! without `std::simd` or `unsafe`; the `f32` copy runs sixteen columns to
+//! a group in the same four registers. The integer lanes keep `i64`
+//! operands column after column and run [`quad`], four scalar chains. A
+//! shared tile is loaded eagerly as `f64`s with its OR; a plan holds each
+//! row's OR and its values as `i64`, `f64` and `f32`, and the tile's `f32`
+//! and integer copies are built only for a row the rule sends there.
 
 use std::fmt;
+use std::ops::{Add, Mul};
 
 /// Which kernel a unit's sweeps run, decided once at construction from
 /// (format, capacity): formats whose operands all fit the aligned word,
@@ -123,62 +87,27 @@ impl fmt::Display for MacKernel {
     }
 }
 
-/// The running sum of the aligned band's integer lanes: an `i64` when the
-/// eq.-(3)/(4) register is at most 63 bits wide, an `i128` otherwise.
-trait AlignedSum: Copy {
-    /// Narrows the seed (a row's bias image).
-    fn from_register(register: i128) -> Self;
-    /// `self + w · a`, exactly.
-    fn mac(self, w: i64, a: i64) -> Self;
-    /// Widens back to the `i128` accumulation window.
-    fn register(self) -> i128;
-}
+/// A lane's running sum — `i64` or `i128` over integer operands, `f64`
+/// or `f32` over float ones: [`quad`] and [`oct`] are written once over it.
+trait Sum: Copy + Default + Add<Output = Self> + Mul<Output = Self> {}
+impl<T: Copy + Default + Add<Output = T> + Mul<Output = T>> Sum for T {}
 
-impl AlignedSum for i64 {
-    #[inline(always)]
-    fn from_register(register: i128) -> Self {
-        register as i64
-    }
-    #[inline(always)]
-    fn mac(self, w: i64, a: i64) -> Self {
-        self + w * a
-    }
-    #[inline(always)]
-    fn register(self) -> i128 {
-        self as i128
-    }
-}
-
-impl AlignedSum for i128 {
-    #[inline(always)]
-    fn from_register(register: i128) -> Self {
-        register
-    }
-    #[inline(always)]
-    fn mac(self, w: i64, a: i64) -> Self {
-        self + w as i128 * a as i128
-    }
-    #[inline(always)]
-    fn register(self) -> i128 {
-        self
-    }
-}
-
-/// Bits of an `f64` significand, hidden bit included: every integer of at
-/// most this many bits is an `f64`.
+/// Bits of an `f64` / `f32` significand, hidden bit included.
 const F64_BITS: u32 = 53;
+const F32_BITS: u32 = 24;
 
 /// How an aligned-band unit holds its running sums. A unit's **static**
-/// lane is a function of the eq.-(3)/(4) register width alone, hence of
-/// (format, capacity) ([`SumLane::for_width`]); on a `W > 53` unit it is
-/// the **fallback**, and each (weight row, activation tile) pair of a
-/// multi-row sweep at `B ≥ 2` whose [`SumLane::span_bound`] is ≤ 53 bits
-/// sums in `f64` instead. See the module docs for why each is exact.
+/// lane is a function of the eq.-(3)/(4) register width alone
+/// ([`SumLane::for_width`]); the float lanes also take the (weight row,
+/// activation tile) pairs of a shared tile whose [`SumLane::span_bound`]
+/// admits them. See the module docs for the rule and why each is exact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SumLane {
+    /// A pair of a `W ≤ 53` unit whose operands prove 24 bits enough:
+    /// `f32` sums, sixteen columns abreast. Never a static lane.
+    F32,
     /// Registers up to 53 bits, or a pair whose operands prove 53 enough:
-    /// `f64` sums over an interleaved tile, eight columns abreast in
-    /// packed multiplies and adds.
+    /// `f64` sums, eight columns abreast.
     F64,
     /// Registers up to 63 bits: `i64` sums, four columns abreast.
     I64,
@@ -198,13 +127,11 @@ impl SumLane {
     }
 
     /// The significant bits a (weight row, activation tile) pair's sums
-    /// can occupy — from the lowest bit every product shares to the
-    /// highest any partial sum reaches: `span(weights_or) + span(acts_or) +
-    /// 2 + ⌈log₂ fan_in⌉`, where
-    /// each argument is the OR of one side's aligned magnitudes and
-    /// `span(m) = msb(m) − lsb(m)` — 0 when either OR is 0 (every product
-    /// is). A pair whose bound is at most 53 sums exactly in `f64`
-    /// whatever the unit's register width.
+    /// can occupy: `span(weights_or) + span(acts_or) + 2 + ⌈log₂
+    /// fan_in⌉`, where each argument is the OR of one side's aligned
+    /// magnitudes and `span(m) = msb(m) − lsb(m)` — 0 when either OR is 0
+    /// (every product is). A pair within 53 bits sums exactly in `f64`,
+    /// within 24 in `f32`, whatever the unit's register width.
     pub fn span_bound(weights_or: u64, acts_or: u64, fan_in: usize) -> u32 {
         if weights_or == 0 || acts_or == 0 {
             return 0;
@@ -216,6 +143,7 @@ impl SumLane {
     /// Stable lower-case name, used in reports.
     pub fn name(self) -> &'static str {
         match self {
+            SumLane::F32 => "f32",
             SumLane::F64 => "f64",
             SumLane::I64 => "i64",
             SumLane::I128 => "i128",
@@ -229,32 +157,28 @@ impl fmt::Display for SumLane {
     }
 }
 
-/// Columns the `f64` lane runs abreast, and the interleave factor of its
-/// tile. Measured, not tunable: through `dot_layer` at 16 × 128 × 64 the
-/// 8-bit trio and fixed⟨16,8⟩ read 3.8–4.7e9 MAC/s at four lanes,
-/// 4.3–5.6e9 at eight and 4.5–5.7e9 at sixteen — no better than eight.
+/// Columns to a group of the `f64` tile (the `f32` copy has twice as
+/// many). Measured: the 8-bit trio and fixed⟨16,8⟩ read 3.8–4.7e9 MAC/s
+/// at four `f64` lanes, 4.3–5.6e9 at eight, 4.5–5.7e9 at sixteen.
 const LANES: usize = 8;
 
-/// One layer compiled for the aligned band ([`MacKernel::Aligned`]): per
-/// weight row its aligned values as the sweep reads them — `i64` for the
-/// integer lanes, `f64` for the `f64` lane — the OR of their magnitudes
-/// (the row's static half of [`SumLane::span_bound`]) and whether a weight
-/// or the bias is special; per row the bias's image in the register, the
-/// seed. Built from a layer's patterns by [`crate::Emac::compile`] in the
-/// unit's format, and from then on only read: paper Fig. 1's
-/// weight-stationary arrays load their weights once per model, and so can
-/// a model that keeps its plans. The scalar band never reads one.
+/// One layer compiled for the aligned band ([`MacKernel::Aligned`]) by
+/// [`crate::Emac::compile`], then only read — as paper Fig. 1's
+/// weight-stationary arrays load their weights once per model: per weight
+/// row its aligned values for every lane, their magnitudes' OR (the row's
+/// half of [`SumLane::span_bound`]), its seed (the bias's register image)
+/// and whether a weight or the bias is special.
 #[derive(Debug, Clone, Default)]
 pub struct LayerPlan {
     fan_in: usize,
     /// `rows × fan_in` aligned weight values, row after row.
     ints: Vec<i64>,
-    /// The same values as `f64`s.
+    /// The same values as `f64`s and as `f32`s.
     floats: Vec<f64>,
+    singles: Vec<f32>,
     /// Per row, the OR of the weights' magnitudes.
     ors: Vec<u64>,
-    /// Per row, the bias's register image and whether a weight or the bias
-    /// is special.
+    /// Per row, the seed and whether a weight or the bias is special.
     seeds: Vec<(i128, bool)>,
 }
 
@@ -272,6 +196,7 @@ impl LayerPlan {
         self.fan_in = fan_in;
         self.ints.clear();
         self.floats.clear();
+        self.singles.clear();
         self.ors.clear();
         self.seeds.clear();
         let mut words = weights.into_iter();
@@ -281,6 +206,7 @@ impl LayerPlan {
                 .extend(aligned_values(words.by_ref().take(fan_in), &mut flags));
             let row = &self.ints[start..];
             self.floats.extend(row.iter().map(|&v| v as f64));
+            self.singles.extend(row.iter().map(|&v| v as f32));
             self.ors
                 .push(row.iter().fold(0, |m, &v| m | v.unsigned_abs()));
             self.seeds.push((seed, flags & 1 != 0));
@@ -298,17 +224,12 @@ impl LayerPlan {
     }
 }
 
-/// Scratch of the aligned band ([`MacKernel::Aligned`]), retained by the
-/// unit across calls so a sweep does not allocate: the activation tile as
-/// plain values with one poison flag per column. Never semantic — refilled
-/// by every [`AlignedTile::load`]; the weights come from a [`LayerPlan`].
-///
-/// A load fixes the tile's [`Layout`] from the unit's static [`SumLane`],
-/// the batch and the rows that will share the tile.
+/// Scratch of the aligned band ([`MacKernel::Aligned`]), kept across calls
+/// so a sweep does not allocate: the activation tile as plain values with a
+/// poison flag per column, refilled by every [`AlignedTile::load`].
 #[derive(Debug, Clone, Default)]
 pub(crate) struct AlignedTile {
-    /// The unit's eq.-(3)/(4) register width: picks the static
-    /// [`SumLane`].
+    /// The unit's eq.-(3)/(4) register width.
     width: u32,
     /// How the loaded tile is held.
     layout: Layout,
@@ -316,14 +237,16 @@ pub(crate) struct AlignedTile {
     /// [`Layout::Integer`] tile, and a [`Layout::Shared`] tile's integer
     /// copy once `ints_ready`.
     acts: Vec<i64>,
-    /// OR of the loaded tile's magnitudes ([`Layout::Shared`]): its side of
-    /// [`SumLane::span_bound`].
+    /// OR of a [`Layout::Shared`] tile's magnitudes.
     acts_or: u64,
     /// `⌈B / 8⌉ × K × 8` aligned activation values, interleaved.
     lanes: Vec<f64>,
-    /// Whether `acts` holds the [`Layout::Shared`] tile too: cleared by
-    /// every load, set by the first row the lane rule sends to integers.
+    /// `lanes` as `f32`s, padded with zeros to an even number of groups,
+    /// once `singles_ready`.
+    singles: Vec<f32>,
+    /// Whether `acts` / `singles` hold the shared tile too.
     ints_ready: bool,
+    singles_ready: bool,
     /// Whether column `j` holds a special operand.
     poison: Vec<bool>,
 }
@@ -332,23 +255,20 @@ pub(crate) struct AlignedTile {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 enum Layout {
     /// `i64` values column after column: a lone column (`B = 1`), or a
-    /// `W > 53` tile one row sweeps — the one-row sweep cannot repay an
-    /// `f64` copy (at K = 128, B = 64 the OR and copy cost about 5.5 µs
-    /// against a row's 1.3–3 µs).
+    /// `W > 53` tile one row sweeps (at K = 128, B = 64 an `f64` copy and
+    /// its OR cost about 5.5 µs against a row's 1.3–3 µs).
     #[default]
     Integer,
-    /// `f64`s, [`LANES`] columns interleaved, past 53 bits with the
-    /// magnitudes' OR taken in the same pass — every other tile at `B ≥ 2`.
-    /// A row sums over it when the lane rule admits the pair, else over
-    /// the integer copy the first such row builds.
+    /// `f64`s, [`LANES`] columns interleaved, with the magnitudes' OR —
+    /// every other tile at `B ≥ 2`. Each row sums over it, or over the
+    /// `f32` or integer copy the first row sent there builds.
     Shared,
 }
 
 /// The aligned values of a column of operand words
-/// ([`crate::table::align`]'s `value << 1 | special`), in order; every
-/// word is OR-ed into `flags`, whose bit 0 afterwards says whether any
-/// operand was special. Specials carry value 0, so they add nothing to any
-/// sum.
+/// ([`crate::table::align`]'s `value << 1 | special`), every word OR-ed
+/// into `flags`, whose bit 0 then says whether any operand was special
+/// (specials carry value 0, so they add nothing to any sum).
 #[inline(always)]
 fn aligned_values<'a>(
     words: impl IntoIterator<Item = i64> + 'a,
@@ -363,8 +283,7 @@ fn aligned_values<'a>(
 /// An exact `f64`-lane sum — an integer below `2^127` — as an `i128`,
 /// read off its fields: the 53-bit significand (hidden bit set unless the
 /// sum is ±0), top-aligned in the `u128` and shifted down until its
-/// leading bit sits at the exponent. `sum as i128` would be exact too, but
-/// it is a compiler-rt call, not an instruction.
+/// leading bit sits at the exponent.
 #[inline(always)]
 fn exact_i128(sum: f64) -> i128 {
     let bits = sum.to_bits();
@@ -376,9 +295,8 @@ fn exact_i128(sum: f64) -> i128 {
     (magnitude ^ negate) - negate
 }
 
-/// Sizes `lanes` for `batch` interleaved columns of `fan_in` operands and
-/// zeroes the slots a short last group has no column for, so they read as
-/// zeros, not as an earlier tile's operands.
+/// Sizes `lanes` for `batch` interleaved columns of `fan_in` operands,
+/// zeroing the slots a short last group has no column for.
 fn size_lanes(lanes: &mut Vec<f64>, batch: usize, fan_in: usize) {
     let group_len = fan_in * LANES;
     lanes.resize(batch.div_ceil(LANES) * group_len, 0.0);
@@ -423,7 +341,7 @@ impl AlignedTile {
         rows: usize,
     ) {
         self.poison.clear();
-        self.ints_ready = false;
+        (self.ints_ready, self.singles_ready) = (false, false);
         let f64_static = SumLane::for_width(self.width) == SumLane::F64;
         self.layout = match batch > 1 && (rows > 1 || f64_static) {
             true => Layout::Shared,
@@ -440,12 +358,13 @@ impl AlignedTile {
             }
             Layout::Shared => {
                 size_lanes(&mut self.lanes, batch, fan_in);
-                // The lane rule reads the OR only past 53 bits.
-                let mut or = 0;
+                // A tile one row sweeps reads no OR: all ones fails every
+                // span test.
+                let mut or = if rows > 1 { 0 } else { u64::MAX };
                 for (j, col) in cols.enumerate() {
                     let mut flags = 0;
                     let values = aligned_values(col, &mut flags).map(|v| {
-                        if !f64_static {
+                        if rows > 1 {
                             or |= v.unsigned_abs();
                         }
                         v as f64
@@ -462,31 +381,42 @@ impl AlignedTile {
     /// Row `r` of `plan` against the loaded tile: `emit(j, register,
     /// poisoned)` receives, in column order, column `j`'s exact sum
     /// `seed + Σ w[k] · a[j][k]` and whether the row, its bias or the
-    /// column held a special. Returns the lane the row summed in.
-    ///
-    /// The one lane rule: over a [`Layout::Shared`] tile, `f64` when the
-    /// unit's register is at most 53 bits (the seed inside the sum) or the
-    /// pair's [`SumLane::span_bound`] is (the seed added in `i128` to the
-    /// sum read back by [`exact_i128`]); otherwise, and over an integer
-    /// tile, the register's integer lane — `i128` past 63 bits, else `i64`.
+    /// column held a special. Returns the lane the row summed in, by the
+    /// module docs' rule.
     #[inline(always)]
     pub(crate) fn row(
         &mut self,
         plan: &LayerPlan,
         r: usize,
-        emit: impl FnMut(usize, i128, bool),
+        mut emit: impl FnMut(usize, i128, bool),
     ) -> SumLane {
-        let k = plan.fan_in;
+        let (k, width) = (plan.fan_in, self.width);
         let (seed, poison) = plan.seeds[r];
+        let emit = move |j, register: i128, poison| {
+            let top = register >> (width - 1);
+            debug_assert!(top == 0 || top == -1, "past the {width}-bit register");
+            emit(j, register, poison)
+        };
         let lane = SumLane::for_width(self.width);
         if self.layout == Layout::Shared {
-            let floats = &plan.floats[r * k..(r + 1) * k];
+            let bound = SumLane::span_bound(plan.ors[r], self.acts_or, k);
+            if lane == SumLane::F64 && bound <= F32_BITS {
+                if !self.singles_ready {
+                    self.narrow(k);
+                }
+                let w = &plan.singles[r * k..][..k];
+                let read = |s: f32| s as i64 as i128;
+                self.sum_groups::<f32, { 2 * LANES }>(&self.singles, w, (seed, poison), read, emit);
+                return SumLane::F32;
+            }
+            let w = &plan.floats[r * k..][..k];
             if lane == SumLane::F64 {
-                self.sum_groups(seed as f64, floats, poison, |s| s as i64 as i128, emit);
+                let read = |s: f64| s as i64 as i128;
+                self.sum_groups::<f64, LANES>(&self.lanes, w, (seed, poison), read, emit);
                 return SumLane::F64;
             }
-            if SumLane::span_bound(plan.ors[r], self.acts_or, k) <= F64_BITS {
-                self.sum_groups(0.0, floats, poison, |s| seed + exact_i128(s), emit);
+            if bound <= F64_BITS {
+                self.sum_groups::<f64, LANES>(&self.lanes, w, (seed, poison), exact_i128, emit);
                 return SumLane::F64;
             }
             if !self.ints_ready {
@@ -499,7 +429,7 @@ impl AlignedTile {
                 self.ints_ready = true;
             }
         }
-        let ints = &plan.ints[r * k..(r + 1) * k];
+        let ints = &plan.ints[r * k..][..k];
         if lane == SumLane::I128 {
             self.quads::<i128>(seed, ints, poison, emit);
             return SumLane::I128;
@@ -508,29 +438,35 @@ impl AlignedTile {
         SumLane::I64
     }
 
-    /// Hands one finished sum to `emit`, checking it against the register
-    /// it was sized for.
-    #[inline(always)]
-    fn finish(
-        width: u32,
-        register: i128,
-        j: usize,
-        poison: bool,
-        emit: &mut impl FnMut(usize, i128, bool),
-    ) {
-        debug_assert!(
-            register >> (width - 1) == 0 || register >> (width - 1) == -1,
-            "aligned sum exceeds the eq.-(3)/(4) register of {width} bits"
-        );
-        emit(j, register, poison);
+    /// Builds the `f32` copy of the shared tile: row `k` of group `g` is row
+    /// `k` of the `f64` groups `2g` and `2g + 1`, zeros for a missing one.
+    /// Out of line: inlined, it slowed one-row `f64` sweeps by ≈ 40 %.
+    #[inline(never)]
+    fn narrow(&mut self, k: usize) {
+        let len = k * LANES;
+        let groups = self.poison.len().div_ceil(2 * LANES);
+        self.singles.resize(groups * 2 * len, 0.0);
+        for g in 0..groups {
+            let low = self.lanes[2 * g * len..][..len].as_chunks::<LANES>().0;
+            let high = self.lanes.get((2 * g + 1) * len..(2 * g + 2) * len);
+            let high = high.map_or(&[][..], |h| h.as_chunks::<LANES>().0);
+            let zeros = std::iter::repeat(&[0.0; LANES]);
+            let rows = low.iter().zip(high.iter().chain(zeros));
+            let out = self.singles[2 * g * len..][..2 * len].as_chunks_mut::<{ 2 * LANES }>();
+            for (out, (low, high)) in out.0.iter_mut().zip(rows) {
+                for l in 0..LANES {
+                    (out[l], out[LANES + l]) = (low[l] as f32, high[l] as f32);
+                }
+            }
+        }
+        self.singles_ready = true;
     }
 
     /// A weight row against the integer tile, the running sums held in
     /// `S`: [`quad`] in full groups of four columns, then a single-column
-    /// tail (all of a lone column). Nothing here handles specials — poison
-    /// was decided at compile and load.
+    /// tail (all of a lone column).
     #[inline(always)]
-    fn quads<S: AlignedSum>(
+    fn quads<S: Sum + From<i64> + Into<i128>>(
         &self,
         seed: i128,
         w: &[i64],
@@ -539,45 +475,47 @@ impl AlignedTile {
     ) {
         let k = w.len();
         let col = |j: usize| &self.acts[j * k..(j + 1) * k];
-        let seed = S::from_register(seed);
+        let mut finish = |j: usize, sum: S| {
+            emit(j, seed + sum.into(), row_poison || self.poison[j]);
+        };
         let batch = self.poison.len();
         let mut j = 0;
         while j + 4 <= batch {
-            let sums = quad(seed, w, [col(j), col(j + 1), col(j + 2), col(j + 3)]);
+            let sums = quad::<S>(w, [col(j), col(j + 1), col(j + 2), col(j + 3)]);
             for (i, sum) in sums.into_iter().enumerate() {
-                let poison = row_poison || self.poison[j + i];
-                Self::finish(self.width, sum.register(), j + i, poison, &mut emit);
+                finish(j + i, sum);
             }
             j += 4;
         }
         for j in j..batch {
-            let sum = w.iter().zip(col(j)).fold(seed, |s, (&w, &a)| s.mac(w, a));
-            let poison = row_poison || self.poison[j];
-            Self::finish(self.width, sum.register(), j, poison, &mut emit);
+            let dot = w
+                .iter()
+                .zip(col(j))
+                .fold(S::default(), |s, (&w, &a)| mac(s, w, a));
+            finish(j, dot);
         }
     }
 
-    /// The `f64` lane's sweep of a weight row `w` over the interleaved
-    /// tile: [`oct`] from `seed` per group of [`LANES`] columns, each sum
-    /// (checked in debug builds to be an integer) turned into its register
-    /// by `read`. Exact by the module docs' argument.
+    /// A float lane's sweep of a weight row `w` over the interleaved tile
+    /// `lanes`: [`oct`] per group of `N` columns, each sum (checked in debug
+    /// builds to be an integer) read back by `read` and added to `seed`.
     #[inline(always)]
-    fn sum_groups(
+    fn sum_groups<T: Sum + Into<f64>, const N: usize>(
         &self,
-        seed: f64,
-        w: &[f64],
-        row_poison: bool,
-        read: impl Fn(f64) -> i128,
+        lanes: &[T],
+        w: &[T],
+        (seed, row_poison): (i128, bool),
+        read: impl Fn(T) -> i128,
         mut emit: impl FnMut(usize, i128, bool),
     ) {
         // `chunks_exact` would reject `K = 0`.
-        let group = |g: usize| &self.lanes[g * w.len() * LANES..(g + 1) * w.len() * LANES];
-        for (g, poison) in self.poison.chunks(LANES).enumerate() {
-            let sums = oct(seed, w, group(g));
+        let group = |g: usize| &lanes[g * w.len() * N..(g + 1) * w.len() * N];
+        for (g, poison) in self.poison.chunks(N).enumerate() {
+            let sums = oct::<T, N>(w, group(g));
             for (l, (&sum, &column_poison)) in sums.iter().zip(poison).enumerate() {
-                debug_assert!(sum == sum.trunc(), "f64 lane left the integers: {sum}");
-                let poison = row_poison || column_poison;
-                Self::finish(self.width, read(sum), g * LANES + l, poison, &mut emit);
+                let s: f64 = sum.into();
+                debug_assert!(s == s.trunc(), "float lane left the integers: {s}");
+                emit(g * N + l, seed + read(sum), row_poison || column_poison);
             }
         }
     }
@@ -591,29 +529,36 @@ impl AlignedTile {
 /// some instantiations and not others, moving whole-model throughput by
 /// 20–30 % from build to build.
 #[inline(never)]
-fn quad<S: AlignedSum>(seed: S, w: &[i64], [a0, a1, a2, a3]: [&[i64]; 4]) -> [S; 4] {
-    let [mut s0, mut s1, mut s2, mut s3] = [seed; 4];
+fn quad<S: Sum + From<i64>>(w: &[i64], [a0, a1, a2, a3]: [&[i64]; 4]) -> [S; 4] {
+    let [mut s0, mut s1, mut s2, mut s3] = [S::default(); 4];
     for ((((&w, &a0), &a1), &a2), &a3) in w.iter().zip(a0).zip(a1).zip(a2).zip(a3) {
-        s0 = s0.mac(w, a0);
-        s1 = s1.mac(w, a1);
-        s2 = s2.mac(w, a2);
-        s3 = s3.mac(w, a3);
+        s0 = mac(s0, w, a0);
+        s1 = mac(s1, w, a1);
+        s2 = mac(s2, w, a2);
+        s3 = mac(s3, w, a3);
     }
     [s0, s1, s2, s3]
 }
 
-/// The `f64` micro-kernel: `acc[l] += w[k] · a[k][l]` over one group of
-/// [`LANES`] interleaved columns. The inner loop runs over a fixed-size
-/// array, which is all LLVM needs to emit packed multiplies and adds
-/// (`mulpd` / `addpd` on baseline x86-64, which has no packed 64-bit
-/// integer multiply — the reason this lane exists). Out of line for the
-/// same reason as [`quad`].
+/// `s + w · a` in the integer lane `S`, sized for the register.
+#[inline(always)]
+fn mac<S: Sum + From<i64>>(s: S, w: i64, a: i64) -> S {
+    s + S::from(w) * S::from(a)
+}
+
+/// The float micro-kernel: `acc[l] += w[k] · a[k][l]` over one group of
+/// `N` interleaved columns. The inner loop runs over a fixed-size array,
+/// which is all LLVM needs to emit packed multiplies and adds (four
+/// `mulpd` + four `addpd` per weight at eight `f64`s, four `mulps` + four
+/// `addps` at sixteen `f32`s, on baseline x86-64, which has no packed
+/// 64-bit integer multiply — the reason these lanes exist). Out of line
+/// for the same reason as [`quad`].
 #[inline(never)]
-fn oct(seed: f64, w: &[f64], a: &[f64]) -> [f64; LANES] {
-    let mut acc = [seed; LANES];
-    for (&w, a) in w.iter().zip(a.chunks_exact(LANES)) {
+fn oct<T: Sum, const N: usize>(w: &[T], a: &[T]) -> [T; N] {
+    let mut acc = [T::default(); N];
+    for (&w, a) in w.iter().zip(a.as_chunks::<N>().0) {
         for (acc, &a) in acc.iter_mut().zip(a) {
-            *acc += w * a;
+            *acc = *acc + w * a;
         }
     }
     acc
@@ -629,6 +574,7 @@ mod tests {
         assert_eq!(MacKernel::Scalar.to_string(), "scalar");
         let lanes = [1, 53, 54, 63, 64, 127].map(|w| SumLane::for_width(w).name());
         assert_eq!(lanes, ["f64", "f64", "i64", "i64", "i128", "i128"]);
+        assert_eq!(SumLane::F32.to_string(), "f32");
     }
 
     /// The pattern the test words decode as special.
@@ -667,15 +613,15 @@ mod tests {
     }
 
     /// Row 0 of `plan` against the loaded tile: its sums in column order,
-    /// their poison flags, and whether the row took the `f64` lane.
-    fn sweep_row(tile: &mut AlignedTile, plan: &LayerPlan) -> (Vec<i128>, Vec<bool>, bool) {
+    /// their poison flags, and the lane it took.
+    fn sweep_row(tile: &mut AlignedTile, plan: &LayerPlan) -> (Vec<i128>, Vec<bool>, SumLane) {
         let (mut sums, mut poison) = (Vec::new(), Vec::new());
         let lane = tile.row(plan, 0, |j, sum, p| {
             assert_eq!(j, sums.len(), "columns arrive in order");
             sums.push(sum);
             poison.push(p);
         });
-        (sums, poison, lane == SumLane::F64)
+        (sums, poison, lane)
     }
 
     /// `seed + Σ value(w) · value(a)` per column, in `i128`.
@@ -694,6 +640,14 @@ mod tests {
                 .sum()
         };
         cols.iter().map(|c| seed + dot(c)).collect()
+    }
+
+    /// `batch` columns of three operands `±(2^bits − 1)`: column `j` negates
+    /// operand `k` where bit `k` of `j` is set, so column 0 is all positive.
+    fn signed_cols(bits: u32, batch: usize) -> Vec<Vec<u32>> {
+        let a = ((1i64 << bits) - 1) as i32;
+        let col = |j: usize| (0..3).map(|k| [a, -a][(j >> k) & 1] as u32).collect();
+        (0..batch).map(col).collect()
     }
 
     #[test]
@@ -791,15 +745,8 @@ mod tests {
         for width in [57u32, 100] {
             for (a_bits, bound, in_f64) in [(25u32, 53u32, true), (26, 54, false)] {
                 let weights = [ones(26); 3];
-                // Column j negates operand k where bit k of j is set: nine
-                // distinct columns, one full group and a one-column tail,
-                // column 0 all positive.
-                let cols: Vec<Vec<u32>> = (0..9)
-                    .map(|j| {
-                        let a = ones(a_bits) as i32;
-                        (0..3).map(|k| [a, -a][(j >> k) & 1] as u32).collect()
-                    })
-                    .collect();
+                // One full group and a one-column tail.
+                let cols = signed_cols(a_bits, 9);
                 let or = |bits: u32| (1u64 << bits) - 1;
                 assert_eq!(SumLane::span_bound(or(26), or(a_bits), 3), bound);
                 let want = reference(100, &weights, &cols, identity);
@@ -809,8 +756,8 @@ mod tests {
                 for rows in [2, 1] {
                     load(&mut tile, &cols, 3, rows, identity);
                     for _ in 0..rows {
-                        let (sums, _, took_f64) =
-                            sweep_row(&mut tile, &plan(100, &weights, identity));
+                        let (sums, _, lane) = sweep_row(&mut tile, &plan(100, &weights, identity));
+                        let took_f64 = lane == SumLane::F64;
                         let (ctx, shared) =
                             (format!("width {width} bound {bound} rows {rows}"), rows > 1);
                         assert_eq!(took_f64, in_f64 && shared, "{ctx}: lane");
@@ -820,6 +767,59 @@ mod tests {
                         assert_eq!(tile.ints_ready, copied, "{ctx}: integer copy");
                         assert_eq!(sums, want, "{ctx}");
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn f32_lane_takes_24_bits_and_f64_takes_25() {
+        // K = 3 weights of 2^11 − 1 (span 10) against activations of
+        // 2^11 − 1 (span 10): a bound of exactly 24, and three
+        // all-positive products sum to an odd integer in [2^23, 2^24) —
+        // every bit an f32 holds. Activations of 2^12 − 1 make the bound 25
+        // and the sum an odd integer in [2^24, 2^25), which an f32 cannot
+        // hold, so a static-f64 unit sums in f64: admitting at ≤ 25 fails
+        // here. Seventeen columns leave the second f32 group short.
+        let ones = |bits: u32| ((1i64 << bits) - 1) as u32;
+        for width in [33u32, 53] {
+            for (a_bits, bound, lane) in [(11u32, 24u32, SumLane::F32), (12, 25, SumLane::F64)] {
+                let (weights, cols) = ([ones(11); 3], signed_cols(a_bits, 17));
+                let or = |bits: u32| (1u64 << bits) - 1;
+                assert_eq!(SumLane::span_bound(or(11), or(a_bits), 3), bound);
+                let want = reference(100, &weights, &cols, identity);
+                let top = want[0] - 100;
+                assert_eq!((top & 1, top >> (bound - 1)), (1, 1), "{bound} bits");
+                let mut tile = AlignedTile::new(width);
+                // A tile one row sweeps stays on the static f64 lane.
+                for (rows, lane) in [(2, lane), (1, SumLane::F64)] {
+                    load(&mut tile, &cols, 3, rows, identity);
+                    let (sums, _, took) = sweep_row(&mut tile, &plan(100, &weights, identity));
+                    let ctx = format!("width {width} bound {bound} rows {rows}");
+                    assert_eq!((took, sums), (lane, want.clone()), "{ctx}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn short_groups_read_zeros_in_both_float_tiles() {
+        // A full tile, then narrower ones: every slot past the last column
+        // reads zero in the f64 tile and in its f32 copy, never an earlier
+        // tile's operand.
+        let mut tile = AlignedTile::new(33);
+        let cols = vec![vec![3u32; 5]; 64];
+        for batch in [64usize, 2, 9, 17, 8, 64, 1 + 2 * LANES] {
+            load(&mut tile, &cols[..batch], 5, 2, identity);
+            let (_, _, lane) = sweep_row(&mut tile, &plan(0, &[1; 5], identity));
+            assert_eq!(lane, SumLane::F32);
+            let singles = tile.singles.iter().map(|&v| v as f64);
+            for (values, n) in [(tile.lanes.clone(), LANES), (singles.collect(), 2 * LANES)] {
+                assert_eq!(values.len(), batch.div_ceil(n) * n * 5, "B={batch}");
+                for (e, &v) in values.iter().enumerate() {
+                    let column = e / (5 * n) * n + e % n;
+                    let want = if column < batch { 3.0 } else { 0.0 };
+                    assert_eq!(v, want, "B={batch}, {n} abreast, column {column}");
                 }
             }
         }
@@ -852,8 +852,8 @@ mod tests {
         let seed = -(1i128 << 90) + 12_345;
         // The second row reads the same interleaved tile.
         for weights in [weights.clone(), weights.iter().rev().copied().collect()] {
-            let (sums, poison, took_f64) = sweep_row(&mut tile, &plan(seed, &weights, word));
-            assert!(took_f64, "a bound of 30 bits takes f64");
+            let (sums, poison, lane) = sweep_row(&mut tile, &plan(seed, &weights, word));
+            assert_eq!(lane, SumLane::F64, "a bound of 30 bits takes f64");
             assert_eq!(sums, reference(seed, &weights, &cols, word));
             assert!(sums.iter().all(|s| (s - seed).abs() > i64::MAX as i128));
             assert_eq!(poison, [vec![false; 8], vec![true]].concat());
@@ -892,9 +892,9 @@ mod tests {
                 for (r, &passes) in order.iter().enumerate() {
                     let weights = if passes { &pass } else { &fail };
                     let seed = r as i128 - 1;
-                    let (sums, _, took_f64) = sweep_row(&mut tile, &plan(seed, weights, identity));
+                    let (sums, _, lane) = sweep_row(&mut tile, &plan(seed, weights, identity));
                     let ctx = format!("{order:?} B={batch} row {r}");
-                    assert_eq!(took_f64, passes, "{ctx}: lane");
+                    assert_eq!(lane == SumLane::F64, passes, "{ctx}: lane");
                     built |= !passes;
                     assert_eq!(tile.ints_ready, built, "{ctx}: integer copy");
                     assert_eq!(sums, reference(seed, weights, &cols, identity), "{ctx}");

@@ -63,8 +63,8 @@
 //!   ⟨16,1⟩, minifloats up to binary16, fixed point at every width — a
 //!   sweep runs `acc[j] += w[k] · a[j][k]` ([`MacKernel::Aligned`]) in the
 //!   [`SumLane`] the register width — `f64` (≤ 53 bits), `i64` (≤ 63) or
-//!   `i128` — or, past 53 bits, the pair's operand span
-//!   ([`SumLane::span_bound`]) proves exact. Everything else, and every
+//!   `i128` — or the pair's operand span ([`SumLane::span_bound`]) proves
+//!   exact: `f32` within 24 bits, `f64` within 53. Everything else, and every
 //!   `new_reference()` unit, runs the per-MAC datapath in a loop
 //!   ([`MacKernel::Scalar`]) — the reference the aligned band is pinned
 //!   against.

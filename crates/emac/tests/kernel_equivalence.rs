@@ -1,7 +1,8 @@
 //! Kernel equivalence at one column: a one-row, one-column
-//! [`Emac::dot_layer`] — the aligned band's single-pass `single_column`
-//! body — must be bit-identical to the `mac()` loop and to the reference
-//! datapath on every input, or a kernel is a silent numerics change.
+//! [`Emac::dot_layer`] — on the aligned band, the one-row `dot_plan` sweep
+//! of a plan compiled for the call — must be bit-identical to the `mac()`
+//! loop and to the reference datapath on every input, or a kernel is a
+//! silent numerics change.
 //!
 //! Coverage, per the kernel bands:
 //! * **Aligned integers, n = 8** — exhaustive over all `2^(2n)` operand

@@ -130,19 +130,19 @@ impl FixedFormat {
         r as i64
     }
 
-    /// [`FixedFormat::from_f64`] of `v as f64`, without the libm `rint`
-    /// behind `round_ties_even` on baseline x86-64: the slice quantiser's
-    /// per-element step. The scaled value is clamped to the raw range
-    /// first (so `|x| ≤ 2^31`, and NaN stays NaN), then `(x + 1.5·2^52) −
-    /// 1.5·2^52` rounds it to the nearest integer, ties to even — the sum
-    /// lands where an `f64`'s ulp is exactly 1 — and the saturating cast
-    /// maps NaN to 0.
+    /// [`FixedFormat::from_f64`] of `v as f64`, branch-free and without the
+    /// libm `rint` behind `round_ties_even` on baseline x86-64: the slice
+    /// quantiser's per-element step. NaN is selected to 0, the scaled value
+    /// clamped to the raw range (`|x| ≤ 2^31`), and `x + 1.5·2^52` lands
+    /// where an `f64`'s ulp is 1, rounding to nearest, ties to even: the
+    /// integer is the difference of its bits and `1.5·2^52`'s.
     #[inline(always)]
     pub fn from_f32(self, v: f32) -> i64 {
         const ROUND: f64 = 1.5 * (1u64 << 52) as f64;
         let scaled = v as f64 * exp2(self.q as i32);
+        let scaled = if scaled.is_nan() { 0.0 } else { scaled };
         let clamped = scaled.clamp(self.min_raw() as f64, self.max_raw() as f64);
-        ((clamped + ROUND) - ROUND) as i64
+        (clamped + ROUND).to_bits() as i64 - ROUND.to_bits() as i64
     }
 
     /// The exact value of a raw word.

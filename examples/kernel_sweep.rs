@@ -16,8 +16,8 @@
 //! the end-to-end benchmark's two models (Mushroom 117-24-2 and Iris
 //! 4-16-3, trained as `benchmark/` trains them) per format and layer, how
 //! much of that register the operands occupy — the share of (weight row,
-//! 64-column test tile) pairs `dp_emac::SumLane::span_bound` admits to the
-//! `f64` lane, and the widest bound seen.
+//! 64-column test tile) pairs that sum in `f32` and in `f64` by the lane
+//! rule over `dp_emac::SumLane::span_bound`, and the widest bound seen.
 //!
 //! Run with `cargo run --release --example kernel_sweep`.
 
@@ -135,8 +135,10 @@ const TILE: usize = 64;
 
 /// The operand-occupancy table: for the benchmark's two models, per
 /// format and layer, the share of (weight row, [`TILE`]-column test tile)
-/// pairs that sum in `f64` — every pair on a ≤ 53-bit register, else the
-/// pairs [`SumLane::span_bound`] admits — and the widest bound seen.
+/// pairs that sum in `f32` — pairs of a ≤ 53-bit register whose
+/// [`SumLane::span_bound`] is ≤ 24 — and in `f64` — the other pairs of a
+/// ≤ 53-bit register, else those whose bound is ≤ 53 — and the widest
+/// bound seen.
 fn occupancy() {
     let mushroom = dp_datasets::mushroom::load(MODEL_SEED).split(2708, MODEL_SEED);
     let iris = dp_datasets::iris::load(MODEL_SEED).split(50, MODEL_SEED);
@@ -158,8 +160,8 @@ fn occupancy() {
         "\noperand occupancy per (weight row, {TILE}-column test tile) pair, benchmark models:\n"
     );
     println!(
-        "{:<9} {:>5} {:>4} {:<16} {:>4} {:>6} {:>9} {:>8}",
-        "model", "layer", "K", "format", "W", "static", "f64 pairs", "widest"
+        "{:<9} {:>5} {:>4} {:<16} {:>4} {:>6} {:>9} {:>9} {:>8}",
+        "model", "layer", "K", "format", "W", "static", "f32 pairs", "f64 pairs", "widest"
     );
     for (name, split, dims, epochs, batch_size) in models {
         let split = split.normalized();
@@ -185,25 +187,29 @@ fn occupancy() {
                 let mut unit = fmt.make_emac(k as u64).expect("low-precision format");
                 let width = unit.accumulator_width();
                 let static_lane = SumLane::for_width(width);
-                let (mut pairs, mut admitted, mut widest) = (0, 0, 0);
+                let (mut pairs, mut singles, mut doubles, mut widest) = (0, 0, 0, 0);
                 for tile in acts.chunks(TILE * k) {
                     let tile_or = or(tile);
                     for row in layer.weight_rows() {
                         let bound = SumLane::span_bound(or(row), tile_or, k);
                         pairs += 1;
-                        admitted += (static_lane == SumLane::F64 || bound <= 53) as usize;
+                        let f64_static = static_lane == SumLane::F64;
+                        singles += (f64_static && bound <= 24) as usize;
+                        doubles +=
+                            (f64_static && bound > 24 || !f64_static && bound <= 53) as usize;
                         widest = widest.max(bound);
                     }
                 }
                 println!(
-                    "{:<9} {:>5} {:>4} {:<16} {:>4} {:>6} {:>8.1}% {:>8}",
+                    "{:<9} {:>5} {:>4} {:<16} {:>4} {:>6} {:>8.1}% {:>8.1}% {:>8}",
                     name,
                     li,
                     k,
                     fmt.to_string(),
                     width,
                     static_lane.name(),
-                    100.0 * admitted as f64 / pairs as f64,
+                    100.0 * singles as f64 / pairs as f64,
+                    100.0 * doubles as f64 / pairs as f64,
                     widest
                 );
                 let mut out = vec![0u32; samples * layer.fan_out()];
