@@ -1,8 +1,11 @@
 //! Micro-benchmarks of the software arithmetic substrates: posit vs
-//! minifloat vs fixed vs native f32 add/mul throughput, and the `f32`
-//! slice quantisers of the six trio formats (`*_quantize_f32x128`: one
-//! [`NumericFormat::quantize_into`] call over 128 features — the forward
-//! pass's first stage, per element).
+//! minifloat vs fixed vs native f32 add/mul throughput, and the two `f32`
+//! slice quantisers of the six trio formats over 128 features, per
+//! element: `*_quantize_words_f32x128` is one `EmacUnit::quantize_words`
+//! call — the forward pass's first stage, straight to operand words (one
+//! table read for posit8e0 and float8e4m3) — and `*_quantize_f32x128` one
+//! [`NumericFormat::quantize_into`] call, the pattern quantiser that
+//! quantises a model's weights and the pattern paths' inputs.
 //!
 //! Run with `cargo bench --bench arith_ops`. Writes the committed baseline
 //! `BENCH_arith_ops.json` at the repository root (`results/smoke/` under
@@ -125,8 +128,7 @@ fn main() {
     // Normalised-feature-like inputs: mostly inside every trio format's
     // range, some beyond fixed point's (so the clamp runs), zeros included.
     let features: Vec<f32> = (0..128).map(|i| (i as f32 - 60.0) / 24.0).collect();
-    let mut bits = Vec::with_capacity(features.len());
-    for (label, fmt) in [
+    let trio = [
         (
             "posit8e0",
             NumericFormat::Posit(PositFormat::new(8, 0).unwrap()),
@@ -139,12 +141,25 @@ fn main() {
         ("posit16e1", NumericFormat::Posit(p16)),
         ("float16e5m10", NumericFormat::Float(f16)),
         ("fixed16q8", NumericFormat::Fixed(q168)),
-    ] {
+    ];
+    let mut bits = Vec::with_capacity(features.len());
+    for (label, fmt) in trio {
         let name = format!("{label}_quantize_f32x128");
         rows.push(measure(&name, features.len() as u64, || {
             bits.clear();
             fmt.quantize_into(black_box(&features), &mut bits);
             bits[0]
+        }));
+    }
+    let mut words = Vec::with_capacity(features.len());
+    for (label, fmt) in trio {
+        // A unit sized for Mushroom's first layer (fan-in 117).
+        let unit = fmt.make_emac(117).expect("the trio has EMACs");
+        let name = format!("{label}_quantize_words_f32x128");
+        rows.push(measure(&name, features.len() as u64, || {
+            words.clear();
+            unit.quantize_words(black_box(&features), &mut words);
+            words[0]
         }));
     }
 
@@ -158,7 +173,8 @@ fn main() {
         (
             "note",
             "elems = scalar add/mul operations; *_quantize_f32x128 rows: elems = f32 values \
-             quantised by one NumericFormat::quantize_into call"
+             quantised by one NumericFormat::quantize_into call; *_quantize_words_f32x128 \
+             rows: by one EmacUnit::quantize_words call"
                 .to_string(),
         ),
     ];

@@ -19,15 +19,21 @@ use dp_minifloat::FloatFormat;
 use dp_posit::PositFormat;
 use std::hint::black_box;
 
-/// [`measure`], but under `--smoke` the median of nine measurements: the
-/// `*_iris_batch16` and `*_mushroom_batch64` rows feed CI's posit/fixed
-/// ratio guards, which one smoke measurement (3 ms) leaves to noise.
-fn steady(name: &str, elems: u64, mut f: impl FnMut() -> usize) -> Measurement {
-    let runs = if smoke() { 9 } else { 1 };
+/// [`measure`], but under `--smoke` the median of `smoke_runs`
+/// measurements: the `*_iris_batch16` and `*_mushroom_batch64` rows feed
+/// CI's posit/fixed ratio guards, which one smoke measurement (3 ms) leaves
+/// to noise.
+fn steady(name: &str, elems: u64, smoke_runs: usize, mut f: impl FnMut() -> usize) -> Measurement {
+    let runs = if smoke() { smoke_runs } else { 1 };
     let mut all: Vec<Measurement> = (0..runs).map(|_| measure(name, elems, &mut f)).collect();
     all.sort_by(|a, b| a.ns_per_iter.total_cmp(&b.ns_per_iter));
     all.swap_remove(runs / 2)
 }
+
+/// Smoke measurements per `*_iris_batch16` row: a ~2 µs call, whose
+/// posit8e0/fixed8q6 ratio read 1.21–1.42× over nine where a full run
+/// reads 1.15×, and 1.09–1.13× over 45 against full runs' 1.11–1.17×.
+const SMOKE_IRIS: usize = 45;
 
 fn main() {
     let split = iris::load(42).split(50, 42).normalized();
@@ -92,10 +98,15 @@ fn main() {
         // The narrow8 shape: 19 outputs per sample against 112 MACs, so the
         // round/encode stage weighs as much as the sweep.
         let mut emacs = q.make_layer_emacs().expect("the 8-bit trio has EMACs");
-        rows.push(steady(&format!("{name}_iris_batch16"), 16, || {
-            q.forward_batch_bits_with(&mut emacs, black_box(chunk16))
-                .len()
-        }));
+        rows.push(steady(
+            &format!("{name}_iris_batch16"),
+            16,
+            SMOKE_IRIS,
+            || {
+                q.forward_batch_bits_with(&mut emacs, black_box(chunk16))
+                    .len()
+            },
+        ));
     }
     rows.push(measure("f32_native_per_sample", 1, || {
         mlp.predict(black_box(&x))
@@ -131,7 +142,7 @@ fn main() {
     for (name, fmt) in wide_configs {
         let q = QuantizedMlp::quantize(&wide_mlp, fmt);
         let mut emacs = q.make_layer_emacs().expect("the 16-bit trio has EMACs");
-        rows.push(steady(&format!("{name}_mushroom_batch64"), 64, || {
+        rows.push(steady(&format!("{name}_mushroom_batch64"), 64, 9, || {
             q.forward_batch_bits_with(&mut emacs, black_box(&chunk))
                 .len()
         }));

@@ -2,9 +2,12 @@
 //! `from_f32` must equal its general `from_f64` path on `v as f64` for
 //! every `v` — probed at every representable value of the format, every
 //! midpoint between neighbours (where rounding decides), each ± 2 ulp in
-//! `f32`, the `f32` edge values, and seeded random bit patterns.
+//! `f32`, the `f32` edge values, and seeded random bit patterns — and the
+//! EMAC units' word quantiser against `Family::word_from_f32` on the same
+//! probes, by table for the ≤ 8-bit posits and minifloats.
 
 use deep_positron::NumericFormat;
+use dp_emac::{Family, Fixed, Float, Posit, TableEmac};
 use dp_fixed::FixedFormat;
 use dp_hw::paper_grid;
 use dp_minifloat::FloatFormat;
@@ -152,6 +155,40 @@ fn quantize_into_equals_quantize_per_element() {
         for (&v, &b) in xs.iter().zip(&bits[1..]) {
             assert_eq!(b, fmt.quantize(v), "{fmt}: {v:e}");
             assert_eq!(b & !(u32::MAX >> (32 - fmt.n())), 0, "{fmt}: {v:e}");
+        }
+    }
+}
+
+#[test]
+fn quantize_words_reads_a_table_for_the_8_bit_posits_and_minifloats_only() {
+    fn check<F: Family>(fmt: F::Format, numeric: NumericFormat) {
+        let by_table = numeric.n() <= 8 && !matches!(numeric, NumericFormat::Fixed(_));
+        let unit = TableEmac::<F>::new(fmt, 117);
+        assert_eq!(unit.quantizes_by_table(), by_table, "{numeric}");
+        let reference = TableEmac::<F>::new_reference(fmt, 117);
+        assert!(!reference.quantizes_by_table(), "{numeric}: reference unit");
+        if !unit.takes_words() {
+            return;
+        }
+        let xs = probes(numeric, 4096);
+        let mut words = vec![-7];
+        unit.quantize_words(&xs, &mut words);
+        assert_eq!(words.len(), xs.len() + 1, "{numeric}: appends");
+        for (&v, &word) in xs.iter().zip(&words[1..]) {
+            let bits = v.to_bits();
+            assert_eq!(
+                word,
+                F::word_from_f32(fmt, v),
+                "{numeric}: {v:e} ({bits:#010x})"
+            );
+        }
+    }
+    for fmt in formats() {
+        match fmt {
+            NumericFormat::Posit(f) => check::<Posit>(f, fmt),
+            NumericFormat::Float(f) => check::<Float>(f, fmt),
+            NumericFormat::Fixed(f) => check::<Fixed>(f, fmt),
+            NumericFormat::F32 => unreachable!("no EMAC"),
         }
     }
 }

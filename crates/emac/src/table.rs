@@ -11,10 +11,11 @@
 //! image of it ([`align`]), one per-pattern table of those images
 //! ([`AlignedLut`]) and one leak-once cache ([`cached`]) serve both; a
 //! [`crate::Family`] supplies only the decode that fills them. Each
-//! operand table also carries the other end of the datapath for the
-//! ≤ 8-bit formats: the round/encode stage, tabulated from the family's
-//! own `encode` per register width ([`RoundLut`],
-//! [`AlignedLut::rounding`]).
+//! operand table also carries both ends of the datapath for the ≤ 8-bit
+//! formats, tabulated by one bucket walk that proves them exact: the `f32`
+//! quantiser, from the family's own `word_from_f32` ([`QuantizeLut`]), and
+//! the round/encode stage, from its own `encode` per register width
+//! ([`RoundLut`]).
 
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
@@ -146,6 +147,8 @@ pub struct AlignedLut {
     words: Vec<i64>,
     /// The format's [`RoundLut`] per register width, built on first use.
     rounding: [OnceLock<Option<&'static RoundLut>>; MAX_ROUND_REGISTER as usize + 1],
+    /// The format's [`QuantizeLut`], built on first use.
+    quantizer: OnceLock<Option<&'static QuantizeLut>>,
 }
 
 impl AlignedLut {
@@ -170,6 +173,7 @@ impl AlignedLut {
             mask: (1 << n) - 1,
             words: words.collect(),
             rounding: std::array::from_fn(|_| OnceLock::new()),
+            quantizer: OnceLock::new(),
         }
     }
 
@@ -185,6 +189,16 @@ impl AlignedLut {
         let n = self.words.len().trailing_zeros();
         let slot = self.rounding.get(width as usize)?;
         *slot.get_or_init(|| RoundLut::build(n, width, encode).map(|t| &*Box::leak(Box::new(t))))
+    }
+
+    /// The format's process-wide [`QuantizeLut`], built on first use from
+    /// `word` — the family's `word_from_f32` — and kept like the rounding
+    /// tables; `None` past [`MAX_ROUND_WIDTH`] bits or when the quantiser
+    /// does not tabulate ([`QuantizeLut::build`]).
+    pub fn quantizer(&'static self, word: impl Fn(f32) -> i64) -> Option<&'static QuantizeLut> {
+        let narrow = self.words.len() <= 1 << MAX_ROUND_WIDTH;
+        let build = || QuantizeLut::build(word).map(|t| &*Box::leak(Box::new(t)));
+        *self.quantizer.get_or_init(|| narrow.then(build).flatten())
     }
 
     /// The aligned word for the low `n` bits of `bits`.
@@ -204,7 +218,7 @@ impl AlignedLut {
     }
 }
 
-/// Widest format whose readout may tabulate: one byte per pattern.
+/// Widest format whose readout or quantiser may tabulate.
 pub const MAX_ROUND_WIDTH: u32 = 8;
 
 /// Widest register whose readout may tabulate: every sum is an `i64`.
@@ -224,10 +238,9 @@ pub const MAX_ROUND_BYTES: usize = 16 << 10;
 /// encode the negative register itself.
 ///
 /// [`RoundLut::build`] keeps the smallest `M` for which every interior is
-/// uniform — `encode(lo + 1) == encode(hi − 1)` for both signs. Rounding
-/// is monotone, so that check proves each interior slot equal to `encode`
-/// of every register it stands for: the table is exact by construction,
-/// and a format whose check fails within [`MAX_ROUND_BYTES`] gets none.
+/// uniform — `encode(lo + 1) == encode(hi − 1)` for both signs. Rounding is
+/// monotone, so that check proves the table exact; a format whose check
+/// fails within [`MAX_ROUND_BYTES`] gets none.
 #[derive(Debug, Clone)]
 pub struct RoundLut {
     /// `M`: register bits kept below the leading one.
@@ -252,39 +265,10 @@ impl RoundLut {
         let rows = width as usize + 1;
         (1..)
             .take_while(|&m| (4 * rows) << m <= MAX_ROUND_BYTES)
-            .find_map(|m| Self::try_build(rows, m, &encode))
-    }
-
-    /// The table at `m` bits, or `None` at the first interior that is not
-    /// uniform. A bit length whose least and greatest registers read out
-    /// alike reads out alike throughout (rounding is monotone) and is
-    /// filled from those two: the saturating binades and those below the
-    /// format's least value, most of a register, cost two `encode`s each.
-    fn try_build(rows: usize, m: u32, encode: &impl Fn(i64) -> u32) -> Option<Self> {
-        let mut patterns = Vec::with_capacity((4 * rows) << m);
-        for sign in [1, -1] {
-            for q in 0..rows {
-                let first = encode(sign * Self::bucket(q, 0, m).0);
-                if first == encode(sign * Self::bucket(q, (1 << m) - 1, m).1) {
-                    patterns.resize(patterns.len() + (2 << m), first as u8);
-                    continue;
-                }
-                for b in 0..1 << m {
-                    let (lo, last) = Self::bucket(q, b, m);
-                    let (lo, last) = (sign * lo, sign * last);
-                    let exact = encode(lo);
-                    let interior = match lo == last {
-                        true => exact,
-                        false => encode(lo + sign),
-                    };
-                    if last != lo + sign && encode(last) != interior {
-                        return None;
-                    }
-                    patterns.extend([exact as u8, interior as u8]);
-                }
-            }
-        }
-        Some(RoundLut { m, rows, patterns })
+            .find_map(|m| {
+                let patterns = walk(rows, m, |q, b| Self::bucket(q, b, m), |r| encode(r) as u8)?;
+                Some(RoundLut { m, rows, patterns })
+            })
     }
 
     /// The least and greatest magnitudes of bucket `(q, b)` at `m` bits
@@ -303,14 +287,9 @@ impl RoundLut {
         self.m
     }
 
-    /// The pattern register `r` reads out as.
-    #[inline(always)]
-    pub fn pattern(&self, r: i64) -> u32 {
-        self.rounder()(r)
-    }
-
-    /// [`RoundLut::pattern`] as a closure holding the table's slice and
-    /// shape by value, for the same reason as [`AlignedLut::decoder`].
+    /// The pattern a register reads out as, as a closure holding the
+    /// table's slice and shape by value, for the same reason as
+    /// [`AlignedLut::decoder`].
     #[inline(always)]
     pub fn rounder(&self) -> impl Fn(i64) -> u32 + Copy + '_ {
         let (patterns, m, rows) = (self.patterns.as_slice(), self.m, self.rows);
@@ -322,6 +301,119 @@ impl RoundLut {
             let row = (r < 0) as usize * rows + (64 - lz) as usize;
             let bucket = row << m | (below >> (64 - m)) as usize;
             patterns[bucket << 1 | (below << m != 0) as usize] as u32
+        }
+    }
+}
+
+/// The bucket walk that builds both lookup tables at `m` bits and proves
+/// them exact. Per sign (`1`, then `−1`, multiplying every key) and row, a
+/// row whose least and greatest keys read alike is filled from them; any
+/// other gets two slots per bucket `(lo, last) = bucket(row, b < 2^m)`:
+/// `read(±lo)`, the exact key, then `read(±(lo + 1))`, the interior, which
+/// must equal `read(±last)` (`None` at the first that does not). Rounding
+/// is monotone, so each slot equals `read` of every key it stands for.
+fn walk<T: Copy + PartialEq>(
+    rows: usize,
+    m: u32,
+    bucket: impl Fn(usize, u64) -> (i64, i64),
+    read: impl Fn(i64) -> T,
+) -> Option<Vec<T>> {
+    let mut slots = Vec::with_capacity((4 * rows) << m);
+    for sign in [1, -1] {
+        let read = |k: i64| read(sign * k);
+        for row in 0..rows {
+            let first = read(bucket(row, 0).0);
+            if first == read(bucket(row, (1 << m) - 1).1) {
+                slots.resize(slots.len() + (2 << m), first);
+                continue;
+            }
+            for b in 0..1 << m {
+                let (lo, last) = bucket(row, b);
+                let exact = read(lo);
+                let interior = if lo == last { exact } else { read(lo + 1) };
+                if last > lo + 1 && read(last) != interior {
+                    return None;
+                }
+                slots.extend([exact, interior]);
+            }
+        }
+    }
+    Some(slots)
+}
+
+/// Largest [`QuantizeLut`], in bytes.
+pub const MAX_QUANTIZE_BYTES: usize = 32 << 10;
+
+/// The `f32` quantiser as a table: every single mapped straight to the
+/// operand word ([`align`]) the family's `word_from_f32` gives it, keyed by
+/// the single's own bits — its sign, an exponent row, the top `M` fraction
+/// bits and whether any bit below those is set. Row 0 holds zero and the
+/// subnormals, the last row infinity and NaN; between them the exponent is
+/// clamped to the format's range, so the row at each end also stands for
+/// every exponent that underflows or saturates. One read of a 512-entry
+/// table by `bits >> 23` finds the row, so the index has no branch.
+///
+/// [`QuantizeLut::build`] clamps at the widest ends whose rows read alike
+/// end to end, then keeps the smallest `M` that passes [`RoundLut`]'s check
+/// (every NaN quantises alike, too); a format that fails within
+/// [`MAX_QUANTIZE_BYTES`] gets none.
+#[derive(Debug, Clone)]
+pub struct QuantizeLut {
+    /// `M`: fraction bits kept.
+    m: u32,
+    /// Per sign and exponent field (`bits >> 23`), its row's first slot.
+    rows: [u32; 512],
+    /// The words, indexed `((sign · rows + row) << M | b) << 1 | rest`.
+    words: Vec<i64>,
+}
+
+impl QuantizeLut {
+    /// The table of the quantiser `word`, or `None` when no `M` makes every
+    /// bucket uniform within [`MAX_QUANTIZE_BYTES`].
+    pub fn build(word: impl Fn(f32) -> i64) -> Option<Self> {
+        // A key is a single's magnitude bits, negated for a negative single.
+        let single = |k: i64| f32::from_bits(k.unsigned_abs() as u32 | ((k < 0) as u32) << 31);
+        let read = |k: i64| word(single(k));
+        let alike = |lo: i64, hi: i64| read(lo) == read(hi) && read(-lo) == read(-hi);
+        // The clamp: exponents to `lo` read as 2^-126 does, from `hi` as f32::MAX.
+        let lo = (1..255).take_while(|&e| alike(1 << 23, (e << 23) + 0x7f_ffff));
+        let lo = lo.last()?;
+        let hi = (lo + 1..255).rev();
+        let hi = hi.take_while(|&e| alike(e << 23, 0x7f7f_ffff)).last()?;
+        let row = |e: i64| match e {
+            0 => 0,
+            255 => hi - lo + 2,
+            e => e.clamp(lo, hi) - lo + 1,
+        } as usize;
+        let mut spans = vec![(255, 0); row(255) + 1];
+        for e in 0..256 {
+            let span = &mut spans[row(e)];
+            *span = (span.0.min(e), span.1.max(e));
+        }
+        (1..24)
+            .take_while(|&m| (32 * spans.len()) << m <= MAX_QUANTIZE_BYTES)
+            .find_map(|m| {
+                let bucket = |r: usize, b: u64| {
+                    let (b, tail) = ((b as i64) << (23 - m), (1 << (23 - m)) - 1);
+                    (spans[r].0 << 23 | b, spans[r].1 << 23 | b | tail)
+                };
+                let words = walk(spans.len(), m, bucket, read)?;
+                let slot = |i: usize| ((i >> 8) * spans.len() + row(i as i64 & 255)) << (m + 1);
+                let rows = std::array::from_fn(|i| slot(i) as u32);
+                Some(QuantizeLut { m, rows, words })
+            })
+    }
+
+    /// The word a single quantises to, as a closure holding the table's
+    /// slices and shape by value, for the same reason as
+    /// [`AlignedLut::decoder`].
+    #[inline(always)]
+    pub fn quantizer(&self) -> impl Fn(f32) -> i64 + Copy + '_ {
+        let (rows, words, shift) = (&self.rows, self.words.as_slice(), 23 - self.m);
+        move |v: f32| {
+            let (bits, tail) = (v.to_bits(), (1 << shift) - 1);
+            let slot = rows[(bits >> 23) as usize] | (bits & 0x7f_ffff) >> shift << 1;
+            words[(slot | (bits & tail != 0) as u32) as usize]
         }
     }
 }
@@ -410,116 +502,6 @@ mod tests {
             let aligned = Float::tables(fmt).unwrap();
             check_aligned(&fmt.to_string(), fmt.n(), |b| fields.decode(b), aligned);
         }
-    }
-
-    /// Capacities of the widths the rounding tables are pinned at: the
-    /// benchmark models' fan-ins (4, 16, 117) and the sweeps' (1, 128, 1024).
-    const CAPACITIES: [u64; 6] = [1, 4, 16, 117, 128, 1024];
-
-    /// A unit's readout, `Family::encode` of the register `r`.
-    fn encode_of<F: Family>(family: &F) -> impl Fn(i64) -> u32 + '_ {
-        |r| family.encode(&crate::Accum::Small(r.into()))
-    }
-
-    /// `family`'s rounding table at a `width`-bit register, if any.
-    fn round_table<F: Family>(family: &F, width: u32) -> Option<&'static RoundLut> {
-        F::tables(family.format())?.rounding(width, encode_of(family))
-    }
-
-    /// Every register around every bucket of `lut` — `lo − 1`, `lo`,
-    /// `lo + 1` and `hi − 1` of each (bit length, `b`), which include 0,
-    /// `±2^p` and the saturating binades — and `draws` seeded registers of
-    /// every magnitude, both signs, against `encode`.
-    fn pin(name: &str, width: u32, lut: &RoundLut, encode: impl Fn(i64) -> u32, draws: usize) {
-        let check = |r: i64| assert_eq!(lut.pattern(r), encode(r), "{name} W={width} R={r}");
-        let m = lut.kept_bits();
-        check(0);
-        for q in 1..=width as usize {
-            for b in 0..1u64 << m {
-                let (lo, last) = RoundLut::bucket(q, b, m);
-                for r in [lo - 1, lo, lo + 1, last] {
-                    if r.unsigned_abs() <= 1 << (width - 1) {
-                        check(r);
-                        check(-r);
-                    }
-                }
-            }
-        }
-        let mut s = 0x9e37_79b9_7f4a_7c15u64 ^ width as u64;
-        for _ in 0..draws {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            let magnitude = (s >> (65 - width)) >> ((s >> 3) % width as u64);
-            check(if s & 1 == 0 {
-                magnitude as i64
-            } else {
-                -(magnitude as i64)
-            });
-        }
-    }
-
-    /// Pins `family`'s rounding table at each capacity's register width;
-    /// returns the widths that got one. 10^6 seeded registers per format,
-    /// spread over those widths.
-    fn pin_family<F: Family>(family: &F) -> Vec<u32> {
-        let name = family.format().to_string();
-        let widths: Vec<u32> = CAPACITIES
-            .iter()
-            .map(|&k| F::accumulator_width_for(family.format(), k))
-            .filter(|&w| round_table(family, w).is_some())
-            .collect();
-        for &w in &widths {
-            let lut = round_table(family, w).unwrap();
-            pin(&name, w, lut, encode_of(family), 1_000_000 / widths.len());
-        }
-        widths
-    }
-
-    #[test]
-    fn rounding_tables_equal_encode_on_every_admitted_paper_format() {
-        use dp_hw::FormatSpec;
-        for spec in (5..=8).flat_map(dp_hw::paper_grid) {
-            let (admitted, widths) = match spec {
-                FormatSpec::Posit(f) => {
-                    let family = Posit::new(f, true);
-                    let all = CAPACITIES.map(|k| Posit::accumulator_width_for(f, k));
-                    (pin_family(&family), all)
-                }
-                FormatSpec::Float(f) => {
-                    let family = Float::new(f, true);
-                    let all = CAPACITIES.map(|k| Float::accumulator_width_for(f, k));
-                    (pin_family(&family), all)
-                }
-                FormatSpec::Fixed(_) => continue,
-            };
-            // Admission is the register width alone on this grid: every
-            // ≤ 63-bit register of a ≤ 8-bit posit or minifloat tabulates.
-            let fits: Vec<u32> = widths.into_iter().filter(|&w| w <= 63).collect();
-            assert_eq!(admitted, fits, "{spec:?}");
-        }
-    }
-
-    #[test]
-    fn rounding_tables_keep_the_fewest_bits_that_make_every_bucket_uniform() {
-        let posit = |n, es| Posit::new(PositFormat::new(n, es).unwrap(), true);
-        let float = |we, wf| Float::new(FloatFormat::new(we, wf).unwrap(), true);
-        // posit<8,0> near 1: five fraction bits and the round bit.
-        let lut = round_table(&posit(8, 0), 30).unwrap();
-        assert_eq!(lut.kept_bits(), 6);
-        assert_eq!(round_table(&float(4, 3), 40).unwrap().kept_bits(), 4);
-        // Memoized per (format, width); no table past a 63-bit register or
-        // past 8 bits.
-        assert!(std::ptr::eq(lut, round_table(&posit(8, 0), 30).unwrap()));
-        assert!(!std::ptr::eq(lut, round_table(&posit(8, 0), 31).unwrap()));
-        assert!(round_table(&posit(8, 1), 64).is_none());
-        assert!(round_table(&posit(9, 0), 40).is_none());
-        // One bit fewer than kept leaves a bucket that straddles a rounding
-        // boundary.
-        let posit8 = posit(8, 0);
-        let encode = encode_of(&posit8);
-        assert!(RoundLut::try_build(31, 5, &encode).is_none());
-        assert!(RoundLut::try_build(31, 6, &encode).is_some());
     }
 
     #[test]

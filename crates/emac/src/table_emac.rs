@@ -2,7 +2,7 @@
 
 use crate::acc::{Accum, SMALL_ACC_MAX_BITS};
 use crate::kernel::{AlignedTile, LayerPlan};
-use crate::table::{self, AlignedLut, EmacEntry, RoundLut, ALIGNED_OPERAND_BITS};
+use crate::table::{self, AlignedLut, EmacEntry, QuantizeLut, RoundLut, ALIGNED_OPERAND_BITS};
 use crate::unit::{layer_shape, Emac};
 use crate::{MacKernel, UnsupportedFormat};
 use std::fmt;
@@ -280,6 +280,8 @@ pub struct TableEmac<F: Family> {
     /// decode for them — the band rule without its capacity half
     /// ([`TableEmac::takes_words`]).
     words: bool,
+    /// The format's [`QuantizeLut`], when it has one.
+    quantizer: Option<&'static QuantizeLut>,
     count: u64,
     poisoned: bool,
     /// Decoded activation tile of the aligned band, and the plan a sweep
@@ -326,8 +328,9 @@ impl<F: Family> TableEmac<F> {
             }
             None => family.computed().map(Source::Computed),
         };
-        let acc = Accum::new(width);
-        Ok(Self::build(family, capacity, width, source, acc))
+        let quantizer = F::tables(fmt).and_then(|t| t.quantizer(|v| F::word_from_f32(fmt, v)));
+        let unit = Self::build(family, capacity, width, source, Accum::new(width));
+        Ok(TableEmac { quantizer, ..unit })
     }
 
     /// Creates a unit on the reference datapath: bit-field decode per MAC
@@ -364,6 +367,7 @@ impl<F: Family> TableEmac<F> {
             acc,
             aligned: source.filter(|_| width <= SMALL_ACC_MAX_BITS),
             words: source.is_some(),
+            quantizer: None,
             count: 0,
             poisoned: false,
             tile: AlignedTile::new(width),
@@ -395,19 +399,33 @@ impl<F: Family> TableEmac<F> {
         matches!(self.aligned, Some(Source::Table(_, Some(_))))
     }
 
+    /// Whether [`TableEmac::quantize_words`] reads the format's
+    /// [`QuantizeLut`]: the ≤ 8-bit posits and minifloats whose operands
+    /// align; never fixed point, a wider format or a `new_reference()` unit.
+    pub fn quantizes_by_table(&self) -> bool {
+        self.quantizer.is_some()
+    }
+
     /// Appends the operand word of every element of `xs` quantised,
     /// `align(decode(quantize(x)))` ([`Family::word_from_f32`]), to `out`:
-    /// a model's words start here, with no pattern in between. A plain loop
-    /// over a pre-sized tail with the format in a local, as the pattern
-    /// quantiser is. (Quantising inside the tile load instead measured
-    /// slower: posit⟨8,0⟩'s first layer 1.23 µs per sample against
-    /// 0.13 + 0.75 in two passes.)
+    /// a model's words start here, with no pattern in between: one
+    /// [`QuantizeLut`] read per element when the unit
+    /// [`TableEmac::quantizes_by_table`], else the family's rounding, in a
+    /// plain loop with the table or format in a local, as the pattern
+    /// quantiser is. (Quantising inside the tile load measured slower:
+    /// posit⟨8,0⟩'s first layer 1.23 µs per sample against 0.13 + 0.75 in
+    /// two passes.)
     pub fn quantize_words(&self, xs: &[f32], out: &mut Vec<i64>) {
-        let start = out.len();
+        fn fill(out: &mut [i64], xs: &[f32], word: impl Fn(f32) -> i64) {
+            for (slot, &v) in out.iter_mut().zip(xs) {
+                *slot = word(v);
+            }
+        }
+        let (start, fmt) = (out.len(), self.format());
         out.resize(start + xs.len(), 0);
-        let fmt = self.format();
-        for (slot, &v) in out[start..].iter_mut().zip(xs) {
-            *slot = F::word_from_f32(fmt, v);
+        match self.quantizer {
+            Some(lut) => fill(&mut out[start..], xs, lut.quantizer()),
+            None => fill(&mut out[start..], xs, |v| F::word_from_f32(fmt, v)),
         }
     }
 
